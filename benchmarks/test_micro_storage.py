@@ -155,57 +155,3 @@ def test_bench_relational_recovery(benchmark, tmp_path):
         return n
 
     assert benchmark(recover) == 3000
-
-
-# -- B+-tree engine (the Berkeley-DB-faithful alternative) ---------------------
-
-from repro.storage.btree import BTree  # noqa: E402
-
-
-@pytest.fixture
-def filled_btree(tmp_path):
-    tree = BTree(tmp_path / "bench.btree", page_size=4096)
-    for i in range(5000):
-        tree.put(b"key%05d" % i, b"value-%05d" % i)
-    tree.flush()
-    yield tree
-    tree.close()
-
-
-def test_bench_btree_put(benchmark, tmp_path):
-    tree = BTree(tmp_path / "put.btree")
-    counter = [0]
-
-    def put_one():
-        counter[0] += 1
-        tree.put(b"key%08d" % counter[0], b"some-term-statistics-blob")
-
-    benchmark(put_one)
-    tree.close()
-
-
-def test_bench_btree_get(benchmark, filled_btree):
-    out = benchmark(lambda: filled_btree.get(b"key02500"))
-    assert out == b"value-02500"
-
-
-def test_bench_btree_prefix_scan(benchmark, filled_btree):
-    def scan():
-        return sum(1 for _ in filled_btree.prefix(b"key024"))
-
-    assert benchmark(scan) == 100
-
-
-def test_bench_btree_cold_open(benchmark, tmp_path):
-    path = tmp_path / "cold.btree"
-    with BTree(path) as tree:
-        for i in range(5000):
-            tree.put(b"key%05d" % i, b"v%05d" % i)
-
-    def cold_read():
-        t = BTree(path, cache_pages=16)
-        value = t.get(b"key04999")
-        t.close()
-        return value
-
-    assert benchmark(cold_read) == b"v04999"

@@ -37,12 +37,6 @@ not a leaf.  Inside ``src/repro/shard`` every
 ``LOCK_ATTRIBUTES`` (or the explicit leaf allowlist below) fails the
 lint.
 
-**Storage-package coverage:** the same strictness applies to
-``src/repro/storage`` — the engines ("kvstore" rank) nest over the WAL
-("wal"), and an unranked engine lock would hide an inversion against
-those.  The allowlisted leaves are locks private to one object that
-never wrap a ranked acquisition.
-
 Exit status 0 when clean, 1 otherwise (one ``file:line`` per inversion).
 """
 
@@ -69,19 +63,6 @@ SHARD_ROOT = SRC_ROOT / "shard"
 #: one object and never nested around ranked locks).  Empty on purpose:
 #: grow it only with a comment justifying each entry.
 SHARD_LEAF_LOCKS: frozenset[str] = frozenset()
-
-#: Storage package: engine locks must be ranked (see LOCK_ORDER
-#: "kvstore"/"wal"); these leaves are private to one object.
-STORAGE_ROOT = SRC_ROOT / "storage"
-STORAGE_LEAF_LOCKS: frozenset[str] = frozenset({
-    # Database._catalog_lock: guards the table catalog and txn-id
-    # sequence; documented at "relational" rank semantics but only ever
-    # wraps per-table _rw locks via the documented alphabetical order.
-    "_catalog_lock",
-    # Sequence._lock: guards one counter's read-increment-persist; the
-    # store put beneath it locks itself.
-    "_lock",
-})
 
 
 def _base_name(node: ast.expr) -> str | None:
@@ -176,11 +157,10 @@ def _is_lock_constructor(value: ast.expr) -> bool:
     )
 
 
-def lint_lock_coverage(
-    tree: ast.AST, path: Path, problems: list[str],
-    package: str, leaves: frozenset[str],
+def lint_shard_lock_coverage(
+    tree: ast.AST, path: Path, problems: list[str]
 ) -> None:
-    """Every lock the package creates must have a ranked name."""
+    """Every lock the shard package creates must have a ranked name."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Assign):
             continue
@@ -190,14 +170,13 @@ def lint_lock_coverage(
             if not isinstance(target, ast.Attribute):
                 continue
             attr = target.attr
-            if attr in LOCK_ATTRIBUTES or attr in leaves:
+            if attr in LOCK_ATTRIBUTES or attr in SHARD_LEAF_LOCKS:
                 continue
             rel = path.relative_to(REPO_ROOT)
             problems.append(
-                f"{rel}:{node.lineno}: {package}-layer lock {attr!r} is "
-                "not in repro.locks.LOCK_ATTRIBUTES — rank it (or "
-                f"allowlist it in {package.upper()}_LEAF_LOCKS with a "
-                "justification)"
+                f"{rel}:{node.lineno}: shard-layer lock {attr!r} is not "
+                "in repro.locks.LOCK_ATTRIBUTES — rank it (or allowlist "
+                "it in SHARD_LEAF_LOCKS with a justification)"
             )
 
 
@@ -207,11 +186,7 @@ def lint_file(path: Path, problems: list[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             lint_function(node, path, problems)
     if SHARD_ROOT in path.parents:
-        lint_lock_coverage(tree, path, problems, "shard", SHARD_LEAF_LOCKS)
-    if STORAGE_ROOT in path.parents:
-        lint_lock_coverage(
-            tree, path, problems, "storage", STORAGE_LEAF_LOCKS,
-        )
+        lint_shard_lock_coverage(tree, path, problems)
 
 
 def main() -> int:

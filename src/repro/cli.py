@@ -54,27 +54,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pages-per-leaf", type=int, default=15)
 
 
-def _add_storage_args(parser: argparse.ArgumentParser) -> None:
-    from .storage import engine_names
-
-    parser.add_argument(
-        "--storage-engine", choices=engine_names(), default="btree",
-        help="term-store engine (btree: in-memory sorted index; "
-             "lsm: memtable + sorted segments with background compaction)",
-    )
-    parser.add_argument(
-        "--codec", choices=("json", "binary"), default="json",
-        help="record codec for stored values",
-    )
-
-
-def _storage_kwargs(args: argparse.Namespace) -> dict:
-    return {
-        "storage_engine": getattr(args, "storage_engine", "btree"),
-        "codec": getattr(args, "codec", None),
-    }
-
-
 def _build(args: argparse.Namespace):
     return build_workload(
         seed=args.seed, num_users=args.users, days=args.days,
@@ -102,7 +81,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _replayed_system(args: argparse.Namespace):
     workload = _build(args)
-    system = MemexSystem.from_workload(workload, **_storage_kwargs(args))
+    system = MemexSystem.from_workload(workload)
     print(f"replaying {len(workload.events)} events ...", file=sys.stderr)
     system.replay(workload.events)
     return workload, system
@@ -265,8 +244,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return _serve_cluster(args, stop)
 
         workload = _build(args)
-        kwargs = _storage_kwargs(args)
-        kwargs["sync"] = args.sync
+        kwargs = {"sync": args.sync}
         if args.data_dir:
             kwargs["root"] = args.data_dir
         system = MemexSystem.from_workload(workload, **kwargs)
@@ -289,7 +267,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             while not stop.is_set() and (
                 deadline is None or time.monotonic() < deadline
             ):
-                server.scheduler.tick()
+                server.tick()
                 time.sleep(0.1)
         except KeyboardInterrupt:
             pass
@@ -313,9 +291,7 @@ def _serve_cluster(args: argparse.Namespace, stop) -> int:
     fetch = corpus_fetcher(workload.corpus)
 
     def factory(shard_id: int, root: str | None):
-        return MemexServer(
-            fetch, root=root, sync=args.sync, **_storage_kwargs(args),
-        )
+        return MemexServer(fetch, root=root, sync=args.sync)
 
     cluster = MemexCluster(
         factory, args.shards,
@@ -417,9 +393,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     fetch = corpus_fetcher(workload.corpus)
 
     def factory(shard_id: int, root: str | None) -> MemexServer:
-        return MemexServer(
-            fetch, root=root, sync=args.sync, **_storage_kwargs(args),
-        )
+        return MemexServer(fetch, root=root, sync=args.sync)
 
     scratch = None
     data_dir = args.data_dir
@@ -615,7 +589,6 @@ def main(argv: list[str] | None = None) -> int:
         "stats", help="replay a workload and print the observability report",
     )
     _add_workload_args(p)
-    _add_storage_args(p)
     p.add_argument("--json", action="store_true", help="emit a JSON snapshot")
     p.add_argument(
         "--logs", action="store_true",
@@ -630,7 +603,6 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="serve a replayed system over TCP (framed protocol)",
     )
     _add_workload_args(p)
-    _add_storage_args(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 picks a free one)")
@@ -653,7 +625,6 @@ def main(argv: list[str] | None = None) -> int:
         help="offer open-loop load (and optional chaos) to a real cluster",
     )
     _add_workload_args(p)
-    _add_storage_args(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--shards", type=int, default=1,

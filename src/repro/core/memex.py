@@ -43,7 +43,6 @@ from ..server.servlets import ServletRegistry
 from ..server.netserver import MemexSocketServer
 from ..server.transport import HttpTunnelTransport
 from ..shard.gather import LocalBackend, ShardDispatcher
-from ..storage.lsm import LSMMaintenanceDaemon
 from ..storage.repository import MemexRepository
 from ..storage.schema import (
     ARCHIVE_COMMUNITY,
@@ -86,14 +85,6 @@ class MemexServer:
         :func:`repro.core.api.corpus_fetcher` for the simulated one).
     root:
         Directory for persistent state; None keeps everything in memory.
-    storage_engine:
-        Term-store engine (``"btree"`` or ``"lsm"``, see
-        :func:`repro.storage.open_engine`).  The LSM engine's
-        flush/compaction daemon is registered with the scheduler
-        automatically.
-    codec:
-        Record codec (``"json"``/``"binary"``) for the term store and
-        the relational WAL.
     theme_discovery:
         Tuning for the theme daemon.
     metrics / tracer / log_hub:
@@ -126,8 +117,6 @@ class MemexServer:
         *,
         root: str | None = None,
         sync: bool = False,
-        storage_engine: str = "btree",
-        codec: str | None = None,
         theme_discovery: ThemeDiscovery | None = None,
         crawler_batch: int = 64,
         metrics: MetricsRegistry | None = None,
@@ -154,7 +143,6 @@ class MemexServer:
         self.repo = MemexRepository(
             root, sync=sync, clock=lambda: self._now, metrics=self.metrics,
             tracer=self.tracer, log_hub=self.logs,
-            storage_engine=storage_engine, codec=codec,
         )
         self.vectorizer = PageVectorizer(self.repo)
         self.index = InvertedIndex(self.repo.kv)
@@ -214,11 +202,6 @@ class MemexServer:
         self.scheduler.register(self.classifier, period=2)
         self.scheduler.register(self.themes, period=8)
         self.scheduler.register(self.discovery, period=8)
-        # The LSM engine needs its flush/compaction cycle driven; the
-        # daemon runs under the same quarantine/parole supervision as
-        # every other background worker.
-        if getattr(self.repo.kv, "engine_name", None) == "lsm":
-            self.scheduler.register(LSMMaintenanceDaemon(self.repo.kv), period=4)
         # Metrics time series: sample the registry's mergeable raw
         # snapshot into a bounded ring; `metrics_pull` exposes it so the
         # router (and `repro top`) can compute rates without scraping.

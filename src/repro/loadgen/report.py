@@ -37,7 +37,6 @@ _DELTA_PREFIXES = (
     "server.indexer.",
     "storage.relational.commits",
     "storage.kvstore.",
-    "storage.lsm.",
     "cache.",
     "shard.",
 )

@@ -42,7 +42,7 @@ LOCK_ORDER: tuple[str, ...] = (
     "relational",    # Database per-table RWLocks (alphabetical by table)
     "versioning",    # VersionCoordinator._versions_lock
     "index",         # InvertedIndex._index_lock (whole-scoring-pass atomicity)
-    "kvstore",       # KVStore._kv_lock, LSMStore._lsm_lock (engine level)
+    "kvstore",       # KVStore._kv_lock
     "wal",           # WriteAheadLog._wal_lock
     "cache",         # ShardedLRU shard locks
     "obs",           # metrics/tracer/log-hub internal locks
@@ -62,7 +62,6 @@ LOCK_ATTRIBUTES: dict[str, str] = {
     "_index_lock": "index",
     "_ann_lock": "index",
     "_kv_lock": "kvstore",
-    "_lsm_lock": "kvstore",
     "_wal_lock": "wal",
     "_shard_lock": "cache",
     "_obs_lock": "obs",

@@ -127,22 +127,12 @@ def _cache_rows(metrics: dict[str, Any]) -> list[str]:
 def _storage_rows(metrics: dict[str, Any]) -> list[str]:
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
-    rows = []
-    lsm_puts = _total(counters, "storage.lsm.puts")
-    if lsm_puts or _total(counters, "storage.lsm.flushes"):
-        rows.append(
-            f"  lsm: puts {lsm_puts:.0f}"
-            f"  flushes {_total(counters, 'storage.lsm.flushes'):.0f}"
-            f"  compactions {_total(counters, 'storage.lsm.compactions'):.0f}"
-            f"  segments {_total(gauges, 'storage.lsm.segments'):.0f}"
-            f"  memtable {_total(gauges, 'storage.lsm.memtable_bytes'):.0f}B"
-        )
-    rows.append(
+    rows = [
         f"  kv: puts {_total(counters, 'storage.kvstore.puts'):.0f}"
         f"  deletes {_total(counters, 'storage.kvstore.deletes'):.0f}"
         f"  compactions {_total(counters, 'storage.kvstore.compactions'):.0f}"
         f"  wal-commits {_total(counters, 'storage.relational.commits'):.0f}"
-    )
+    ]
     lag = _by_label(gauges, "storage.versioning.lag", "consumer")
     if lag:
         worst = max(lag.items(), key=lambda kv: kv[1])

@@ -16,10 +16,10 @@ and re-rank the survivors by exact cosine; corpora too small for the
 buckets to matter fall back to an exact scan, so recall never degrades
 below brute force at laptop scale.
 
-The index persists vectors through the ``StorageEngine`` API (one
-namespace record per document, via the store's record codec) and is
-maintained by :class:`DenseIndexDaemon`, a versioning *consumer* ticked
-by the scheduler under the usual quarantine/parole supervision.
+The index persists vectors in the term store (one namespace record
+per document) and is maintained by :class:`DenseIndexDaemon`, a
+versioning *consumer* ticked by the scheduler under the usual
+quarantine/parole supervision.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ import math
 import threading
 from typing import TYPE_CHECKING
 
-from ..storage.codec import get_codec
-from ..storage.engine import Namespace, StorageEngine
+from ..storage.codec import decode, encode
+from ..storage.engine import Namespace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..server.daemons import PageVectorizer
+    from ..storage.kvstore import KVStore
     from ..storage.repository import MemexRepository
 
 #: Dense dimensionality — small enough that a cosine is ~100 flops.
@@ -107,7 +108,7 @@ class DenseVectorIndex:
 
     def __init__(
         self,
-        kv: StorageEngine | None = None,
+        kv: KVStore | None = None,
         *,
         dims: int = DENSE_DIMS,
         n_planes: int = DENSE_PLANES,
@@ -119,7 +120,6 @@ class DenseVectorIndex:
             _rademacher(f"plane:{i}", dims) for i in range(n_planes)
         ]
         self._ns = Namespace(kv, prefix) if kv is not None else None
-        self._codec = get_codec(getattr(kv, "codec", None)) if kv is not None else None
         self._vectors: dict[str, list[float]] = {}
         self._buckets: dict[int, set[str]] = {}
         self._sigs: dict[str, int] = {}
@@ -128,11 +128,11 @@ class DenseVectorIndex:
             self._load()
 
     def _load(self) -> None:
-        assert self._ns is not None and self._codec is not None
+        assert self._ns is not None
         with self._ann_lock:
             for key, raw in self._ns.items():
                 url = key.decode("utf-8")
-                vec = [float(x) for x in self._codec.decode(raw)["v"]]
+                vec = [float(x) for x in decode(raw)["v"]]
                 self._place(url, vec)
 
     def _signature(self, vec: list[float]) -> int:
@@ -158,8 +158,8 @@ class DenseVectorIndex:
         vec = self.projector.project(sparse)
         with self._ann_lock:
             self._place(url, vec)
-            if self._ns is not None and self._codec is not None:
-                self._ns.put(url.encode("utf-8"), self._codec.encode({"v": vec}))
+            if self._ns is not None:
+                self._ns.put(url.encode("utf-8"), encode({"v": vec}))
 
     def remove(self, url: str) -> bool:
         with self._ann_lock:

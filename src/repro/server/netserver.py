@@ -182,6 +182,14 @@ class MemexSocketServer:
             return
         self._closed = True
         self._stopping.set()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does (accept fails with EINVAL).  Platforms
+        # that refuse to shut down a listener raise here and wake on
+        # close() instead.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - already closed

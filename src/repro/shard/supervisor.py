@@ -418,8 +418,7 @@ class ShardSupervisor:
 
     def wal_paths(self, shard_id: int) -> list[Path]:
         """The write-ahead logs under *shard_id*'s data directory (the
-        catalog WAL plus, for an LSM term store, the memtable WAL).
-        Empty for an in-memory shard (no data dir)."""
+        catalog WAL).  Empty for an in-memory shard (no data dir)."""
         shard = self._shards[shard_id]
         if shard.root is None:
             return []

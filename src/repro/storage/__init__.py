@@ -1,26 +1,15 @@
-"""Storage substrate: relational engine, pluggable KV engines, WAL, versioning.
+"""Storage substrate: relational engine, the term store, WAL, versioning.
 
 See DESIGN.md §2-3 and §11.  The paper's server (§3) splits state between
 an RDBMS (metadata) and Berkeley DB (term-level statistics), coordinated
 by a loosely-consistent versioning layer; each of those has a module
-here.  Term-level stores are opened through the :class:`StorageEngine`
-factory (:func:`open_engine`) — ``btree`` is the original in-memory
-sorted-index engine, ``lsm`` the disk-resident log-structured one — and
-serialize records through an injected :class:`Codec`.
+here.  The term store is :class:`KVStore` (a log replayed into an
+in-memory sorted index); every stored record is compact JSON
+(:mod:`repro.storage.codec`).
 """
 
-from .btree import BTree
-from .codec import BinaryCodec, Codec, JsonCodec, get_codec
-from .engine import (
-    Namespace,
-    StorageEngine,
-    engine_names,
-    engine_store_path,
-    open_engine,
-    prefix_successor,
-)
+from .engine import Namespace, open_engine, prefix_successor
 from .kvstore import KVStore
-from .lsm import LSMMaintenanceDaemon, LSMStore
 from .relational import Column, Database, Table, TableSchema, Transaction
 from .repository import MemexRepository, Sequence
 from .schema import (
@@ -45,29 +34,19 @@ __all__ = [
     "ASSOC_BOOKMARK",
     "ASSOC_CORRECTION",
     "ASSOC_GUESS",
-    "BTree",
-    "BinaryCodec",
     "COMMUNITY_OWNER",
-    "Codec",
     "Column",
     "Database",
-    "JsonCodec",
     "KVStore",
-    "LSMMaintenanceDaemon",
-    "LSMStore",
     "MemexRepository",
     "Namespace",
     "Sequence",
-    "StorageEngine",
     "Table",
     "TableSchema",
     "Transaction",
     "VersionCoordinator",
     "WriteAheadLog",
     "create_catalog",
-    "engine_names",
-    "engine_store_path",
-    "get_codec",
     "open_engine",
     "prefix_successor",
 ]

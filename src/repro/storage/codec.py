@@ -1,243 +1,34 @@
-"""Record codecs: how structured records become bytes in the stores.
+"""The record format: how structured records become bytes in the stores.
 
-The paper pushed term-level data into Berkeley DB precisely to escape
-text-codec overheads (§3); our original stand-in reintroduced them by
-JSON-encoding every record at every call site.  This module makes the
-encoding a *seam*: a :class:`Codec` turns JSON-able values (plus
-``bytes``) into byte strings and back, and every storage consumer — the
-relational WAL, the repository's model blobs, the inverted index's
-posting lists — goes through an injected codec instead of hand-rolled
-``json.dumps(...).encode("utf-8")`` calls.
-
-Two implementations ship:
-
-``json``
-    Byte-identical to the historical format (compact separators, UTF-8).
-
-``binary``
-    A length-prefixed, type-tagged binary format.  Values are framed as
-    ``0xB1 <version> <tagged value>``; varint lengths keep small records
-    small (a ``{doc_id: tf}`` posting entry costs its key bytes plus 2-3
-    bytes of framing, versus JSON's quoting and punctuation).
-
-**Versioned magic byte.**  ``0xB1`` is not a legal first byte of UTF-8
-encoded JSON text, so :meth:`Codec.decode` on *either* codec sniffs it:
-records written as JSON (including every record in a pre-existing store)
-remain readable in place after switching a store to the binary codec,
-and vice versa.  The version byte after the magic gates future format
-revisions.
+Every storage consumer — the relational WAL, the repository's model
+blobs and sequences, the inverted index's posting lists, the dense
+vector index — serializes through this one pair instead of hand-rolled
+``json.dumps(...).encode("utf-8")`` calls, so the on-disk format is
+declared in one place: compact JSON (``","``/``":"`` separators), UTF-8.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 from ..errors import CorruptLog
 
-#: First byte of every binary-codec record; never produced by JSON text.
-BINARY_MAGIC = 0xB1
-#: Current binary format revision.
-BINARY_VERSION = 1
-
-_F64 = struct.Struct("<d")
-
-# Type tags for the binary format.
-_T_NULL = 0x00
-_T_FALSE = 0x01
-_T_TRUE = 0x02
-_T_INT = 0x03     # zigzag varint (unbounded magnitude)
-_T_FLOAT = 0x04   # IEEE-754 double, little-endian
-_T_STR = 0x05     # varint byte length + UTF-8
-_T_BYTES = 0x06   # varint length + raw bytes
-_T_LIST = 0x07    # varint count + tagged items
-_T_DICT = 0x08    # varint count + tagged (key, value) pairs
+#: First byte of records written by the removed ``binary`` codec; never a
+#: legal first byte of UTF-8 JSON text.
+_REMOVED_BINARY_MAGIC = b"\xb1"
 
 
-@runtime_checkable
-class Codec(Protocol):
-    """Encode/decode seam between structured records and store bytes."""
-
-    name: str
-
-    def encode(self, value: Any) -> bytes:
-        """Serialize *value* (JSON-able data, plus ``bytes`` under the
-        binary codec) to a self-describing byte string."""
-        ...
-
-    def decode(self, data: bytes) -> Any:
-        """Parse bytes written by *any* codec (magic-byte sniffing)."""
-        ...
+def encode(value: Any) -> bytes:
+    """Serialize JSON-able *value* to compact UTF-8 JSON bytes."""
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
 
 
-def _encode_varint(n: int, out: list[bytes]) -> None:
-    while True:
-        byte = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(bytes((byte | 0x80,)))
-        else:
-            out.append(bytes((byte,)))
-            return
-
-
-def _decode_varint(data: bytes, pos: int) -> tuple[int, int]:
-    shift = 0
-    value = 0
-    while True:
-        if pos >= len(data):
-            raise CorruptLog("binary record truncated inside a varint")
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        shift += 7
-
-
-def _encode_value(value: Any, out: list[bytes]) -> None:
-    if value is None:
-        out.append(b"\x00")
-    elif value is True:
-        out.append(b"\x02")
-    elif value is False:
-        out.append(b"\x01")
-    elif isinstance(value, int):
-        # Zigzag for unbounded ints: non-negative -> 2n, negative -> 2|n|-1.
-        out.append(b"\x03")
-        _encode_varint(value << 1 if value >= 0 else ((-value) << 1) - 1, out)
-    elif isinstance(value, float):
-        out.append(b"\x04")
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(b"\x05")
-        _encode_varint(len(raw), out)
-        out.append(raw)
-    elif isinstance(value, (bytes, bytearray)):
-        out.append(b"\x06")
-        _encode_varint(len(value), out)
-        out.append(bytes(value))
-    elif isinstance(value, (list, tuple)):
-        out.append(b"\x07")
-        _encode_varint(len(value), out)
-        for item in value:
-            _encode_value(item, out)
-    elif isinstance(value, dict):
-        out.append(b"\x08")
-        _encode_varint(len(value), out)
-        for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
-    else:
-        raise TypeError(f"codec cannot encode {type(value).__name__}")
-
-
-def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
-    if pos >= len(data):
-        raise CorruptLog("binary record truncated at a value tag")
-    tag = data[pos]
-    pos += 1
-    if tag == _T_NULL:
-        return None, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_INT:
-        zigzag, pos = _decode_varint(data, pos)
-        return (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1), pos
-    if tag == _T_FLOAT:
-        if pos + 8 > len(data):
-            raise CorruptLog("binary record truncated inside a float")
-        return _F64.unpack_from(data, pos)[0], pos + 8
-    if tag in (_T_STR, _T_BYTES):
-        length, pos = _decode_varint(data, pos)
-        if pos + length > len(data):
-            raise CorruptLog("binary record truncated inside a string")
-        raw = data[pos:pos + length]
-        return (raw.decode("utf-8") if tag == _T_STR else raw), pos + length
-    if tag == _T_LIST:
-        count, pos = _decode_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(data, pos)
-            items.append(item)
-        return items, pos
-    if tag == _T_DICT:
-        count, pos = _decode_varint(data, pos)
-        table: dict[Any, Any] = {}
-        for _ in range(count):
-            key, pos = _decode_value(data, pos)
-            value, pos = _decode_value(data, pos)
-            table[key] = value
-        return table, pos
-    raise CorruptLog(f"binary record has unknown type tag 0x{tag:02x}")
-
-
-def _sniff_decode(data: bytes) -> Any:
-    """Shared decode: binary when the magic byte leads, JSON otherwise."""
-    if data[:1] == bytes((BINARY_MAGIC,)):
-        if len(data) < 2:
-            raise CorruptLog("binary record truncated at the version byte")
-        if data[1] > BINARY_VERSION:
-            raise CorruptLog(
-                f"binary record version {data[1]} is newer than supported "
-                f"version {BINARY_VERSION}"
-            )
-        value, pos = _decode_value(data, 2)
-        if pos != len(data):
-            raise CorruptLog("binary record has trailing bytes")
-        return value
+def decode(data: bytes) -> Any:
+    """Parse bytes written by :func:`encode`."""
+    if data[:1] == _REMOVED_BINARY_MAGIC:
+        raise CorruptLog(
+            "record was written by the removed 'binary' codec (magic byte "
+            "0xB1); re-ingest into a fresh data directory"
+        )
     return json.loads(data.decode("utf-8"))
-
-
-class JsonCodec:
-    """The historical format: compact JSON, UTF-8 bytes."""
-
-    name = "json"
-
-    def encode(self, value: Any) -> bytes:
-        return json.dumps(value, separators=(",", ":")).encode("utf-8")
-
-    def decode(self, data: bytes) -> Any:
-        return _sniff_decode(data)
-
-
-class BinaryCodec:
-    """Length-prefixed, type-tagged binary records behind a magic byte."""
-
-    name = "binary"
-
-    _PREFIX = bytes((BINARY_MAGIC, BINARY_VERSION))
-
-    def encode(self, value: Any) -> bytes:
-        out: list[bytes] = [self._PREFIX]
-        _encode_value(value, out)
-        return b"".join(out)
-
-    def decode(self, data: bytes) -> Any:
-        return _sniff_decode(data)
-
-
-#: Shared stateless instances — codecs carry no per-store state.
-CODECS: dict[str, Codec] = {
-    "json": JsonCodec(),
-    "binary": BinaryCodec(),
-}
-
-
-def get_codec(codec: str | Codec | None) -> Codec:
-    """Resolve a codec by name (``"json"``/``"binary"``), pass instances
-    through, and default ``None`` to the JSON codec."""
-    if codec is None:
-        return CODECS["json"]
-    if isinstance(codec, str):
-        try:
-            return CODECS[codec]
-        except KeyError:
-            raise ValueError(
-                f"unknown codec {codec!r}; choose from {sorted(CODECS)}"
-            ) from None
-    return codec

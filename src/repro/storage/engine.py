@@ -1,38 +1,23 @@
-"""The storage-backend seam: one protocol, many engines.
+"""The term store's front door: :func:`open_engine`, key-prefix
+:class:`Namespace` views, and the prefix-scan bound helper.
 
-The paper's server owns its term-level store as an implementation detail
-behind one access pattern (ordered keys, prefix scans, durable writes);
-this module makes that pattern a formal :class:`StorageEngine` protocol
-and a name-keyed factory, so the rest of the system — the repository,
-the inverted index, the server CLI — never constructs a concrete engine
-class.  Two engines register here:
-
-``btree``
-    :class:`~repro.storage.kvstore.KVStore`, the original Berkeley-DB
-    stand-in: one log replayed into an in-memory sorted index.  Simple,
-    and the fastest choice while the working set fits in RAM.
-
-``lsm``
-    :class:`~repro.storage.lsm.LSMStore`: an in-memory memtable over
-    sorted immutable segment files with sparse indexes and bloom
-    filters, compacted in the background.  Ingest cost stays flat as the
-    archive grows, and reopening does not replay the whole history.
-
-Both engines speak the same protocol, accept the same injected
-:class:`~repro.storage.codec.Codec`, and run the same test suite — the
-"same-suite guarantee" the roadmap asks for.  Out-of-package code must
-come through :func:`open_engine` (CI's ``check_storage_api.py`` enforces
-the boundary).
+The paper's server owns one lightweight Berkeley-DB-style key-value
+store beside the RDBMS (PAPER.md §1.3); here that store is
+:class:`~repro.storage.kvstore.KVStore` and nothing else.
+:func:`open_engine` is its by-name constructor — the name is what
+``stats`` reports and what tools outside the package (``bench/``) pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING
 
 from ..obs import MetricsRegistry
-from .codec import Codec, get_codec
+
+if TYPE_CHECKING:
+    from .kvstore import KVStore
 
 
 def prefix_successor(prefix: bytes) -> bytes | None:
@@ -50,104 +35,18 @@ def prefix_successor(prefix: bytes) -> bytes | None:
     return trimmed[:-1] + bytes([trimmed[-1] + 1])
 
 
-@runtime_checkable
-class StorageEngine(Protocol):
-    """What every term-level store must provide.
-
-    Keys and values are byte strings; iteration is always in key order.
-    Engines expose their record codec as :attr:`codec` (consumers that
-    serialize structured values use the store's codec so one store stays
-    internally consistent) and publish ``storage.<engine>.*`` metrics
-    through the registry handed to :func:`open_engine`.
-    """
-
-    #: Factory name the engine registered under (``"btree"``, ``"lsm"``).
-    engine_name: str
-    #: Record codec injected at construction (see :mod:`.codec`).
-    codec: Codec
-
-    # -- mutation -----------------------------------------------------------
-    def put(self, key: bytes, value: bytes) -> None: ...
-    def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> int: ...
-    def delete(self, key: bytes) -> None: ...
-    def discard(self, key: bytes) -> bool: ...
-
-    # -- lookup -------------------------------------------------------------
-    def get(self, key: bytes, default: bytes | None = None) -> bytes | None: ...
-    def __contains__(self, key: bytes) -> bool: ...
-    def __getitem__(self, key: bytes) -> bytes: ...
-    def __setitem__(self, key: bytes, value: bytes) -> None: ...
-    def __len__(self) -> int: ...
-
-    # -- ordered scans ------------------------------------------------------
-    def cursor(
-        self, start: bytes | None = None, end: bytes | None = None,
-    ) -> Iterator[tuple[bytes, bytes]]: ...
-    def prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]: ...
-    def scan_prefix(self, prefix: bytes) -> Iterator[tuple[bytes, bytes]]: ...
-    def keys(self) -> list[bytes]: ...
-
-    # -- maintenance --------------------------------------------------------
-    def compact(self) -> None: ...
-    def stats(self) -> dict: ...
-    def close(self) -> None: ...
-
-
-#: Engine name -> default on-disk basename under a repository root.  The
-#: btree engine keeps its historical file name so existing data
-#: directories reopen unchanged; the LSM engine owns a directory.
-ENGINE_BASENAMES: dict[str, str] = {
-    "btree": "terms.kv",
-    "lsm": "terms.lsm",
-}
-
-
-def engine_names() -> tuple[str, ...]:
-    """The registered engine names, factory-selectable order."""
-    return tuple(sorted(ENGINE_BASENAMES))
-
-
-def engine_store_path(root: str | Path, name: str) -> Path:
-    """Default location of engine *name*'s store under *root*."""
-    if name not in ENGINE_BASENAMES:
-        raise ValueError(
-            f"unknown storage engine {name!r}; choose from {engine_names()}"
-        )
-    return Path(root) / ENGINE_BASENAMES[name]
-
-
 def open_engine(
     name: str,
     path: str | Path | None = None,
     *,
     sync: bool = False,
     metrics: MetricsRegistry | None = None,
-    codec: str | Codec | None = None,
-    **engine_kwargs,
-) -> StorageEngine:
-    """Open a storage engine by *name* — the only supported constructor
-    for code outside :mod:`repro.storage`.
+) -> KVStore:
+    """Open the term store by *name* (``"btree"``, the only engine).
 
-    Parameters
-    ----------
-    name:
-        ``"btree"`` or ``"lsm"``.
-    path:
-        Backing path (a file for btree, a directory for lsm), or ``None``
-        for a purely in-memory store.
-    sync:
-        fsync on commit (threaded into the engine's write-ahead log).
-    metrics:
-        Observability registry for the engine's ``storage.*`` metrics.
-    codec:
-        Record codec name or instance (default ``"json"``); exposed by
-        the returned engine as ``.codec``.
-    engine_kwargs:
-        Engine-specific tuning (e.g. ``compact_garbage_ratio`` for
-        btree; ``memtable_bytes``/``max_segments`` for lsm).
-
-    Both engines satisfy the same protocol and the same tests; an
-    in-memory open is enough to exercise the whole surface:
+    *path* is the backing log file, or ``None`` for a purely in-memory
+    store; *sync* fsyncs on commit; *metrics* receives the store's
+    ``storage.*`` metrics.
 
     >>> store = open_engine("btree")
     >>> store.engine_name
@@ -157,43 +56,33 @@ def open_engine(
     2
     >>> store.get(b"k2"), store.get(b"missing", b"?")
     (b'v2', b'?')
-    >>> [k for k, _ in store.scan_prefix(b"k")]
+    >>> [k for k, _ in store.prefix(b"k")]
     [b'k1', b'k2', b'k3']
     >>> store.close()
     """
-    # Imported lazily: the engine modules import this module's Namespace
-    # and prefix helper, so the registry resolves at call time.
-    if name == "btree":
-        from .kvstore import KVStore
+    # Imported lazily: kvstore imports this module's prefix helper.
+    from .kvstore import KVStore
 
-        return KVStore(
-            path, sync=sync, metrics=metrics,
-            codec=get_codec(codec), **engine_kwargs,
+    if name != KVStore.engine_name:
+        raise ValueError(
+            f"unknown storage engine {name!r}; the only engine is "
+            f"{KVStore.engine_name!r}"
         )
-    if name == "lsm":
-        from .lsm import LSMStore
-
-        return LSMStore(
-            path, sync=sync, metrics=metrics,
-            codec=get_codec(codec), **engine_kwargs,
-        )
-    raise ValueError(
-        f"unknown storage engine {name!r}; choose from {engine_names()}"
-    )
+    return KVStore(path, sync=sync, metrics=metrics)
 
 
 class Namespace:
-    """A keyspace slice of a :class:`StorageEngine`, like a BDB sub-database.
+    """A keyspace slice of a :class:`KVStore`, like a BDB sub-database.
 
     Keys are transparently prefixed with ``name + 0x00`` so multiple
     logical tables (term stats, postings, document metadata, ...) can share
     one physical store, mirroring how Memex packs several indices into
-    Berkeley DB.  Works over any engine the factory returns.
+    Berkeley DB.
     """
 
     SEPARATOR = b"\x00"
 
-    def __init__(self, store: StorageEngine, name: str) -> None:
+    def __init__(self, store: KVStore, name: str) -> None:
         if Namespace.SEPARATOR.decode("latin-1") in name:
             raise ValueError("namespace name must not contain NUL")
         self.store = store

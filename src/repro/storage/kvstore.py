@@ -27,8 +27,7 @@ from pathlib import Path
 
 from ..errors import CorruptLog, KeyNotFound, StoreClosed
 from ..obs import MetricsRegistry, null_registry
-from .codec import Codec, get_codec
-from .engine import Namespace, prefix_successor  # noqa: F401 - re-exported
+from .engine import prefix_successor
 from .wal import WriteAheadLog
 
 _OP_PUT = 0
@@ -65,14 +64,10 @@ class KVStore:
         automatic compaction.
     sync:
         Passed through to the write-ahead log.
-    codec:
-        Record codec consumers of this store serialize through (the store
-        itself moves opaque bytes); exposed as :attr:`codec` per the
-        :class:`~repro.storage.engine.StorageEngine` protocol.
     """
 
-    #: Factory name (see :mod:`repro.storage.engine`): the in-memory
-    #: sorted-index engine, historically the Berkeley-DB/B-tree stand-in.
+    #: The name :func:`~repro.storage.engine.open_engine` accepts and
+    #: ``stats`` reports (historical: the Berkeley-DB/B-tree stand-in).
     engine_name = "btree"
 
     def __init__(
@@ -82,9 +77,7 @@ class KVStore:
         compact_garbage_ratio: float = 0.5,
         sync: bool = False,
         metrics: MetricsRegistry | None = None,
-        codec: str | Codec | None = None,
     ) -> None:
-        self.codec = get_codec(codec)
         self._data: dict[bytes, bytes] = {}
         self._keys: list[bytes] = []          # sorted view of _data's keys
         self._log: WriteAheadLog | None = None
@@ -266,9 +259,6 @@ class KVStore:
             if not key.startswith(prefix):
                 break
             yield key, value
-
-    #: Protocol-surface alias (``StorageEngine.scan_prefix``).
-    scan_prefix = prefix
 
     def keys(self) -> list[bytes]:
         """All live keys in sorted order (copy)."""

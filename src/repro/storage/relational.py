@@ -34,7 +34,7 @@ from ..errors import (
 )
 from ..locks import RWLock
 from ..obs import MetricsRegistry, current_traceparent, null_registry
-from .codec import Codec, get_codec
+from .codec import decode, encode
 from .wal import WriteAheadLog
 
 Row = dict[str, Any]
@@ -425,9 +425,7 @@ class Database:
         *,
         sync: bool = False,
         metrics: MetricsRegistry | None = None,
-        codec: str | Codec | None = None,
     ) -> None:
-        self.codec = get_codec(codec)
         self._tables: dict[str, Table] = {}
         self._log: WriteAheadLog | None = None
         self._next_txn = 1
@@ -568,7 +566,7 @@ class Database:
             trace = current_traceparent()
             if trace is not None:
                 record["trace"] = trace
-            self._log.append(self.codec.encode(record))
+            self._log.append(encode(record))
 
     @staticmethod
     def _jsonable(value: Any) -> Any:
@@ -644,16 +642,14 @@ class Database:
     def _log_ddl(self, kind: str, payload: dict[str, Any]) -> None:
         if self._log is not None and not self._recovering:
             record = {"kind": kind, **payload}
-            self._log.append(self.codec.encode(record))
+            self._log.append(encode(record))
 
     def _recover(self) -> None:
         assert self._log is not None
         self._recovering = True
         try:
             for raw in self._log.replay():
-                # codec.decode sniffs the magic byte, so a catalog WAL
-                # written under either codec replays under any codec.
-                record = self.codec.decode(raw)
+                record = decode(raw)
                 kind = record.pop("kind")
                 if kind == "create_table":
                     self.create_table(

@@ -17,8 +17,9 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
-from .codec import Codec
-from .engine import Namespace, engine_store_path, open_engine
+from .codec import decode, encode
+from .engine import Namespace
+from .kvstore import KVStore
 from .relational import Database, Row
 from .schema import (
     ARCHIVE_COMMUNITY,
@@ -27,7 +28,7 @@ from .schema import (
     create_catalog,
 )
 from .versioning import VersionCoordinator
-from ..errors import SchemaError
+from ..errors import SchemaError, StorageError
 from ..obs import (
     Clock,
     LogHub,
@@ -72,12 +73,9 @@ class Sequence:
 
     def __init__(self, ns: Namespace, name: str) -> None:
         self._ns = ns
-        self._codec = ns.store.codec
         self._key = name.encode("utf-8")
         raw = ns.get(self._key)
-        # codec.decode reads both historical ascii-int records and
-        # binary-codec records, whichever codec wrote the store.
-        self._next = int(self._codec.decode(raw)) if raw is not None else 1
+        self._next = int(decode(raw)) if raw is not None else 1
         # Allocation is a read-increment-persist compound; its own lock
         # keeps handed-out ids unique even when a handle escapes the
         # repository lock.
@@ -87,7 +85,7 @@ class Sequence:
         with self._lock:
             value = self._next
             self._next += 1
-            self._ns.put(self._key, self._codec.encode(self._next))
+            self._ns.put(self._key, encode(self._next))
         return value
 
     def take(self, n: int) -> range:
@@ -98,7 +96,7 @@ class Sequence:
             start = self._next
             if n:
                 self._next += n
-                self._ns.put(self._key, self._codec.encode(self._next))
+                self._ns.put(self._key, encode(self._next))
         return range(start, start + n)
 
     def peek(self) -> int:
@@ -127,12 +125,6 @@ class MemexRepository:
     log_hub:
         When provided, the version coordinator logs publishes/aborts
         through it (component ``versioning``).
-    storage_engine:
-        Term-store engine name (``"btree"`` or ``"lsm"``), resolved
-        through :func:`repro.storage.open_engine`.
-    codec:
-        Record codec (``"json"``/``"binary"``) injected into both the
-        relational WAL and the term store.
     """
 
     #: Bound on the in-memory visit -> origin-traceparent side table.
@@ -147,29 +139,31 @@ class MemexRepository:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         log_hub: LogHub | None = None,
-        storage_engine: str = "btree",
-        codec: str | Codec | None = None,
     ) -> None:
         self.root = Path(root) if root is not None else None
         self.clock = clock
         self.metrics = metrics if metrics is not None else null_registry()
         self.tracer = tracer if tracer is not None else null_tracer()
         if self.root is not None:
+            leftover = self.root / "terms.lsm"
+            if leftover.exists():
+                # Opening terms.kv beside it would present an empty
+                # term store over a populated catalog.
+                raise StorageError(
+                    f"{leftover} was written by the removed "
+                    "'lsm' storage engine and cannot be opened; re-ingest "
+                    "into a fresh data directory"
+                )
             self.root.mkdir(parents=True, exist_ok=True)
             self.db = Database(
-                self.root / "catalog.wal",
-                sync=sync, metrics=self.metrics, codec=codec,
+                self.root / "catalog.wal", sync=sync, metrics=self.metrics,
             )
-            self.kv = open_engine(
-                storage_engine,
-                engine_store_path(self.root, storage_engine),
-                sync=sync, metrics=self.metrics, codec=codec,
+            self.kv = KVStore(
+                self.root / "terms.kv", sync=sync, metrics=self.metrics,
             )
         else:
-            self.db = Database(metrics=self.metrics, codec=codec)
-            self.kv = open_engine(
-                storage_engine, metrics=self.metrics, codec=codec,
-            )
+            self.db = Database(metrics=self.metrics)
+            self.kv = KVStore(metrics=self.metrics)
         create_catalog(self.db)
         self.versions = VersionCoordinator(
             metrics=self.metrics,
@@ -684,19 +678,18 @@ class MemexRepository:
     # -- model blobs -------------------------------------------------------------------------------
 
     def save_model(self, name: str, payload: dict[str, Any]) -> None:
-        """Persist a mined model (classifier, themes) in the KV store,
-        serialized through the store's record codec."""
-        self.models.put(name.encode("utf-8"), self.kv.codec.encode(payload))
+        """Persist a mined model (classifier, themes) in the KV store."""
+        self.models.put(name.encode("utf-8"), encode(payload))
 
     def load_model(self, name: str) -> dict[str, Any] | None:
         raw = self.models.get(name.encode("utf-8"))
-        return self.kv.codec.decode(raw) if raw is not None else None
+        return decode(raw) if raw is not None else None
 
     # -- lifecycle -----------------------------------------------------------------------------------
 
     def storage_stats(self) -> dict[str, Any]:
-        """The term store's engine-level operational stats (see
-        ``StorageEngine.stats``), keyed for the stats servlet."""
+        """The term store's operational stats (see ``KVStore.stats``),
+        keyed for the stats servlet."""
         return dict(self.kv.stats())
 
     def close(self) -> None:

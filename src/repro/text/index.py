@@ -3,7 +3,7 @@
 One posting list per term, keyed by the term string, exactly the
 "fine-grained term-level data" the paper pushes out of the RDBMS into
 Berkeley DB (§3).  Postings are ``doc_id -> term frequency`` maps
-serialized through the backing store's record codec; document lengths and
+serialized as compact JSON records; document lengths and
 corpus statistics live in sibling namespaces so the ranked-retrieval code
 never touches the relational side.
 """
@@ -15,8 +15,9 @@ import threading
 from collections.abc import Iterable
 
 from ..errors import IndexError_
-from ..storage.codec import get_codec
-from ..storage.engine import Namespace, StorageEngine, open_engine
+from ..storage.codec import decode, encode
+from ..storage.engine import Namespace
+from ..storage.kvstore import KVStore
 from .tokenize import tokenize
 
 
@@ -26,8 +27,8 @@ class InvertedIndex:
     Parameters
     ----------
     kv:
-        Backing storage engine; a private in-memory one is opened through
-        the engine factory when omitted.
+        Backing term store; a private in-memory one is opened when
+        omitted.
     prefix:
         Namespace prefix, letting several indices share one store (Memex
         keeps "several text-related indices in Berkeley DB").
@@ -38,15 +39,12 @@ class InvertedIndex:
 
     def __init__(
         self,
-        kv: StorageEngine | None = None,
+        kv: KVStore | None = None,
         *,
         prefix: str = "idx",
         store_positions: bool = False,
     ) -> None:
-        self._kv = kv if kv is not None else open_engine("btree")
-        # Store-duck-typed backends (e.g. a raw BTree) may not carry a
-        # codec; fall back to the default.
-        self._codec = get_codec(getattr(self._kv, "codec", None))
+        self._kv = kv if kv is not None else KVStore()
         self._post = Namespace(self._kv, prefix + ".post")
         self._docs = Namespace(self._kv, prefix + ".docs")   # doc_id -> doc length
         self._meta = Namespace(self._kv, prefix + ".meta")
@@ -97,9 +95,9 @@ class InvertedIndex:
                 table = self._load_positions(term)
                 table[doc_id] = pos
                 self._store_positions(term, table)
-        self._docs.put(doc_id.encode("utf-8"), self._codec.encode(len(terms)))
+        self._docs.put(doc_id.encode("utf-8"), encode(len(terms)))
         norm_sq = sum((1.0 + math.log(tf)) ** 2 for tf in counts.values())
-        self._norm.put(doc_id.encode("utf-8"), self._codec.encode(norm_sq))
+        self._norm.put(doc_id.encode("utf-8"), encode(norm_sq))
         return len(terms)
 
     def remove_document(self, doc_id: str) -> bool:
@@ -114,13 +112,13 @@ class InvertedIndex:
         # Walk every posting list; laptop-scale corpora make this fine and
         # it avoids a per-document forward index.
         for key, value in list(self._post.items()):
-            postings = self._codec.decode(value)
+            postings = decode(value)
             if doc_id in postings:
                 del postings[doc_id]
                 term = key.decode("utf-8")
                 self._store_postings(term, postings)
         for key, value in list(self._pos.items()):
-            table = self._codec.decode(value)
+            table = decode(value)
             if doc_id in table:
                 del table[doc_id]
                 self._store_positions(key.decode("utf-8"), table)
@@ -140,7 +138,7 @@ class InvertedIndex:
         raw = self._docs.get(doc_id.encode("utf-8"))
         if raw is None:
             raise IndexError_(f"document {doc_id!r} not indexed")
-        return int(self._codec.decode(raw))
+        return int(decode(raw))
 
     def doc_norm(self, doc_id: str) -> float:
         """Euclidean norm of the document's log-tf weight vector.
@@ -154,7 +152,7 @@ class InvertedIndex:
             raw = self._norm.get(doc_id.encode("utf-8"))
             if raw is None:
                 return math.sqrt(max(self._doc_length_locked(doc_id), 1))
-            return math.sqrt(float(self._codec.decode(raw)))
+            return math.sqrt(float(decode(raw)))
 
     @property
     def num_docs(self) -> int:
@@ -163,7 +161,7 @@ class InvertedIndex:
 
     def avg_doc_length(self) -> float:
         with self._index_lock:
-            lengths = [int(self._codec.decode(v)) for _, v in self._docs.items()]
+            lengths = [int(decode(v)) for _, v in self._docs.items()]
         if not lengths:
             return 0.0
         return sum(lengths) / len(lengths)
@@ -199,12 +197,12 @@ class InvertedIndex:
         raw = self._post.get(term.encode("utf-8"))
         if raw is None:
             return {}
-        return self._codec.decode(raw)
+        return decode(raw)
 
     def _store_postings(self, term: str, postings: dict[str, int]) -> None:
         key = term.encode("utf-8")
         if postings:
-            self._post.put(key, self._codec.encode(postings))
+            self._post.put(key, encode(postings))
         else:
             self._post.discard(key)
 
@@ -244,11 +242,11 @@ class InvertedIndex:
         raw = self._pos.get(term.encode("utf-8"))
         if raw is None:
             return {}
-        return self._codec.decode(raw)
+        return decode(raw)
 
     def _store_positions(self, term: str, table: dict[str, list[int]]) -> None:
         key = term.encode("utf-8")
         if table:
-            self._pos.put(key, self._codec.encode(table))
+            self._pos.put(key, encode(table))
         else:
             self._pos.discard(key)

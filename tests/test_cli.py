@@ -72,6 +72,65 @@ def test_serve_single_process_runs_for_duration(capsys):
     assert "stopped" in out
 
 
+def test_serve_idle_system_syncs_cache_consumers(monkeypatch, capsys):
+    """The serve loop must tick the *server* (scheduler + read-cache
+    sync): after a write is mined and no read follows, the cache.*
+    versioning consumers may not sit behind the published version,
+    pinning it against GC."""
+    import threading
+
+    from repro.core.memex import MemexServer
+    from repro.server.transport import SocketTransport
+    from repro.webgen import build_workload
+
+    workload_args = ["--seed", "5", "--users", "2",
+                     "--days", "2", "--pages-per-leaf", "3"]
+    corpus = build_workload(
+        seed=5, num_users=2, days=2, pages_per_leaf=3).corpus
+    served = {}
+    listening = threading.Event()
+    real_listen = MemexServer.listen
+
+    def listen(self, **kwargs):
+        net = real_listen(self, **kwargs)
+        served.update(server=self, address=net.address,
+                      published=self.repo.versions.published_version)
+        listening.set()
+        return net
+
+    monkeypatch.setattr(MemexServer, "listen", listen)
+
+    def visit_an_unseen_page():
+        assert listening.wait(timeout=60.0)
+        server = served["server"]
+        user = server.repo.community_users()[0]["user_id"]
+        unseen = sorted(
+            url for url in corpus.pages
+            if server.repo.page_text(url) is None
+        )[0]
+        with SocketTransport(*served["address"]) as transport:
+            served["response"] = transport.request(
+                user, {"servlet": "visit", "url": unseen, "at": 1e9})
+
+    writer = threading.Thread(target=visit_an_unseen_page)
+    writer.start()
+    try:
+        assert main(["serve", *workload_args, "--duration", "2.0"]) == 0
+    finally:
+        writer.join(timeout=60.0)
+    assert not writer.is_alive()
+    assert served["response"]["status"] == "ok"
+    versions = served["server"].repo.versions
+    # The visit was crawled and indexed while serving ...
+    assert versions.published_version > served["published"]
+    # ... and with no read arriving, the caches still caught up.
+    cache_lags = {
+        name: lag for name, lag in versions.lags().items()
+        if name.startswith("cache.")
+    }
+    assert cache_lags and set(cache_lags.values()) == {0}
+
+
 def test_serve_sharded_replays_and_drains(capsys, tmp_path):
     assert main([
         "serve", "--seed", "5", "--users", "3",

@@ -179,7 +179,7 @@ def _stats_response(pages, hits, misses):
                              "entries": 1, "evictions": 0,
                              "invalidations": 0,
                              "hit_rate": hits / max(1, hits + misses)}},
-        "storage": {"engine": "lsm", "puts": pages},
+        "storage": {"engine": "btree", "puts": pages},
         "versioning_lag": {"indexer": pages % 3},
         "latency": {"visit": {"count": 4}},
         "latency_raw": {"visit": registry.raw_snapshot()["histograms"]["lat"]},
@@ -200,7 +200,7 @@ def test_merge_stats_keeps_cache_storage_and_exact_latency():
     assert cache["hits"] == 10 and cache["misses"] == 10
     assert cache["hit_rate"] == pytest.approx(0.5)  # recomputed, not summed
     assert merged["storage"]["puts"] == 30
-    assert merged["storage"]["engine"] == "lsm"
+    assert merged["storage"]["engine"] == "btree"
     assert merged["versioning_lag"]["indexer"] == 2  # max across shards
     assert merged["latency"]["visit"]["count"] == 8  # bucket-wise merge
 

@@ -1,9 +1,6 @@
-"""Co-visitation miner semantics across storage engines and codecs.
-
-Satellite-4 coverage: the pair matrix must behave identically whichever
-term-store engine (btree/lsm) and record codec (json/binary) back the
-repository — decay, session boundaries, self-pair exclusion, compaction,
-and the change-stamp contract the related-pages cache invalidates on.
+"""Co-visitation miner semantics over an on-disk repository: decay,
+session boundaries, self-pair exclusion, compaction, and the
+change-stamp contract the related-pages cache invalidates on.
 """
 
 import math
@@ -19,20 +16,9 @@ from repro.retrieval.covisit import (
 from repro.storage.repository import MemexRepository
 from repro.storage.schema import ARCHIVE_COMMUNITY, ARCHIVE_PRIVATE
 
-ENGINES_X_CODECS = [
-    ("btree", "json"),
-    ("btree", "binary"),
-    ("lsm", "json"),
-    ("lsm", "binary"),
-]
-
-
-@pytest.fixture(params=ENGINES_X_CODECS, ids=lambda p: f"{p[0]}-{p[1]}")
-def repo(request, tmp_path):
-    engine, codec = request.param
-    r = MemexRepository(
-        tmp_path / "repo", storage_engine=engine, codec=codec,
-    )
+@pytest.fixture
+def repo(tmp_path):
+    r = MemexRepository(tmp_path / "repo")
     yield r
     r.close()
 

@@ -177,10 +177,8 @@ def test_dense_index_remove_and_readd():
     assert len(index) == 0
 
 
-@pytest.mark.parametrize("engine", ["btree", "lsm"])
-@pytest.mark.parametrize("codec", ["json", "binary"])
-def test_dense_index_persists_through_store(tmp_path, engine, codec):
-    kv = open_engine(engine, tmp_path / "kv", codec=codec)
+def test_dense_index_persists_through_store(tmp_path):
+    kv = open_engine("btree", tmp_path / "kv")
     index = DenseVectorIndex(kv, dims=32)
     docs = _corpus(8)
     for url, sparse in docs.items():

