@@ -3,8 +3,8 @@
 A sharded LRU core (:class:`ShardedLRU`: per-shard locks, entry + size
 bounds) under version-aware caches (:class:`VersionedCache`) whose
 invalidation is driven by the loosely-consistent versioning system rather
-than TTLs: each cache registers as a coordinator consumer, stamps entries
-with a validity token of (published version, watched consumers'
+than TTLs: each cache reads the coordinator (it is not a consumer), stamps
+entries with a validity token of (published version, watched consumers'
 watermarks), and drops entries the moment the token moves on.
 :class:`ReadPathCaches` bundles the three server read paths — search
 results, classification posteriors, trail replay graphs — and is wired

@@ -5,17 +5,18 @@ mining runs asynchronously; at scale that promise needs the read path
 (search, trail replay, classify-on-read) to stop recomputing from the
 index and repository on every request.  The loosely-consistent versioning
 system already tracks exactly what changed and when — so instead of
-ad-hoc TTLs, every cache here is a registered *consumer* of the
-:class:`~repro.storage.versioning.VersionCoordinator` and derives entry
-validity from version numbers:
+ad-hoc TTLs, every cache here *reads* the
+:class:`~repro.storage.versioning.VersionCoordinator` (it is not a
+consumer: it registers nothing, polls nothing, pins nothing) and derives
+entry validity from version numbers:
 
 * Each entry is stamped with a **validity token** captured when the
   underlying data was read: ``(published_version, watermark(c1), ...)``
   for the consumers the cache *watches* (the search cache watches the
   indexer; the trail cache watches indexer + classifier).
-* A :meth:`VersionedCache.get` recomputes the current token; a stored
-  entry whose token differs is dropped (an *invalidation*) and the caller
-  recomputes — revalidation-on-miss.  Stale reads are therefore bounded
+* A lookup recomputes the current token; a stored entry whose token
+  differs is dropped (an *invalidation*) and recomputed —
+  revalidation-on-miss.  Stale reads are therefore bounded
   by the same loose-consistency window the versioning protocol defines:
   the cache can never serve data older than the watched consumers'
   registered watermarks.
@@ -24,21 +25,18 @@ validity from version numbers:
   monotone counters (:class:`~repro.storage.repository.ChangeStamps`)
   the caller folds into the entry's validity alongside the version token.
 
-The mid-read race matters even in a cooperative server: a caller that
-misses must capture the token *before* reading the underlying data and
-pass it to :meth:`VersionedCache.put`.  If the producer published while
-the caller computed, the stored token is already behind and the very next
-get drops the entry — a result computed from pre-publish state is never
-served as post-publish.
-
-Each cache registers as ``cache.<name>`` with the coordinator and acks
-eagerly whenever it observes the producer advance, so cache consumers
-never pin versions or stall :meth:`~VersionCoordinator.gc`.
+The mid-read race matters even in a cooperative server: the token must
+be captured *before* the underlying data is read and stored with the
+result.  If the producer published while the caller computed, the stored
+token is already behind and the very next lookup drops the entry — a
+result computed from pre-publish state is never served as post-publish.
+:meth:`VersionedCache.cached` is that whole protocol in one call; the
+``token`` / ``get`` / ``put`` primitives it is built from stay public.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from typing import Any
 
 from ..obs import MetricsRegistry, null_registry
@@ -47,6 +45,8 @@ from .lru import ShardedLRU
 
 #: A validity token: published version + watched consumers' watermarks.
 Token = tuple[int, ...]
+
+_MISS = object()
 
 
 def payload_cost(obj: Any) -> int:
@@ -75,8 +75,7 @@ class VersionedCache:
     Parameters
     ----------
     name:
-        Cache name; registered with the coordinator as ``cache.<name>``
-        and used as the ``cache`` metric label.
+        Cache name, used as the ``cache`` metric label.
     versions:
         The coordinator whose producer/consumer positions drive validity.
     watch:
@@ -103,13 +102,10 @@ class VersionedCache:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.name = name
-        self.consumer = f"cache.{name}"
         self._versions = versions
         self._watch = tuple(watch)
         for consumer in self._watch:
             versions.watermark(consumer)   # fail fast on unknown consumers
-        versions.register_consumer(self.consumer)
-        self._acked = versions.watermark(self.consumer)
         self._lru = ShardedLRU(
             max_entries=max_entries, max_cost=max_cost, shards=shards,
         )
@@ -129,56 +125,64 @@ class VersionedCache:
         metrics.gauge_func("cache.entries", lambda: len(self._lru), cache=name)
         metrics.gauge_func("cache.cost", lambda: self._lru.cost, cache=name)
 
-    # -- versioning plumbing ------------------------------------------------
-
-    def sync(self) -> None:
-        """Ack the coordinator up to the current published version.
-
-        Called implicitly by :meth:`token` (hence by every get/put); the
-        server also calls it on daemon ticks so an idle cache never pins
-        versions against GC.
-        """
-        published = self._versions.published_version
-        if published != self._acked:
-            watermark, _items = self._versions.poll(self.consumer)
-            self._versions.ack(self.consumer, watermark)
-            self._acked = watermark
+    # -- the protocol --------------------------------------------------------
 
     def token(self) -> Token:
         """The current validity token.
 
-        Callers capture this *before* reading the data they are about to
-        cache and hand it to :meth:`put`, so a version published mid-read
-        invalidates the entry instead of being masked by it.
+        Captured *before* reading the data about to be cached and stored
+        with it, so a version published mid-read invalidates the entry
+        instead of being masked by it.
         """
-        self.sync()
         versions = self._versions
         return (
             versions.published_version,
             *(versions.watermark(name) for name in self._watch),
         )
 
-    # -- cache operations ---------------------------------------------------
+    def cached(
+        self,
+        key: Hashable,
+        compute: Callable[[], Any],
+        *,
+        extra: Hashable = (),
+    ) -> Any:
+        """Return the entry for *key*, running *compute* on a miss.
+
+        The whole read protocol: take the token, look up, and on a miss or
+        a stale token/*extra* (the entry is dropped) run ``compute()`` and
+        store its result under the token taken *before* the compute.
+        *extra* carries the change stamps of the non-versioned data the
+        result depends on.  Counts exactly one hit or one miss.
+        """
+        token = self.token()
+        value = self._lookup(key, token, extra)
+        if value is _MISS:
+            value = compute()
+            self.put(key, value, token=token, extra=extra)
+        return value
+
+    def _lookup(self, key: Hashable, token: Token, extra: Hashable) -> Any:
+        entry = self._lru.get(key)
+        if entry is not None:
+            value, stored_token, stored_extra = entry
+            if stored_token == token and stored_extra == extra:
+                self._hits += 1
+                return value
+            self._lru.delete(key)
+        self._misses += 1
+        return _MISS
+
+    # -- primitives ---------------------------------------------------------
 
     def get(self, key: Hashable, *, extra: Hashable = ()) -> Any | None:
         """Return the cached value, or ``None`` on miss or staleness.
 
-        *extra* carries the non-versioned dependencies' change stamps the
-        caller folded in at :meth:`put` time; a mismatch (or a validity
-        token older than the current one) drops the entry.
+        *extra* must equal what was given to :meth:`put`; a mismatch (or a
+        validity token older than the current one) drops the entry.
         """
-        current = self.token()
-        entry = self._lru.get(key)
-        if entry is None:
-            self._misses += 1
-            return None
-        value, stored_token, stored_extra = entry
-        if stored_token != current or stored_extra != extra:
-            self._lru.delete(key)
-            self._misses += 1
-            return None
-        self._hits += 1
-        return value
+        value = self._lookup(key, self.token(), extra)
+        return None if value is _MISS else value
 
     def put(
         self,
@@ -265,12 +269,10 @@ class ReadPathCaches:
         related_entries: int = 1024,
         max_cost: int = 4_000_000,
         shards: int = 8,
-        indexer: str = "indexer",
-        classifier: str = "classifier",
         dense: str | None = None,
     ) -> None:
         self.search = VersionedCache(
-            "search", versions, watch=(indexer,),
+            "search", versions, watch=("indexer",),
             max_entries=search_entries, max_cost=max_cost, shards=shards,
             metrics=metrics,
         )
@@ -280,7 +282,7 @@ class ReadPathCaches:
             metrics=metrics,
         )
         self.trails = VersionedCache(
-            "trails", versions, watch=(indexer, classifier),
+            "trails", versions, watch=("indexer", "classifier"),
             max_entries=trail_entries, max_cost=max_cost, shards=shards,
             metrics=metrics,
         )
@@ -302,10 +304,8 @@ class ReadPathCaches:
         return tuple(c for c in caches if c is not None)
 
     def sync(self) -> None:
-        """Ack every cache consumer up to the published version (called
-        on daemon ticks so idle caches never stall versioning GC)."""
-        for cache in self.all():
-            cache.sync()
+        # Nothing to sync (caches are not consumers); bench/ladder.py calls it.
+        pass
 
     def clear(self) -> int:
         return sum(cache.clear() for cache in self.all())

@@ -24,10 +24,19 @@ Without a tracer nothing is stamped and the wire format is unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from ..errors import CODE_UNKNOWN_USER, AuthError, MemexError
 from ..obs import Tracer, null_tracer
+from ..server.events import (
+    ArchiveModeEvent,
+    BookmarkEvent,
+    FolderCreateEvent,
+    FolderMoveEvent,
+    SurfEvent,
+    VisitEvent,
+)
 from ..server.transport import Transport
 from .browser import Browser
 
@@ -427,3 +436,65 @@ class MemexApplet:
             "popular_near_trail", folder_path=folder_path,
             k=k, window_days=window_days,
         )["pages"]
+
+
+def replay_events(
+    events: Iterable[SurfEvent],
+    connect: Callable[[str], MemexApplet],
+    *,
+    batch_size: int,
+    tick_every: int = 0,
+    on_tick: Callable[[], Any] | None = None,
+) -> dict[str, int]:
+    """Feed simulated surf events through the applets *connect* hands out
+    (one per user, reused); returns event counts.
+
+    Archive events (visits, bookmarks) buffer in the applet and ship as
+    one framed batch per run of up to *batch_size* consecutive same-user
+    events (``batch_size<=1`` sends one frame per event).  Buffers flush
+    whenever the active user changes, before any synchronous call, before
+    *on_tick* (called every *tick_every* events when non-zero) and at the
+    end — so events reach the server in exactly the global order they
+    occurred and the final repository state matches per-event replay bit
+    for bit.  Applets are handed back in immediate-send mode.
+    """
+    counts = {"visit": 0, "bookmark": 0, "folder": 0, "move": 0, "mode": 0}
+    applets: dict[str, MemexApplet] = {}
+    active: MemexApplet | None = None
+    for processed, event in enumerate(events, 1):
+        applet = applets.get(event.user_id)
+        if applet is None:
+            applet = applets[event.user_id] = connect(event.user_id)
+            applet.batch_size = batch_size
+        if active is not None and active is not applet:
+            # Preserve global event order across users: only runs of
+            # consecutive same-user events share a batch frame.
+            active.flush()
+        active = applet
+        if isinstance(event, VisitEvent):
+            applet.record_visit(
+                event.url, at=event.at,
+                referrer=event.referrer, session_id=event.session_id,
+            )
+            counts["visit"] += 1
+        elif isinstance(event, BookmarkEvent):
+            applet.bookmark(event.url, event.folder_path, at=event.at)
+            counts["bookmark"] += 1
+        elif isinstance(event, FolderCreateEvent):
+            applet.create_folder(event.folder_path, at=event.at)
+            counts["folder"] += 1
+        elif isinstance(event, FolderMoveEvent):
+            applet.move_bookmark(
+                event.url, event.from_folder, event.to_folder, at=event.at,
+            )
+            counts["move"] += 1
+        elif isinstance(event, ArchiveModeEvent):
+            applet.set_archive_mode(event.mode)
+            counts["mode"] += 1
+        if tick_every and processed % tick_every == 0:
+            active.flush()
+            on_tick()
+    for applet in applets.values():
+        applet.flush()
+        applet.batch_size = 0
+    return counts

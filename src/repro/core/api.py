@@ -13,18 +13,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from ..client.applet import MemexApplet
+from ..client.applet import MemexApplet, replay_events
 from ..client.browser import Browser
 from ..obs import Tracer, null_tracer
 from ..server.daemons import FetchedPage, FetchFn
-from ..server.events import (
-    ArchiveModeEvent,
-    BookmarkEvent,
-    FolderCreateEvent,
-    FolderMoveEvent,
-    SurfEvent,
-    VisitEvent,
-)
+from ..server.events import SurfEvent
 from ..webgen.corpus import WebCorpus
 from ..webgen.workload import Workload
 from .memex import MemexServer
@@ -97,7 +90,8 @@ class MemexSystem:
     ) -> "MemexSystem":
         """A system whose crawler fetches from the given simulated Web;
         *server_kwargs* pass through to :class:`MemexServer` (e.g.
-        ``root=``, ``metrics=``, ``cache_reads=False``)."""
+        ``root=``, ``metrics=``).  Read caching is switched off after
+        construction: ``system.server.caches = None``."""
         return cls(
             MemexServer(corpus_fetcher(corpus), **server_kwargs),
             client_tracer=client_tracer,
@@ -167,62 +161,15 @@ class MemexSystem:
         finish: bool = True,
         batch_size: int = 32,
     ) -> dict[str, int]:
-        """Feed simulated surf events through real client applets,
-        interleaving daemon work every *tick_every* events — the online
-        regime of the deployed system.  Returns event counts.
-
-        Replay is batched: archive events (visits, bookmarks) buffer in
-        the applet and ship as one framed batch per run of up to
-        *batch_size* consecutive same-user events (``batch_size<=1``
-        restores one frame per event).  Buffers flush whenever the active
-        user changes, before any synchronous call, at every daemon tick,
-        and at the end — so events reach the server in exactly the global
-        order they occurred and the final repository state matches
-        per-event replay bit for bit.
-        """
-        counts = {"visit": 0, "bookmark": 0, "folder": 0, "move": 0, "mode": 0}
-        processed = 0
-        active: MemexApplet | None = None
-        for event in events:
-            applet = self.connect(event.user_id)
-            applet.batch_size = batch_size
-            if active is not None and active is not applet:
-                # Preserve global event order across users: only runs of
-                # consecutive same-user events share a batch frame.
-                active.flush()
-            active = applet
-            if isinstance(event, VisitEvent):
-                applet.record_visit(
-                    event.url, at=event.at,
-                    referrer=event.referrer, session_id=event.session_id,
-                )
-                counts["visit"] += 1
-            elif isinstance(event, BookmarkEvent):
-                applet.bookmark(event.url, event.folder_path, at=event.at)
-                counts["bookmark"] += 1
-            elif isinstance(event, FolderCreateEvent):
-                applet.create_folder(event.folder_path, at=event.at)
-                counts["folder"] += 1
-            elif isinstance(event, FolderMoveEvent):
-                applet.move_bookmark(
-                    event.url, event.from_folder, event.to_folder, at=event.at,
-                )
-                counts["move"] += 1
-            elif isinstance(event, ArchiveModeEvent):
-                applet.set_archive_mode(event.mode)
-                counts["mode"] += 1
-            processed += 1
-            if tick_every and processed % tick_every == 0:
-                if active is not None:
-                    active.flush()
-                self.server.tick()
-        if active is not None:
-            active.flush()
-        # Replay borrowed the cached applets for buffering; hand them back
-        # in immediate-send mode so later direct calls behave classically.
-        for applet in self._applets.values():
-            applet.flush()
-            applet.batch_size = 0
+        """Feed simulated surf events through real client applets
+        (:func:`~repro.client.applet.replay_events`: batched same-user
+        runs, global event order preserved), interleaving daemon work
+        every *tick_every* events — the online regime of the deployed
+        system.  Returns event counts."""
+        counts = replay_events(
+            events, self.connect, batch_size=batch_size,
+            tick_every=tick_every, on_tick=self.server.tick,
+        )
         if finish:
             self.server.process_background_work()
         return counts

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 
+from collections.abc import Callable, Hashable
 from typing import Any
 
 from ..cache import ReadPathCaches
@@ -42,7 +43,7 @@ from ..server.scheduler import DaemonScheduler
 from ..server.servlets import ServletRegistry
 from ..server.netserver import MemexSocketServer
 from ..server.transport import HttpTunnelTransport
-from ..shard.gather import LocalBackend, ShardDispatcher
+from ..shard.gather import LocalBackend, ShardDispatcher, search_options
 from ..storage.repository import MemexRepository
 from ..storage.schema import (
     ARCHIVE_COMMUNITY,
@@ -104,11 +105,6 @@ class MemexServer:
     versioning_lag_threshold:
         The ``versioning`` readiness check degrades when any consumer
         lags more than this many published versions.
-    caches:
-        The version-aware read-path cache bundle.  By default a
-        :class:`~repro.cache.ReadPathCaches` is built over the
-        repository's version coordinator; pass your own to tune bounds,
-        or ``cache_reads=False`` to disable read caching entirely.
     """
 
     def __init__(
@@ -118,15 +114,12 @@ class MemexServer:
         root: str | None = None,
         sync: bool = False,
         theme_discovery: ThemeDiscovery | None = None,
-        crawler_batch: int = 64,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         log_hub: LogHub | None = None,
         slow_request_threshold: float | None = 1.0,
         slo_policies: dict[str, SloPolicy] | None = None,
         versioning_lag_threshold: int = 64,
-        caches: ReadPathCaches | None = None,
-        cache_reads: bool = True,
         retrieval: bool = True,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -150,7 +143,7 @@ class MemexServer:
 
         clock = lambda: self._now  # noqa: E731 - tiny closure over sim time
         self.crawler = CrawlerDaemon(
-            self.repo, fetch, batch_size=crawler_batch, clock=clock,
+            self.repo, fetch, batch_size=64, clock=clock,
             tracer=self.tracer, log=self.logs.logger("crawler"),
         )
         self.indexer = IndexerDaemon(
@@ -208,15 +201,14 @@ class MemexServer:
         self.history = MetricsHistory(self.metrics)
         self.scheduler.register(self.history, period=4)
 
-        # Read-path caches register as versioning consumers, so the
-        # indexer/classifier/dense daemons must exist (and be registered)
-        # first.
-        self.caches: ReadPathCaches | None = None
-        if cache_reads:
-            self.caches = caches if caches is not None else ReadPathCaches(
-                self.repo.versions, metrics=self.metrics,
-                dense=self.dense.name if self.dense is not None else None,
-            )
+        # Read-path caches watch the indexer/classifier/dense consumers,
+        # so those daemons must be registered first.  ``None`` switches
+        # read caching off: the uncached reference the differential tests
+        # and BENCH_cache compare against.
+        self.caches: ReadPathCaches | None = ReadPathCaches(
+            self.repo.versions, metrics=self.metrics,
+            dense=self.dense.name if self.dense is not None else None,
+        )
 
         self.registry = ServletRegistry(
             metrics=self.metrics, tracer=self.tracer,
@@ -272,21 +264,11 @@ class MemexServer:
 
     def process_background_work(self, *, max_rounds: int = 1000) -> int:
         """Run daemons until quiescent (tests and examples call this)."""
-        done = self.scheduler.run_until_idle(max_rounds=max_rounds)
-        if self.caches is not None:
-            self.caches.sync()
-        return done
+        return self.scheduler.run_until_idle(max_rounds=max_rounds)
 
     def tick(self, rounds: int = 1) -> int:
-        """Run one scheduler round per *rounds*; returns work done.
-
-        Also syncs the read-path cache consumers so an idle cache never
-        pins published versions against :meth:`VersionCoordinator.gc`.
-        """
-        done = self.scheduler.tick(rounds)
-        if self.caches is not None:
-            self.caches.sync()
-        return done
+        """Run one scheduler round per *rounds*; returns work done."""
+        return self.scheduler.tick(rounds)
 
     # ---------------------------------------------------------------- helpers
 
@@ -296,6 +278,21 @@ class MemexServer:
         items so daemon spans link back to the originating request."""
         ctx = self.tracer.current_context()
         return ctx.to_traceparent() if ctx is not None else None
+
+    def _cached(
+        self,
+        name: str,
+        key: Hashable,
+        compute: Callable[[], Any],
+        *,
+        extra: Hashable = (),
+    ) -> Any:
+        """``compute()`` served through the read cache *name*, or called
+        directly when caching is off or the bundle has no such cache."""
+        cache = None if self.caches is None else getattr(self.caches, name)
+        if cache is None:
+            return compute()
+        return cache.cached(key, compute, extra=extra)
 
     def _require_user(self, request: dict[str, Any]) -> dict[str, Any]:
         user_id = request.get("user_id")
@@ -500,24 +497,26 @@ class MemexServer:
         mode = user["archive_mode"]
         if mode == ARCHIVE_OFF:
             return {"imported": 0, "sessions_assigned": 0}
-        entries = request["entries"]
         origin = self._origin()
-        imported = 0
-        for entry in entries:
-            url = entry["url"]
-            at = self._advance(entry["at"])
-            self.repo.upsert_page(url, now=at)
-            self.repo.record_visit(
-                user["user_id"], url,
-                at=at, session_id=0,
-                referrer=entry.get("referrer"),
-                archive_mode=mode,
-                origin=origin,
-            )
-            self.crawler.enqueue(url, origin=origin)
-            imported += 1
+        # One group commit (page upserts + visit rows) for the whole
+        # import, not two transactions per entry.
+        items = [
+            {
+                "user_id": user["user_id"],
+                "url": entry["url"],
+                "at": self._advance(entry["at"]),
+                "session_id": 0,
+                "referrer": entry.get("referrer"),
+                "archive_mode": mode,
+                "origin": origin,
+            }
+            for entry in request["entries"]
+        ]
+        self.repo.record_visit_batch(items)
+        for item in items:
+            self.crawler.enqueue(item["url"], origin=origin)
         assigned = assign_session_ids(self.repo, user["user_id"])
-        return {"imported": imported, "sessions_assigned": assigned}
+        return {"imported": len(items), "sessions_assigned": assigned}
 
     def _sv_bookmark(self, request: dict[str, Any]) -> dict[str, Any]:
         user = self._require_user(request)
@@ -607,12 +606,11 @@ class MemexServer:
         ``has_more``, so clients page through million-hit archives instead
         of shipping unbounded lists.
 
-        ``mode`` selects the ranking: ``ranked`` (BM25; ``lexical`` is a
-        wire alias), ``boolean``, or ``hybrid`` — reciprocal-rank fusion
-        of the lexical, dense-vector, and co-visitation rankings, deduped
-        on canonical URL *before* ``total`` is counted (DESIGN.md §13).
-        ``hybrid`` falls back to ``ranked`` on a server constructed with
-        ``retrieval=False``.
+        ``mode`` selects the ranking: ``ranked`` (BM25), ``boolean``, or
+        ``hybrid`` — reciprocal-rank fusion of the lexical, dense-vector,
+        and co-visitation rankings, deduped on canonical URL *before*
+        ``total`` is counted (DESIGN.md §13).  ``hybrid`` falls back to
+        ``ranked`` on a server constructed with ``retrieval=False``.
 
         Responses are served from the search cache keyed by the full
         request shape (query, mode, scope, user for ``mine``, limit,
@@ -622,91 +620,72 @@ class MemexServer:
         """
         user = self._require_user(request)
         query = request["query"]
-        k = int(request.get("k", 10))
-        limit = int(request.get("limit", k))
-        offset = int(request.get("offset", 0))
-        if limit < 0 or offset < 0:
-            raise ValueError("limit and offset must be non-negative")
-        scope = request.get("scope", "all")
-        mode = request.get("mode", "ranked")
-        if mode == "lexical":
-            # Normalized BEFORE the cache key so both spellings share
-            # one entry (and byte-identical responses).
-            mode = "ranked"
+        limit, offset, mode, scope = search_options(request)
         hybrid = mode == "hybrid" and self.retrieval_enabled
 
-        cache = self.caches.search if self.caches is not None else None
-        token = extra = None
-        if cache is not None:
-            key = (
-                query, mode, scope,
-                user["user_id"] if scope == "mine" else "",
-                limit, offset,
-            )
-            stamps = self.repo.stamps
-            # Titles come from the pages table; mine/community candidate
-            # sets additionally read the visits table.
-            extra = (
-                (stamps.pages, stamps.visits)
-                if scope in ("mine", "community")
-                else (stamps.pages,)
-            )
-            if hybrid:
-                # The fused ranking also reads the co-visitation matrix
-                # and the dense ANN index; the dense consumer is not in
-                # this cache's watch set, so its watermark rides the
-                # extra stamp instead.
-                extra = (*extra, stamps.covisits,
-                         self.repo.versions.watermark(self.dense.name))
-            cached = cache.get(key, extra=extra)
-            if cached is not None:
-                return cached
-            # Token captured BEFORE reading the index: a version published
-            # mid-compute must invalidate this entry, not hide behind it.
-            token = cache.token()
-
-        candidates: set[str] | None = None
-        if scope == "mine":
-            candidates = {
-                v["url"] for v in self.repo.user_visits(user["user_id"])
-            }
-        elif scope == "community":
-            candidates = {v["url"] for v in self.repo.community_visits()}
-        if mode == "boolean":
-            from ..text.query import ranked_boolean_search
-
-            hits = ranked_boolean_search(self.search_engine, query, k=None)
-            if candidates is not None:
-                hits = [h for h in hits if h.doc_id in candidates]
-        else:
-            hits = self.search_engine.search(
-                query, k=None, candidates=candidates)
+        key = (
+            query, mode, scope,
+            user["user_id"] if scope == "mine" else "",
+            limit, offset,
+        )
+        stamps = self.repo.stamps
+        # Titles come from the pages table; mine/community candidate
+        # sets additionally read the visits table.
+        extra: tuple = (
+            (stamps.pages, stamps.visits)
+            if scope in ("mine", "community")
+            else (stamps.pages,)
+        )
         if hybrid:
-            fused = self._fuse_hybrid(query, hits, candidates)
-            # Post-dedup accounting: fusion folds URL variants into one
-            # canonical page, so total/has_more count the deduped list —
-            # counting first and deduping later drifts the page window.
-            total = len(fused)
-            page_rows = fused[offset:offset + limit]
-        else:
-            total = len(hits)
-            page_rows = [
-                (h.doc_id, h.score) for h in hits[offset:offset + limit]
-            ]
-        payloads = []
-        for url, score in page_rows:
-            payload = self._hit_payload(url, score)
-            payload["snippet"] = self._snippet_for(url, query)
-            payloads.append(payload)
-        response = {
-            "hits": payloads,
-            "total": total,
-            "offset": offset,
-            "has_more": offset + len(payloads) < total,
-        }
-        if cache is not None:
-            cache.put(key, response, token=token, extra=extra)
-        return response
+            # The fused ranking also reads the co-visitation matrix and
+            # the dense ANN index; the dense consumer is not in this
+            # cache's watch set, so its watermark rides the extra stamp.
+            extra = (*extra, stamps.covisits,
+                     self.repo.versions.watermark(self.dense.name))
+
+        def compute() -> dict[str, Any]:
+            candidates: set[str] | None = None
+            if scope == "mine":
+                candidates = {
+                    v["url"] for v in self.repo.user_visits(user["user_id"])
+                }
+            elif scope == "community":
+                candidates = {v["url"] for v in self.repo.community_visits()}
+            if mode == "boolean":
+                from ..text.query import ranked_boolean_search
+
+                hits = ranked_boolean_search(self.search_engine, query, k=None)
+                if candidates is not None:
+                    hits = [h for h in hits if h.doc_id in candidates]
+            else:
+                hits = self.search_engine.search(
+                    query, k=None, candidates=candidates)
+            if hybrid:
+                fused = self._fuse_hybrid(query, hits, candidates)
+                # Post-dedup accounting: fusion folds URL variants into
+                # one canonical page, so total/has_more count the deduped
+                # list — counting first and deduping later drifts the
+                # page window.
+                total = len(fused)
+                page_rows = fused[offset:offset + limit]
+            else:
+                total = len(hits)
+                page_rows = [
+                    (h.doc_id, h.score) for h in hits[offset:offset + limit]
+                ]
+            payloads = []
+            for url, score in page_rows:
+                payload = self._hit_payload(url, score)
+                payload["snippet"] = self._snippet_for(url, query)
+                payloads.append(payload)
+            return {
+                "hits": payloads,
+                "total": total,
+                "offset": offset,
+                "has_more": offset + len(payloads) < total,
+            }
+
+        return self._cached("search", key, compute, extra=extra)
 
     def _fuse_hybrid(
         self,
@@ -788,57 +767,50 @@ class MemexServer:
                 "related_pages requires a server with retrieval enabled")
         assert self.dense_index is not None and self.covisit is not None
 
-        cache = self.caches.related if self.caches is not None else None
-        token = extra = None
         canon = canonical_url(url)
-        if cache is not None:
-            key = (canon, k)
-            stamps = self.repo.stamps
-            # covisits stamp covers the matrix; pages covers titles.
-            extra = (stamps.covisits, stamps.pages)
-            cached = cache.get(key, extra=extra)
-            if cached is not None:
-                return cached
-            token = cache.token()
+        stamps = self.repo.stamps
 
-        cov_scores: dict[str, float] = {}
-        seeds = {url, canon}
-        for seed in sorted(seeds):
-            for other, score in related_scores(
-                self.repo, seed,
-                now=self._now, decay=self.covisit.decay, k=FUSE_DEPTH,
-            ):
-                cov_scores[other] = max(cov_scores.get(other, 0.0), score)
-        covisit = [
-            u for u, _ in sorted(
-                cov_scores.items(), key=lambda kv: (-kv[1], kv[0]),
-            )[:FUSE_DEPTH]
-        ]
-        dense = [
-            u for u, _ in self.dense_index.neighbors(url, k=FUSE_DEPTH)
-        ]
-        fused = [
-            (u, score) for u, score in rrf_fuse(
-                [
-                    (HYBRID_WEIGHTS["lexical"], covisit),
-                    (HYBRID_WEIGHTS["dense"], dense),
-                ],
-                key=canonical_url,
-            )
-            if canonical_url(u) != canon   # never recommend the page itself
-        ]
-        rows = []
-        for u, score in fused[:k]:
-            page = self.repo.db.table("pages").get(u)
-            rows.append({
-                "url": u,
-                "score": round(score, 6),
-                "title": (page or {}).get("title"),
-            })
-        response = {"url": url, "related": rows, "total": len(fused)}
-        if cache is not None:
-            cache.put(key, response, token=token, extra=extra)
-        return response
+        def compute() -> dict[str, Any]:
+            cov_scores: dict[str, float] = {}
+            for seed in sorted({url, canon}):
+                for other, score in related_scores(
+                    self.repo, seed,
+                    now=self._now, decay=self.covisit.decay, k=FUSE_DEPTH,
+                ):
+                    cov_scores[other] = max(cov_scores.get(other, 0.0), score)
+            covisit = [
+                u for u, _ in sorted(
+                    cov_scores.items(), key=lambda kv: (-kv[1], kv[0]),
+                )[:FUSE_DEPTH]
+            ]
+            dense = [
+                u for u, _ in self.dense_index.neighbors(url, k=FUSE_DEPTH)
+            ]
+            fused = [
+                (u, score) for u, score in rrf_fuse(
+                    [
+                        (HYBRID_WEIGHTS["lexical"], covisit),
+                        (HYBRID_WEIGHTS["dense"], dense),
+                    ],
+                    key=canonical_url,
+                )
+                if canonical_url(u) != canon   # never recommend the page itself
+            ]
+            rows = []
+            for u, score in fused[:k]:
+                page = self.repo.db.table("pages").get(u)
+                rows.append({
+                    "url": u,
+                    "score": round(score, 6),
+                    "title": (page or {}).get("title"),
+                })
+            return {"url": url, "related": rows, "total": len(fused)}
+
+        # covisits stamp covers the matrix; pages covers titles.
+        return self._cached(
+            "related", (canon, k), compute,
+            extra=(stamps.covisits, stamps.pages),
+        )
 
     def _snippet_for(self, url: str, query: str) -> str | None:
         from ..text.snippets import make_snippet
@@ -895,30 +867,26 @@ class MemexServer:
         path = request["folder_path"]
         window_days = float(request.get("window_days", 14.0))
 
-        cache = self.caches.trails if self.caches is not None else None
-        token = extra = None
-        if cache is not None:
-            key = ("trail", owner, path, window_days)
-            extra = self._trail_extra(owner)
-            cached = cache.get(key, extra=extra)
-            if cached is not None:
-                return cached
-            token = cache.token()
+        def compute() -> dict[str, Any]:
+            return {"trail": self._trail_graph(owner, path, window_days).to_payload()}
 
+        return self._cached(
+            "trails", ("trail", owner, path, window_days), compute,
+            extra=self._trail_extra(owner),
+        )
+
+    def _trail_graph(self, owner: str, path: str, window_days: float):
+        """The owner's trail over one folder subtree plus the community
+        pages their folder model claims for it, over the last
+        *window_days* of simulation time."""
         folder_ids = self._user_folder_ids(owner, path)
         since = self._now - window_days * DAY
         include = self._community_pages_for_folder(owner, folder_ids, since=since)
-        graph = build_trail_graph(
+        return build_trail_graph(
             self.repo, folder_ids,
-            folder_paths=[path],
-            since=since,
-            user_id=owner,
-            include_urls=include,
+            folder_paths=[path], since=since,
+            user_id=owner, include_urls=include,
         )
-        response = {"trail": graph.to_payload()}
-        if cache is not None:
-            cache.put(key, response, token=token, extra=extra)
-        return response
 
     def _trail_extra(self, owner: str) -> tuple:
         """Non-versioned validity stamps for trail-shaped read paths:
@@ -977,9 +945,7 @@ class MemexServer:
         member_sims = sorted(cosine(v, center) for v in member_vecs)
         floor = member_sims[int(similarity_quantile * (len(member_sims) - 1))]
 
-        cache = self.caches.classify if self.caches is not None else None
         model_version = self.classifier.model_version(owner)
-        token = cache.token() if cache is not None else None
 
         out: set[str] = set()
         seen: set[str] = set()
@@ -994,17 +960,12 @@ class MemexServer:
             tvec = self.vectorizer.tfidf_vector(url)
             if tvec is None or cosine(tvec, center) < floor:
                 continue
-            folder = None
-            ckey = (owner, url, model_version)
-            if cache is not None:
-                folder = cache.get(ckey)
-            if folder is None:
-                # Independent per-page prediction: batch relaxation would
-                # let confidently-wrong labels cascade through off-topic
-                # clusters.
-                folder, _conf = model.predict(url, vec)
-                if cache is not None:
-                    cache.put(ckey, folder, token=token)
+            # Independent per-page prediction: batch relaxation would let
+            # confidently-wrong labels cascade through off-topic clusters.
+            folder = self._cached(
+                "classify", (owner, url, model_version),
+                lambda: model.predict(url, vec)[0],
+            )
             if folder in folder_set:
                 out.add(url)
         return out
@@ -1170,38 +1131,22 @@ class MemexServer:
         k = int(request.get("k", 10))
         hops = int(request.get("hops", 1))
 
-        cache = self.caches.trails if self.caches is not None else None
-        token = extra = None
-        if cache is not None:
-            key = ("popular", owner, path, window_days, k, hops)
-            extra = self._trail_extra(owner)
-            cached = cache.get(key, extra=extra)
-            if cached is not None:
-                return cached
-            token = cache.token()
-
-        folder_ids = self._user_folder_ids(owner, path)
-        since = self._now - window_days * DAY
-        include = self._community_pages_for_folder(owner, folder_ids, since=since)
-        trail = build_trail_graph(
-            self.repo, folder_ids,
-            folder_paths=[path], since=since,
-            user_id=owner, include_urls=include,
-        )
-        seeds = set(trail.nodes)
-        if not seeds:
-            response: dict[str, Any] = {"pages": []}
-        else:
+        def compute() -> dict[str, Any]:
+            seeds = set(self._trail_graph(owner, path, window_days).nodes)
+            if not seeds:
+                return {"pages": []}
             ranked = popular_near(link_graph(self.repo), seeds, k=k, hops=hops)
-            response = {
+            return {
                 "pages": [
                     {**self._hit_payload(url, score), "in_trail": url in seeds}
                     for url, score in ranked
                 ]
             }
-        if cache is not None:
-            cache.put(key, response, token=token, extra=extra)
-        return response
+
+        return self._cached(
+            "trails", ("popular", owner, path, window_days, k, hops), compute,
+            extra=self._trail_extra(owner),
+        )
 
     # -- health and observability ---------------------------------------------------------
 

@@ -21,8 +21,8 @@ automatically; :class:`HealthMonitor` (:mod:`repro.obs.health`) folds
 checks and per-servlet SLO burn rates into ready/degraded.
 """
 
-from .clock import Clock, ManualClock, TickingClock
-from .export import EventFeed, from_json, render_health, render_table, to_json
+from .clock import Clock, ManualClock
+from .export import from_json, render_health, render_table, to_json
 from .health import (
     DEFAULT_POLICY,
     FAST_BURN,
@@ -39,7 +39,6 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
     diff_snapshots,
     merge_histogram_raw,
     merge_snapshots,
@@ -75,7 +74,6 @@ __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_POLICY",
-    "EventFeed",
     "FAST_BURN",
     "Gauge",
     "HealthMonitor",
@@ -93,8 +91,6 @@ __all__ = [
     "ServletSlo",
     "SloPolicy",
     "Span",
-    "TickingClock",
-    "Timer",
     "TraceContext",
     "TraceParseError",
     "Tracer",

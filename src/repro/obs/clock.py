@@ -33,20 +33,3 @@ class ManualClock:
 
     def set_time(self, t: float) -> None:
         self._now = float(t)
-
-
-class TickingClock:
-    """A clock that advances by a fixed step on every read.
-
-    Useful for benchmark-style tests: every ``clock()`` pair brackets a
-    deterministic "elapsed" interval without any sleeping.
-    """
-
-    def __init__(self, start: float = 0.0, step: float = 1.0) -> None:
-        self._now = float(start)
-        self.step = float(step)
-
-    def __call__(self) -> float:
-        now = self._now
-        self._now += self.step
-        return now

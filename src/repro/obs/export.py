@@ -5,15 +5,11 @@ Three ways out of the registry, for three audiences:
 * :func:`render_table` — the operator's view (`repro stats`, the demo).
 * :func:`to_json` / :func:`from_json` — machine-readable snapshots the
   benchmarks diff across runs.
-* :class:`EventFeed` — a bounded, cursor-addressed stream of individual
-  metric updates, for dashboards that tail the server instead of polling
-  it.  Attach with ``registry.attach(feed)``; read with ``feed.read(cursor)``.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Any
 
 from .metrics import MetricsRegistry
@@ -125,41 +121,3 @@ def to_json(
 def from_json(blob: str) -> dict[str, Any]:
     """Parse a :func:`to_json` snapshot back into plain dicts."""
     return json.loads(blob)
-
-
-class EventFeed:
-    """Bounded stream of metric-update events with absolute cursors.
-
-    Every event gets a monotonically increasing sequence number; readers
-    keep their own cursor and call :meth:`read` to drain what is new.  If
-    a slow reader falls more than ``capacity`` events behind, the oldest
-    events are dropped and the reader can detect the gap from the
-    ``dropped`` count.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._events: deque[tuple[int, dict[str, Any]]] = deque(maxlen=capacity)
-        self._seq = 0
-
-    def publish(self, event: dict[str, Any]) -> int:
-        """Append one event; returns its sequence number."""
-        self._seq += 1
-        self._events.append((self._seq, event))
-        return self._seq
-
-    def read(self, cursor: int = 0) -> tuple[int, list[dict[str, Any]], int]:
-        """Return ``(new_cursor, events, dropped)`` for events after *cursor*.
-
-        ``dropped`` counts events that fell out of the buffer before this
-        reader saw them (0 when the reader is keeping up).
-        """
-        events = [e for seq, e in self._events if seq > cursor]
-        oldest = self._events[0][0] if self._events else self._seq + 1
-        dropped = max(0, oldest - cursor - 1) if cursor < self._seq else 0
-        return self._seq, events, dropped
-
-    def __len__(self) -> int:
-        return len(self._events)

@@ -21,7 +21,6 @@ in order:
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from bisect import bisect_left
@@ -88,14 +87,12 @@ class Counter:
     innermost in :data:`repro.locks.LOCK_ORDER`).
     """
 
-    __slots__ = ("name", "labels", "value", "_registry", "_feeds", "_obs_lock")
+    __slots__ = ("name", "labels", "value", "_obs_lock")
 
-    def __init__(self, name: str, labels: LabelItems, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self._registry = registry
-        self._feeds = registry._feeds   # shared list; mutated in place
         self._obs_lock = threading.Lock()
 
     def inc(self, n: float = 1.0) -> None:
@@ -103,9 +100,6 @@ class Counter:
             raise ValueError("counters only go up")
         with self._obs_lock:
             self.value += n
-            value = self.value
-        if self._feeds:
-            self._registry._publish("counter", self.name, self.labels, value)
 
 
 class FuncCounter:
@@ -113,8 +107,7 @@ class FuncCounter:
 
     The cheapest possible instrumentation for very hot paths: the
     component bumps a plain Python int and registers the accessor once;
-    nothing happens per event beyond the int add.  Pull-only: func
-    counters never stream to an :class:`~repro.obs.EventFeed`.
+    nothing happens per event beyond the int add.
     """
 
     __slots__ = ("name", "labels", "fn")
@@ -134,8 +127,7 @@ class FuncGauge:
 
     The gauge twin of :class:`FuncCounter`: a component keeps its own
     level (cache entries, resident cost) and registers the accessor once;
-    nothing happens per event.  Pull-only: func gauges never stream to an
-    :class:`~repro.obs.EventFeed`.
+    nothing happens per event.
     """
 
     __slots__ = ("name", "labels", "fn")
@@ -157,27 +149,21 @@ class Gauge:
     lock so concurrent workers cannot lose updates.
     """
 
-    __slots__ = ("name", "labels", "value", "_registry", "_feeds", "_obs_lock")
+    __slots__ = ("name", "labels", "value", "_obs_lock")
 
-    def __init__(self, name: str, labels: LabelItems, registry: "MetricsRegistry") -> None:
+    def __init__(self, name: str, labels: LabelItems) -> None:
         self.name = name
         self.labels = labels
         self.value = 0.0
-        self._registry = registry
-        self._feeds = registry._feeds   # shared list; mutated in place
         self._obs_lock = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._obs_lock:
-            self.value = value = float(value)
-        if self._feeds:
-            self._registry._publish("gauge", self.name, self.labels, value)
+            self.value = float(value)
 
     def inc(self, n: float = 1.0) -> None:
         with self._obs_lock:
-            self.value = value = self.value + n
-        if self._feeds:
-            self._registry._publish("gauge", self.name, self.labels, value)
+            self.value += n
 
     def dec(self, n: float = 1.0) -> None:
         self.inc(-n)
@@ -193,13 +179,12 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "buckets", "counts", "sum", "count",
-                 "min", "max", "_registry", "_feeds", "_obs_lock")
+                 "min", "max", "_obs_lock")
 
     def __init__(
         self,
         name: str,
         labels: LabelItems,
-        registry: "MetricsRegistry",
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
         if not buckets or list(buckets) != sorted(buckets):
@@ -212,8 +197,6 @@ class Histogram:
         self.count = 0
         self.min = float("inf")
         self.max = float("-inf")
-        self._registry = registry
-        self._feeds = registry._feeds   # shared list; mutated in place
         self._obs_lock = threading.Lock()
 
     def observe(self, value: float) -> None:
@@ -227,8 +210,6 @@ class Histogram:
                 self.min = value
             if value > self.max:
                 self.max = value
-        if self._feeds:
-            self._registry._publish("histogram", self.name, self.labels, value)
 
     def _state(self) -> tuple[list[int], float, int, float, float]:
         """A mutually consistent copy of the mutable fields."""
@@ -425,30 +406,6 @@ def summarize_snapshot(raw: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-class Timer:
-    """Context manager that observes elapsed clock time into a histogram.
-
-    Re-entrant across uses (each ``with`` takes a fresh start time) and
-    deterministic under an injected clock.
-    """
-
-    __slots__ = ("histogram", "clock", "_start", "elapsed")
-
-    def __init__(self, histogram: Histogram | "_NullHistogram", clock: Clock) -> None:
-        self.histogram = histogram
-        self.clock = clock
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = self.clock()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.elapsed = self.clock() - self._start
-        self.histogram.observe(self.elapsed)
-
-
 # -- disabled instruments -------------------------------------------------------
 
 class _NullCounter:
@@ -514,8 +471,9 @@ class MetricsRegistry:
         ``False`` makes every instrument a shared no-op — the opt-out for
         deployments that want zero measurement cost.
     clock:
-        Time source for :meth:`timer` / :meth:`timed`; injectable so tests
-        measure deterministic durations.
+        Time source shared by everything that measures into this
+        registry (servlet latency, the log hub, the health engine);
+        injectable so tests measure deterministic durations.
     """
 
     def __init__(self, *, enabled: bool = True, clock: Clock = time.perf_counter) -> None:
@@ -524,7 +482,6 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, LabelItems], Counter] = {}
         self._gauges: dict[tuple[str, LabelItems], Gauge] = {}
         self._histograms: dict[tuple[str, LabelItems], Histogram] = {}
-        self._feeds: list[Any] = []   # attached EventFeed objects
         # Guards instrument creation (get-or-create) only; per-event
         # updates use the instruments' own locks.
         self._obs_lock = threading.Lock()
@@ -546,7 +503,7 @@ class MetricsRegistry:
             with self._obs_lock:
                 got = self._counters.get(key)
                 if got is None:
-                    got = self._counters[key] = Counter(key[0], key[1], self)
+                    got = self._counters[key] = Counter(key[0], key[1])
         return got
 
     def counter_func(
@@ -572,7 +529,7 @@ class MetricsRegistry:
             with self._obs_lock:
                 got = self._gauges.get(key)
                 if got is None:
-                    got = self._gauges[key] = Gauge(key[0], key[1], self)
+                    got = self._gauges[key] = Gauge(key[0], key[1])
         return got
 
     def gauge_func(
@@ -605,49 +562,8 @@ class MetricsRegistry:
                 got = self._histograms.get(key)
                 if got is None:
                     got = self._histograms[key] = Histogram(
-                        key[0], key[1], self, buckets)
+                        key[0], key[1], buckets)
         return got
-
-    def timer(self, name: str, **labels: str) -> Timer:
-        return Timer(self.histogram(name, **labels), self.clock)
-
-    def timed(self, name: str, **labels: str) -> Callable:
-        """Decorator form of :meth:`timer`.
-
-        On a disabled registry the function is returned unchanged, so
-        decorated hot paths pay nothing.
-        """
-        def decorate(fn: Callable) -> Callable:
-            if not self.enabled:
-                return fn
-            histogram = self.histogram(name, **labels)
-            clock = self.clock
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                start = clock()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    histogram.observe(clock() - start)
-            return wrapper
-        return decorate
-
-    # -- event feed plumbing ------------------------------------------------
-
-    def attach(self, feed: Any) -> None:
-        """Attach a streaming consumer (see :class:`repro.obs.EventFeed`)."""
-        if feed not in self._feeds:
-            self._feeds.append(feed)
-
-    def detach(self, feed: Any) -> None:
-        if feed in self._feeds:
-            self._feeds.remove(feed)
-
-    def _publish(self, kind: str, name: str, labels: LabelItems, value: float) -> None:
-        event = {"kind": kind, "name": name, "labels": dict(labels), "value": value}
-        for feed in self._feeds:
-            feed.publish(event)
 
     # -- introspection -------------------------------------------------------
 

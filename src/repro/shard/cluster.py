@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 from pathlib import Path
 
-from ..client.applet import MemexApplet
+from ..client.applet import MemexApplet, replay_events
 from ..errors import ProtocolError
 from ..obs import HealthMonitor, LogHub, LogShipper, MetricsRegistry, Tracer
 from ..server.transport import SocketTransport
@@ -242,51 +242,11 @@ class MemexCluster:
         batch_size: int = 32,
         quiesce: bool = True,
     ) -> dict[str, int]:
-        """Feed simulated surf events through applets over the router —
-        the sharded mirror of :meth:`repro.core.api.MemexSystem.replay`
-        (same batching and flush rules; daemons tick inside the workers
-        instead of between batches)."""
-        from ..server.events import (
-            ArchiveModeEvent,
-            BookmarkEvent,
-            FolderCreateEvent,
-            FolderMoveEvent,
-            VisitEvent,
-        )
-
-        counts = {"visit": 0, "bookmark": 0, "folder": 0, "move": 0, "mode": 0}
-        active: MemexApplet | None = None
-        for event in events:
-            applet = self.connect(event.user_id)
-            applet.batch_size = batch_size
-            if active is not None and active is not applet:
-                active.flush()
-            active = applet
-            if isinstance(event, VisitEvent):
-                applet.record_visit(
-                    event.url, at=event.at,
-                    referrer=event.referrer, session_id=event.session_id,
-                )
-                counts["visit"] += 1
-            elif isinstance(event, BookmarkEvent):
-                applet.bookmark(event.url, event.folder_path, at=event.at)
-                counts["bookmark"] += 1
-            elif isinstance(event, FolderCreateEvent):
-                applet.create_folder(event.folder_path, at=event.at)
-                counts["folder"] += 1
-            elif isinstance(event, FolderMoveEvent):
-                applet.move_bookmark(
-                    event.url, event.from_folder, event.to_folder, at=event.at,
-                )
-                counts["move"] += 1
-            elif isinstance(event, ArchiveModeEvent):
-                applet.set_archive_mode(event.mode)
-                counts["mode"] += 1
-        if active is not None:
-            active.flush()
-        for applet in self._applets.values():
-            applet.flush()
-            applet.batch_size = 0
+        """Feed simulated surf events through applets over the router
+        (:func:`~repro.client.applet.replay_events`, as
+        :meth:`repro.core.api.MemexSystem.replay` does; daemons tick
+        inside the workers instead of between batches)."""
+        counts = replay_events(events, self.connect, batch_size=batch_size)
         if quiesce:
             self.quiesce()
         return counts

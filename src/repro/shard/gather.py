@@ -93,6 +93,31 @@ def _is_scatter(servlet: Any, request: dict[str, Any]) -> bool:
     return servlet == "search" and request.get("mode") == "hybrid"
 
 
+SEARCH_MODES = ("ranked", "boolean", "hybrid")
+SEARCH_SCOPES = ("all", "mine", "community")
+
+
+def search_options(request: dict[str, Any]) -> tuple[int, int, str, str]:
+    """``(limit, offset, mode, scope)`` of a ``search`` request.
+
+    A negative window or an unknown mode/scope raises ``ValueError``
+    (-> typed ``bad_request``) instead of silently ranking as BM25 over
+    everything under a cache key of its own.
+    """
+    k = int(request.get("k", 10))
+    limit = int(request.get("limit", k))
+    offset = int(request.get("offset", 0))
+    if limit < 0 or offset < 0:
+        raise ValueError("limit and offset must be non-negative")
+    mode = request.get("mode", "ranked")
+    if mode not in SEARCH_MODES:
+        raise ValueError(f"mode must be one of {', '.join(SEARCH_MODES)}")
+    scope = request.get("scope", "all")
+    if scope not in SEARCH_SCOPES:
+        raise ValueError(f"scope must be one of {', '.join(SEARCH_SCOPES)}")
+    return limit, offset, mode, scope
+
+
 def _rewrite_search(request: dict[str, Any]) -> dict[str, Any]:
     """The sub-request each shard answers during a scattered search.
 
@@ -102,13 +127,11 @@ def _rewrite_search(request: dict[str, Any]) -> dict[str, Any]:
     asked for their full ranked window and the merger re-paginates with
     the caller's original offset/limit.
 
-    Validates the caller's window here, since the shards only ever see
-    the rewritten one: a negative limit/offset raises the same
-    ``ValueError`` (-> typed ``bad_request``) the shard would.
+    Validates the caller's request here, since the shards only ever see
+    the rewritten one and N identical ``bad_request`` replies would merge
+    into "no shard answered".
     """
-    k = int(request.get("k", 10))
-    if int(request.get("limit", k)) < 0 or int(request.get("offset", 0)) < 0:
-        raise ValueError("limit and offset must be non-negative")
+    search_options(request)
     return {**request, "offset": 0, "limit": 1_000_000}
 
 
@@ -278,9 +301,7 @@ def _merge_search(request, oks, failed, owner):
     applied: ``total`` counts the post-dedup union and ``has_more`` is
     exact — the satellite-3 contract (count after dedup, never before).
     """
-    k = int(request.get("k", 10))
-    limit = int(request.get("limit", k))
-    offset = int(request.get("offset", 0))
+    limit, offset, _mode, _scope = search_options(request)
     rows = [(s, r.get("hits", [])) for s, r in oks]
     merged = _ranked_merge(
         rows, id_field="url", score_field="score", k=-1,

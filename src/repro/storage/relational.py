@@ -39,6 +39,10 @@ from .wal import WriteAheadLog
 
 Row = dict[str, Any]
 
+#: Rows per insert record in a checkpoint: keeps any one record far below
+#: the log's MAX_RECORD_BYTES however large the table.
+_CHECKPOINT_ROWS = 1024
+
 _TYPES: dict[str, tuple[type, ...]] = {
     "int": (int,),
     "float": (int, float),
@@ -463,17 +467,18 @@ class Database:
             cols = [self._as_column(c) for c in columns]
             schema = TableSchema(name, cols, primary_key, tuple(indexes), tuple(unique))
             self._tables[name] = Table(schema)
-            self._log_ddl(
-                "create_table",
-                {
-                    "name": name,
-                    "columns": [(c.name, c.type, c.nullable) for c in cols],
-                    "primary_key": primary_key,
-                    "indexes": list(indexes),
-                    "unique": list(unique),
-                },
-            )
+            self._log_ddl("create_table", self._schema_payload(schema))
             return self._tables[name]
+
+    @staticmethod
+    def _schema_payload(schema: TableSchema) -> dict[str, Any]:
+        return {
+            "name": schema.name,
+            "columns": [(c.name, c.type, c.nullable) for c in schema.columns],
+            "primary_key": schema.primary_key,
+            "indexes": list(schema.indexes),
+            "unique": list(schema.unique),
+        }
 
     @staticmethod
     def _as_column(spec: Column | tuple[str, str] | str) -> Column:
@@ -556,7 +561,7 @@ class Database:
             self._n_commits += 1
         if self._log is not None and not self._recovering and txn._ops:
             record = {"kind": "txn", "ops": [
-                [op, tname, self._jsonable(pk), payload]
+                [op, tname, pk, payload]
                 for op, tname, pk, payload in txn._ops
             ]}
             # Stamp the ambient trace context (if a request span is
@@ -567,10 +572,6 @@ class Database:
             if trace is not None:
                 record["trace"] = trace
             self._log.append(encode(record))
-
-    @staticmethod
-    def _jsonable(value: Any) -> Any:
-        return value
 
     # -- convenience auto-commit operations ----------------------------------------
 
@@ -646,9 +647,11 @@ class Database:
 
     def _recover(self) -> None:
         assert self._log is not None
+        replayed = 0
         self._recovering = True
         try:
             for raw in self._log.replay():
+                replayed += 1
                 record = decode(raw)
                 kind = record.pop("kind")
                 if kind == "create_table":
@@ -672,6 +675,26 @@ class Database:
                                 txn.delete(tname, pk)
         finally:
             self._recovering = False
+        # Checkpoint: the log keeps every update and delete ever committed,
+        # so once dead records dominate (KVStore._maybe_compact's rule) it
+        # is rewritten as the live state — log size and recovery time stay
+        # bounded by the catalog, not by its history.
+        live = len(self._tables) + sum(len(t) for t in self._tables.values())
+        dead = replayed - live
+        if dead > 16 and dead / replayed > 0.5:
+            self._log.rewrite(self._checkpoint_records())
+
+    def _checkpoint_records(self) -> Iterator[bytes]:
+        """The live state as log records: each table's ``create_table``
+        followed by its rows, in scan order, as insert transactions."""
+        for table in self._tables.values():
+            yield encode({"kind": "create_table", **self._schema_payload(table.schema)})
+            rows = list(table._rows.values())
+            for i in range(0, len(rows), _CHECKPOINT_ROWS):
+                yield encode({"kind": "txn", "ops": [
+                    ["insert", table.schema.name, None, row]
+                    for row in rows[i:i + _CHECKPOINT_ROWS]
+                ]})
 
     def close(self) -> None:
         if self._log is not None:

@@ -148,16 +148,47 @@ def versions():
     return v
 
 
-def test_versioned_cache_hit_while_versions_stable(versions):
+def _read_primitives(cache, key, compute, *, extra=()):
+    """The read protocol spelled out with the public primitives."""
+    value = cache.get(key, extra=extra)
+    if value is None:
+        token = cache.token()            # before the compute
+        value = compute()
+        cache.put(key, value, token=token, extra=extra)
+    return value
+
+
+def _read_cached(cache, key, compute, *, extra=()):
+    return cache.cached(key, compute, extra=extra)
+
+
+@pytest.fixture(params=[_read_primitives, _read_cached], ids=["get+put", "cached"])
+def read(request):
+    """Both spellings of the protocol must behave identically."""
+    return request.param
+
+
+class _Compute:
+    """A compute function that counts its calls."""
+
+    def __init__(self, value, during=None):
+        self.value, self.during, self.calls = value, during, 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.during is not None:
+            self.during()
+        return self.value
+
+
+def test_versioned_cache_hit_while_versions_stable(versions, read):
     cache = VersionedCache("search", versions, watch=("indexer",))
-    cache.put("q", {"hits": [1]})
-    assert cache.get("q") == {"hits": [1]}
-    assert cache.stats()["hits"] == 1
-
-
-def test_versioned_cache_registers_as_consumer(versions):
-    VersionedCache("search", versions)
-    assert "cache.search" in versions.consumers()
+    compute = _Compute({"hits": [1]})
+    assert read(cache, "q", compute) == {"hits": [1]}
+    assert read(cache, "q", compute) == {"hits": [1]}
+    assert compute.calls == 1
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"]) == (1, 1)   # one count per call
 
 
 def test_versioned_cache_rejects_unknown_watch_consumer(versions):
@@ -165,67 +196,96 @@ def test_versioned_cache_rejects_unknown_watch_consumer(versions):
         VersionedCache("bad", versions, watch=("nobody",))
 
 
-def test_publish_invalidates_entries(versions):
+def test_publish_invalidates_entries(versions, read):
     cache = VersionedCache("search", versions, watch=("indexer",))
-    cache.put("q", "old")
+    compute = _Compute("result")
+    read(cache, "q", compute)
     versions.produce(["u1"])
-    assert cache.get("q") is None
-    assert cache.stats()["invalidations"] == 1
+    read(cache, "q", compute)
+    assert compute.calls == 2
+    stats = cache.stats()
+    assert stats["invalidations"] == 1
+    assert (stats["hits"], stats["misses"]) == (0, 2)
 
 
-def test_watched_consumer_ack_invalidates_entries(versions):
+def test_watched_consumer_ack_invalidates_entries(versions, read):
     """The consumer-lag case: a result cached while the indexer lagged
     must be dropped when the indexer catches up — the index content
     changed even though no new version was published."""
     cache = VersionedCache("search", versions, watch=("indexer",))
     versions.produce(["u1"])             # indexer now lags at 0
-    cache.put("q", "stale-index-result")
-    assert cache.get("q") == "stale-index-result"   # still valid: lag unchanged
+    compute = _Compute("index-result")
+    read(cache, "q", compute)
+    read(cache, "q", compute)
+    assert compute.calls == 1            # still valid: lag unchanged
     watermark, _ = versions.poll("indexer")
     versions.ack("indexer", watermark)   # indexer catches up
-    assert cache.get("q") is None
-    assert cache.get("q") is None        # stays a miss, no resurrection
+    read(cache, "q", compute)
+    assert compute.calls == 2
+    assert cache.stats()["invalidations"] == 1
 
 
-def test_unwatched_consumer_ack_does_not_invalidate(versions):
+def test_unwatched_consumer_ack_does_not_invalidate(versions, read):
     cache = VersionedCache("classify", versions)    # watches producer only
     versions.produce(["u1"])
-    cache.sync()
-    cache.put("k", "v")
+    compute = _Compute("v")
+    read(cache, "k", compute)
     watermark, _ = versions.poll("classifier")
     versions.ack("classifier", watermark)
-    assert cache.get("k") == "v"
+    read(cache, "k", compute)
+    assert compute.calls == 1
 
 
-def test_extra_stamp_mismatch_invalidates(versions):
+def test_extra_stamp_mismatch_invalidates(versions, read):
     cache = VersionedCache("search", versions)
-    cache.put("q", "result", extra=(7,))
-    assert cache.get("q", extra=(7,)) == "result"
-    assert cache.get("q", extra=(8,)) is None       # a UI write happened
-    assert cache.get("q", extra=(8,)) is None
+    compute = _Compute("result")
+    read(cache, "q", compute, extra=(7,))
+    read(cache, "q", compute, extra=(7,))
+    assert compute.calls == 1
+    read(cache, "q", compute, extra=(8,))           # a UI write happened
+    assert compute.calls == 2
+    assert cache.stats()["invalidations"] == 1
+    read(cache, "q", compute, extra=(8,))
+    assert compute.calls == 2
 
 
-def test_mid_read_publish_invalidates_pre_captured_token(versions):
-    """The mid-read race: token captured before the read, producer
-    publishes during the compute, entry stored with the old token must
-    not be served afterwards."""
+def test_publish_during_compute_is_not_masked(versions, read):
+    """The mid-read race: the token is taken before the compute, the
+    producer publishes during it, so the entry is stored already stale
+    and the next read recomputes instead of serving pre-publish state."""
     cache = VersionedCache("search", versions, watch=("indexer",))
-    token = cache.token()                # reader starts here
-    versions.produce(["u1"])             # producer publishes mid-compute
-    cache.put("q", "computed-from-pre-publish-state", token=token)
-    assert cache.get("q") is None        # next read recomputes
+    racing = _Compute("pre-publish", during=lambda: versions.produce(["u1"]))
+    assert read(cache, "q", racing) == "pre-publish"    # served once
+    calm = _Compute("post-publish")
+    assert read(cache, "q", calm) == "post-publish"
+    assert read(cache, "q", calm) == "post-publish"
+    assert (racing.calls, calm.calls) == (1, 1)
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"]) == (1, 2)
 
 
-def test_cache_acks_eagerly_and_never_stalls_gc(versions):
-    cache = VersionedCache("search", versions, watch=("indexer",))
-    versions.produce(["u1"])
-    versions.produce(["u2"])
-    cache.sync()
-    for name in ("indexer", "classifier"):
-        watermark, _ = versions.poll(name)
-        versions.ack(name, watermark)
-    versions.gc()
-    assert versions.live_versions() == 0
+def test_cached_can_hold_none(versions):
+    """``get`` cannot tell a cached ``None`` from a miss; ``cached`` can."""
+    cache = VersionedCache("search", versions)
+    compute = _Compute(None)
+    assert cache.cached("q", compute) is None
+    assert cache.cached("q", compute) is None
+    assert compute.calls == 1
+
+
+def test_caches_are_not_versioning_consumers(versions):
+    """Caches read the coordinator; they register nothing, so nothing of
+    theirs can lag, pin gc or outlive a swapped-out bundle."""
+    before = versions.consumers()
+    ReadPathCaches(versions)
+    assert versions.consumers() == before
+
+    from repro.core import MemexServer
+    with MemexServer(lambda url: None) as server:
+        consumers = server.repo.versions.consumers()
+        assert not [name for name in consumers if name.startswith("cache.")]
+        server.caches = ReadPathCaches(server.repo.versions, shards=1)
+        assert server.repo.versions.consumers() == consumers
 
 
 def test_versioned_cache_metrics_exported(versions):
@@ -247,5 +307,4 @@ def test_read_path_caches_bundle(versions):
     stats = caches.stats()
     assert set(stats) == {"search", "classify", "trails"}
     assert caches.clear() == 2
-    caches.sync()
     assert all(s["entries"] == 0 for s in caches.stats().values())

@@ -72,11 +72,11 @@ def test_serve_single_process_runs_for_duration(capsys):
     assert "stopped" in out
 
 
-def test_serve_idle_system_syncs_cache_consumers(monkeypatch, capsys):
-    """The serve loop must tick the *server* (scheduler + read-cache
-    sync): after a write is mined and no read follows, the cache.*
-    versioning consumers may not sit behind the published version,
-    pinning it against GC."""
+def test_serve_idle_system_leaves_no_consumer_behind(monkeypatch, capsys):
+    """After a write is mined while serving and no read follows, every
+    versioning consumer has caught up — and none of them is a read
+    cache: caches are not consumers, so an idle one cannot pin the
+    published version against GC."""
     import threading
 
     from repro.core.memex import MemexServer
@@ -123,12 +123,10 @@ def test_serve_idle_system_syncs_cache_consumers(monkeypatch, capsys):
     versions = served["server"].repo.versions
     # The visit was crawled and indexed while serving ...
     assert versions.published_version > served["published"]
-    # ... and with no read arriving, the caches still caught up.
-    cache_lags = {
-        name: lag for name, lag in versions.lags().items()
-        if name.startswith("cache.")
-    }
-    assert cache_lags and set(cache_lags.values()) == {0}
+    # ... and with no read arriving, nothing is left behind.
+    lags = versions.lags()
+    assert not [name for name in lags if name.startswith("cache.")]
+    assert lags and set(lags.values()) == {0}
 
 
 def test_serve_sharded_replays_and_drains(capsys, tmp_path):

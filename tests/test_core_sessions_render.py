@@ -269,3 +269,40 @@ def test_import_history_respects_archive_off():
     assert out["imported"] == 0
     assert applet.dropped_events == 1
     assert len(system.server.repo.db.table("visits")) == 0
+
+
+def test_import_history_is_one_group_commit():
+    """A 50-entry import commits pages + visits once (it used to commit
+    twice per entry), and leaves exactly the rows that 50 per-event
+    ``visit`` requests followed by session inference leave."""
+    from repro.core import MemexSystem
+    from repro.core.memex import MemexServer
+    from repro.core.sessions import assign_session_ids
+
+    entries = [
+        # Revisits included: page upserts must dedup inside the batch.
+        {"url": f"http://h/{i % 40}", "at": 1000.0 + i * 60 + (i // 25) * 90_000,
+         "referrer": f"http://h/{i - 1}" if i % 5 else None}
+        for i in range(50)
+    ]
+    imported = MemexSystem(MemexServer(lambda u: None))
+    applet = imported.register_user("mover")
+    db = imported.server.repo.db
+    before = db._n_commits
+    out = applet.import_history(entries)
+    assert out == {"imported": 50, "sessions_assigned": 50}
+    # One commit for the import; each session-id write-back is its own.
+    assert db._n_commits - before == 1 + out["sessions_assigned"]
+
+    reference = MemexSystem(MemexServer(lambda u: None))
+    per_event = reference.register_user("mover")
+    for entry in entries:
+        per_event.record_visit(
+            entry["url"], at=entry["at"], referrer=entry["referrer"],
+            session_id=0)
+    assign_session_ids(reference.server.repo, "mover")
+    for table in ("visits", "pages"):
+        assert list(db.table(table).scan()) == list(
+            reference.server.repo.db.table(table).scan()), table
+    assert imported.server.crawler.backlog == reference.server.crawler.backlog
+    assert imported.server.now == reference.server.now

@@ -7,10 +7,8 @@ import pytest
 
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
-    EventFeed,
     ManualClock,
     MetricsRegistry,
-    TickingClock,
     Tracer,
     from_json,
     null_registry,
@@ -117,43 +115,7 @@ def test_default_latency_buckets_ascending():
     assert DEFAULT_LATENCY_BUCKETS[-1] == 10.0
 
 
-# -- timers and the @timed decorator -------------------------------------------
-
-def test_timer_with_manual_clock():
-    clk = ManualClock()
-    m = MetricsRegistry(clock=clk)
-    with m.timer("op.latency") as t:
-        clk.advance(0.25)
-    assert t.elapsed == 0.25
-    h = m.histogram("op.latency")
-    assert h.count == 1 and h.sum == 0.25
-
-
-def test_timed_decorator():
-    clk = TickingClock(step=0.1)
-    m = MetricsRegistry(clock=clk)
-
-    @m.timed("fn.latency")
-    def work(x):
-        return x * 2
-
-    assert work(21) == 42
-    assert m.histogram("fn.latency").count == 1
-
-
-def test_timed_decorator_observes_on_exception():
-    clk = ManualClock()
-    m = MetricsRegistry(clock=clk)
-
-    @m.timed("fn.latency")
-    def boom():
-        clk.advance(1.0)
-        raise RuntimeError("x")
-
-    with pytest.raises(RuntimeError):
-        boom()
-    assert m.histogram("fn.latency").summary()["max"] == 1.0
-
+# -- clocks -------------------------------------------------------------------
 
 def test_manual_clock_rejects_backwards_time():
     with pytest.raises(ValueError):
@@ -172,9 +134,6 @@ def test_disabled_registry_is_noop_and_shared():
     assert m.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
     # All disabled instruments are the same shared object.
     assert m.counter("x") is m.counter("y")
-    # The @timed decorator returns the function untouched.
-    fn = lambda: 1  # noqa: E731
-    assert m.timed("t")(fn) is fn
 
 
 def test_null_registry_singleton():
@@ -272,39 +231,3 @@ def test_render_table_contains_everything():
     assert "p95" in table
     assert "servlet.visit" in table
     assert render_table(MetricsRegistry()) == "(no metrics recorded)"
-
-
-def test_event_feed_streaming():
-    m = MetricsRegistry()
-    feed = EventFeed(capacity=100)
-    m.attach(feed)
-    c = m.counter("c")
-    c.inc()
-    c.inc()
-    m.gauge("g").set(4)
-    cursor, events, dropped = feed.read(0)
-    assert dropped == 0
-    assert [e["kind"] for e in events] == ["counter", "counter", "gauge"]
-    assert events[-1] == {"kind": "gauge", "name": "g", "labels": {}, "value": 4.0}
-    # Incremental read from the cursor sees only what is new.
-    c.inc()
-    cursor2, events2, _ = feed.read(cursor)
-    assert len(events2) == 1 and cursor2 == cursor + 1
-    # Detach stops the stream.
-    m.detach(feed)
-    c.inc()
-    _, events3, _ = feed.read(cursor2)
-    assert events3 == []
-
-
-def test_event_feed_drops_are_reported():
-    m = MetricsRegistry()
-    feed = EventFeed(capacity=5)
-    m.attach(feed)
-    c = m.counter("c")
-    for _ in range(12):
-        c.inc()
-    cursor, events, dropped = feed.read(0)
-    assert len(events) == 5
-    assert dropped == 7
-    assert cursor == 12

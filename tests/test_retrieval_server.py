@@ -3,8 +3,8 @@
 Satellite-3 coverage: ``total``/``has_more`` must be computed AFTER the
 canonical-URL dedup that fusion applies — plus the pagination edge cases
 (offset==total, offset>total, limit=0, negative windows) in hybrid mode,
-the ``lexical`` alias contract, and related-cache invalidation when new
-trail evidence lands.
+rejection of unknown ``mode``/``scope`` values, and related-cache
+invalidation when new trail evidence lands.
 """
 
 import pytest
@@ -147,11 +147,17 @@ def test_hybrid_negative_window_is_bad_request(server):
 
 # -- mode contract ------------------------------------------------------------
 
-def test_lexical_is_an_alias_for_ranked(server):
+def test_unknown_mode_or_scope_is_bad_request(server):
+    """An unknown spelling (the removed ``lexical`` alias included) is
+    refused before the cache key — it used to rank as BM25 / search
+    everything under an entry of its own."""
     srv, req = server
-    ranked = req("u1", {"servlet": "search", "query": "jazz", "mode": "ranked"})
-    alias = req("u1", {"servlet": "search", "query": "jazz", "mode": "lexical"})
-    assert alias == ranked
+    before = srv.caches.search.stats()
+    for kwargs in ({"mode": "lexical"}, {"mode": "fuzzy"}, {"scope": "ours"}):
+        out = req("u1", {"servlet": "search", "query": "jazz", **kwargs})
+        assert out["status"] == "error", kwargs
+        assert out["error_code"] == "bad_request"
+    assert srv.caches.search.stats() == before
 
 
 def test_hybrid_surfaces_trail_companions_lexical_misses(server):

@@ -323,7 +323,7 @@ def test_hybrid_search_scatters_with_full_window_rewrite():
 def test_lexical_search_stays_owner_routed():
     backends, dispatcher = make(3, handler=_search_handler({}))
     owner = dispatcher.shard_for("alice")
-    for mode in (None, "ranked", "lexical", "boolean"):
+    for mode in (None, "ranked", "boolean"):
         request = {"servlet": "search", "user_id": "alice", "query": "q"}
         if mode is not None:
             request["mode"] = mode
@@ -334,14 +334,17 @@ def test_lexical_search_stays_owner_routed():
     assert touched == {owner}
 
 
-def test_hybrid_search_negative_window_is_bad_request():
-    _backends, dispatcher = make(2, handler=_search_handler({}))
+@pytest.mark.parametrize("bad", [{"limit": -1}, {"scope": "ours"}])
+def test_hybrid_search_invalid_request_is_bad_request(bad):
+    """Shards only see the rewritten request, so the router validates."""
+    backends, dispatcher = make(2, handler=_search_handler({}))
     out = dispatcher.dispatch({
         "servlet": "search", "user_id": "alice",
-        "query": "q", "mode": "hybrid", "limit": -1,
+        "query": "q", "mode": "hybrid", **bad,
     })
     assert out["status"] == "error"
     assert out["error_code"] == "bad_request"
+    assert not any(b.requests for b in backends)
 
 
 def test_related_pages_scatter_merges_neighborhoods():

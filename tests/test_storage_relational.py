@@ -315,3 +315,72 @@ def test_bool_column_rejects_plain_int():
     with pytest.raises(SchemaError):
         db.insert("t", {"k": 1, "flag": 1})
     db.insert("t", {"k": 1, "flag": True})
+
+
+def _catalog_state(db):
+    return {
+        name: (
+            list(db.table(name).scan()),
+            db.table(name).select({"email": "a@x"}) if name == "people" else None,
+            [r["k"] for r in db.table(name).range("n", 0, 10**9)],
+        )
+        for name in db.tables()
+    }
+
+
+def test_recovery_checkpoints_a_log_dominated_by_dead_records(tmp_path):
+    """1,000 updates of one row used to be replayed on every open forever.
+    The open that finds the log mostly dead rewrites it as the live state;
+    the next open replays O(live rows) records."""
+    path = tmp_path / "db.wal"
+    with Database(path) as db:
+        db.create_table(
+            "people",
+            [Column("k", "int"), Column("email"), Column("n", "int")],
+            primary_key="k", indexes=("n",), unique=("email",),
+        )
+        db.create_table("gone", [Column("k", "int"), Column("n", "int")],
+                        primary_key="k")
+        db.insert("people", {"k": 1, "email": "a@x", "n": 0})
+        db.insert("people", {"k": 2, "email": "b@x", "n": 5})
+        db.insert("people", {"k": 3, "email": "c@x", "n": 7})
+        db.delete("people", 3)
+        db.drop_table("gone")
+        for i in range(1, 1001):
+            db.update("people", 1, {"n": i})
+        before = _catalog_state(db)
+    # A torn tail ahead of the checkpointing open is discarded as ever.
+    with open(path, "ab") as fh:
+        fh.write(b"\x07torn-half-record")
+    size_before = path.stat().st_size
+
+    def replayed(opened):
+        return sum(1 for _ in opened._log.replay())
+
+    with Database(path) as db:                  # this open checkpoints
+        assert _catalog_state(db) == before
+        assert db._log.size_bytes() < size_before // 10
+        assert replayed(db) == 2                # create_table + one insert txn
+    with Database(path) as db:                  # and this one starts from it
+        assert _catalog_state(db) == before
+        assert replayed(db) == 2                # stable: no re-checkpoint churn
+        with pytest.raises(DuplicateKey):
+            db.insert("people", {"k": 9, "email": "a@x", "n": 1})
+        db.insert("people", {"k": 3, "email": "c@x", "n": 7})
+        assert [r["k"] for r in db.table("people").range("n", 6, 8)] == [3]
+    with Database(path) as db:
+        assert db.table("people").count() == 3
+
+
+def test_recovery_leaves_a_mostly_live_log_alone(tmp_path):
+    path = tmp_path / "db.wal"
+    with Database(path) as db:
+        db.create_table("t", [Column("k", "int"), Column("n", "int")],
+                        primary_key="k")
+        for i in range(100):
+            db.insert("t", {"k": i, "n": i})
+        for i in range(40):
+            db.update("t", i, {"n": -i})
+        size = db._log.size_bytes()
+    with Database(path) as db:
+        assert db._log.size_bytes() == size
