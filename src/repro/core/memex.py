@@ -54,6 +54,7 @@ from ..storage.schema import (
 )
 from ..text.index import InvertedIndex
 from ..text.search import SearchEngine
+from ..text.snippets import make_snippet
 from ..text.vectorize import cosine, text_vector, tfidf
 from .billing import bill_breakdown
 from .context import context_neighborhood, recall_session
@@ -813,8 +814,6 @@ class MemexServer:
         )
 
     def _snippet_for(self, url: str, query: str) -> str | None:
-        from ..text.snippets import make_snippet
-
         text = self.repo.page_text(url)
         if text is None:
             return None

@@ -603,7 +603,10 @@ class ThemeDaemon:
         self.min_pages_per_folder = min_pages_per_folder
         self.rebuild_after = rebuild_after
         self.taxonomy: ThemeTaxonomy | None = None
-        self._built_on = 0
+        # (associations, documents in the shared vocabulary) the taxonomy
+        # was built from / this daemon saw on its previous run.
+        self._built_on = (0, 0)
+        self._seen = (0, 0)
         self.rebuild_count = 0
 
     def folder_documents(self) -> list[FolderDoc]:
@@ -649,16 +652,28 @@ class ThemeDaemon:
         return "/".join(reversed(parts))
 
     def run_once(self) -> int:
+        """Rebuild the taxonomy when its inputs moved: at once after
+        ``rebuild_after`` new associations, otherwise on the first run
+        that finds them unchanged since the run before.  While bookmarks
+        and crawled pages keep arriving the rebuilds are batched; once
+        they stop the taxonomy catches up, so what a quiescent server
+        holds follows from what it stores, not from when this daemon
+        happened to tick."""
         n_assocs = self.repo.db.table("folder_pages").count(
             lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
         )
-        if self.taxonomy is not None and n_assocs - self._built_on < self.rebuild_after:
+        state = (n_assocs, self.vectorizer.vocab.num_docs)
+        settled, self._seen = state == self._seen, state
+        if self.taxonomy is not None and (
+            state == self._built_on
+            or not settled and n_assocs - self._built_on[0] < self.rebuild_after
+        ):
             return 0
         docs = self.folder_documents()
         if len(docs) < 2:
             return 0
         self.taxonomy = self.discovery.discover(docs, self.vectorizer.vocab)
-        self._built_on = n_assocs
+        self._built_on = state
         self.rebuild_count += 1
         return len(docs)
 

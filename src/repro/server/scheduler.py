@@ -242,7 +242,13 @@ class DaemonScheduler:
         )
 
     def run_until_idle(self, *, max_rounds: int = 1000) -> int:
-        """Tick until a full cycle of every daemon processes nothing."""
+        """Tick until two full cycles of every daemon process nothing.
+
+        Two, because a daemon may batch its input and flush on the first
+        run that finds it unchanged (:class:`~.daemons.ThemeDaemon`): its
+        first idle run notices that the stream stopped, its second would
+        flush — and flushing is work, which restarts the count.
+        """
         total = 0
         idle_run = 0
         longest = max((e.period for e in self._entries.values()), default=1)
@@ -250,7 +256,7 @@ class DaemonScheduler:
             done = self.tick()
             total += done
             idle_run = idle_run + 1 if done == 0 else 0
-            if idle_run >= longest:
+            if idle_run >= 2 * longest:
                 return total
         raise DaemonError(f"daemons still busy after {max_rounds} rounds")
 

@@ -60,6 +60,12 @@ class InvertedIndex:
         # view across a whole scoring pass (``with index.lock``) while
         # the methods it calls re-enter.
         self._index_lock = threading.RLock()
+        # (document count, sum of document lengths), guarded by the index
+        # lock: read from the store on first use (an earlier process may
+        # have written it), then adjusted per add/remove, so BM25's N and
+        # avgdl do not walk every length record on every query.  None
+        # while unknown, which includes "a write to the store failed".
+        self._totals: tuple[int, int] | None = None
 
     @property
     def lock(self) -> threading.RLock:
@@ -95,7 +101,10 @@ class InvertedIndex:
                 table = self._load_positions(term)
                 table[doc_id] = pos
                 self._store_positions(term, table)
+        count, total = self._totals_locked()
+        self._totals = None
         self._docs.put(doc_id.encode("utf-8"), encode(len(terms)))
+        self._totals = (count + 1, total + len(terms))
         norm_sq = sum((1.0 + math.log(tf)) ** 2 for tf in counts.values())
         self._norm.put(doc_id.encode("utf-8"), encode(norm_sq))
         return len(terms)
@@ -122,7 +131,10 @@ class InvertedIndex:
             if doc_id in table:
                 del table[doc_id]
                 self._store_positions(key.decode("utf-8"), table)
+        count, total = self._totals_locked()
+        self._totals = None
         self._docs.delete(doc_id.encode("utf-8"))
+        self._totals = (count - 1, total - int(decode(raw)))
         self._norm.discard(doc_id.encode("utf-8"))
         return True
 
@@ -157,14 +169,18 @@ class InvertedIndex:
     @property
     def num_docs(self) -> int:
         with self._index_lock:
-            return len(self._docs)
+            return self._totals_locked()[0]
 
     def avg_doc_length(self) -> float:
         with self._index_lock:
+            count, total = self._totals_locked()
+        return total / count if count else 0.0
+
+    def _totals_locked(self) -> tuple[int, int]:
+        if self._totals is None:
             lengths = [int(decode(v)) for _, v in self._docs.items()]
-        if not lengths:
-            return 0.0
-        return sum(lengths) / len(lengths)
+            self._totals = (len(lengths), sum(lengths))
+        return self._totals
 
     def document_ids(self) -> list[str]:
         with self._index_lock:

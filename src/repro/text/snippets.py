@@ -8,9 +8,14 @@ coverage, with matched words marked.  Matching happens on stems, so
 
 from __future__ import annotations
 
+import re
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .tokenize import porter_stem, tokenize, words
+
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,29 @@ class Snippet:
         return prefix + body + suffix
 
 
+@lru_cache(maxsize=512)
+def _token_table(text: str) -> tuple[array, tuple[str, ...]]:
+    """Start offset and stem of every token of *text*, tabulated once.
+
+    Keyed by the page text itself, so a re-crawled page is simply a
+    different key: nothing to invalidate, nothing to go stale.  Kept
+    flat to stay under 16 bytes a token: 4-byte offsets, and stems that
+    are references to the strings the :func:`porter_stem` memo returns.
+    Token ends are not stored; :func:`_token_end` re-matches the few a
+    snippet needs.
+    """
+    starts = array("I")
+    stems = []
+    for match in _TOKEN_RE.finditer(text):
+        starts.append(match.start())
+        stems.append(porter_stem(match.group().lower()))
+    return starts, tuple(stems)
+
+
+def _token_end(text: str, start: int) -> int:
+    return _TOKEN_RE.match(text, start).end()
+
+
 def make_snippet(
     text: str,
     query: str,
@@ -47,42 +75,38 @@ def make_snippet(
 
     Falls back to the document head when no query term occurs.
     """
-    query_stems = set(tokenize(query))
-    # Token spans over the original text.
-    spans: list[tuple[str, int, int]] = []
-    import re
-    for match in re.finditer(r"[A-Za-z0-9]+", text):
-        spans.append((match.group().lower(), match.start(), match.end()))
-    if not spans:
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    starts, stems = _token_table(text)
+    n = len(starts)
+    if not n:
         return Snippet(text[:200], (), False, len(text) > 200)
-
-    is_hit = [porter_stem(w) in query_stems for w, _s, _e in spans]
+    query_stems = set(tokenize(query))
+    hits = [i for i, stem in enumerate(stems) if stem in query_stems]
 
     # Densest window of `window` tokens by hit count (earliest wins ties).
-    best_start, best_hits = 0, -1
-    running = sum(is_hit[:window])
-    best_hits = running
-    for start in range(1, max(1, len(spans) - window + 1)):
-        running += (is_hit[start + window - 1] if start + window - 1 < len(spans) else 0)
-        running -= is_hit[start - 1]
-        if running > best_hits:
-            best_hits, best_start = running, start
+    # The earliest densest window either starts the page or ends on a
+    # hit, so only windows ending on a hit are candidates; `lo` trails
+    # as the first hit still inside the candidate.
+    best_start, best_hits, first, lo = 0, 0, 0, 0
+    for j, hit in enumerate(hits):
+        start = max(0, hit - window + 1)
+        while hits[lo] < start:
+            lo += 1
+        if j - lo + 1 > best_hits:
+            best_hits, best_start, first = j - lo + 1, start, lo
 
-    chunk = spans[best_start: best_start + window]
-    chunk_start = chunk[0][1]
-    chunk_end = chunk[-1][2]
-    excerpt = text[chunk_start:chunk_end]
+    stop = min(best_start + window, n)
+    chunk_start = starts[best_start]
     highlights = tuple(
-        (s - chunk_start, e - chunk_start)
-        for (w, s, e), hit in zip(spans[best_start: best_start + window],
-                                  is_hit[best_start: best_start + window])
-        if hit
+        (starts[i] - chunk_start, _token_end(text, starts[i]) - chunk_start)
+        for i in hits[first: first + best_hits]
     )
     return Snippet(
-        text=excerpt,
+        text=text[chunk_start:_token_end(text, starts[stop - 1])],
         highlights=highlights,
         leading_ellipsis=best_start > 0,
-        trailing_ellipsis=best_start + window < len(spans),
+        trailing_ellipsis=stop < n,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from functools import lru_cache
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -128,8 +129,14 @@ _STEP4 = [
 ]
 
 
+@lru_cache(maxsize=1 << 15)
 def porter_stem(word: str) -> str:
-    """Stem a lowercase word with the Porter algorithm."""
+    """Stem a lowercase word with the Porter algorithm.
+
+    A pure function of the word, so it is memoised (bounded): an archive
+    has far fewer distinct words than tokens, and crawler, indexer,
+    vectorizer and snippets all stem the same page.
+    """
     if len(word) <= 2:
         return word
     w = word

@@ -31,8 +31,11 @@ def _registry():
 
 @pytest.fixture()
 def server():
+    # One worker is parked per open connection and the tests below hold
+    # up to 12 open at once; with fewer workers than that, the extra
+    # connections wait out the 30 s idle timeout of earlier ones.
     with MemexSocketServer(
-        _registry(), workers=8, metrics=MetricsRegistry(),
+        _registry(), workers=16, metrics=MetricsRegistry(),
     ) as srv:
         yield srv
 

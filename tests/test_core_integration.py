@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core import MemexSystem
 from repro.server.events import BookmarkEvent, VisitEvent
 from repro.storage.schema import ASSOC_GUESS
+from repro.webgen import build_workload
 
 
 def _any_user_with_folders(system):
@@ -177,6 +179,21 @@ def test_themes_exist_and_group_users(live_system):
     all_themes = list(flatten(themes))
     # At least one theme captures a common factor (multiple users).
     assert any(t["num_users"] >= 2 for t in all_themes)
+
+
+def test_quiescent_themes_do_not_depend_on_when_the_daemons_ticked():
+    """The same history, mined at three cadences (the last never ticks
+    before the end), leaves the same taxonomy: the theme daemon batches
+    while bookmarks and pages arrive but catches up before quiescence,
+    instead of staying up to ``rebuild_after`` bookmarks behind."""
+    workload = build_workload(seed=23, num_users=4, days=2, pages_per_leaf=12)
+    user = workload.profiles[0].user_id
+    seen = []
+    for tick_every in (17, 100, 10 ** 9):
+        system = MemexSystem.from_workload(workload)
+        system.replay(workload.events, tick_every=tick_every)
+        seen.append(system.connect(user).themes())
+    assert seen[0] and seen[0] == seen[1] == seen[2]
 
 
 def test_resources_servlet(live_system, small_workload):

@@ -211,6 +211,50 @@ def test_theme_daemon_builds_taxonomy(repo, crawler):
     assert themes.run_once() == 0
 
 
+def _themes_over_two_folders(repo, crawler, **kwargs):
+    vec = PageVectorizer(repo)
+    _crawl_all(repo, crawler)
+    for url in PAGES:
+        vec.vector(url)  # as the indexer does: the vocabulary holds every page
+    themes = ThemeDaemon(repo, vec, **kwargs)
+    _bookmark(repo, "u", "Classical", "Classical", "http://c1/")
+    _bookmark(repo, "u", "Classical", "Classical", "http://c2/")
+    _bookmark(repo, "u", "Jazz", "Jazz", "http://j1/")
+    _bookmark(repo, "u", "Jazz", "Jazz", "http://j2/")
+    assert themes.run_once() == 2  # the first taxonomy is built at once
+    return themes, vec
+
+
+def test_theme_daemon_batches_while_bookmarks_arrive_and_catches_up_after(repo, crawler):
+    themes, _vec = _themes_over_two_folders(repo, crawler)  # rebuild_after=10
+    _bookmark(repo, "u", "Classical", "Classical", "http://c3/")
+    assert themes.run_once() == 0      # moved since the last run: wait
+    _bookmark(repo, "u", "Jazz", "Jazz", "http://j3/")
+    assert themes.run_once() == 0      # still moving
+    assert themes.run_once() == 2      # unchanged since the last run: catch up
+    assert themes.rebuild_count == 2
+    assert themes.run_once() == 0      # nothing new
+
+
+def test_theme_daemon_rebuilds_at_once_after_enough_new_bookmarks(repo, crawler):
+    themes, _vec = _themes_over_two_folders(repo, crawler, rebuild_after=2)
+    _bookmark(repo, "u", "Classical", "Classical", "http://c3/")
+    _bookmark(repo, "u", "Jazz", "Jazz", "http://j3/")
+    assert themes.run_once() == 2
+    assert themes.rebuild_count == 2
+
+
+def test_theme_daemon_follows_the_vocabulary(repo, crawler):
+    """IDF weights and labels come from the shared vocabulary, so a page
+    indexed after the taxonomy was built leaves it behind too."""
+    themes, vec = _themes_over_two_folders(repo, crawler)
+    repo.upsert_page("http://new/", title="New", text="opera aria soprano", now=5.0)
+    assert vec.vector("http://new/") is not None
+    assert themes.run_once() == 0
+    assert themes.run_once() == 2
+    assert themes.rebuild_count == 2
+
+
 def test_discovery_daemon_ranks_resources(repo, crawler):
     from repro.mining.themes import ThemeDiscovery
     vec = PageVectorizer(repo)

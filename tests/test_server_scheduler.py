@@ -53,6 +53,31 @@ def test_run_until_idle():
     assert d.work == 0
 
 
+def test_run_until_idle_lets_a_batching_daemon_flush():
+    """A daemon that flushes on the second run in a row that finds its
+    input unchanged (as the theme daemon does) is not left holding it."""
+    fast = FakeDaemon("fast", work=6)
+
+    class Batching:
+        name = "batching"
+        quiet_runs = 0
+        flushed = False
+
+        def run_once(self):
+            self.quiet_runs = self.quiet_runs + 1 if fast.work == 0 else 0
+            if self.quiet_runs == 2 and not self.flushed:
+                self.flushed = True
+                return 1
+            return 0
+
+    sched = DaemonScheduler()
+    sched.register(fast, period=1)
+    slow = Batching()
+    sched.register(slow, period=4)
+    assert sched.run_until_idle() == 7
+    assert slow.flushed
+
+
 def test_run_until_idle_gives_up():
     class Forever:
         name = "forever"

@@ -80,6 +80,56 @@ def test_index_persists_in_kvstore(tmp_path):
     kv2.close()
 
 
+def _brute_force_totals(idx):
+    lengths = [idx.doc_length(d) for d in idx.document_ids()]
+    return len(lengths), (sum(lengths) / len(lengths) if lengths else 0.0)
+
+
+def test_running_doc_totals_equal_brute_force(tmp_path):
+    kv = open_engine("btree", tmp_path / "kv.log")
+    idx = InvertedIndex(kv)
+    assert (idx.num_docs, idx.avg_doc_length()) == (0, 0.0)
+    steps = [
+        lambda: idx.add_document("d1", "persistent music archive"),
+        lambda: idx.add_document("d2", "jazz"),
+        lambda: idx.add_document("d1", "a much longer replacement text about music"),
+        lambda: idx.add_document("d3", ""),
+        lambda: idx.remove_document("d2"),
+        lambda: idx.remove_document("never-indexed"),
+        lambda: idx.add_document("d2", "jazz returns again"),
+    ]
+    for step in steps:
+        step()
+        assert (idx.num_docs, idx.avg_doc_length()) == _brute_force_totals(idx)
+    before = (idx.num_docs, idx.avg_doc_length())
+    kv.close()
+
+    kv2 = open_engine("btree", tmp_path / "kv.log")
+    idx2 = InvertedIndex(kv2)            # totals come from the stored records
+    assert (idx2.num_docs, idx2.avg_doc_length()) == before
+    idx2.remove_document("d1")
+    idx2.add_document("d4", "appended after the reopen")
+    assert (idx2.num_docs, idx2.avg_doc_length()) == _brute_force_totals(idx2)
+    for doc_id in idx2.document_ids():
+        idx2.remove_document(doc_id)
+    assert (idx2.num_docs, idx2.avg_doc_length()) == (0, 0.0)
+    kv2.close()
+
+
+def test_doc_totals_are_re_read_after_a_failed_store_write():
+    idx = InvertedIndex()
+    idx.add_document("d1", "persistent music archive")
+
+    def failing_put(key, value):
+        raise OSError("disk full")
+
+    real_put, idx._docs.put = idx._docs.put, failing_put
+    with pytest.raises(OSError):
+        idx.add_document("d2", "jazz music")
+    idx._docs.put = real_put
+    assert (idx.num_docs, idx.avg_doc_length()) == (1, 3.0)
+
+
 def test_two_indices_share_a_store():
     kv = open_engine("btree")
     a = InvertedIndex(kv, prefix="a")

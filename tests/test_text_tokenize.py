@@ -124,6 +124,16 @@ def test_porter_reference_vocabulary():
     assert not failures, f"stemmer deviations: {failures}"
 
 
+def test_memoised_stemmer_equals_the_bare_algorithm(small_workload):
+    vocabulary = {
+        w for page in small_workload.corpus.pages.values() for w in words(page.text)
+    }
+    vocabulary.update(word for word, _ in PORTER_CASES)
+    assert len(vocabulary) > 1000
+    for word in sorted(vocabulary) * 2:      # second pass answers from the memo
+        assert porter_stem(word) == porter_stem.__wrapped__(word), word
+
+
 def test_stem_short_words_untouched():
     assert porter_stem("at") == "at"
     assert porter_stem("be") == "be"
