@@ -565,10 +565,12 @@ class MemexServer:
         dst = self._ensure_folder(owner, request["to_folder"], at)
         assoc_id = self.repo.associate(dst, url, ASSOC_CORRECTION, now=at)
         # Corrections also relabel this user's visits of the page.
-        for visit in self.repo.db.table("visits").select(
-            {"user_id": owner, "url": url}
-        ):
-            self.repo.classify_visit(visit["visit_id"], dst, 1.0)
+        self.repo.classify_visits([
+            (visit["visit_id"], dst, 1.0)
+            for visit in self.repo.db.table("visits").select(
+                {"user_id": owner, "url": url}
+            )
+        ])
         return {"assoc_id": assoc_id, "removed": removed, "folder_id": dst}
 
     def _sv_folders_get(self, request: dict[str, Any]) -> dict[str, Any]:

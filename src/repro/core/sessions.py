@@ -92,7 +92,8 @@ def assign_session_ids(
     Visits with ``session_id == 0`` are the unassigned ones (imported
     histories use 0); with ``only_missing`` those are the only rows
     touched.  New ids continue after the user's current maximum so they
-    never collide with client-assigned sessions.  Returns #rows updated.
+    never collide with client-assigned sessions.  One transaction for
+    the whole assignment.  Returns #rows updated.
     """
     visits = repo.user_visits(user_id)
     if not visits:
@@ -102,11 +103,12 @@ def assign_session_ids(
     if not targets:
         return 0
     updated = 0
-    for session in segment_visits(targets, gap=gap):
-        for visit_id in session.visit_ids:
-            repo.db.update("visits", visit_id, {"session_id": next_id})
-            updated += 1
-        next_id += 1
+    with repo.db.begin() as txn:
+        for session in segment_visits(targets, gap=gap):
+            for visit_id in session.visit_ids:
+                txn.update("visits", visit_id, {"session_id": next_id})
+                updated += 1
+            next_id += 1
     return updated
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ..storage.codec import decode, encode
@@ -155,11 +156,23 @@ class DenseVectorIndex:
 
     def add(self, url: str, sparse: dict[int, float]) -> None:
         """Project and index one document (idempotent re-add)."""
-        vec = self.projector.project(sparse)
+        self.add_many([(url, sparse)])
+
+    def add_many(self, docs: Iterable[tuple[str, dict[int, float]]]) -> None:
+        """Project and index ``(url, sparse vector)`` pairs, persisting
+        them with one group-committed store write."""
+        # Projected and encoded before the lock is taken: queries go on.
+        projected = [
+            (url, self.projector.project(sparse)) for url, sparse in docs
+        ]
+        records = [
+            (url.encode("utf-8"), encode({"v": vec})) for url, vec in projected
+        ] if self._ns is not None else []
         with self._ann_lock:
-            self._place(url, vec)
-            if self._ns is not None:
-                self._ns.put(url.encode("utf-8"), encode({"v": vec}))
+            for url, vec in projected:
+                self._place(url, vec)
+            if records:
+                self._ns.put_many(records)
 
     def remove(self, url: str) -> bool:
         with self._ann_lock:
@@ -259,13 +272,12 @@ class DenseIndexDaemon:
 
     def run_once(self) -> int:
         watermark, urls = self.repo.versions.poll(self.name)
-        done = 0
-        for url in urls:
-            sparse = self.vectorizer.tfidf_vector(url)
-            if not sparse:
-                continue
-            self.index.add(url, sparse)
-            done += 1
+        docs = [
+            (url, sparse) for url in urls
+            if (sparse := self.vectorizer.tfidf_vector(url))
+        ]
+        self.index.add_many(docs)
+        done = len(docs)
         self.repo.versions.ack(self.name, watermark)
         self.projected_count += done
         if done:

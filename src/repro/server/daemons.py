@@ -169,7 +169,6 @@ class CrawlerDaemon:
         self._queue: list[str] = []
         self._queued: set[str] = set()
         self._origins: dict[str, str] = {}   # url -> origin traceparent
-        self._seen_links: set[tuple[str, str]] = set()
         self.fetched_count = 0
         self.dead_count = 0
         self._m_fetches = repo.metrics.counter("server.crawler.fetches")
@@ -214,50 +213,46 @@ class CrawlerDaemon:
                 self._queued.discard(url)
         now = self.clock()
         version = self.repo.versions.open_version()
-        done = 0
         try:
+            # Fetch the whole batch first, then store it as one group
+            # commit: nobody is told a page exists before publish(), so
+            # the version, not the page, is the unit that must be durable.
+            fetched: list[tuple[str, FetchedPage]] = []
             for url in batch:
                 origin = origins[url]
                 with self.tracer.span(
                     "daemon.crawler.fetch",
                     parent=_origin_context(origin), url=url,
                 ) if origin is not None else _NO_SPAN:
-                    fetched = self.fetch(url)
-                    if fetched is None:
+                    page = self.fetch(url)
+                    if page is None:
                         self.dead_count += 1
                         self._m_dead.inc()
                         self.log.debug("dead_link", url=url)
                         continue
-                    self.repo.upsert_page(
-                        url,
-                        title=fetched.title,
-                        text=fetched.text,
-                        front_page=fetched.front_page,
-                        now=now,
-                        produced_version=version,
-                    )
-                    for dst in fetched.out_links:
-                        if (url, dst) not in self._seen_links:
-                            self._seen_links.add((url, dst))
-                            self.repo.upsert_page(dst, now=now)
-                            self.repo.add_link(url, dst, now=now)
-                    self.repo.versions.add_item(url, origin=origin)
-                    self.fetched_count += 1
-                    self._m_fetches.inc()
-                    done += 1
+                    fetched.append((url, page))
+            self.repo.record_fetch_batch(
+                [
+                    {"url": url, "title": page.title, "text": page.text,
+                     "front_page": page.front_page,
+                     "out_links": page.out_links}
+                    for url, page in fetched
+                ],
+                now=now, produced_version=version,
+            )
+            for url, _ in fetched:
+                self.repo.versions.add_item(url, origin=origins[url])
         except Exception:
             # Producer crash path: the half-built version must never
             # become visible — abort it so the next run can open a fresh
             # one ("the server recovers ... even if it has to discard a
-            # few client events", §3) — and the unprocessed tail of the
-            # batch (including the URL that crashed: the scheduler's
-            # quarantine guards against permanent poison) goes back on
-            # the queue so transient faults lose no work.
+            # few client events", §3).  Nothing of it was stored unless
+            # the group commit itself failed part-way, so the whole batch
+            # (including the URL that crashed: the scheduler's quarantine
+            # guards against permanent poison) goes back on the queue and
+            # transient faults lose no work; storing a page again is
+            # idempotent.
             self.repo.versions.abort_version()
-            # The whole batch retries: items fetched before the crash were
-            # only in the aborted version, so they must be re-published
-            # (upserts are idempotent; a little duplicate fetch work beats
-            # pages that consumers never see).
             with self._queue_lock:
                 self._queue = list(batch) + self._queue
                 self._queued.update(batch)
@@ -266,6 +261,9 @@ class CrawlerDaemon:
                         self._origins.setdefault(url, origin)
                 self._m_backlog.set(len(self._queue))
             raise
+        done = len(fetched)
+        self.fetched_count += done
+        self._m_fetches.inc(done)
         self.repo.versions.publish()
         self._m_backlog.set(self.backlog)
         return done
@@ -278,12 +276,19 @@ class CrawlerDaemon:
 class IndexerDaemon:
     """Consumer: pulls published pages into the inverted index.
 
-    When a polled URL carries an origin traceparent (stamped by the
-    crawler from the originating visit), the index update runs under a
-    span linked to that trace.
+    A poll is indexed in slices of at most :attr:`SLICE` pages, each one
+    group commit of the index, and acked once all of it is stored.  When
+    a polled URL carries an origin traceparent (stamped by the crawler
+    from the originating visit), reading the page and entering it into
+    the mining vocabulary runs under a span linked to that trace; the
+    index write belongs to the slice.
     """
 
     name = "indexer"
+
+    #: One crawler batch: bounds the texts and token tables held at once
+    #: however many versions the indexer has fallen behind.
+    SLICE = 64
 
     def __init__(
         self,
@@ -307,27 +312,30 @@ class IndexerDaemon:
     def run_once(self) -> int:
         watermark, urls = self.repo.versions.poll(self.name)
         done = 0
-        for url in urls:
-            text = self.repo.page_text(url)
-            if text is None:
-                continue
-            origin = self.repo.versions.origin(url)
-            with self.tracer.span(
-                "daemon.indexer.index",
-                parent=_origin_context(origin), url=url,
-            ) if origin is not None else _NO_SPAN:
-                page = self.repo.db.table("pages").get(url)
-                title = (page or {}).get("title") or ""
-                tokens = self.index.add_document(url, f"{title} {text}")
-                if self.vectorizer is not None:
-                    # Enter the page into the shared mining vocabulary the
-                    # moment it enters the index: document frequencies (and
-                    # so every IDF-weighted similarity downstream) depend
-                    # only on what has been indexed, never on which mining
-                    # daemon happened to touch the page first.
-                    self.vectorizer.vector(url)
-                self._m_postings.inc(tokens)
-                done += 1
+        for start in range(0, len(urls), self.SLICE):
+            docs: list[tuple[str, str]] = []
+            for url in urls[start:start + self.SLICE]:
+                text = self.repo.page_text(url)
+                if text is None:
+                    continue
+                origin = self.repo.versions.origin(url)
+                with self.tracer.span(
+                    "daemon.indexer.index",
+                    parent=_origin_context(origin), url=url,
+                ) if origin is not None else _NO_SPAN:
+                    page = self.repo.db.table("pages").get(url)
+                    title = (page or {}).get("title") or ""
+                    docs.append((url, f"{title} {text}"))
+                    if self.vectorizer is not None:
+                        # Enter the page into the shared mining vocabulary
+                        # as it enters the index: document frequencies (and
+                        # so every IDF-weighted similarity downstream)
+                        # depend only on what has been indexed, never on
+                        # which mining daemon happened to touch the page
+                        # first.
+                        self.vectorizer.vector(url)
+            self._m_postings.inc(sum(self.index.add_documents(docs)))
+            done += len(docs)
         self.repo.versions.ack(self.name, watermark)
         self.indexed_count += done
         if done:
@@ -472,11 +480,13 @@ class ClassifierDaemon:
             lambda r: r["topic_folder"] is None, order_by="visit_id",
             limit=self.batch_size * 4,
         )
-        done = 0
         now = self.clock()
         by_user: dict[str, list[dict]] = defaultdict(list)
         for visit in pending:
             by_user[visit["user_id"]].append(visit)
+        # The run's (visit_id, folder_id, confidence) decisions, stored
+        # in one transaction before the ack.
+        decisions: list[tuple[int, str, float]] = []
         for user_id, visits in by_user.items():
             model = self._maybe_train(user_id)
             if model is None:
@@ -500,11 +510,12 @@ class ClassifierDaemon:
                         parent=_origin_context(origin),
                         url=url, folder=folder_id,
                     ) if origin is not None else _NO_SPAN:
-                        self.repo.classify_visit(
-                            visit["visit_id"], folder_id, confidence)
-                        done += 1
+                        decisions.append(
+                            (visit["visit_id"], folder_id, confidence))
                 self._ensure_guess(folder_id, url, confidence, now)
+        self.repo.classify_visits(decisions)
         self.repo.versions.ack(self.name, watermark)
+        done = len(decisions)
         self.classified_count += done
         if done:
             self._m_decisions.inc(done)

@@ -89,31 +89,33 @@ class Namespace:
         self.name = name
         self._prefix = name.encode("utf-8") + Namespace.SEPARATOR
 
-    def _wrap(self, key: bytes) -> bytes:
+    def wrap(self, key: bytes) -> bytes:
+        """The store-level key of *key*: what a caller passes to the
+        store's own ``put_many`` to commit several namespaces at once."""
         return self._prefix + key
 
     def put(self, key: bytes, value: bytes) -> None:
-        self.store.put(self._wrap(key), value)
+        self.store.put(self.wrap(key), value)
 
     def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> int:
         return self.store.put_many(
-            (self._wrap(key), value) for key, value in items
+            (self.wrap(key), value) for key, value in items
         )
 
     def get(self, key: bytes, default: bytes | None = None) -> bytes | None:
-        return self.store.get(self._wrap(key), default)
+        return self.store.get(self.wrap(key), default)
 
     def delete(self, key: bytes) -> None:
-        self.store.delete(self._wrap(key))
+        self.store.delete(self.wrap(key))
 
     def discard(self, key: bytes) -> bool:
-        return self.store.discard(self._wrap(key))
+        return self.store.discard(self.wrap(key))
 
     def __contains__(self, key: bytes) -> bool:
-        return self._wrap(key) in self.store
+        return self.wrap(key) in self.store
 
     def __getitem__(self, key: bytes) -> bytes:
-        return self.store[self._wrap(key)]
+        return self.store[self.wrap(key)]
 
     def __setitem__(self, key: bytes, value: bytes) -> None:
         self.put(key, value)

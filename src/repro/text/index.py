@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 
 from ..errors import IndexError_
 from ..storage.codec import decode, encode
 from ..storage.engine import Namespace
 from ..storage.kvstore import KVStore
 from .tokenize import tokenize
+
+#: One tokenised document: (length, term -> tf, term -> positions).
+_Tabulated = tuple[int, dict[str, int], dict[str, list[int]]]
 
 
 class InvertedIndex:
@@ -79,35 +82,76 @@ class InvertedIndex:
 
         Re-adding an existing doc_id replaces its previous content.
         """
-        with self._index_lock:
-            return self._add_document_locked(doc_id, text)
+        return self.add_documents([(doc_id, text)])[0]
 
-    def _add_document_locked(self, doc_id: str, text: str) -> int:
-        if self.has_document(doc_id):
-            self.remove_document(doc_id)
-        terms = tokenize(text)
-        counts: dict[str, int] = {}
-        positions: dict[str, list[int]] = {}
-        for i, term in enumerate(terms):
-            counts[term] = counts.get(term, 0) + 1
-            if self.store_positions:
-                positions.setdefault(term, []).append(i)
-        for term, tf in counts.items():
-            postings = self._load_postings(term)
-            postings[doc_id] = tf
-            self._store_postings(term, postings)
-        if self.store_positions:
-            for term, pos in positions.items():
-                table = self._load_positions(term)
-                table[doc_id] = pos
-                self._store_positions(term, table)
+    def add_documents(self, docs: Iterable[tuple[str, str]]) -> list[int]:
+        """Index ``(doc_id, text)`` pairs as one group commit; returns
+        each pair's token count, in order.
+
+        The stored result is what :meth:`add_document` per pair, in
+        order, would leave (re-adding replaces; of a doc_id given twice
+        the last text wins), but every touched posting list is loaded,
+        merged and encoded once for the batch and everything reaches the
+        store in one ``put_many`` — one log write, one fsync.
+        """
+        # Tokenised before the lock is taken: scorers keep reading.
+        lengths: list[int] = []
+        tabulated: dict[str, _Tabulated] = {}
+        for doc_id, text in docs:
+            terms = tokenize(text)
+            counts: dict[str, int] = {}
+            positions: dict[str, list[int]] = {}
+            for i, term in enumerate(terms):
+                counts[term] = counts.get(term, 0) + 1
+                if self.store_positions:
+                    positions.setdefault(term, []).append(i)
+            lengths.append(len(terms))
+            # A repeated doc_id takes its last place in the batch, which
+            # is where sequential re-adds would leave it in each list.
+            tabulated.pop(doc_id, None)
+            tabulated[doc_id] = (len(terms), counts, positions)
+        if tabulated:
+            with self._index_lock:
+                self._add_tabulated_locked(tabulated)
+        return lengths
+
+    def _add_tabulated_locked(self, tabulated: dict[str, _Tabulated]) -> None:
+        replaced: dict[str, int] = {}          # doc_id -> length it had
+        for doc_id in tabulated:
+            raw = self._docs.get(doc_id.encode("utf-8"))
+            if raw is not None:
+                replaced[doc_id] = int(decode(raw))
+        post, pos = self._strip_locked(replaced.keys())
+        for doc_id, (_, counts, positions) in tabulated.items():
+            for term, tf in counts.items():
+                postings = post.get(term)
+                if postings is None:
+                    postings = post[term] = self._load_postings(term)
+                postings[doc_id] = tf
+            for term, where in positions.items():
+                table = pos.get(term)
+                if table is None:
+                    table = pos[term] = self._load_positions(term)
+                table[doc_id] = where
+        # Lengths and norms are logged before the postings that name
+        # their documents: a torn batch keeps an unbroken prefix, so no
+        # surviving posting can name a document the scorer has no length
+        # for (it would raise on every query touching the term).
+        items: list[tuple[bytes, bytes]] = []
+        added = 0
+        for doc_id, (length, counts, _) in tabulated.items():
+            key = doc_id.encode("utf-8")
+            items.append((self._docs.wrap(key), encode(length)))
+            norm_sq = sum((1.0 + math.log(tf)) ** 2 for tf in counts.values())
+            items.append((self._norm.wrap(key), encode(norm_sq)))
+            added += length
         count, total = self._totals_locked()
         self._totals = None
-        self._docs.put(doc_id.encode("utf-8"), encode(len(terms)))
-        self._totals = (count + 1, total + len(terms))
-        norm_sq = sum((1.0 + math.log(tf)) ** 2 for tf in counts.values())
-        self._norm.put(doc_id.encode("utf-8"), encode(norm_sq))
-        return len(terms)
+        self._write_tables_locked(items, post, pos)
+        self._totals = (
+            count + len(tabulated) - len(replaced),
+            total + added - sum(replaced.values()),
+        )
 
     def remove_document(self, doc_id: str) -> bool:
         """Remove a document from the index; returns whether it existed."""
@@ -115,28 +159,64 @@ class InvertedIndex:
             return self._remove_document_locked(doc_id)
 
     def _remove_document_locked(self, doc_id: str) -> bool:
-        raw = self._docs.get(doc_id.encode("utf-8"))
+        key = doc_id.encode("utf-8")
+        raw = self._docs.get(key)
         if raw is None:
             return False
-        # Walk every posting list; laptop-scale corpora make this fine and
-        # it avoids a per-document forward index.
-        for key, value in list(self._post.items()):
-            postings = decode(value)
-            if doc_id in postings:
-                del postings[doc_id]
-                term = key.decode("utf-8")
-                self._store_postings(term, postings)
-        for key, value in list(self._pos.items()):
-            table = decode(value)
-            if doc_id in table:
-                del table[doc_id]
-                self._store_positions(key.decode("utf-8"), table)
+        post, pos = self._strip_locked({doc_id})
         count, total = self._totals_locked()
         self._totals = None
-        self._docs.delete(doc_id.encode("utf-8"))
+        # The mirror of the add order: the length record outlives the
+        # postings that name the document.
+        self._write_tables_locked([], post, pos)
+        self._docs.delete(key)
         self._totals = (count - 1, total - int(decode(raw)))
-        self._norm.discard(doc_id.encode("utf-8"))
+        self._norm.discard(key)
         return True
+
+    def _strip_locked(
+        self, doc_ids: Set[str],
+    ) -> tuple[dict[str, dict[str, int]], dict[str, dict[str, list[int]]]]:
+        """Every posting list and position table naming one of *doc_ids*,
+        decoded and with those entries deleted, by term.
+
+        Walks every posting list; laptop-scale corpora make this fine and
+        it avoids a per-document forward index.  One walk however many
+        documents are being replaced.
+        """
+        post: dict[str, dict[str, int]] = {}
+        pos: dict[str, dict[str, list[int]]] = {}
+        if not doc_ids:
+            return post, pos
+        for ns, out in ((self._post, post), (self._pos, pos)):
+            for key, value in ns.items():
+                table = decode(value)
+                named = doc_ids & table.keys()
+                if named:
+                    for doc_id in named:
+                        del table[doc_id]
+                    out[key.decode("utf-8")] = table
+        return post, pos
+
+    def _write_tables_locked(
+        self,
+        items: list[tuple[bytes, bytes]],
+        post: dict[str, dict[str, int]],
+        pos: dict[str, dict[str, list[int]]],
+    ) -> None:
+        """One ``put_many`` of *items* followed by the posting lists and
+        position tables given; a table left empty loses its key."""
+        emptied: list[bytes] = []
+        for ns, tables in ((self._post, post), (self._pos, pos)):
+            for term, table in tables.items():
+                key = ns.wrap(term.encode("utf-8"))
+                if table:
+                    items.append((key, encode(table)))
+                else:
+                    emptied.append(key)
+        self._kv.put_many(items)
+        for key in emptied:
+            self._kv.discard(key)
 
     def has_document(self, doc_id: str) -> bool:
         with self._index_lock:
@@ -215,13 +295,6 @@ class InvertedIndex:
             return {}
         return decode(raw)
 
-    def _store_postings(self, term: str, postings: dict[str, int]) -> None:
-        key = term.encode("utf-8")
-        if postings:
-            self._post.put(key, encode(postings))
-        else:
-            self._post.discard(key)
-
     # -- positions (phrase queries) ---------------------------------------------
 
     def positions(self, term: str) -> dict[str, list[int]]:
@@ -259,10 +332,3 @@ class InvertedIndex:
         if raw is None:
             return {}
         return decode(raw)
-
-    def _store_positions(self, term: str, table: dict[str, list[int]]) -> None:
-        key = term.encode("utf-8")
-        if table:
-            self._pos.put(key, encode(table))
-        else:
-            self._pos.discard(key)

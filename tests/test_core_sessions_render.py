@@ -272,9 +272,10 @@ def test_import_history_respects_archive_off():
 
 
 def test_import_history_is_one_group_commit():
-    """A 50-entry import commits pages + visits once (it used to commit
-    twice per entry), and leaves exactly the rows that 50 per-event
-    ``visit`` requests followed by session inference leave."""
+    """A 50-entry import commits pages + visits once and the inferred
+    session ids once (it used to commit three times per entry), and
+    leaves exactly the rows that 50 per-event ``visit`` requests followed
+    by session inference leave."""
     from repro.core import MemexSystem
     from repro.core.memex import MemexServer
     from repro.core.sessions import assign_session_ids
@@ -291,8 +292,8 @@ def test_import_history_is_one_group_commit():
     before = db._n_commits
     out = applet.import_history(entries)
     assert out == {"imported": 50, "sessions_assigned": 50}
-    # One commit for the import; each session-id write-back is its own.
-    assert db._n_commits - before == 1 + out["sessions_assigned"]
+    # One commit for the import, one for the session-id write-back.
+    assert db._n_commits - before == 2
 
     reference = MemexSystem(MemexServer(lambda u: None))
     per_event = reference.register_user("mover")

@@ -53,11 +53,13 @@ def repo():
                         referrer=None, archive_mode=ARCHIVE_COMMUNITY)
     v5 = r.record_visit("peer", "http://m3/", at=2 * day, session_id=3,
                         referrer="http://m2/", archive_mode=ARCHIVE_PRIVATE)
-    r.classify_visit(v1, "me:Music/Classical", 0.9)
-    r.classify_visit(v2, "me:Music/Classical", 0.8)
-    r.classify_visit(v3, "me:Cycling", 0.9)
-    r.classify_visit(v4, "peer:Tunes", 0.9)
-    r.classify_visit(v5, "peer:Tunes", 0.9)
+    r.classify_visits([
+        (v1, "me:Music/Classical", 0.9),
+        (v2, "me:Music/Classical", 0.8),
+        (v3, "me:Cycling", 0.9),
+        (v4, "peer:Tunes", 0.9),
+        (v5, "peer:Tunes", 0.9),
+    ])
     yield r
     r.close()
 
@@ -119,7 +121,7 @@ def test_trail_graph_respects_privacy(repo):
 def test_trail_graph_confidence_gate(repo):
     v = repo.record_visit("me", "http://m3/", at=3 * 86_400.0, session_id=4,
                           referrer=None, archive_mode=ARCHIVE_COMMUNITY)
-    repo.classify_visit(v, "me:Music/Classical", 0.1)  # a shrug
+    repo.classify_visits([(v, "me:Music/Classical", 0.1)])  # a shrug
     g = build_trail_graph(repo, ["me:Music/Classical"])
     assert "http://m3/" not in g.nodes
     g2 = build_trail_graph(repo, ["me:Music/Classical"], min_confidence=0.05)

@@ -115,7 +115,7 @@ def test_visits_and_classification(repo):
     public = repo.community_visits()
     assert [v["visit_id"] for v in public] == [vid]
     assert len(repo.community_visits(public_only=False)) == 2
-    repo.classify_visit(vid, "u:Music", 0.9)
+    repo.classify_visits([(vid, "u:Music", 0.9)])
     assert repo.db.table("visits").get(vid)["topic_folder"] == "u:Music"
 
 

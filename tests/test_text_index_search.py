@@ -120,13 +120,14 @@ def test_doc_totals_are_re_read_after_a_failed_store_write():
     idx = InvertedIndex()
     idx.add_document("d1", "persistent music archive")
 
-    def failing_put(key, value):
+    def failing_put_many(items):
         raise OSError("disk full")
 
-    real_put, idx._docs.put = idx._docs.put, failing_put
+    # The group commit is the one call that writes a batch.
+    real_put_many, idx._kv.put_many = idx._kv.put_many, failing_put_many
     with pytest.raises(OSError):
         idx.add_document("d2", "jazz music")
-    idx._docs.put = real_put
+    idx._kv.put_many = real_put_many
     assert (idx.num_docs, idx.avg_doc_length()) == (1, 3.0)
 
 
