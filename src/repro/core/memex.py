@@ -18,7 +18,7 @@ from typing import Any
 
 from ..cache import ReadPathCaches
 from ..errors import AuthError, NotFitted, ServletError, error_payload
-from ..mining.themes import ThemeDiscovery
+from ..mining.themes import ThemeDiscovery, ThemeTaxonomy
 from ..obs import (
     HealthMonitor,
     LogHub,
@@ -240,13 +240,16 @@ class MemexServer:
         self.health.add_check("scheduler", self._check_scheduler)
         self.health.add_check("versioning", self._check_versioning)
 
-        self._profiles: dict[str, UserProfile] = {}
-        self._profiles_built_at = (-1, -1)  # (visit count, theme rebuilds)
+        # (taxonomy, idf generation, user -> (engagement stamp, profile)):
+        # replaced whole under the server lock, read without it.
+        self._profiles: tuple[
+            ThemeTaxonomy | None, int, dict[str, tuple[int, UserProfile]]
+        ] = (None, -1, {})
         # Server lock ("server" rank in repro.locks.LOCK_ORDER, above the
         # repository lock it nests over): guards the simulation clock,
-        # the lazy profile rebuild, and the server-level check-then-act
-        # compounds (folder-path creation, user registration) that span
-        # several repository calls.
+        # the publication of rebuilt profiles, and the server-level
+        # check-then-act compounds (folder-path creation, user
+        # registration) that span several repository calls.
         self._server_lock = threading.RLock()
 
     # ------------------------------------------------------------------ time
@@ -342,28 +345,84 @@ class MemexServer:
         if not qvec:
             return None, 0.0
         best, best_sim = None, 0.0
-        for theme in taxonomy.leaves():
-            sim = cosine(qvec, theme.center)
+        for theme, sim in zip(taxonomy.leaves(), taxonomy.similarities(qvec)):
             if sim > best_sim:
                 best, best_sim = theme, sim
         return best, best_sim
 
+    def _held_profiles(
+        self, taxonomy: ThemeTaxonomy, num_docs: int,
+    ) -> dict[str, tuple[int, UserProfile]]:
+        """The kept ``user -> (engagement stamp, profile)`` entries if they
+        were built from this taxonomy object at this idf generation."""
+        held_taxonomy, held_docs, held = self._profiles
+        if held_taxonomy is taxonomy and held_docs == num_docs:
+            return held
+        return {}
+
+    def _rebuild_moved_profiles(
+        self, taxonomy: ThemeTaxonomy, num_docs: int,
+    ) -> dict[str, tuple[int, UserProfile]]:
+        """``user -> (engagement stamp, profile)`` for every user: kept
+        where the stamp stands, built (outside the server lock) where it
+        moved or the user is new, and published if anything was built."""
+        held = self._held_profiles(taxonomy, num_docs)
+        stamps = self.repo.stamps.engagement
+        entries: dict[str, tuple[int, UserProfile]] = {}
+        rebuilt = False
+        for row in self.repo.db.table("users").scan():
+            user_id = row["user_id"]
+            # Stamp first, rows second: a write landing in between leaves
+            # new rows under an old stamp (one rebuild too many), never
+            # old rows under a new one.
+            stamp = stamps.get(user_id, 0)
+            entry = held.get(user_id)
+            if entry is None or entry[0] != stamp:
+                entry = (stamp, build_profile(
+                    self.repo, self.vectorizer, taxonomy, user_id,
+                ))
+                rebuilt = True
+            entries[user_id] = entry
+        if rebuilt:
+            with self._server_lock:
+                # Another request may have published meanwhile: an older
+                # stamp never replaces a newer one.
+                for user_id, theirs in self._held_profiles(
+                    taxonomy, num_docs,
+                ).items():
+                    mine = entries.get(user_id)
+                    if mine is None or mine[0] < theirs[0]:
+                        entries[user_id] = theirs
+                self._profiles = (taxonomy, num_docs, entries)
+        return entries
+
     def current_profiles(self) -> dict[str, UserProfile]:
-        """Per-user theme profiles, rebuilt lazily when state moved on."""
-        taxonomy = self.themes.taxonomy
-        if taxonomy is None:
-            return {}
-        key = (len(self.repo.db.table("visits")), self.themes.rebuild_count)
-        with self._server_lock:
-            if key != self._profiles_built_at:
-                self._profiles = {
-                    row["user_id"]: build_profile(
-                        self.repo, self.vectorizer, taxonomy, row["user_id"],
-                    )
-                    for row in self.repo.db.table("users").scan()
-                }
-                self._profiles_built_at = key
-            return self._profiles
+        """Per-user theme profiles, as a from-scratch build over what is
+        stored now would give them.
+
+        A profile reads three things, and each has its own signal: the
+        user's visits and folder contents (that user's engagement stamp),
+        the taxonomy (the object ``ThemeDaemon`` swaps in whole), and the
+        idf weights (``vocab.num_docs``: they move when a page enters the
+        mining vocabulary).  Only users whose stamp moved, or who
+        registered since, are rebuilt; a new taxonomy or idf generation
+        rebuilds everyone.  The build runs outside the server lock, so a
+        visit's clock advance never waits on mining.
+        """
+        vocab = self.vectorizer.vocab
+        entries: dict[str, tuple[int, UserProfile]] = {}
+        for _ in range(2):
+            taxonomy, num_docs = self.themes.taxonomy, vocab.num_docs
+            if taxonomy is None:
+                return {}
+            entries = self._rebuild_moved_profiles(taxonomy, num_docs)
+            if vocab.num_docs == num_docs:
+                break
+            # A build vectorised a fetched page the indexer had not
+            # reached, so idf moved under the users built before it (and
+            # what was just published is a generation nobody will ask
+            # for again).  Its pages are in the vocabulary now: once more.
+        return {user_id: profile for user_id, (_, profile) in entries.items()}
 
     # ---------------------------------------------------------------- servlets
 

@@ -45,6 +45,29 @@ class UserProfile:
         }
 
 
+def engagement(repo: MemexRepository, user_id: str) -> dict[str, float]:
+    """url -> how strongly one user engaged with it: a visit counts
+    :data:`VISIT_WEIGHT`, a deliberate bookmark or correction
+    :data:`BOOKMARK_WEIGHT`.  Read through the ``visits.user_id``,
+    ``folders.owner`` and ``folder_pages.folder_id`` indexes, so it costs
+    what this user archived, not what the community did."""
+    out: dict[str, float] = defaultdict(float)
+    for visit in repo.user_visits(user_id):
+        out[visit["url"]] += VISIT_WEIGHT
+    bookmarks = [
+        row
+        for folder in repo.user_folders(user_id)
+        for row in repo.folder_pages(
+            folder["folder_id"], sources=(ASSOC_BOOKMARK, ASSOC_CORRECTION),
+        )
+    ]
+    # In association order, whatever order the folders came in: a profile
+    # sums floats page by page, so the order pages enter is part of it.
+    for row in sorted(bookmarks, key=lambda r: r["assoc_id"]):
+        out[row["url"]] += BOOKMARK_WEIGHT
+    return dict(out)
+
+
 def build_profile(
     repo: MemexRepository,
     vectorizer: PageVectorizer,
@@ -52,19 +75,9 @@ def build_profile(
     user_id: str,
 ) -> UserProfile:
     """Profile one user from their visits and deliberate bookmarks."""
-    engagement: dict[str, float] = defaultdict(float)
-    for visit in repo.user_visits(user_id):
-        engagement[visit["url"]] += VISIT_WEIGHT
-    for row in repo.db.table("folder_pages").select(
-        lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
-    ):
-        folder = repo.db.table("folders").get(row["folder_id"])
-        if folder is not None and folder["owner"] == user_id:
-            engagement[row["url"]] += BOOKMARK_WEIGHT
-
     weights: dict[str, float] = defaultdict(float)
     pages = 0
-    for url, strength in engagement.items():
+    for url, strength in engagement(repo, user_id).items():
         vec = vectorizer.tfidf_vector(url)
         if vec is None:
             continue

@@ -21,8 +21,7 @@ from ..mining.hac import cluster_vectors
 from ..mining.themes import ThemeTaxonomy
 from ..server.daemons import PageVectorizer
 from ..storage.repository import MemexRepository
-from ..storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION
-from .profiles import UserProfile, profile_similarity
+from .profiles import UserProfile, engagement, profile_similarity
 
 
 @dataclass
@@ -41,20 +40,6 @@ class Recommendation:
         }
 
 
-def _engagements(repo: MemexRepository) -> dict[str, dict[str, float]]:
-    """user -> url -> strength (visits count 1, bookmarks 3)."""
-    out: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-    for visit in repo.db.table("visits").scan():
-        out[visit["user_id"]][visit["url"]] += 1.0
-    for row in repo.db.table("folder_pages").select(
-        lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
-    ):
-        folder = repo.db.table("folders").get(row["folder_id"])
-        if folder is not None:
-            out[folder["owner"]][row["url"]] += 3.0
-    return {u: dict(urls) for u, urls in out.items()}
-
-
 def recommend_pages(
     repo: MemexRepository,
     vectorizer: PageVectorizer,
@@ -70,8 +55,7 @@ def recommend_pages(
     me = profiles.get(user_id)
     if me is None:
         return []
-    engagements = _engagements(repo)
-    seen = set(engagements.get(user_id, ()))
+    seen = set(engagement(repo, user_id))
     peers = sorted(
         (
             (other, profile_similarity(me, profile))
@@ -86,7 +70,7 @@ def recommend_pages(
     for peer, sim in peers:
         if sim < min_similarity:
             continue
-        for url, strength in engagements.get(peer, {}).items():
+        for url, strength in engagement(repo, peer).items():
             if url in seen:
                 continue
             scores[url] += sim * strength

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import EmptyCorpus
-from ..text.vectorize import SparseVector, centroid, cosine, normalize, top_terms
+from ..text.vectorize import SparseVector, centroid, dot, normalize, top_terms
 from ..text.vocabulary import Vocabulary
 from .hac import hac
 
@@ -72,32 +72,53 @@ class Theme:
 
 @dataclass
 class ThemeTaxonomy:
-    """The discovered taxonomy plus assignment utilities."""
+    """The discovered taxonomy plus assignment utilities.
+
+    A taxonomy is built whole and replaced whole (``ThemeDaemon`` swaps
+    in a new object; nothing edits the tree afterwards), so the flattened
+    tree, the leaf list and each leaf's unit-length centre are computed
+    once here instead of once per similarity.
+    """
 
     roots: list[Theme]
 
+    def __post_init__(self) -> None:
+        self._themes = [t for root in self.roots for t in root.walk()]
+        self._by_id: dict[str, Theme] = {}
+        for theme in self._themes:
+            self._by_id.setdefault(theme.theme_id, theme)
+        self._leaves = [t for t in self._themes if t.is_leaf]
+        self._unit_centers = [normalize(t.center) for t in self._leaves]
+
     def all_themes(self) -> list[Theme]:
-        out: list[Theme] = []
-        for root in self.roots:
-            out.extend(root.walk())
-        return out
+        return list(self._themes)
 
     def leaves(self) -> list[Theme]:
-        return [t for t in self.all_themes() if t.is_leaf]
+        return list(self._leaves)
 
     def theme(self, theme_id: str) -> Theme | None:
-        for t in self.all_themes():
-            if t.theme_id == theme_id:
-                return t
-        return None
+        return self._by_id.get(theme_id)
+
+    def similarities(self, vector: SparseVector) -> list[float]:
+        """``cosine(vector, leaf.center)`` for every leaf, in
+        :meth:`leaves` order — the same floats, with *vector* normalised
+        once and no centre normalised at all."""
+        unit = normalize(vector)
+        return [
+            min(dot(unit, center), 1.0) if unit and center else 0.0
+            for center in self._unit_centers
+        ]
 
     def assign(self, vector: SparseVector) -> tuple[Theme, float]:
-        """Most similar leaf theme for a document/folder vector."""
-        leaves = self.leaves()
-        if not leaves:
+        """Most similar leaf theme for a document/folder vector (ties go
+        to the greater theme id)."""
+        if not self._leaves:
             raise EmptyCorpus("taxonomy has no themes")
-        best = max(leaves, key=lambda t: (cosine(vector, t.center), t.theme_id))
-        return best, cosine(vector, best.center)
+        sims = self.similarities(vector)
+        best = max(
+            range(len(sims)), key=lambda i: (sims[i], self._leaves[i].theme_id)
+        )
+        return self._leaves[best], sims[best]
 
     def fit(self, folder_docs: list[FolderDoc]) -> float:
         """Mean similarity of folder documents to their best theme —

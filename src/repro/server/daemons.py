@@ -759,7 +759,6 @@ class DiscoveryDaemon:
         if key == self._computed_for:
             return 0  # nothing new to discover
         self._computed_for = key
-        from ..text.vectorize import cosine  # local to avoid cycle at import
 
         pages = [
             row for row in self.repo.db.table("pages").scan() if row["fetched"]
@@ -772,31 +771,34 @@ class DiscoveryDaemon:
         max_deg = max(in_deg.values(), default=1) or 1
         now = self.clock()
 
-        produced = 0
-        recommendations: dict[str, list[Resource]] = {}
-        for theme in taxonomy.leaves():
-            scored: list[Resource] = []
-            for row in pages:
-                vec = self.vectorizer.tfidf_vector(row["url"])
-                if vec is None:
-                    continue
-                sim = cosine(vec, theme.center)
+        # One tf-idf weighting and one normalisation per page, one dot per
+        # (page, theme): the centres are unit length in the taxonomy.
+        leaves = taxonomy.leaves()
+        scored: list[list[Resource]] = [[] for _ in leaves]
+        for row in pages:
+            vec = self.vectorizer.tfidf_vector(row["url"])
+            if vec is None:
+                continue
+            authority = math.log1p(in_deg[row["url"]]) / math.log1p(max_deg)
+            age = max(0.0, now - row["first_seen"])
+            freshness = max(0.0, 1.0 - age / self.freshness_horizon)
+            for resources, sim in zip(scored, taxonomy.similarities(vec)):
                 if sim <= 0.0:
                     continue
-                authority = math.log1p(in_deg[row["url"]]) / math.log1p(max_deg)
-                age = max(0.0, now - row["first_seen"])
-                freshness = max(0.0, 1.0 - age / self.freshness_horizon)
                 score = (
                     self.similarity_weight * sim
                     + self.authority_weight * authority
                     + self.freshness_weight * freshness
                 )
-                scored.append(Resource(
+                resources.append(Resource(
                     url=row["url"], score=score, authority=authority,
                     similarity=sim, first_seen=row["first_seen"],
                 ))
-            scored.sort(key=lambda r: (-r.score, r.url))
-            recommendations[theme.theme_id] = scored[: self.per_theme]
+        produced = 0
+        recommendations: dict[str, list[Resource]] = {}
+        for theme, resources in zip(leaves, scored):
+            resources.sort(key=lambda r: (-r.score, r.url))
+            recommendations[theme.theme_id] = resources[: self.per_theme]
             produced += len(recommendations[theme.theme_id])
         self.recommendations = recommendations
         produced += self._expand_frontier(recommendations)

@@ -52,10 +52,18 @@ class ChangeStamps:
 
     Stamps only ever increase; equality of a stamp tuple therefore means
     "none of these tables changed in between".
+
+    ``engagement`` is the same idea per user: one counter over what a
+    user's theme profile reads — that user's visits and the contents of
+    the folders they own — so a profile is rebuilt for the users whose
+    archive moved, not for everyone.  Like the table stamps it is bumped
+    *after* the rows are committed and read *before* they are: a reader
+    can pair new rows with an old stamp (and recompute once more than
+    needed) but never old rows with a new stamp.
     """
 
     __slots__ = ("visits", "assocs", "classifications", "folders",
-                 "pages", "links", "users", "covisits")
+                 "pages", "links", "users", "covisits", "engagement")
 
     def __init__(self) -> None:
         self.visits = 0
@@ -66,6 +74,12 @@ class ChangeStamps:
         self.links = 0
         self.users = 0
         self.covisits = 0
+        self.engagement: dict[str, int] = {}
+
+    def engaged(self, user_id: str) -> None:
+        """Bump *user_id*'s engagement stamp (caller holds the repository
+        lock, as for every other stamp)."""
+        self.engagement[user_id] = self.engagement.get(user_id, 0) + 1
 
 
 class Sequence:
@@ -504,6 +518,7 @@ class MemexRepository:
                 self._remember_origin(visit_id, origin)
                 self._n_visit_writes += 1
                 self.stamps.visits += 1
+                self.stamps.engaged(user_id)
         return visit_id
 
     def record_visit_batch(self, items: list[dict[str, Any]]) -> list[int]:
@@ -567,6 +582,8 @@ class MemexRepository:
         self._n_visit_writes += len(items)
         self.stamps.pages += n_pages
         self.stamps.visits += len(items)
+        for user_id in {item["user_id"] for item in items}:
+            self.stamps.engaged(user_id)
         return visit_ids
 
     def classify_visits(self, decisions: list[tuple[int, str, float]]) -> None:
@@ -714,11 +731,19 @@ class MemexRepository:
     def user_folders(self, owner: str) -> list[Row]:
         return self.db.table("folders").select({"owner": owner})
 
+    def _folder_engaged(self, folder_id: str) -> None:
+        """Bump the engagement stamp of the folder's owner."""
+        folder = self.db.table("folders").get(folder_id)
+        if folder is not None:
+            self.stamps.engaged(folder["owner"])
+
     def remove_folder(self, folder_id: str) -> None:
         with self._repo_lock:
             for assoc in self.db.table("folder_pages").select({"folder_id": folder_id}):
                 self.db.delete("folder_pages", assoc["assoc_id"])
                 self.stamps.assocs += 1
+            # While the row still names the owner; its pages are gone.
+            self._folder_engaged(folder_id)
             self.db.delete("folders", folder_id)
             self.stamps.folders += 1
 
@@ -745,6 +770,7 @@ class MemexRepository:
             })
             self._n_assoc_writes += 1
             self.stamps.assocs += 1
+            self._folder_engaged(folder_id)
             return assoc_id
 
     def folder_pages(self, folder_id: str, *, sources: tuple[str, ...] | None = None) -> list[Row]:
@@ -765,6 +791,8 @@ class MemexRepository:
                     self.db.delete("folder_pages", row["assoc_id"])
                     removed += 1
             self.stamps.assocs += removed
+            if removed:
+                self._folder_engaged(folder_id)
         return removed
 
     # -- model blobs -------------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Race-stress harness: concurrent socket clients vs ticking daemons.
 
-A storm phase runs N writer threads (mixed single-visit and batched
-ingest over real TCP connections) and reader threads (search + health)
-against one server while a daemon thread ticks the scheduler the whole
-time.  After quiescing, the harness asserts the three concurrency
-invariants of the serving stack:
+A storm phase runs N writer threads (visits and bookmarks, single and
+batched, over real TCP connections) and reader threads (search + health,
+and one asking ``recommend`` / ``profile_similar``, whose profile builds
+run outside the server lock) against one server while a daemon thread
+ticks the scheduler the whole time.  After quiescing, the harness asserts
+the concurrency invariants of the serving stack:
 
 * **no torn responses** — every response decoded during the storm is a
   well-formed envelope with its servlet's full shape;
@@ -13,7 +14,9 @@ invariants of the serving stack:
   page was archived;
 * **deterministic reads** — cached search responses are bit-identical
   to re-serving, and bit-identical to a fresh single-threaded replay of
-  the same events.
+  the same events;
+* **no stale profile** — the per-user profiles the server kept through
+  the storm equal a from-scratch build over what it stored.
 
 Iteration count scales with ``MEMEX_STRESS_ITERS`` (default 2; CI and
 local soak runs raise it).
@@ -21,6 +24,7 @@ local soak runs raise it).
 
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -30,6 +34,8 @@ from repro.core import MemexSystem
 from repro.core.memex import MemexServer
 from repro.server.daemons import FetchedPage
 from repro.server.transport import SocketTransport
+
+from .profiles_reference import _reference_current_profiles, profile_payloads
 
 ITERATIONS = int(os.environ.get("MEMEX_STRESS_ITERS", "2"))
 N_WRITERS = 4
@@ -61,6 +67,10 @@ def _writer_urls(idx):
 def _record_all(applet, idx):
     for i, url in enumerate(_writer_urls(idx)):
         applet.record_visit(url, at=float(i))
+        if i % 4 == 0:
+            # Two shelves per parity: enough folders for a taxonomy, so
+            # the profile readers have something to rebuild.
+            applet.bookmark(url, f"shelf{idx % 2}", at=float(i))
     applet.flush()
 
 
@@ -140,9 +150,27 @@ def test_storm_loses_nothing_and_reads_deterministically(iteration):
         except Exception as exc:  # noqa: BLE001
             anomalies.append(f"reader {idx}: {type(exc).__name__}: {exc}")
 
-    with server.listen(workers=4) as net:
+    def profile_reader(host, port):
+        try:
+            with SocketTransport(host, port) as transport:
+                for round_no in range(40):
+                    user = f"w{round_no % N_WRITERS}"
+                    for servlet, rows in (
+                        ("recommend", "pages"), ("profile_similar", "users"),
+                    ):
+                        response = transport.request(user, {"servlet": servlet})
+                        if response.get("status") != "ok" or \
+                                not isinstance(response.get(rows), list):
+                            anomalies.append(
+                                f"profile reader: torn {servlet} {response}")
+        except Exception as exc:  # noqa: BLE001
+            anomalies.append(f"profile reader: {type(exc).__name__}: {exc}")
+
+    with server.listen(workers=8) as net:
         host, port = net.address
         threads = [threading.Thread(target=ticker, daemon=True)]
+        threads.append(
+            threading.Thread(target=profile_reader, args=(host, port)))
         threads += [
             threading.Thread(target=writer, args=(i, host, port))
             for i in range(N_WRITERS)
@@ -176,6 +204,13 @@ def test_storm_loses_nothing_and_reads_deterministically(iteration):
     archived = {r["url"] for r in system.server.repo.db.table("pages").scan()}
     assert visited <= archived
 
+    # No stale profile: what the per-user cache holds after concurrent
+    # unlocked builds is what a from-scratch build gives now.
+    assert server.themes.taxonomy is not None
+    profiles = profile_payloads(server.current_profiles())
+    assert profiles == profile_payloads(_reference_current_profiles(server))
+    assert any(p["weights"] for p in profiles.values())
+
     # Deterministic reads: serve each query twice (second hit comes from
     # the cache) and compare against a single-threaded replay.
     replay = _quiesced_replay(pages)
@@ -189,3 +224,57 @@ def test_storm_loses_nothing_and_reads_deterministically(iteration):
             assert canon(first) == canon(second), f"cache tore {req}"
             assert canon(first) == canon(golden), \
                 f"concurrent result diverged from replay for {req}"
+
+
+def test_profile_builds_race_their_writers_and_each_other():
+    """``current_profiles`` builds outside the server lock and publishes
+    under it: more threads than cores, a 0.1 ms switch interval, writers
+    moving engagement stamps while readers rebuild and publish.  A lost
+    or overwritten newer entry would leave a profile stale at the end."""
+    pages = _pages()
+    system = MemexSystem(MemexServer(pages.get))
+    server = system.server
+    users = [f"w{idx}" for idx in range(N_WRITERS)]
+    for idx, user in enumerate(users):
+        _record_all(system.register_user(user), idx)
+    server.process_background_work()
+    assert server.themes.taxonomy is not None
+    failures = []
+
+    def ask(user, servlet, **fields):
+        response = server.registry.dispatch(
+            {"servlet": servlet, "user_id": user, **fields})
+        if response.get("status") != "ok":
+            failures.append(response)
+
+    def writer(idx):
+        for i in range(40 * ITERATIONS):
+            url = f"http://p{(idx * 11 + i) % N_PAGES:02d}/"
+            ask(users[idx], "visit", url=url, at=100.0 + i)
+            if i % 5 == 0:
+                ask(users[idx], "bookmark", url=url,
+                    folder_path=f"shelf{(idx + i) % 3}", at=100.0 + i)
+
+    def reader(idx):
+        for i in range(60 * ITERATIONS):
+            if i % 3:
+                server.current_profiles()
+            else:
+                ask(users[(idx + i) % N_WRITERS], "recommend")
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(N_WRITERS)]
+    threads += [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "storm did not quiesce"
+    assert failures == []
+    assert profile_payloads(server.current_profiles()) == \
+        profile_payloads(_reference_current_profiles(server))
+    system.close()
