@@ -45,6 +45,7 @@ from ..obs.logging import Logger, null_logger
 from ..obs.metrics import MetricsRegistry, null_registry
 from .protocol import (
     FRAME_HEADER_SIZE,
+    check_key,
     decode_message,
     encode_message,
     frame_length,
@@ -77,6 +78,7 @@ class DictKeySource:
         self._keys: dict[str, bytes] = {}
 
     def set_key(self, user_id: str, key: bytes | None) -> None:
+        check_key(key)
         if key is None:
             self._keys.pop(user_id, None)
         else:
@@ -84,10 +86,6 @@ class DictKeySource:
 
     def key_for(self, user_id: str) -> bytes | None:
         return self._keys.get(user_id)
-
-
-#: Backwards-compatible alias (pre-sharding name).
-_DictKeys = DictKeySource
 
 
 class MemexSocketServer:
@@ -331,11 +329,14 @@ class MemexSocketServer:
         return user_id, key
 
     def _try_send_error(self, conn: socket.socket, exc: ProtocolError,
-                        key: bytes | None) -> None:
+                        key: bytes | None) -> bool:
+        """False when no error frame went out — the peer is gone, or the
+        cipher refuses *key* — and all that is left is to hang up."""
         try:
             self._send(conn, error_payload(exc), key)
-        except OSError:  # peer already gone
-            pass
+        except (OSError, ProtocolError):
+            return False
+        return True
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
@@ -360,13 +361,19 @@ class MemexSocketServer:
                     request = decode_message(frame, key=key)
                 except ProtocolError as exc:
                     # Decode errors leave framing intact: reply and go on.
-                    self._try_send_error(conn, exc, key)
+                    if not self._try_send_error(conn, exc, key):
+                        return
                     continue
                 if self.authoritative_user and isinstance(request, dict):
                     request = {**request, "user_id": user_id}
                 response = self.registry.dispatch(request)
                 try:
                     self._send(conn, response, key)
+                except ProtocolError as exc:
+                    # The response cannot be framed (too large): the
+                    # client is owed one frame, so it gets the reason.
+                    if not self._try_send_error(conn, exc, key):
+                        return
                 except OSError:
                     return
         except OSError:

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any
+import threading
+from collections import OrderedDict
+from typing import Any, NamedTuple
 
 from ..errors import CODE_UNSUPPORTED_VERSION, ProtocolError
 
@@ -49,40 +51,127 @@ def frame_version(flags: int) -> int:
     return (flags >> _VERSION_SHIFT) or PROTOCOL_V1
 
 
-def rc4_stream(key: bytes, data: bytes) -> bytes:
-    """RC4 keystream XOR (encryption == decryption)."""
-    if not key:
-        raise ProtocolError("cipher key must be non-empty")
+def check_key(key: bytes | None) -> None:
+    """Refuse a cipher key no frame could be encrypted with.
+
+    Every ``set_key`` calls this, so an empty key fails account setup
+    instead of the first request that needs it (``None`` = cleartext).
+    """
+    if key is not None and not key:
+        raise ValueError("cipher key must be non-empty (None means cleartext)")
+
+
+# The cipher restarts for every frame (no IV, no state carried between
+# frames), so the first n keystream bytes are a pure function of the
+# key.  They are kept per key, with the generator state that follows
+# them, and a frame is one big-integer XOR against that prefix; the key
+# schedule and the per-byte generator run only when a key is new or a
+# frame is longer than anything the key has sent.  Keyed by the key
+# bytes, not the connection: a pooled client reconnects far more often
+# than it changes user (DESIGN.md §17).
+#: Keys remembered (least recently used dropped first).
+KEYSTREAM_KEYS = 1024
+#: Keystream bytes retained per key; the tail of a longer frame is
+#: generated from the saved state and not kept, so a MAX_MESSAGE_BYTES
+#: frame cannot pin 16 MiB per user.
+KEYSTREAM_BYTES = 64 * 1024
+_KEYSTREAM_FIRST = 1024
+
+
+class _Keystream(NamedTuple):
+    """Immutable, so it is read outside the memo's lock."""
+
+    prefix: bytes  # the key's first len(prefix) keystream bytes
+    state: bytes   # RC4's permutation S after producing them
+    j: int         # ... and its j; i is len(prefix) & 255
+
+
+_keystreams: OrderedDict[bytes, _Keystream] = OrderedDict()
+# Leaf lock: guards _keystreams only, held across no call out of here
+# (scheduling and generation run outside it).
+_keystreams_lock = threading.Lock()
+
+
+def _schedule(key: bytes) -> _Keystream:
+    """RC4's key schedule: the generator state before any output."""
     s = list(range(256))
+    n = len(key)
     j = 0
     for i in range(256):
-        j = (j + s[i] + key[i % len(key)]) % 256
+        j = (j + s[i] + key[i % n]) & 255
         s[i], s[j] = s[j], s[i]
-    out = bytearray(len(data))
-    i = j = 0
-    for n, byte in enumerate(data):
-        i = (i + 1) % 256
-        j = (j + s[i]) % 256
-        s[i], s[j] = s[j], s[i]
-        out[n] = byte ^ s[(s[i] + s[j]) % 256]
-    return bytes(out)
+    return _Keystream(b"", bytes(s), 0)
+
+
+def _generate(after: _Keystream, n: int) -> tuple[bytes, bytes, int]:
+    """The *n* keystream bytes that follow *after*, and the state then."""
+    s = list(after.state)
+    i = len(after.prefix) & 255
+    j = after.j
+    out = bytearray(n)
+    for k in range(n):
+        i = (i + 1) & 255
+        a = s[i]
+        j = (j + a) & 255
+        b = s[j]
+        s[i] = b
+        s[j] = a
+        out[k] = s[(a + b) & 255]
+    return bytes(out), bytes(s), j
+
+
+def _keystream(key: bytes, n: int) -> bytes:
+    """At least the first *n* keystream bytes of *key*."""
+    with _keystreams_lock:
+        entry = _keystreams.get(key)
+        if entry is not None:
+            _keystreams.move_to_end(key)
+    if entry is None:
+        entry = _schedule(key)
+    have = len(entry.prefix)
+    if have < min(n, KEYSTREAM_BYTES):
+        # Grow geometrically so a key pays for each byte once.
+        want = min(KEYSTREAM_BYTES, max(n, 2 * have, _KEYSTREAM_FIRST))
+        more, state, j = _generate(entry, want - have)
+        entry = _Keystream(entry.prefix + more, state, j)
+        with _keystreams_lock:
+            held = _keystreams.get(key)
+            if held is not None and len(held.prefix) >= want:
+                entry = held  # another thread grew it further meanwhile
+            else:
+                _keystreams[key] = entry
+                _keystreams.move_to_end(key)
+                while len(_keystreams) > KEYSTREAM_KEYS:
+                    _keystreams.popitem(last=False)
+    if n <= len(entry.prefix):
+        return entry.prefix
+    return entry.prefix + _generate(entry, n - len(entry.prefix))[0]
+
+
+def rc4_stream(key: bytes, data: bytes) -> bytes:
+    """RC4 keystream XOR (encryption == decryption).
+
+    ``tests/rc4_reference.py`` is the textbook per-byte cipher this must
+    equal byte for byte.
+    """
+    if not key:
+        raise ProtocolError("cipher key must be non-empty")
+    n = len(data)
+    stream = _keystream(key, n)
+    return (
+        int.from_bytes(data, "little") ^ int.from_bytes(stream[:n], "little")
+    ).to_bytes(n, "little")
 
 
 def encode_message(
-    payload: dict[str, Any],
-    *,
-    key: bytes | None = None,
-    version: int = PROTOCOL_VERSION,
+    payload: dict[str, Any], *, key: bytes | None = None,
 ) -> bytes:
     """Frame *payload* as ``length || flags || body``.
 
-    ``flags`` carries the cipher bit and the protocol version (stamped
-    ``PROTOCOL_VERSION`` unless a legacy *version* is requested).
+    ``flags`` carries the cipher bit and ``PROTOCOL_VERSION``.
     """
-    if not PROTOCOL_V1 <= version <= PROTOCOL_VERSION:
-        raise ProtocolError(f"cannot encode protocol version {version}")
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    flags = version << _VERSION_SHIFT
+    flags = PROTOCOL_VERSION << _VERSION_SHIFT
     if key is not None:
         body = rc4_stream(key, body)
         flags |= _FLAG_ENCRYPTED
@@ -147,7 +236,8 @@ def decode_message(data: bytes, *, key: bytes | None = None) -> dict[str, Any]:
     Frames from every protocol version up to :data:`PROTOCOL_VERSION`
     decode (v1 frames carry no version bits and decode unchanged); frames
     stamped with an unknown future version are rejected with a typed
-    ``unsupported_version`` error rather than misparsed.
+    ``unsupported_version`` error rather than misparsed.  With *key*
+    the frame must be encrypted under it; without, it must be clear.
     """
     if len(data) < _LEN.size + 1:
         raise ProtocolError("short message")
@@ -170,6 +260,10 @@ def decode_message(data: bytes, *, key: bytes | None = None) -> dict[str, Any]:
         if key is None:
             raise ProtocolError("encrypted message but no key supplied")
         body = rc4_stream(key, body)
+    elif key is not None:
+        # Knowing the key is what authenticates a keyed user: a clear
+        # frame on their session is someone who does not have it.
+        raise ProtocolError("cleartext message on an encrypted session")
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -25,7 +25,7 @@ from typing import Any, Protocol, runtime_checkable
 
 from ..errors import CODE_TIMEOUT, CODE_UNAVAILABLE, ProtocolError, error_payload
 from .netserver import Dispatcher, HELLO_KEY
-from .protocol import decode_message, encode_message, recv_frame
+from .protocol import check_key, decode_message, encode_message, recv_frame
 from .servlets import BATCH_SERVLET, ServletRegistry
 
 
@@ -60,7 +60,8 @@ class HttpTunnelTransport:
     """Byte-level request/response channel to a servlet registry.
 
     Per-user cipher keys are registered out of band (account setup); a
-    request from a user with a key on file MUST be encrypted with it.
+    request from a user with a key on file MUST be encrypted with it
+    (``decode_message`` refuses it otherwise: the key is the credential).
 
     ``dispatcher`` overrides where decoded requests land: the single-
     process server passes its :class:`~repro.shard.gather.
@@ -87,6 +88,7 @@ class HttpTunnelTransport:
         self._obs_lock = threading.Lock()
 
     def set_key(self, user_id: str, key: bytes | None) -> None:
+        check_key(key)
         if key is None:
             self._keys.pop(user_id, None)
         else:
@@ -145,15 +147,41 @@ class HttpTunnelTransport:
         return encode_message(response, key=key)
 
 
+#: A pooled connection unused for longer than this is checked for a
+#: server-side close before it carries a request.  Well under any
+#: server's idle timeout (30 s by default) and well over the gap
+#: between a busy client's requests, which therefore never pay the peek.
+_STALE_AFTER_S = 1.0
+
+
 class _Connection:
     """One established, hello-bound TCP connection (single user)."""
 
-    __slots__ = ("sock", "key", "lock")
+    __slots__ = ("sock", "key", "lock", "last_used")
 
     def __init__(self, sock: socket.socket, key: bytes | None) -> None:
         self.sock = sock
         self.key = key
         self.lock = threading.Lock()   # one request in flight per conn
+        self.last_used = time.monotonic()
+
+    def closed_by_peer(self) -> bool:
+        """Has the server hung up on this idle connection?  Called under
+        ``lock`` between requests, when nothing is owed to us: a
+        readable socket then holds the server's EOF (or junk), never a
+        response."""
+        try:
+            timeout = self.sock.gettimeout()
+            self.sock.setblocking(False)
+            try:
+                self.sock.recv(1, socket.MSG_PEEK)
+            finally:
+                self.sock.settimeout(timeout)
+        except BlockingIOError:
+            return False  # open and quiet
+        except OSError:
+            pass
+        return True
 
 
 class SocketTransport:
@@ -166,7 +194,10 @@ class SocketTransport:
 
     A broken or timed-out connection is dropped from the pool and the
     failure surfaces as a retryable typed :class:`ProtocolError`; the
-    next request for that user reconnects.
+    next request for that user reconnects.  A connection the server
+    closed while it sat idle is not a failure: one unused for over a
+    second is looked at before reuse and reopened *before* the request
+    is sent, so no frame ever goes out twice.
 
     **Reconnect backoff.**  When the backend itself is down, every
     request used to burn a fresh TCP connect attempt — a tight reconnect
@@ -244,6 +275,7 @@ class SocketTransport:
     # -- keys / lifecycle ----------------------------------------------------
 
     def set_key(self, user_id: str, key: bytes | None) -> None:
+        check_key(key)
         with self._pool_lock:
             if key is None:
                 self._keys.pop(user_id, None)
@@ -314,7 +346,7 @@ class SocketTransport:
                     self._conns[user_id] = self._conns.pop(user_id)
                 return conn
             key = self._keys.get(user_id)
-        conn = self._open(user_id, key)
+        conn = _Connection(self._open(user_id, key), key)
         evicted: list[_Connection] = []
         with self._pool_lock:
             existing = self._conns.get(user_id)
@@ -373,7 +405,9 @@ class SocketTransport:
                 self._discard(conn)
         return len(conns)
 
-    def _open(self, user_id: str, key: bytes | None) -> _Connection:
+    def _open(self, user_id: str, key: bytes | None) -> socket.socket:
+        """Connect and say hello as *user_id*; the socket is ready for
+        that user's first request frame."""
         with self._pool_lock:
             suppressed_until = self._backoff_until
         if self._backoff_failures and time.monotonic() < suppressed_until:
@@ -423,7 +457,7 @@ class SocketTransport:
         except (OSError, ProtocolError):
             sock.close()
             raise
-        return _Connection(sock, key)
+        return sock
 
     def _drop(self, user_id: str, conn: _Connection) -> None:
         with self._pool_lock:
@@ -450,8 +484,17 @@ class SocketTransport:
         wire = encode_message(payload, key=conn.key)
         try:
             with conn.lock:
+                if (time.monotonic() - conn.last_used > _STALE_AFTER_S
+                        and conn.closed_by_peer()):
+                    # The server idled this connection out.  Nothing of
+                    # this request has been sent, so reconnecting here
+                    # cannot deliver a frame twice (a visit batch is not
+                    # idempotent); once it has, a break is the caller's.
+                    self._discard(conn)
+                    conn.sock = self._open(user_id, conn.key)
                 conn.sock.sendall(wire)
                 raw = recv_frame(conn.sock.recv)
+                conn.last_used = time.monotonic()
         except socket.timeout:
             self._drop(user_id, conn)
             raise ProtocolError(
@@ -471,7 +514,8 @@ class SocketTransport:
             raise
         if raw is None:
             self._drop(user_id, conn)
-            raise ProtocolError("server closed connection mid-request")
+            raise ProtocolError(
+                "server closed connection mid-request", code=CODE_TIMEOUT)
         self._count(sent=len(wire), received=len(raw))
         return decode_message(raw, key=conn.key)
 

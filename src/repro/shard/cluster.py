@@ -114,7 +114,14 @@ class MemexCluster:
             )
             if monitor:
                 self.supervisor.start_monitor()
-            self.transport = SocketTransport(*self.router.address)
+            # The router parks one worker thread per open connection:
+            # pooling one per user without limit strands the user after
+            # the last worker until an idle timeout frees one.  Our own
+            # applets never hold them all.
+            self.transport = SocketTransport(
+                *self.router.address,
+                max_pooled=max(1, router_workers - 1),
+            )
         except BaseException:
             self.close(drain=False)
             raise

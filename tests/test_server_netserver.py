@@ -13,11 +13,17 @@ import time
 import pytest
 
 from repro.errors import CODE_TIMEOUT, ProtocolError
-from repro.obs import MetricsRegistry
+from repro.obs import LogHub, MetricsRegistry
+from repro.server import netserver, protocol
+from repro.server import transport as transport_module
 from repro.server.netserver import MemexSocketServer
 from repro.server.protocol import decode_message, encode_message, recv_frame
 from repro.server.servlets import ServletRegistry
 from repro.server.transport import SocketTransport
+from repro.shard.gather import LocalBackend
+from repro.shard.router import ShardRouter
+
+from .rc4_reference import _reference_decode_message, _reference_encode_message
 
 
 def _registry():
@@ -114,6 +120,156 @@ def test_key_mismatch_yields_cipher_error(server):
             transport.request("carol", {"servlet": "whoami"})
 
 
+def _hello(address, user):
+    """A hand-driven connection, bound to *user* by a (cleartext) hello."""
+    sock = socket.create_connection(address, timeout=5.0)
+    sock.sendall(encode_message({"hello": user}))
+    ack = decode_message(recv_frame(sock.recv))
+    assert ack["status"] == "ok"
+    return sock, ack
+
+
+def _recording_registry(served):
+    reg = ServletRegistry()
+    reg.register(
+        "whoami", lambda req: served.append(req) or {"you": req["user_id"]})
+    return reg
+
+
+def test_keyed_user_cannot_be_impersonated_in_cleartext():
+    """Whoever says ``{"hello": "carol"}`` is bound to carol; only the
+    key shows it *is* carol, so her session takes no cleartext frame."""
+    served = []
+    with MemexSocketServer(_recording_registry(served), workers=2) as srv:
+        srv.keys.set_key("carol", b"carols-key")
+        sock, ack = _hello(srv.address, "carol")
+        with sock:
+            assert ack["encrypted"] is True
+            sock.sendall(encode_message({"servlet": "whoami"}))
+            response = decode_message(recv_frame(sock.recv), key=b"carols-key")
+            assert response["status"] == "error"
+            assert response["error_code"] == "bad_request"
+            assert served == []
+            # Framing is intact: the same connection serves carol's key.
+            sock.sendall(encode_message({"servlet": "whoami", "user_id": "carol"},
+                                        key=b"carols-key"))
+            response = decode_message(recv_frame(sock.recv), key=b"carols-key")
+            assert response["you"] == "carol"
+        # Keyless sessions are cleartext as ever.
+        with _client(srv) as transport:
+            assert transport.request("dave", {"servlet": "whoami"})["you"] == "dave"
+
+
+def test_router_refuses_cleartext_from_a_keyed_user():
+    """The router stamps the hello's user as authoritative, so it is the
+    one place a forged frame would become carol's request."""
+    served = []
+    with ShardRouter(
+        [LocalBackend(_recording_registry(served))], workers=2,
+    ) as router:
+        router.set_key("carol", b"carols-key")
+        sock, _ack = _hello(router.address, "carol")
+        with sock:
+            sock.sendall(encode_message({"servlet": "whoami"}))
+            response = decode_message(recv_frame(sock.recv), key=b"carols-key")
+        assert response["status"] == "error"
+        assert response["error_code"] == "bad_request"
+        assert served == []
+        with SocketTransport(*router.address) as transport:
+            transport.set_key("carol", b"carols-key")
+            assert transport.request(
+                "carol", {"servlet": "whoami"})["you"] == "carol"
+        assert [req["user_id"] for req in served] == ["carol"]
+
+
+def test_empty_key_is_refused_where_it_is_set(server):
+    with pytest.raises(ValueError):
+        server.keys.set_key("erin", b"")
+    assert server.keys.key_for("erin") is None
+    with _client(server) as transport:
+        with pytest.raises(ValueError):
+            transport.set_key("erin", b"")
+        assert transport.key_for("erin") is None
+        assert transport.request("erin", {"servlet": "whoami"})["you"] == "erin"
+
+
+def test_a_cipher_that_raises_closes_the_connection_not_the_worker():
+    """A key source outside our control hands out a key the cipher
+    refuses: no frame can be written to that session, so it ends with a
+    clean close — and the worker lives to serve the next connection."""
+
+    class EmptyKeys:
+        def key_for(self, user_id):
+            return b"" if user_id == "erin" else None
+
+    hub = LogHub()
+    with MemexSocketServer(
+        _registry(), workers=1, key_source=EmptyKeys(), log=hub.logger("net"),
+    ) as srv:
+        with _client(srv) as transport:
+            transport.set_key("erin", b"some-key")
+            with pytest.raises(ProtocolError) as err:
+                transport.request("erin", {"servlet": "whoami"})
+            assert err.value.code == CODE_TIMEOUT
+            # The only worker is free again.
+            assert transport.request("dave", {"servlet": "whoami"})["you"] == "dave"
+    assert [r["event"] for r in hub.records(level="error")] == []
+
+
+def test_unframeable_response_earns_a_typed_error(monkeypatch):
+    """A response over the frame limit used to crash the worker; the
+    client is told why and the connection goes on."""
+    reg = _registry()
+    reg.register("inflate", lambda req: {"blob": "x" * req["n"]})
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 512)
+    hub = LogHub()
+    with MemexSocketServer(reg, workers=1, log=hub.logger("net")) as srv:
+        with _client(srv) as transport:
+            response = transport.request("alice", {"servlet": "inflate", "n": 600})
+            assert response["status"] == "error"
+            assert response["error_code"] == "bad_request"
+            assert "too large" in response["error"]
+            assert transport.request(
+                "alice", {"servlet": "inflate", "n": 6})["blob"] == "xxxxxx"
+    assert hub.records(level="error") == []
+
+
+# -- old and new ciphers share one wire ---------------------------------------
+
+def test_reference_cipher_client_talks_to_this_server(server):
+    """The parent commit's client (the per-byte cipher stands in for it)
+    against this server."""
+    key = b"carols-key"
+    server.keys.set_key("carol", key)
+    sock, _ack = _hello(server.address, "carol")
+    with sock:
+        for value in ("short", "x" * 3000, "again"):
+            request = {"servlet": "echo", "user_id": "carol", "value": value}
+            sock.sendall(_reference_encode_message(request, key))
+            response = _reference_decode_message(recv_frame(sock.recv), key)
+            assert response == {"echo": value, "status": "ok"}
+
+
+def test_this_client_talks_to_a_reference_cipher_server(monkeypatch):
+    """...and this client against the parent's server: the socket server
+    is given the per-byte codec, the transport keeps the module's."""
+    monkeypatch.setattr(
+        netserver, "encode_message",
+        lambda payload, key=None: _reference_encode_message(payload, key))
+    monkeypatch.setattr(
+        netserver, "decode_message",
+        lambda frame, key=None: _reference_decode_message(frame, key))
+    key = b"carols-key"
+    with MemexSocketServer(_registry(), workers=2) as srv:
+        srv.keys.set_key("carol", key)
+        with _client(srv) as transport:
+            transport.set_key("carol", key)
+            for value in ("short", "x" * 3000, "again"):
+                assert transport.request(
+                    "carol", {"servlet": "echo", "value": value},
+                ) == {"echo": value, "status": "ok"}
+
+
 # -- timeouts map to typed wire errors ---------------------------------------
 
 def test_idle_timeout_closes_connection_quietly():
@@ -130,6 +286,57 @@ def test_idle_timeout_closes_connection_quietly():
             sock.settimeout(5.0)
             assert sock.recv(1) == b""
         assert srv.metrics.counter_value("net.timeouts_total") == 0
+
+
+def test_client_reconnects_before_sending_on_an_idled_out_connection(monkeypatch):
+    """PROTOCOL.md: idling out is 'no error — the client reconnects on
+    its next request'.  The client looks before it sends, so the request
+    goes out once, on the new connection."""
+    monkeypatch.setattr(transport_module, "_STALE_AFTER_S", 0.05)
+    served = []
+    with MemexSocketServer(
+        _recording_registry(served), workers=1, idle_timeout=0.15,
+        metrics=MetricsRegistry(),
+    ) as srv:
+        with _client(srv) as transport:
+            assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
+            first = transport._conns["alice"].sock
+            time.sleep(0.4)   # the server hangs up on the pooled connection
+            assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
+            assert transport._conns["alice"].sock is not first
+            # A connection in steady use is not probed, let alone reopened.
+            second = transport._conns["alice"].sock
+            assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
+            assert transport._conns["alice"].sock is second
+        assert len(served) == 3
+        assert srv.metrics.counter_value("net.requests_total") == 3
+        assert srv.metrics.counter_value("net.connections_total") == 2
+
+
+def test_server_dying_mid_request_is_a_retryable_error():
+    """The EOF that remains — after the frame went out — cannot be
+    papered over (the request may have been applied): typed, retryable."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()
+
+    def serve_hello_then_die():
+        conn, _ = listener.accept()
+        with conn:
+            recv_frame(conn.recv)
+            conn.sendall(encode_message({"status": "ok", "encrypted": False}))
+            recv_frame(conn.recv)   # the request arrives; no answer
+
+    t = threading.Thread(target=serve_hello_then_die)
+    t.start()
+    try:
+        with SocketTransport(host, port) as transport:
+            with pytest.raises(ProtocolError) as err:
+                transport.request("alice", {"servlet": "whoami"})
+        assert err.value.code == CODE_TIMEOUT
+    finally:
+        t.join(timeout=5.0)
+        listener.close()
+    assert not t.is_alive()
 
 
 def test_mid_frame_stall_gets_typed_timeout_error():

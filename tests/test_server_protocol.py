@@ -1,13 +1,33 @@
 """Tests for message framing, encryption, servlets, and transport."""
 
+import importlib
+import random
+import sys
+import threading
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client.applet import MemexApplet, replay_events
+from repro.core.api import corpus_fetcher
+from repro.core.memex import MemexServer
 from repro.errors import ProtocolError
+from repro.server import protocol
 from repro.server.protocol import decode_message, encode_message, rc4_stream
-from repro.server.servlets import ServletRegistry
+from repro.server.servlets import BATCH_SERVLET, ServletRegistry
 from repro.server.transport import HttpTunnelTransport
+from repro.shard.gather import LocalBackend, ShardDispatcher
+from repro.webgen import build_workload
+
+from .rc4_reference import (
+    _reference_decode_message,
+    _reference_encode_message,
+    _reference_rc4_stream,
+)
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 # -- rc4 -------------------------------------------------------------------
@@ -31,6 +51,108 @@ def test_rc4_empty_key_rejected():
 @given(st.binary(max_size=200), st.binary(min_size=1, max_size=16))
 def test_rc4_roundtrip_property(data, key):
     assert rc4_stream(key, rc4_stream(key, data)) == data
+
+
+@pytest.mark.parametrize("key, plaintext, ciphertext", [
+    # RFC 6229, 40-bit key: the first 16 keystream bytes.
+    (bytes.fromhex("0102030405"), bytes(16), "b2396305f03dc027ccc3524a0a1118a8"),
+    (b"Key", b"Plaintext", "bbf316e8d940af0ad3"),
+    (b"Wiki", b"pedia", "1021bf0420"),
+    (b"Secret", b"Attack at dawn", "45a01f645fc35b383552544b9bf5"),
+])
+def test_rc4_known_answers(key, plaintext, ciphertext):
+    assert rc4_stream(key, plaintext).hex() == ciphertext
+    assert _reference_rc4_stream(key, plaintext).hex() == ciphertext
+
+
+def _bytes_of_length(n):
+    return random.Random(n).randbytes(n)
+
+
+#: ``protocol._KEYSTREAM_FIRST`` and ``protocol.KEYSTREAM_BYTES``, spelled
+#: out so the differential tests also run against the per-byte cipher's
+#: own module (the bounds test checks they still match).
+_FIRST, _CAP = 1024, 64 * 1024
+#: Frame lengths on both sides of every step the per-key prefix grows by
+#: (first allocation, each doubling, the retained-bytes cap).
+_GROWTH_EDGES = sorted({
+    edge + delta
+    for edge in (0, _FIRST, 2 * _FIRST, 4 * _FIRST, _CAP)
+    for delta in (-1, 0, 1)
+    if edge + delta >= 0
+} | {_CAP + 300})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.binary(min_size=1, max_size=256),
+    st.lists(
+        st.one_of(st.integers(0, 5000), st.sampled_from(_GROWTH_EDGES)),
+        min_size=1, max_size=8,
+    ),
+)
+def test_rc4_equals_the_reference_for_any_sequence_of_lengths(key, lengths):
+    """What a key has sent before (longer frames, shorter ones, empty
+    ones, one past the cap) never shows in the next frame's bytes."""
+    for n in lengths:
+        data = _bytes_of_length(n)
+        assert rc4_stream(key, data) == _reference_rc4_stream(key, data), n
+
+
+def test_rc4_threads_sharing_keys_agree_with_the_reference():
+    """Eight threads start three cold keys together (no other test uses
+    them) and keep outgrowing each other's prefixes; a torn or shortened
+    memo entry would show as a wrong byte."""
+    keys = [b"shared-key-%d" % i for i in range(3)]
+    lengths = [7, 1500, 300, 2049, 5000, 0, 9000, 1024, 64]
+    frames = {n: _bytes_of_length(n) for n in lengths}
+    expected = {
+        (key, n): _reference_rc4_stream(key, frames[n])
+        for key in keys for n in lengths
+    }
+    start = threading.Barrier(8)
+    wrong = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        start.wait(timeout=10)
+        for _ in range(60):
+            key, n = rng.choice(keys), rng.choice(lengths)
+            if rc4_stream(key, frames[n]) != expected[key, n]:
+                wrong.append((key, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_rc4_memo_is_bounded_by_its_module_constants():
+    """One key more than the memo holds and one frame longer than it
+    retains: the oldest key goes, the long frame's tail is not kept."""
+    assert (protocol._KEYSTREAM_FIRST, protocol.KEYSTREAM_BYTES) == (_FIRST, _CAP)
+    memo = protocol._keystreams
+    first = b"bounded-key-0"
+    over_cap = _bytes_of_length(protocol.KEYSTREAM_BYTES + 17)
+    assert rc4_stream(first, over_cap) == _reference_rc4_stream(first, over_cap)
+    for i in range(1, protocol.KEYSTREAM_KEYS + 1):
+        rc4_stream(b"bounded-key-%d" % i, b"frame")
+    assert len(memo) == protocol.KEYSTREAM_KEYS
+    assert first not in memo   # least recently used
+    assert all(len(e.prefix) <= protocol.KEYSTREAM_BYTES for e in memo.values())
+    # Evicted is not broken: the key starts cold again, same bytes.
+    assert rc4_stream(first, b"again") == _reference_rc4_stream(first, b"again")
+    assert len(memo) == protocol.KEYSTREAM_KEYS
+    assert len(memo[first].prefix) == protocol._KEYSTREAM_FIRST
+    assert len(memo[first].state) == 256
 
 
 # -- framing ------------------------------------------------------------------
@@ -249,6 +371,94 @@ def test_transport_error_response(transport):
     assert out["retryable"] is False
 
 
+def test_tunnel_refuses_cleartext_from_a_keyed_user():
+    """The key is the credential: without it nobody speaks for bob."""
+    served = []
+    reg = ServletRegistry()
+    reg.register("whoami", lambda req: served.append(req) or {"you": req["user_id"]})
+    transport = HttpTunnelTransport(reg)
+    transport.set_key("bob", b"bobs-key")
+    forged = encode_message({"servlet": "whoami", "user_id": "bob"})
+    response = decode_message(transport._serve(forged, "bob"), key=b"bobs-key")
+    assert response["status"] == "error"
+    assert response["error_code"] == "bad_request"
+    assert served == []
+    # Bob himself, and keyless users, are served as before.
+    assert transport.request("bob", {"servlet": "whoami"})["you"] == "bob"
+    assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
+    assert len(served) == 2
+
+
+def test_decode_refuses_cleartext_when_a_key_is_supplied():
+    with pytest.raises(ProtocolError) as exc_info:
+        decode_message(encode_message({"a": 1}), key=b"k")
+    assert exc_info.value.code == "bad_request"
+
+
+def test_tunnel_rejects_an_empty_key(transport):
+    with pytest.raises(ValueError):
+        transport.set_key("bob", b"")
+    assert transport.key_for("bob") is None
+    assert transport.request("bob", {"servlet": "whoami"})["you"] == "bob"
+
+
+# -- the wire is what it was -------------------------------------------------------
+
+def test_mixed_stream_frames_equal_the_reference(monkeypatch):
+    """Every request and response of the benchmark's seed-7 ``mixed``
+    stream, replayed in process on two shards: the frame the keyed
+    encoder writes is the frame the per-byte cipher wrote, and it decodes
+    back to the payload."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = importlib.import_module("workloads")
+    mixed = workloads.Mixed()
+    archive = build_workload(seed=workloads.ARCHIVE_SEED, **mixed.sizes(False))
+    mixed.plan(archive, 7, 15.0)
+    keys = {user: bytes.fromhex(key) for user, key in mixed.keys.items()}
+
+    fetch = corpus_fetcher(archive.corpus)
+    servers = [MemexServer(fetch) for _ in range(mixed.shards)]
+    dispatcher = ShardDispatcher([LocalBackend(s.registry) for s in servers])
+    try:
+        tunnel = HttpTunnelTransport(servers[0].registry, dispatcher=dispatcher)
+        surfers = [p.user_id for p in archive.profiles]
+        for user in dict.fromkeys(surfers + mixed.schedule_users):
+            response = tunnel.request(user, {
+                "servlet": "register_user", "community": archive.name,
+                "archive_mode": "community",
+            })
+            assert response["status"] == "ok", response
+        replay_events(
+            archive.events, lambda user: MemexApplet(tunnel, user),
+            batch_size=32)
+        for server in servers:
+            server.process_background_work()
+
+        frames = encrypted_bytes = 0
+        for req in mixed.requests:
+            if isinstance(req.payload, list):
+                request = {"servlet": BATCH_SERVLET, "user_id": req.user,
+                           "requests": req.payload}
+            else:
+                request = {**req.payload, "user_id": req.user}
+            response = dispatcher.dispatch(request)
+            assert response["status"] == "ok", response
+            key = keys[req.user]
+            for payload in (request, response):
+                frame = encode_message(payload, key=key)
+                assert frame == _reference_encode_message(payload, key)
+                assert decode_message(frame, key=key) \
+                    == _reference_decode_message(frame, key)
+                frames += 1
+                encrypted_bytes += len(frame) - 5
+    finally:
+        dispatcher.close()
+        for server in servers:
+            server.close()
+    assert frames == 2 * len(mixed.requests) == 1500
+    assert encrypted_bytes > 500_000
+
+
 # -- protocol versioning ----------------------------------------------------------
 
 def test_v1_frames_still_decode():
@@ -269,14 +479,6 @@ def test_v1_frames_still_decode():
     assert decode_message(v1_enc, key=key) == payload
 
 
-def test_v1_explicit_version_encodes():
-    from repro.server.protocol import PROTOCOL_V1, frame_version
-
-    wire = encode_message({"a": 1}, version=PROTOCOL_V1)
-    assert frame_version(wire[4]) == PROTOCOL_V1
-    assert decode_message(wire) == {"a": 1}
-
-
 def test_current_frames_stamp_version():
     from repro.server.protocol import PROTOCOL_VERSION, frame_version
 
@@ -295,9 +497,6 @@ def test_future_version_rejected_with_typed_error():
     with pytest.raises(ProtocolError) as exc_info:
         decode_message(bytes(wire))
     assert exc_info.value.code == "unsupported_version"
-    # And the encoder refuses to emit versions it does not speak.
-    with pytest.raises(ProtocolError):
-        encode_message({"a": 1}, version=99)
     assert struct.unpack_from("<I", wire)[0] == len(wire) - 4
 
 

@@ -7,6 +7,8 @@ owner-shard request for a dead shard fails with a retryable typed
 error, and routing resumes once the supervisor restarts the worker.
 """
 
+import time
+
 import pytest
 
 from repro.core import MemexSystem
@@ -14,6 +16,7 @@ from repro.core.api import corpus_fetcher
 from repro.core.memex import MemexServer
 from repro.errors import CODE_UNAVAILABLE
 from repro.server.daemons import FetchedPage
+from repro.server.events import VisitEvent
 from repro.shard import MemexCluster
 from repro.webgen import build_workload
 
@@ -168,3 +171,26 @@ def test_register_user_broadcasts_to_every_shard():
         st = cluster.request("alice", {"servlet": "stats"})
         assert st["status"] == "ok"
         assert set(st["by_shard"]) == {"0", "1"}
+
+
+def test_more_users_than_router_workers_do_not_wait_out_the_idle_timeout():
+    """The router parks a worker per open connection.  The cluster's own
+    transport used to keep one per user for ever, so user
+    ``router_workers + 1`` sat in the accept queue until the 30 s idle
+    timeout freed a worker; its pool is now bounded by the worker count."""
+    users = [f"user{i:02d}" for i in range(4)]
+    events = [
+        VisitEvent(user, float(10 * j + i), f"http://p{(i + j) % 12:02d}/")
+        for j in range(3) for i, user in enumerate(users)
+    ]
+    started = time.monotonic()
+    with MemexCluster(
+        _page_factory(), 1, router_workers=2, tick_interval=None, monitor=False,
+    ) as cluster:
+        for user in users:
+            cluster.register_user(user)
+        counts = cluster.replay(events)
+        assert counts["visit"] == len(events)
+        assert cluster.stats(users[-1])["visits"] == len(events)
+        assert len(cluster.transport._conns) < 2
+    assert time.monotonic() - started < 15.0
