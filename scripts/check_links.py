@@ -5,7 +5,8 @@ Walks every ``*.md`` under the repo root (skipping dot-directories),
 extracts inline links and images (``[text](target)``), and verifies that
 relative targets exist on disk.  External links (``http(s)://``,
 ``mailto:``) and pure in-page anchors (``#section``) are skipped — CI
-must not depend on the network.  Fragments on local links are stripped
+must not depend on the network.  Inline code spans and fenced blocks
+are not scanned.  Fragments on local links are stripped
 before the existence check (``DESIGN.md#substitutions`` checks
 ``DESIGN.md``).
 
@@ -25,6 +26,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # Reference definitions ([id]: target) are rare here and intentionally
 # out of scope; everything in this repo uses inline style.
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+# Inline code spans are examples, not references: `TABLE["key"](arg)`.
+CODE_SPAN_RE = re.compile(r"`[^`]*`")
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 
@@ -47,7 +50,7 @@ def check_file(path: Path) -> list[str]:
             continue
         if in_fence:
             continue
-        for match in LINK_RE.finditer(line):
+        for match in LINK_RE.finditer(CODE_SPAN_RE.sub("", line)):
             target = match.group(1)
             if target.startswith(SKIP_PREFIXES):
                 continue

@@ -1,0 +1,240 @@
+"""The archiving servlets — accounts, visits, bookmarks and folders: §3's
+"guaranteed immediate processing" events, each a few catalog writes under
+the server's clock plus a crawl-queue entry for the daemons."""
+
+from __future__ import annotations
+
+from typing import Any
+
+from ..errors import error_payload
+from ..storage.repository import MemexRepository
+from ..storage.schema import (
+    ARCHIVE_COMMUNITY,
+    ARCHIVE_OFF,
+    ASSOC_BOOKMARK,
+    ASSOC_CORRECTION,
+    ASSOC_GUESS,
+)
+from .request import Request, Response, Server, User, require_user
+from .sessions import assign_session_ids
+
+
+# -- folder ids and paths -------------------------------------------------------
+
+def folder_id(owner: str, path: str) -> str:
+    canonical = "/".join(p for p in path.split("/") if p)
+    return f"{owner}:{canonical}"
+
+
+def folder_path(folder: str) -> str:
+    return folder.split(":", 1)[1] if ":" in folder else folder
+
+
+def ensure_folder(server: Server, owner: str, path: str, at: float) -> str:
+    """The id of *owner*'s folder at *path*, creating what is missing."""
+    parts = [p for p in path.split("/") if p]
+    parent: str | None = None
+    built: list[str] = []
+    with server._server_lock:
+        for part in parts:
+            built.append(part)
+            fid = folder_id(owner, "/".join(built))
+            if server.repo.db.table("folders").get(fid) is None:
+                server.repo.add_folder(fid, owner, part, parent, now=at)
+            parent = fid
+    if parent is None:
+        raise ValueError("empty folder path")
+    return parent
+
+
+def drop_guesses(repo: MemexRepository, owner: str, url: str) -> int:
+    """Delete the classifier's guesses filing *url* in *owner*'s folders
+    (a deliberate filing supersedes them); returns how many went."""
+    dropped = 0
+    for row in repo.page_folders(url):
+        if row["source"] == ASSOC_GUESS:
+            folder = repo.db.table("folders").get(row["folder_id"])
+            if folder is not None and folder["owner"] == owner:
+                repo.db.delete("folder_pages", row["assoc_id"])
+                dropped += 1
+    return dropped
+
+
+# -- account management ----------------------------------------------------------
+
+def serve_register_user(server: Server, user: None, request: Request) -> Response:
+    user_id = request["user_id"]
+    with server._server_lock:
+        if server.repo.get_user(user_id) is not None:
+            return {"created": False}
+        at = server.advance(request.get("at"))
+        server.repo.add_user(
+            user_id,
+            name=request.get("name"),
+            community=request.get("community"),
+            archive_mode=request.get("archive_mode", ARCHIVE_COMMUNITY),
+            now=at,
+        )
+    return {"created": True}
+
+
+def serve_set_archive_mode(server: Server, user: User, request: Request) -> Response:
+    server.repo.set_archive_mode(user["user_id"], request["mode"])
+    return {"mode": request["mode"]}
+
+
+# -- archiving -----------------------------------------------------------------------
+
+def serve_visit(server: Server, user: User, request: Request) -> Response:
+    mode = user["archive_mode"]
+    if mode == ARCHIVE_OFF:
+        return {"archived": False}
+    at = server.advance(request.get("at"))
+    url = request["url"]
+    origin = server.origin()
+    server.repo.upsert_page(url, now=at)
+    visit_id = server.repo.record_visit(
+        user["user_id"], url,
+        at=at,
+        session_id=int(request.get("session_id", 0)),
+        referrer=request.get("referrer"),
+        archive_mode=mode,
+        origin=origin,
+    )
+    server.crawler.enqueue(url, origin=origin)
+    return {"archived": True, "visit_id": visit_id}
+
+
+def serve_visit_batch(server: Server, requests: list[Request]) -> list[Response]:
+    """Batch leg of the visit servlet: per-item semantics identical to
+    :func:`serve_visit` (auth, archive-off, clock clamping, crawl
+    enqueue) but ONE repository group commit — one WAL record and one
+    fsync — for the whole run instead of several per event.  Invalid
+    items get typed per-item errors; valid neighbours still commit.
+    """
+    responses: list[dict[str, Any] | None] = [None] * len(requests)
+    items: list[dict[str, Any]] = []
+    slots: list[int] = []
+    for i, request in enumerate(requests):
+        try:
+            user = require_user(server.repo, request)
+            mode = user["archive_mode"]
+            if mode == ARCHIVE_OFF:
+                responses[i] = {"archived": False}
+                continue
+            url = request["url"]
+            at = server.advance(request.get("at"))
+            items.append({
+                "user_id": user["user_id"],
+                "url": url,
+                "at": at,
+                "session_id": int(request.get("session_id", 0)),
+                "referrer": request.get("referrer"),
+                "archive_mode": mode,
+                # Per-item origin: each envelope item carries its own
+                # traceparent (already validated by dispatch_batch).
+                "origin": request.get("traceparent"),
+            })
+            slots.append(i)
+        except Exception as exc:  # noqa: BLE001 - per-item isolation
+            responses[i] = error_payload(exc)
+    visit_ids = server.repo.record_visit_batch(items)
+    for item in items:
+        server.crawler.enqueue(item["url"], origin=item["origin"])
+    for slot, visit_id in zip(slots, visit_ids):
+        responses[slot] = {"archived": True, "visit_id": visit_id}
+    return responses
+
+
+def serve_import_history(server: Server, user: User, request: Request) -> Response:
+    """Bulk-import a raw browser history: timestamped URLs with no
+    session structure.  Visits are archived with ``session_id = 0``,
+    then the 30-minute gap rule (core.sessions) reconstructs sessions
+    so the trail/context tabs work on pre-Memex history too."""
+    mode = user["archive_mode"]
+    if mode == ARCHIVE_OFF:
+        return {"imported": 0, "sessions_assigned": 0}
+    origin = server.origin()
+    # One group commit (page upserts + visit rows) for the whole
+    # import, not two transactions per entry.
+    items = [
+        {
+            "user_id": user["user_id"],
+            "url": entry["url"],
+            "at": server.advance(entry["at"]),
+            "session_id": 0,
+            "referrer": entry.get("referrer"),
+            "archive_mode": mode,
+            "origin": origin,
+        }
+        for entry in request["entries"]
+    ]
+    server.repo.record_visit_batch(items)
+    for item in items:
+        server.crawler.enqueue(item["url"], origin=origin)
+    assigned = assign_session_ids(server.repo, user["user_id"])
+    return {"imported": len(items), "sessions_assigned": assigned}
+
+
+def serve_bookmark(server: Server, user: User, request: Request) -> Response:
+    at = server.advance(request.get("at"))
+    url = request["url"]
+    folder = ensure_folder(server, user["user_id"], request["folder_path"], at)
+    server.repo.upsert_page(url, now=at)
+    drop_guesses(server.repo, user["user_id"], url)
+    assoc_id = server.repo.associate(folder, url, ASSOC_BOOKMARK, now=at)
+    server.crawler.enqueue(url, origin=server.origin())
+    return {"assoc_id": assoc_id, "folder_id": folder}
+
+
+def serve_folder_create(server: Server, user: User, request: Request) -> Response:
+    at = server.advance(request.get("at"))
+    folder = ensure_folder(server, user["user_id"], request["path"], at)
+    return {"folder_id": folder}
+
+
+def serve_folder_move(server: Server, user: User, request: Request) -> Response:
+    """Cut/paste correction: strongest supervision for the classifier."""
+    at = server.advance(request.get("at"))
+    url = request["url"]
+    owner = user["user_id"]
+    if request.get("from_folder"):
+        src = folder_id(owner, request["from_folder"])
+        removed = server.repo.dissociate(src, url)
+    else:
+        removed = drop_guesses(server.repo, owner, url)
+    dst = ensure_folder(server, owner, request["to_folder"], at)
+    assoc_id = server.repo.associate(dst, url, ASSOC_CORRECTION, now=at)
+    # Corrections also relabel this user's visits of the page.
+    server.repo.classify_visits([
+        (visit["visit_id"], dst, 1.0)
+        for visit in server.repo.db.table("visits").select(
+            {"user_id": owner, "url": url}
+        )
+    ])
+    return {"assoc_id": assoc_id, "removed": removed, "folder_id": dst}
+
+
+def serve_folders_get(server: Server, user: User, request: Request) -> Response:
+    folders = []
+    for row in sorted(
+        server.repo.user_folders(user["user_id"]), key=lambda r: r["folder_id"]
+    ):
+        items = [
+            {
+                "url": assoc["url"],
+                "source": assoc["source"],
+                "confidence": assoc["confidence"],
+                "guess": assoc["source"] == ASSOC_GUESS,
+            }
+            for assoc in sorted(
+                server.repo.folder_pages(row["folder_id"]),
+                key=lambda a: a["assoc_id"],
+            )
+        ]
+        folders.append({
+            "path": folder_path(row["folder_id"]),
+            "name": row["name"],
+            "items": items,
+        })
+    return {"folders": folders}

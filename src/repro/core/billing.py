@@ -14,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from ..storage.repository import MemexRepository
+from .request import DAY, Request, Response, Server, User
 
 # Average non-text payload (markup, inline images) added to every page, in
 # bytes — late-90s pages averaged a few tens of KB.
@@ -94,3 +95,13 @@ def bill_breakdown(
     ]
     lines.sort(key=lambda l: (l.category == UNCLASSIFIED, -l.amount, l.category))
     return lines
+
+
+def serve_bill(server: Server, user: User, request: Request) -> Response:
+    days = float(request["days"])
+    lines = bill_breakdown(
+        server.repo, user["user_id"],
+        since=server.now - days * DAY,
+        monthly_rate=float(request.get("monthly_rate", 20.0)),
+    )
+    return {"lines": [l.to_payload() for l in lines]}

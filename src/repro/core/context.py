@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..storage.repository import MemexRepository
-from .trails import TrailEdge, TrailGraph, TrailNode
+from .request import Request, Response, Server, User
+from .trails import TrailEdge, TrailGraph, TrailNode, user_folder_ids
 
 
 @dataclass
@@ -125,3 +126,17 @@ def context_neighborhood(
                 seen_edges.add((url, dst))
                 graph.edges.append(TrailEdge(src=url, dst=dst, hyperlink=True))
     return graph
+
+
+def serve_context(server: Server, user: User, request: Request) -> Response:
+    owner = user["user_id"]
+    folder_ids = user_folder_ids(server.repo, owner, request["folder_path"])
+    session = recall_session(server.repo, owner, folder_ids)
+    if session is None:
+        return {"found": False, "session": None, "neighborhood": None}
+    graph = context_neighborhood(server.repo, session)
+    return {
+        "found": True,
+        "session": session.to_payload(),
+        "neighborhood": graph.to_payload(),
+    }

@@ -18,7 +18,11 @@ from dataclasses import dataclass, field
 from ..errors import EmptyCorpus
 from ..mining.hac import hac
 from ..server.daemons import PageVectorizer
+from ..storage.schema import ASSOC_CORRECTION
 from ..text.vectorize import SparseVector, centroid, normalize, top_terms
+from .archive import ensure_folder, folder_id
+from .request import Request, Response, Server, User
+from .trails import user_folder_ids
 
 
 @dataclass
@@ -170,7 +174,7 @@ def propose_hierarchy(
 
 
 def apply_proposal(
-    server,
+    server: Server,
     owner: str,
     base_path: str,
     proposal: ProposedFolder,
@@ -182,11 +186,9 @@ def apply_proposal(
     Creates the proposed subfolders and re-files each URL from the base
     folder into its proposed home as a *correction* (it is a deliberate
     user gesture, the strongest supervision).  Returns how many items
-    moved.  ``server`` is a :class:`repro.core.memex.MemexServer`.
+    moved.
     """
-    from ..storage.schema import ASSOC_CORRECTION
-
-    base_id = server.folder_id(owner, base_path)
+    base_id = folder_id(owner, base_path)
     moved = 0
 
     def place(folder: ProposedFolder, path: str) -> None:
@@ -196,7 +198,7 @@ def apply_proposal(
                 target_path = f"{base_path}/{path}"
             else:
                 target_path = base_path
-            target_id = server._ensure_folder(owner, target_path, at)
+            target_id = ensure_folder(server, owner, target_path, at)
             if target_id != base_id:
                 server.repo.dissociate(base_id, url)
                 server.repo.associate(
@@ -209,3 +211,30 @@ def apply_proposal(
 
     place(proposal, "")
     return moved
+
+
+def serve_propose_hierarchy(server: Server, user: User, request: Request) -> Response:
+    """§2: propose a topic hierarchy over one folder's links."""
+    folder_ids = user_folder_ids(
+        server.repo, user["user_id"], request["folder_path"])
+    urls = sorted({
+        row["url"] for fid in folder_ids for row in server.repo.folder_pages(fid)
+    })
+    if not urls:
+        return {"proposal": None, "reason": "folder is empty"}
+    proposal = propose_hierarchy(
+        server.vectorizer, urls,
+        min_cluster=int(request.get("min_cluster", 3)),
+        max_depth=int(request.get("max_depth", 3)),
+    )
+    return {"proposal": proposal.to_payload()}
+
+
+def serve_apply_hierarchy(server: Server, user: User, request: Request) -> Response:
+    """Accept a proposed reorganization: folders created, items moved."""
+    at = server.advance(request.get("at"))
+    proposal = ProposedFolder.from_payload(request["proposal"])
+    moved = apply_proposal(
+        server, user["user_id"], request["folder_path"], proposal, at=at,
+    )
+    return {"moved": moved}

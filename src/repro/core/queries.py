@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .memex import DAY, MemexServer
+from .memex import MemexServer
+from .request import DAY
 
 
 @dataclass

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Any
 
 from ..mining.hac import cluster_vectors
-from ..mining.themes import ThemeTaxonomy
+from ..mining.themes import Theme, ThemeTaxonomy
 from ..server.daemons import PageVectorizer
 from ..storage.repository import MemexRepository
-from .profiles import UserProfile, engagement, profile_similarity
+from ..text.vectorize import text_vector
+from .profiles import UserProfile, engagement, profile_similarity, similar_users
+from .request import DAY, Request, Response, Server, User, top_k
 
 
 @dataclass
@@ -123,3 +126,111 @@ def cluster_users(
     out = [[with_mass[i] for i in group] for group in groups]
     out.extend([[u] for u in empty])
     return out
+
+
+# -- the community-mining servlets ---------------------------------------------------
+
+def match_theme(server: Server, query: str) -> tuple[Theme | None, float]:
+    """Best (theme, similarity) for a free-text topic query."""
+    taxonomy = server.themes.taxonomy
+    if taxonomy is None:
+        return None, 0.0
+    qvec = text_vector(server.vectorizer.vocab, query)
+    if not qvec:
+        return None, 0.0
+    best, best_sim = None, 0.0
+    for theme, sim in zip(taxonomy.leaves(), taxonomy.similarities(qvec)):
+        if sim > best_sim:
+            best, best_sim = theme, sim
+    return best, best_sim
+
+
+def serve_themes_get(server: Server, user: User, request: Request) -> Response:
+    taxonomy = server.themes.taxonomy
+    if taxonomy is None:
+        return {"themes": []}
+
+    def payload(theme: Theme, depth: int) -> dict[str, Any]:
+        return {
+            "theme_id": theme.theme_id,
+            "label": theme.label,
+            "depth": depth,
+            "folders": [list(f) for f in theme.folders],
+            "num_users": theme.num_users,
+            "weight": theme.weight,
+            "children": [payload(c, depth + 1) for c in theme.children],
+        }
+
+    return {"themes": [payload(t, 0) for t in taxonomy.roots]}
+
+
+def serve_resources(server: Server, user: User, request: Request) -> Response:
+    k = top_k(request, 10)
+    theme, sim = match_theme(server, request["query"])
+    if theme is None or sim <= 0.0:
+        return {"resources": [], "theme": None}
+    since_days = request.get("since_days")
+    out = []
+    for res in server.discovery.for_theme(theme.theme_id):
+        if since_days is not None and res.first_seen < server.now - float(since_days) * DAY:
+            continue
+        page = server.repo.db.table("pages").get(res.url)
+        out.append({
+            "url": res.url,
+            "title": (page or {}).get("title"),
+            "score": res.score,
+            "authority": res.authority,
+            "similarity": res.similarity,
+            "first_seen": res.first_seen,
+        })
+        if len(out) >= k:
+            break
+    return {"resources": out, "theme": theme.theme_id, "theme_label": theme.label}
+
+
+def serve_profile_similar(server: Server, user: User, request: Request) -> Response:
+    k = top_k(request, 5)
+    ranked = similar_users(server.current_profiles(), user["user_id"], k=k)
+    return {"users": [{"user_id": u, "similarity": s} for u, s in ranked]}
+
+
+def serve_interest_mates(server: Server, user: User, request: Request) -> Response:
+    k = top_k(request, 5)
+    theme, sim = match_theme(server, request["query"])
+    if theme is None or sim <= 0.0:
+        return {"users": [], "theme": None}
+    exclude_theme = None
+    if request.get("exclude_query"):
+        exclude_theme, ex_sim = match_theme(server, request["exclude_query"])
+        if ex_sim <= 0.0:
+            exclude_theme = None
+    scored = []
+    for other, profile in server.current_profiles().items():
+        if other == user["user_id"]:
+            continue
+        weight = profile.weights.get(theme.theme_id, 0.0)
+        if weight <= 0.0:
+            continue
+        if (
+            exclude_theme is not None
+            and profile.weights.get(exclude_theme.theme_id, 0.0) > 0.2
+        ):
+            continue
+        scored.append({"user_id": other, "interest": weight})
+    scored.sort(key=lambda d: (-d["interest"], d["user_id"]))
+    return {
+        "users": scored[:k],
+        "theme": theme.theme_id,
+        "theme_label": theme.label,
+    }
+
+
+def serve_recommend(server: Server, user: User, request: Request) -> Response:
+    k = top_k(request, 10)
+    # One read: the taxonomy the profiles were built from, not whatever
+    # ThemeDaemon has swapped in since.
+    taxonomy, profiles = server.profiles_and_taxonomy()
+    recs = recommend_pages(
+        server.repo, server.vectorizer, taxonomy, profiles, user["user_id"], k=k,
+    )
+    return {"pages": [r.to_payload() for r in recs]}

@@ -14,12 +14,23 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from ..errors import NotFitted
+from ..mining.linkanalysis import popular_near
+from ..server.daemons import link_graph
 from ..storage.repository import MemexRepository
 from ..storage.schema import (
     ARCHIVE_COMMUNITY,
     ASSOC_BOOKMARK,
     ASSOC_CORRECTION,
 )
+from ..text.vectorize import centroid, cosine
+from .archive import folder_id
+from .request import DAY, Request, Response, Server, User, top_k
+from .search import hit_payload
+
+#: Which of a folder's own members sets the similarity floor for community
+#: pages joining its trail (see :func:`community_pages_for_folder`).
+SIMILARITY_QUANTILE = 0.25
 
 
 @dataclass
@@ -82,16 +93,24 @@ class TrailGraph:
         return len(self.nodes)
 
 
-def folder_and_descendants(repo: MemexRepository, folder_id: str) -> list[str]:
+def folder_and_descendants(repo: MemexRepository, root: str) -> list[str]:
     """The folder id plus every descendant folder id."""
-    out = [folder_id]
-    frontier = [folder_id]
+    out = [root]
+    frontier = [root]
     while frontier:
         parent = frontier.pop()
         for row in repo.db.table("folders").select({"parent": parent}):
             out.append(row["folder_id"])
             frontier.append(row["folder_id"])
     return out
+
+
+def user_folder_ids(repo: MemexRepository, owner: str, path: str) -> list[str]:
+    """*owner*'s folder at *path* and its descendants; none if no such folder."""
+    fid = folder_id(owner, path)
+    if repo.db.table("folders").get(fid) is None:
+        return []
+    return folder_and_descendants(repo, fid)
 
 
 def build_trail_graph(
@@ -198,4 +217,154 @@ def build_trail_graph(
         folder_paths=folder_paths or [],
         nodes=nodes,
         edges=edges,
+    )
+
+
+# -- the trail servlets -----------------------------------------------------------
+
+def community_pages_for_folder(
+    server: Server,
+    owner: str,
+    folder_ids: list[str],
+    *,
+    since: float | None = None,
+) -> set[str]:
+    """Community-visited pages 'most likely to belong to the selected
+    topic': other users' public pages run through MY folder model,
+    with a calibrated absolute-similarity floor.
+
+    The classifier alone cannot reject out-of-domain pages (it has no
+    reject class, and naive-Bayes posteriors saturate on long
+    documents), so a page must ALSO be at least as similar to the
+    folder's centroid as the folder's own
+    :data:`SIMILARITY_QUANTILE`-worst deliberate member — a per-folder
+    calibration with no magic constants.
+
+    Per-page predictions — the hot inner loop of trail replay and
+    popular-near-trail — are served from the classify cache keyed
+    (owner, url, model version): a page's vector never changes after
+    its first fetch, so the key fully determines the decision.
+    """
+    repo, vectorizer = server.repo, server.vectorizer
+    try:
+        model = server.classifier.model_for(owner)
+    except NotFitted:
+        return set()
+    folder_set = set(folder_ids)
+    member_vecs = []
+    for fid in folder_ids:
+        for row in repo.folder_pages(
+            fid, sources=(ASSOC_BOOKMARK, ASSOC_CORRECTION),
+        ):
+            vec = vectorizer.tfidf_vector(row["url"])
+            if vec is not None:
+                member_vecs.append(vec)
+    if not member_vecs:
+        return set()
+    center = centroid(member_vecs)
+    member_sims = sorted(cosine(v, center) for v in member_vecs)
+    floor = member_sims[int(SIMILARITY_QUANTILE * (len(member_sims) - 1))]
+
+    model_version = server.classifier.model_version(owner)
+
+    out: set[str] = set()
+    seen: set[str] = set()
+    for visit in repo.community_visits(since=since):
+        if visit["user_id"] == owner or visit["url"] in seen:
+            continue
+        seen.add(visit["url"])
+        url = visit["url"]
+        vec = vectorizer.vector(url)
+        if vec is None:
+            continue
+        tvec = vectorizer.tfidf_vector(url)
+        if tvec is None or cosine(tvec, center) < floor:
+            continue
+        # Independent per-page prediction: batch relaxation would let
+        # confidently-wrong labels cascade through off-topic clusters.
+        folder = server.cached(
+            "classify", (owner, url, model_version),
+            lambda: model.predict(url, vec)[0],
+        )
+        if folder in folder_set:
+            out.add(url)
+    return out
+
+
+def trail_graph(
+    server: Server, owner: str, path: str, window_days: float,
+) -> TrailGraph:
+    """The owner's trail over one folder subtree plus the community
+    pages their folder model claims for it, over the last
+    *window_days* of simulation time."""
+    folder_ids = user_folder_ids(server.repo, owner, path)
+    since = server.now - window_days * DAY
+    include = community_pages_for_folder(server, owner, folder_ids, since=since)
+    return build_trail_graph(
+        server.repo, folder_ids,
+        folder_paths=[path], since=since,
+        user_id=owner, include_urls=include,
+    )
+
+
+def trail_extra(server: Server, owner: str) -> tuple:
+    """Non-versioned validity stamps for trail-shaped read paths:
+    every UI-write counter the replay reads, the owner's classifier
+    model version, and the simulation clock (recency windows are
+    anchored to *now*, which only moves with incoming events)."""
+    stamps = server.repo.stamps
+    return (
+        stamps.visits, stamps.assocs, stamps.classifications,
+        stamps.folders, stamps.pages, stamps.links,
+        server.classifier.model_version(owner), server.now,
+    )
+
+
+def serve_trail(server: Server, user: User, request: Request) -> Response:
+    """Trail replay for one topic folder (Figure 1's surf-trail view).
+
+    Cached per (owner, folder path, window); validity is the indexer
+    and classifier watermarks plus every change stamp the replay
+    reads (visits, folder structure, associations, classifications,
+    pages, links), the owner's model version, and the simulation
+    clock the window anchors to.
+    """
+    owner = user["user_id"]
+    path = request["folder_path"]
+    window_days = float(request.get("window_days", 14.0))
+
+    def compute() -> Response:
+        return {"trail": trail_graph(server, owner, path, window_days).to_payload()}
+
+    return server.cached(
+        "trails", ("trail", owner, path, window_days), compute,
+        extra=trail_extra(server, owner),
+    )
+
+
+def serve_popular_near_trail(server: Server, user: User, request: Request) -> Response:
+    """Abstract's query: 'popular pages in or near my community's
+    recent trail graph related to <topic>' — HITS authorities on the
+    trail neighborhood."""
+    owner = user["user_id"]
+    path = request["folder_path"]
+    window_days = float(request.get("window_days", 30.0))
+    k = top_k(request, 10)
+    hops = int(request.get("hops", 1))
+
+    def compute() -> Response:
+        seeds = set(trail_graph(server, owner, path, window_days).nodes)
+        if not seeds:
+            return {"pages": []}
+        ranked = popular_near(link_graph(server.repo), seeds, k=k, hops=hops)
+        return {
+            "pages": [
+                {**hit_payload(server.repo, url, score), "in_trail": url in seeds}
+                for url, score in ranked
+            ]
+        }
+
+    return server.cached(
+        "trails", ("popular", owner, path, window_days, k, hops), compute,
+        extra=trail_extra(server, owner),
     )

@@ -30,7 +30,7 @@ CODE_UNAVAILABLE = "unavailable"
 CODE_INTERNAL = "internal"
 
 #: The canonical registry: code -> (retryable, client-facing description).
-#: ``scripts/gen_error_table.py`` renders this into the table in
+#: ``scripts/gen_protocol_tables.py`` renders this into the table in
 #: ``docs/PROTOCOL.md``; CI fails when the two drift apart.
 CODE_REGISTRY: dict[str, tuple[bool, str]] = {
     CODE_BAD_REQUEST: (

@@ -197,6 +197,28 @@ class ServletRegistry:
             threshold=threshold, spans=spans,
         )
 
+    def _answer(
+        self, name: str, handler: Handler, request: Any,
+    ) -> dict[str, Any]:
+        """The servlet isolation boundary, shared by single, per-item and
+        grouped dispatch: an exception becomes a typed error payload with
+        its traceback; a response without a status gets ``ok`` stamped on
+        a copy (handlers may return cached/shared dicts, and mutating
+        those in place corrupts the handler); an ok answer is counted."""
+        try:
+            response = handler(request)
+        except Exception as exc:  # noqa: BLE001 - servlet isolation boundary
+            return {
+                **error_payload(exc),
+                "traceback": traceback.format_exc(limit=5),
+            }
+        if "status" not in response:
+            response = {**response, "status": "ok"}
+        if response["status"] == "ok":
+            with self._registry_lock:
+                self._counts[name] = self._counts.get(name, 0) + 1
+        return response
+
     # -- single dispatch ----------------------------------------------------
 
     def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -221,35 +243,24 @@ class ServletRegistry:
             return error_payload(exc)
         clock = self._clock
         start = clock()
-        failure: dict[str, Any] | None = None
         with self.tracer.span(span_name, parent=parent) as span:
-            try:
-                response = self._handlers[name](request)
-            except Exception as exc:  # noqa: BLE001 - servlet isolation boundary
+            response = self._answer(name, self._handlers[name], request)
+            failed = response["status"] != "ok"
+            if failed:
                 span.set("status", "error")
                 self.log.error(
-                    "servlet_error", servlet=name,
-                    error=f"{type(exc).__name__}: {exc}",
+                    "servlet_error", servlet=name, error=response.get("error"),
                 )
-                failure = {
-                    **error_payload(exc),
-                    "traceback": traceback.format_exc(limit=5),
-                }
         elapsed = clock() - start
         latency.observe(elapsed)
         self._maybe_log_slow(name, elapsed, span)
-        if failure is not None:
+        if failed:
             errors.inc()
-            with self._registry_lock:
-                self.requests_failed += 1
-            return failure
         with self._registry_lock:
-            self.requests_served += 1
-            self._counts[name] = self._counts.get(name, 0) + 1
-        if "status" not in response:
-            # Copy before annotating: handlers may return cached/shared
-            # dicts, and mutating those in place corrupts the handler.
-            response = {**response, "status": "ok"}
+            if failed:
+                self.requests_failed += 1
+            else:
+                self.requests_served += 1
         return response
 
     # -- batch dispatch -----------------------------------------------------
@@ -391,15 +402,12 @@ class ServletRegistry:
                 )
         except Exception:  # noqa: BLE001 - degrade to per-item isolation
             return [self._dispatch_item(item) for item in group]
-        out = []
-        for response in responses:
-            if "status" not in response:
-                response = {**response, "status": "ok"}
-            out.append(response)
-            if response.get("status") == "ok":
-                with self._registry_lock:
-                    self._counts[name] = self._counts.get(name, 0) + 1
-        return out
+        # The batch handler has answered; each answer still passes the
+        # boundary a single dispatch's does.
+        return [
+            self._answer(name, lambda _item, response=response: response, item)
+            for item, response in zip(group, responses)
+        ]
 
     def _dispatch_item(self, request: Any) -> dict[str, Any]:
         """Per-item core of batch dispatch: isolation without per-item
@@ -415,19 +423,7 @@ class ServletRegistry:
             self._unknown_counter.inc()
             return _error_response(
                 f"unknown servlet {name!r}", CODE_UNKNOWN_SERVLET)
-        try:
-            response = self._handlers[name](request)
-        except Exception as exc:  # noqa: BLE001 - servlet isolation boundary
-            return {
-                **error_payload(exc),
-                "traceback": traceback.format_exc(limit=5),
-            }
-        if "status" not in response:
-            response = {**response, "status": "ok"}
-        if response.get("status") == "ok":
-            with self._registry_lock:
-                self._counts[name] = self._counts.get(name, 0) + 1
-        return response
+        return self._answer(name, self._handlers[name], request)
 
     # -- introspection ------------------------------------------------------
 

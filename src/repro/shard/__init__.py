@@ -3,27 +3,20 @@
 The subsystem that takes the single-process Memex server to a worker
 fleet: a consistent-hash ring maps each user to one shard
 (:mod:`.ring`), the one routing code path both deployment shapes share
-(:mod:`.gather`), per-shard worker processes (:mod:`.worker`) under a
-restarting supervisor (:mod:`.supervisor`), the key-terminating socket
-front door (:mod:`.router`), and the all-in-one deployment facade
-(:mod:`.cluster`).
+(:mod:`.gather`) and the merges it applies (:mod:`.merge`), per-shard
+worker processes (:mod:`.worker`) under a restarting supervisor
+(:mod:`.supervisor`), the key-terminating socket front door
+(:mod:`.router`), and the all-in-one deployment facade (:mod:`.cluster`).
 """
 
 from .cluster import MemexCluster
-from .gather import (
-    BROADCAST_SERVLETS,
-    SCATTER_SERVLETS,
-    LocalBackend,
-    ShardDispatcher,
-)
+from .gather import LocalBackend, ShardDispatcher
 from .ring import HashRing
 from .router import ShardRouter
 from .supervisor import ShardSupervisor
 from .worker import WorkerSpec
 
 __all__ = [
-    "BROADCAST_SERVLETS",
-    "SCATTER_SERVLETS",
     "HashRing",
     "LocalBackend",
     "MemexCluster",

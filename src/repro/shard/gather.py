@@ -14,21 +14,22 @@ deployment shapes:
   dispatcher over one :class:`~repro.server.transport.SocketTransport`
   per shard worker, with the supervisor's availability view plugged in.
 
-Routing classes (by servlet name):
+Routing classes — a servlet's is the ``routing`` of its row in
+:data:`repro.core.servlet_table.SERVLETS`; a name with no row is
+forwarded to the owner shard and answered ``unknown_servlet`` there:
 
 * **Owner** (default) — everything about one user's own archive (visit,
   bookmark, search, trail, ...) goes to the shard the consistent-hash
   ring assigns their ``user_id``.
-* **Broadcast** (:data:`BROADCAST_SERVLETS`) — account writes go to
-  *every* shard, owner first, because each shard authenticates
-  requests against its local ``users`` table during scatter.  A
-  broadcast needs the full cluster up; otherwise it fails with a
-  retryable ``unavailable`` error rather than leave a shard without
-  the user row.
-* **Scatter** (:data:`SCATTER_SERVLETS`) — community-mining reads fan
-  to every shard concurrently and merge deterministically (documented
-  per merger below).  A down shard degrades the answer instead of
-  failing it: the merged response carries ``partial: true`` plus the
+* **Broadcast** — account writes go to *every* shard, owner first,
+  because each shard authenticates requests against its local ``users``
+  table during scatter.  A broadcast needs the full cluster up;
+  otherwise it fails with a retryable ``unavailable`` error rather than
+  leave a shard without the user row.
+* **Scatter** — community-mining reads fan to every shard concurrently
+  and merge deterministically (documented per merger in
+  :mod:`repro.shard.merge`).  A down shard degrades the answer instead
+  of failing it: the merged response carries ``partial: true`` plus the
   failed shard ids.  Multi-shard merges always stamp ``shards`` (the
   fan-out width) so callers can tell a merged answer from a
   single-shard one.
@@ -44,14 +45,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Protocol
 
+from ..core.servlet_table import BROADCAST, OWNER, SCATTER, SERVLETS, Servlet
 from ..errors import CODE_UNAVAILABLE, ProtocolError, error_payload
-from ..obs.metrics import (
-    MetricsRegistry,
-    merge_histogram_raw,
-    merge_snapshots,
-    null_registry,
-    summarize_histogram_raw,
-)
+from ..obs.metrics import MetricsRegistry, null_registry
 from ..obs.tracing import (
     TraceContext,
     TraceParseError,
@@ -59,88 +55,14 @@ from ..obs.tracing import (
     null_tracer,
     parse_traceparent,
 )
-from ..retrieval.fusion import canonical_url
 from ..server.servlets import BATCH_SERVLET, ServletRegistry
 from .ring import HashRing
 
-#: Community-mining reads that fan out to every shard and merge.
-SCATTER_SERVLETS = frozenset({
-    "themes_get",
-    "resources",
-    "related_pages",
-    "profile_similar",
-    "interest_mates",
-    "recommend",
-    "popular_near_trail",
-    "stats",
-    "health",
-    "metrics_pull",
-})
-
-#: Account writes replicated to every shard (shard-local authentication).
-BROADCAST_SERVLETS = frozenset({"register_user", "set_archive_mode"})
-
-
-def _is_scatter(servlet: Any, request: dict[str, Any]) -> bool:
-    """Whether this request fans out to every shard.
-
-    ``search`` is normally owner-routed (one user's archive), but hybrid
-    mode folds in community trail evidence that lives on every shard, so
-    it scatters like the other community-mining reads.
-    """
-    if servlet in SCATTER_SERVLETS:
-        return True
-    return servlet == "search" and request.get("mode") == "hybrid"
-
-
-SEARCH_MODES = ("ranked", "boolean", "hybrid")
-SEARCH_SCOPES = ("all", "mine", "community")
-
-
-def search_options(request: dict[str, Any]) -> tuple[int, int, str, str]:
-    """``(limit, offset, mode, scope)`` of a ``search`` request.
-
-    A negative window or an unknown mode/scope raises ``ValueError``
-    (-> typed ``bad_request``) instead of silently ranking as BM25 over
-    everything under a cache key of its own.
-    """
-    k = int(request.get("k", 10))
-    limit = int(request.get("limit", k))
-    offset = int(request.get("offset", 0))
-    if limit < 0 or offset < 0:
-        raise ValueError("limit and offset must be non-negative")
-    mode = request.get("mode", "ranked")
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"mode must be one of {', '.join(SEARCH_MODES)}")
-    scope = request.get("scope", "all")
-    if scope not in SEARCH_SCOPES:
-        raise ValueError(f"scope must be one of {', '.join(SEARCH_SCOPES)}")
-    return limit, offset, mode, scope
-
-
-def _rewrite_search(request: dict[str, Any]) -> dict[str, Any]:
-    """The sub-request each shard answers during a scattered search.
-
-    Pagination must happen *after* the cross-shard merge dedups canonical
-    URLs — a shard that pre-paginates would hide hits the merger later
-    drops as duplicates, drifting ``total``/``has_more``.  So shards are
-    asked for their full ranked window and the merger re-paginates with
-    the caller's original offset/limit.
-
-    Validates the caller's request here, since the shards only ever see
-    the rewritten one and N identical ``bad_request`` replies would merge
-    into "no shard answered".
-    """
-    search_options(request)
-    return {**request, "offset": 0, "limit": 1_000_000}
-
-
-#: servlet -> scattered-sub-request rewrite (identity when absent).
-#: Applied only on the true multi-shard fan-out path; a one-shard
-#: cluster forwards the original request untouched (bit-identical
-#: responses to direct registry dispatch).
+#: servlet -> scattered-sub-request rewrite, as the table's rows declare
+#: it.  The dispatcher reads the row; this view is kept for
+#: ``bench/ladder.py``, which replays the sub-request each shard is sent.
 SCATTER_REWRITERS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
-    "search": _rewrite_search,
+    row.name: row.rewrite for row in SERVLETS.values() if row.rewrite is not None
 }
 
 
@@ -162,332 +84,6 @@ class LocalBackend:
 
 def _unavailable(detail: str) -> dict[str, Any]:
     return error_payload(ProtocolError(detail, code=CODE_UNAVAILABLE))
-
-
-def _ranked_merge(
-    rows_by_shard: list[tuple[int, list[dict[str, Any]]]],
-    *,
-    id_field: str,
-    score_field: str,
-    k: int,
-    combine: Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]] | None = None,
-    canonical: Callable[[Any], Any] | None = None,
-) -> list[dict[str, Any]]:
-    """Deterministic union of per-shard ranked lists.
-
-    Duplicates (same ``id_field``) keep the higher-scoring row (ties:
-    lower shard id, since shards merge in ascending order); *combine*
-    may fold fields from the losing duplicate into the winner.  The
-    union re-sorts by ``(-score, id)`` and truncates to *k*.
-
-    *canonical* maps ids to their dedup key.  URL-keyed merges pass
-    :func:`repro.retrieval.fusion.canonical_url` here: two shards can
-    hand back the same underlying page under different spellings (a
-    shard-namespaced ``s<shard>/...`` id, host-case or trailing-slash
-    variants), and a raw-string merge would return it twice.
-    """
-    best: dict[Any, dict[str, Any]] = {}
-    for _shard, rows in rows_by_shard:
-        for row in rows:
-            key = row.get(id_field)
-            if canonical is not None and key is not None:
-                key = canonical(key)
-            seen = best.get(key)
-            if seen is None:
-                best[key] = dict(row)
-            else:
-                if row.get(score_field, 0.0) > seen.get(score_field, 0.0):
-                    merged = dict(row)
-                    if combine is not None:
-                        merged = combine(merged, seen)
-                    best[key] = merged
-                elif combine is not None:
-                    best[key] = combine(dict(seen), row)
-    ranked = sorted(
-        best.values(),
-        key=lambda r: (-r.get(score_field, 0.0), str(r.get(id_field))),
-    )
-    return ranked[:k] if k >= 0 else ranked
-
-
-def _owner_first(
-    oks: list[tuple[int, dict[str, Any]]], owner: int,
-) -> dict[str, Any] | None:
-    """The owner shard's response if it answered, else the first."""
-    for shard, response in oks:
-        if shard == owner:
-            return response
-    return oks[0][1] if oks else None
-
-
-def _namespace_theme(theme: dict[str, Any], shard: int) -> dict[str, Any]:
-    """Prefix theme ids with the shard so merged taxonomies never collide."""
-    out = dict(theme)
-    out["theme_id"] = f"s{shard}/{theme['theme_id']}"
-    out["children"] = [_namespace_theme(c, shard) for c in theme.get("children", [])]
-    return out
-
-
-def _merge_themes(request, oks, failed, owner):
-    roots: list[dict[str, Any]] = []
-    for shard, response in oks:
-        roots.extend(_namespace_theme(t, shard) for t in response.get("themes", []))
-    roots.sort(key=lambda t: (-t.get("weight", 0.0), t["theme_id"]))
-    return {"themes": roots}
-
-
-def _merge_resources(request, oks, failed, owner):
-    k = int(request.get("k", 10))
-    rows = [(s, r.get("resources", [])) for s, r in oks]
-    merged = _ranked_merge(
-        rows, id_field="url", score_field="score", k=k, canonical=canonical_url,
-    )
-    head = _owner_first(oks, owner) or {}
-    if head.get("theme") is None:
-        # Owner shard matched no theme; borrow the first shard that did.
-        for _s, r in oks:
-            if r.get("theme") is not None:
-                head = r
-                break
-    return {
-        "resources": merged,
-        "theme": head.get("theme"),
-        **({"theme_label": head["theme_label"]} if "theme_label" in head else {}),
-    }
-
-
-def _merge_users(score_field: str, default_k: int):
-    def merge(request, oks, failed, owner):
-        k = int(request.get("k", default_k))
-        rows = [(s, r.get("users", [])) for s, r in oks]
-        merged = _ranked_merge(
-            rows, id_field="user_id", score_field=score_field, k=k,
-        )
-        out: dict[str, Any] = {"users": merged}
-        head = _owner_first(oks, owner) or {}
-        if "theme" in head:
-            out["theme"] = head.get("theme")
-        if "theme_label" in head:
-            out["theme_label"] = head.get("theme_label")
-        return out
-    return merge
-
-
-def _merge_pages(request, oks, failed, owner):
-    k = int(request.get("k", 10))
-    rows = [(s, r.get("pages", [])) for s, r in oks]
-
-    def combine(winner, loser):
-        if winner.get("in_trail") or loser.get("in_trail"):
-            winner = {**winner, "in_trail": True}
-        return winner
-
-    has_in_trail = any(
-        "in_trail" in row for _s, page_rows in rows for row in page_rows
-    )
-    merged = _ranked_merge(
-        rows, id_field="url", score_field="score", k=k,
-        combine=combine if has_in_trail else None,
-        canonical=canonical_url,
-    )
-    return {"pages": merged}
-
-
-def _merge_search(request, oks, failed, owner):
-    """Cluster hybrid search: union, canonical-dedup, then re-paginate.
-
-    Each shard answered the :func:`_rewrite_search` sub-request (its full
-    ranked list), so this merge sees every hit before any page window is
-    applied: ``total`` counts the post-dedup union and ``has_more`` is
-    exact — the satellite-3 contract (count after dedup, never before).
-    """
-    limit, offset, _mode, _scope = search_options(request)
-    rows = [(s, r.get("hits", [])) for s, r in oks]
-    merged = _ranked_merge(
-        rows, id_field="url", score_field="score", k=-1,
-        canonical=canonical_url,
-    )
-    total = len(merged)
-    page = merged[offset:offset + limit]
-    return {
-        "hits": page,
-        "total": total,
-        "offset": offset,
-        "has_more": offset + len(page) < total,
-    }
-
-
-def _merge_related(request, oks, failed, owner):
-    """Cluster ``related_pages``: canonical-dedup union of the per-shard
-    neighborhoods, truncated to the caller's ``k`` after ``total`` is
-    counted post-dedup."""
-    k = int(request.get("k", 10))
-    rows = [(s, r.get("related", [])) for s, r in oks]
-    merged = _ranked_merge(
-        rows, id_field="url", score_field="score", k=-1,
-        canonical=canonical_url,
-    )
-    head = _owner_first(oks, owner) or {}
-    return {
-        "url": head.get("url", request.get("url")),
-        "related": merged[:k],
-        "total": len(merged),
-    }
-
-
-#: Catalog counters summed across shards in the ``stats`` merge.
-_STATS_SUMMED = ("pages", "visits", "links", "indexed", "crawl_backlog")
-
-
-def _sum_numeric(dicts: list[dict[str, Any]]) -> dict[str, Any]:
-    """Element-wise sum of numeric leaves across dicts.
-
-    Nested dicts recurse; strings and booleans keep the first occurrence
-    (e.g. the storage section's ``engine`` name, identical fleet-wide).
-    """
-    out: dict[str, Any] = {}
-    for d in dicts:
-        if not isinstance(d, dict):
-            continue
-        for key, value in d.items():
-            if isinstance(value, bool):
-                out.setdefault(key, value)
-            elif isinstance(value, (int, float)):
-                prior = out.get(key, 0)
-                out[key] = (prior if isinstance(prior, (int, float)) else 0) + value
-            elif isinstance(value, dict):
-                prior = out.get(key)
-                out[key] = _sum_numeric(
-                    ([prior] if isinstance(prior, dict) else []) + [value])
-            else:
-                out.setdefault(key, value)
-    return out
-
-
-def _merge_stats(request, oks, failed, owner):
-    """Cluster ``stats``: sum the catalog counters *and* merge sections.
-
-    * ``servlets`` / ``storage`` — numeric leaves sum across shards.
-    * ``cache`` — counts sum, then each cache's ``hit_rate`` is
-      recomputed from the summed hits/misses (summing rates would be
-      meaningless).
-    * ``versioning_lag`` — the max per consumer (the worst shard is
-      what an operator acts on; summing lags across shards is noise).
-    * ``latency`` — per-servlet raw histograms (``latency_raw``) merge
-      bucket-wise, so the cluster percentiles are exact rather than
-      averaged; the shipped summaries replace the per-shard ones.
-    * ``daemons`` stays per-shard only (quarantine state is not
-      additive); everything remains available under ``by_shard``.
-    """
-    out: dict[str, Any] = {key: 0 for key in _STATS_SUMMED}
-    by_shard: dict[str, dict[str, Any]] = {}
-    for shard, response in oks:
-        for key in _STATS_SUMMED:
-            out[key] += int(response.get(key, 0))
-        by_shard[str(shard)] = response
-    responses = [r for _s, r in oks]
-
-    servlets = [r.get("servlets") for r in responses
-                if isinstance(r.get("servlets"), dict)]
-    if servlets:
-        out["servlets"] = _sum_numeric(servlets)
-
-    caches = [r.get("cache") for r in responses
-              if isinstance(r.get("cache"), dict)]
-    if caches:
-        merged_cache = _sum_numeric(caches)
-        for stats in merged_cache.values():
-            if isinstance(stats, dict) and "hit_rate" in stats:
-                lookups = stats.get("hits", 0) + stats.get("misses", 0)
-                stats["hit_rate"] = (
-                    stats.get("hits", 0) / lookups if lookups else 0.0)
-        out["cache"] = merged_cache
-
-    storages = [r.get("storage") for r in responses
-                if isinstance(r.get("storage"), dict)]
-    if storages:
-        out["storage"] = _sum_numeric(storages)
-
-    lags = [r.get("versioning_lag") for r in responses
-            if isinstance(r.get("versioning_lag"), dict)]
-    if lags:
-        merged_lag: dict[str, Any] = {}
-        for d in lags:
-            for consumer, lag in d.items():
-                merged_lag[consumer] = max(merged_lag.get(consumer, 0), lag)
-        out["versioning_lag"] = merged_lag
-
-    raws = [r.get("latency_raw") for r in responses
-            if isinstance(r.get("latency_raw"), dict)]
-    if raws:
-        merged_raw: dict[str, Any] = {}
-        for d in raws:
-            for name, raw in d.items():
-                try:
-                    merged_raw[name] = merge_histogram_raw(
-                        merged_raw.get(name), raw)
-                except (KeyError, TypeError, ValueError):
-                    continue  # malformed shard payload degrades that entry
-        out["latency"] = {
-            name: summarize_histogram_raw(raw)
-            for name, raw in merged_raw.items()
-        }
-
-    out["by_shard"] = by_shard
-    return out
-
-
-def _merge_metrics(request, oks, failed, owner):
-    """Cluster ``metrics_pull``: one true cluster-level registry view.
-
-    ``metrics`` is the bucket-wise merge of every shard's raw snapshot
-    (exact cluster percentiles); ``by_shard`` keeps the full per-shard
-    responses for drill-down.
-    """
-    snaps = [r.get("metrics") for _s, r in oks
-             if isinstance(r.get("metrics"), dict)]
-    return {
-        "metrics": merge_snapshots(snaps),
-        "by_shard": {str(s): r for s, r in oks},
-    }
-
-
-def _merge_health(request, oks, failed, owner):
-    checks: dict[str, Any] = {}
-    slos: dict[str, Any] = {}
-    ready = not failed
-    for shard, response in oks:
-        if response.get("health") != "ready":
-            ready = False
-        for name, check in response.get("checks", {}).items():
-            checks[f"s{shard}.{name}"] = check
-        for name, slo in response.get("slos", {}).items():
-            slos[f"s{shard}.{name}"] = slo
-    for shard in failed:
-        checks[f"s{shard}.shard"] = {"ok": False, "detail": "shard down"}
-    return {
-        "live": all(r.get("live") for _s, r in oks) and not failed,
-        "health": "ready" if ready else "degraded",
-        "checks": checks,
-        "slos": slos,
-    }
-
-
-#: servlet -> deterministic multi-shard merge (single-shard answers skip
-#: merging entirely and pass through unchanged).
-MERGERS: dict[str, Callable[..., dict[str, Any]]] = {
-    "themes_get": _merge_themes,
-    "resources": _merge_resources,
-    "search": _merge_search,
-    "related_pages": _merge_related,
-    "profile_similar": _merge_users("similarity", 5),
-    "interest_mates": _merge_users("interest", 5),
-    "recommend": _merge_pages,
-    "popular_near_trail": _merge_pages,
-    "stats": _merge_stats,
-    "health": _merge_health,
-    "metrics_pull": _merge_metrics,
-}
 
 
 class ShardDispatcher:
@@ -629,10 +225,12 @@ class ShardDispatcher:
     ) -> dict[str, Any]:
         if servlet == BATCH_SERVLET:
             return self._dispatch_batch(user, request, owner)
-        if servlet in BROADCAST_SERVLETS:
-            return self._broadcast(user, request, owner)
-        if _is_scatter(servlet, request):
-            return self._scatter(user, request, owner)
+        row = SERVLETS.get(servlet)
+        routing = OWNER if row is None else row.route(request)
+        if routing == BROADCAST:
+            return self._broadcast(user, request, owner, row)
+        if routing == SCATTER:
+            return self._scatter(user, request, owner, row)
         return self._forward(user, request, owner)
 
     def _stamp(
@@ -688,7 +286,7 @@ class ShardDispatcher:
     # -- broadcast -------------------------------------------------------------
 
     def _broadcast(
-        self, user: str, request: dict[str, Any], owner: int,
+        self, user: str, request: dict[str, Any], owner: int, row: Servlet,
     ) -> dict[str, Any]:
         """Account write to every shard, owner first.  All-or-error: a
         shard missing the user row would reject that user's requests
@@ -696,7 +294,7 @@ class ShardDispatcher:
         order = [owner] + [s for s in range(self.n_shards) if s != owner]
         if len(order) == 1:
             return self._forward(user, request, owner)
-        responses: dict[int, dict[str, Any]] = {}
+        oks: list[tuple[int, dict[str, Any]]] = []
         for shard in order:
             try:
                 with self.tracer.child_span(
@@ -708,26 +306,23 @@ class ShardDispatcher:
             except Exception as exc:  # noqa: BLE001 - degrade to typed error
                 self.unavailable_total.inc()
                 return _unavailable(
-                    f"broadcast {request.get('servlet')!r} failed on shard "
-                    f"{shard}: {exc}"
+                    f"broadcast {row.name!r} failed on shard {shard}: {exc}"
                 )
             if response.get("status") != "ok":
                 return response
-            responses[shard] = response
-        merged = dict(responses[owner])
-        if request.get("servlet") == "register_user":
-            merged["created"] = any(
-                bool(r.get("created")) for r in responses.values()
-            )
+            oks.append((shard, response))
+        if row.merge is None:
+            merged = dict(oks[0][1])    # owner first
+        else:
+            merged = row.merge(request, oks, [], owner)
         merged["shards"] = self.n_shards
         return merged
 
     # -- scatter-gather --------------------------------------------------------
 
     def _scatter(
-        self, user: str, request: dict[str, Any], owner: int,
+        self, user: str, request: dict[str, Any], owner: int, row: Servlet,
     ) -> dict[str, Any]:
-        servlet = request.get("servlet")
         self.scatter_total.inc()
         if self.n_shards == 1:
             # Identity path: one shard's answer IS the merged answer.
@@ -736,8 +331,7 @@ class ShardDispatcher:
         # Multi-shard only: widen the sub-request where the merge needs
         # every shard's full window (the one-shard identity path above
         # must stay byte-identical to direct dispatch).
-        rewriter = SCATTER_REWRITERS.get(servlet or "")
-        fanout = rewriter(request) if rewriter is not None else request
+        fanout = request if row.rewrite is None else row.rewrite(request)
 
         # Captured on the dispatching thread: the pool workers have empty
         # span stacks, so each fan-out hop parents on the routing span
@@ -773,15 +367,12 @@ class ShardDispatcher:
         if not oks:
             self.unavailable_total.inc()
             return _unavailable(
-                f"scatter {servlet!r} failed on every shard "
+                f"scatter {row.name!r} failed on every shard "
                 f"({self.n_shards} down or erroring)"
             )
-        merger = MERGERS.get(servlet or "")
-        if merger is None:  # pragma: no cover - SCATTER keys all have mergers
-            merged = dict(_owner_first(oks, owner) or {})
-        else:
-            merged = merger(request, oks, failed, owner)
-        if servlet == "health":
+        merged = row.merge(request, oks, failed, owner)
+        if row.name == "health":
+            # The one thing only the dispatcher knows about a servlet.
             self._enrich_health(merged, failed)
         merged["status"] = "ok"
         merged["shards"] = self.n_shards
@@ -828,10 +419,8 @@ class ShardDispatcher:
         items = envelope.get("requests")
 
         def special(item: Any) -> bool:
-            return isinstance(item, dict) and (
-                item.get("servlet") in BROADCAST_SERVLETS
-                or _is_scatter(item.get("servlet"), item)
-            )
+            row = SERVLETS.get(item.get("servlet")) if isinstance(item, dict) else None
+            return row is not None and row.route(item) != OWNER
 
         if not isinstance(items, list) or not any(
             special(item) for item in items

@@ -2,7 +2,7 @@
 and the index reads replaced, kept as the differential oracle.
 
 These are the bodies ``ThemeTaxonomy.assign``, ``build_profile``,
-``MemexServer.current_profiles`` / ``_match_theme``,
+``MemexServer.current_profiles``, ``core.recommend.match_theme``,
 ``recommend_pages`` (with its ``_engagements``) and the scoring loop of
 ``DiscoveryDaemon.run_once`` had when every similarity re-normalised the
 theme centre, every profile filtered the whole ``folder_pages`` table and

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MemexSystem
+from repro.core.archive import folder_id
 from repro.server.events import BookmarkEvent, VisitEvent
 from repro.storage.schema import ASSOC_GUESS
 from repro.webgen import build_workload
@@ -82,7 +83,7 @@ def test_classification_accuracy_against_ground_truth(live_system, small_workloa
             if want_folder is None:
                 continue  # page's topic has no folder: no ground truth
             total += 1
-            if visit["topic_folder"] == server.folder_id(profile.user_id, want_folder):
+            if visit["topic_folder"] == folder_id(profile.user_id, want_folder):
                 correct += 1
     assert total > 50
     num_folders = sum(len(p.folders) for p in small_workload.profiles) / len(
@@ -276,6 +277,6 @@ def test_folder_move_correction_flow(live_system, small_workload):
     assert all(r["source"] != ASSOC_GUESS for r in mine)
     assert any(
         r["source"] == "correction"
-        and r["folder_id"] == server.folder_id(user, "Corrected")
+        and r["folder_id"] == folder_id(user, "Corrected")
         for r in mine
     )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MemexSystem
+from repro.core.archive import folder_id
 from repro.core.organize import ProposedFolder, propose_hierarchy
 from repro.errors import EmptyCorpus
 from repro.server.daemons import FetchedPage
@@ -91,7 +92,7 @@ def test_apply_proposal_moves_items(messy_import_system):
     moved = applet.apply_organization("Imported", proposal, at=10_000.0)
     assert moved > 0
     repo = system.server.repo
-    base = system.server.folder_id("alice", "Imported")
+    base = folder_id("alice", "Imported")
     remaining = repo.folder_pages(base)
     # Moved items became corrections in subfolders.
     corrections = repo.db.table("folder_pages").select({"source": ASSOC_CORRECTION})

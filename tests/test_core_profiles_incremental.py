@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from repro.client.applet import replay_events
 from repro.core import MemexSystem
 from repro.core import memex as memex_module
+from repro.core.archive import folder_id, folder_path
 from repro.core.memex import MemexServer
 from repro.core.profiles import build_profile
+from repro.core.recommend import match_theme
 from repro.errors import EmptyCorpus
 from repro.mining.themes import Theme, ThemeDiscovery, ThemeTaxonomy
 from repro.server.daemons import FetchedPage
@@ -181,7 +183,7 @@ def test_discovery_and_topic_matching_read_the_same_centres(community, workload)
     topics = sorted({page.topic for page in workload.corpus.pages.values()})
     matched = 0
     for query in [*QUERIES, *topics, "", "zzzunseenword"]:
-        theme, similarity = server._match_theme(query)
+        theme, similarity = match_theme(server, query)
         ref_theme, ref_similarity = _reference_match_theme(server, query)
         assert (theme, similarity) == (ref_theme, ref_similarity)
         matched += theme is not None
@@ -205,7 +207,7 @@ def _file_an_unseen_page(system, user_id):
     folder_id = min(f["folder_id"] for f in server.repo.user_folders(user_id))
     system.connect(user_id).bookmark(
         _unseen_fetched_pages(server, user_id)[0],
-        server._folder_path(folder_id), at=server.now + 1.0)
+        folder_path(folder_id), at=server.now + 1.0)
 
 
 def _move_a_bookmark(system, user_id):
@@ -314,6 +316,26 @@ def test_a_taxonomy_swapped_mid_read_is_not_cached_as_the_new_one(workload):
         assert server.themes.taxonomy is second
         served = _payloads(server.current_profiles())
         assert served == _payloads(_reference_current_profiles(server))
+
+
+def test_recommend_scores_against_the_taxonomy_its_profiles_came_from(workload):
+    """``recommend`` used to read ``themes.taxonomy`` a second time after
+    ``current_profiles()``: a swap in between scored the new theme ids
+    against profiles weighted by the old ones."""
+    with _replayed(workload) as system:
+        server = system.server
+        first = server.themes.taxonomy
+        second = ThemeDiscovery(cohesion_threshold=0.99, min_split_folders=2) \
+            .discover(server.themes.folder_documents(), server.vectorizer.vocab)
+        reference = _reference_current_profiles(server)
+        expected = {
+            user_id: _reference_recommend(server, reference, user_id)
+            for user_id in reference
+        }
+        assert any(answer["pages"] for answer in expected.values())
+        for user_id, answer in expected.items():
+            server.themes = _SwapsWhileBeingRead(first, second)
+            assert _ask(server, user_id, "recommend") == answer, user_id
 
 
 # -- the differential oracle: a replayed community, checked at every step -----
@@ -565,11 +587,11 @@ def _apply(system, op, clock):
             "servlet": "folder_move", "user_id": op[1], "url": op[2],
             "from_folder": op[3], "to_folder": op[4], "at": clock})
     elif kind == "dissociate":
-        server.repo.dissociate(server.folder_id(op[1], op[2]), op[3])
+        server.repo.dissociate(folder_id(op[1], op[2]), op[3])
     elif kind == "remove_folder":
-        folder_id = server.folder_id(op[1], op[2])
-        if server.repo.db.table("folders").get(folder_id) is not None:
-            server.repo.remove_folder(folder_id)
+        target = folder_id(op[1], op[2])
+        if server.repo.db.table("folders").get(target) is not None:
+            server.repo.remove_folder(target)
     elif kind == "register":
         system.register_user(op[1])
     else:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import MemexSystem
+from repro.core.archive import folder_id
 from repro.core.memex import MemexServer
 from repro.folders import parse_bookmarks, write_bookmarks
 from repro.folders.tree import FolderTree
@@ -113,7 +114,7 @@ def test_rebookmarking_same_folder_is_idempotent_per_gesture():
     applet.bookmark("http://p/", "F", at=1.0)
     applet.bookmark("http://p/", "F", at=2.0)
     rows = system.server.repo.folder_pages(
-        system.server.folder_id("u", "F"),
+        folder_id("u", "F"),
     )
     # Two deliberate gestures -> two association rows (an audit trail),
     # but the folder view shows the URL once per folder.

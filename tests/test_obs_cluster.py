@@ -27,7 +27,7 @@ from repro.obs import (
 from repro.obs.metrics import diff_snapshots, summarize_histogram_raw
 from repro.obs.top import CLEAR, render_dashboard, run_top, split_name
 from repro.server.daemons import FetchedPage
-from repro.shard.gather import _merge_metrics, _merge_stats
+from repro.shard.merge import merge_metrics, merge_stats
 
 QS = (0.5, 0.9, 0.95, 0.99)
 
@@ -156,7 +156,7 @@ def _shard_response(n):
 
 def test_merge_metrics_pull_merges_and_keeps_by_shard():
     oks = [(0, _shard_response(3)), (1, _shard_response(5))]
-    merged = _merge_metrics({}, oks, [], 0)
+    merged = merge_metrics({}, oks, [], 0)
     assert merged["metrics"]["counters"]["reqs"] == 8
     lat = merged["metrics"]["histograms"][
         "server.servlets.latency{servlet=visit}"]
@@ -192,7 +192,7 @@ def test_merge_stats_keeps_cache_storage_and_exact_latency():
     dropped.  Now numeric sections sum, hit rates are recomputed from
     the summed hits/misses, and latency merges bucket-wise."""
     oks = [(0, _stats_response(10, 8, 2)), (1, _stats_response(20, 2, 8))]
-    merged = _merge_stats({}, oks, [], 0)
+    merged = merge_stats({}, oks, [], 0)
     assert merged["pages"] == 30
     assert set(merged["by_shard"]) == {"0", "1"}
     assert merged["servlets"]["visit"]["served"] == 30

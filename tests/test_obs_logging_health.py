@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.core import memex as memex_module
 from repro.core.memex import MemexServer
 from repro.obs import (
     FAST_BURN,
@@ -338,7 +339,10 @@ def test_health_servlet_needs_no_user():
 
 
 def test_health_servlet_binds_slos_from_traffic():
-    with _server(slo_policies={"visit": SloPolicy(target_p95=5.0)}) as server:
+    with _server() as server:
+        # An override is set on the monitor before the first `health`
+        # binds the servlet's SLO (there is no constructor option).
+        server.health.policies["visit"] = SloPolicy(target_p95=5.0)
         server.registry.dispatch({"servlet": "register_user", "user_id": "u"})
         server.registry.dispatch(
             {"servlet": "visit", "user_id": "u", "url": "http://a/", "at": 1.0})
@@ -348,8 +352,9 @@ def test_health_servlet_binds_slos_from_traffic():
         assert report["slos"]["visit"]["requests"] >= 1
 
 
-def test_health_versioning_lag_check_degrades():
-    with _server(versioning_lag_threshold=0) as server:
+def test_health_versioning_lag_check_degrades(monkeypatch):
+    monkeypatch.setattr(memex_module, "VERSIONING_LAG_THRESHOLD", 0)
+    with _server() as server:
         server.registry.dispatch({"servlet": "register_user", "user_id": "u"})
         server.registry.dispatch(
             {"servlet": "visit", "user_id": "u", "url": "http://a/", "at": 1.0})
@@ -378,8 +383,8 @@ def test_stats_servlet_include_logs():
 
 
 def test_server_wires_one_hub_through_all_components():
-    hub = LogHub()
-    with _server(log_hub=hub) as server:
+    with _server() as server:
+        hub = server.logs
         server.registry.dispatch({"servlet": "register_user", "user_id": "u"})
         server.registry.dispatch(
             {"servlet": "visit", "user_id": "u", "url": "http://dead/", "at": 1.0})

@@ -9,6 +9,7 @@ Covers the v2 wire envelope end to end — applet event buffer → one framed
 import pytest
 
 from repro.core import MemexSystem
+from repro.core.archive import folder_id
 from repro.core.memex import MemexServer
 from repro.errors import AuthError, MemexError, ServletError
 from repro.server.daemons import FetchedPage
@@ -430,7 +431,7 @@ def test_applet_sync_call_flushes_buffer():
     hits = applet.search("text")   # synchronous UI call: must see the visits
     assert applet.pending_events == 0
     assert len(system.server.repo.user_visits("u")) == 1
-    folder = system.server.folder_id("u", "Stuff")
+    folder = folder_id("u", "Stuff")
     assert len(system.server.repo.folder_pages(folder)) == 1
     assert isinstance(hits, list)
 

@@ -1,0 +1,261 @@
+"""The servlet table is the one declaration: what is registered, how each
+request is authenticated and routed, and what a cluster merges with.
+
+Three checks a new servlet cannot slip past: (i) rows == registrations
+and every row that can scatter has a merger; (ii) on a seeded archive one
+valid request per row answers the same through ``server.transport`` (the
+one-shard dispatcher) as through the registry; (iii) through an
+in-process 2-shard dispatcher the backends each request reaches are the
+ones its row's ``routing`` names.  (iii) is the enumerable seed of the
+sharded ≡ single-process oracle (ROADMAP item 4).
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from repro.core import MemexSystem
+from repro.core.memex import MemexServer
+from repro.core.servlet_table import BROADCAST, OWNER, SCATTER, SERVLETS
+from repro.shard.gather import SCATTER_REWRITERS, LocalBackend, ShardDispatcher
+from repro.webgen import build_workload
+
+URL = "http://members.ai2.edu/page2.html"
+FOLDER = "compilers"
+#: One valid request per row (``user_id`` is added by the sender).
+REQUESTS = {
+    "register_user": {"community": "c", "at": 1.0},
+    "set_archive_mode": {"mode": "community"},
+    "visit": {"url": URL, "at": 9e6},
+    "import_history": {"entries": [{"url": URL, "at": 9e6 + 1}]},
+    "bookmark": {"url": URL, "folder_path": "New/Sub", "at": 9e6 + 2},
+    "folder_create": {"path": "Made", "at": 9e6 + 3},
+    "folder_move": {"url": URL, "to_folder": "Moved", "at": 9e6 + 4},
+    "folders_get": {},
+    "search": {"query": "compiler", "scope": "mine"},
+    "recall": {"query": "compiler", "around_days_ago": 2},
+    "trail": {"folder_path": FOLDER},
+    "context": {"folder_path": FOLDER},
+    "bill": {"days": 30},
+    "propose_hierarchy": {"folder_path": FOLDER},
+    "apply_hierarchy": {"folder_path": FOLDER, "at": 9e6 + 5, "proposal": {
+        "name": "Proposed organization", "urls": [], "children": []}},
+    "related_pages": {"url": URL},
+    "themes_get": {},
+    "resources": {"query": "compiler"},
+    "profile_similar": {},
+    "interest_mates": {"query": "compiler"},
+    "recommend": {},
+    "popular_near_trail": {"folder_path": FOLDER},
+    "stats": {},
+    "health": {},
+    "metrics_pull": {},
+}
+#: Compared on keys only: their values are timings and counters of the
+#: requests that came before.
+OBSERVABILITY = {"stats", "health", "metrics_pull"}
+TAKES_K = ("search", "recall", "related_pages", "resources", "profile_similar",
+           "interest_mates", "recommend", "popular_near_trail")
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return build_workload(seed=5, num_users=4, days=6.0, pages_per_leaf=5)
+
+
+def _seeded(workload):
+    system = MemexSystem.from_workload(workload)
+    system.replay(workload.events)
+    return system
+
+
+class RecordingBackend(LocalBackend):
+    def __init__(self, registry, shard, log):
+        super().__init__(registry)
+        self.shard, self.log = shard, log
+
+    def request(self, user_id, payload):
+        self.log.append((self.shard, payload))
+        return super().request(user_id, payload)
+
+
+@pytest.fixture()
+def cluster():
+    """Two empty servers behind one dispatcher, one user registered."""
+    servers = [MemexServer(lambda url: None) for _ in range(2)]
+    log = []
+    dispatcher = ShardDispatcher([
+        RecordingBackend(server.registry, shard, log)
+        for shard, server in enumerate(servers)
+    ])
+    created = dispatcher.dispatch({"servlet": "register_user", "user_id": "ann"})
+    assert created["status"] == "ok" and created["created"] is True
+    del log[:]
+    yield dispatcher, log
+    dispatcher.close()
+    for server in servers:
+        server.close()
+
+
+# -- (i) declared once ----------------------------------------------------------
+
+def test_every_row_is_registered_and_every_registration_has_a_row():
+    assert sorted(REQUESTS) == sorted(SERVLETS)     # this file keeps up too
+    with MemexServer(lambda url: None) as server:
+        assert server.registry.names() == sorted(SERVLETS)
+        for name, row in SERVLETS.items():
+            assert row.name == name
+            batched = name in server.registry._batch_handlers
+            assert batched == (row.batch is not None), name
+
+
+def test_every_row_that_can_scatter_has_a_merger():
+    for name, row in SERVLETS.items():
+        routings = (
+            {row.routing(r) for r in ({}, {"mode": "hybrid"}, {"mode": "ranked"})}
+            if callable(row.routing) else {row.routing}
+        )
+        assert routings <= {OWNER, BROADCAST, SCATTER}, name
+        if SCATTER in routings:
+            assert row.merge is not None, name
+        else:
+            assert row.rewrite is None, name
+    assert SCATTER_REWRITERS == {
+        name: row.rewrite for name, row in SERVLETS.items() if row.rewrite}
+
+
+@pytest.mark.parametrize("module", [
+    "repro.shard.gather", "repro.core.memex", "repro.server.servlets",
+    "repro.core.servlet_table", "repro.shard.merge",
+])
+def test_each_module_on_the_table_edge_imports_first(module):
+    """The table sits between ``core.memex`` and ``shard.gather``; each
+    of them must import in a fresh interpreter."""
+    subprocess.run(
+        [sys.executable, "-c", f"import {module}"], check=True, timeout=60,
+        env={"PYTHONPATH": ":".join(sys.path)},
+    )
+
+
+# -- (ii) one shard is the identity -------------------------------------------------
+
+def test_transport_answers_what_the_registry_answers(workload):
+    """Two identically seeded servers (writes are not repeatable on one):
+    one asked through its transport, one through its registry."""
+    with _seeded(workload) as wired, _seeded(workload) as direct:
+        user = workload.profiles[0].user_id
+        folders = direct.server.registry.dispatch(
+            {"servlet": "folders_get", "user_id": user})["folders"]
+        assert FOLDER in {f["path"] for f in folders}
+        for name, fields in REQUESTS.items():
+            sender = "newcomer" if name == "register_user" else user
+            through = wired.server.transport.request(
+                sender, {"servlet": name, **fields})
+            straight = json.loads(json.dumps(direct.server.registry.dispatch(
+                {"servlet": name, "user_id": sender, **fields})))
+            assert through["status"] == "ok", (name, through)
+            if name in OBSERVABILITY:
+                assert sorted(through) == sorted(straight), name
+            else:
+                assert through == straight, name
+
+
+# -- (iii) each routing class reaches the backends it names ---------------------------
+
+def _reached(dispatcher, log, name, **fields):
+    del log[:]
+    response = dispatcher.dispatch({"servlet": name, "user_id": "ann", **fields})
+    return response, [shard for shard, _ in log]
+
+
+@pytest.mark.parametrize("name", sorted(SERVLETS))
+def test_a_request_reaches_the_backends_its_routing_names(cluster, name):
+    dispatcher, log = cluster
+    owner = dispatcher.shard_for("ann")
+    row = SERVLETS[name]
+    fields = REQUESTS[name]
+    response, reached = _reached(dispatcher, log, name, **fields)
+    assert response["status"] == "ok", response
+    routing = row.route(fields)
+    if routing == OWNER:
+        assert reached == [owner]
+        assert "shards" not in response
+    elif routing == BROADCAST:
+        assert reached == [owner, 1 - owner]        # owner first
+        assert response["shards"] == 2 and "partial" not in response
+    else:
+        assert sorted(reached) == [0, 1]
+        assert response["shards"] == 2 and response["partial"] is False
+
+
+def test_search_routes_by_mode_and_ships_the_declared_sub_request(cluster):
+    dispatcher, log = cluster
+    owner = dispatcher.shard_for("ann")
+    for mode in ("ranked", "boolean"):
+        response, reached = _reached(
+            dispatcher, log, "search", query="q", mode=mode, scope="community")
+        assert reached == [owner] and "shards" not in response
+    response, reached = _reached(
+        dispatcher, log, "search", query="q", mode="hybrid", limit=3, offset=1)
+    assert sorted(reached) == [0, 1] and response["shards"] == 2
+    assert response["offset"] == 1
+    for _shard, sent in log:
+        assert (sent["offset"], sent["limit"]) == (0, 1_000_000)
+
+
+def test_a_name_with_no_row_is_answered_by_the_owner_shard(cluster):
+    dispatcher, log = cluster
+    response, reached = _reached(dispatcher, log, "no_such_servlet")
+    assert reached == [dispatcher.shard_for("ann")]
+    assert response["error_code"] == "unknown_servlet"
+
+
+def test_a_mixed_envelope_routes_each_item_by_its_row(cluster):
+    dispatcher, log = cluster
+    owner = dispatcher.shard_for("ann")
+    envelope = {"servlet": "batch", "user_id": "ann", "requests": [
+        {"servlet": "visit", "url": URL, "at": 1.0},
+        {"servlet": "themes_get"},
+        {"servlet": "visit", "url": URL, "at": 2.0},
+    ]}
+    del log[:]
+    out = dispatcher.dispatch(envelope)
+    assert [r["status"] for r in out["responses"]] == ["ok"] * 3
+    assert out["responses"][1]["shards"] == 2
+    assert sorted(s for s, p in log if p["servlet"] == "themes_get") == [0, 1]
+    assert [s for s, p in log if p["servlet"] == "batch"] == [owner, owner]
+
+
+# -- k: one parser, handler and merger agree ------------------------------------------
+
+@pytest.mark.parametrize("bad_k", [-1, "many"])
+@pytest.mark.parametrize("name", TAKES_K)
+def test_a_bad_k_is_a_bad_request_on_one_server_and_on_two(cluster, name, bad_k):
+    """``[:k]`` with ``k=-1`` used to drop the last row while the cluster
+    merger read it as "no limit"."""
+    fields = {**REQUESTS[name], "k": bad_k}
+    with MemexServer(lambda url: None) as server:
+        server.registry.dispatch({"servlet": "register_user", "user_id": "ann"})
+        alone = server.transport.request("ann", {"servlet": name, **fields})
+    dispatcher, log = cluster
+    if name == "search":
+        fields["mode"] = "hybrid"       # the search that has a merger
+    sharded, reached = _reached(dispatcher, log, name, **fields)
+    for response in (alone, sharded):
+        assert response["status"] == "error", (name, response)
+        assert response["error_code"] == "bad_request", (name, response)
+    if SERVLETS[name].route(fields) == SCATTER:
+        assert reached == []            # refused at the router, no fan-out
+
+
+def test_auth_is_checked_before_any_request_field():
+    with MemexServer(lambda url: None) as server:
+        for name, row in SERVLETS.items():
+            response = server.registry.dispatch(
+                {"servlet": name, "user_id": f"nobody-{name}", "k": -1})
+            if row.auth:
+                assert response["error_code"] == "unknown_user", name
+            else:
+                assert response.get("error_code") != "unknown_user", name

@@ -10,11 +10,7 @@ import pytest
 
 from repro.errors import CODE_UNAVAILABLE, ProtocolError
 from repro.server.servlets import BATCH_SERVLET
-from repro.shard.gather import (
-    BROADCAST_SERVLETS,
-    SCATTER_SERVLETS,
-    ShardDispatcher,
-)
+from repro.shard.gather import ShardDispatcher
 from repro.shard.ring import HashRing
 
 
@@ -242,10 +238,6 @@ def test_ring_and_backend_count_must_agree():
         ShardDispatcher(backends, ring=HashRing(3))
     with pytest.raises(ValueError):
         ShardDispatcher([])
-
-
-def test_servlet_classes_are_disjoint():
-    assert not (SCATTER_SERVLETS & BROADCAST_SERVLETS)
 
 
 # -- hybrid retrieval routing and canonical dedup -----------------------------
