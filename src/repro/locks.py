@@ -42,6 +42,7 @@ LOCK_ORDER: tuple[str, ...] = (
     "relational",    # Database per-table RWLocks (alphabetical by table)
     "versioning",    # VersionCoordinator._versions_lock
     "index",         # InvertedIndex._index_lock (whole-scoring-pass atomicity)
+    "vectorizer",    # PageVectorizer._vectorizer_lock (leaf: one count per page)
     "kvstore",       # KVStore._kv_lock
     "wal",           # WriteAheadLog._wal_lock
     "cache",         # ShardedLRU shard locks
@@ -61,6 +62,7 @@ LOCK_ATTRIBUTES: dict[str, str] = {
     "_versions_lock": "versioning",
     "_index_lock": "index",
     "_ann_lock": "index",
+    "_vectorizer_lock": "vectorizer",
     "_kv_lock": "kvstore",
     "_wal_lock": "wal",
     "_shard_lock": "cache",

@@ -27,7 +27,9 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import repeat
+from operator import mul
 from typing import TYPE_CHECKING
 
 from ..storage.codec import decode, encode
@@ -82,21 +84,29 @@ class DenseProjector:
 
     def project(self, sparse: dict[int, float]) -> list[float]:
         """Dense, L2-normalized image of a sparse vector (zero stays zero)."""
-        vec = [0.0] * self.dims
-        for term_id, weight in sparse.items():
-            if weight == 0.0:
-                continue
-            row = self._basis_for(term_id)
-            for j in range(self.dims):
-                vec[j] += weight * row[j]
-        norm = math.sqrt(sum(x * x for x in vec))
+        terms = [(w, self._basis_for(t)) for t, w in sparse.items() if w != 0.0]
+        if not terms:
+            return [0.0] * self.dims
+        weights, rows = zip(*terms)
+        # One C-level sum per dimension, adding in term order — the order
+        # the stored vectors were (and stay) rounded in.
+        vec = [sum(map(mul, weights, column)) for column in zip(*rows)]
+        norm = math.sqrt(_dot(vec, vec))
         if norm > 0.0:
             vec = [x / norm for x in vec]
         return vec
 
 
-def _dot(a: list[float], b: list[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(mul, a, b))
+
+
+def _sqnorm(vec: Sequence[float]) -> float:
+    """‖vec‖² as ``math.dist`` would square it: ``hypot`` and ``dist``
+    share one norm routine, so ``dist(q, d)² == _sqnorm(d)`` exactly when
+    *q* is zero — a zero vector on either side scores exactly 0.0."""
+    norm = math.hypot(*vec)
+    return norm * norm
 
 
 class DenseVectorIndex:
@@ -121,7 +131,8 @@ class DenseVectorIndex:
             _rademacher(f"plane:{i}", dims) for i in range(n_planes)
         ]
         self._ns = Namespace(kv, prefix) if kv is not None else None
-        self._vectors: dict[str, list[float]] = {}
+        self._vectors: dict[str, tuple[float, ...]] = {}
+        self._sqnorms: dict[str, float] = {}   # ‖vector‖², for query()
         self._buckets: dict[int, set[str]] = {}
         self._sigs: dict[str, int] = {}
         self._ann_lock = threading.RLock()
@@ -133,22 +144,26 @@ class DenseVectorIndex:
         with self._ann_lock:
             for key, raw in self._ns.items():
                 url = key.decode("utf-8")
-                vec = [float(x) for x in decode(raw)["v"]]
-                self._place(url, vec)
+                self._place(url, [float(x) for x in decode(raw)["v"]])
 
-    def _signature(self, vec: list[float]) -> int:
+    def _signature(self, vec: Sequence[float]) -> int:
         sig = 0
         for i, plane in enumerate(self._planes):
             if _dot(vec, plane) >= 0.0:
                 sig |= 1 << i
         return sig
 
-    def _place(self, url: str, vec: list[float]) -> None:
+    def _place(self, url: str, vec: Sequence[float]) -> None:
+        if len(vec) != self.dims:
+            raise ValueError(
+                f"dense vector for {url!r} has {len(vec)} dimensions, "
+                f"the index has {self.dims}")
         old = self._sigs.get(url)
         if old is not None:
             self._buckets.get(old, set()).discard(url)
         sig = self._signature(vec)
-        self._vectors[url] = vec
+        self._vectors[url] = tuple(vec)
+        self._sqnorms[url] = _sqnorm(vec)
         self._sigs[url] = sig
         self._buckets.setdefault(sig, set()).add(url)
 
@@ -181,6 +196,7 @@ class DenseVectorIndex:
             sig = self._sigs.pop(url)
             self._buckets.get(sig, set()).discard(url)
             del self._vectors[url]
+            del self._sqnorms[url]
             if self._ns is not None:
                 self._ns.discard(url.encode("utf-8"))
             return True
@@ -207,17 +223,26 @@ class DenseVectorIndex:
 
     def query(
         self,
-        vec: list[float],
+        vec: Sequence[float],
         *,
         k: int = 10,
         candidates: set[str] | None = None,
     ) -> list[tuple[str, float]]:
+        """Top-*k* ``(url, cosine)`` among the stored (or *candidates*')
+        vectors: one ``math.dist`` per document, and the dot product back
+        from ``q·d = (‖q‖² + ‖d‖² − ‖q − d‖²) / 2`` — true of any pair, so
+        a zero vector and the un-normalized query hybrid search sends
+        score as they did."""
+        q = tuple(vec)
+        qq = _sqnorm(q)
         with self._ann_lock:
-            pool = self._probe(vec, k)
+            urls = list(self._probe(q, k, candidates))
+            dists = map(
+                math.dist, repeat(q), map(self._vectors.__getitem__, urls))
             scored = [
-                (url, _dot(vec, self._vectors[url]))
-                for url in pool
-                if candidates is None or url in candidates
+                (url, (qq + dd - dist * dist) / 2.0)
+                for url, dd, dist in zip(
+                    urls, map(self._sqnorms.__getitem__, urls), dists)
             ]
         scored.sort(key=lambda t: (-t[1], t[0]))
         return scored[:k]
@@ -229,21 +254,29 @@ class DenseVectorIndex:
             return []
         return [(u, s) for u, s in self.query(vec, k=k + 1) if u != url][:k]
 
-    def vector(self, url: str) -> list[float] | None:
+    def vector(self, url: str) -> tuple[float, ...] | None:
         """The stored unit vector for an indexed document (None if absent)."""
         with self._ann_lock:
             return self._vectors.get(url)
 
-    def _probe(self, vec: list[float], k: int) -> set[str]:
-        if len(self._vectors) <= max(EXACT_SCAN_THRESHOLD, 4 * k):
-            return set(self._vectors)
+    def _probe(
+        self, vec: Sequence[float], k: int, candidates: set[str] | None,
+    ) -> Iterable[str]:
+        """The urls to score: all that are in scope while they are few,
+        else those of them in the query's bucket or a Hamming-1 neighbour."""
+        scope = self._vectors.keys()
+        if candidates is not None:
+            scope = scope & candidates
+        if len(scope) <= max(EXACT_SCAN_THRESHOLD, 4 * k):
+            return scope
         sig = self._signature(vec)
         pool = set(self._buckets.get(sig, ()))
         for bit in range(len(self._planes)):
             pool |= self._buckets.get(sig ^ (1 << bit), set())
-        if len(pool) < k:  # sparse buckets: recall beats probe savings
-            return set(self._vectors)
-        return pool
+        if candidates is not None:
+            pool &= scope
+        # Sparse buckets: recall beats probe savings.
+        return pool if len(pool) >= k else scope
 
 
 class DenseIndexDaemon:

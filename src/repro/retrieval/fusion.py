@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 from urllib.parse import urlsplit, urlunsplit
 
 RRF_K0 = 60.0
@@ -31,8 +32,10 @@ _SHARD_PREFIX = re.compile(r"^s\d+/")
 _DEFAULT_PORTS = {"http": ":80", "https": ":443"}
 
 
+@lru_cache(maxsize=1 << 15)
 def canonical_url(url: str) -> str:
-    """One canonical spelling for every variant of the same page.
+    """One canonical spelling for every variant of the same page (pure,
+    and asked of the same few dozen urls by every fusion: memoized).
 
     >>> canonical_url("s3/HTTP://A.com:80/x#frag")
     'http://a.com/x'

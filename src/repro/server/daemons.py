@@ -83,6 +83,7 @@ class PageVectorizer:
         self.repo = repo
         self.vocab = vocab if vocab is not None else Vocabulary()
         self._cache: dict[str, SparseVector] = {}
+        self._vectorizer_lock = threading.Lock()
         self._n_hits = 0
         self._n_misses = 0
         repo.metrics.counter_func(
@@ -92,20 +93,28 @@ class PageVectorizer:
 
     def vector(self, url: str) -> SparseVector | None:
         """Term-count vector of a fetched page (None when not fetched)."""
-        if url in self._cache:
+        vec = self._cache.get(url)
+        if vec is not None:
             self._n_hits += 1
-            return self._cache[url]
+            return vec
         self._n_misses += 1
         text = self.repo.page_text(url)
         if text is None:
             return None
         page = self.repo.db.table("pages").get(url)
         title = (page or {}).get("title") or ""
-        # add_document (not plain counting) so the vocabulary accumulates
-        # document frequencies — IDF weighting and label filtering need it.
-        counts = self.vocab.add_document(tokenize(f"{title} {text}"))
-        vec: SparseVector = {t: float(c) for t, c in counts.items()}
-        self._cache[url] = vec
+        tokens = tokenize(f"{title} {text}")
+        # A servlet thread and a daemon can both miss on one url: the
+        # page is counted into the vocabulary by whoever gets here first.
+        with self._vectorizer_lock:
+            vec = self._cache.get(url)
+            if vec is None:
+                # add_document (not plain counting) so the vocabulary
+                # accumulates document frequencies — IDF weighting and
+                # label filtering need it.
+                counts = self.vocab.add_document(tokens)
+                vec = {t: float(c) for t, c in counts.items()}
+                self._cache[url] = vec
         return vec
 
     def tfidf_vector(self, url: str) -> SparseVector | None:

@@ -1,5 +1,7 @@
 """Tests for the crawler/indexer/classifier/theme/discovery daemons."""
 
+import threading
+
 import pytest
 
 from repro.errors import NotFitted
@@ -298,3 +300,32 @@ def test_vectorizer_caches_and_invalidates(repo, crawler):
     assert v2 == v1 and v2 is not v1
     assert vec.tfidf_vector("http://c1/")
     assert vec.tfidf_vector("http://nowhere/") is None
+
+
+def test_two_threads_missing_on_one_page_count_it_once(repo, crawler, monkeypatch):
+    # A servlet thread and a daemon both miss on the same url: the
+    # stand-in parks both inside the miss before either goes on.
+    _crawl_all(repo, crawler)
+    vec = PageVectorizer(repo)
+    vec.vector("http://c2/")
+    docs_before = vec.vocab.num_docs
+    both_inside = threading.Barrier(2, timeout=10)
+    page_text = repo.page_text
+
+    def parked_page_text(url):
+        both_inside.wait()
+        return page_text(url)
+
+    monkeypatch.setattr(repo, "page_text", parked_page_text)
+    got = []
+    threads = [
+        threading.Thread(target=lambda: got.append(vec.vector("http://c1/")))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 2 and got[0] is got[1] and got[0]
+    assert vec.vocab.num_docs == docs_before + 1
