@@ -40,6 +40,7 @@ from collections.abc import Callable, Hashable
 from typing import Any
 
 from ..obs import MetricsRegistry, null_registry
+from ..retrieval.dense import DenseIndexDaemon
 from ..storage.versioning import VersionCoordinator
 from .lru import ShardedLRU
 
@@ -246,16 +247,17 @@ class ReadPathCaches:
     * ``trails``   — ``core/trails`` replay payloads per (user, topic
       folder, window).
     * ``related``  — hybrid related-pages responses per (canonical url,
-      k); present only when a ``dense`` consumer name is given.
+      k).
 
     Watch sets encode which mining consumer feeds each read path: search
     results change when the **indexer** acks new versions; trails also
     change when the **classifier** does.  Classification posteriors carry
     the model version in their key, so the classify cache only watches
     the producer (a publish may change pages/links the model reads).
-    The related cache additionally watches the **dense** ANN consumer;
-    its co-visitation half is covered by the ``covisits`` change stamp
-    callers fold into ``extra``.
+    The related cache watches the **dense** ANN consumer; its
+    co-visitation half is covered by the ``covisits`` change stamp
+    callers fold into ``extra``.  Every watched consumer must already be
+    registered with *versions*.
     """
 
     def __init__(
@@ -269,7 +271,6 @@ class ReadPathCaches:
         related_entries: int = 1024,
         max_cost: int = 4_000_000,
         shards: int = 8,
-        dense: str | None = None,
     ) -> None:
         self.search = VersionedCache(
             "search", versions, watch=("indexer",),
@@ -286,22 +287,14 @@ class ReadPathCaches:
             max_entries=trail_entries, max_cost=max_cost, shards=shards,
             metrics=metrics,
         )
-        # Opt-in (the dense consumer must already be registered, which
-        # MemexServer guarantees by constructing daemons first); direct
-        # ReadPathCaches(versions) constructions in tests and external
-        # callers keep the classic three-cache bundle.
-        self.related = (
-            VersionedCache(
-                "related", versions, watch=(dense,),
-                max_entries=related_entries, max_cost=max_cost,
-                shards=shards, metrics=metrics,
-            )
-            if dense is not None else None
+        self.related = VersionedCache(
+            "related", versions, watch=(DenseIndexDaemon.name,),
+            max_entries=related_entries, max_cost=max_cost, shards=shards,
+            metrics=metrics,
         )
 
     def all(self) -> tuple[VersionedCache, ...]:
-        caches = (self.search, self.classify, self.trails, self.related)
-        return tuple(c for c in caches if c is not None)
+        return (self.search, self.classify, self.trails, self.related)
 
     def sync(self) -> None:
         # Nothing to sync (caches are not consumers); bench/ladder.py calls it.

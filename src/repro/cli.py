@@ -20,11 +20,6 @@ Commands
     protocol) with a threaded worker pool, ticking the background
     daemons between requests.  Connect with
     :class:`repro.server.transport.SocketTransport`.
-``loadgen``
-    Offer a deterministic open-loop schedule (Zipfian million-user
-    population, diurnal arrivals, optional flash crowd and chaos plan)
-    to a self-contained cluster and report latency/SLO results; see
-    docs/OPERATIONS.md.
 ``top``
     Live plain-text dashboard against a running router or server:
     cluster req/s, exact merged p50/p99 per servlet, shard health and
@@ -224,6 +219,12 @@ EXPERIMENTS = [
      "§4: HAC / scatter-gather link clustering"),
     ("E8", "benchmarks/test_e8_baselines.py",
      "§5: PowerBookmarks-style and URL-overlap baselines"),
+    ("E9", "benchmarks/test_e9_recommendation.py",
+     "§4 next step: collaborative recommendation from theme profiles"),
+    ("A*", "benchmarks/test_ablations.py",
+     "ablations A1-A4: sparsity, feature budget, relaxation, versioning"),
+    ("S1", "benchmarks/test_scale.py",
+     "§2: ingest and mining cost as the community grows"),
     ("M*", "benchmarks/test_micro_*.py",
      "storage and text substrate microbenchmarks"),
 ]
@@ -334,150 +335,6 @@ def _serve_cluster(args: argparse.Namespace, stop) -> int:
         cluster.close(drain=True)
     print("stopped")
     return 0
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Open-loop load (and optional chaos) against a self-contained
-    cluster: build a deterministic schedule from a generated corpus,
-    stand up ``--shards N`` real worker processes behind a router, offer
-    the schedule at ``--rate`` req/s through a client transport pool,
-    and report latency percentiles, error counts, and the server-side
-    SLO view.  Exit status 1 if a gate (``--gate-p99``, burn rate)
-    fails."""
-    import json as json_mod
-    import shutil
-    import tempfile
-
-    from .client.pool import TransportPool
-    from .core.api import corpus_fetcher
-    from .core.memex import MemexServer
-    from .loadgen import (
-        ChaosController,
-        OpenLoopRunner,
-        build_report,
-        build_schedule,
-        burn_rate_ok,
-        parse_chaos,
-        render_report,
-    )
-    from .shard import MemexCluster
-    from .webgen.population import FlashCrowd
-
-    workload = _build(args)
-    flash = None
-    if args.flash_at is not None:
-        topics = sorted({p.topic for p in workload.corpus.pages.values()})
-        flash = FlashCrowd(
-            at=args.flash_at,
-            duration=args.flash_duration,
-            multiplier=args.flash_multiplier,
-            topic=args.flash_topic if args.flash_topic else topics[0],
-        )
-    schedule = build_schedule(
-        workload.corpus,
-        seed=args.load_seed,
-        duration=args.duration,
-        rate=args.rate,
-        population=args.population,
-        zipf_exponent=args.zipf,
-        diurnal_amplitude=args.amplitude,
-        flash=flash,
-    )
-    print(
-        f"schedule: {len(schedule.requests)} requests over {args.duration}s, "
-        f"{len(schedule.users)} distinct users, "
-        f"digest {schedule.digest()[:12]}",
-        file=sys.stderr,
-    )
-
-    fetch = corpus_fetcher(workload.corpus)
-
-    def factory(shard_id: int, root: str | None) -> MemexServer:
-        return MemexServer(fetch, root=root, sync=args.sync)
-
-    scratch = None
-    data_dir = args.data_dir
-    if data_dir is None:
-        # Chaos recovery (and the durability contract it asserts) needs
-        # real WALs on disk, so an unset --data-dir gets a scratch dir.
-        scratch = tempfile.mkdtemp(prefix="memex-loadgen-")
-        data_dir = scratch
-    # Every pooled client connection parks one router worker thread.
-    pool_sockets = args.pool_size * args.pool_conns
-    cluster = MemexCluster(
-        factory, args.shards,
-        data_dir=data_dir, host=args.host, port=args.port,
-        router_workers=pool_sockets + 4,
-    )
-    chaos = None
-    try:
-        host, port = cluster.address
-        print(f"cluster up on {host}:{port}  (shards={args.shards})",
-              file=sys.stderr)
-        with TransportPool(
-            host, port, size=args.pool_size, max_pooled=args.pool_conns,
-        ) as pool:
-            runner = OpenLoopRunner(pool, schedule, workers=args.workers)
-            # Bracket the run with metrics_pull so the report can carry
-            # the server-side delta (work the cluster actually did, not
-            # just what clients observed).  Unauthenticated, like health.
-            metrics_before = pool.request(
-                "__operator__", {"servlet": "metrics_pull"},
-            )
-            if args.chaos:
-                chaos = ChaosController(
-                    parse_chaos(args.chaos), cluster=cluster, pool=pool,
-                )
-                chaos.start()
-            result = runner.run()
-            if chaos is not None:
-                chaos.stop()
-                for shard in range(args.shards):
-                    cluster.supervisor.wait_until_up(shard)
-            health = pool.request(
-                schedule.users[0], {"servlet": "health"},
-            )
-            metrics_after = pool.request(
-                "__operator__", {"servlet": "metrics_pull"},
-            )
-            report = build_report(
-                result,
-                label=f"shards={args.shards} rate={args.rate}",
-                offered_rate=schedule.offered_rate,
-                health=health,
-                chaos=chaos.fired if chaos is not None else None,
-                metrics_before=metrics_before,
-                metrics_after=metrics_after,
-            )
-    finally:
-        if chaos is not None:
-            chaos.stop()
-        cluster.close(drain=True)
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
-
-    if args.json:
-        print(json_mod.dumps(report, indent=2, default=str))
-    else:
-        print(render_report(report))
-
-    failed = []
-    if args.gate_p99 is not None:
-        for kind, row in report["latency"].items():
-            if row["p99"] >= args.gate_p99:
-                failed.append(
-                    f"{kind} p99 {row['p99']:.4f}s >= {args.gate_p99}s"
-                )
-    # The burn-rate gate applies to steady-state runs only: a chaos
-    # plan legitimately burns error budget during recovery windows (the
-    # SLO's 300 s short window dwarfs a short run, so even a healed
-    # fault reads as fast burn).  Chaos runs are judged on recovery
-    # (retries absorbed, bounded client-visible errors) instead.
-    if args.chaos is None and not burn_rate_ok(health):
-        failed.append("server SLO error budget burning at fast-burn rate")
-    for message in failed:
-        print(f"GATE FAILED: {message}", file=sys.stderr)
-    return 1 if failed else 0
 
 
 def cmd_experiments(_args: argparse.Namespace) -> int:
@@ -621,53 +478,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "loadgen",
-        help="offer open-loop load (and optional chaos) to a real cluster",
-    )
-    _add_workload_args(p)
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1,
-                   help="shard worker processes behind the router")
-    p.add_argument("--data-dir", default=None,
-                   help="cluster data root (default: a scratch dir)")
-    p.add_argument("--sync", action="store_true",
-                   help="fsync before acking writes (the durability "
-                        "contract chaos runs assert)")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="offered requests/second averaged over the run")
-    p.add_argument("--duration", type=float, default=30.0,
-                   help="offered-load horizon in seconds")
-    p.add_argument("--load-seed", type=int, default=7,
-                   help="schedule seed (same seed = byte-identical load)")
-    p.add_argument("--population", type=int, default=1_000_000,
-                   help="Zipfian population size user ids are drawn from")
-    p.add_argument("--zipf", type=float, default=1.1,
-                   help="Zipf activity exponent")
-    p.add_argument("--amplitude", type=float, default=0.6,
-                   help="diurnal modulation amplitude [0, 1)")
-    p.add_argument("--flash-at", type=float, default=None,
-                   help="start a flash crowd this many seconds in")
-    p.add_argument("--flash-duration", type=float, default=5.0)
-    p.add_argument("--flash-multiplier", type=float, default=4.0)
-    p.add_argument("--flash-topic", default=None,
-                   help="theme the crowd converges on (default: first topic)")
-    p.add_argument("--chaos", default=None,
-                   help="fault plan: comma-separated action[:shard]@at, "
-                        "e.g. 'kill_shard:0@10,drop_connections@15'")
-    p.add_argument("--workers", type=int, default=8,
-                   help="runner worker threads (in-flight concurrency)")
-    p.add_argument("--pool-size", type=int, default=4,
-                   help="client socket transports in the pool")
-    p.add_argument("--pool-conns", type=int, default=16,
-                   help="per-transport LRU connection cap")
-    p.add_argument("--gate-p99", type=float, default=None,
-                   help="fail (exit 1) if any kind's p99 exceeds this")
-    p.add_argument("--json", action="store_true",
-                   help="emit the run report as JSON")
-    p.set_defaults(func=cmd_loadgen)
-
-    p = sub.add_parser(
         "top", help="live cluster dashboard (metrics_pull + health over TCP)",
     )
     p.add_argument("--host", default="127.0.0.1")
@@ -691,14 +501,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("trace_id", help="32-hex trace id (from a traceparent)")
     p.add_argument("--data-dir", required=True,
-                   help="cluster data root (the serve/loadgen --data-dir)")
+                   help="cluster data root (the serve --data-dir)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "logs", help="print or follow the cluster's shipped JSONL streams",
     )
     p.add_argument("--data-dir", required=True,
-                   help="cluster data root (the serve/loadgen --data-dir)")
+                   help="cluster data root (the serve --data-dir)")
     p.add_argument("--follow", action="store_true",
                    help="keep polling for new records (tail -f)")
     p.add_argument("--trace", default=None,

@@ -7,7 +7,6 @@ from .applet import (
     MemexApplet,
 )
 from .browser import Browser
-from .pool import TransportPool
 
 __all__ = [
     "ARCHIVE_COMMUNITY",
@@ -15,5 +14,4 @@ __all__ = [
     "ARCHIVE_PRIVATE",
     "Browser",
     "MemexApplet",
-    "TransportPool",
 ]

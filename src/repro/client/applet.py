@@ -352,8 +352,7 @@ class MemexApplet:
 
     def related_pages(self, url: str, *, k: int = 10) -> list[dict[str, Any]]:
         """Pages related to *url* by trail co-visitation and dense textual
-        similarity — "people who read this also read".  Requires a server
-        built with ``retrieval=True`` (the default)."""
+        similarity — "people who read this also read"."""
         return self._call("related_pages", url=url, k=k)["related"]
 
     def recall_url(

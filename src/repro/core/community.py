@@ -69,10 +69,9 @@ def consolidate(server: MemexServer) -> CommunityReport | None:
 
     Returns None when the theme daemon has not produced a taxonomy yet.
     """
-    taxonomy = server.themes.taxonomy
+    taxonomy, profiles = server.profiles_and_taxonomy()
     if taxonomy is None:
         return None
-    profiles = server.current_profiles()
     return build_report(taxonomy, profiles)
 
 

@@ -95,7 +95,6 @@ class MemexServer:
         theme_discovery: ThemeDiscovery | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        retrieval: bool = True,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Default tracer samples 1-in-8 top-level spans: full traces for
@@ -124,27 +123,16 @@ class MemexServer:
             tracer=self.tracer, log=self.logs.logger("indexer"),
         )
         # Hybrid-retrieval plane (DESIGN.md §13): the dense ANN index and
-        # its consumer daemon, plus the co-visitation miner.  ``retrieval=
-        # False`` reverts to the purely lexical server — the differential
-        # baseline BENCH_retrieval.json compares against.
-        self.retrieval_enabled = retrieval
-        self.dense_index: DenseVectorIndex | None = None
-        self.dense: DenseIndexDaemon | None = None
-        self.covisit: CoVisitMinerDaemon | None = None
-        if retrieval:
-            self.dense_index = DenseVectorIndex(self.repo.kv)
-            self.dense = DenseIndexDaemon(
-                self.repo, self.vectorizer, self.dense_index,
-            )
-            self.covisit = CoVisitMinerDaemon(self.repo, clock=clock)
-        covisit_decay = self.covisit.decay if self.covisit is not None else 0.0
+        # its consumer daemon, plus the co-visitation miner.
+        self.dense_index = DenseVectorIndex(self.repo.kv)
+        self.dense = DenseIndexDaemon(
+            self.repo, self.vectorizer, self.dense_index,
+        )
+        self.covisit = CoVisitMinerDaemon(self.repo, clock=clock)
         self.classifier = ClassifierDaemon(
             self.repo, self.vectorizer, clock=clock,
-            covisit_provider=(
-                (lambda urls: covisit_evidence(
-                    self.repo, urls, now=self._now, decay=covisit_decay,
-                ))
-                if retrieval else None
+            covisit_provider=lambda urls: covisit_evidence(
+                self.repo, urls, now=self._now, decay=self.covisit.decay,
             ),
             tracer=self.tracer, log=self.logs.logger("classifier"),
         )
@@ -161,10 +149,8 @@ class MemexServer:
         )
         self.scheduler.register(self.crawler, period=1)
         self.scheduler.register(self.indexer, period=1)
-        if self.dense is not None:
-            self.scheduler.register(self.dense, period=1)
-        if self.covisit is not None:
-            self.scheduler.register(self.covisit, period=2)
+        self.scheduler.register(self.dense, period=1)
+        self.scheduler.register(self.covisit, period=2)
         self.scheduler.register(self.classifier, period=2)
         self.scheduler.register(self.themes, period=8)
         self.scheduler.register(self.discovery, period=8)
@@ -177,10 +163,9 @@ class MemexServer:
         # Read-path caches watch the indexer/classifier/dense consumers,
         # so those daemons must be registered first.  ``None`` switches
         # read caching off: the uncached reference the differential tests
-        # and BENCH_cache compare against.
+        # compare against.
         self.caches: ReadPathCaches | None = ReadPathCaches(
             self.repo.versions, metrics=self.metrics,
-            dense=self.dense.name if self.dense is not None else None,
         )
 
         self.registry = ServletRegistry(
@@ -280,11 +265,10 @@ class MemexServer:
         extra: Hashable = (),
     ) -> Any:
         """``compute()`` served through the read cache *name*, or called
-        directly when caching is off or the bundle has no such cache."""
-        cache = None if self.caches is None else getattr(self.caches, name)
-        if cache is None:
+        directly when caching is off."""
+        if self.caches is None:
             return compute()
-        return cache.cached(key, compute, extra=extra)
+        return getattr(self.caches, name).cached(key, compute, extra=extra)
 
     def _held_profiles(
         self, taxonomy: ThemeTaxonomy, num_docs: int,

@@ -172,6 +172,8 @@ def serve_resources(server: Server, user: User, request: Request) -> Response:
     since_days = request.get("since_days")
     out = []
     for res in server.discovery.for_theme(theme.theme_id):
+        if len(out) >= k:
+            break
         if since_days is not None and res.first_seen < server.now - float(since_days) * DAY:
             continue
         page = server.repo.db.table("pages").get(res.url)
@@ -183,8 +185,6 @@ def serve_resources(server: Server, user: User, request: Request) -> Response:
             "similarity": res.similarity,
             "first_seen": res.first_seen,
         })
-        if len(out) >= k:
-            break
     return {"resources": out, "theme": theme.theme_id, "theme_label": theme.label}
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..errors import ServletError
 from ..retrieval.covisit import related_scores
 from ..retrieval.fusion import canonical_url, rrf_fuse
 from ..storage.repository import MemexRepository
@@ -94,8 +93,7 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
     ``mode`` selects the ranking: ``ranked`` (BM25), ``boolean``, or
     ``hybrid`` — reciprocal-rank fusion of the lexical, dense-vector,
     and co-visitation rankings, deduped on canonical URL *before*
-    ``total`` is counted (DESIGN.md §13).  ``hybrid`` falls back to
-    ``ranked`` on a server constructed with ``retrieval=False``.
+    ``total`` is counted (DESIGN.md §13).
 
     Responses are served from the search cache keyed by the full
     request shape (query, mode, scope, user for ``mine``, limit,
@@ -106,7 +104,7 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
     repo = server.repo
     query = request["query"]
     limit, offset, mode, scope = search_options(request)
-    hybrid = mode == "hybrid" and server.retrieval_enabled
+    hybrid = mode == "hybrid"
 
     key = (
         query, mode, scope,
@@ -184,7 +182,6 @@ def fuse_hybrid(
     candidates: set[str] | None,
 ) -> list[tuple[str, float]]:
     """Fuse the lexical, dense, and co-visitation rankings (RRF)."""
-    assert server.dense_index is not None and server.covisit is not None
     vocab = server.vectorizer.vocab
     lexical = [h.doc_id for h in lexical_hits]
     qvec = tfidf(vocab, text_vector(vocab, query))
@@ -238,16 +235,10 @@ def serve_related_pages(server: Server, user: User, request: Request) -> Respons
     Fuses the co-visitation neighborhood (what trails say) with the
     dense nearest neighbours (what the text says), reciprocal-rank
     style, deduped on canonical URL.  Returns up to ``k`` rows and the
-    post-dedup neighborhood size as ``total``.  Requires a server
-    constructed with ``retrieval=True``.
+    post-dedup neighborhood size as ``total``.
     """
     url = request["url"]
     k = top_k(request, 10)
-    if not server.retrieval_enabled:
-        raise ServletError(
-            "related_pages requires a server with retrieval enabled")
-    assert server.dense_index is not None and server.covisit is not None
-
     canon = canonical_url(url)
     stamps = server.repo.stamps
 

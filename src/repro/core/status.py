@@ -58,7 +58,7 @@ def serve_metrics_pull(server: Server, user: None, request: Request) -> Response
 
     Unauthenticated by design, like ``health``: this is the operator
     pull path the router scatter-gathers into a cluster registry
-    (``repro top``, loadgen's server-side delta), and a monitoring
+    (``repro top``), and a monitoring
     agent must not need a user row.  ``include_history`` adds the
     sampled time-series ring (``history_limit`` newest samples).
     """

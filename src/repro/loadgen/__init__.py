@@ -1,29 +1,12 @@
-"""Open-loop load generation and chaos injection for the Memex server.
+"""Deterministic request schedules for load against the Memex server.
 
-The macro-scale harness ROADMAP item 5 calls for: a Zipfian population
-scaled toward 10^6 sparse-activity users (``repro.webgen.population``)
-is compiled into a deterministic request schedule (``schedule``),
-offered to a real socket deployment at its own pace (``runner`` —
-open-loop, latency measured from the scheduled instant), optionally
-while faults fire mid-run (``chaos``), and summarised into publishable
-reports with p99 and burn-rate gates (``report``).
-
-Entry points: ``python -m repro loadgen`` (CLI),
-``benchmarks/test_bench_load.py`` (publishes ``BENCH_load.json``), and
-docs/OPERATIONS.md for running it against a live cluster.
+A Zipfian population scaled toward 10^6 sparse-activity users
+(``repro.webgen.population``) is compiled into a byte-stable request
+schedule (``schedule``): the same seed gives the same requests in every
+process.  ``bench/`` replays these schedules closed-loop (its ``mixed``
+workload); DESIGN.md §12 says why there is no open-loop runner.
 """
 
-from .chaos import ACTIONS, ChaosController, ChaosEvent, parse_chaos
-from .report import (
-    assert_p99,
-    build_report,
-    burn_rate_ok,
-    burn_rates,
-    latency_summary,
-    metrics_delta,
-    render_report,
-)
-from .runner import OpenLoopRunner, RunResult
 from .schedule import (
     DEFAULT_MIX,
     KINDS,
@@ -34,23 +17,10 @@ from .schedule import (
 )
 
 __all__ = [
-    "ACTIONS",
-    "ChaosController",
-    "ChaosEvent",
     "DEFAULT_MIX",
     "KINDS",
     "LoadSchedule",
-    "OpenLoopRunner",
-    "RunResult",
     "ScheduledRequest",
-    "assert_p99",
-    "build_report",
     "build_schedule",
-    "burn_rate_ok",
-    "burn_rates",
-    "latency_summary",
     "merge_schedules",
-    "metrics_delta",
-    "parse_chaos",
-    "render_report",
 ]

@@ -90,9 +90,8 @@ class ServletRegistry:
     ) -> None:
         self._handlers: dict[str, Handler] = {}
         self._batch_handlers: dict[str, BatchHandler] = {}
-        self.requests_served = 0
         self.requests_failed = 0
-        self.batches_served = 0
+        # Ok answers per servlet, plus one per ``batch`` envelope handled.
         self._counts: dict[str, int] = {}
         self.metrics = metrics if metrics is not None else null_registry()
         self.tracer = tracer if tracer is not None else null_tracer()
@@ -256,11 +255,8 @@ class ServletRegistry:
         self._maybe_log_slow(name, elapsed, span)
         if failed:
             errors.inc()
-        with self._registry_lock:
-            if failed:
+            with self._registry_lock:
                 self.requests_failed += 1
-            else:
-                self.requests_served += 1
         return response
 
     # -- batch dispatch -----------------------------------------------------
@@ -374,12 +370,9 @@ class ServletRegistry:
             if n_failed:
                 span.set("failed", n_failed)
                 errors.inc(n_failed)
-            with self._registry_lock:
-                self.requests_failed += n_failed
-                self.requests_served += len(responses) - n_failed
         latency.observe(clock() - start)
         with self._registry_lock:
-            self.batches_served += 1
+            self.requests_failed += n_failed
             self._counts[BATCH_SERVLET] = self._counts.get(BATCH_SERVLET, 0) + 1
         return responses
 
@@ -427,16 +420,28 @@ class ServletRegistry:
 
     # -- introspection ------------------------------------------------------
 
+    @property
+    def requests_served(self) -> int:
+        """Ok answers, single or batched (envelopes are not requests)."""
+        return self.stats()["served"]
+
+    @property
+    def batches_served(self) -> int:
+        return self.stats()["batches"]
+
     def stats(self) -> dict[str, Any]:
         """Dispatch totals: requests served/failed, batch envelopes
-        handled, and a per-servlet success count."""
+        handled, and a per-servlet success count (``served`` is derived
+        from it)."""
         with self._registry_lock:
-            return {
-                "served": self.requests_served,
-                "failed": self.requests_failed,
-                "batches": self.batches_served,
-                "by_servlet": dict(self._counts),
-            }
+            counts = dict(self._counts)
+            failed = self.requests_failed
+        return {
+            "served": sum(counts.values()) - counts.get(BATCH_SERVLET, 0),
+            "failed": failed,
+            "batches": counts.get(BATCH_SERVLET, 0),
+            "by_servlet": counts,
+        }
 
     def latency_summary(self) -> dict[str, dict[str, float]]:
         """Per-servlet latency percentiles (empty when metrics disabled)."""

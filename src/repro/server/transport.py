@@ -211,10 +211,10 @@ class SocketTransport:
     reconnect-on-next-request behaviour is preserved.
 
     **Pool cap** (``max_pooled=N``).  One connection per user is fine
-    for a handful of applets, but an open-loop load generator speaks
-    for hundreds of scheduled users through one transport and would
-    otherwise hold one socket (and one server worker thread) per user
-    ever seen.  With ``max_pooled=N`` the pool becomes an LRU: opening
+    for a handful of applets, but a load client or a cluster's own
+    transport speaks for hundreds of users through one transport and
+    would otherwise hold one socket (and one server worker thread) per
+    user ever seen.  With ``max_pooled=N`` the pool becomes an LRU: opening
     a connection beyond the cap evicts the least-recently-used *idle*
     connection (one whose per-connection lock is not held — an in-
     flight request is never cut).  The next request for an evicted user
@@ -382,28 +382,6 @@ class SocketTransport:
             del self._conns[uid]
             evicted.append(conn)
         return evicted
-
-    def drop_connections(self, *, half_close: bool = False) -> int:
-        """Chaos hook: sever every pooled connection, returning how many
-        were hit.  With ``half_close=True`` the sockets' write sides are
-        shut down but the connections stay pooled — the server sees EOF
-        and hangs up, and the next request on each poisoned connection
-        fails retryably and reconnects.  With the default full close the
-        pool is emptied outright (in-flight requests on those sockets
-        surface retryable errors)."""
-        with self._pool_lock:
-            conns = dict(self._conns)
-            if not half_close:
-                self._conns.clear()
-        for conn in conns.values():
-            if half_close:
-                try:
-                    conn.sock.shutdown(socket.SHUT_WR)
-                except OSError:
-                    pass
-            else:
-                self._discard(conn)
-        return len(conns)
 
     def _open(self, user_id: str, key: bytes | None) -> socket.socket:
         """Connect and say hello as *user_id*; the socket is ready for

@@ -145,6 +145,7 @@ def versions():
     v = VersionCoordinator()
     v.register_consumer("indexer")
     v.register_consumer("classifier")
+    v.register_consumer("dense")
     return v
 
 
@@ -301,10 +302,12 @@ def test_versioned_cache_metrics_exported(versions):
 
 def test_read_path_caches_bundle(versions):
     caches = ReadPathCaches(versions)
-    assert {c.name for c in caches.all()} == {"search", "classify", "trails"}
+    names = {"search", "classify", "trails", "related"}
+    assert {c.name for c in caches.all()} == names
     caches.search.put("q", 1)
     caches.trails.put("t", 2)
+    caches.related.put("r", 3)
     stats = caches.stats()
-    assert set(stats) == {"search", "classify", "trails"}
-    assert caches.clear() == 2
+    assert set(stats) == names
+    assert caches.clear() == 3
     assert all(s["entries"] == 0 for s in caches.stats().values())

@@ -1,16 +1,34 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import EXPERIMENTS, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_experiments_lists_all(capsys):
     assert main(["experiments"]) == 0
     out = capsys.readouterr().out
-    for exp in ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8"]:
+    for exp in ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"]:
         assert exp in out
     assert "pytest benchmarks/" in out
+    # Every listed path or glob names files that exist, and every
+    # experiment file under benchmarks/ is listed.
+    listed = set()
+    for _, pattern, _ in EXPERIMENTS:
+        assert pattern in out
+        matches = set(ROOT.glob(pattern))
+        assert matches, f"{pattern} matches nothing"
+        listed |= matches
+    experiments = {
+        *ROOT.glob("benchmarks/test_e[0-9]*.py"),
+        ROOT / "benchmarks/test_ablations.py",
+        ROOT / "benchmarks/test_scale.py",
+    }
+    assert experiments <= listed
 
 
 def test_generate_prints_stats(capsys):

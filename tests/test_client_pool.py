@@ -1,20 +1,16 @@
-"""Client-side connection pooling: :class:`TransportPool` and the
-socket transport's LRU pool cap / chaos drop hooks.
+"""Client-side connection pooling in :class:`SocketTransport`.
 
-The load harness speaks for hundreds of scheduled users; these tests
-pin the two mechanisms that keep that affordable — stable user→member
-sharding across independent transports, and the per-transport LRU cap
-that bounds pooled sockets (never cutting an in-flight request) — plus
-the ``drop_connections`` chaos hook in both its full-close and
-half-close (poisoned connection) variants.
+A load client or a cluster's own transport speaks for hundreds of
+users; these tests pin the LRU cap that bounds pooled sockets (never
+cutting an in-flight request), and that a pooled connection the server
+has hung up on fails retryably once and then reconnects.
 """
 
+import socket
 import threading
-import zlib
 
 import pytest
 
-from repro.client import TransportPool
 from repro.errors import RETRYABLE_CODES, ProtocolError
 from repro.obs import MetricsRegistry
 from repro.server.netserver import MemexSocketServer
@@ -38,61 +34,6 @@ def server():
         _registry(), workers=16, metrics=MetricsRegistry(),
     ) as srv:
         yield srv
-
-
-# -- TransportPool ------------------------------------------------------------
-
-
-class TestTransportPool:
-    def test_member_mapping_is_stable_and_spread(self, server):
-        host, port = server.address
-        with TransportPool(host, port, size=4) as pool:
-            users = [f"u{i:07d}" for i in range(100)]
-            # Stable: crc32, never the per-process salted hash().
-            for user in users:
-                expected = zlib.crc32(user.encode()) % 4
-                assert pool._member(user) is pool.transports[expected]
-                assert pool._member(user) is pool._member(user)
-            # Spread: 100 users land on every member.
-            hit = {id(pool._member(u)) for u in users}
-            assert len(hit) == 4
-
-    def test_satisfies_transport_protocol(self, server):
-        host, port = server.address
-        with TransportPool(host, port, size=3) as pool:
-            out = pool.request("alice", {"servlet": "whoami"})
-            assert out["status"] == "ok" and out["you"] == "alice"
-            batch = pool.request_batch(
-                "bob", [{"servlet": "echo", "value": i} for i in range(3)],
-            )
-            assert [r["echo"] for r in batch] == [0, 1, 2]
-            pool.set_key("carol", None)
-            assert pool.key_for("carol") is None
-            assert pool.bytes_in > 0 and pool.bytes_out > 0
-
-    def test_total_sockets_bounded_by_size_times_cap(self, server):
-        host, port = server.address
-        with TransportPool(host, port, size=2, max_pooled=3) as pool:
-            for i in range(40):
-                pool.request(f"u{i:07d}", {"servlet": "whoami"})
-            pooled = sum(len(t._conns) for t in pool.transports)
-            assert pooled <= 2 * 3
-
-    def test_drop_connections_fans_out(self, server):
-        host, port = server.address
-        with TransportPool(host, port, size=3) as pool:
-            users = [f"u{i:07d}" for i in range(9)]
-            for user in users:
-                pool.request(user, {"servlet": "whoami"})
-            dropped = pool.drop_connections()
-            assert dropped == 9
-            assert sum(len(t._conns) for t in pool.transports) == 0
-            # Transparent reconnect afterwards.
-            assert pool.request(users[0], {"servlet": "whoami"})["you"] == users[0]
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            TransportPool("127.0.0.1", 1, size=0)
 
 
 # -- SocketTransport LRU cap --------------------------------------------------
@@ -155,35 +96,20 @@ class TestPoolCap:
             SocketTransport(host, port, max_pooled=-1)
 
 
-# -- drop_connections chaos hook ----------------------------------------------
+# -- a half-closed pooled connection -----------------------------------------
 
 
 class TestDropConnections:
-    def test_full_close_empties_pool_and_reconnects(self, server):
-        host, port = server.address
-        with SocketTransport(host, port) as transport:
-            for user in ("a", "b"):
-                transport.request(user, {"servlet": "whoami"})
-            assert transport.drop_connections() == 2
-            assert transport._conns == {}
-            assert transport.request("a", {"servlet": "whoami"})["you"] == "a"
-
     def test_half_close_poisons_then_recovers(self, server):
         host, port = server.address
         with SocketTransport(host, port) as transport:
             transport.request("a", {"servlet": "whoami"})
-            assert transport.drop_connections(half_close=True) == 1
-            # The poisoned connection stays pooled: the next request on
-            # it fails retryably (the mid-request connection-reset path)
-            # and the one after reconnects cleanly.
-            assert "a" in transport._conns
+            # Shut the pooled socket's write side: the server sees EOF
+            # and hangs up while the connection stays pooled.
+            transport._conns["a"].sock.shutdown(socket.SHUT_WR)
+            # The next request on it fails retryably (the mid-request
+            # connection-reset path) and the one after reconnects cleanly.
             with pytest.raises(ProtocolError) as exc:
                 transport.request("a", {"servlet": "whoami"})
             assert exc.value.code in RETRYABLE_CODES
             assert transport.request("a", {"servlet": "whoami"})["you"] == "a"
-
-    def test_drop_on_empty_pool_is_a_noop(self, server):
-        host, port = server.address
-        with SocketTransport(host, port) as transport:
-            assert transport.drop_connections() == 0
-            assert transport.drop_connections(half_close=True) == 0

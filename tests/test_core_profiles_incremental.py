@@ -11,6 +11,7 @@ follow what changed, counted in calls and selects, not in time.
 """
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.client.applet import replay_events
 from repro.core import MemexSystem
 from repro.core import memex as memex_module
 from repro.core.archive import folder_id, folder_path
+from repro.core.community import build_report, consolidate
 from repro.core.memex import MemexServer
 from repro.core.profiles import build_profile
 from repro.core.recommend import match_theme
@@ -336,6 +338,28 @@ def test_recommend_scores_against_the_taxonomy_its_profiles_came_from(workload):
         for user_id, answer in expected.items():
             server.themes = _SwapsWhileBeingRead(first, second)
             assert _ask(server, user_id, "recommend") == answer, user_id
+
+
+def test_consolidate_reports_the_taxonomy_its_profiles_came_from(workload):
+    """``consolidate`` read ``themes.taxonomy`` and then
+    ``current_profiles()``, which read it again: a swap in between
+    reported one taxonomy's themes beside user fits from the other."""
+    with _replayed(workload) as system:
+        server = system.server
+        first = server.themes.taxonomy
+        second = ThemeDiscovery(cohesion_threshold=0.99, min_split_folders=2) \
+            .discover(server.themes.folder_documents(), server.vectorizer.vocab)
+        expected = build_report(first, _reference_current_profiles(server))
+        on_second = SimpleNamespace(
+            themes=SimpleNamespace(taxonomy=second),
+            repo=server.repo, vectorizer=server.vectorizer)
+        assert expected.user_fit != build_report(
+            second, _reference_current_profiles(on_second)).user_fit
+        server.themes = _SwapsWhileBeingRead(first, second)
+        report = consolidate(server)
+        assert [t.theme_id for t in report.themes] == \
+            [t.theme_id for t in expected.themes]
+        assert report.user_fit == expected.user_fit
 
 
 # -- the differential oracle: a replayed community, checked at every step -----

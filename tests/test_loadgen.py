@@ -1,36 +1,21 @@
-"""Unit tests for the open-loop load harness (``repro.loadgen``).
+"""Unit tests for the load schedules (``repro.loadgen``).
 
 The determinism contract is the heart of this file: a schedule built
 from a seed must be byte-identical in every process — including under
 *different* ``PYTHONHASHSEED`` values, which is the proof that no
 builtin ``hash()`` or raw set iteration leaks into generation.  The
-rest covers the population models' statistics, the open-loop runner
-against a scripted transport (retry/shed/ack accounting), the manually
-driven chaos controller, and the report gates.
+rest covers the population models' statistics.
 """
 
 import random
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.loadgen import (
-    ChaosController,
-    ChaosEvent,
-    LoadSchedule,
-    OpenLoopRunner,
-    ScheduledRequest,
-    assert_p99,
-    build_report,
-    build_schedule,
-    burn_rate_ok,
-    merge_schedules,
-    parse_chaos,
-)
+from repro.loadgen import LoadSchedule, build_schedule, merge_schedules
 from repro.webgen import DiurnalCurve, FlashCrowd, ZipfPopulation, arrival_times
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -281,231 +266,3 @@ def test_schedule_byte_stable_across_processes_and_hash_seeds():
     d1 = _digest_in_subprocess("4242")
     assert d0 == d1
     assert len(d0) == 64  # a real sha256 came back
-
-
-# -- open-loop runner ---------------------------------------------------------
-
-
-class ScriptedTransport:
-    """A Transport double: acks everything, with optional scripted
-    failures per servlet and an optional per-call delay."""
-
-    def __init__(self, fail_first=0, retryable=True, delay=0.0):
-        self.fail_remaining = fail_first
-        self.retryable = retryable
-        self.delay = delay
-        self.calls = []
-        self._lock = threading.Lock()
-
-    def _maybe_fail(self):
-        with self._lock:
-            if self.fail_remaining > 0:
-                self.fail_remaining -= 1
-                return {"status": "error", "error": "scripted",
-                        "error_code": "internal", "retryable": self.retryable}
-        return None
-
-    def request(self, user_id, payload):
-        if self.delay:
-            threading.Event().wait(self.delay)
-        with self._lock:
-            self.calls.append((user_id, payload.get("servlet")))
-        if payload.get("servlet") == "register_user":
-            return {"status": "ok", "registered": True}
-        return self._maybe_fail() or {"status": "ok"}
-
-    def request_batch(self, user_id, payloads):
-        with self._lock:
-            self.calls.append((user_id, "batch"))
-        failure = self._maybe_fail()
-        if failure:
-            return [dict(failure) for _ in payloads]
-        return [{"status": "ok", "archived": True} for _ in payloads]
-
-
-def _tiny_schedule(n_sessions=4, visits=3):
-    requests = []
-    for i in range(n_sessions):
-        user = f"u{i:07d}"
-        visitlist = [{"servlet": "visit", "url": f"http://x/p{j}",
-                      "at": float(j), "session_id": 0} for j in range(visits)]
-        requests.append(ScheduledRequest(0.01 * i, user, "visit_batch",
-                                         visitlist))
-        requests.append(ScheduledRequest(0.01 * i + 0.005, user, "search",
-                                         {"servlet": "search", "query": "x"}))
-    requests.sort(key=lambda r: (r.at, r.user_id, r.kind))
-    return LoadSchedule(requests=requests, duration=0.1)
-
-
-class TestOpenLoopRunner:
-    def test_clean_run_accounts_everything(self):
-        transport = ScriptedTransport()
-        sched = _tiny_schedule(n_sessions=4, visits=3)
-        runner = OpenLoopRunner(transport, sched, workers=2)
-        result = runner.run()
-        assert result.offered == len(sched.requests)
-        assert result.sent == result.offered
-        assert result.shed == 0
-        assert result.total_errors == 0
-        assert result.registered == 4
-        assert result.total_acked == 4 * 3  # every scheduled visit acked
-        assert result.latency["visit_batch"].count == 4
-        assert result.latency["search"].count == 4
-        assert result.achieved_rate > 0
-
-    def test_retryable_errors_are_retried_to_success(self):
-        transport = ScriptedTransport(fail_first=3, retryable=True)
-        runner = OpenLoopRunner(transport, _tiny_schedule(2), workers=1,
-                                retries=5, retry_backoff=0.0)
-        result = runner.run()
-        assert result.total_errors == 0
-        assert result.retries >= 3
-        assert result.total_acked == 2 * 3
-
-    def test_non_retryable_errors_count_without_retry(self):
-        transport = ScriptedTransport(fail_first=1, retryable=False)
-        runner = OpenLoopRunner(transport, _tiny_schedule(2), workers=1,
-                                retry_backoff=0.0)
-        result = runner.run()
-        assert result.total_errors == 1
-        assert result.retries == 0
-
-    def test_retry_budget_is_bounded(self):
-        transport = ScriptedTransport(fail_first=10_000, retryable=True)
-        runner = OpenLoopRunner(transport, _tiny_schedule(1), workers=1,
-                                retries=2, retry_backoff=0.0)
-        result = runner.run()
-        assert result.total_errors == 2     # both requests exhaust retries
-        assert result.retries == 4          # 2 retries each, bounded
-
-    def test_backlog_overflow_sheds(self):
-        # One slow worker, backlog of 1, a burst due at t=0: the pacer
-        # must shed instead of stretching the offered timeline.
-        transport = ScriptedTransport(delay=0.2)
-        requests = [
-            ScheduledRequest(0.0, "u0000001", "search",
-                             {"servlet": "search", "query": "x"})
-            for _ in range(6)
-        ]
-        sched = LoadSchedule(requests=requests, duration=0.01)
-        runner = OpenLoopRunner(transport, sched, workers=1, max_backlog=1,
-                                register_users=False)
-        result = runner.run()
-        assert result.shed > 0
-        assert result.sent + result.shed == result.offered
-
-    def test_open_loop_latency_includes_queue_wait(self):
-        # With one worker and a 0.1s service time, the second request's
-        # open-loop latency must include the first one's service.
-        transport = ScriptedTransport(delay=0.1)
-        requests = [
-            ScheduledRequest(0.0, "u0000001", "search",
-                             {"servlet": "search", "query": "x"}),
-            ScheduledRequest(0.0, "u0000002", "search",
-                             {"servlet": "search", "query": "x"}),
-        ]
-        sched = LoadSchedule(requests=requests, duration=0.01)
-        runner = OpenLoopRunner(transport, sched, workers=1,
-                                register_users=False)
-        result = runner.run()
-        assert result.latency["search"].summary()["max"] >= 0.15
-
-
-# -- chaos controller (manual drive) -----------------------------------------
-
-
-class TestChaosController:
-    def _controller(self, events, log):
-        handlers = {
-            action: (lambda event, _a=action: log.append((_a, event.at)))
-            for action in ("kill_shard", "tear_wal_tail", "drop_connections")
-        }
-        return ChaosController(events, handlers=handlers)
-
-    def test_fires_exactly_where_configured(self):
-        log = []
-        ctl = self._controller(parse_chaos(
-            "kill_shard:1@2,drop_connections@4,tear_wal_tail:0@4.5"), log)
-        assert ctl.step(1.0) == []
-        assert log == []
-        fired = ctl.step(2.0)
-        assert [r["event"].action for r in fired] == ["kill_shard"]
-        assert log == [("kill_shard", 2.0)]
-        ctl.step(3.9)
-        assert len(log) == 1            # nothing fires early
-        ctl.step(10.0)                  # both remaining, in schedule order
-        assert log == [("kill_shard", 2.0), ("drop_connections", 4.0),
-                       ("tear_wal_tail", 4.5)]
-        assert ctl.pending == 0
-        ctl.step(20.0)
-        assert len(ctl.fired) == 3      # exactly-once
-
-    def test_handler_failure_is_recorded_not_raised(self):
-        def boom(_event):
-            raise RuntimeError("injection failed")
-
-        ctl = ChaosController(
-            [ChaosEvent(1.0, "drop_connections"),
-             ChaosEvent(2.0, "drop_connections")],
-            handlers={"drop_connections": boom},
-        )
-        fired = ctl.step(5.0)
-        assert len(fired) == 2          # the failure did not stop the plan
-        assert all("RuntimeError" in r["error"] for r in fired)
-
-    def test_parse_chaos_rejects_malformed_specs(self):
-        with pytest.raises(ValueError):
-            parse_chaos("kill_shard:1")          # missing @at
-        with pytest.raises(ValueError):
-            parse_chaos("melt_cpu@3")            # unknown action
-        with pytest.raises(ValueError):
-            parse_chaos("kill_shard@3")          # shard id required
-        assert parse_chaos("") == []
-
-    def test_events_sorted_by_time(self):
-        events = parse_chaos("drop_connections@9,kill_shard:0@1")
-        assert [e.at for e in events] == [1.0, 9.0]
-
-
-# -- reports and gates --------------------------------------------------------
-
-
-class TestReport:
-    def _result(self):
-        transport = ScriptedTransport()
-        runner = OpenLoopRunner(transport, _tiny_schedule(3), workers=2)
-        return runner.run()
-
-    def test_build_report_shape(self):
-        result = self._result()
-        health = {
-            "health": "ok",
-            "slos": {"search": {"status": "ok", "p95": 0.01,
-                                "burn_short": 0.0, "burn_long": 0.0,
-                                "error_rate_short": 0.0}},
-        }
-        report = build_report(result, label="unit", offered_rate=5.0,
-                              health=health, chaos=[])
-        assert report["label"] == "unit"
-        assert report["acked_visits"] == result.total_acked
-        assert report["server_slos"]["search"]["status"] == "ok"
-        assert report["chaos"] == []
-        assert set(report["latency"]) == {"search", "visit_batch"}
-        for row in report["latency"].values():
-            assert {"count", "mean", "p50", "p95", "p99", "max"} <= set(row)
-
-    def test_assert_p99_gate(self):
-        report = build_report(self._result(), label="gate")
-        assert_p99(report, "search", 10.0)       # passes
-        with pytest.raises(AssertionError):
-            assert_p99(report, "search", 0.0)    # impossible gate
-        with pytest.raises(AssertionError):
-            assert_p99(report, "no_such_kind", 1.0)
-
-    def test_burn_rate_gate(self):
-        ok = {"slos": {"a": {"burn_short": 2.0, "burn_long": 20.0}}}
-        assert burn_rate_ok(ok)                  # only one window burning
-        bad = {"slos": {"a": {"burn_short": 20.0, "burn_long": 15.0}}}
-        assert not burn_rate_ok(bad)             # both windows >= FAST_BURN
-        assert burn_rate_ok({"slos": {}})
-        assert burn_rate_ok({})

@@ -1,9 +1,9 @@
 """Chaos injection against a real cluster: the zero-lost-acks contract.
 
 These tests drive a live :class:`~repro.shard.MemexCluster` (forked
-workers, real WALs, real TCP through the router) and inject the faults
-the chaos controller schedules — worker SIGKILL, torn WAL tails,
-dropped client connections — then prove the recovery invariants:
+workers, real WALs, real TCP through the router) and inject faults
+through the supervisor and the client — worker SIGKILL, torn WAL tails,
+severed client connections — then prove the recovery invariants:
 
 * **zero lost acknowledged writes** — every visit acked ``archived:
   true`` before (or during) the fault is present after WAL replay;
@@ -18,15 +18,13 @@ worker's WAL must be refused (it would corrupt *acknowledged* state,
 which is not the failure mode a crash can produce under ``sync=True``).
 """
 
+import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
-from repro.client import TransportPool
 from repro.core.memex import MemexServer
 from repro.errors import ProtocolError
-from repro.loadgen import ChaosController, OpenLoopRunner, build_schedule, parse_chaos
 from repro.server.daemons import FetchedPage
 from repro.shard import MemexCluster
 
@@ -41,14 +39,6 @@ PAGES = {
     for t in range(N_TOPICS)
     for p in range(PAGES_PER_TOPIC)
 }
-
-
-def _corpus():
-    """The loadgen-facing view of PAGES (pages carry a .topic)."""
-    return SimpleNamespace(pages={
-        url: SimpleNamespace(topic=f"/Top/T{url[len('http://site')]}")
-        for url in PAGES
-    })
 
 
 def _factory(shard_id, root):
@@ -172,47 +162,60 @@ def test_scatter_degrades_partial_then_recovers_bounded(tmp_path):
         assert st["partial"] is False, "partial window never closed"
 
 
-# -- full harness under chaos -------------------------------------------------
+# -- writers under chaos -----------------------------------------------------
 
 
 def test_open_loop_run_under_chaos_loses_no_acked_visit(tmp_path):
-    """The end-to-end drill the CLI automates: an open-loop schedule
-    offered over real TCP while the chaos controller SIGKILLs a shard
-    and severs client connections mid-run.  Afterwards every
-    acknowledged visit must be on some shard, and the cluster must be
-    serving complete (non-partial) scatter reads again."""
-    schedule = build_schedule(
-        _corpus(), seed=19, duration=6.0, rate=12.0,
-        population=1_000_000, visits_per_batch=4,
-    )
-    assert schedule.counts()["visit_batch"] > 0
+    """Closed-loop writer threads send visit batches over real TCP while
+    shard 1 is SIGKILLed and every client connection is severed at once.
+    Afterwards every acknowledged visit must be on some shard, and the
+    cluster must be serving complete (non-partial) scatter reads again."""
+    urls = sorted(PAGES)
+    with _cluster(tmp_path, n_shards=2) as cluster:
+        writers = [f"writer{i}" for i in range(4)]
+        for user in writers:
+            cluster.register_user(user)
+        assert {cluster.ring.shard_for(u) for u in writers} == {0, 1}
+        stop = threading.Event()
+        acked = dict.fromkeys(writers, 0)
 
-    pool_sockets = 2 * 8
-    with _cluster(tmp_path, n_shards=2,
-                  router_workers=pool_sockets + 4) as cluster:
-        host, port = cluster.address
-        events = parse_chaos("kill_shard:1@1.5,drop_connections@3.0")
-        with TransportPool(host, port, size=2, max_pooled=8) as pool:
-            chaos = ChaosController(events, cluster=cluster, pool=pool)
-            runner = OpenLoopRunner(pool, schedule, workers=4)
-            chaos.start()
-            try:
-                result = runner.run()
-            finally:
-                chaos.stop()
+        def write(user):
+            at = 0.0
+            while not stop.is_set():
+                batch = []
+                for _ in range(4):
+                    at += 1.0
+                    batch.append({"servlet": "visit", "at": at,
+                                  "url": urls[int(at) % len(urls)]})
+                try:
+                    responses = cluster.transport.request_batch(user, batch)
+                except ProtocolError:
+                    stop.wait(0.05)   # a retryable break: nothing acked
+                    continue
+                acked[user] += sum(
+                    1 for r in responses if r.get("archived") is True)
 
-            assert chaos.pending == 0
-            assert all("error" not in rec for rec in chaos.fired), chaos.fired
-            assert result.sent == result.offered - result.shed
-            assert result.total_acked > 0
-
+        threads = [threading.Thread(target=write, args=(u,)) for u in writers]
+        for thread in threads:
+            thread.start()
+        try:
+            time.sleep(0.5)
+            cluster.supervisor.kill(1)
+            cluster.transport.close()
             assert cluster.supervisor.wait_until_up(1, timeout=30.0)
-            st = cluster.stats(schedule.users[0])
-            assert st["partial"] is False
-            total_visits = sum(
-                int(row["visits"]) for row in st["by_shard"].values()
-            )
-            assert total_visits >= result.total_acked, (
-                f"lost acked writes under chaos: acked {result.total_acked}, "
-                f"stored {total_visits}"
-            )
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+
+        total_acked = sum(acked.values())
+        assert total_acked > 0
+        st = cluster.stats(writers[0])
+        assert st["partial"] is False
+        stored = sum(int(row["visits"]) for row in st["by_shard"].values())
+        assert stored >= total_acked, (
+            f"lost acked writes under chaos: acked {total_acked}, "
+            f"stored {stored}"
+        )

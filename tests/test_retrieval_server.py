@@ -1,16 +1,23 @@
 """Hybrid retrieval through the server: fusion, pagination, caching.
 
-Satellite-3 coverage: ``total``/``has_more`` must be computed AFTER the
-canonical-URL dedup that fusion applies — plus the pagination edge cases
-(offset==total, offset>total, limit=0, negative windows) in hybrid mode,
-rejection of unknown ``mode``/``scope`` values, and related-cache
-invalidation when new trail evidence lands.
+``total``/``has_more`` must be computed AFTER the canonical-URL dedup
+that fusion applies — plus the pagination edge cases (offset==total,
+offset>total, limit=0, negative windows) in hybrid mode, rejection of
+unknown ``mode``/``scope`` values, and related-cache invalidation when
+new trail evidence lands.  On a replayed community: ranked and boolean
+search never touch the retrieval plane, and hybrid search retrieves
+more of a topic than lexical search does.
 """
+
+import json
 
 import pytest
 
+import repro.core.search
+from repro.core import MemexSystem
 from repro.core.memex import MemexServer
 from repro.server.daemons import FetchedPage
+from repro.webgen import build_workload
 
 PAGES = {
     "http://a.com/jazz": "jazz trumpet improvisation swing bebop",
@@ -172,22 +179,6 @@ def test_hybrid_surfaces_trail_companions_lexical_misses(server):
     assert "http://a.com/blues" in hybrid_urls
 
 
-def test_hybrid_falls_back_to_ranked_when_retrieval_disabled():
-    srv = MemexServer(fetcher, retrieval=False)
-    req = lambda u, p: srv.transport.request(u, p)  # noqa: E731
-    req("u1", {"servlet": "register_user"})
-    req("u1", {"servlet": "visit", "url": "http://a.com/jazz", "at": 1.0})
-    srv.tick(3)
-    hybrid = req("u1", {"servlet": "search", "query": "jazz", "mode": "hybrid"})
-    ranked = req("u1", {"servlet": "search", "query": "jazz", "mode": "ranked"})
-    assert hybrid["hits"] == ranked["hits"]
-    assert srv.caches.related is None
-    related = req("u1", {"servlet": "related_pages", "url": "http://a.com/jazz"})
-    assert related["status"] == "error"
-    assert related["error_code"] == "bad_request"
-    srv.close()
-
-
 # -- related_pages ------------------------------------------------------------
 
 def test_related_pages_returns_trail_neighbors(server):
@@ -255,3 +246,112 @@ def test_hybrid_search_cache_hits_until_covisits_move(server):
     srv.tick(4)
     _search(req)
     assert srv.caches.search.stats()["hits"] == hits0 + 1   # miss, recomputed
+
+
+# -- a replayed community -----------------------------------------------------
+
+K = 10
+
+
+@pytest.fixture(scope="module")
+def community():
+    """One replayed, quiesced community, and one topical query per leaf
+    topic with at least three archived pages: the leaf's two *tail* seed
+    terms (a surfer recalling a couple of a topic's rarer words — plenty
+    of on-topic pages never mention them, which is the headroom the
+    dense and trail legs exist to recover), with the topic's archived
+    pages as the relevant set."""
+    workload = build_workload(
+        seed=1711, num_users=4, days=10, pages_per_leaf=8,
+        bookmark_prob=0.25,
+    )
+    system = MemexSystem.from_workload(workload)
+    system.replay(workload.events)
+    archived = {
+        row["url"] for row in system.server.repo.db.table("pages").scan()
+    }
+    queries = []
+    for leaf in workload.root.leaves():
+        relevant = {
+            page.url for page in workload.corpus.by_topic(leaf.name)
+            if page.url in archived
+        }
+        if len(relevant) >= 3:
+            queries.append((" ".join(leaf.seed_terms[-2:]), relevant))
+    yield system, workload.profiles[0].user_id, queries
+    system.close()
+
+
+def test_ranked_and_boolean_never_touch_retrieval(community, monkeypatch):
+    """Ranked and boolean responses, over every scope and window, are
+    byte-identical with the dense index and the co-visitation reader
+    made to raise: only hybrid search reads the retrieval plane."""
+    system, user, queries = community
+    server = system.server
+    requests = []
+    for text, _ in queries[:8]:
+        first, second = text.split()
+        for mode, query in (("ranked", text), ("boolean", text),
+                            ("boolean", f"{first} OR {second}"),
+                            ("boolean", f"{first} AND NOT {second}")):
+            for scope in ("all", "mine", "community"):
+                for limit, offset in ((10, 0), (3, 2), (0, 0), (1000, 5)):
+                    requests.append({
+                        "servlet": "search", "query": query, "mode": mode,
+                        "scope": scope, "limit": limit, "offset": offset,
+                    })
+
+    def answers():
+        server.caches.clear()
+        return [
+            json.dumps(server.transport.request(user, dict(r)),
+                       sort_keys=True)
+            for r in requests
+        ]
+
+    before = answers()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the retrieval plane was read")
+
+    monkeypatch.setattr(server.dense_index, "query", boom)
+    monkeypatch.setattr(server.dense_index, "vector", boom)
+    monkeypatch.setattr(server.dense_index.projector, "project", boom)
+    monkeypatch.setattr(repro.core.search, "related_scores", boom)
+    assert answers() == before
+    assert all('"status": "ok"' in answer for answer in before)
+    # The patches bite: a hybrid search now fails.
+    server.caches.clear()
+    hybrid = server.transport.request(user, {
+        "servlet": "search", "query": queries[0][0], "mode": "hybrid"})
+    assert hybrid["status"] == "error"
+
+
+def _quality(system, user, queries, mode):
+    """Mean precision@K and recall@K of community-scope search.
+    Precision divides by K, not by the rows returned: a mode that fills
+    four of ten slots did not reach precision 1.0."""
+    precision = recall = 0.0
+    for query, relevant in queries:
+        response = system.server.transport.request(user, {
+            "servlet": "search", "query": query, "mode": mode,
+            "scope": "community", "limit": K,
+        })
+        assert response["status"] == "ok", response
+        found = len({h["url"] for h in response["hits"]} & relevant)
+        precision += found / K
+        recall += found / min(K, len(relevant))
+    return precision / len(queries), recall / len(queries)
+
+
+def test_hybrid_recall_above_lexical_precision_no_worse(community):
+    """Fusing the dense and trail legs into lexical ranking retrieves
+    more of each topic's archived pages in the top ten (32 queries:
+    recall@10 0.493 -> 0.563, precision@10 0.394 -> 0.450) without
+    giving up precision."""
+    system, user, queries = community
+    assert len(queries) >= 4, "workload too small to score retrieval"
+    lex_precision, lex_recall = _quality(system, user, queries, "ranked")
+    hyb_precision, hyb_recall = _quality(system, user, queries, "hybrid")
+    assert hyb_recall > lex_recall, (lex_recall, hyb_recall)
+    assert hyb_precision >= lex_precision, (lex_precision, hyb_precision)

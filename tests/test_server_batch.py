@@ -216,6 +216,39 @@ def test_dispatch_batch_mixed_good_and_bad_items():
     assert reg.stats()["batches"] == 1
 
 
+def test_registry_counters_over_a_mixed_stream():
+    """``served`` and ``batches`` are derived from the per-servlet ok
+    counts; every kind of request moves exactly the counter it should."""
+    reg = ServletRegistry()
+    reg.register("echo", lambda req: {"x": req.get("x")})
+
+    def broken(req):
+        raise RuntimeError("kaboom")
+
+    reg.register("broken", broken)
+    bad_parent = {"servlet": "echo", "traceparent": "not-a-traceparent"}
+    for request in (
+        {"servlet": "echo", "x": 1},                          # served 1
+        {"servlet": "echo", "x": 2},                          # served 2
+        bad_parent,                                           # failed 1
+        {"servlet": "nope"},                                  # failed 2
+        {"servlet": "broken"},                                # failed 3
+        {"servlet": "batch", "requests": [                    # batches 1
+            {"servlet": "echo"}, {"servlet": "echo"},         # served 4
+            {"servlet": "nope"}, {"servlet": "broken"},
+            bad_parent,                                       # failed 6
+        ]},
+        {"servlet": "batch", "requests": "not-a-list"},       # failed 7
+    ):
+        reg.dispatch(request)
+    reg.dispatch_batch([{"servlet": "echo"}])                 # served 5, batches 2
+    assert reg.stats() == {
+        "served": 5, "failed": 7, "batches": 2,
+        "by_servlet": {"echo": 5, "batch": 2},
+    }
+    assert (reg.requests_served, reg.requests_failed, reg.batches_served) == (5, 7, 2)
+
+
 def test_dispatch_batch_envelope_propagates_user():
     reg = ServletRegistry()
     reg.register("whoami", lambda req: {"you": req.get("user_id")})

@@ -16,9 +16,12 @@ import sys
 
 import pytest
 
+from repro.client.applet import MemexApplet, replay_events
 from repro.core import MemexSystem
+from repro.core.api import corpus_fetcher
 from repro.core.memex import MemexServer
 from repro.core.servlet_table import BROADCAST, OWNER, SCATTER, SERVLETS
+from repro.server.transport import HttpTunnelTransport
 from repro.shard.gather import SCATTER_REWRITERS, LocalBackend, ShardDispatcher
 from repro.webgen import build_workload
 
@@ -58,6 +61,11 @@ REQUESTS = {
 OBSERVABILITY = {"stats", "health", "metrics_pull"}
 TAKES_K = ("search", "recall", "related_pages", "resources", "profile_similar",
            "interest_mates", "recommend", "popular_near_trail")
+#: The list each ``TAKES_K`` row answers with.
+ROWS = {"search": "hits", "recall": "hits", "related_pages": "related",
+        "resources": "resources", "profile_similar": "users",
+        "interest_mates": "users", "recommend": "pages",
+        "popular_near_trail": "pages"}
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +87,32 @@ class RecordingBackend(LocalBackend):
     def request(self, user_id, payload):
         self.log.append((self.shard, payload))
         return super().request(user_id, payload)
+
+
+@pytest.fixture(scope="module")
+def seeded_pair(workload):
+    """The workload replayed into one server, and into two servers behind
+    an in-process dispatcher; yields a transport onto each."""
+    with _seeded(workload) as one:
+        fetch = corpus_fetcher(workload.corpus)
+        servers = [MemexServer(fetch) for _ in range(2)]
+        dispatcher = ShardDispatcher(
+            [LocalBackend(server.registry) for server in servers])
+        two = HttpTunnelTransport(servers[0].registry, dispatcher=dispatcher)
+        for profile in workload.profiles:
+            two.request(profile.user_id, {
+                "servlet": "register_user", "community": workload.name,
+                "archive_mode": "community"})
+        replay_events(
+            workload.events, lambda user: MemexApplet(two, user),
+            batch_size=32, tick_every=100,
+            on_tick=lambda: [server.tick() for server in servers])
+        for server in servers:
+            server.process_background_work()
+        yield one.server.transport, two
+        dispatcher.close()
+        for server in servers:
+            server.close()
 
 
 @pytest.fixture()
@@ -259,3 +293,17 @@ def test_auth_is_checked_before_any_request_field():
                 assert response["error_code"] == "unknown_user", name
             else:
                 assert response.get("error_code") != "unknown_user", name
+
+
+@pytest.mark.parametrize("name", TAKES_K)
+def test_k_zero_is_empty_on_one_server_and_on_two(seeded_pair, workload, name):
+    """``resources`` appended a row before it compared against ``k``, so
+    one server answered ``k=0`` with a row while the cluster merger
+    answered with none."""
+    user = workload.profiles[0].user_id
+    for transport in seeded_pair:
+        one = transport.request(user, {"servlet": name, **REQUESTS[name], "k": 1})
+        assert len(one[ROWS[name]]) == 1, (name, one)   # there is a row to hold back
+        zero = transport.request(user, {"servlet": name, **REQUESTS[name], "k": 0})
+        assert zero["status"] == "ok", (name, zero)
+        assert zero[ROWS[name]] == [], (name, zero)
