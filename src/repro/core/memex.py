@@ -42,6 +42,7 @@ from ..retrieval.dense import DenseIndexDaemon, DenseVectorIndex
 from ..server.scheduler import DaemonScheduler
 from ..server.servlets import Handler, ServletRegistry
 from ..server.netserver import MemexSocketServer
+from ..server.protocol import SharedResponse
 from ..server.transport import HttpTunnelTransport
 # gather before the table: the table's own import of repro.shard.merge
 # must find the shard package already initialising from here.
@@ -260,15 +261,18 @@ class MemexServer:
         self,
         name: str,
         key: Hashable,
-        compute: Callable[[], Any],
+        compute: Callable[[], dict[str, Any]],
         *,
         extra: Hashable = (),
-    ) -> Any:
-        """``compute()`` served through the read cache *name*, or called
+    ) -> dict[str, Any]:
+        """The response ``compute()`` builds, served through the response
+        cache *name* (``search``, ``trails`` or ``related``) as one
+        read-only :class:`SharedResponse` every hit returns; called
         directly when caching is off."""
         if self.caches is None:
             return compute()
-        return getattr(self.caches, name).cached(key, compute, extra=extra)
+        return getattr(self.caches, name).cached(
+            key, lambda: SharedResponse(compute()), extra=extra)
 
     def _held_profiles(
         self, taxonomy: ThemeTaxonomy, num_docs: int,

@@ -266,6 +266,7 @@ def community_pages_for_folder(
     floor = member_sims[int(SIMILARITY_QUANTILE * (len(member_sims) - 1))]
 
     model_version = server.classifier.model_version(owner)
+    classify = None if server.caches is None else server.caches.classify
 
     out: set[str] = set()
     seen: set[str] = set()
@@ -282,10 +283,13 @@ def community_pages_for_folder(
             continue
         # Independent per-page prediction: batch relaxation would let
         # confidently-wrong labels cascade through off-topic clusters.
-        folder = server.cached(
-            "classify", (owner, url, model_version),
-            lambda: model.predict(url, vec)[0],
-        )
+        if classify is None:
+            folder = model.predict(url, vec)[0]
+        else:
+            folder = classify.cached(
+                (owner, url, model_version),
+                lambda: model.predict(url, vec)[0],
+            )
         if folder in folder_set:
             out.add(url)
     return out

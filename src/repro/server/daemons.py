@@ -411,26 +411,34 @@ class ClassifierDaemon:
 
     # -- training -------------------------------------------------------------
 
-    def _supervision(self, user_id: str) -> dict[str, str]:
-        """url -> folder_id from the user's deliberate actions."""
-        out: dict[str, str] = {}
+    def _filings(self) -> list[tuple[str, str, str]]:
+        """``(owner, folder_id, url)`` of every deliberate filing (bookmark
+        or correction), in table order: one pass over the rows and one
+        ``folders`` lookup per folder, read once per run."""
+        folders = self.repo.db.table("folders")
+        owners: dict[str, str | None] = {}
+        out: list[tuple[str, str, str]] = []
         for row in self.repo.db.table("folder_pages").select(
             lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
         ):
-            folder = self.repo.db.table("folders").get(row["folder_id"])
-            if folder is not None and folder["owner"] == user_id:
-                out[row["url"]] = row["folder_id"]
+            folder_id = row["folder_id"]
+            if folder_id not in owners:
+                folder = folders.get(folder_id)
+                owners[folder_id] = None if folder is None else folder["owner"]
+            owner = owners[folder_id]
+            if owner is not None:
+                out.append((owner, folder_id, row["url"]))
         return out
 
-    def _community_folders(self, exclude_user: str) -> list[list[str]]:
+    @staticmethod
+    def _community_folders(
+        filings: list[tuple[str, str, str]], exclude_user: str,
+    ) -> list[list[str]]:
         """Folder contents across the rest of the community (co-placement)."""
         contents: dict[str, list[str]] = defaultdict(list)
-        for row in self.repo.db.table("folder_pages").select(
-            lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
-        ):
-            folder = self.repo.db.table("folders").get(row["folder_id"])
-            if folder is not None and folder["owner"] != exclude_user:
-                contents[row["folder_id"]].append(row["url"])
+        for owner, folder_id, url in filings:
+            if owner != exclude_user:
+                contents[folder_id].append(url)
         return list(contents.values())
 
     def _current_graph(self) -> nx.DiGraph:
@@ -440,8 +448,14 @@ class ClassifierDaemon:
             self._graph_links = n_links
         return self._graph
 
-    def _maybe_train(self, user_id: str) -> EnhancedClassifier | None:
-        supervision = self._supervision(user_id)
+    def _maybe_train(
+        self, user_id: str, filings: list[tuple[str, str, str]],
+    ) -> EnhancedClassifier | None:
+        # url -> folder_id from the user's deliberate actions.
+        supervision = {
+            url: folder_id for owner, folder_id, url in filings
+            if owner == user_id
+        }
         usable = {
             url: folder for url, folder in supervision.items()
             if self.vectorizer.vector(url) is not None
@@ -460,7 +474,7 @@ class ClassifierDaemon:
             return have
         vectors = {u: self.vectorizer.vector(u) for u in usable}
         coplacement = build_coplacement(
-            self._community_folders(user_id)
+            self._community_folders(filings, user_id)
             + [[u for u, f in usable.items() if f == c] for c in classes]
         )
         covisitation = (
@@ -485,21 +499,32 @@ class ClassifierDaemon:
 
     def run_once(self) -> int:
         watermark, _ = self.repo.versions.poll(self.name)
-        pending = self.repo.db.table("visits").select(
-            lambda r: r["topic_folder"] is None, order_by="visit_id",
-            limit=self.batch_size * 4,
-        )
+        filings = self._filings()
         now = self.clock()
+        # The oldest unfiled visits of users a model can serve, trained in
+        # order of their first such visit.  A user with no model drops out
+        # before the window is taken: their visits never get filed, and
+        # left in the window they would stay first in line on every run.
+        models: dict[str, EnhancedClassifier | None] = {}
         by_user: dict[str, list[dict]] = defaultdict(list)
-        for visit in pending:
-            by_user[visit["user_id"]].append(visit)
+        room = self.batch_size * 4
+        for visit in self.repo.db.table("visits").select(
+            lambda r: r["topic_folder"] is None, order_by="visit_id",
+        ):
+            user_id = visit["user_id"]
+            if user_id not in models:
+                models[user_id] = self._maybe_train(user_id, filings)
+            if models[user_id] is None:
+                continue
+            by_user[user_id].append(visit)
+            room -= 1
+            if not room:
+                break
         # The run's (visit_id, folder_id, confidence) decisions, stored
         # in one transaction before the ack.
         decisions: list[tuple[int, str, float]] = []
         for user_id, visits in by_user.items():
-            model = self._maybe_train(user_id)
-            if model is None:
-                continue
+            model = models[user_id]
             batch: dict[str, SparseVector] = {}
             visit_for_url: dict[str, list[dict]] = defaultdict(list)
             for visit in visits[: self.batch_size]:

@@ -163,6 +163,63 @@ def rc4_stream(key: bytes, data: bytes) -> bytes:
     ).to_bytes(n, "little")
 
 
+def _json_body(payload: dict[str, Any]) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+class SharedResponse(dict):
+    """A finished response a read cache hands to every hit.
+
+    Every hit returns this one object, so it is read-only: copy it before
+    annotating (``dict(r)``, ``copy.copy(r)`` and ``copy.deepcopy(r)``
+    give a plain, mutable dict).  ``status: ok`` is stamped where the
+    handler set none, in the place a registry's stamp would put it.
+
+    :func:`encode_message` frames it from a JSON body kept on the object
+    from its second frame on: the miss that built it pays ``json.dumps``
+    once and keeps nothing, so an entry nobody asks for again holds no
+    extra bytes (DESIGN.md §7, "What a hit costs").
+
+    >>> r = SharedResponse({"hits": [], "total": 0})
+    >>> r["total"] = 1
+    Traceback (most recent call last):
+    ...
+    TypeError: a shared response is read-only; copy it first
+    >>> r.body() == json.dumps(r, separators=(",", ":")).encode()
+    True
+    """
+
+    __slots__ = ("_body", "_framed")
+
+    def __init__(self, response: dict[str, Any]) -> None:
+        super().__init__(response)
+        if "status" not in self:
+            dict.__setitem__(self, "status", "ok")
+        self._body: bytes | None = None
+        self._framed = False
+
+    def body(self) -> bytes:
+        """The frame body: encoded afresh on the first call, kept from the
+        second on.  Two threads racing here encode the same bytes."""
+        body = self._body
+        if body is None:
+            body = _json_body(self)
+            if self._framed:
+                self._body = body
+            self._framed = True
+        return body
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> Any:
+        raise TypeError("a shared response is read-only; copy it first")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # copy, deepcopy and pickle rebuild a plain dict.
+        return dict, (dict(self),)
+
+
 def encode_message(
     payload: dict[str, Any], *, key: bytes | None = None,
 ) -> bytes:
@@ -170,7 +227,10 @@ def encode_message(
 
     ``flags`` carries the cipher bit and ``PROTOCOL_VERSION``.
     """
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = (
+        payload.body() if isinstance(payload, SharedResponse)
+        else _json_body(payload)
+    )
     flags = PROTOCOL_VERSION << _VERSION_SHIFT
     if key is not None:
         body = rc4_stream(key, body)

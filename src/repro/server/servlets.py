@@ -202,8 +202,8 @@ class ServletRegistry:
         """The servlet isolation boundary, shared by single, per-item and
         grouped dispatch: an exception becomes a typed error payload with
         its traceback; a response without a status gets ``ok`` stamped on
-        a copy (handlers may return cached/shared dicts, and mutating
-        those in place corrupts the handler); an ok answer is counted."""
+        a copy (a cached response arrives stamped and read-only, and goes
+        out as the very object the cache holds); an ok answer is counted."""
         try:
             response = handler(request)
         except Exception as exc:  # noqa: BLE001 - servlet isolation boundary

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core import MemexSystem
 from repro.errors import NotFitted
 from repro.server.daemons import (
     ClassifierDaemon,
@@ -18,6 +19,7 @@ from repro.server.daemons import (
 from repro.storage.repository import MemexRepository
 from repro.storage.schema import ARCHIVE_COMMUNITY, ASSOC_BOOKMARK, ASSOC_GUESS
 from repro.text.index import InvertedIndex
+from repro.webgen import build_workload
 
 PAGES = {
     "http://c1/": ("Classical 1", "classical symphony orchestra bach mozart concert", ("http://c2/",)),
@@ -183,6 +185,42 @@ def test_classifier_guess_replacement(repo, crawler):
         r for r in repo.page_folders("http://c3/") if r["source"] == ASSOC_GUESS
     ]
     assert len(guesses) == 1
+
+
+def _filed_folder(lurker_visits: int) -> str | None:
+    """Where the classifier files one new ``user01`` visit after a user
+    with no folders (so no model) has sent *lurker_visits* visits."""
+    workload = build_workload(seed=23, num_users=4, days=6, pages_per_leaf=6)
+    system = MemexSystem.from_workload(workload)
+    system.replay(workload.events)
+    server = system.server
+    server.process_background_work()
+    urls = sorted(workload.corpus.pages)
+    if lurker_visits:
+        lurker = system.register_user("lurker")
+        for i in range(lurker_visits):
+            lurker.record_visit(urls[i % len(urls)], at=server.now + 1.0)
+        server.process_background_work()
+    supervised = {
+        row["url"] for row in server.repo.db.table("folder_pages").scan()
+        if row["folder_id"].startswith("user01:")
+    }
+    url = next(u for u in urls if u not in supervised)
+    system.connect("user01").record_visit(url, at=server.now + 1.0)
+    server.process_background_work()
+    last = server.repo.db.table("visits").select(
+        {"user_id": "user01"}, order_by="visit_id")[-1]
+    assert last["url"] == url
+    system.close()
+    return last["topic_folder"]
+
+
+def test_visits_no_model_will_file_do_not_starve_everyone_else():
+    """More than a run's window of visits from a user the classifier
+    cannot serve must not keep later visits of other users unfiled."""
+    unstarved = _filed_folder(0)
+    assert unstarved is not None and unstarved.startswith("user01:")
+    assert _filed_folder(300) == unstarved
 
 
 def test_link_graph_materialization(repo, crawler):
