@@ -238,9 +238,12 @@ class VersionedCache:
 class ReadPathCaches:
     """The server's cache bundle: one :class:`VersionedCache` per read path.
 
-    * ``search``   — ``text/search`` results, keyed by (query, mode,
-      scope[, user], limit, offset): pagination-aware, so two pages of
-      the same query are distinct entries.
+    * ``search``   — two key shapes under one validity: a finished page
+      keyed by (query, mode, scope, user or "", limit, offset), and the
+      ranking the pages of that query are cut from — an immutable tuple
+      of (url, score) rows — keyed by (query, mode, scope, user or "").
+      A page miss reads the ranking through this same cache, so the
+      pages of one query rank once and both kinds invalidate together.
     * ``classify`` — per-(user, page, model-version) classification
       posteriors from the enhanced classifier, the hot inner loop of
       trail replay and popular-near-trail.

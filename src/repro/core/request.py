@@ -38,13 +38,29 @@ def require_user(repo: MemexRepository, request: Request) -> User:
     return user
 
 
+def count_field(request: Request, field: str, default: int) -> int:
+    """The request's *field* as a non-negative integer (*default* when
+    absent).  A negative value, a boolean, a non-integral number or
+    anything else ``int()`` cannot parse raises ``ValueError`` — a typed
+    ``bad_request`` — instead of being truncated to an integer."""
+    value = request.get(field, default)
+    try:
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError
+        count = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be an integer, not {value!r}") from None
+    if count < 0:
+        raise ValueError(f"{field} must be non-negative")
+    return count
+
+
 def top_k(request: Request, default: int) -> int:
-    """The request's ``k``; negative or non-integer raises ``ValueError``
-    (a typed ``bad_request``) in the handler and in the merger alike."""
-    k = int(request.get("k", default))
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return k
+    """The request's ``k`` (see :func:`count_field`), parsed alike in the
+    handler and in the merger."""
+    return count_field(request, "k", default)
 
 
 def checked_k(request: Request) -> Request:

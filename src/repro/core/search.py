@@ -14,7 +14,17 @@ from ..storage.repository import MemexRepository
 from ..text.query import ranked_boolean_search
 from ..text.snippets import make_snippet
 from ..text.vectorize import text_vector, tfidf
-from .request import DAY, OWNER, SCATTER, Request, Response, Server, User, top_k
+from .request import (
+    DAY,
+    OWNER,
+    SCATTER,
+    Request,
+    Response,
+    Server,
+    User,
+    count_field,
+    top_k,
+)
 
 #: Reciprocal-rank-fusion weights for hybrid search (DESIGN.md §13):
 #: lexical evidence leads, dense similarity seconds it, trail adjacency
@@ -35,14 +45,12 @@ SEARCH_SCOPES = ("all", "mine", "community")
 def search_options(request: Request) -> tuple[int, int, str, str]:
     """``(limit, offset, mode, scope)`` of a ``search`` request.
 
-    A negative window or an unknown mode/scope raises ``ValueError``
-    (-> typed ``bad_request``) instead of silently ranking as BM25 over
-    everything under a cache key of its own.
+    A negative or non-integer window or an unknown mode/scope raises
+    ``ValueError`` (-> typed ``bad_request``) instead of silently ranking
+    as BM25 over everything under a cache key of its own.
     """
-    limit = int(request.get("limit", top_k(request, 10)))
-    offset = int(request.get("offset", 0))
-    if limit < 0 or offset < 0:
-        raise ValueError("limit and offset must be non-negative")
+    limit = count_field(request, "limit", top_k(request, 10))
+    offset = count_field(request, "offset", 0)
     mode = request.get("mode", "ranked")
     if mode not in SEARCH_MODES:
         raise ValueError(f"mode must be one of {', '.join(SEARCH_MODES)}")
@@ -95,22 +103,21 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
     and co-visitation rankings, deduped on canonical URL *before*
     ``total`` is counted (DESIGN.md §13).
 
-    Responses are served from the search cache keyed by the full
-    request shape (query, mode, scope, user for ``mine``, limit,
-    offset); validity is the indexer's watermark plus the page/visit
-    change stamps the candidate sets read (hybrid entries also fold
-    in the covisits stamp and the dense consumer's watermark).
+    The work is two steps, each cached in the search cache under the
+    same validity: the *ranking* — candidates, BM25 or boolean, fusion —
+    keyed by the session (query, mode, scope, user for ``mine``), and
+    the *page* — window, titles, snippets — keyed by the session plus
+    (limit, offset).  So the pages of one query rank once.  Validity is
+    the indexer's watermark plus the page/visit change stamps the
+    candidate sets read (hybrid entries also fold in the covisits stamp
+    and the dense consumer's watermark).
     """
     repo = server.repo
     query = request["query"]
     limit, offset, mode, scope = search_options(request)
     hybrid = mode == "hybrid"
 
-    key = (
-        query, mode, scope,
-        user["user_id"] if scope == "mine" else "",
-        limit, offset,
-    )
+    session = (query, mode, scope, user["user_id"] if scope == "mine" else "")
     stamps = repo.stamps
     # Titles come from the pages table; mine/community candidate
     # sets additionally read the visits table.
@@ -126,7 +133,7 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
         extra = (*extra, stamps.covisits,
                  repo.versions.watermark(server.dense.name))
 
-    def compute() -> Response:
+    def rank() -> tuple[tuple[str, float], ...]:
         candidates: set[str] | None = None
         if scope == "mine":
             candidates = {v["url"] for v in repo.user_visits(user["user_id"])}
@@ -140,20 +147,23 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
             hits = server.search_engine.search(
                 query, k=None, candidates=candidates)
         if hybrid:
-            fused = fuse_hybrid(server, query, hits, candidates)
             # Post-dedup accounting: fusion folds URL variants into
             # one canonical page, so total/has_more count the deduped
             # list — counting first and deduping later drifts the
             # page window.
-            total = len(fused)
-            page_rows = fused[offset:offset + limit]
-        else:
-            total = len(hits)
-            page_rows = [
-                (h.doc_id, h.score) for h in hits[offset:offset + limit]
-            ]
+            return tuple(fuse_hybrid(server, query, hits, candidates))
+        return tuple((h.doc_id, h.score) for h in hits)
+
+    def compute() -> Response:
+        # On a page miss: the page's token is already taken, so a
+        # ranking hit is validated against a token no older than it.
+        caches = server.caches
+        ranking = (
+            rank() if caches is None
+            else caches.search.cached(session, rank, extra=extra)
+        )
         payloads = []
-        for url, score in page_rows:
+        for url, score in ranking[offset:offset + limit]:
             payload = hit_payload(repo, url, score)
             text = repo.page_text(url)
             payload["snippet"] = (
@@ -161,12 +171,13 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
             payloads.append(payload)
         return {
             "hits": payloads,
-            "total": total,
+            "total": len(ranking),
             "offset": offset,
-            "has_more": offset + len(payloads) < total,
+            "has_more": offset + len(payloads) < len(ranking),
         }
 
-    return server.cached("search", key, compute, extra=extra)
+    return server.cached(
+        "search", (*session, limit, offset), compute, extra=extra)
 
 
 def _top_urls(scores: dict[str, float]) -> list[str]:

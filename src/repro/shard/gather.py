@@ -103,6 +103,10 @@ class ShardDispatcher:
       sees a *degraded* answer, not an error.  The window in which
       reads are partial is bounded by the supervisor's restart (see
       ``tests/test_loadgen_chaos.py``).
+    * If every shard answered and none answered ok, the owner shard's
+      error payload is the answer (``unknown_user`` stays
+      ``unknown_user``); only a scatter with a down or raising shard and
+      no survivor is a retryable ``unavailable``.
     * Owner-routed and broadcast requests to a down shard fail fast
       with a retryable ``unavailable`` error payload instead: writes
       must never be silently degraded.
@@ -365,6 +369,10 @@ class ShardDispatcher:
         ]
         failed = sorted(set(range(self.n_shards)) - {s for s, _ in oks})
         if not oks:
+            if all(response is not None for _, response in results):
+                # Every shard answered and refused (an unknown user, say):
+                # that is the owner's typed answer, not an outage.
+                return results[owner][1]
             self.unavailable_total.inc()
             return _unavailable(
                 f"scatter {row.name!r} failed on every shard "

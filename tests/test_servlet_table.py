@@ -264,11 +264,12 @@ def test_a_mixed_envelope_routes_each_item_by_its_row(cluster):
 
 # -- k: one parser, handler and merger agree ------------------------------------------
 
-@pytest.mark.parametrize("bad_k", [-1, "many"])
+@pytest.mark.parametrize("bad_k", [-1, "many", 2.5, True, 1.9, float("inf")])
 @pytest.mark.parametrize("name", TAKES_K)
 def test_a_bad_k_is_a_bad_request_on_one_server_and_on_two(cluster, name, bad_k):
     """``[:k]`` with ``k=-1`` used to drop the last row while the cluster
-    merger read it as "no limit"."""
+    merger read it as "no limit"; ``int()`` truncated ``k=2.5`` to two
+    rows and ``k=True`` to one."""
     fields = {**REQUESTS[name], "k": bad_k}
     with MemexServer(lambda url: None) as server:
         server.registry.dispatch({"servlet": "register_user", "user_id": "ann"})
@@ -282,6 +283,63 @@ def test_a_bad_k_is_a_bad_request_on_one_server_and_on_two(cluster, name, bad_k)
         assert response["error_code"] == "bad_request", (name, response)
     if SERVLETS[name].route(fields) == SCATTER:
         assert reached == []            # refused at the router, no fan-out
+
+
+def _alone(name, fields):
+    """*fields* sent to *name* on one fresh server that knows ``ann``."""
+    with MemexServer(lambda url: None) as server:
+        server.registry.dispatch({"servlet": "register_user", "user_id": "ann"})
+        return server.transport.request("ann", {"servlet": name, **fields})
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 1.9])
+@pytest.mark.parametrize("field", ["limit", "offset"])
+def test_a_non_integer_search_window_is_a_bad_request_on_one_server_and_on_two(
+    cluster, field, bad,
+):
+    """``int()`` truncated: ``offset=1.9`` served offset 1 and
+    ``limit=True`` one row."""
+    fields = {**REQUESTS["search"], field: bad}
+    alone = _alone("search", fields)
+    dispatcher, log = cluster
+    sharded, reached = _reached(
+        dispatcher, log, "search", **{**fields, "mode": "hybrid"})
+    for response in (alone, sharded):
+        assert response["status"] == "error", response
+        assert response["error_code"] == "bad_request", response
+    assert reached == []
+
+
+def test_whole_floats_are_still_a_count():
+    """A JSON client that writes ``10.0`` still gets ten rows' window."""
+    for fields in ({"k": 3.0}, {"limit": 3.0, "offset": 0.0}):
+        response = _alone("search", {**REQUESTS["search"], **fields})
+        assert response["status"] == "ok", response
+
+
+def _scattering(name):
+    """``REQUESTS[name]``, in hybrid mode for ``search`` (the one that scatters)."""
+    return {**REQUESTS[name], "mode": "hybrid"} if name == "search" else REQUESTS[name]
+
+
+AUTH_SCATTER = sorted(
+    name for name, row in SERVLETS.items()
+    if row.auth and row.route(_scattering(name)) == SCATTER)
+
+
+@pytest.mark.parametrize("name", AUTH_SCATTER)
+def test_a_scatter_every_shard_refuses_is_the_refusal_not_an_outage(cluster, name):
+    """Every shard answered ``unknown_user``; the router used to report a
+    retryable ``unavailable``, so a sharded client retried forever."""
+    fields = _scattering(name)
+    with MemexServer(lambda url: None) as server:
+        alone = server.transport.request("nobody", {"servlet": name, **fields})
+    dispatcher, _log = cluster
+    sharded = dispatcher.dispatch({"servlet": name, "user_id": "nobody", **fields})
+    for response in (alone, sharded):
+        assert response["error_code"] == "unknown_user", (name, response)
+        assert response["retryable"] is False, (name, response)
+    assert sharded == alone
 
 
 def test_auth_is_checked_before_any_request_field():
