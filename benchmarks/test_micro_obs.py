@@ -254,10 +254,10 @@ def test_v3_cluster_observability_overhead_and_publish():
     """Obs v3 gate, two legs, published to ``BENCH_obs.json``:
 
     1. *Single process*: the full v3 configuration — metrics, tracer at
-       1-in-8, structured logging, slow-request threshold, the metrics
-       history sampler registered on the scheduler, and a ``metrics_pull``
-       raw snapshot taken mid-run — still adds <5% to the servlet
-       request path (same differential estimator as the v1/v2 gates).
+       1-in-8, structured logging, slow-request threshold, and a
+       ``metrics_pull`` raw snapshot taken mid-run — still adds <5% to
+       the servlet request path (same differential estimator as the
+       v1/v2 gates).
     2. *Router hop*: a 2-shard dispatcher with the router tracer enabled
        (traceparent parse + ``router.dispatch`` span + per-hop stamping,
        1-in-8 requests traced) adds <5% over the identical dispatcher
@@ -281,8 +281,6 @@ def test_v3_cluster_observability_overhead_and_publish():
         metrics=MetricsRegistry(enabled=False), tracer=Tracer(enabled=False))
     for reg in (enabled, disabled):
         reg.register("echo", lambda req: {"x": 1})
-    from repro.obs import MetricsHistory
-    history = MetricsHistory(enabled.metrics)
 
     traced = [{"servlet": "echo"} for _ in range(7)] + [
         {"servlet": "echo", "traceparent": tp}]
@@ -293,7 +291,6 @@ def test_v3_cluster_observability_overhead_and_publish():
     sweeps, n = (6, 800) if QUICK else (15, 2000)
     best_on = best_off = float("inf")
     for r in range(sweeps):
-        history.run_once()  # the sampler runs between sweeps, as it would
         pairs = [(enabled, traced), (disabled, plain)]
         if r % 2:
             pairs.reverse()
@@ -329,8 +326,7 @@ def test_v3_cluster_observability_overhead_and_publish():
             reg.register("echo", lambda req: {"x": 1})
             reg.register(
                 "metrics_pull",
-                lambda req, m=reg.metrics: {
-                    "metrics": m.raw_snapshot(), "history_len": 0},
+                lambda req, m=reg.metrics: {"metrics": m.raw_snapshot()},
             )
             registries.append(reg)
         return ShardDispatcher(
@@ -384,7 +380,6 @@ def test_v3_cluster_observability_overhead_and_publish():
             "traceparent_every": 8,
             "logging": True,
             "slow_request_threshold": 60.0,
-            "history_sampling": True,
             "router_shards": 2,
         },
         "single_process": {

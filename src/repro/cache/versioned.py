@@ -87,8 +87,7 @@ class VersionedCache:
     metrics:
         Observability registry; exposes ``cache.hits`` / ``cache.misses``
         / ``cache.evictions`` / ``cache.invalidations`` pull counters and
-        ``cache.entries`` / ``cache.cost`` pull gauges, all labelled
-        ``cache=<name>``.
+        the ``cache.entries`` pull gauge, all labelled ``cache=<name>``.
     """
 
     def __init__(
@@ -124,7 +123,6 @@ class VersionedCache:
             lambda: self._lru.stats()["invalidations"], cache=name,
         )
         metrics.gauge_func("cache.entries", lambda: len(self._lru), cache=name)
-        metrics.gauge_func("cache.cost", lambda: self._lru.cost, cache=name)
 
     # -- the protocol --------------------------------------------------------
 

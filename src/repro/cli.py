@@ -10,9 +10,9 @@ Commands
 ``queries``
     Answer the six §1 motivating queries for one simulated user.
 ``stats``
-    Replay a workload, run the daemons to quiescence, and print the
-    observability report: every counter, gauge (including per-consumer
-    versioning lag), and latency histogram the pipeline recorded.
+    Replay a workload, run the daemons to quiescence, and print one
+    ``repro top`` frame of the replayed server (``--json``: the
+    ``metrics_pull`` and ``health`` payloads).
 ``experiments``
     Print the experiment index (what each benchmark reproduces).
 ``serve``
@@ -124,7 +124,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .obs import render_health, render_table, to_json
+    import json
+
+    from .obs import render_dashboard
 
     workload, system = _replayed_system(args)
     server = system.server
@@ -138,46 +140,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
             leaf = workload.root.find(top)
             applet.search(" ".join(leaf.seed_terms[:2]), k=5)
             applet.trail_view(profile.folder_for_topic(top))
+    pull = server.registry.dispatch({"servlet": "metrics_pull"})
     health = server.registry.dispatch({"servlet": "health"})
     if args.json:
-        print(to_json(
-            server.metrics, tracer=server.tracer, health=health,
-            logs=server.logs.to_payload() if args.logs else None, indent=2,
-        ))
+        payload = {"metrics_pull": pull, "health": health}
+        if args.logs:
+            payload["logs"] = server.logs.to_payload()
+        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
         return 0
-    print(render_table(server.metrics, tracer=None, health=health))
+    print(render_dashboard(pull, health=health))
     if args.logs:
         print("\nstructured log (JSON lines)")
-        print("---------------------------")
         print(server.logs.render_jsonl())
-    lags = server.repo.versions.lags()
-    print("\nversioning lag (published versions behind producer)")
-    print("---------------------------------------------------")
-    for name in sorted(lags):
-        print(f"{name:<12}  {lags[name]}")
-    latency = server.registry.latency_summary()
-    if latency:
-        print("\nservlet p95 latency (seconds)")
-        print("-----------------------------")
-        for name in sorted(latency):
-            print(f"{name:<24}  {latency[name]['p95']:.6f}")
-    if server.caches is not None:
-        print("\nread-path caches (version-aware invalidation)")
-        print("---------------------------------------------")
-        header = ("cache", "entries", "hits", "misses",
-                  "evict", "inval", "hit_rate")
-        print(f"{header[0]:<10}" + "".join(f"{h:>9}" for h in header[1:]))
-        for name, row in sorted(server.caches.stats().items()):
-            print(
-                f"{name:<10}{row['entries']:>9}{row['hits']:>9}"
-                f"{row['misses']:>9}{row['evictions']:>9}"
-                f"{row['invalidations']:>9}{row['hit_rate']:>9.2f}"
-            )
-    storage = server.repo.storage_stats()
-    print(f"\nstorage engine ({storage.pop('engine', '?')})")
-    print("----------------------------------------------")
-    for key in sorted(storage):
-        print(f"{key:<20}  {storage[key]}")
     return 0
 
 
@@ -446,7 +420,10 @@ def main(argv: list[str] | None = None) -> int:
         "stats", help="replay a workload and print the observability report",
     )
     _add_workload_args(p)
-    p.add_argument("--json", action="store_true", help="emit a JSON snapshot")
+    p.add_argument(
+        "--json", action="store_true",
+        help="emit the metrics_pull and health payloads as JSON",
+    )
     p.add_argument(
         "--logs", action="store_true",
         help="include the structured log ring (JSON lines)",

@@ -24,7 +24,6 @@ from ..mining.themes import ThemeDiscovery, ThemeTaxonomy
 from ..obs import (
     HealthMonitor,
     LogHub,
-    MetricsHistory,
     MetricsRegistry,
     Tracer,
 )
@@ -155,11 +154,6 @@ class MemexServer:
         self.scheduler.register(self.classifier, period=2)
         self.scheduler.register(self.themes, period=8)
         self.scheduler.register(self.discovery, period=8)
-        # Metrics time series: sample the registry's mergeable raw
-        # snapshot into a bounded ring; `metrics_pull` exposes it so the
-        # router (and `repro top`) can compute rates without scraping.
-        self.history = MetricsHistory(self.metrics)
-        self.scheduler.register(self.history, period=4)
 
         # Read-path caches watch the indexer/classifier/dense consumers,
         # so those daemons must be registered first.  ``None`` switches
@@ -186,9 +180,7 @@ class MemexServer:
         # ShardDispatcher the router uses, over one in-process backend.
         # With one healthy backend every merge is the identity, so this
         # is bit-identical to direct registry dispatch.
-        self.dispatcher = ShardDispatcher(
-            [LocalBackend(self.registry)], metrics=self.metrics,
-        )
+        self.dispatcher = ShardDispatcher([LocalBackend(self.registry)])
         self.transport = HttpTunnelTransport(
             self.registry, dispatcher=self.dispatcher,
         )

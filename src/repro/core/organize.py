@@ -21,7 +21,7 @@ from ..server.daemons import PageVectorizer
 from ..storage.schema import ASSOC_CORRECTION
 from ..text.vectorize import SparseVector, centroid, normalize, top_terms
 from .archive import ensure_folder, folder_id
-from .request import Request, Response, Server, User
+from .request import Request, Response, Server, User, count_field
 from .trails import user_folder_ids
 
 
@@ -215,6 +215,8 @@ def apply_proposal(
 
 def serve_propose_hierarchy(server: Server, user: User, request: Request) -> Response:
     """§2: propose a topic hierarchy over one folder's links."""
+    min_cluster = count_field(request, "min_cluster", 3)
+    max_depth = count_field(request, "max_depth", 3)
     folder_ids = user_folder_ids(
         server.repo, user["user_id"], request["folder_path"])
     urls = sorted({
@@ -224,8 +226,7 @@ def serve_propose_hierarchy(server: Server, user: User, request: Request) -> Res
         return {"proposal": None, "reason": "folder is empty"}
     proposal = propose_hierarchy(
         server.vectorizer, urls,
-        min_cluster=int(request.get("min_cluster", 3)),
-        max_depth=int(request.get("max_depth", 3)),
+        min_cluster=min_cluster, max_depth=max_depth,
     )
     return {"proposal": proposal.to_payload()}
 

@@ -4,7 +4,7 @@ every handler at module level, and ``memex`` imports the table)."""
 
 from __future__ import annotations
 
-from .request import Request, Response, Server, User
+from .request import Request, Response, Server, User, count_field
 
 
 def serve_stats(server: Server, user: User, request: Request) -> Response:
@@ -35,7 +35,7 @@ def serve_stats(server: Server, user: User, request: Request) -> Response:
         out["spans"] = server.tracer.to_payload()
     if request.get("include_logs"):
         out["logs"] = server.logs.to_payload(
-            limit=int(request.get("log_limit", 200)),
+            limit=count_field(request, "log_limit", 200),
         )
     return out
 
@@ -58,15 +58,7 @@ def serve_metrics_pull(server: Server, user: None, request: Request) -> Response
 
     Unauthenticated by design, like ``health``: this is the operator
     pull path the router scatter-gathers into a cluster registry
-    (``repro top``), and a monitoring
-    agent must not need a user row.  ``include_history`` adds the
-    sampled time-series ring (``history_limit`` newest samples).
+    (``repro top``), and a monitoring agent must not need a user row.
+    Rates are the reader's business: ``repro top`` diffs two pulls.
     """
-    out: Response = {
-        "metrics": server.metrics.raw_snapshot(),
-        "history_len": len(server.history),
-    }
-    if request.get("include_history"):
-        limit = int(request.get("history_limit", 32))
-        out["history"] = server.history.samples(limit)
-    return out
+    return {"metrics": server.metrics.raw_snapshot()}

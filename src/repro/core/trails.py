@@ -25,7 +25,7 @@ from ..storage.schema import (
 )
 from ..text.vectorize import centroid, cosine
 from .archive import folder_id
-from .request import DAY, Request, Response, Server, User, top_k
+from .request import DAY, Request, Response, Server, User, count_field, top_k
 from .search import hit_payload
 
 #: Which of a folder's own members sets the similarity floor for community
@@ -354,7 +354,7 @@ def serve_popular_near_trail(server: Server, user: User, request: Request) -> Re
     path = request["folder_path"]
     window_days = float(request.get("window_days", 30.0))
     k = top_k(request, 10)
-    hops = int(request.get("hops", 1))
+    hops = count_field(request, "hops", 1)
 
     def compute() -> Response:
         seeds = set(trail_graph(server, owner, path, window_days).nodes)

@@ -6,7 +6,8 @@ the reproduction *observes* both halves of that promise.  One
 :class:`MetricsRegistry`, one :class:`Tracer`, and one :class:`LogHub`
 per server, threaded through every layer (servlets, scheduler, daemons,
 storage, versioning), read back through the ``stats``/``health``
-servlets, the ``repro stats`` CLI, and the exporters here.
+servlets, ``metrics_pull`` and the ``repro top``/``repro stats``
+dashboard (:mod:`repro.obs.top`).
 
 Metric naming convention: ``layer.component.metric`` with labels for the
 variable part, e.g. ``server.servlets.latency{servlet=visit}`` or
@@ -22,7 +23,6 @@ checks and per-servlet SLO burn rates into ready/degraded.
 """
 
 from .clock import Clock, ManualClock
-from .export import from_json, render_health, render_table, to_json
 from .health import (
     DEFAULT_POLICY,
     FAST_BURN,
@@ -31,12 +31,10 @@ from .health import (
     ServletSlo,
     SloPolicy,
 )
-from .history import MetricsHistory
 from .logging import LEVELS, Logger, LogHub, null_log_hub, null_logger
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     diff_snapshots,
@@ -45,7 +43,6 @@ from .metrics import (
     null_registry,
     render_name,
     summarize_histogram_raw,
-    summarize_snapshot,
 )
 from .shipping import (
     LogShipper,
@@ -75,7 +72,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_POLICY",
     "FAST_BURN",
-    "Gauge",
     "HealthMonitor",
     "Histogram",
     "IdSource",
@@ -84,7 +80,6 @@ __all__ = [
     "LogShipper",
     "Logger",
     "ManualClock",
-    "MetricsHistory",
     "MetricsRegistry",
     "NULL_SPAN",
     "SLOW_BURN",
@@ -99,7 +94,6 @@ __all__ = [
     "current_traceparent",
     "diff_snapshots",
     "format_traceparent",
-    "from_json",
     "merge_histogram_raw",
     "merge_snapshots",
     "null_log_hub",
@@ -109,13 +103,9 @@ __all__ = [
     "parse_traceparent",
     "read_shipped_records",
     "render_dashboard",
-    "render_health",
     "render_name",
     "render_span_tree",
-    "render_table",
     "run_top",
     "shard_log_paths",
     "summarize_histogram_raw",
-    "summarize_snapshot",
-    "to_json",
 ]

@@ -102,12 +102,14 @@ class Counter:
             self.value += n
 
 
-class FuncCounter:
-    """A counter whose value is *pulled* from a callable at read time.
+class Pulled:
+    """A counter or gauge whose value is *pulled* from a callable at
+    read time.
 
     The cheapest possible instrumentation for very hot paths: the
-    component bumps a plain Python int and registers the accessor once;
-    nothing happens per event beyond the int add.
+    component bumps a plain Python int (a count) or keeps its own level
+    (cache entries, versioning lag) and registers the accessor once;
+    nothing happens per event.  Every gauge is one of these.
     """
 
     __slots__ = ("name", "labels", "fn")
@@ -120,53 +122,6 @@ class FuncCounter:
     @property
     def value(self) -> float:
         return float(self.fn())
-
-
-class FuncGauge:
-    """A gauge whose value is *pulled* from a callable at read time.
-
-    The gauge twin of :class:`FuncCounter`: a component keeps its own
-    level (cache entries, resident cost) and registers the accessor once;
-    nothing happens per event.
-    """
-
-    __slots__ = ("name", "labels", "fn")
-
-    def __init__(self, name: str, labels: LabelItems, fn: Callable[[], float]) -> None:
-        self.name = name
-        self.labels = labels
-        self.fn = fn
-
-    @property
-    def value(self) -> float:
-        return float(self.fn())
-
-
-class Gauge:
-    """A value that can go up and down (lag, backlog, live versions).
-
-    Thread-safe: ``inc``/``dec`` read-modify-write under a per-instrument
-    lock so concurrent workers cannot lose updates.
-    """
-
-    __slots__ = ("name", "labels", "value", "_obs_lock")
-
-    def __init__(self, name: str, labels: LabelItems) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self._obs_lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._obs_lock:
-            self.value = float(value)
-
-    def inc(self, n: float = 1.0) -> None:
-        with self._obs_lock:
-            self.value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self.inc(-n)
 
 
 class Histogram:
@@ -394,18 +349,6 @@ def diff_snapshots(
     return out
 
 
-def summarize_snapshot(raw: dict[str, Any]) -> dict[str, Any]:
-    """Display form of a raw snapshot: histogram summaries, not buckets."""
-    return {
-        "counters": dict(raw.get("counters") or {}),
-        "gauges": dict(raw.get("gauges") or {}),
-        "histograms": {
-            name: summarize_histogram_raw(h)
-            for name, h in (raw.get("histograms") or {}).items()
-        },
-    }
-
-
 # -- disabled instruments -------------------------------------------------------
 
 class _NullCounter:
@@ -415,22 +358,6 @@ class _NullCounter:
     value = 0.0
 
     def inc(self, n: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    labels: LabelItems = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def dec(self, n: float = 1.0) -> None:
         pass
 
 
@@ -458,7 +385,6 @@ class _NullHistogram:
 
 
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
 
 
@@ -479,8 +405,8 @@ class MetricsRegistry:
     def __init__(self, *, enabled: bool = True, clock: Clock = time.perf_counter) -> None:
         self.enabled = enabled
         self.clock = clock
-        self._counters: dict[tuple[str, LabelItems], Counter] = {}
-        self._gauges: dict[tuple[str, LabelItems], Gauge] = {}
+        self._counters: dict[tuple[str, LabelItems], Counter | Pulled] = {}
+        self._gauges: dict[tuple[str, LabelItems], Pulled] = {}
         self._histograms: dict[tuple[str, LabelItems], Histogram] = {}
         # Guards instrument creation (get-or-create) only; per-event
         # updates use the instruments' own locks.
@@ -508,43 +434,27 @@ class MetricsRegistry:
 
     def counter_func(
         self, name: str, fn: Callable[[], float], **labels: str,
-    ) -> FuncCounter | _NullCounter:
+    ) -> None:
         """Register a pull-model counter backed by *fn* (see
-        :class:`FuncCounter`).  Re-registering the same name replaces the
+        :class:`Pulled`).  Re-registering the same name replaces the
         accessor, so components can re-register on reconstruction."""
-        if not self.enabled:
-            return _NULL_COUNTER
-        key = self._key(name, labels)
-        got = FuncCounter(key[0], key[1], fn)
-        with self._obs_lock:
-            self._counters[key] = got
-        return got
-
-    def gauge(self, name: str, **labels: str) -> Gauge | _NullGauge:
-        if not self.enabled:
-            return _NULL_GAUGE
-        key = self._key(name, labels)
-        got = self._gauges.get(key)
-        if got is None:
-            with self._obs_lock:
-                got = self._gauges.get(key)
-                if got is None:
-                    got = self._gauges[key] = Gauge(key[0], key[1])
-        return got
+        self._pull(self._counters, name, fn, labels)
 
     def gauge_func(
         self, name: str, fn: Callable[[], float], **labels: str,
-    ) -> FuncGauge | _NullGauge:
-        """Register a pull-model gauge backed by *fn* (see
-        :class:`FuncGauge`).  Re-registering the same name replaces the
-        accessor, so components can re-register on reconstruction."""
-        if not self.enabled:
-            return _NULL_GAUGE
-        key = self._key(name, labels)
-        got = FuncGauge(key[0], key[1], fn)
-        with self._obs_lock:
-            self._gauges[key] = got
-        return got
+    ) -> None:
+        """Register a gauge backed by *fn*, as :meth:`counter_func` does
+        a counter; every gauge is pulled."""
+        self._pull(self._gauges, name, fn, labels)
+
+    def _pull(
+        self, table: dict[tuple[str, LabelItems], Any], name: str,
+        fn: Callable[[], float], labels: dict[str, str],
+    ) -> None:
+        if self.enabled:
+            key = self._key(name, labels)
+            with self._obs_lock:
+                table[key] = Pulled(key[0], key[1], fn)
 
     def histogram(
         self,
@@ -618,12 +528,6 @@ class MetricsRegistry:
         key = self._key(name, labels)
         got = self._gauges.get(key)
         return got.value if got is not None else 0.0
-
-    def reset(self) -> None:
-        """Drop every instrument (tests and long-lived servers)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
 
 _NULL_REGISTRY = MetricsRegistry(enabled=False)

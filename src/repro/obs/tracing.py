@@ -9,7 +9,7 @@ Usage::
 Spans nest: a span opened while another is active records it as parent,
 so one servlet dispatch that triggers repository writes shows up as a
 small tree.  Finished spans land in a ring buffer (``capacity`` most
-recent), which exporters and the ``stats`` servlet read; the buffer is
+recent), which the ``stats`` servlet reads; the buffer is
 bounded so tracing can stay on in long-lived servers.
 
 Cross-process causality uses a W3C-traceparent-style context::

@@ -114,7 +114,6 @@ class CoVisitMinerDaemon:
         self._rounds_since_compact = 0
         self.mined_count = 0
         self.pruned_count = 0
-        self._m_pairs = repo.metrics.counter("retrieval.covisit.pairs")
 
     def run_once(self) -> int:
         last = self._last_visit_id
@@ -147,12 +146,10 @@ class CoVisitMinerDaemon:
                 tail.remove(url)
             tail.append(url)
             del tail[: -self.session_tail]
-        written = self.repo.upsert_covisits(
+        self.repo.upsert_covisits(
             increments, now=self.clock(), decay=self.decay,
         )
         self.mined_count += len(rows)
-        if written:
-            self._m_pairs.inc(written)
         self._rounds_since_compact += 1
         if self._rounds_since_compact >= COMPACT_EVERY:
             self._rounds_since_compact = 0

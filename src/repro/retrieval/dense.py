@@ -301,7 +301,6 @@ class DenseIndexDaemon:
         self.index = index
         repo.versions.register_consumer(self.name)
         self.projected_count = 0
-        self._m_documents = repo.metrics.counter("retrieval.dense.documents")
 
     def run_once(self) -> int:
         watermark, urls = self.repo.versions.poll(self.name)
@@ -313,6 +312,4 @@ class DenseIndexDaemon:
         done = len(docs)
         self.repo.versions.ack(self.name, watermark)
         self.projected_count += done
-        if done:
-            self._m_documents.inc(done)
         return done

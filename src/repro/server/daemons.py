@@ -84,20 +84,12 @@ class PageVectorizer:
         self.vocab = vocab if vocab is not None else Vocabulary()
         self._cache: dict[str, SparseVector] = {}
         self._vectorizer_lock = threading.Lock()
-        self._n_hits = 0
-        self._n_misses = 0
-        repo.metrics.counter_func(
-            "server.vectorizer.cache_hits", lambda: self._n_hits)
-        repo.metrics.counter_func(
-            "server.vectorizer.cache_misses", lambda: self._n_misses)
 
     def vector(self, url: str) -> SparseVector | None:
         """Term-count vector of a fetched page (None when not fetched)."""
         vec = self._cache.get(url)
         if vec is not None:
-            self._n_hits += 1
             return vec
-        self._n_misses += 1
         text = self.repo.page_text(url)
         if text is None:
             return None
@@ -180,9 +172,6 @@ class CrawlerDaemon:
         self._origins: dict[str, str] = {}   # url -> origin traceparent
         self.fetched_count = 0
         self.dead_count = 0
-        self._m_fetches = repo.metrics.counter("server.crawler.fetches")
-        self._m_dead = repo.metrics.counter("server.crawler.dead_links")
-        self._m_backlog = repo.metrics.gauge("server.crawler.backlog")
 
     def enqueue(self, url: str, *, origin: str | None = None) -> None:
         """Request a fetch (visit handlers and discovery both call this).
@@ -236,7 +225,6 @@ class CrawlerDaemon:
                     page = self.fetch(url)
                     if page is None:
                         self.dead_count += 1
-                        self._m_dead.inc()
                         self.log.debug("dead_link", url=url)
                         continue
                     fetched.append((url, page))
@@ -268,13 +256,10 @@ class CrawlerDaemon:
                 for url, origin in origins.items():
                     if origin is not None:
                         self._origins.setdefault(url, origin)
-                self._m_backlog.set(len(self._queue))
             raise
         done = len(fetched)
         self.fetched_count += done
-        self._m_fetches.inc(done)
         self.repo.versions.publish()
-        self._m_backlog.set(self.backlog)
         return done
 
 
@@ -315,8 +300,6 @@ class IndexerDaemon:
         self.log = log if log is not None else null_logger("indexer")
         repo.versions.register_consumer(self.name)
         self.indexed_count = 0
-        self._m_documents = repo.metrics.counter("server.indexer.documents")
-        self._m_postings = repo.metrics.counter("server.indexer.postings")
 
     def run_once(self) -> int:
         watermark, urls = self.repo.versions.poll(self.name)
@@ -343,12 +326,11 @@ class IndexerDaemon:
                         # which mining daemon happened to touch the page
                         # first.
                         self.vectorizer.vector(url)
-            self._m_postings.inc(sum(self.index.add_documents(docs)))
+            self.index.add_documents(docs)
             done += len(docs)
         self.repo.versions.ack(self.name, watermark)
         self.indexed_count += done
         if done:
-            self._m_documents.inc(done)
             self.log.debug("indexed", documents=done, watermark=watermark)
         return done
 
@@ -406,8 +388,6 @@ class ClassifierDaemon:
         self._graph: nx.DiGraph | None = None
         self._graph_links = -1
         self.classified_count = 0
-        self._m_decisions = repo.metrics.counter("server.classifier.decisions")
-        self._m_trainings = repo.metrics.counter("server.classifier.trainings")
 
     # -- training -------------------------------------------------------------
 
@@ -485,7 +465,6 @@ class ClassifierDaemon:
             vectors, usable, self._current_graph(), coplacement,
             covisitation=covisitation,
         )
-        self._m_trainings.inc()
         self._models[user_id] = model
         self._trained_on[user_id] = len(usable)
         self._model_versions[user_id] += 1
@@ -551,8 +530,6 @@ class ClassifierDaemon:
         self.repo.versions.ack(self.name, watermark)
         done = len(decisions)
         self.classified_count += done
-        if done:
-            self._m_decisions.inc(done)
         return done
 
     def _ensure_guess(

@@ -140,13 +140,8 @@ class MemexSocketServer:
         self._pool_lock = threading.Lock()
         self._active: set[socket.socket] = set()
 
-        m = self.metrics
-        self.connections_total = m.counter("net.connections_total")
-        self.requests_total = m.counter("net.requests_total")
-        self.timeouts_total = m.counter("net.timeouts_total")
-        self.bytes_in = m.counter("net.bytes_in")
-        self.bytes_out = m.counter("net.bytes_out")
-        m.gauge_func("net.active_connections", lambda: len(self._active))
+        self.connections_total = self.metrics.counter("net.connections_total")
+        self.timeouts_total = self.metrics.counter("net.timeouts_total")
 
         self._threads = [
             threading.Thread(
@@ -306,9 +301,7 @@ class MemexSocketServer:
 
     def _send(self, conn: socket.socket, payload: dict[str, Any],
               key: bytes | None) -> None:
-        wire = encode_message(payload, key=key)
-        conn.sendall(wire)
-        self.bytes_out.inc(len(wire))
+        conn.sendall(encode_message(payload, key=key))
 
     def _handshake(self, conn: socket.socket) -> tuple[str, bytes | None] | None:
         """Read the hello frame; returns (user_id, key) or None to close."""
@@ -316,7 +309,6 @@ class MemexSocketServer:
             frame = self._read_frame(conn)
             if frame is None:
                 return None
-            self.bytes_in.inc(len(frame))
             hello = decode_message(frame)  # hello is always cleartext
             user_id = hello.get(HELLO_KEY)
             if not isinstance(user_id, str) or not user_id:
@@ -355,8 +347,6 @@ class MemexSocketServer:
                     return
                 if frame is None:
                     return
-                self.bytes_in.inc(len(frame))
-                self.requests_total.inc()
                 try:
                     request = decode_message(frame, key=key)
                 except ProtocolError as exc:

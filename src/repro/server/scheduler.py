@@ -14,9 +14,10 @@ re-quarantine (exponential backoff), so a transiently-failing daemon
 recovers without operator action.  Manual :meth:`lift_quarantine` stays
 available and resets the backoff.
 
-Every run, failure, quarantine, and parole is recorded against the
-observability registry (``server.scheduler.*{daemon=name}``), including a
-``run_once`` latency histogram per daemon.
+Per daemon, the observability registry records a ``run_once`` latency
+histogram, the items processed, and every quarantine and parole
+(``server.scheduler.*{daemon=name}``); run and failure counts live in
+:meth:`DaemonScheduler.stats`.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ class DaemonScheduler:
         Observability hooks; default to the shared disabled instances.
         Quarantine and parole transitions emit structured log events
         (``daemon_quarantined`` / ``daemon_paroled``) and bump the
-        fleet-wide ``server.scheduler.quarantine_total`` /
-        ``parole_total`` counters.
+        daemon's ``server.scheduler.quarantines`` / ``paroles`` counters.
     """
 
     max_consecutive_failures: int = 3
@@ -100,12 +100,6 @@ class DaemonScheduler:
             self.tracer = null_tracer()
         if self.log is None:
             self.log = null_logger("scheduler")
-        # Fleet-wide transition totals (unlabeled, alongside the
-        # per-daemon labeled counters created at register time).
-        self._m_quarantine_total = self.metrics.counter(
-            "server.scheduler.quarantine_total")
-        self._m_parole_total = self.metrics.counter(
-            "server.scheduler.parole_total")
         # Scheduler lock (outermost rank in ``repro.locks.LOCK_ORDER``).
         # Every scheduling *decision* — the quarantine check, auto-parole,
         # due check, ``next_due`` advancement, post-run bookkeeping, and
@@ -119,9 +113,7 @@ class DaemonScheduler:
             raise DaemonError("period must be >= 1")
         m = self.metrics
         instruments = (
-            m.counter("server.scheduler.runs", daemon=daemon.name),
             m.counter("server.scheduler.items", daemon=daemon.name),
-            m.counter("server.scheduler.failures", daemon=daemon.name),
             m.counter("server.scheduler.quarantines", daemon=daemon.name),
             m.counter("server.scheduler.paroles", daemon=daemon.name),
             m.histogram("server.scheduler.run_latency", daemon=daemon.name),
@@ -150,15 +142,13 @@ class DaemonScheduler:
             for entry in entries:
                 if not self._claim(entry):
                     continue
-                (m_runs, m_items, m_failures, m_quar, _m_parole,
-                 m_latency) = entry.instruments
+                m_items, m_quar, _m_parole, m_latency = entry.instruments
                 start = clock()
                 with self.tracer.span(f"daemon.{entry.daemon.name}") as span:
                     try:
                         done = entry.daemon.run_once()
                     except Exception as exc:  # noqa: BLE001 - isolation boundary
                         m_latency.observe(clock() - start)
-                        m_failures.inc()
                         span.set("status", "error")
                         with self._sched_lock:
                             entry.running = False
@@ -170,7 +160,6 @@ class DaemonScheduler:
                         continue
                     span.set("items", done)
                 m_latency.observe(clock() - start)
-                m_runs.inc()
                 if done:
                     m_items.inc(done)
                 with self._sched_lock:
@@ -213,7 +202,6 @@ class DaemonScheduler:
     def _quarantine(self, entry: _Entry, m_quar: Any) -> None:
         entry.quarantined = True
         m_quar.inc()
-        self._m_quarantine_total.inc()
         if self.parole_after is not None:
             wait = self.parole_after * (2 ** entry.parole_count)
             entry.parole_at = self._now + wait
@@ -233,8 +221,7 @@ class DaemonScheduler:
         entry.consecutive_failures = 0
         entry.parole_at = None
         entry.next_due = self._now   # eligible immediately
-        entry.instruments[4].inc()
-        self._m_parole_total.inc()
+        entry.instruments[2].inc()
         self.log.info(
             "daemon_paroled",
             daemon=entry.daemon.name,

@@ -85,7 +85,6 @@ class MemexCluster:
             health_interval=health_interval,
             start_timeout=start_timeout,
             auto_restart=auto_restart,
-            metrics=self.metrics,
             log=self.logs.logger("supervisor"),
         )
         self.health = HealthMonitor(clock=self.metrics.clock)

@@ -47,7 +47,6 @@ from typing import Any, Callable, Protocol
 
 from ..core.servlet_table import BROADCAST, OWNER, SCATTER, SERVLETS, Servlet
 from ..errors import CODE_UNAVAILABLE, ProtocolError, error_payload
-from ..obs.metrics import MetricsRegistry, null_registry
 from ..obs.tracing import (
     TraceContext,
     TraceParseError,
@@ -142,7 +141,6 @@ class ShardDispatcher:
         *,
         ring: HashRing | None = None,
         available: Callable[[int], bool] | None = None,
-        metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         shard_info: Callable[[], dict[int, dict[str, Any]]] | None = None,
     ) -> None:
@@ -155,11 +153,6 @@ class ShardDispatcher:
         self._available = available
         self.tracer = tracer if tracer is not None else null_tracer()
         self._shard_info = shard_info
-        m = metrics if metrics is not None else null_registry()
-        self.forwarded_total = m.counter("shard.forwarded_total")
-        self.scatter_total = m.counter("shard.scatter_total")
-        self.partial_total = m.counter("shard.partial_total")
-        self.unavailable_total = m.counter("shard.unavailable_total")
         # Scatter fan-out pool, only needed beyond one shard; one request
         # occupies at most len(backends) slots for its own fan-out.
         self._pool: ThreadPoolExecutor | None = None
@@ -275,7 +268,6 @@ class ShardDispatcher:
     def _forward(
         self, user: str, request: dict[str, Any], shard: int,
     ) -> dict[str, Any]:
-        self.forwarded_total.inc()
         try:
             with self.tracer.child_span("router.forward", shard=shard) as hop:
                 ctx = hop.context()
@@ -283,8 +275,6 @@ class ShardDispatcher:
                     request = self._stamp(request, ctx)
                 return self._call(shard, user, request)
         except ProtocolError as exc:
-            if exc.code == CODE_UNAVAILABLE:
-                self.unavailable_total.inc()
             return error_payload(exc)
 
     # -- broadcast -------------------------------------------------------------
@@ -308,7 +298,6 @@ class ShardDispatcher:
                     payload = self._stamp(request, ctx) if ctx else request
                     response = self._call(shard, user, payload)
             except Exception as exc:  # noqa: BLE001 - degrade to typed error
-                self.unavailable_total.inc()
                 return _unavailable(
                     f"broadcast {row.name!r} failed on shard {shard}: {exc}"
                 )
@@ -327,7 +316,6 @@ class ShardDispatcher:
     def _scatter(
         self, user: str, request: dict[str, Any], owner: int, row: Servlet,
     ) -> dict[str, Any]:
-        self.scatter_total.inc()
         if self.n_shards == 1:
             # Identity path: one shard's answer IS the merged answer.
             return self._forward(user, request, owner)
@@ -373,7 +361,6 @@ class ShardDispatcher:
                 # Every shard answered and refused (an unknown user, say):
                 # that is the owner's typed answer, not an outage.
                 return results[owner][1]
-            self.unavailable_total.inc()
             return _unavailable(
                 f"scatter {row.name!r} failed on every shard "
                 f"({self.n_shards} down or erroring)"
@@ -386,7 +373,6 @@ class ShardDispatcher:
         merged["shards"] = self.n_shards
         merged["partial"] = bool(failed)
         if failed:
-            self.partial_total.inc()
             merged["shards_failed"] = failed
         return merged
 

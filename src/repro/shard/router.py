@@ -69,7 +69,7 @@ class ShardRouter:
         self.log = log if log is not None else null_logger("router")
         self.keys = key_source if key_source is not None else DictKeySource()
         self.dispatcher = ShardDispatcher(
-            backends, ring=ring, available=available, metrics=self.metrics,
+            backends, ring=ring, available=available,
             tracer=tracer, shard_info=shard_info,
         )
         # Outermost lock: guards the routed-per-shard table below.

@@ -44,7 +44,6 @@ from typing import Any
 
 from ..errors import ProtocolError
 from ..obs.logging import Logger, null_logger
-from ..obs.metrics import MetricsRegistry, null_registry
 from ..server.transport import SocketTransport
 from .worker import CMD_QUIESCE, CMD_SAVE, CMD_STOP, WorkerSpec, worker_main
 
@@ -114,7 +113,6 @@ class ShardSupervisor:
         restart_backoff: float = 0.05,
         max_backoff: float = 2.0,
         backoff_reset_after: float = 30.0,
-        metrics: MetricsRegistry | None = None,
         log: Logger | None = None,
     ) -> None:
         if n_shards < 1:
@@ -132,7 +130,6 @@ class ShardSupervisor:
         self.restart_backoff = restart_backoff
         self.max_backoff = max_backoff
         self.backoff_reset_after = backoff_reset_after
-        self.metrics = metrics if metrics is not None else null_registry()
         self.log = log if log is not None else null_logger("supervisor")
         self._ctx = multiprocessing.get_context("fork")
         roots: list[str | None] = [None] * n_shards
@@ -146,11 +143,6 @@ class ShardSupervisor:
         self._monitor: threading.Thread | None = None
         self._stopping = threading.Event()
         self._closed = False
-        self.restarts_total = self.metrics.counter("shard.restarts_total")
-        self.metrics.gauge_func(
-            "shard.up",
-            lambda: sum(1 for s in self._shards if s.status == STATUS_UP),
-        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -373,7 +365,6 @@ class ShardSupervisor:
                     self._spawn(shard)
                     shard.restarts += 1
                     shard.backoff_until = 0.0   # disarm until the next death
-                self.restarts_total.inc()
             if shard.status == STATUS_STARTING:
                 with self._supervisor_lock:
                     self._drain_ready_message(shard)

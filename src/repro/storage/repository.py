@@ -243,24 +243,6 @@ class MemexRepository:
         # visit-origin table — so each façade mutation is atomic.  Reads
         # go straight to the underlying stores, which lock themselves.
         self._repo_lock = threading.RLock()
-        # Hot-path counts are plain ints pulled by the registry at read
-        # time (zero per-event instrument cost).
-        self._n_page_reads = 0
-        self._n_page_writes = 0
-        self._n_visit_writes = 0
-        self._n_assoc_writes = 0
-        self._n_covisit_writes = 0
-        self.metrics.counter_func(
-            "storage.repository.covisit_writes",
-            lambda: self._n_covisit_writes)
-        self.metrics.counter_func(
-            "storage.repository.page_reads", lambda: self._n_page_reads)
-        self.metrics.counter_func(
-            "storage.repository.page_writes", lambda: self._n_page_writes)
-        self.metrics.counter_func(
-            "storage.repository.visit_writes", lambda: self._n_visit_writes)
-        self.metrics.counter_func(
-            "storage.repository.assoc_writes", lambda: self._n_assoc_writes)
         self._seq_ns = Namespace(self.kv, "_seq")
         self._sequences: dict[str, Sequence] = {}
         # Namespaces for term-level data, mirroring the paper's split of
@@ -383,12 +365,10 @@ class MemexRepository:
             created = False
         if text is not None:
             self.rawtext.put(url.encode("utf-8"), text.encode("utf-8"))
-        self._n_page_writes += 1
         self.stamps.pages += 1
         return created
 
     def page_text(self, url: str) -> str | None:
-        self._n_page_reads += 1
         raw = self.rawtext.get(url.encode("utf-8"))
         return raw.decode("utf-8") if raw is not None else None
 
@@ -462,7 +442,6 @@ class MemexRepository:
                 for link_id, (src, dst) in zip(link_ids, links)
             ))
         self.rawtext.put_many(texts)
-        self._n_page_writes += len(fetched) + len(links)
         self.stamps.pages += len(fetched) + len(links)
         self.stamps.links += len(links)
 
@@ -516,7 +495,6 @@ class MemexRepository:
                     "topic_confidence": None,
                 })
                 self._remember_origin(visit_id, origin)
-                self._n_visit_writes += 1
                 self.stamps.visits += 1
                 self.stamps.engaged(user_id)
         return visit_id
@@ -578,8 +556,6 @@ class MemexRepository:
                 }
                 for item, visit_id in zip(items, visit_ids)
             ))
-        self._n_page_writes += n_pages
-        self._n_visit_writes += len(items)
         self.stamps.pages += n_pages
         self.stamps.visits += len(items)
         for user_id in {item["user_id"] for item in items}:
@@ -676,7 +652,6 @@ class MemexRepository:
                     txn.update("covisits", pair_id, {
                         "count": row["count"], "last_at": row["last_at"],
                     })
-            self._n_covisit_writes += len(inserts) + len(updates)
             self.stamps.covisits += 1
         return len(inserts) + len(updates)
 
@@ -768,7 +743,6 @@ class MemexRepository:
                 "confidence": confidence,
                 "at": now,
             })
-            self._n_assoc_writes += 1
             self.stamps.assocs += 1
             self._folder_engaged(folder_id)
             return assoc_id

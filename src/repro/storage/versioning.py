@@ -74,22 +74,8 @@ class VersionCoordinator:
         self._gc_floor = 0           # versions <= this have been reclaimed
         self._consumers: dict[str, int] = {}  # name -> highest acked version
         self._metrics = metrics if metrics is not None else null_registry()
-        self._m_publishes = self._metrics.counter("storage.versioning.publishes")
-        self._m_aborts = self._metrics.counter("storage.versioning.aborts")
-        self._m_items = self._metrics.counter("storage.versioning.items")
-        self._m_gc_reclaimed = self._metrics.counter("storage.versioning.gc_reclaimed")
-        self._g_live = self._metrics.gauge("storage.versioning.live_versions")
-        # Per-consumer instruments, created lazily in register_consumer:
-        # the lag gauge is the headline number for the paper's "loose
-        # coherence" — how many published versions a consumer is behind.
-        self._lag_gauges: dict[str, Any] = {}
-        self._poll_counters: dict[str, Any] = {}
-        self._ack_counters: dict[str, Any] = {}
-
-    def _update_lag(self, name: str) -> None:
-        with self._versions_lock:
-            self._lag_gauges[name].set(
-                self._published_high - self._consumers[name])
+        self._metrics.gauge_func(
+            "storage.versioning.live_versions", self.live_versions)
 
     # -- producer side -----------------------------------------------------------
 
@@ -119,7 +105,6 @@ class VersionCoordinator:
             self._open.items.append(item)
             if origin is not None:
                 self._origins[item] = origin
-            self._m_items.inc()
 
     def publish(self) -> int:
         """Publish the open version, making it visible to consumers."""
@@ -131,10 +116,6 @@ class VersionCoordinator:
             items = len(self._open.items)
             self._published_high = number
             self._open = None
-            self._m_publishes.inc()
-            self._g_live.set(len(self._versions))
-            for name in self._consumers:
-                self._update_lag(name)
             self.log.info("version_published", version=number, items=items)
             return number
 
@@ -148,8 +129,6 @@ class VersionCoordinator:
             number = self._open.number
             del self._versions[self._open.number]
             self._open = None
-            self._m_aborts.inc()
-            self._g_live.set(len(self._versions))
             self.log.warn("version_aborted", version=number)
 
     def origin(self, item: Any) -> str | None:
@@ -176,17 +155,13 @@ class VersionCoordinator:
         with self._versions_lock:
             if name not in self._consumers:
                 self._consumers[name] = self._gc_floor
-            if name not in self._lag_gauges:
-                self._lag_gauges[name] = self._metrics.gauge(
-                    "storage.versioning.lag", consumer=name,
+                # The headline number for the paper's "loose coherence":
+                # how many published versions this consumer is behind.
+                self._metrics.gauge_func(
+                    "storage.versioning.lag",
+                    lambda: self._published_high - self._consumers[name],
+                    consumer=name,
                 )
-                self._poll_counters[name] = self._metrics.counter(
-                    "storage.versioning.polls", consumer=name,
-                )
-                self._ack_counters[name] = self._metrics.counter(
-                    "storage.versioning.acks", consumer=name,
-                )
-                self._update_lag(name)
 
     def poll(self, name: str) -> tuple[int, list[Any]]:
         """Return ``(watermark, items)`` newly published since the
@@ -209,7 +184,6 @@ class VersionCoordinator:
                 v = self._versions.get(number)
                 if v is not None and v.published:
                     items.extend(v.items)
-            self._poll_counters[name].inc()
             return self._published_high, items
 
     def ack(self, name: str, watermark: int) -> None:
@@ -224,8 +198,6 @@ class VersionCoordinator:
             if watermark < self._consumers[name]:
                 raise VersioningError("watermark may not move backwards")
             self._consumers[name] = watermark
-            self._ack_counters[name].inc()
-            self._update_lag(name)
 
     # -- reclamation --------------------------------------------------------------------
 
@@ -244,9 +216,6 @@ class VersionCoordinator:
                     del self._versions[number]
                     reclaimed += 1
             self._gc_floor = max(self._gc_floor, floor)
-            if reclaimed:
-                self._m_gc_reclaimed.inc(reclaimed)
-            self._g_live.set(len(self._versions))
             return reclaimed
 
     # -- introspection ---------------------------------------------------------------------

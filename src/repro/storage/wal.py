@@ -49,8 +49,9 @@ class WriteAheadLog:
         When true, ``fsync`` after every :meth:`append`.  Tests and
         benchmarks leave this off; durability-sensitive callers turn it on.
     metrics:
-        Observability registry; records appends, appended bytes, and
-        fsyncs under ``storage.wal.*``.
+        Observability registry; counts fsyncs as ``storage.wal.fsyncs``
+        labelled ``log=<file name>`` (a server has two logs,
+        ``catalog.wal`` and ``terms.kv``).
     """
 
     def __init__(
@@ -64,12 +65,9 @@ class WriteAheadLog:
         self.sync = sync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         m = metrics if metrics is not None else null_registry()
-        self._n_appends = 0
-        self._n_bytes = 0
         self._n_fsyncs = 0
-        m.counter_func("storage.wal.appends", lambda: self._n_appends)
-        m.counter_func("storage.wal.appended_bytes", lambda: self._n_bytes)
-        m.counter_func("storage.wal.fsyncs", lambda: self._n_fsyncs)
+        m.counter_func(
+            "storage.wal.fsyncs", lambda: self._n_fsyncs, log=self.path.name)
         self._recovered_bytes = self._scan_and_truncate()
         self._fh = open(self.path, "ab")
         self._closed = False
@@ -116,8 +114,6 @@ class WriteAheadLog:
             offset = self._fh.tell()
             self._fh.write(record)
             self._fh.flush()
-            self._n_appends += 1
-            self._n_bytes += len(record)
             if self.sync:
                 os.fsync(self._fh.fileno())
                 self._n_fsyncs += 1
@@ -146,8 +142,6 @@ class WriteAheadLog:
             buffer = b"".join(records)
             self._fh.write(buffer)
             self._fh.flush()
-            self._n_appends += len(records)
-            self._n_bytes += len(buffer)
             if self.sync:
                 os.fsync(self._fh.fileno())
                 self._n_fsyncs += 1
@@ -191,6 +185,7 @@ class WriteAheadLog:
                     fh.write(encode_record(payload))
                 fh.flush()
                 os.fsync(fh.fileno())
+                self._n_fsyncs += 1
             self._fh.close()
             os.replace(tmp, self.path)
             self._fh = open(self.path, "ab")

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,22 @@ def test_queries_runs_end_to_end(capsys):
     out = capsys.readouterr().out
     assert "q1_url_recall" in out
     assert "q6_interest_mates" in out
+
+
+def test_stats_prints_a_top_frame_or_the_two_payloads(capsys):
+    args = ["stats", "--seed", "5", "--users", "2", "--days", "3",
+            "--pages-per-leaf", "3"]
+    assert main(args + ["--logs"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("memex top — shards 1  status ready")
+    for section in ("servlets", "caches", "storage", "slo burn"):
+        assert f"\n{section}" in out
+    assert "structured log (JSON lines)" in out
+    assert main(args + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["health", "metrics_pull"]
+    assert payload["metrics_pull"]["metrics"]["counters"]
+    assert payload["health"]["health"] == "ready"
 
 
 def test_unknown_command_rejected():

@@ -1,7 +1,5 @@
 """Tests for repro.obs: registry semantics, histogram bucket edges,
-span nesting, exporter round-trips, and the disabled fast path."""
-
-import json
+span nesting, and the disabled fast path."""
 
 import pytest
 
@@ -10,11 +8,8 @@ from repro.obs import (
     ManualClock,
     MetricsRegistry,
     Tracer,
-    from_json,
     null_registry,
     render_name,
-    render_table,
-    to_json,
 )
 
 
@@ -47,14 +42,14 @@ def test_label_order_is_canonical():
     assert render_name(a.name, a.labels) == "c{x=1,y=2}"
 
 
-def test_gauge_set_inc_dec():
+def test_a_gauge_reads_its_level_when_read():
     m = MetricsRegistry()
-    g = m.gauge("storage.versioning.lag", consumer="indexer")
-    g.set(7)
-    g.inc(2)
-    g.dec(4)
-    assert g.value == 5
+    level = [7]
+    m.gauge_func("storage.versioning.lag", lambda: level[0], consumer="indexer")
+    level[0] = 5
     assert m.gauge_value("storage.versioning.lag", consumer="indexer") == 5
+    assert m.raw_snapshot()["gauges"] == {
+        "storage.versioning.lag{consumer=indexer}": 5}
 
 
 def test_counter_value_lookup_without_creation():
@@ -128,7 +123,7 @@ def test_disabled_registry_is_noop_and_shared():
     m = MetricsRegistry(enabled=False)
     c = m.counter("a")
     c.inc(100)
-    m.gauge("b").set(5)
+    m.gauge_func("b", lambda: 5)
     m.histogram("c").observe(1.0)
     assert c.value == 0
     assert m.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
@@ -190,44 +185,3 @@ def test_disabled_tracer_is_noop():
     with t.span("whatever") as s:
         s.set("k", "v")   # must not blow up
     assert t.finished() == []
-
-
-# -- exporters --------------------------------------------------------------------
-
-def _populated():
-    clk = ManualClock()
-    m = MetricsRegistry(clock=clk)
-    m.counter("server.servlets.requests", servlet="visit").inc(3)
-    m.gauge("storage.versioning.lag", consumer="indexer").set(2)
-    h = m.histogram("server.servlets.latency", servlet="visit")
-    h.observe(0.001)
-    h.observe(0.010)
-    t = Tracer(clock=clk)
-    with t.span("servlet.visit"):
-        clk.advance(0.01)
-    return m, t
-
-
-def test_json_export_round_trip():
-    m, t = _populated()
-    parsed = from_json(to_json(m, tracer=t))
-    assert parsed["metrics"] == json.loads(json.dumps(m.snapshot()))
-    assert parsed["metrics"]["counters"][
-        "server.servlets.requests{servlet=visit}"] == 3
-    assert parsed["metrics"]["gauges"][
-        "storage.versioning.lag{consumer=indexer}"] == 2
-    hist = parsed["metrics"]["histograms"][
-        "server.servlets.latency{servlet=visit}"]
-    assert hist["count"] == 2
-    assert len(parsed["spans"]) == 1
-    assert parsed["spans"][0]["name"] == "servlet.visit"
-
-
-def test_render_table_contains_everything():
-    m, t = _populated()
-    table = render_table(m, tracer=t)
-    assert "server.servlets.requests{servlet=visit}" in table
-    assert "storage.versioning.lag{consumer=indexer}" in table
-    assert "p95" in table
-    assert "servlet.visit" in table
-    assert render_table(MetricsRegistry()) == "(no metrics recorded)"

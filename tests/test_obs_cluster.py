@@ -1,5 +1,5 @@
 """Cluster observability plane: mergeable metrics (exact cluster
-percentiles), the metrics time-series ring, log shipping and span-tree
+percentiles), log shipping and span-tree
 reconstruction, the scatter-merged ``metrics_pull``/``stats`` sections,
 supervisor health detail, and the ``repro top`` renderer.
 """
@@ -13,8 +13,6 @@ from repro.core.memex import MemexServer
 from repro.obs import (
     LogHub,
     LogShipper,
-    ManualClock,
-    MetricsHistory,
     MetricsRegistry,
     Tracer,
     build_span_tree,
@@ -79,7 +77,7 @@ def test_merge_snapshots_sums_and_tolerates_missing_instruments():
     a, b = MetricsRegistry(), MetricsRegistry()
     a.counter("reqs").inc(3)
     b.counter("reqs").inc(4)
-    a.gauge("depth").set(2)
+    a.gauge_func("depth", lambda: 2)
     b.counter("only_b").inc(1)
     merged = merge_snapshots([a.raw_snapshot(), b.raw_snapshot()])
     assert merged["counters"]["reqs"] == 7
@@ -95,47 +93,16 @@ def test_diff_snapshots_clamps_counter_regressions():
     assert delta["counters"]["reqs"] == 0
 
 
-# -- the time-series ring -----------------------------------------------------
-
-def test_metrics_history_samples_and_rates():
-    clock = ManualClock()
-    registry = MetricsRegistry(clock=clock)
-    reqs = registry.counter("reqs")
-    history = MetricsHistory(registry, capacity=3, clock=clock)
-    assert history.run_once() == 0  # sampling reports no drainable work
-    for _ in range(4):
-        clock.advance(2.0)
-        reqs.inc(10)
-        history.run_once()
-    assert len(history) == 3  # bounded ring dropped the oldest
-    window = history.rate_window()
-    assert window["seconds"] == pytest.approx(4.0)
-    assert window["counters"]["reqs"] == 20
-    payload = history.to_payload(limit=2)
-    assert payload["capacity"] == 3
-    assert len(payload["samples"]) == 2
-
-
-def test_metrics_history_disabled_registry_stays_empty():
-    from repro.obs import null_registry
-
-    history = MetricsHistory(null_registry())
-    assert history.run_once() == 0
-    assert len(history) == 0
-    assert history.rate_window() is None
-
-
-def test_server_registers_history_daemon_and_metrics_pull():
+def test_server_metrics_pull_ships_the_raw_snapshot():
     server = MemexServer(lambda url: None)
     server.tick(8)
-    assert len(server.history) > 0
-    response = server.registry.dispatch(
-        {"servlet": "metrics_pull", "include_history": True})
+    response = server.registry.dispatch({"servlet": "metrics_pull"})
     assert response["status"] == "ok"
-    assert response["history_len"] == len(server.history)
-    assert response["history"]
-    assert "counters" in response["metrics"]
-    # Quiesce terminates even though the sampler runs every 4th round.
+    assert sorted(response) == ["metrics", "status"]
+    # Raw, mergeable histograms: bucket counts, not summaries.
+    latency = response["metrics"]["histograms"][
+        "server.scheduler.run_latency{daemon=crawler}"]
+    assert latency["count"] == 8 and "buckets" in latency
     server.process_background_work()
 
 
@@ -150,7 +117,6 @@ def _shard_response(n):
     return {
         "status": "ok",
         "metrics": registry.raw_snapshot(),
-        "history_len": n,
     }
 
 
@@ -162,7 +128,7 @@ def test_merge_metrics_pull_merges_and_keeps_by_shard():
         "server.servlets.latency{servlet=visit}"]
     assert lat["count"] == 8
     assert set(merged["by_shard"]) == {"0", "1"}
-    assert merged["by_shard"]["1"]["history_len"] == 5
+    assert merged["by_shard"]["1"]["metrics"]["counters"]["reqs"] == 5
 
 
 def _stats_response(pages, hits, misses):

@@ -238,14 +238,16 @@ def test_scheduler_quarantine_and_parole_log_and_count():
     daemon = _FailingDaemon()
     sched.register(daemon)
     sched.tick()    # fails -> quarantined
-    assert metrics.counter_value("server.scheduler.quarantine_total") == 1
+    assert metrics.counter_value(
+        "server.scheduler.quarantines", daemon="flaky") == 1
     [quarantined] = hub.records(level="error")
     assert quarantined["event"] == "daemon_quarantined"
     assert quarantined["daemon"] == "flaky"
     assert quarantined["consecutive_failures"] == 1
     assert "transient fault" in quarantined["last_error"]
     sched.tick()    # paroled and re-run, succeeds
-    assert metrics.counter_value("server.scheduler.parole_total") == 1
+    assert metrics.counter_value(
+        "server.scheduler.paroles", daemon="flaky") == 1
     events = [r["event"] for r in hub.records()]
     assert events == ["daemon_quarantined", "daemon_paroled"]
     assert not sched.quarantined()

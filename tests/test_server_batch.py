@@ -47,10 +47,10 @@ def test_wal_append_many_one_fsync(tmp_path):
     m = MetricsRegistry()
     with WriteAheadLog(tmp_path / "a.wal", sync=True, metrics=m) as log:
         log.append_many([b"x"] * 50)
-        assert m.counter_value("storage.wal.fsyncs") == 1
-        assert m.counter_value("storage.wal.appends") == 50
+        assert m.counter_value("storage.wal.fsyncs", log="a.wal") == 1
+        assert len(list(log.replay())) == 50
         log.append(b"y")
-        assert m.counter_value("storage.wal.fsyncs") == 2
+        assert m.counter_value("storage.wal.fsyncs", log="a.wal") == 2
 
 
 def test_wal_append_many_empty(tmp_path):
@@ -79,7 +79,7 @@ def test_kvstore_put_many_groups_log_appends(tmp_path):
     store = KVStore(tmp_path / "kv.wal", sync=True, metrics=m)
     n = store.put_many((f"k{i:02d}".encode(), f"v{i}".encode()) for i in range(20))
     assert n == 20
-    assert m.counter_value("storage.wal.fsyncs") == 1
+    assert m.counter_value("storage.wal.fsyncs", log="kv.wal") == 1
     assert store.get(b"k07") == b"v7"
     assert store.keys() == sorted(store.keys())
     store.close()

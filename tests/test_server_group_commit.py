@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import MemexSystem
 from repro.core.memex import MemexServer
 from repro.obs import MetricsRegistry
+from repro.obs.top import split_name
 from repro.server.daemons import (
     ClassifierDaemon,
     CrawlerDaemon,
@@ -24,6 +25,7 @@ from repro.server.daemons import (
     IndexerDaemon,
     PageVectorizer,
 )
+from repro.storage import wal as wal_module
 from repro.storage.repository import MemexRepository
 from repro.storage.schema import ARCHIVE_COMMUNITY, ASSOC_BOOKMARK
 from repro.text.index import InvertedIndex
@@ -243,6 +245,35 @@ def test_fsyncs_per_version_are_a_small_constant(tmp_path, monkeypatch):
     small = _fsyncs_per_run(tmp_path, monkeypatch, 16)
     full = _fsyncs_per_run(tmp_path, monkeypatch, 64)
     assert small == full == {"crawler": 3, "indexer": 1, "dense": 1}
+
+
+def test_the_server_reports_every_fsync_of_both_logs(tmp_path, monkeypatch):
+    """A server writes two logs, ``catalog.wal`` and ``terms.kv``; each
+    counts its own fsyncs under its own ``log`` label, so the series sum
+    to every fsync the server made."""
+    count = [0]
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        count[0] += 1
+        real_fsync(fd)
+
+    monkeypatch.setattr(wal_module.os, "fsync", counting_fsync)
+    with MemexServer(lambda url: None, root=str(tmp_path), sync=True) as server:
+        server.transport.request("u", {"servlet": "register_user"})
+        server.transport.request_batch("u", [
+            {"servlet": "visit", "url": f"http://p/{i}", "at": float(i)}
+            for i in range(8)
+        ])
+        fsyncs = {
+            labels.get("log"): value
+            for key, value in server.metrics.raw_snapshot()["counters"].items()
+            for name, labels in [split_name(key)]
+            if name == "storage.wal.fsyncs"
+        }
+        assert count[0] > 0
+        assert sum(fsyncs.values()) == count[0]
+        assert set(fsyncs) == {"catalog.wal", "terms.kv"}
 
 
 def test_an_indexer_many_versions_behind_commits_slice_by_slice():

@@ -55,7 +55,7 @@ def test_request_roundtrip_over_tcp(server):
         # Same connection serves the framing loop's next request.
         assert transport.request(
             "alice", {"servlet": "echo", "value": 7})["echo"] == 7
-    assert server.metrics.counter_value("net.requests_total") == 2
+    assert server.metrics.counter_value("net.connections_total") == 1
 
 
 def test_request_batch_over_tcp(server):
@@ -309,7 +309,6 @@ def test_client_reconnects_before_sending_on_an_idled_out_connection(monkeypatch
             assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
             assert transport._conns["alice"].sock is second
         assert len(served) == 3
-        assert srv.metrics.counter_value("net.requests_total") == 3
         assert srv.metrics.counter_value("net.connections_total") == 2
 
 

@@ -310,6 +310,28 @@ def test_a_non_integer_search_window_is_a_bad_request_on_one_server_and_on_two(
     assert reached == []
 
 
+@pytest.mark.parametrize("bad", [2.5, True, -1, "many"])
+@pytest.mark.parametrize("name, field", [
+    ("popular_near_trail", "hops"),
+    ("propose_hierarchy", "min_cluster"),
+    ("propose_hierarchy", "max_depth"),
+    ("stats", "log_limit"),
+])
+def test_every_other_count_field_is_a_bad_request_on_one_server_and_on_two(
+    cluster, name, field, bad,
+):
+    """Every count a servlet reads goes through ``count_field``, like
+    ``k``: ``int()`` would serve ``hops=2.5`` as 2 and ``log_limit=-1``
+    as all but the first record."""
+    fields = {**REQUESTS[name], field: bad, "include_logs": True}
+    alone = _alone(name, fields)
+    dispatcher, log = cluster
+    sharded, _ = _reached(dispatcher, log, name, **fields)
+    for response in (alone, sharded):
+        assert response["status"] == "error", response
+        assert response["error_code"] == "bad_request", response
+
+
 def test_whole_floats_are_still_a_count():
     """A JSON client that writes ``10.0`` still gets ten rows' window."""
     for fields in ({"k": 3.0}, {"limit": 3.0, "offset": 0.0}):

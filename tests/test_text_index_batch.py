@@ -82,7 +82,7 @@ def test_a_batch_is_one_store_write(tmp_path):
     idx = InvertedIndex(kv, store_positions=True)
     idx.add_documents(
         [(f"d{i}", f"jazz music archive number{i}") for i in range(20)])
-    assert metrics.counter_value("storage.wal.fsyncs") == 1
+    assert metrics.counter_value("storage.wal.fsyncs", log="terms.kv") == 1
     kv.close()
 
 
