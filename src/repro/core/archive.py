@@ -7,15 +7,13 @@ from __future__ import annotations
 from typing import Any
 
 from ..errors import error_payload
-from ..storage.repository import MemexRepository
 from ..storage.schema import (
     ARCHIVE_COMMUNITY,
     ARCHIVE_OFF,
-    ASSOC_BOOKMARK,
     ASSOC_CORRECTION,
     ASSOC_GUESS,
 )
-from .request import Request, Response, Server, User, require_user
+from .request import Request, Response, Server, User, count_field, require_user
 from .sessions import assign_session_ids
 
 
@@ -47,19 +45,6 @@ def ensure_folder(server: Server, owner: str, path: str, at: float) -> str:
     return parent
 
 
-def drop_guesses(repo: MemexRepository, owner: str, url: str) -> int:
-    """Delete the classifier's guesses filing *url* in *owner*'s folders
-    (a deliberate filing supersedes them); returns how many went."""
-    dropped = 0
-    for row in repo.page_folders(url):
-        if row["source"] == ASSOC_GUESS:
-            folder = repo.db.table("folders").get(row["folder_id"])
-            if folder is not None and folder["owner"] == owner:
-                repo.db.delete("folder_pages", row["assoc_id"])
-                dropped += 1
-    return dropped
-
-
 # -- account management ----------------------------------------------------------
 
 def serve_register_user(server: Server, user: None, request: Request) -> Response:
@@ -85,31 +70,11 @@ def serve_set_archive_mode(server: Server, user: User, request: Request) -> Resp
 
 # -- archiving -----------------------------------------------------------------------
 
-def serve_visit(server: Server, user: User, request: Request) -> Response:
-    mode = user["archive_mode"]
-    if mode == ARCHIVE_OFF:
-        return {"archived": False}
-    at = server.advance(request.get("at"))
-    url = request["url"]
-    origin = server.origin()
-    server.repo.upsert_page(url, now=at)
-    visit_id = server.repo.record_visit(
-        user["user_id"], url,
-        at=at,
-        session_id=int(request.get("session_id", 0)),
-        referrer=request.get("referrer"),
-        archive_mode=mode,
-        origin=origin,
-    )
-    server.crawler.enqueue(url, origin=origin)
-    return {"archived": True, "visit_id": visit_id}
-
-
 def serve_visit_batch(server: Server, requests: list[Request]) -> list[Response]:
-    """Batch leg of the visit servlet: per-item semantics identical to
-    :func:`serve_visit` (auth, archive-off, clock clamping, crawl
-    enqueue) but ONE repository group commit — one WAL record and one
-    fsync — for the whole run instead of several per event.  Invalid
+    """The visit servlet: a single ``visit`` is a run of one.  Each item
+    is authenticated, skipped when its user archives nothing, clamped to
+    the server clock and queued for the crawler; the run is ONE
+    repository group commit — one WAL record and one fsync.  Invalid
     items get typed per-item errors; valid neighbours still commit.
     """
     responses: list[dict[str, Any] | None] = [None] * len(requests)
@@ -123,12 +88,13 @@ def serve_visit_batch(server: Server, requests: list[Request]) -> list[Response]
                 responses[i] = {"archived": False}
                 continue
             url = request["url"]
+            session_id = count_field(request, "session_id", 0)
             at = server.advance(request.get("at"))
             items.append({
                 "user_id": user["user_id"],
                 "url": url,
                 "at": at,
-                "session_id": int(request.get("session_id", 0)),
+                "session_id": session_id,
                 "referrer": request.get("referrer"),
                 "archive_mode": mode,
                 # Per-item origin: each envelope item carries its own
@@ -179,10 +145,9 @@ def serve_import_history(server: Server, user: User, request: Request) -> Respon
 def serve_bookmark(server: Server, user: User, request: Request) -> Response:
     at = server.advance(request.get("at"))
     url = request["url"]
-    folder = ensure_folder(server, user["user_id"], request["folder_path"], at)
-    server.repo.upsert_page(url, now=at)
-    drop_guesses(server.repo, user["user_id"], url)
-    assoc_id = server.repo.associate(folder, url, ASSOC_BOOKMARK, now=at)
+    owner = user["user_id"]
+    folder = ensure_folder(server, owner, request["folder_path"], at)
+    assoc_id = server.repo.bookmark(owner, folder, url, now=at)
     server.crawler.enqueue(url, origin=server.origin())
     return {"assoc_id": assoc_id, "folder_id": folder}
 
@@ -202,7 +167,7 @@ def serve_folder_move(server: Server, user: User, request: Request) -> Response:
         src = folder_id(owner, request["from_folder"])
         removed = server.repo.dissociate(src, url)
     else:
-        removed = drop_guesses(server.repo, owner, url)
+        removed = server.repo.drop_guesses(owner, url)
     dst = ensure_folder(server, owner, request["to_folder"], at)
     assoc_id = server.repo.associate(dst, url, ASSOC_CORRECTION, now=at)
     # Corrections also relabel this user's visits of the page.

@@ -47,6 +47,15 @@ class Servlet:
         return self.routing(request) if callable(self.routing) else self.routing
 
 
+def _run_of_one(
+    batch: Callable[[Any, list[Request]], list[Response]],
+) -> Callable[[Any, Any, Request], Response]:
+    """The single-request handler of a servlet its *batch* leg answers:
+    a run of one item, traced to the request's own servlet span."""
+    return lambda server, user, request: batch(
+        server, [{**request, "traceparent": server.origin()}])[0]
+
+
 SERVLETS: dict[str, Servlet] = {row.name: row for row in (
     # -- accounts: every shard authenticates against its own users table
     Servlet("register_user", archive.serve_register_user, auth=False,
@@ -54,7 +63,8 @@ SERVLETS: dict[str, Servlet] = {row.name: row for row in (
     Servlet("set_archive_mode", archive.serve_set_archive_mode,
             routing=BROADCAST),
     # -- one user's archive: the owner shard alone is authoritative
-    Servlet("visit", archive.serve_visit, batch=archive.serve_visit_batch),
+    Servlet("visit", _run_of_one(archive.serve_visit_batch),
+            batch=archive.serve_visit_batch),
     Servlet("import_history", archive.serve_import_history),
     Servlet("bookmark", archive.serve_bookmark),
     Servlet("folder_create", archive.serve_folder_create),

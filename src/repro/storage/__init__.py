@@ -11,7 +11,7 @@ in-memory sorted index); every stored record is compact JSON
 from .engine import Namespace, open_engine, prefix_successor
 from .kvstore import KVStore
 from .relational import Column, Database, Table, TableSchema, Transaction
-from .repository import MemexRepository, Sequence
+from .repository import MemexRepository
 from .schema import (
     ARCHIVE_COMMUNITY,
     ARCHIVE_MODES,
@@ -40,7 +40,6 @@ __all__ = [
     "KVStore",
     "MemexRepository",
     "Namespace",
-    "Sequence",
     "Table",
     "TableSchema",
     "Transaction",

@@ -245,6 +245,11 @@ class Table:
         with self._rw.read():
             return pk in self._rows
 
+    def max_key(self, default: Any = None) -> Any:
+        """The largest primary key, or *default* when the table is empty."""
+        with self._rw.read():
+            return max(self._rows, default=default)
+
     def scan(self) -> Iterator[Row]:
         """Full scan; yields row copies (a snapshot taken at first next())."""
         with self._rw.read():

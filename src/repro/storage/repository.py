@@ -4,7 +4,9 @@ Figure 3's "loosely synchronized data repositories": a relational database
 for metadata plus a lightweight key-value store for term-level data, tied
 together by the versioning coordinator.  Daemons and servlets never touch
 the raw stores; they go through this façade, which also hands out the
-monotone id sequences the catalog tables need.
+integer ids of the ``visits``, ``links`` and ``folder_pages`` rows.  Those
+ids are catalog state: each counter starts at the table's largest id + 1
+when the catalog opens, so an acknowledged write commits to one log.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .relational import Database, Row, Transaction
 from .schema import (
     ARCHIVE_COMMUNITY,
     ARCHIVE_MODES,
+    ASSOC_BOOKMARK,
+    ASSOC_GUESS,
     ASSOC_SOURCES,
     create_catalog,
 )
@@ -82,41 +86,6 @@ class ChangeStamps:
         self.engagement[user_id] = self.engagement.get(user_id, 0) + 1
 
 
-class Sequence:
-    """Monotone integer id allocator persisted in the key-value store."""
-
-    def __init__(self, ns: Namespace, name: str) -> None:
-        self._ns = ns
-        self._key = name.encode("utf-8")
-        raw = ns.get(self._key)
-        self._next = int(decode(raw)) if raw is not None else 1
-        # Allocation is a read-increment-persist compound; its own lock
-        # keeps handed-out ids unique even when a handle escapes the
-        # repository lock.
-        self._lock = threading.Lock()
-
-    def next(self) -> int:
-        with self._lock:
-            value = self._next
-            self._next += 1
-            self._ns.put(self._key, encode(self._next))
-        return value
-
-    def take(self, n: int) -> range:
-        """Allocate *n* consecutive ids with a single store write."""
-        if n < 0:
-            raise ValueError("cannot allocate a negative id count")
-        with self._lock:
-            start = self._next
-            if n:
-                self._next += n
-                self._ns.put(self._key, encode(self._next))
-        return range(start, start + n)
-
-    def peek(self) -> int:
-        return self._next
-
-
 class _StagedPages:
     """The page upserts of one batch, deduplicated for one transaction.
 
@@ -163,7 +132,7 @@ class _StagedPages:
 
 
 class MemexRepository:
-    """Owns the RDBMS, the KV store, the version coordinator and sequences.
+    """Owns the RDBMS, the KV store, the version coordinator and id counters.
 
     Parameters
     ----------
@@ -243,23 +212,25 @@ class MemexRepository:
         # visit-origin table — so each façade mutation is atomic.  Reads
         # go straight to the underlying stores, which lock themselves.
         self._repo_lock = threading.RLock()
-        self._seq_ns = Namespace(self.kv, "_seq")
-        self._sequences: dict[str, Sequence] = {}
-        # Namespaces for term-level data, mirroring the paper's split of
-        # "several text-related indices in Berkeley DB".
-        self.postings = Namespace(self.kv, "postings")
-        self.doclen = Namespace(self.kv, "doclen")
-        self.termstats = Namespace(self.kv, "termstats")
+        # Next id per table, read back from the catalog (DESIGN.md §15).
+        self._next_id = {
+            table: self.db.table(table).max_key(default=0) + 1
+            for table in ("visits", "links", "folder_pages")
+        }
+        # Term-level data the catalog does not hold (the paper's "several
+        # text-related indices in Berkeley DB"; the index keeps its own).
         self.rawtext = Namespace(self.kv, "rawtext")
         self.models = Namespace(self.kv, "models")
 
     # -- id allocation ------------------------------------------------------------
 
-    def sequence(self, name: str) -> Sequence:
-        with self._repo_lock:
-            if name not in self._sequences:
-                self._sequences[name] = Sequence(self._seq_ns, name)
-            return self._sequences[name]
+    def _take_ids(self, table: str, n: int) -> range:
+        """*n* consecutive fresh ids for *table*; the caller holds the
+        repository lock and inserts the rows in its next transaction.  Ids
+        taken for a transaction that fails are skipped, not reused."""
+        start = self._next_id[table]
+        self._next_id[table] = start + n
+        return range(start, start + n)
 
     # -- users -----------------------------------------------------------------------
 
@@ -374,7 +345,7 @@ class MemexRepository:
 
     def add_link(self, src: str, dst: str, *, now: float) -> int:
         with self._repo_lock:
-            link_id = self.sequence("links").next()
+            link_id, = self._take_ids("links", 1)
             self.db.insert("links", {
                 "link_id": link_id, "src": src, "dst": dst, "discovered_at": now,
             })
@@ -395,12 +366,11 @@ class MemexRepository:
         per out-link the catalog does not hold yet, ``upsert_page(dst)``
         + ``add_link(url, dst)`` would store item by item — a page that
         is first a link stub and then fetched in the same batch keeps the
-        ``front_page`` it was inserted with — but link ids come from one
-        sequence allocation, every page and link row lands in ONE
-        relational transaction and every raw text in ONE term-store
-        write: three fsyncs for the version, not four per page.  Rows
-        are committed before texts, so a reader never finds a text whose
-        page row (and title) is still the unfetched stub.
+        ``front_page`` it was inserted with — but every page and link row
+        lands in ONE relational transaction and every raw text in ONE
+        term-store write: two fsyncs for the version, not three per page.
+        Rows are committed before texts, so a reader never finds a text
+        whose page row (and title) is still the unfetched stub.
         """
         with self._repo_lock:
             self._record_fetch_batch(fetched, now, produced_version)
@@ -433,7 +403,7 @@ class MemexRepository:
                     known[url].add(dst)
                     pages.upsert(dst, now)
                     links.append((url, dst))
-        link_ids = self.sequence("links").take(len(links))
+        link_ids = self._take_ids("links", len(links))
         with self.db.begin() as txn:
             pages.apply(txn)
             txn.insert_many("links", (
@@ -469,44 +439,14 @@ class MemexRepository:
         never an error)."""
         return self._visit_origins.get(visit_id)
 
-    def record_visit(
-        self,
-        user_id: str,
-        url: str,
-        *,
-        at: float,
-        session_id: int,
-        referrer: str | None,
-        archive_mode: str,
-        origin: str | None = None,
-    ) -> int:
-        with self.tracer.child_span("storage.record_visit"):
-            with self._repo_lock:
-                visit_id = self.sequence("visits").next()
-                self.db.insert("visits", {
-                    "visit_id": visit_id,
-                    "user_id": user_id,
-                    "url": url,
-                    "at": at,
-                    "session_id": session_id,
-                    "referrer": referrer,
-                    "archive_mode": archive_mode,
-                    "topic_folder": None,
-                    "topic_confidence": None,
-                })
-                self._remember_origin(visit_id, origin)
-                self.stamps.visits += 1
-                self.stamps.engaged(user_id)
-        return visit_id
-
     def record_visit_batch(self, items: list[dict[str, Any]]) -> list[int]:
-        """Group commit for the visit servlet's batch path.
+        """Group commit for the visit servlet.
 
         Each item is ``{user_id, url, at, session_id, referrer,
-        archive_mode}``.  Visit ids come from one sequence allocation (one
-        KV write), and every page upsert plus every visit row lands in ONE
-        relational transaction — one WAL record, one fsync — instead of
-        2N+ of each.  Page upserts are deduplicated within the batch
+        archive_mode}`` plus an optional ``origin`` traceparent.  Every
+        page upsert plus every visit row lands in ONE relational
+        transaction — one WAL record, one fsync — however many items
+        there are.  Page upserts are deduplicated within the batch
         (first occurrence sets ``first_seen``, the last one wins
         ``last_seen``), exactly what sequential :meth:`upsert_page` calls
         would have produced.  Atomic: on constraint failure nothing is
@@ -516,8 +456,8 @@ class MemexRepository:
         increasing, and positionally aligned with *items* —
         ``result[i]`` is the id of ``items[i]``, and the whole block
         sorts after every previously recorded visit.  A batch is
-        therefore indistinguishable, id-order-wise, from calling
-        :meth:`record_visit` once per item in list order, so consumers
+        therefore indistinguishable, id-order-wise, from recording its
+        items one batch of one at a time in list order, so consumers
         that replay visits by id (crawler queues, trail reconstruction)
         see the same sequence either way.  Items are NOT re-sorted by
         their ``at`` timestamp — callers who need id order to agree with
@@ -536,7 +476,7 @@ class MemexRepository:
         return visit_ids
 
     def _record_visit_batch(self, items: list[dict[str, Any]]) -> list[int]:
-        visit_ids = list(self.sequence("visits").take(len(items)))
+        visit_ids = list(self._take_ids("visits", len(items)))
         pages = _StagedPages(self.db)
         for item in items:
             pages.upsert(item["url"], item["at"])
@@ -734,18 +674,72 @@ class MemexRepository:
         if source not in ASSOC_SOURCES:
             raise SchemaError(f"unknown association source {source!r}")
         with self._repo_lock:
-            assoc_id = self.sequence("assocs").next()
-            self.db.insert("folder_pages", {
-                "assoc_id": assoc_id,
-                "folder_id": folder_id,
-                "url": url,
-                "source": source,
-                "confidence": confidence,
-                "at": now,
-            })
+            with self.db.begin() as txn:
+                assoc_id = self._insert_assoc(
+                    txn, folder_id, url, source, confidence, now)
             self.stamps.assocs += 1
             self._folder_engaged(folder_id)
             return assoc_id
+
+    def bookmark(self, owner: str, folder_id: str, url: str, *, now: float) -> int:
+        """File *url* in *owner*'s *folder_id* as a bookmark; returns the
+        association's id.  The page upsert, the drop of *owner*'s
+        classifier guesses for *url* (a deliberate filing supersedes them)
+        and the association row are ONE transaction: one catalog fsync."""
+        with self._repo_lock:
+            pages = _StagedPages(self.db)
+            pages.upsert(url, now)
+            guesses = self._guesses(owner, url)
+            with self.db.begin() as txn:
+                pages.apply(txn)
+                for guess in guesses:
+                    txn.delete("folder_pages", guess)
+                assoc_id = self._insert_assoc(
+                    txn, folder_id, url, ASSOC_BOOKMARK, None, now)
+            self.stamps.pages += 1
+            self.stamps.assocs += 1 + len(guesses)
+            self.stamps.engaged(owner)
+            return assoc_id
+
+    def drop_guesses(self, owner: str, url: str) -> int:
+        """Delete the classifier's guesses filing *url* in *owner*'s
+        folders, in one transaction; returns how many went."""
+        with self._repo_lock:
+            guesses = self._guesses(owner, url)
+            with self.db.begin() as txn:
+                for guess in guesses:
+                    txn.delete("folder_pages", guess)
+            self.stamps.assocs += len(guesses)
+        return len(guesses)
+
+    def _guesses(self, owner: str, url: str) -> list[int]:
+        """The ids of the guesses filing *url* in *owner*'s folders."""
+        folders = self.db.table("folders")
+        return [
+            row["assoc_id"] for row in self.page_folders(url)
+            if row["source"] == ASSOC_GUESS
+            and (folders.get(row["folder_id"]) or {}).get("owner") == owner
+        ]
+
+    def _insert_assoc(
+        self,
+        txn: Transaction,
+        folder_id: str,
+        url: str,
+        source: str,
+        confidence: float | None,
+        now: float,
+    ) -> int:
+        assoc_id, = self._take_ids("folder_pages", 1)
+        txn.insert("folder_pages", {
+            "assoc_id": assoc_id,
+            "folder_id": folder_id,
+            "url": url,
+            "source": source,
+            "confidence": confidence,
+            "at": now,
+        })
+        return assoc_id
 
     def folder_pages(self, folder_id: str, *, sources: tuple[str, ...] | None = None) -> list[Row]:
         rows = self.db.table("folder_pages").select({"folder_id": folder_id})

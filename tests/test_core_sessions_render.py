@@ -81,14 +81,18 @@ def test_assign_session_ids_backfills_missing():
     repo = MemexRepository()
     repo.add_user("u", now=0.0)
     # Client-stamped session 5, then imported history with session 0.
-    repo.record_visit("u", "http://a/", at=0.0, session_id=5,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
-    v2 = repo.record_visit("u", "http://b/", at=10_000.0, session_id=0,
-                           referrer=None, archive_mode=ARCHIVE_COMMUNITY)
-    v3 = repo.record_visit("u", "http://c/", at=10_060.0, session_id=0,
-                           referrer=None, archive_mode=ARCHIVE_COMMUNITY)
-    v4 = repo.record_visit("u", "http://d/", at=50_000.0, session_id=0,
-                           referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://a/", at=0.0, session_id=5, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])
+    v2 = repo.record_visit_batch([dict(
+        user_id="u", url="http://b/", at=10_000.0, session_id=0, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])[0]
+    v3 = repo.record_visit_batch([dict(
+        user_id="u", url="http://c/", at=10_060.0, session_id=0, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])[0]
+    v4 = repo.record_visit_batch([dict(
+        user_id="u", url="http://d/", at=50_000.0, session_id=0, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])[0]
     updated = assign_session_ids(repo, "u")
     assert updated == 3
     visits = {v["visit_id"]: v for v in repo.user_visits("u")}
@@ -105,8 +109,9 @@ def test_infer_user_sessions_and_stats():
     repo = MemexRepository()
     repo.add_user("u", now=0.0)
     for i, at in enumerate([0.0, 60.0, 10_000.0]):
-        repo.record_visit("u", f"http://p{i}/", at=at, session_id=0,
-                          referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+        repo.record_visit_batch([dict(
+            user_id="u", url=f"http://p{i}/", at=at,
+            session_id=0, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])
     sessions = infer_user_sessions(repo, "u")
     assert len(sessions) == 2
     stats = session_statistics(sessions)

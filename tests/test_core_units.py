@@ -42,17 +42,23 @@ def repo():
     r.associate("me:Music/Classical", "http://m1/", ASSOC_BOOKMARK, now=1.0)
     day = 86_400.0
     # me: two sessions; session 1 about music, session 2 about cycling.
-    v1 = r.record_visit("me", "http://m1/", at=1 * day, session_id=1,
-                        referrer=None, archive_mode=ARCHIVE_COMMUNITY)
-    v2 = r.record_visit("me", "http://m2/", at=1 * day + 60, session_id=1,
-                        referrer="http://m1/", archive_mode=ARCHIVE_COMMUNITY)
-    v3 = r.record_visit("me", "http://x1/", at=2 * day, session_id=2,
-                        referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    v1 = r.record_visit_batch([dict(
+        user_id="me", url="http://m1/", at=1 * day,
+        session_id=1, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])[0]
+    v2 = r.record_visit_batch([dict(
+        user_id="me", url="http://m2/", at=1 * day + 60,
+        session_id=1, referrer="http://m1/",
+        archive_mode=ARCHIVE_COMMUNITY)])[0]
+    v3 = r.record_visit_batch([dict(
+        user_id="me", url="http://x1/", at=2 * day,
+        session_id=2, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])[0]
     # peer: visits m2 publicly, m3 privately.
-    v4 = r.record_visit("peer", "http://m2/", at=2 * day, session_id=3,
-                        referrer=None, archive_mode=ARCHIVE_COMMUNITY)
-    v5 = r.record_visit("peer", "http://m3/", at=2 * day, session_id=3,
-                        referrer="http://m2/", archive_mode=ARCHIVE_PRIVATE)
+    v4 = r.record_visit_batch([dict(
+        user_id="peer", url="http://m2/", at=2 * day,
+        session_id=3, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])[0]
+    v5 = r.record_visit_batch([dict(
+        user_id="peer", url="http://m3/", at=2 * day,
+        session_id=3, referrer="http://m2/", archive_mode=ARCHIVE_PRIVATE)])[0]
     r.classify_visits([
         (v1, "me:Music/Classical", 0.9),
         (v2, "me:Music/Classical", 0.8),
@@ -119,8 +125,9 @@ def test_trail_graph_respects_privacy(repo):
 
 
 def test_trail_graph_confidence_gate(repo):
-    v = repo.record_visit("me", "http://m3/", at=3 * 86_400.0, session_id=4,
-                          referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    v = repo.record_visit_batch([dict(
+        user_id="me", url="http://m3/", at=3 * 86_400.0,
+        session_id=4, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])[0]
     repo.classify_visits([(v, "me:Music/Classical", 0.1)])  # a shrug
     g = build_trail_graph(repo, ["me:Music/Classical"])
     assert "http://m3/" not in g.nodes
@@ -210,8 +217,9 @@ def test_bill_breakdown_window(repo):
 
 
 def test_bill_unclassified_visits(repo):
-    repo.record_visit("me", "http://m3/", at=4 * 86_400.0, session_id=9,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    repo.record_visit_batch([dict(
+        user_id="me", url="http://m3/", at=4 * 86_400.0,
+        session_id=9, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])
     lines = bill_breakdown(repo, "me")
     assert any(l.category == UNCLASSIFIED for l in lines)
 

@@ -42,7 +42,9 @@ KEPT = {
         "tests/test_text_index_batch.py (test_a_batch_is_one_store_write): "
         "a group commit is one fsync; tests/test_server_group_commit.py "
         "(test_the_server_reports_every_fsync_of_both_logs): a server "
-        "reports every fsync of both its logs"),
+        "reports every fsync of both its logs; and "
+        "(test_an_ack_is_one_catalog_fsync): an ack is one catalog.wal "
+        "fsync and none in terms.kv"),
     "net.connections_total": (
         "tests/test_server_netserver.py (test_request_roundtrip_over_tcp, "
         "test_connections_are_per_user, "

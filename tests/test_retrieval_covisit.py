@@ -32,10 +32,9 @@ class Clock:
 
 
 def visit(repo, user, url, *, at, session=1, mode=ARCHIVE_COMMUNITY):
-    return repo.record_visit(
-        user, url, at=at, session_id=session, referrer=None,
-        archive_mode=mode,
-    )
+    return repo.record_visit_batch([dict(
+        user_id=user, url=url, at=at, session_id=session, referrer=None,
+        archive_mode=mode)])[0]
 
 
 def test_session_pairs_are_symmetric_unordered_counts(repo):

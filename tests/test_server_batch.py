@@ -115,14 +115,19 @@ def test_namespace_put_many():
 
 # -- repository batch path ----------------------------------------------------
 
-def test_sequence_take_allocates_consecutively():
+def test_visit_batches_take_consecutive_ids():
     repo = MemexRepository()
-    seq = repo.sequence("visits")
-    first = seq.next()
-    ids = list(seq.take(5))
+
+    def batch(n):
+        return repo.record_visit_batch([dict(
+            user_id="u", url=f"http://p{i}/", at=float(i), session_id=1,
+            referrer=None, archive_mode="community") for i in range(n)])
+
+    [first] = batch(1)
+    ids = batch(5)
     assert ids == list(range(first + 1, first + 6))
-    assert seq.next() == first + 6
-    assert list(seq.take(0)) == []
+    assert batch(1) == [first + 6]
+    assert batch(0) == []
 
 
 def test_record_visit_batch_matches_sequential_semantics():
@@ -136,10 +141,9 @@ def test_record_visit_batch_matches_sequential_semantics():
     ids_a = []
     for url, at in visits:
         repo_a.upsert_page(url, now=at)
-        ids_a.append(repo_a.record_visit(
-            "u", url, at=at, session_id=1, referrer=None,
-            archive_mode="community",
-        ))
+        ids_a.append(repo_a.record_visit_batch([dict(
+            user_id="u", url=url, at=at, session_id=1, referrer=None,
+            archive_mode="community")])[0])
     ids_b = repo_b.record_visit_batch([
         {
             "user_id": "u", "url": url, "at": at, "session_id": 1,
@@ -371,6 +375,23 @@ def test_dispatch_batch_amortizes_latency_observations():
         "server.servlets.latency", servlet="batch").count == 1
     assert metrics.histogram(
         "server.servlets.latency", servlet="echo").count == 0
+
+
+def test_a_bad_session_id_fails_only_its_batch_item():
+    """``int()`` stored ``session_id=2.5`` as 2; now that item alone is a
+    typed ``bad_request`` and its neighbours still commit."""
+    with MemexServer(lambda url: None) as server:
+        server.transport.request("u", {"servlet": "register_user"})
+        out = server.transport.request_batch("u", [
+            {"servlet": "visit", "url": f"http://p{i}/", "at": float(i),
+             "session_id": session_id}
+            for i, session_id in enumerate((3, 2.5, 4.0))
+        ])
+        assert [r["status"] for r in out] == ["ok", "error", "ok"]
+        assert out[1]["error_code"] == "bad_request"
+        visits = server.repo.user_visits("u")
+        assert [(v["url"], v["session_id"]) for v in visits] == [
+            ("http://p0/", 3), ("http://p2/", 4)]
 
 
 # -- transport batch round trip ----------------------------------------------

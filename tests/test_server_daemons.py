@@ -122,10 +122,12 @@ def test_classifier_trains_and_guesses(repo, crawler):
     jz_folder = _bookmark(repo, "u", "Jazz", "Jazz", "http://j1/")
     _bookmark(repo, "u", "Jazz", "Jazz", "http://j2/")
     # Unclassified visits to held-out pages.
-    repo.record_visit("u", "http://c3/", at=10.0, session_id=1,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
-    repo.record_visit("u", "http://j3/", at=11.0, session_id=1,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://c3/", at=10.0, session_id=1, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://j3/", at=11.0, session_id=1, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])
     done = clf.run_once()
     assert done == 2
     visits = repo.db.table("visits").select(order_by="at")
@@ -142,8 +144,9 @@ def test_classifier_needs_enough_supervision(repo, crawler):
     clf = ClassifierDaemon(repo, vec, min_training_per_class=2, min_classes=2)
     _crawl_all(repo, crawler)
     _bookmark(repo, "u", "Classical", "Classical", "http://c1/")
-    repo.record_visit("u", "http://c3/", at=1.0, session_id=1,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://c3/", at=1.0, session_id=1, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])
     assert clf.run_once() == 0  # one class, one example: refuses to train
     with pytest.raises(NotFitted):
         clf.model_for("u")
@@ -158,8 +161,9 @@ def test_classifier_skips_unfetched_pages(repo, crawler):
     _bookmark(repo, "u", "Jazz", "Jazz", "http://j1/")
     _bookmark(repo, "u", "Jazz", "Jazz", "http://j2/")
     repo.upsert_page("http://never-fetched/", now=0.0)
-    repo.record_visit("u", "http://never-fetched/", at=1.0, session_id=1,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://never-fetched/", at=1.0,
+        session_id=1, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])
     assert clf.run_once() == 0
     visit = repo.db.table("visits").select()[0]
     assert visit["topic_folder"] is None  # left pending, not misfiled
@@ -173,13 +177,15 @@ def test_classifier_guess_replacement(repo, crawler):
     _bookmark(repo, "u", "Classical", "Classical", "http://c2/")
     jz = _bookmark(repo, "u", "Jazz", "Jazz", "http://j1/")
     _bookmark(repo, "u", "Jazz", "Jazz", "http://j2/")
-    repo.record_visit("u", "http://c3/", at=1.0, session_id=1,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://c3/", at=1.0, session_id=1, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])
     clf.run_once()
     # Same page classified again after the user corrected supervision:
     # old guess must be replaced, not duplicated.
-    repo.record_visit("u", "http://c3/", at=2.0, session_id=2,
-                      referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://c3/", at=2.0, session_id=2, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])
     clf.run_once()
     guesses = [
         r for r in repo.page_folders("http://c3/") if r["source"] == ASSOC_GUESS

@@ -1,8 +1,9 @@
 """A mining run is one group commit.
 
-The crawler stores a version with one sequence write, one catalog
-transaction and one text write; the indexer a slice of at most 64 pages
-with one term-store write; the dense daemon and the classifier likewise.
+The crawler stores a version with one catalog transaction and one text
+write; the indexer a slice of at most 64 pages with one term-store
+write; the dense daemon and the classifier likewise; an acknowledged
+visit or bookmark is one catalog commit.
 What they store must equal, byte for byte and row for row, what the
 per-record code in ``mining_reference`` stores for the same input, and
 what they fsync must not depend on how many pages a version holds.
@@ -27,7 +28,7 @@ from repro.server.daemons import (
 )
 from repro.storage import wal as wal_module
 from repro.storage.repository import MemexRepository
-from repro.storage.schema import ARCHIVE_COMMUNITY, ASSOC_BOOKMARK
+from repro.storage.schema import ARCHIVE_COMMUNITY, ASSOC_BOOKMARK, ASSOC_GUESS
 from repro.text.index import InvertedIndex
 from repro.webgen import build_workload
 
@@ -67,7 +68,8 @@ def workload():
 def test_replay_stores_what_the_per_record_daemons_store(workload, tick_every):
     """Small versions, mid-size versions, and (never ticking before the
     end) full 64-page versions: every term-store namespace (``idx.post``
-    / ``idx.docs`` / ``idx.norm`` / ``rawtext`` / ``_seq`` / ``dense``)
+    / ``idx.docs`` / ``idx.norm`` / ``rawtext`` / ``dense``; nothing
+    writes ``_seq``)
     and every catalog table (``pages``, ``links``, and what the
     classifier made of them) is equal, and so is what a search returns."""
     user = workload.profiles[0].user_id
@@ -86,8 +88,10 @@ def test_replay_stores_what_the_per_record_daemons_store(workload, tick_every):
             ))
     new, ref = answers
     assert len(new[1]["pages"]) > 64 and new[1]["links"]
-    assert {key.split(b"\x00")[0] for key in new[0]} >= {
-        b"idx.post", b"idx.docs", b"idx.norm", b"rawtext", b"_seq", b"dense"}
+    namespaces = {key.split(b"\x00")[0] for key in new[0]}
+    assert namespaces >= {
+        b"idx.post", b"idx.docs", b"idx.norm", b"rawtext", b"dense"}
+    assert b"_seq" not in namespaces
     assert new[0] == ref[0]
     assert new[1] == ref[1]
     assert new[2] == ref[2]
@@ -240,11 +244,20 @@ def _fsyncs_per_run(tmp_path, monkeypatch, n_pages):
 
 
 def test_fsyncs_per_version_are_a_small_constant(tmp_path, monkeypatch):
-    """Link ids, catalog transaction, raw texts; one index write; one
-    vector write — whether the version holds 16 pages or 64."""
+    """Catalog transaction, raw texts; one index write; one vector write
+    — whether the version holds 16 pages or 64."""
     small = _fsyncs_per_run(tmp_path, monkeypatch, 16)
     full = _fsyncs_per_run(tmp_path, monkeypatch, 64)
-    assert small == full == {"crawler": 3, "indexer": 1, "dense": 1}
+    assert small == full == {"crawler": 2, "indexer": 1, "dense": 1}
+
+
+def _fsyncs(server):
+    return {
+        labels["log"]: value
+        for key, value in server.metrics.raw_snapshot()["counters"].items()
+        for name, labels in [split_name(key)]
+        if name == "storage.wal.fsyncs"
+    }
 
 
 def test_the_server_reports_every_fsync_of_both_logs(tmp_path, monkeypatch):
@@ -265,15 +278,43 @@ def test_the_server_reports_every_fsync_of_both_logs(tmp_path, monkeypatch):
             {"servlet": "visit", "url": f"http://p/{i}", "at": float(i)}
             for i in range(8)
         ])
-        fsyncs = {
-            labels.get("log"): value
-            for key, value in server.metrics.raw_snapshot()["counters"].items()
-            for name, labels in [split_name(key)]
-            if name == "storage.wal.fsyncs"
-        }
+        fsyncs = _fsyncs(server)
         assert count[0] > 0
         assert sum(fsyncs.values()) == count[0]
         assert set(fsyncs) == {"catalog.wal", "terms.kv"}
+
+
+def test_an_ack_is_one_catalog_fsync(tmp_path):
+    """Ids come from the catalog, so an acknowledged visit, visit batch or
+    bookmark into an existing folder (dropping a classifier guess on the
+    way) commits once to ``catalog.wal`` and never to ``terms.kv``."""
+    with MemexServer(lambda url: None, root=str(tmp_path), sync=True) as server:
+        ask = server.transport.request
+        ask("u", {"servlet": "register_user"})
+        ask("u", {"servlet": "folder_create", "path": "Jazz"})
+        server.repo.associate(
+            "u:Jazz", "http://p/1", ASSOC_GUESS, confidence=0.5, now=0.0)
+        acks = {
+            "visit_batch": lambda: server.transport.request_batch("u", [
+                {"servlet": "visit", "url": f"http://p/{i}", "at": float(i)}
+                for i in range(8)
+            ]),
+            "visit": lambda: [ask(
+                "u", {"servlet": "visit", "url": "http://new/", "at": 9.0})],
+            "repeat visit": lambda: [ask(
+                "u", {"servlet": "visit", "url": "http://new/", "at": 10.0})],
+            "bookmark": lambda: [ask("u", {
+                "servlet": "bookmark", "url": "http://p/1",
+                "folder_path": "Jazz", "at": 11.0})],
+        }
+        for name, ack in acks.items():
+            before = _fsyncs(server)
+            assert all(r["status"] == "ok" for r in ack()), name
+            after = _fsyncs(server)
+            assert after["catalog.wal"] - before["catalog.wal"] == 1, name
+            assert after["terms.kv"] == before["terms.kv"], name
+        assert [row["source"] for row in server.repo.page_folders(
+            "http://p/1")] == [ASSOC_BOOKMARK]
 
 
 def test_an_indexer_many_versions_behind_commits_slice_by_slice():
@@ -321,8 +362,9 @@ def test_a_classifier_run_annotates_its_visits_in_one_transaction():
             repo.associate(f"u:{folder}", url, ASSOC_BOOKMARK, now=1.0)
     for i in range(5):
         for url in ("http://c3/", "http://j3/"):
-            repo.record_visit("u", url, at=10.0 + i, session_id=1,
-                              referrer=None, archive_mode=ARCHIVE_COMMUNITY)
+            repo.record_visit_batch([dict(
+                user_id="u", url=url, at=10.0 + i, session_id=1, referrer=None,
+                archive_mode=ARCHIVE_COMMUNITY)])
     clf = ClassifierDaemon(repo, PageVectorizer(repo), min_training_per_class=2)
     before = metrics.counter_value("storage.relational.commits")
     assert clf.run_once() == 10

@@ -316,13 +316,14 @@ def test_a_non_integer_search_window_is_a_bad_request_on_one_server_and_on_two(
     ("propose_hierarchy", "min_cluster"),
     ("propose_hierarchy", "max_depth"),
     ("stats", "log_limit"),
+    ("visit", "session_id"),
 ])
 def test_every_other_count_field_is_a_bad_request_on_one_server_and_on_two(
     cluster, name, field, bad,
 ):
     """Every count a servlet reads goes through ``count_field``, like
-    ``k``: ``int()`` would serve ``hops=2.5`` as 2 and ``log_limit=-1``
-    as all but the first record."""
+    ``k``: ``int()`` would serve ``hops=2.5`` as 2, ``log_limit=-1`` as
+    all but the first record and store ``session_id=True`` as 1."""
     fields = {**REQUESTS[name], field: bad, "include_logs": True}
     alone = _alone(name, fields)
     dispatcher, log = cluster

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import SchemaError, StorageError
+from repro.storage import Namespace
+from repro.storage.codec import encode
 from repro.storage.repository import MemexRepository
 from repro.storage.schema import (
     ARCHIVE_COMMUNITY,
@@ -19,19 +21,48 @@ def repo():
     r.close()
 
 
-def test_sequences_are_monotone(repo):
-    seq = repo.sequence("test")
-    assert [seq.next() for _ in range(3)] == [1, 2, 3]
-    assert repo.sequence("test").peek() == 4
-    assert repo.sequence("other").next() == 1
+def _visit(repo, url, at=0.0):
+    return repo.record_visit_batch([dict(
+        user_id="u", url=url, at=at, session_id=1, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])[0]
 
 
-def test_sequences_persist(tmp_path):
+def test_ids_are_monotone_per_table(repo):
+    assert [_visit(repo, f"http://p{i}/") for i in range(3)] == [1, 2, 3]
+    assert _visit(repo, "http://p3/") == 4
+    assert repo.add_link("http://p0/", "http://p1/", now=0.0) == 1
+
+
+def test_ids_persist(tmp_path):
     with MemexRepository(tmp_path / "repo") as repo:
-        assert repo.sequence("s").next() == 1
-        assert repo.sequence("s").next() == 2
+        assert _visit(repo, "http://a/") == 1
+        assert _visit(repo, "http://b/") == 2
     with MemexRepository(tmp_path / "repo") as repo:
-        assert repo.sequence("s").next() == 3
+        assert _visit(repo, "http://c/") == 3
+
+
+@pytest.mark.parametrize("stale", [1, 100])
+def test_a_data_dir_with_seq_keys_takes_its_ids_from_the_catalog(
+    tmp_path, stale,
+):
+    """A data dir written while ids were counted in ``terms.kv`` keeps
+    ``_seq`` keys there, behind the catalog (1) or ahead of it (100, ids
+    of transactions that never committed); both are ignored."""
+    with MemexRepository(tmp_path) as repo:
+        repo.add_folder("u:F", "u", "F", None, now=0.0)
+        for i in range(3):
+            _visit(repo, f"http://p{i}/")
+            repo.add_link("http://p0/", f"http://p{i}/", now=0.0)
+            repo.associate("u:F", f"http://p{i}/", ASSOC_BOOKMARK, now=0.0)
+        Namespace(repo.kv, "_seq").put_many([
+            (name, encode(stale)) for name in (b"visits", b"links", b"assocs")
+        ])
+    with MemexRepository(tmp_path) as repo:
+        assert _visit(repo, "http://p3/") == 4
+        assert repo.add_link("http://p3/", "http://p0/", now=1.0) == 4
+        assert repo.associate(
+            "u:F", "http://p3/", ASSOC_BOOKMARK, now=1.0) == 4
+        assert Namespace(repo.kv, "_seq").get(b"visits") == encode(stale)
 
 
 def test_data_dir_of_the_removed_lsm_engine_is_refused(tmp_path):
@@ -101,14 +132,12 @@ def test_links(repo):
 
 def test_visits_and_classification(repo):
     repo.add_user("u", now=0.0)
-    vid = repo.record_visit(
-        "u", "http://x/", at=5.0, session_id=1,
-        referrer=None, archive_mode=ARCHIVE_COMMUNITY,
-    )
-    repo.record_visit(
-        "u", "http://y/", at=9.0, session_id=1,
-        referrer="http://x/", archive_mode=ARCHIVE_PRIVATE,
-    )
+    vid = repo.record_visit_batch([dict(
+        user_id="u", url="http://x/", at=5.0, session_id=1, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])[0]
+    repo.record_visit_batch([dict(
+        user_id="u", url="http://y/", at=9.0,
+        session_id=1, referrer="http://x/", archive_mode=ARCHIVE_PRIVATE)])
     assert len(repo.user_visits("u")) == 2
     assert len(repo.user_visits("u", since=6.0)) == 1
     assert len(repo.user_visits("u", until=6.0)) == 1
@@ -161,10 +190,9 @@ def test_persistent_repository_roundtrip(tmp_path):
     with MemexRepository(tmp_path / "repo") as repo:
         repo.add_user("u", now=0.0)
         repo.upsert_page("http://x/", text="persisted text", now=1.0)
-        repo.record_visit(
-            "u", "http://x/", at=1.0, session_id=1,
-            referrer=None, archive_mode=ARCHIVE_COMMUNITY,
-        )
+        repo.record_visit_batch([dict(
+            user_id="u", url="http://x/", at=1.0, session_id=1, referrer=None,
+            archive_mode=ARCHIVE_COMMUNITY)])
     with MemexRepository(tmp_path / "repo") as repo:
         assert repo.get_user("u") is not None
         assert repo.page_text("http://x/") == "persisted text"
