@@ -128,12 +128,6 @@ def test_bench_relational_pk_lookup(benchmark, filled_db):
     assert row["title"] == "Page 2500"
 
 
-def test_bench_relational_index_range(benchmark, filled_db):
-    t = filled_db.table("pages")
-    rows = benchmark(lambda: t.range("last_seen", 1000.0, 1100.0))
-    assert len(rows) == 101
-
-
 def test_bench_relational_predicate_scan(benchmark, filled_db):
     t = filled_db.table("pages")
     n = benchmark(lambda: t.count(lambda r: r["fetched"]))

@@ -81,14 +81,6 @@ def test_bench_search_bm25(benchmark, built_index):
     assert hits
 
 
-def test_bench_search_tfidf(benchmark, built_index):
-    engine = SearchEngine(built_index)
-    hits = benchmark(
-        lambda: engine.search("compiler register allocation", k=10, method="tfidf")
-    )
-    assert hits
-
-
 def test_bench_search_scoped(benchmark, built_index):
     engine = SearchEngine(built_index)
     candidates = set(built_index.document_ids()[:100])

@@ -28,8 +28,8 @@ True
 True
 >>> cache.get("b") is None
 True
->>> sorted(cache.keys())
-['a', 'c']
+>>> "a" in cache and "c" in cache
+True
 >>> cache.stats()["evictions"]
 1
 """
@@ -37,7 +37,7 @@ True
 from __future__ import annotations
 
 import threading
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable
 from typing import Any
 
 
@@ -177,13 +177,6 @@ class ShardedLRU:
     def cost(self) -> int:
         """Total cost of resident entries."""
         return sum(s.cost for s in self._shards)
-
-    def keys(self) -> Iterator[Hashable]:
-        """Snapshot of resident keys (shard by shard, LRU-first)."""
-        for shard in self._shards:
-            with shard.lock:
-                keys = list(shard.data)
-            yield from keys
 
     def stats(self) -> dict[str, int]:
         """Aggregate counters: hits, misses, evictions, invalidations,

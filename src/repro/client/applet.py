@@ -156,11 +156,6 @@ class MemexApplet:
             )
         return responses
 
-    @property
-    def pending_events(self) -> int:
-        """How many archive events are buffered and not yet shipped."""
-        return len(self._pending)
-
     # -- archive-mode control (Figure 1's three choices) -----------------------------
 
     def set_archive_mode(self, mode: str) -> None:
@@ -354,22 +349,6 @@ class MemexApplet:
         """Pages related to *url* by trail co-visitation and dense textual
         similarity — "people who read this also read"."""
         return self._call("related_pages", url=url, k=k)["related"]
-
-    def recall_url(
-        self,
-        query: str,
-        *,
-        around_days_ago: float,
-        tolerance_days: float = 45.0,
-        k: int = 5,
-    ) -> list[dict[str, Any]]:
-        """Temporal recall: 'the URL I visited about six months back
-        regarding ...'."""
-        return self._call(
-            "recall", query=query,
-            around_days_ago=around_days_ago,
-            tolerance_days=tolerance_days, k=k,
-        )["hits"]
 
     # -- community views ----------------------------------------------------------------------
 

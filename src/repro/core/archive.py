@@ -9,11 +9,20 @@ from typing import Any
 from ..errors import error_payload
 from ..storage.schema import (
     ARCHIVE_COMMUNITY,
+    ARCHIVE_MODES,
     ARCHIVE_OFF,
     ASSOC_CORRECTION,
     ASSOC_GUESS,
 )
-from .request import Request, Response, Server, User, count_field, require_user
+from .request import (
+    Request,
+    Response,
+    Server,
+    User,
+    count_field,
+    require_user,
+    text_field,
+)
 from .sessions import assign_session_ids
 
 
@@ -47,6 +56,14 @@ def ensure_folder(server: Server, owner: str, path: str, at: float) -> str:
 
 # -- account management ----------------------------------------------------------
 
+def _checked_mode(field: str, mode: str) -> str:
+    """*mode*, checked before the catalog sees it: an unknown archive mode
+    is the client's ``bad_request``, not the catalog's schema error."""
+    if mode not in ARCHIVE_MODES:
+        raise ValueError(f"{field} must be one of {', '.join(ARCHIVE_MODES)}")
+    return mode
+
+
 def serve_register_user(server: Server, user: None, request: Request) -> Response:
     user_id = request["user_id"]
     with server._server_lock:
@@ -55,17 +72,19 @@ def serve_register_user(server: Server, user: None, request: Request) -> Respons
         at = server.advance(request.get("at"))
         server.repo.add_user(
             user_id,
-            name=request.get("name"),
-            community=request.get("community"),
-            archive_mode=request.get("archive_mode", ARCHIVE_COMMUNITY),
+            name=text_field(request, "name", None),
+            community=text_field(request, "community", None),
+            archive_mode=_checked_mode("archive_mode", text_field(
+                request, "archive_mode", ARCHIVE_COMMUNITY)),
             now=at,
         )
     return {"created": True}
 
 
 def serve_set_archive_mode(server: Server, user: User, request: Request) -> Response:
-    server.repo.set_archive_mode(user["user_id"], request["mode"])
-    return {"mode": request["mode"]}
+    mode = _checked_mode("mode", text_field(request, "mode"))
+    server.repo.set_archive_mode(user["user_id"], mode)
+    return {"mode": mode}
 
 
 # -- archiving -----------------------------------------------------------------------
@@ -87,7 +106,7 @@ def serve_visit_batch(server: Server, requests: list[Request]) -> list[Response]
             if mode == ARCHIVE_OFF:
                 responses[i] = {"archived": False}
                 continue
-            url = request["url"]
+            url = text_field(request, "url")
             session_id = count_field(request, "session_id", 0)
             at = server.advance(request.get("at"))
             items.append({
@@ -95,7 +114,7 @@ def serve_visit_batch(server: Server, requests: list[Request]) -> list[Response]
                 "url": url,
                 "at": at,
                 "session_id": session_id,
-                "referrer": request.get("referrer"),
+                "referrer": text_field(request, "referrer", None),
                 "archive_mode": mode,
                 # Per-item origin: each envelope item carries its own
                 # traceparent (already validated by dispatch_batch).
@@ -112,6 +131,12 @@ def serve_visit_batch(server: Server, requests: list[Request]) -> list[Response]
     return responses
 
 
+def serve_visit(server: Server, user: User, request: Request) -> Response:
+    """A single ``visit``: its batch leg's run of one item, traced to the
+    request's own servlet span."""
+    return serve_visit_batch(server, [{**request, "traceparent": server.origin()}])[0]
+
+
 def serve_import_history(server: Server, user: User, request: Request) -> Response:
     """Bulk-import a raw browser history: timestamped URLs with no
     session structure.  Visits are archived with ``session_id = 0``,
@@ -126,10 +151,10 @@ def serve_import_history(server: Server, user: User, request: Request) -> Respon
     items = [
         {
             "user_id": user["user_id"],
-            "url": entry["url"],
+            "url": text_field(entry, "url"),
             "at": server.advance(entry["at"]),
             "session_id": 0,
-            "referrer": entry.get("referrer"),
+            "referrer": text_field(entry, "referrer", None),
             "archive_mode": mode,
             "origin": origin,
         }
@@ -144,9 +169,9 @@ def serve_import_history(server: Server, user: User, request: Request) -> Respon
 
 def serve_bookmark(server: Server, user: User, request: Request) -> Response:
     at = server.advance(request.get("at"))
-    url = request["url"]
+    url = text_field(request, "url")
     owner = user["user_id"]
-    folder = ensure_folder(server, owner, request["folder_path"], at)
+    folder = ensure_folder(server, owner, text_field(request, "folder_path"), at)
     assoc_id = server.repo.bookmark(owner, folder, url, now=at)
     server.crawler.enqueue(url, origin=server.origin())
     return {"assoc_id": assoc_id, "folder_id": folder}
@@ -154,21 +179,22 @@ def serve_bookmark(server: Server, user: User, request: Request) -> Response:
 
 def serve_folder_create(server: Server, user: User, request: Request) -> Response:
     at = server.advance(request.get("at"))
-    folder = ensure_folder(server, user["user_id"], request["path"], at)
+    folder = ensure_folder(server, user["user_id"], text_field(request, "path"), at)
     return {"folder_id": folder}
 
 
 def serve_folder_move(server: Server, user: User, request: Request) -> Response:
     """Cut/paste correction: strongest supervision for the classifier."""
     at = server.advance(request.get("at"))
-    url = request["url"]
+    url = text_field(request, "url")
     owner = user["user_id"]
-    if request.get("from_folder"):
-        src = folder_id(owner, request["from_folder"])
+    from_folder = text_field(request, "from_folder", "")
+    if from_folder:
+        src = folder_id(owner, from_folder)
         removed = server.repo.dissociate(src, url)
     else:
         removed = server.repo.drop_guesses(owner, url)
-    dst = ensure_folder(server, owner, request["to_folder"], at)
+    dst = ensure_folder(server, owner, text_field(request, "to_folder"), at)
     assoc_id = server.repo.associate(dst, url, ASSOC_CORRECTION, now=at)
     # Corrections also relabel this user's visits of the page.
     server.repo.classify_visits([

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..storage.repository import MemexRepository
-from .request import Request, Response, Server, User
+from .request import Request, Response, Server, User, text_field
 from .trails import TrailEdge, TrailGraph, TrailNode, user_folder_ids
 
 
@@ -130,7 +130,8 @@ def context_neighborhood(
 
 def serve_context(server: Server, user: User, request: Request) -> Response:
     owner = user["user_id"]
-    folder_ids = user_folder_ids(server.repo, owner, request["folder_path"])
+    folder_ids = user_folder_ids(
+        server.repo, owner, text_field(request, "folder_path"))
     session = recall_session(server.repo, owner, folder_ids)
     if session is None:
         return {"found": False, "session": None, "neighborhood": None}

@@ -21,7 +21,7 @@ from ..server.daemons import PageVectorizer
 from ..storage.schema import ASSOC_CORRECTION
 from ..text.vectorize import SparseVector, centroid, normalize, top_terms
 from .archive import ensure_folder, folder_id
-from .request import Request, Response, Server, User, count_field
+from .request import Request, Response, Server, User, count_field, text_field
 from .trails import user_folder_ids
 
 
@@ -39,9 +39,6 @@ class ProposedFolder:
         for child in self.children:
             out.extend(child.all_urls())
         return out
-
-    def num_folders(self) -> int:
-        return 1 + sum(c.num_folders() for c in self.children)
 
     def to_payload(self) -> dict:
         return {
@@ -218,7 +215,7 @@ def serve_propose_hierarchy(server: Server, user: User, request: Request) -> Res
     min_cluster = count_field(request, "min_cluster", 3)
     max_depth = count_field(request, "max_depth", 3)
     folder_ids = user_folder_ids(
-        server.repo, user["user_id"], request["folder_path"])
+        server.repo, user["user_id"], text_field(request, "folder_path"))
     urls = sorted({
         row["url"] for fid in folder_ids for row in server.repo.folder_pages(fid)
     })
@@ -236,6 +233,7 @@ def serve_apply_hierarchy(server: Server, user: User, request: Request) -> Respo
     at = server.advance(request.get("at"))
     proposal = ProposedFolder.from_payload(request["proposal"])
     moved = apply_proposal(
-        server, user["user_id"], request["folder_path"], proposal, at=at,
+        server, user["user_id"], text_field(request, "folder_path"), proposal,
+        at=at,
     )
     return {"moved": moved}

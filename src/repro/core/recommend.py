@@ -24,7 +24,7 @@ from ..server.daemons import PageVectorizer
 from ..storage.repository import MemexRepository
 from ..text.vectorize import text_vector
 from .profiles import UserProfile, engagement, profile_similarity, similar_users
-from .request import DAY, Request, Response, Server, User, top_k
+from .request import DAY, Request, Response, Server, User, text_field, top_k
 
 
 @dataclass
@@ -166,7 +166,7 @@ def serve_themes_get(server: Server, user: User, request: Request) -> Response:
 
 def serve_resources(server: Server, user: User, request: Request) -> Response:
     k = top_k(request, 10)
-    theme, sim = match_theme(server, request["query"])
+    theme, sim = match_theme(server, text_field(request, "query"))
     if theme is None or sim <= 0.0:
         return {"resources": [], "theme": None}
     since_days = request.get("since_days")
@@ -196,12 +196,13 @@ def serve_profile_similar(server: Server, user: User, request: Request) -> Respo
 
 def serve_interest_mates(server: Server, user: User, request: Request) -> Response:
     k = top_k(request, 5)
-    theme, sim = match_theme(server, request["query"])
+    theme, sim = match_theme(server, text_field(request, "query"))
     if theme is None or sim <= 0.0:
         return {"users": [], "theme": None}
     exclude_theme = None
-    if request.get("exclude_query"):
-        exclude_theme, ex_sim = match_theme(server, request["exclude_query"])
+    exclude_query = text_field(request, "exclude_query", "")
+    if exclude_query:
+        exclude_theme, ex_sim = match_theme(server, exclude_query)
         if ex_sim <= 0.0:
             exclude_theme = None
     scored = []

@@ -57,6 +57,28 @@ def count_field(request: Request, field: str, default: int) -> int:
     return count
 
 
+#: ``text_field``'s default for a field the request must carry.
+_REQUIRED: Any = object()
+
+
+def text_field(request: Request, field: str, default: Any = _REQUIRED) -> Any:
+    """The request's *field*, which must be a string.  An absent field is
+    *default*; one with no default is ``KeyError``, as indexing the
+    request was, and one with a default may also be ``null``.  Any other
+    value that is not a string raises ``ValueError`` — a typed
+    ``bad_request`` — instead of reaching the tokenizer, a folder path
+    or the catalog and failing there as a retryable server fault."""
+    if default is _REQUIRED:
+        value = request[field]
+    else:
+        value = request.get(field)
+        if value is None:
+            return default
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, not {value!r}")
+    return value
+
+
 def top_k(request: Request, default: int) -> int:
     """The request's ``k`` (see :func:`count_field`), parsed alike in the
     handler and in the merger."""

@@ -23,6 +23,7 @@ from .request import (
     Server,
     User,
     count_field,
+    text_field,
     top_k,
 )
 
@@ -113,7 +114,7 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
     and the dense consumer's watermark).
     """
     repo = server.repo
-    query = request["query"]
+    query = text_field(request, "query")
     limit, offset, mode, scope = search_options(request)
     hybrid = mode == "hybrid"
 
@@ -248,7 +249,7 @@ def serve_related_pages(server: Server, user: User, request: Request) -> Respons
     style, deduped on canonical URL.  Returns up to ``k`` rows and the
     post-dedup neighborhood size as ``total``.
     """
-    url = request["url"]
+    url = text_field(request, "url")
     k = top_k(request, 10)
     canon = canonical_url(url)
     stamps = server.repo.stamps
@@ -293,7 +294,7 @@ def serve_related_pages(server: Server, user: User, request: Request) -> Respons
 
 def serve_recall(server: Server, user: User, request: Request) -> Response:
     """Temporal recall: full-text search over MY visits around a time."""
-    query = request["query"]
+    query = text_field(request, "query")
     around = server.now - float(request["around_days_ago"]) * DAY
     tolerance = float(request.get("tolerance_days", 45.0)) * DAY
     k = top_k(request, 5)

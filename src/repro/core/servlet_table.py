@@ -47,15 +47,6 @@ class Servlet:
         return self.routing(request) if callable(self.routing) else self.routing
 
 
-def _run_of_one(
-    batch: Callable[[Any, list[Request]], list[Response]],
-) -> Callable[[Any, Any, Request], Response]:
-    """The single-request handler of a servlet its *batch* leg answers:
-    a run of one item, traced to the request's own servlet span."""
-    return lambda server, user, request: batch(
-        server, [{**request, "traceparent": server.origin()}])[0]
-
-
 SERVLETS: dict[str, Servlet] = {row.name: row for row in (
     # -- accounts: every shard authenticates against its own users table
     Servlet("register_user", archive.serve_register_user, auth=False,
@@ -63,7 +54,7 @@ SERVLETS: dict[str, Servlet] = {row.name: row for row in (
     Servlet("set_archive_mode", archive.serve_set_archive_mode,
             routing=BROADCAST),
     # -- one user's archive: the owner shard alone is authoritative
-    Servlet("visit", _run_of_one(archive.serve_visit_batch),
+    Servlet("visit", archive.serve_visit,
             batch=archive.serve_visit_batch),
     Servlet("import_history", archive.serve_import_history),
     Servlet("bookmark", archive.serve_bookmark),

@@ -25,7 +25,16 @@ from ..storage.schema import (
 )
 from ..text.vectorize import centroid, cosine
 from .archive import folder_id
-from .request import DAY, Request, Response, Server, User, count_field, top_k
+from .request import (
+    DAY,
+    Request,
+    Response,
+    Server,
+    User,
+    count_field,
+    text_field,
+    top_k,
+)
 from .search import hit_payload
 
 #: Which of a folder's own members sets the similarity floor for community
@@ -61,9 +70,6 @@ class TrailGraph:
     folder_paths: list[str]
     nodes: dict[str, TrailNode] = field(default_factory=dict)
     edges: list[TrailEdge] = field(default_factory=list)
-
-    def top_pages(self, k: int = 10) -> list[TrailNode]:
-        return sorted(self.nodes.values(), key=lambda n: (-n.score, n.url))[:k]
 
     def to_payload(self) -> dict:
         """JSON-friendly form for the servlet response."""
@@ -334,7 +340,7 @@ def serve_trail(server: Server, user: User, request: Request) -> Response:
     clock the window anchors to.
     """
     owner = user["user_id"]
-    path = request["folder_path"]
+    path = text_field(request, "folder_path")
     window_days = float(request.get("window_days", 14.0))
 
     def compute() -> Response:
@@ -351,7 +357,7 @@ def serve_popular_near_trail(server: Server, user: User, request: Request) -> Re
     recent trail graph related to <topic>' — HITS authorities on the
     trail neighborhood."""
     owner = user["user_id"]
-    path = request["folder_path"]
+    path = text_field(request, "folder_path")
     window_days = float(request.get("window_days", 30.0))
     k = top_k(request, 10)
     hops = count_field(request, "hops", 1)

@@ -35,8 +35,10 @@ CODE_INTERNAL = "internal"
 CODE_REGISTRY: dict[str, tuple[bool, str]] = {
     CODE_BAD_REQUEST: (
         False,
-        "The request is malformed: missing or mistyped fields, an illegal "
-        "parameter value, or a framing/payload violation. Fix the request "
+        "The request is malformed: missing or mistyped fields (a string "
+        "field sent as a number, `null`, a list or an object), an illegal "
+        "parameter value (an unknown archive mode, a boolean query that "
+        "does not parse), or a framing/payload violation. Fix the request "
         "before resending.",
     ),
     CODE_UNSUPPORTED_VERSION: (

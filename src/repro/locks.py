@@ -70,12 +70,6 @@ LOCK_ATTRIBUTES: dict[str, str] = {
 }
 
 
-def lock_rank(attribute: str) -> int | None:
-    """Rank of a lock attribute in :data:`LOCK_ORDER` (None if unknown)."""
-    level = LOCK_ATTRIBUTES.get(attribute)
-    return LOCK_ORDER.index(level) if level is not None else None
-
-
 class RWLock:
     """A readers-writer lock with writer preference.
 

@@ -30,6 +30,3 @@ class ManualClock:
             raise ValueError("time cannot move backwards")
         self._now += dt
         return self._now
-
-    def set_time(self, t: float) -> None:
-        self._now = float(t)

@@ -314,9 +314,6 @@ class _NullSpan:
     def set(self, key: str, value: Any) -> None:
         pass
 
-    def to_payload(self) -> dict[str, Any]:
-        return {}
-
 
 NULL_SPAN = _NullSpan()
 

@@ -256,7 +256,10 @@ class DaemonScheduler:
         statement that the fault is gone.
         """
         with self._sched_lock:
-            entry = self._entry(name)
+            try:
+                entry = self._entries[name]
+            except KeyError:
+                raise DaemonError(f"unknown daemon {name!r}") from None
             entry.quarantined = False
             entry.consecutive_failures = 0
             entry.parole_at = None
@@ -302,9 +305,3 @@ class DaemonScheduler:
                 }
                 for name, e in self._entries.items()
             }
-
-    def _entry(self, name: str) -> _Entry:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise DaemonError(f"unknown daemon {name!r}") from None

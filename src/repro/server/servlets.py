@@ -420,15 +420,6 @@ class ServletRegistry:
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def requests_served(self) -> int:
-        """Ok answers, single or batched (envelopes are not requests)."""
-        return self.stats()["served"]
-
-    @property
-    def batches_served(self) -> int:
-        return self.stats()["batches"]
-
     def stats(self) -> dict[str, Any]:
         """Dispatch totals: requests served/failed, batch envelopes
         handled, and a per-servlet success count (``served`` is derived

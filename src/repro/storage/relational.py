@@ -4,10 +4,13 @@ The paper keeps "metadata about pages, links, users, and topics" (§3) in an
 RDBMS.  This module provides what that workload needs, in pure Python:
 
 * typed schemas with primary keys and nullable columns,
-* hash indexes for equality lookups and ordered indexes for range scans,
-* predicate selects, equi-joins, group-by aggregation,
+* hash indexes for equality lookups,
+* equality and predicate selects with ordering and limits,
 * transactions (begin / commit / abort) with WAL-based crash recovery,
 * unique-constraint enforcement.
+
+There are no range scans, joins or aggregates: no servlet or daemon asks
+for one.
 
 It is intentionally *not* a SQL parser — queries are expressed through a
 small fluent API — but the semantics (atomic multi-row transactions,
@@ -18,7 +21,6 @@ match what Memex's servlets and daemons rely on.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right, insort
 from contextlib import ExitStack
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -115,46 +117,6 @@ class TableSchema:
         return out
 
 
-class _OrderedIndex:
-    """Sorted (value, pk) pairs supporting range scans. None values excluded."""
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[Any, Any]] = []
-
-    def add(self, value: Any, pk: Any) -> None:
-        if value is not None:
-            insort(self._entries, (value, pk))
-
-    def remove(self, value: Any, pk: Any) -> None:
-        if value is None:
-            return
-        i = bisect_left(self._entries, (value, pk))
-        if i < len(self._entries) and self._entries[i] == (value, pk):
-            del self._entries[i]
-
-    def range(self, lo: Any = None, hi: Any = None) -> Iterator[Any]:
-        """Primary keys with ``lo <= value <= hi`` (either bound optional)."""
-        start = 0 if lo is None else bisect_left(self._entries, (lo,))
-        if hi is None:
-            stop = len(self._entries)
-        else:
-            # (hi, +inf) — every tuple with value == hi sorts before this
-            stop = bisect_right(self._entries, (hi, _INFINITY))
-        for _, pk in self._entries[start:stop]:
-            yield pk
-
-
-class _Infinity:
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __gt__(self, other: Any) -> bool:
-        return True
-
-
-_INFINITY = _Infinity()
-
-
 class Table:
     """One heap table with its indexes.  Mutate through :class:`Database`."""
 
@@ -169,9 +131,6 @@ class Table:
         self._rows: dict[Any, Row] = {}
         self._hash: dict[str, dict[Any, set[Any]]] = {
             col: {} for col in {*schema.indexes, *schema.unique}
-        }
-        self._ordered: dict[str, _OrderedIndex] = {
-            col: _OrderedIndex() for col in schema.indexes
         }
 
     # -- internal mutation (called by Database under a transaction) ---------
@@ -216,8 +175,6 @@ class Table:
     def _index_add(self, pk: Any, row: Row) -> None:
         for col, buckets in self._hash.items():
             buckets.setdefault(row[col], set()).add(pk)
-        for col, idx in self._ordered.items():
-            idx.add(row[col], pk)
 
     def _index_remove(self, pk: Any, row: Row) -> None:
         for col, buckets in self._hash.items():
@@ -226,8 +183,6 @@ class Table:
                 bucket.discard(pk)
                 if not bucket:
                     del buckets[row[col]]
-        for col, idx in self._ordered.items():
-            idx.remove(row[col], pk)
 
     # -- reads ----------------------------------------------------------------
 
@@ -297,57 +252,10 @@ class Table:
                     return [self._rows[pk] for pk in pks]
         return list(self._rows.values())
 
-    def range(self, column: str, lo: Any = None, hi: Any = None) -> list[Row]:
-        """Index range scan over ``lo <= column <= hi`` (inclusive bounds)."""
-        with self._rw.read():
-            if column not in self._ordered:
-                self.schema.column(column)
-                rows = [
-                    dict(r) for r in self._rows.values()
-                    if r[column] is not None
-                    and (lo is None or r[column] >= lo)
-                    and (hi is None or r[column] <= hi)
-                ]
-                rows.sort(key=lambda r: r[column])
-                return rows
-            return [dict(self._rows[pk]) for pk in self._ordered[column].range(lo, hi)]
-
     def count(self, where: Row | Callable[[Row], bool] | None = None) -> int:
         if where is None:
             return len(self)
         return len(self.select(where))
-
-    def aggregate(
-        self,
-        group_by: str,
-        column: str | None = None,
-        func: str = "count",
-        where: Row | Callable[[Row], bool] | None = None,
-    ) -> dict[Any, float]:
-        """Group rows by *group_by* and aggregate *column* with *func*.
-
-        ``func`` is one of ``count``, ``sum``, ``avg``, ``min``, ``max``.
-        """
-        self.schema.column(group_by)
-        if func != "count":
-            if column is None:
-                raise SchemaError(f"aggregate {func!r} needs a column")
-            self.schema.column(column)
-        groups: dict[Any, list[Any]] = {}
-        for row in self.select(where):
-            groups.setdefault(row[group_by], []).append(
-                1 if func == "count" else row[column]
-            )
-        reducers: dict[str, Callable[[list[Any]], float]] = {
-            "count": len,
-            "sum": sum,
-            "avg": lambda xs: sum(xs) / len(xs),
-            "min": min,
-            "max": max,
-        }
-        if func not in reducers:
-            raise SchemaError(f"unknown aggregate {func!r}")
-        return {key: reducers[func](values) for key, values in groups.items()}
 
 
 class Transaction:
@@ -493,12 +401,6 @@ class Database:
             return Column(spec[0], spec[1])
         return Column(spec)
 
-    def drop_table(self, name: str) -> None:
-        with self._catalog_lock:
-            self._table(name)
-            del self._tables[name]
-            self._log_ddl("drop_table", {"name": name})
-
     def table(self, name: str) -> Table:
         """Read handle on a table."""
         return self._table(name)
@@ -602,47 +504,6 @@ class Database:
         with self.begin() as txn:
             txn.delete(table, pk)
 
-    def upsert(self, table: str, row: Row) -> None:
-        """Insert, or update in place when the primary key already exists.
-
-        Atomic under concurrency: the existence check and the write happen
-        under the table's write lock (the nested commit re-enters it), so
-        two racing upserts of a fresh key cannot both choose insert.
-        """
-        t = self._table(table)
-        with t._rw.write():
-            pk = row.get(t.schema.primary_key)
-            if pk is not None and pk in t._rows:
-                changes = {k: v for k, v in row.items() if k != t.schema.primary_key}
-                self.update(table, pk, changes)
-            else:
-                self.insert(table, row)
-
-    # -- joins ------------------------------------------------------------------------
-
-    def join(
-        self,
-        left: str,
-        right: str,
-        *,
-        on: tuple[str, str],
-        where: Callable[[Row, Row], bool] | None = None,
-    ) -> list[tuple[Row, Row]]:
-        """Hash equi-join of two tables on ``left.on[0] == right.on[1]``."""
-        lt, rt = self._table(left), self._table(right)
-        lcol, rcol = on
-        lt.schema.column(lcol)
-        rt.schema.column(rcol)
-        buckets: dict[Any, list[Row]] = {}
-        for row in rt.scan():
-            buckets.setdefault(row[rcol], []).append(row)
-        out: list[tuple[Row, Row]] = []
-        for lrow in lt.scan():
-            for rrow in buckets.get(lrow[lcol], ()):
-                if where is None or where(lrow, rrow):
-                    out.append((lrow, rrow))
-        return out
-
     # -- persistence ---------------------------------------------------------------------
 
     def _log_ddl(self, kind: str, payload: dict[str, Any]) -> None:
@@ -667,8 +528,6 @@ class Database:
                         indexes=record["indexes"],
                         unique=record["unique"],
                     )
-                elif kind == "drop_table":
-                    self.drop_table(record["name"])
                 elif kind == "txn":
                     with self.begin() as txn:
                         for op, tname, pk, payload in record["ops"]:

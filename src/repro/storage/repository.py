@@ -265,11 +265,6 @@ class MemexRepository:
             self.db.update("users", user_id, {"archive_mode": mode})
             self.stamps.users += 1
 
-    def community_users(self, community: str | None = None) -> list[Row]:
-        if community is None:
-            return self.db.table("users").select()
-        return self.db.table("users").select({"community": community})
-
     # -- pages and links -------------------------------------------------------------
 
     def upsert_page(
@@ -418,9 +413,6 @@ class MemexRepository:
     def out_links(self, url: str) -> list[str]:
         return [r["dst"] for r in self.db.table("links").select({"src": url})]
 
-    def in_links(self, url: str) -> list[str]:
-        return [r["src"] for r in self.db.table("links").select({"dst": url})]
-
     # -- visits -------------------------------------------------------------------------
 
     def _remember_origin(self, visit_id: int, origin: str | None) -> None:
@@ -544,12 +536,6 @@ class MemexRepository:
 
     # -- co-visitation pairs ------------------------------------------------------------
 
-    @staticmethod
-    def covisit_pair_id(url_a: str, url_b: str) -> str:
-        """Stable primary key for the unordered pair (sorted, tab-joined)."""
-        a, b = sorted((url_a, url_b))
-        return f"{a}\t{b}"
-
     def upsert_covisits(
         self,
         increments: dict[tuple[str, str], float],
@@ -622,9 +608,6 @@ class MemexRepository:
                 self.stamps.covisits += 1
         return len(doomed)
 
-    def covisit_pair_count(self) -> int:
-        return self.db.table("covisits").count()
-
     # -- folders and associations ------------------------------------------------------------
 
     def add_folder(
@@ -651,16 +634,6 @@ class MemexRepository:
         folder = self.db.table("folders").get(folder_id)
         if folder is not None:
             self.stamps.engaged(folder["owner"])
-
-    def remove_folder(self, folder_id: str) -> None:
-        with self._repo_lock:
-            for assoc in self.db.table("folder_pages").select({"folder_id": folder_id}):
-                self.db.delete("folder_pages", assoc["assoc_id"])
-                self.stamps.assocs += 1
-            # While the row still names the owner; its pages are gone.
-            self._folder_engaged(folder_id)
-            self.db.delete("folders", folder_id)
-            self.stamps.folders += 1
 
     def associate(
         self,

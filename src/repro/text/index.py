@@ -3,14 +3,15 @@
 One posting list per term, keyed by the term string, exactly the
 "fine-grained term-level data" the paper pushes out of the RDBMS into
 Berkeley DB (§3).  Postings are ``doc_id -> term frequency`` maps
-serialized as compact JSON records; document lengths and
-corpus statistics live in sibling namespaces so the ranked-retrieval code
-never touches the relational side.
+serialized as compact JSON records; document lengths live in a sibling
+namespace so the BM25 ranker never touches the relational side.  Only
+``idx.post`` and ``idx.docs`` are read and written; a data dir written
+before the ranker was BM25-only may still hold ``idx.norm`` and
+``idx.pos`` keys, which nothing reads.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections.abc import Iterable, Set
 
@@ -20,8 +21,8 @@ from ..storage.engine import Namespace
 from ..storage.kvstore import KVStore
 from .tokenize import tokenize
 
-#: One tokenised document: (length, term -> tf, term -> positions).
-_Tabulated = tuple[int, dict[str, int], dict[str, list[int]]]
+#: One tokenised document: (length, term -> tf).
+_Tabulated = tuple[int, dict[str, int]]
 
 
 class InvertedIndex:
@@ -32,28 +33,12 @@ class InvertedIndex:
     kv:
         Backing term store; a private in-memory one is opened when
         omitted.
-    prefix:
-        Namespace prefix, letting several indices share one store (Memex
-        keeps "several text-related indices in Berkeley DB").
-    store_positions:
-        Also keep per-document term positions (costs space; enables
-        phrase queries like ``"register allocation"``).
     """
 
-    def __init__(
-        self,
-        kv: KVStore | None = None,
-        *,
-        prefix: str = "idx",
-        store_positions: bool = False,
-    ) -> None:
+    def __init__(self, kv: KVStore | None = None) -> None:
         self._kv = kv if kv is not None else KVStore()
-        self._post = Namespace(self._kv, prefix + ".post")
-        self._docs = Namespace(self._kv, prefix + ".docs")   # doc_id -> doc length
-        self._meta = Namespace(self._kv, prefix + ".meta")
-        self._pos = Namespace(self._kv, prefix + ".pos")
-        self._norm = Namespace(self._kv, prefix + ".norm")   # doc_id -> sum (1+ln tf)^2
-        self.store_positions = store_positions
+        self._post = Namespace(self._kv, "idx.post")
+        self._docs = Namespace(self._kv, "idx.docs")   # doc_id -> doc length
         # Index lock ("index" rank in ``repro.locks.LOCK_ORDER``, above
         # the kvstore it writes through).  A document add/remove spans
         # many posting lists plus the doc-length entry; without one lock
@@ -100,16 +85,13 @@ class InvertedIndex:
         for doc_id, text in docs:
             terms = tokenize(text)
             counts: dict[str, int] = {}
-            positions: dict[str, list[int]] = {}
-            for i, term in enumerate(terms):
+            for term in terms:
                 counts[term] = counts.get(term, 0) + 1
-                if self.store_positions:
-                    positions.setdefault(term, []).append(i)
             lengths.append(len(terms))
             # A repeated doc_id takes its last place in the batch, which
             # is where sequential re-adds would leave it in each list.
             tabulated.pop(doc_id, None)
-            tabulated[doc_id] = (len(terms), counts, positions)
+            tabulated[doc_id] = (len(terms), counts)
         if tabulated:
             with self._index_lock:
                 self._add_tabulated_locked(tabulated)
@@ -121,33 +103,25 @@ class InvertedIndex:
             raw = self._docs.get(doc_id.encode("utf-8"))
             if raw is not None:
                 replaced[doc_id] = int(decode(raw))
-        post, pos = self._strip_locked(replaced.keys())
-        for doc_id, (_, counts, positions) in tabulated.items():
+        post = self._strip_locked(replaced.keys())
+        for doc_id, (_, counts) in tabulated.items():
             for term, tf in counts.items():
                 postings = post.get(term)
                 if postings is None:
                     postings = post[term] = self._load_postings(term)
                 postings[doc_id] = tf
-            for term, where in positions.items():
-                table = pos.get(term)
-                if table is None:
-                    table = pos[term] = self._load_positions(term)
-                table[doc_id] = where
-        # Lengths and norms are logged before the postings that name
-        # their documents: a torn batch keeps an unbroken prefix, so no
+        # Lengths are logged before the postings that name their
+        # documents: a torn batch keeps an unbroken prefix, so no
         # surviving posting can name a document the scorer has no length
         # for (it would raise on every query touching the term).
         items: list[tuple[bytes, bytes]] = []
         added = 0
-        for doc_id, (length, counts, _) in tabulated.items():
-            key = doc_id.encode("utf-8")
-            items.append((self._docs.wrap(key), encode(length)))
-            norm_sq = sum((1.0 + math.log(tf)) ** 2 for tf in counts.values())
-            items.append((self._norm.wrap(key), encode(norm_sq)))
+        for doc_id, (length, _) in tabulated.items():
+            items.append((self._docs.wrap(doc_id.encode("utf-8")), encode(length)))
             added += length
         count, total = self._totals_locked()
         self._totals = None
-        self._write_tables_locked(items, post, pos)
+        self._write_tables_locked(items, post)
         self._totals = (
             count + len(tabulated) - len(replaced),
             total + added - sum(replaced.values()),
@@ -163,57 +137,50 @@ class InvertedIndex:
         raw = self._docs.get(key)
         if raw is None:
             return False
-        post, pos = self._strip_locked({doc_id})
+        post = self._strip_locked({doc_id})
         count, total = self._totals_locked()
         self._totals = None
         # The mirror of the add order: the length record outlives the
         # postings that name the document.
-        self._write_tables_locked([], post, pos)
+        self._write_tables_locked([], post)
         self._docs.delete(key)
         self._totals = (count - 1, total - int(decode(raw)))
-        self._norm.discard(key)
         return True
 
-    def _strip_locked(
-        self, doc_ids: Set[str],
-    ) -> tuple[dict[str, dict[str, int]], dict[str, dict[str, list[int]]]]:
-        """Every posting list and position table naming one of *doc_ids*,
-        decoded and with those entries deleted, by term.
+    def _strip_locked(self, doc_ids: Set[str]) -> dict[str, dict[str, int]]:
+        """Every posting list naming one of *doc_ids*, decoded and with
+        those entries deleted, by term.
 
         Walks every posting list; laptop-scale corpora make this fine and
         it avoids a per-document forward index.  One walk however many
         documents are being replaced.
         """
         post: dict[str, dict[str, int]] = {}
-        pos: dict[str, dict[str, list[int]]] = {}
         if not doc_ids:
-            return post, pos
-        for ns, out in ((self._post, post), (self._pos, pos)):
-            for key, value in ns.items():
-                table = decode(value)
-                named = doc_ids & table.keys()
-                if named:
-                    for doc_id in named:
-                        del table[doc_id]
-                    out[key.decode("utf-8")] = table
-        return post, pos
+            return post
+        for key, value in self._post.items():
+            table = decode(value)
+            named = doc_ids & table.keys()
+            if named:
+                for doc_id in named:
+                    del table[doc_id]
+                post[key.decode("utf-8")] = table
+        return post
 
     def _write_tables_locked(
         self,
         items: list[tuple[bytes, bytes]],
         post: dict[str, dict[str, int]],
-        pos: dict[str, dict[str, list[int]]],
     ) -> None:
-        """One ``put_many`` of *items* followed by the posting lists and
-        position tables given; a table left empty loses its key."""
+        """One ``put_many`` of *items* followed by the posting lists
+        given; a list left empty loses its key."""
         emptied: list[bytes] = []
-        for ns, tables in ((self._post, post), (self._pos, pos)):
-            for term, table in tables.items():
-                key = ns.wrap(term.encode("utf-8"))
-                if table:
-                    items.append((key, encode(table)))
-                else:
-                    emptied.append(key)
+        for term, table in post.items():
+            key = self._post.wrap(term.encode("utf-8"))
+            if table:
+                items.append((key, encode(table)))
+            else:
+                emptied.append(key)
         self._kv.put_many(items)
         for key in emptied:
             self._kv.discard(key)
@@ -231,20 +198,6 @@ class InvertedIndex:
         if raw is None:
             raise IndexError_(f"document {doc_id!r} not indexed")
         return int(decode(raw))
-
-    def doc_norm(self, doc_id: str) -> float:
-        """Euclidean norm of the document's log-tf weight vector.
-
-        Maintained at indexing time so cosine ranking can normalize by
-        the *true* vector norm.  Stores written before norms existed
-        fall back to the old ``sqrt(doc length)`` proxy rather than
-        failing the scoring pass.
-        """
-        with self._index_lock:
-            raw = self._norm.get(doc_id.encode("utf-8"))
-            if raw is None:
-                return math.sqrt(max(self._doc_length_locked(doc_id), 1))
-            return math.sqrt(float(decode(raw)))
 
     @property
     def num_docs(self) -> int:
@@ -273,14 +226,6 @@ class InvertedIndex:
         with self._index_lock:
             return self._load_postings(term)
 
-    def doc_freq(self, term: str) -> int:
-        with self._index_lock:
-            return len(self._load_postings(term))
-
-    def vocabulary_size(self) -> int:
-        with self._index_lock:
-            return sum(1 for _ in self._post.items())
-
     def terms(self) -> Iterable[str]:
         with self._index_lock:
             keys = [key for key, _ in self._post.items()]
@@ -291,44 +236,6 @@ class InvertedIndex:
 
     def _load_postings(self, term: str) -> dict[str, int]:
         raw = self._post.get(term.encode("utf-8"))
-        if raw is None:
-            return {}
-        return decode(raw)
-
-    # -- positions (phrase queries) ---------------------------------------------
-
-    def positions(self, term: str) -> dict[str, list[int]]:
-        """``{doc_id: [token positions]}`` (empty unless store_positions)."""
-        with self._index_lock:
-            return self._load_positions(term)
-
-    def phrase_match(self, terms: list[str]) -> dict[str, int]:
-        """Documents containing *terms* consecutively; value = match count.
-
-        Requires ``store_positions=True`` (raises otherwise).
-        """
-        if not self.store_positions:
-            raise IndexError_("phrase queries need store_positions=True")
-        if not terms:
-            return {}
-        with self._index_lock:
-            tables = [self._load_positions(t) for t in terms]
-        candidates = set(tables[0])
-        for table in tables[1:]:
-            candidates &= set(table)
-        out: dict[str, int] = {}
-        for doc_id in candidates:
-            starts = set(tables[0][doc_id])
-            for offset, table in enumerate(tables[1:], start=1):
-                starts &= {p - offset for p in table[doc_id]}
-                if not starts:
-                    break
-            if starts:
-                out[doc_id] = len(starts)
-        return out
-
-    def _load_positions(self, term: str) -> dict[str, list[int]]:
-        raw = self._pos.get(term.encode("utf-8"))
         if raw is None:
             return {}
         return decode(raw)

@@ -9,23 +9,28 @@ parentheses, so the Memex search tab gets the same.  Grammar::
     unary   := NOT unary | atom
     atom    := '(' or ')' | term
 
-Terms run through the same tokenizer/stemmer as documents.  Evaluation
-returns the matching doc-id set; :func:`ranked_boolean_search` then ranks
-the matches with BM25 over the query's positive terms.
+Terms run through the same tokenizer/stemmer as documents.  The index
+keeps no term positions, so there are no phrases: a double quote is a
+:class:`QueryParseError`, as is any other malformed query — a
+``bad_request`` on the wire.  Evaluation returns the matching doc-id
+set; :func:`ranked_boolean_search` then ranks the matches with BM25 over
+the query's positive terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import TextError
+from ..errors import CODE_BAD_REQUEST, TextError
 from .index import InvertedIndex
 from .search import SearchEngine, SearchHit
 from .tokenize import tokenize
 
 
 class QueryParseError(TextError):
-    """The boolean query was malformed."""
+    """The boolean query was malformed: the client's fault."""
+
+    code = CODE_BAD_REQUEST
 
 
 # -- AST ----------------------------------------------------------------------
@@ -33,13 +38,6 @@ class QueryParseError(TextError):
 @dataclass(frozen=True)
 class Term:
     term: str  # already stemmed
-
-
-@dataclass(frozen=True)
-class Phrase:
-    """Consecutive terms, from a quoted string.  Needs a positional index."""
-
-    terms: tuple[str, ...]  # already stemmed
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class Not:
     child: "Node"
 
 
-Node = Term | Phrase | And | Or | Not
+Node = Term | And | Or | Not
 
 
 # -- parser ----------------------------------------------------------------------
@@ -70,21 +68,10 @@ _KEYWORDS = {"AND", "OR", "NOT"}
 def _lex(text: str) -> list[str]:
     tokens: list[str] = []
     word: list[str] = []
-    in_quote = False
     for ch in text:
         if ch == '"':
-            if in_quote:
-                tokens.append('"' + "".join(word) + '"')
-                word = []
-                in_quote = False
-            else:
-                if word:
-                    tokens.append("".join(word))
-                    word = []
-                in_quote = True
-        elif in_quote:
-            word.append(ch)
-        elif ch in "()":
+            raise QueryParseError("phrase queries are not supported")
+        if ch in "()":
             if word:
                 tokens.append("".join(word))
                 word = []
@@ -95,8 +82,6 @@ def _lex(text: str) -> list[str]:
                 word = []
         else:
             word.append(ch)
-    if in_quote:
-        raise QueryParseError("unterminated quote")
     if word:
         tokens.append("".join(word))
     return tokens
@@ -158,13 +143,6 @@ class _Parser:
             return node
         if token == ")" or token in _KEYWORDS:
             raise QueryParseError(f"unexpected {token!r}")
-        if token.startswith('"') and token.endswith('"'):
-            stems = tokenize(token[1:-1])
-            if not stems:
-                raise QueryParseError("empty phrase")
-            if len(stems) == 1:
-                return Term(stems[0])
-            return Phrase(tuple(stems))
         stems = tokenize(token)
         if not stems:
             # Stopword or punctuation-only term: matches nothing on its
@@ -191,8 +169,6 @@ def evaluate(node: Node, index: InvertedIndex) -> set[str]:
     document set (safe at Memex's per-community scale)."""
     if isinstance(node, Term):
         return set(index.postings(node.term))
-    if isinstance(node, Phrase):
-        return set(index.phrase_match(list(node.terms)))
     if isinstance(node, And):
         return evaluate(node.left, index) & evaluate(node.right, index)
     if isinstance(node, Or):
@@ -206,8 +182,6 @@ def positive_terms(node: Node) -> list[str]:
     """Terms contributing positively (outside any NOT) — the ranking terms."""
     if isinstance(node, Term):
         return [node.term]
-    if isinstance(node, Phrase):
-        return list(node.terms)
     if isinstance(node, (And, Or)):
         return positive_terms(node.left) + positive_terms(node.right)
     if isinstance(node, Not):

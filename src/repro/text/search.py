@@ -1,18 +1,11 @@
 """Ranked full-text search over the inverted index.
 
 Implements the "standard full-text search over all pages visited" (§2)
-with two ranking functions:
-
-* **BM25** (Robertson/Sparck Jones) — the default;
-* **TF-IDF cosine** — the classic vector-space ranking (SMART lnc.ltc:
-  log-tf document weights, idf on the query side, true cosine
-  normalization), kept both as a baseline and because the clustering
-  code shares its weighting.
-
-Both rankers clamp document frequencies into ``[0, num_docs]`` before
-the idf computation, so degenerate corpora (a single document, or a
-term present in *every* document) rank sanely instead of inverting or
-zeroing the ordering.
+with BM25 (Robertson/Sparck Jones, ``k1 = 1.5``, ``b = 0.75``).  The
+ranker clamps document frequencies into ``[0, num_docs]`` before the idf
+computation, so degenerate corpora (a single document, or a term present
+in *every* document) rank sanely instead of inverting or zeroing the
+ordering.
 
 Queries go through the same tokenizer/stemmer as documents, so "optimizing
 compilers" matches "compiler optimization".
@@ -26,6 +19,10 @@ from dataclasses import dataclass
 from .index import InvertedIndex
 from .tokenize import tokenize
 
+#: BM25 term-frequency saturation and length normalisation.
+K1 = 1.5
+B = 0.75
+
 
 @dataclass(frozen=True)
 class SearchHit:
@@ -36,25 +33,16 @@ class SearchHit:
 
 
 class SearchEngine:
-    """Ranked retrieval on top of an :class:`InvertedIndex`."""
+    """BM25 retrieval on top of an :class:`InvertedIndex`."""
 
-    def __init__(
-        self,
-        index: InvertedIndex,
-        *,
-        k1: float = 1.5,
-        b: float = 0.75,
-    ) -> None:
+    def __init__(self, index: InvertedIndex) -> None:
         self.index = index
-        self.k1 = k1
-        self.b = b
 
     def search(
         self,
         query: str,
         *,
         k: int | None = 10,
-        method: str = "bm25",
         candidates: set[str] | None = None,
     ) -> list[SearchHit]:
         """Top-*k* documents for *query* (``k=None`` ranks every match,
@@ -70,16 +58,9 @@ class SearchEngine:
         # concurrent add_document must not land between reading a posting
         # list and reading the doc lengths it references.
         with self.index.lock:
-            if method == "bm25":
-                scores = self._bm25(terms, candidates)
-            elif method == "tfidf":
-                scores = self._tfidf_cosine(terms, candidates)
-            else:
-                raise ValueError(f"unknown ranking method {method!r}")
+            scores = self._bm25(terms, candidates)
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return [SearchHit(doc_id, score) for doc_id, score in ranked[:k]]
-
-    # -- rankers ------------------------------------------------------------------
 
     def _bm25(
         self, terms: list[str], candidates: set[str] | None
@@ -93,50 +74,14 @@ class SearchEngine:
             postings = self.index.postings(term)
             if not postings:
                 continue
-            df = self._clamped_df(len(postings), n)
-            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+            idf = self._idf(len(postings), n)
             for doc_id, tf in postings.items():
                 if candidates is not None and doc_id not in candidates:
                     continue
                 dl = self.index.doc_length(doc_id)
-                denom = tf + self.k1 * (1.0 - self.b + self.b * dl / avgdl)
-                scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (self.k1 + 1.0) / denom
+                denom = tf + K1 * (1.0 - B + B * dl / avgdl)
+                scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (K1 + 1.0) / denom
         return scores
-
-    def _tfidf_cosine(
-        self, terms: list[str], candidates: set[str] | None
-    ) -> dict[str, float]:
-        n = self.index.num_docs
-        if n == 0:
-            return {}
-        # Query vector.
-        qcounts: dict[str, int] = {}
-        for term in terms:
-            qcounts[term] = qcounts.get(term, 0) + 1
-        qvec: dict[str, float] = {}
-        for term, tf in qcounts.items():
-            df = self.index.doc_freq(term)
-            if df == 0:
-                continue
-            qvec[term] = (1.0 + math.log(tf)) * self._idf(df, n)
-        qnorm = math.sqrt(sum(w * w for w in qvec.values()))
-        if qnorm == 0.0:
-            return {}
-        # Accumulate dot products against log-tf document weights and
-        # normalize by the document's true weight-vector norm (lnc), so
-        # the result is a genuine cosine in [0, 1].  The old code
-        # normalized by a sqrt(doc length) proxy, which let scores
-        # exceed 1 and inverted rankings for short repetitive documents.
-        dots: dict[str, float] = {}
-        for term, qw in qvec.items():
-            for doc_id, tf in self.index.postings(term).items():
-                if candidates is not None and doc_id not in candidates:
-                    continue
-                dots[doc_id] = dots.get(doc_id, 0.0) + qw * (1.0 + math.log(tf))
-        return {
-            doc_id: s / (qnorm * (self.index.doc_norm(doc_id) or 1.0))
-            for doc_id, s in dots.items()
-        }
 
     @staticmethod
     def _clamped_df(df: int, n: int) -> int:
@@ -150,5 +95,6 @@ class SearchEngine:
 
     @classmethod
     def _idf(cls, df: int, n: int) -> float:
+        """BM25's idf, positive for every clamped ``df``."""
         df = cls._clamped_df(df, n)
-        return math.log((1 + n) / (1 + df)) + 1.0
+        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))

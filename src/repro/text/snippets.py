@@ -110,9 +110,4 @@ def make_snippet(
     )
 
 
-def title_or_url(title: str | None, url: str) -> str:
-    """Display line for a hit (mirrors what the applet's search tab shows)."""
-    return title if title else url
-
-
-__all__ = ["Snippet", "make_snippet", "title_or_url", "words"]
+__all__ = ["Snippet", "make_snippet", "words"]

@@ -28,10 +28,6 @@ class Page:
     born_at: float = 0.0       # when the page appeared on the Web
     out_links: list[str] = field(default_factory=list)
 
-    @property
-    def token_estimate(self) -> int:
-        return len(self.text.split())
-
 
 @dataclass
 class WebCorpus:

@@ -10,7 +10,6 @@ input the stores must be equal, byte for byte and row for row, to what
 the batched code leaves.  Not a test module: the oracle tests import it.
 """
 
-import math
 
 from repro.storage.codec import decode, encode
 from repro.text.tokenize import tokenize
@@ -34,36 +33,26 @@ def _reference_load(ns, term):
 def _reference_remove_document(idx, doc_id):
     if idx._docs.get(doc_id.encode("utf-8")) is None:
         return False
-    for ns in (idx._post, idx._pos):
-        for key, value in list(ns.items()):
-            table = decode(value)
-            if doc_id in table:
-                del table[doc_id]
-                _reference_store(ns, key.decode("utf-8"), table)
+    for key, value in list(idx._post.items()):
+        table = decode(value)
+        if doc_id in table:
+            del table[doc_id]
+            _reference_store(idx._post, key.decode("utf-8"), table)
     idx._docs.delete(doc_id.encode("utf-8"))
-    idx._norm.discard(doc_id.encode("utf-8"))
     return True
 
 
 def _reference_add_document(idx, doc_id, text):
     _reference_remove_document(idx, doc_id)
     terms = tokenize(text)
-    counts, positions = {}, {}
-    for i, term in enumerate(terms):
+    counts = {}
+    for term in terms:
         counts[term] = counts.get(term, 0) + 1
-        if idx.store_positions:
-            positions.setdefault(term, []).append(i)
     for term, tf in counts.items():
         postings = _reference_load(idx._post, term)
         postings[doc_id] = tf
         _reference_store(idx._post, term, postings)
-    for term, where in positions.items():
-        table = _reference_load(idx._pos, term)
-        table[doc_id] = where
-        _reference_store(idx._pos, term, table)
     idx._docs.put(doc_id.encode("utf-8"), encode(len(terms)))
-    norm_sq = sum((1.0 + math.log(tf)) ** 2 for tf in counts.values())
-    idx._norm.put(doc_id.encode("utf-8"), encode(norm_sq))
     # The reference writes behind the index's back.
     idx._totals = None
     return len(terms)

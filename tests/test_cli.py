@@ -138,7 +138,7 @@ def test_serve_idle_system_leaves_no_consumer_behind(monkeypatch, capsys):
     def visit_an_unseen_page():
         assert listening.wait(timeout=60.0)
         server = served["server"]
-        user = server.repo.community_users()[0]["user_id"]
+        user = next(server.repo.db.table("users").scan())["user_id"]
         unseen = sorted(
             url for url in corpus.pages
             if server.repo.page_text(url) is None

@@ -225,11 +225,6 @@ def _dissociate_a_bookmark(system, user_id):
     assert server.repo.dissociate(row["folder_id"], row["url"]) >= 1
 
 
-def _remove_a_folder(system, user_id):
-    row = _bookmarks(system.server, user_id)[0]
-    system.server.repo.remove_folder(row["folder_id"])
-
-
 def _apply_a_hierarchy(system, user_id):
     server = system.server
     applet = system.connect(user_id)
@@ -246,7 +241,7 @@ def _apply_a_hierarchy(system, user_id):
 
 @pytest.mark.parametrize("write", [
     _file_an_unseen_page, _move_a_bookmark, _dissociate_a_bookmark,
-    _remove_a_folder, _apply_a_hierarchy,
+    _apply_a_hierarchy,
 ])
 def test_a_folder_write_with_no_new_visit_reaches_the_profile(workload, write):
     with _replayed(workload) as system:
@@ -426,7 +421,6 @@ def _steps_after_replay(system, workload):
         ("crawl + index", crawl_and_index),
         ("folder_move", lambda: _move_a_bookmark(system, users[0])),
         ("dissociate", lambda: _dissociate_a_bookmark(system, users[2])),
-        ("remove_folder", lambda: _remove_a_folder(system, users[3])),
         ("apply_hierarchy", lambda: _apply_a_hierarchy(system, users[1])),
         ("register_user", register_latecomer),
         ("new user's visits", lambda: visit_batch(late, 5)),
@@ -569,8 +563,6 @@ _OPS = st.one_of(
               st.sampled_from([None, *_FOLDERS]), st.sampled_from(_FOLDERS)),
     st.tuples(st.just("dissociate"), st.sampled_from(_USERS),
               st.sampled_from(_FOLDERS), st.sampled_from(_URLS)),
-    st.tuples(st.just("remove_folder"), st.sampled_from(_USERS),
-              st.sampled_from(_FOLDERS)),
     st.tuples(st.just("register"), st.just("u3")),
     st.tuples(st.just("tick"), st.integers(min_value=1, max_value=9)),
 )
@@ -612,10 +604,6 @@ def _apply(system, op, clock):
             "from_folder": op[3], "to_folder": op[4], "at": clock})
     elif kind == "dissociate":
         server.repo.dissociate(folder_id(op[1], op[2]), op[3])
-    elif kind == "remove_folder":
-        target = folder_id(op[1], op[2])
-        if server.repo.db.table("folders").get(target) is not None:
-            server.repo.remove_folder(target)
     elif kind == "register":
         system.register_user(op[1])
     else:

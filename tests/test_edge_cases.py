@@ -129,20 +129,13 @@ def test_rebookmarking_same_folder_is_idempotent_per_gesture():
 
 def test_relational_aggregate_on_empty_table():
     db = Database()
-    db.create_table("t", [Column("k", "int"), Column("g")], primary_key="k")
-    assert db.table("t").aggregate("g") == {}
+    db.create_table("t", [Column("k", "int"), Column("g")], primary_key="k",
+                    indexes=("g",))
     assert db.table("t").count() == 0
+    assert db.table("t").count({"g": "x"}) == 0
     assert db.table("t").select() == []
-    assert db.table("t").range("k") == []
-
-
-def test_relational_join_no_matches():
-    db = Database()
-    db.create_table("a", [Column("k", "int"), Column("x")], primary_key="k")
-    db.create_table("b", [Column("k", "int"), Column("x")], primary_key="k")
-    db.insert("a", {"k": 1, "x": "only-a"})
-    db.insert("b", {"k": 2, "x": "only-b"})
-    assert db.join("a", "b", on=("x", "x")) == []
+    assert db.table("t").select({"g": "x"}, order_by="k") == []
+    assert db.table("t").max_key(default=0) == 0
 
 
 def test_relational_insert_many_empty_iterable():

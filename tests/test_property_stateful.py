@@ -173,15 +173,6 @@ class RelationalMachine(RuleBasedStateMachine):
         want = sorted(pk for pk, r in self.model.items() if r["city"] == city)
         assert got == want
 
-    @rule(lo=st.integers(0, 10), hi=st.integers(0, 10))
-    def range_scan(self, lo, hi):
-        got = [r["pk"] for r in self.db.table("t").range("score", lo, hi)]
-        want = sorted(
-            (r["score"], pk) for pk, r in self.model.items()
-            if r["score"] is not None and lo <= r["score"] <= hi
-        )
-        assert sorted(got) == sorted(pk for _, pk in want)
-
     @invariant()
     def counts_match(self):
         assert len(self.db.table("t")) == len(self.model)

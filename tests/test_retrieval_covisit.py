@@ -45,7 +45,7 @@ def test_session_pairs_are_symmetric_unordered_counts(repo):
     visit(repo, "u", "http://c/", at=30.0)
     assert miner.run_once() == 3
     # Three visits in one session: 3 unordered pairs, count 1 each.
-    assert repo.covisit_pair_count() == 3
+    assert len(repo.db.table("covisits")) == 3
     a_neighbors = dict(
         (u, round(c)) for u, c, _ in repo.covisits_for("http://a/")
     )
@@ -63,7 +63,7 @@ def test_session_boundary_and_user_boundary_isolate_pairs(repo):
     visit(repo, "u", "http://b/", at=20.0, session=2)   # other session
     visit(repo, "v", "http://c/", at=30.0, session=1)   # other user
     miner.run_once()
-    assert repo.covisit_pair_count() == 0
+    assert len(repo.db.table("covisits")) == 0
 
 
 def test_session_tail_survives_across_mining_rounds(repo):
@@ -71,12 +71,12 @@ def test_session_tail_survives_across_mining_rounds(repo):
     miner = CoVisitMinerDaemon(repo, clock=clock)
     visit(repo, "u", "http://a/", at=10.0)
     miner.run_once()
-    assert repo.covisit_pair_count() == 0
+    assert len(repo.db.table("covisits")) == 0
     # The same session continues after the mining tick: the late visit
     # must still pair with the early one.
     visit(repo, "u", "http://b/", at=20.0)
     miner.run_once()
-    assert repo.covisit_pair_count() == 1
+    assert len(repo.db.table("covisits")) == 1
 
 
 def test_self_pairs_are_excluded(repo):
@@ -86,7 +86,7 @@ def test_self_pairs_are_excluded(repo):
     visit(repo, "u", "http://a/", at=20.0)   # revisit
     visit(repo, "u", "http://a/", at=30.0)
     miner.run_once()
-    assert repo.covisit_pair_count() == 0
+    assert len(repo.db.table("covisits")) == 0
     # ...but the revisited page still pairs with OTHER pages once.
     visit(repo, "u", "http://b/", at=40.0)
     miner.run_once()
@@ -100,7 +100,7 @@ def test_private_visits_never_enter_the_matrix(repo):
     visit(repo, "u", "http://a/", at=10.0, mode=ARCHIVE_PRIVATE)
     visit(repo, "u", "http://b/", at=20.0, mode=ARCHIVE_PRIVATE)
     miner.run_once()
-    assert repo.covisit_pair_count() == 0
+    assert len(repo.db.table("covisits")) == 0
 
 
 def test_counts_decay_with_the_configured_half_life(repo):
@@ -136,14 +136,14 @@ def test_compaction_drops_decayed_pairs(repo):
     visit(repo, "u", "http://a/", at=0.0)
     visit(repo, "u", "http://b/", at=1.0)
     miner.run_once()
-    assert repo.covisit_pair_count() == 1
+    assert len(repo.db.table("covisits")) == 1
     # Many half-lives later the count is far below the floor; drive
     # enough do-work rounds to trigger compaction.
     clock.now = 1000.0
     for i in range(COMPACT_EVERY):
         visit(repo, "w", f"http://solo{i}/", at=1000.0 + i, session=i)
         miner.run_once()
-    assert repo.covisit_pair_count() == 0
+    assert len(repo.db.table("covisits")) == 0
     assert miner.pruned_count >= 1
 
 

@@ -333,6 +333,49 @@ def test_every_other_count_field_is_a_bad_request_on_one_server_and_on_two(
         assert response["error_code"] == "bad_request", response
 
 
+#: Every string field a ``REQUESTS`` row carries.
+TEXT_FIELDS = [
+    (name, field) for name, fields in REQUESTS.items()
+    for field, value in fields.items() if isinstance(value, str)]
+#: Fields whose ``null`` means "use the default".
+NULLABLE = {("register_user", "community")}
+#: A client's malformed input: a string field sent as a non-string,
+#: boolean queries that do not parse, and unknown archive modes.
+MALFORMED = [
+    *((name, {field: bad}) for name, field in TEXT_FIELDS
+      for bad in (123, None, True, ["x"], {"a": 1})
+      if not (bad is None and (name, field) in NULLABLE)),
+    *(("search", {"mode": "boolean", "query": query}) for query in (
+        "(", ")", "AND", "NOT", "a AND", "a OR OR b", '"unterminated',
+        '"compiler optimization"')),
+    ("set_archive_mode", {"mode": ""}),
+    ("set_archive_mode", {"mode": "loud"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, bad", MALFORMED,
+    ids=[f"{name}-{json.dumps(bad, sort_keys=True)}" for name, bad in MALFORMED])
+def test_malformed_input_is_a_bad_request_on_one_server_and_on_two(
+    cluster, name, bad,
+):
+    """docs/PROTOCOL.md keeps ``internal`` (retryable, with the server's
+    traceback) for failures on a well-formed request; a string field sent
+    as ``123`` reached the tokenizer, a folder path or the catalog and
+    failed there as one."""
+    fields = {**REQUESTS[name], **bad}
+    sender = "newcomer" if name == "register_user" else "ann"
+    with MemexServer(lambda url: None) as server:
+        server.registry.dispatch({"servlet": "register_user", "user_id": "ann"})
+        alone = server.transport.request(sender, {"servlet": name, **fields})
+    dispatcher, _log = cluster
+    sharded = dispatcher.dispatch({"servlet": name, "user_id": sender, **fields})
+    for response in (alone, sharded):
+        assert response["status"] == "error", response
+        assert response["error_code"] == "bad_request", response
+        assert response["retryable"] is False, response
+
+
 def test_whole_floats_are_still_a_count():
     """A JSON client that writes ``10.0`` still gets ten rows' window."""
     for fields in ({"k": 3.0}, {"limit": 3.0, "offset": 0.0}):

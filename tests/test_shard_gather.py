@@ -162,6 +162,21 @@ def test_scatter_degrades_to_partial_when_a_shard_is_down():
     assert {p["url"] for p in out["pages"]} == {"http://s0/", "http://s2/"}
 
 
+def test_a_page_in_one_shards_trail_stays_in_the_trail_when_merged():
+    """Two shards rank the same page; the merge keeps the higher score and
+    flags it ``in_trail`` when either shard's trail holds it."""
+    def handler(shard, payload):
+        return {"status": "ok", "pages": [
+            {"url": "http://same/", "score": 2.0 - shard, "in_trail": shard == 1},
+            {"url": f"http://s{shard}/", "score": 0.5, "in_trail": False}]}
+
+    _, dispatcher = make(2, handler=handler)
+    out = dispatcher.dispatch(
+        {"servlet": "popular_near_trail", "user_id": "alice"})
+    same = [p for p in out["pages"] if p["url"] == "http://same/"]
+    assert same == [{"url": "http://same/", "score": 2.0, "in_trail": True}]
+
+
 def test_scatter_with_every_shard_down_is_a_retryable_error():
     _, dispatcher = make(2, fail={0, 1})
     out = dispatcher.dispatch({"servlet": "themes_get", "user_id": "alice"})

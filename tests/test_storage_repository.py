@@ -87,14 +87,6 @@ def test_user_lifecycle(repo):
         repo.add_user("bob", archive_mode="loud")
 
 
-def test_community_users(repo):
-    repo.add_user("a", community="x", now=0.0)
-    repo.add_user("b", community="y", now=0.0)
-    repo.add_user("c", community="x", now=0.0)
-    assert {u["user_id"] for u in repo.community_users("x")} == {"a", "c"}
-    assert len(repo.community_users()) == 3
-
-
 def test_upsert_page_create_then_update(repo):
     assert repo.upsert_page("http://x/", title="X", text="hello world", now=1.0)
     assert not repo.upsert_page("http://x/", now=2.0)
@@ -127,7 +119,6 @@ def test_links(repo):
     repo.add_link("a", "c", now=0.0)
     repo.add_link("b", "a", now=0.0)
     assert sorted(repo.out_links("a")) == ["b", "c"]
-    assert repo.in_links("a") == ["b"]
 
 
 def test_visits_and_classification(repo):
@@ -170,14 +161,6 @@ def test_dissociate(repo):
     assert repo.dissociate("u:F", "http://a/", sources=(ASSOC_GUESS,)) == 1
     assert repo.dissociate("u:F", "http://a/") == 1
     assert repo.dissociate("u:F", "http://a/") == 0
-
-
-def test_remove_folder_cascades(repo):
-    repo.add_folder("u:F", "u", "F", None, now=0.0)
-    repo.associate("u:F", "http://a/", ASSOC_BOOKMARK, now=0.0)
-    repo.remove_folder("u:F")
-    assert repo.user_folders("u") == []
-    assert repo.page_folders("http://a/") == []
 
 
 def test_model_store_roundtrip(repo):

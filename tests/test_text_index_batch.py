@@ -38,13 +38,13 @@ _BATCHES = st.lists(
     st.lists(st.tuples(_DOC_IDS, _TEXTS), max_size=6), min_size=1, max_size=5)
 
 
-@given(batches=_BATCHES, store_positions=st.booleans())
+@given(batches=_BATCHES)
 @settings(max_examples=120, deadline=None)
-def test_batches_store_what_per_document_adds_would(batches, store_positions):
+def test_batches_store_what_per_document_adds_would(batches):
     """Doc ids twice in one batch (last wins), re-adds of indexed docs,
-    empty texts, empty batches, with and without positions."""
-    new = InvertedIndex(store_positions=store_positions)
-    ref = InvertedIndex(store_positions=store_positions)
+    empty texts, empty batches."""
+    new = InvertedIndex()
+    ref = InvertedIndex()
     for batch in batches:
         expected = [_reference_add_document(ref, d, t) for d, t in batch]
         assert new.add_documents(batch) == expected
@@ -79,7 +79,7 @@ def test_re_adds_cost_one_posting_scan_per_batch(monkeypatch):
 def test_a_batch_is_one_store_write(tmp_path):
     metrics = MetricsRegistry()
     kv = KVStore(tmp_path / "terms.kv", sync=True, metrics=metrics)
-    idx = InvertedIndex(kv, store_positions=True)
+    idx = InvertedIndex(kv)
     idx.add_documents(
         [(f"d{i}", f"jazz music archive number{i}") for i in range(20)])
     assert metrics.counter_value("storage.wal.fsyncs", log="terms.kv") == 1
@@ -124,7 +124,7 @@ def _add_batch(idx):
 @pytest.mark.parametrize("last_batch", [_add_one, _add_batch])
 def test_a_torn_batch_never_leaves_a_posting_without_a_length(
         tmp_path, last_batch):
-    """Lengths and norms are logged before the postings naming their
+    """Lengths are logged before the postings naming their
     documents, so whichever prefix of the last batch survives a crash,
     every query still scores — and adding the batch again leaves the
     bytes of a run that never crashed."""
@@ -151,8 +151,7 @@ def test_a_torn_batch_never_leaves_a_posting_without_a_length(
         idx = InvertedIndex(kv)
         engine = SearchEngine(idx)
         for word in words:
-            for method in ("bm25", "tfidf"):
-                engine.search(word, method=method)      # must not raise
+            engine.search(word)                         # must not raise
         assert (idx.num_docs, idx.avg_doc_length()) == _brute_force_totals(idx)
         last_batch(idx)
         assert _stored(idx) == clean, f"cut at {cut}"

@@ -425,56 +425,25 @@ def test_search_servlet_boolean_mode_and_snippets(live_system, small_workload):
     assert ranked and any("[" in (h["snippet"] or "") for h in ranked)
 
 
-# -- phrase queries (positional index) -------------------------------------------
+# -- phrase queries: the index keeps no positions -------------------------------
 
-@pytest.fixture(scope="module")
-def pos_index():
-    from repro.text.index import InvertedIndex
-    idx = InvertedIndex(store_positions=True)
+def test_phrase_query_end_to_end():
+    """A quoted phrase is refused before evaluation, as a ``bad_request``
+    (the client's fault), not answered as a retryable server fault."""
+    from repro.errors import error_payload
+    idx = InvertedIndex()
     idx.add_document("p1", "register allocation in optimizing compilers")
-    idx.add_document("p2", "allocation of registers is a compiler concern")
-    idx.add_document("p3", "register allocation register allocation twice")
-    return idx
-
-
-def test_phrase_match_consecutive_only(pos_index):
-    from repro.text.tokenize import porter_stem
-    terms = [porter_stem("register"), porter_stem("allocation")]
-    matches = pos_index.phrase_match(terms)
-    assert set(matches) == {"p1", "p3"}
-    assert matches["p3"] == 2  # phrase occurs twice
-
-
-def test_phrase_match_needs_positions(index):
-    from repro.errors import IndexError_
-    with pytest.raises(IndexError_):
-        index.phrase_match(["music"])
-
-
-def test_phrase_query_end_to_end(pos_index):
-    engine = SearchEngine(pos_index)
-    hits = ranked_boolean_search(engine, '"register allocation"')
-    assert {h.doc_id for h in hits} == {"p1", "p3"}
-    hits2 = ranked_boolean_search(engine, '"register allocation" AND NOT twice')
-    assert {h.doc_id for h in hits2} == {"p1"}
-
-
-def test_phrase_single_word_degenerates_to_term():
-    node = parse_query('"music"')
-    assert node == Term(porter_stem("music"))
+    engine = SearchEngine(idx)
+    for query in ('"register allocation"', '"register allocation" AND NOT twice',
+                  'register "allocation"'):
+        with pytest.raises(QueryParseError) as caught:
+            ranked_boolean_search(engine, query)
+        payload = error_payload(caught.value)
+        assert payload["error_code"] == "bad_request", query
+        assert payload["retryable"] is False, query
 
 
 def test_phrase_parse_errors():
-    with pytest.raises(QueryParseError):
-        parse_query('"unterminated')
-    with pytest.raises(QueryParseError):
-        parse_query('""')
-
-
-def test_phrase_positions_removed_with_document(pos_index):
-    from repro.text.tokenize import porter_stem
-    pos_index.add_document("temp", "register allocation temporary")
-    terms = [porter_stem("register"), porter_stem("allocation")]
-    assert "temp" in pos_index.phrase_match(terms)
-    pos_index.remove_document("temp")
-    assert "temp" not in pos_index.phrase_match(terms)
+    for query in ('"unterminated', '""', '"music"', 'a "b c" d'):
+        with pytest.raises(QueryParseError):
+            parse_query(query)

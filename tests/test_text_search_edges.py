@@ -1,26 +1,19 @@
-"""Degenerate-IDF and cosine-normalization edges in ranked search.
+"""Degenerate-IDF edges in ranked search.
 
 Failing-first regression tests for the ranking-correctness sweep:
-
-* tf-idf "cosine" scores used to exceed 1.0 (a single-document corpus
-  scored its only match at ~1.197) because dot products were normalized
-  by a ``sqrt(doc length)`` proxy instead of the document's true
-  weight-vector norm;
-* document frequencies were fed to the idf computation unclamped, so a
-  skewed ``df > num_docs`` drove idf negative and inverted rankings.
-
-Both rankers must now clamp ``df`` into ``[0, n]`` and the tf-idf path
-must be a genuine cosine in ``[0, 1]``.
+document frequencies were fed to the idf computation unclamped, so a
+skewed ``df > num_docs`` drove idf negative and inverted rankings.  The
+BM25 ranker must clamp ``df`` into ``[0, n]``, in ranked search and in
+the boolean search that ranks its matches with it.
 """
 
 from __future__ import annotations
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text.index import InvertedIndex
+from repro.text.query import ranked_boolean_search
 from repro.text.search import SearchEngine
 
 WORDS = ["jazz", "blues", "rock", "piano", "guitar", "album"]
@@ -31,52 +24,6 @@ def _engine(docs: dict[str, str]) -> SearchEngine:
     for doc_id, text in docs.items():
         index.add_document(doc_id, text)
     return SearchEngine(index)
-
-
-# -- true cosine normalization -------------------------------------------------
-
-
-def test_single_doc_cosine_is_exactly_one():
-    """A document identical in direction to the query scores cosine 1.0."""
-    engine = _engine({"d1": "jazz jazz"})
-    (hit,) = engine.search("jazz", method="tfidf")
-    assert hit.score == pytest_approx(1.0)
-
-
-def test_cosine_never_exceeds_one_for_repetitive_short_docs():
-    engine = _engine({"d1": "jazz jazz", "d2": "jazz blues", "d3": "blues rock"})
-    for hit in engine.search("jazz blues", method="tfidf"):
-        assert 0.0 < hit.score <= 1.0 + 1e-9
-
-
-def test_cosine_does_not_invert_on_repetition():
-    """Pure repetition of the query term must not outrank by inflation.
-
-    Under the old sqrt(length) normalization "jazz jazz" scored ~1.197
-    while a longer on-topic document was crushed by its length proxy.
-    The repeated-term doc may still rank first (it is maximally on
-    topic) but only within the cosine bound.
-    """
-    engine = _engine({"short": "jazz jazz", "long": "jazz " * 30 + "blues"})
-    hits = {h.doc_id: h.score for h in engine.search("jazz", method="tfidf")}
-    assert max(hits.values()) <= 1.0 + 1e-9
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
-        min_size=1,
-        max_size=6,
-    ),
-    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
-)
-def test_cosine_bounded_for_random_corpora(doc_words, query_words):
-    engine = _engine(
-        {f"d{i}": " ".join(words) for i, words in enumerate(doc_words)}
-    )
-    for hit in engine.search(" ".join(query_words), method="tfidf"):
-        assert 0.0 <= hit.score <= 1.0 + 1e-9
 
 
 # -- df clamping ---------------------------------------------------------------
@@ -107,35 +54,14 @@ def test_every_doc_term_keeps_sane_ranking_both_methods():
         "heavy": "jazz jazz jazz jazz",
         "light": "jazz blues rock piano guitar album " * 3,
     }
-    for method in ("bm25", "tfidf"):
-        hits = _engine(docs).search("jazz", method=method)
+    engine = _engine(docs)
+    for hits in (engine.search("jazz"), ranked_boolean_search(engine, "jazz")):
         assert [h.doc_id for h in hits] == ["heavy", "light"]
         assert all(h.score > 0.0 for h in hits)
 
 
 def test_single_document_corpus_ranks_both_methods():
-    for method in ("bm25", "tfidf"):
-        hits = _engine({"only": "jazz blues"}).search("jazz", method=method)
+    engine = _engine({"only": "jazz blues"})
+    for hits in (engine.search("jazz"), ranked_boolean_search(engine, "jazz")):
         assert [h.doc_id for h in hits] == ["only"]
         assert hits[0].score > 0.0
-
-
-# -- doc-norm maintenance ------------------------------------------------------
-
-
-def test_doc_norm_tracks_readds_and_removals():
-    index = InvertedIndex()
-    index.add_document("d", "jazz jazz blues")
-    expected = math.sqrt((1.0 + math.log(2.0)) ** 2 + 1.0)
-    assert index.doc_norm("d") == pytest_approx(expected)
-    index.add_document("d", "rock")
-    assert index.doc_norm("d") == pytest_approx(1.0)
-    index.remove_document("d")
-    index.add_document("d2", "piano")
-    assert index.doc_norm("d2") == pytest_approx(1.0)
-
-
-def pytest_approx(value: float):
-    import pytest
-
-    return pytest.approx(value, rel=1e-9)

@@ -115,8 +115,8 @@ def test_corpus_front_pages_are_sparse(taxonomy):
     fronts = [p for p in corpus.pages.values() if p.front_page]
     contents = [p for p in corpus.pages.values() if not p.front_page]
     assert fronts and contents
-    avg_front = sum(p.token_estimate for p in fronts) / len(fronts)
-    avg_content = sum(p.token_estimate for p in contents) / len(contents)
+    avg_front = sum(len(p.text.split()) for p in fronts) / len(fronts)
+    avg_content = sum(len(p.text.split()) for p in contents) / len(contents)
     assert avg_front * 3 < avg_content
     assert all(p.title for p in corpus.pages.values())
 
