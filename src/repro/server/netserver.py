@@ -12,16 +12,21 @@ Connection lifecycle::
     client                           server
     ------                           ------
     connect ------------------------> accept (queued to worker pool)
-    hello frame {"hello": user} ----> look up user's cipher key
-    <------------- {"status": "ok", "encrypted": bool}
-    request frame (user's key) -----> registry.dispatch
-    <------------------------- response frame (user's key)
+    {"hello": "alice"} + request ---> bind alice's key; registry.dispatch
+    <------------- response frame (alice's key)
+    request frame (alice's key) ----> registry.dispatch
+    <------------- response frame (alice's key)
+    {"hello": "bob"} + request -----> bind bob's key; registry.dispatch
+    <------------- response frame (bob's key)
     ... (framing loop, one request in flight per connection) ...
 
-The hello frame is unencrypted and binds the connection to one user so
-the server knows which cipher key decodes the frames that follow — the
-socket analogue of ``HttpTunnelTransport._serve``'s ``claimed_user``
-argument.  Every later frame is decoded with that user's key.
+A hello frame is cleartext, gets no reply, and binds the connection to
+one user until the next hello, so the server knows which cipher key
+decodes the frames that follow — the socket analogue of
+``HttpTunnelTransport._serve``'s ``claimed_user`` argument.  A client
+sends one in the same write as the request it names, and only when the
+connection's user changes: a connection is not a user, and one pooled
+connection carries every user its client speaks for.
 
 Threading model: one acceptor thread plus a bounded pool of ``workers``
 threads.  A worker serves one connection at a time from an accept queue;
@@ -48,11 +53,13 @@ from .protocol import (
     check_key,
     decode_message,
     encode_message,
+    frame_encrypted,
     frame_length,
     recv_exact,
 )
 
-#: Reserved payload key that opens a connection and names its user.
+#: Reserved payload key of a cleartext frame that names the user every
+#: later frame on its connection speaks for, until the next one.
 HELLO_KEY = "hello"
 
 _POOL_SENTINEL = object()
@@ -94,10 +101,10 @@ class MemexSocketServer:
     ``registry`` is any object with a ``dispatch(request) -> response``
     method — a servlet registry, a shard dispatcher, or a shard router;
     the socket layer is identical in front of all three.  With
-    ``authoritative_user`` set, the hello-bound user is stamped onto
-    every forwarded request's ``user_id``, so a routed payload cannot
-    claim a different user than its connection authenticated (the
-    router relies on this to keep ring placement honest).
+    ``authoritative_user`` set, the user the connection is bound to (its
+    last hello) is stamped onto every forwarded request's ``user_id``, so
+    a routed payload cannot claim a different user than the key that
+    decoded it (the router relies on this to keep ring placement honest).
     """
 
     def __init__(
@@ -303,23 +310,6 @@ class MemexSocketServer:
               key: bytes | None) -> None:
         conn.sendall(encode_message(payload, key=key))
 
-    def _handshake(self, conn: socket.socket) -> tuple[str, bytes | None] | None:
-        """Read the hello frame; returns (user_id, key) or None to close."""
-        try:
-            frame = self._read_frame(conn)
-            if frame is None:
-                return None
-            hello = decode_message(frame)  # hello is always cleartext
-            user_id = hello.get(HELLO_KEY)
-            if not isinstance(user_id, str) or not user_id:
-                raise ProtocolError("first frame must be a hello naming a user")
-        except ProtocolError as exc:
-            self._try_send_error(conn, exc, key=None)
-            return None
-        key = self.keys.key_for(user_id)
-        self._send(conn, {"status": "ok", "encrypted": key is not None}, None)
-        return user_id, key
-
     def _try_send_error(self, conn: socket.socket, exc: ProtocolError,
                         key: bytes | None) -> bool:
         """False when no error frame went out — the peer is gone, or the
@@ -331,11 +321,9 @@ class MemexSocketServer:
         return True
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        user_id: str | None = None  # named by the last hello
+        key: bytes | None = None    # ... and its cipher key
         try:
-            bound = self._handshake(conn)
-            if bound is None:
-                return
-            user_id, key = bound
             while not self._stopping.is_set():
                 try:
                     frame = self._read_frame(conn)
@@ -347,14 +335,35 @@ class MemexSocketServer:
                     return
                 if frame is None:
                     return
+                # A clear frame is answered in clear: its sender may hold
+                # no key (a hello, or a keyed user's client without one).
+                reply_key = key if frame_encrypted(frame) else None
                 try:
-                    request = decode_message(frame, key=key)
+                    request = decode_message(frame, key=reply_key)
+                    if reply_key is None and HELLO_KEY in request:
+                        user_id = request[HELLO_KEY]
+                        if not isinstance(user_id, str) or not user_id:
+                            # The stream names nobody we could answer to.
+                            self._try_send_error(conn, ProtocolError(
+                                "a hello must name a user"), None)
+                            return
+                        key = self.keys.key_for(user_id)
+                        continue
+                    if user_id is None:
+                        self._try_send_error(conn, ProtocolError(
+                            "first frame must be a hello naming a user"), None)
+                        return
+                    if reply_key is None and key is not None:
+                        # Knowing the key is what authenticates a keyed
+                        # user; a hello alone proves nothing.
+                        raise ProtocolError(
+                            "cleartext message on an encrypted session")
                 except ProtocolError as exc:
                     # Decode errors leave framing intact: reply and go on.
-                    if not self._try_send_error(conn, exc, key):
+                    if not self._try_send_error(conn, exc, reply_key):
                         return
                     continue
-                if self.authoritative_user and isinstance(request, dict):
+                if self.authoritative_user:
                     request = {**request, "user_id": user_id}
                 response = self.registry.dispatch(request)
                 try:
@@ -370,5 +379,5 @@ class MemexSocketServer:
             # Connection reset / forced close during drain.
             return
         except Exception:  # pragma: no cover - never kill a worker
-            self.log.error("connection_crashed", user=locals().get("user_id"))
+            self.log.error("connection_crashed", user=user_id)
             return

@@ -51,6 +51,11 @@ def frame_version(flags: int) -> int:
     return (flags >> _VERSION_SHIFT) or PROTOCOL_V1
 
 
+def frame_encrypted(frame: bytes) -> bool:
+    """Is the cipher bit set in a full frame's flags byte?"""
+    return bool(frame[_LEN.size] & _FLAG_ENCRYPTED)
+
+
 def check_key(key: bytes | None) -> None:
     """Refuse a cipher key no frame could be encrypted with.
 
@@ -67,8 +72,8 @@ def check_key(key: bytes | None) -> None:
 # them, and a frame is one big-integer XOR against that prefix; the key
 # schedule and the per-byte generator run only when a key is new or a
 # frame is longer than anything the key has sent.  Keyed by the key
-# bytes, not the connection: a pooled client reconnects far more often
-# than it changes user (DESIGN.md §17).
+# bytes, not the connection: one pooled connection carries every user
+# of its client, so it changes key on most requests (DESIGN.md §17).
 #: Keys remembered (least recently used dropped first).
 KEYSTREAM_KEYS = 1024
 #: Keystream bytes retained per key; the tail of a longer frame is

@@ -10,8 +10,9 @@ without sockets) or written to a TCP connection against a
 unchanged above the wire.
 
 Both transports are thread-safe: byte counters are lock-protected, and
-the socket client serializes frames per connection (one connection per
-user, since a connection's cipher key is bound at hello time).
+the socket client lends each pooled connection to one request at a
+time.  A connection is not a user: it carries whichever user its last
+hello named, and a request for another user goes out behind a new one.
 """
 
 from __future__ import annotations
@@ -155,19 +156,20 @@ _STALE_AFTER_S = 1.0
 
 
 class _Connection:
-    """One established, hello-bound TCP connection (single user)."""
+    """One pooled TCP connection, lent to one request at a time."""
 
-    __slots__ = ("sock", "key", "lock", "last_used")
+    __slots__ = ("sock", "user", "key", "last_used", "epoch")
 
-    def __init__(self, sock: socket.socket, key: bytes | None) -> None:
-        self.sock = sock
-        self.key = key
-        self.lock = threading.Lock()   # one request in flight per conn
-        self.last_used = time.monotonic()
+    def __init__(self, epoch: int) -> None:
+        self.sock: socket.socket | None = None  # the borrower connects
+        self.user: str | None = None  # named by the last hello sent
+        self.key: bytes | None = None  # ... and the key it was sent with
+        self.last_used = 0.0
+        self.epoch = epoch  # close() retires every earlier epoch
 
     def closed_by_peer(self) -> bool:
-        """Has the server hung up on this idle connection?  Called under
-        ``lock`` between requests, when nothing is owed to us: a
+        """Has the server hung up on this idle connection?  Called by
+        its borrower before it sends, when nothing is owed to us: a
         readable socket then holds the server's EOF (or junk), never a
         response."""
         try:
@@ -187,17 +189,23 @@ class _Connection:
 class SocketTransport:
     """Client for :class:`~repro.server.netserver.MemexSocketServer`.
 
-    Maintains one lazily-opened connection per user (a connection's
-    cipher key is fixed at hello time).  Safe for concurrent use from
-    many threads: requests on the same user's connection are serialized
-    by a per-connection lock; different users proceed in parallel.
+    Keeps one pool of connections for every user.  A request borrows an
+    idle connection whose last hello named its user if there is one,
+    else the most recently used idle one, else opens one (a plain TCP
+    connect).  When the borrowed connection speaks for someone else —
+    or for this user under an older key — the request goes out behind a
+    ``{"hello": user}`` frame, in the same write; the server answers
+    only the request.  Safe for concurrent use from many threads: each
+    request owns its connection until the response is in, so the pool
+    holds about as many connections as requests were ever in flight at
+    once, not one per user.
 
     A broken or timed-out connection is dropped from the pool and the
     failure surfaces as a retryable typed :class:`ProtocolError`; the
-    next request for that user reconnects.  A connection the server
-    closed while it sat idle is not a failure: one unused for over a
-    second is looked at before reuse and reopened *before* the request
-    is sent, so no frame ever goes out twice.
+    next request opens another.  A connection the server closed while it
+    sat idle is not a failure: one unused for over a second is looked at
+    before reuse and reopened *before* the request is sent, so no frame
+    ever goes out twice.
 
     **Reconnect backoff.**  When the backend itself is down, every
     request used to burn a fresh TCP connect attempt — a tight reconnect
@@ -210,27 +218,11 @@ class SocketTransport:
     backoff — the endpoint accepted the connection, so the immediate
     reconnect-on-next-request behaviour is preserved.
 
-    **Pool cap** (``max_pooled=N``).  One connection per user is fine
-    for a handful of applets, but a load client or a cluster's own
-    transport speaks for hundreds of users through one transport and
-    would otherwise hold one socket (and one server worker thread) per
-    user ever seen.  With ``max_pooled=N`` the pool becomes an LRU: opening
-    a connection beyond the cap evicts the least-recently-used *idle*
-    connection (one whose per-connection lock is not held — an in-
-    flight request is never cut).  The next request for an evicted user
-    transparently reconnects.
-
-    **Multiplex mode** (``multiplex=N``, internal hops only).  The
-    per-user connection exists to bind a cipher key at hello time; on a
-    trusted *cleartext* hop — the router's links to its shard workers —
-    it only wastes server worker threads, which are held one per open
-    connection.  With ``multiplex=N`` the transport instead keeps at
-    most N connections, hello-bound to synthetic slot users
-    (``__mux__0``..), and round-robins requests across them; every
-    payload still carries the real ``user_id``, which the shard worker
-    trusts because it does not run with ``authoritative_user``.  Do NOT
-    multiplex a client-facing transport: per-user cipher keys are
-    ignored on the hop.
+    **Pool cap** (``max_pooled=N``).  A server parks one worker thread
+    per open connection, so a client that shares a server with others
+    caps what it holds: with ``max_pooled=N`` at most N connections are
+    open at once, and a request beyond them waits for one to come back.
+    An in-flight connection is never cut.  ``0`` means no cap.
     """
 
     def __init__(
@@ -243,20 +235,13 @@ class SocketTransport:
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         backoff_rng: random.Random | None = None,
-        multiplex: int = 0,
-        multiplex_label: str = "__mux__",
         max_pooled: int = 0,
     ) -> None:
-        if multiplex < 0:
-            raise ValueError("multiplex must be >= 0")
         if max_pooled < 0:
             raise ValueError("max_pooled must be >= 0 (0 = unbounded)")
         self.max_pooled = max_pooled
         self.host = host
         self.port = port
-        self.multiplex = multiplex
-        self.multiplex_label = multiplex_label
-        self._mux_next = 0
         self.connect_timeout = connect_timeout
         self.response_timeout = response_timeout
         self.backoff_base = backoff_base
@@ -265,9 +250,13 @@ class SocketTransport:
         self._backoff_failures = 0
         self._backoff_until = 0.0     # monotonic deadline; 0 = disarmed
         self._keys: dict[str, bytes] = {}
-        self._conns: dict[str, _Connection] = {}
-        # Guards _conns, _keys, and the backoff state.
+        self._idle: list[_Connection] = []  # most recently used last
+        self._open_count = 0  # idle + lent out
+        self._epoch = 0
+        self._waiting = 0  # requests blocked at the cap
+        # Guards _keys, the pool fields above, and the backoff state.
         self._pool_lock = threading.Lock()
+        self._returned = threading.Condition(self._pool_lock)
         self.bytes_in = 0
         self.bytes_out = 0
         self._obs_lock = threading.Lock()
@@ -275,26 +264,30 @@ class SocketTransport:
     # -- keys / lifecycle ----------------------------------------------------
 
     def set_key(self, user_id: str, key: bytes | None) -> None:
+        """Register *user_id*'s key.  A connection that last said hello
+        under the old key says it again, so the server looks up the new
+        one."""
         check_key(key)
         with self._pool_lock:
             if key is None:
                 self._keys.pop(user_id, None)
             else:
                 self._keys[user_id] = key
-            # The old connection (if any) was bound to the old key.
-            stale = self._conns.pop(user_id, None)
-        if stale is not None:
-            self._discard(stale)
 
     def key_for(self, user_id: str) -> bytes | None:
         with self._pool_lock:
             return self._keys.get(user_id)
 
     def close(self) -> None:
+        """Close every idle connection; one lent out closes when its
+        request is done."""
         with self._pool_lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for conn in conns:
+            idle, self._idle = self._idle, []
+            self._open_count -= len(idle)
+            self._epoch += 1
+            if self._waiting:
+                self._returned.notify_all()
+        for conn in idle:
             self._discard(conn)
 
     def reset_backoff(self) -> None:
@@ -305,17 +298,14 @@ class SocketTransport:
             self._backoff_until = 0.0
 
     def set_address(self, host: str, port: int) -> None:
-        """Re-point this transport at a (re)started backend: drops every
-        pooled connection and disarms the backoff."""
+        """Re-point this transport at a (re)started backend: retires
+        every pooled connection and disarms the backoff."""
         with self._pool_lock:
             self.host = host
             self.port = port
             self._backoff_failures = 0
             self._backoff_until = 0.0
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for conn in conns:
-            self._discard(conn)
+        self.close()
 
     def __enter__(self) -> "SocketTransport":
         return self
@@ -325,6 +315,8 @@ class SocketTransport:
 
     @staticmethod
     def _discard(conn: _Connection) -> None:
+        if conn.sock is None:
+            return
         try:
             conn.sock.close()
         except OSError:
@@ -337,55 +329,39 @@ class SocketTransport:
 
     # -- connection management ----------------------------------------------
 
-    def _connection(self, user_id: str) -> _Connection:
+    def _borrow(self, user_id: str) -> tuple[_Connection, bytes | None]:
+        """A connection for one request as *user_id*, and that user's key."""
         with self._pool_lock:
-            conn = self._conns.get(user_id)
-            if conn is not None:
-                if self.max_pooled:
-                    # LRU recency: move the hit to the back of the dict.
-                    self._conns[user_id] = self._conns.pop(user_id)
-                return conn
             key = self._keys.get(user_id)
-        conn = _Connection(self._open(user_id, key), key)
-        evicted: list[_Connection] = []
+            while True:
+                idle = self._idle
+                for i in range(len(idle) - 1, -1, -1):
+                    if idle[i].user == user_id:
+                        return idle.pop(i), key
+                if idle:
+                    return idle.pop(), key
+                if not self.max_pooled or self._open_count < self.max_pooled:
+                    self._open_count += 1
+                    return _Connection(self._epoch), key
+                self._waiting += 1
+                self._returned.wait()
+                self._waiting -= 1
+
+    def _give_back(self, conn: _Connection, *, reuse: bool) -> None:
+        """Return a borrowed connection to the pool, or close it."""
         with self._pool_lock:
-            existing = self._conns.get(user_id)
-            if existing is not None:
-                # Raced with another thread; keep theirs.
-                stale, conn = conn, existing
+            if reuse and conn.epoch == self._epoch:
+                self._idle.append(conn)
             else:
-                self._conns[user_id] = conn
-                stale = None
-                evicted = self._evict_over_cap(keep=user_id)
-        if stale is not None:
-            self._discard(stale)
-        for old in evicted:
-            self._discard(old)
-        return conn
+                self._open_count -= 1
+                reuse = False
+            if self._waiting:
+                self._returned.notify()
+        if not reuse:
+            self._discard(conn)
 
-    def _evict_over_cap(self, *, keep: str) -> list[_Connection]:
-        """Called under ``_pool_lock``: shrink the pool to ``max_pooled``
-        by dropping least-recently-used connections, skipping *keep*
-        (just inserted for the active request) and any connection whose
-        lock is held (a request is in flight on it)."""
-        if not self.max_pooled:
-            return []
-        evicted: list[_Connection] = []
-        for uid in list(self._conns):
-            if len(self._conns) <= self.max_pooled:
-                break
-            if uid == keep:
-                continue
-            conn = self._conns[uid]
-            if conn.lock.locked():
-                continue
-            del self._conns[uid]
-            evicted.append(conn)
-        return evicted
-
-    def _open(self, user_id: str, key: bytes | None) -> socket.socket:
-        """Connect and say hello as *user_id*; the socket is ready for
-        that user's first request frame."""
+    def _open(self) -> socket.socket:
+        """A plain TCP connection, bound to no user yet."""
         with self._pool_lock:
             suppressed_until = self._backoff_until
         if self._backoff_failures and time.monotonic() < suppressed_until:
@@ -417,90 +393,63 @@ class SocketTransport:
             self._backoff_failures = 0
             self._backoff_until = 0.0
         sock.settimeout(self.response_timeout)
-        try:
-            hello = encode_message({HELLO_KEY: user_id})
-            sock.sendall(hello)
-            raw = recv_frame(sock.recv)
-            if raw is None:
-                raise ProtocolError("server closed connection during hello")
-            self._count(sent=len(hello), received=len(raw))
-            ack = decode_message(raw)
-            if ack.get("status") != "ok":
-                raise ProtocolError(f"hello rejected: {ack.get('error', ack)}")
-            if ack.get("encrypted") and key is None:
-                raise ProtocolError(
-                    f"server expects encrypted traffic for {user_id!r} "
-                    "but no key is registered on this transport"
-                )
-        except (OSError, ProtocolError):
-            sock.close()
-            raise
         return sock
 
-    def _drop(self, user_id: str, conn: _Connection) -> None:
-        with self._pool_lock:
-            if self._conns.get(user_id) is conn:
-                del self._conns[user_id]
-        self._discard(conn)
-
     # -- request path --------------------------------------------------------
-
-    def _conn_user(self, user_id: str) -> str:
-        """The hello identity a request travels under: the user itself,
-        or (multiplex mode) the next round-robin slot user."""
-        if not self.multiplex:
-            return user_id
-        with self._pool_lock:
-            slot = self._mux_next
-            self._mux_next = (slot + 1) % self.multiplex
-        return f"{self.multiplex_label}{slot}"
 
     def _exchange(
         self, user_id: str, payload: dict[str, Any],
     ) -> dict[str, Any]:
-        conn = self._connection(user_id)
-        wire = encode_message(payload, key=conn.key)
+        conn, key = self._borrow(user_id)
         try:
-            with conn.lock:
-                if (time.monotonic() - conn.last_used > _STALE_AFTER_S
-                        and conn.closed_by_peer()):
-                    # The server idled this connection out.  Nothing of
-                    # this request has been sent, so reconnecting here
-                    # cannot deliver a frame twice (a visit batch is not
-                    # idempotent); once it has, a break is the caller's.
-                    self._discard(conn)
-                    conn.sock = self._open(user_id, conn.key)
-                conn.sock.sendall(wire)
-                raw = recv_frame(conn.sock.recv)
-                conn.last_used = time.monotonic()
+            wire = encode_message(payload, key=key)
+        except BaseException:
+            self._give_back(conn, reuse=True)  # nothing went out on it
+            raise
+        try:
+            if conn.sock is None or (
+                    time.monotonic() - conn.last_used > _STALE_AFTER_S
+                    and conn.closed_by_peer()):
+                # New, or the server idled it out.  Nothing of this
+                # request has been sent, so connecting here cannot
+                # deliver a frame twice (a visit batch is not
+                # idempotent); once it has, a break is the caller's.
+                self._discard(conn)
+                conn.sock, conn.user = self._open(), None
+            if conn.user != user_id or conn.key is not key:
+                wire = encode_message({HELLO_KEY: user_id}) + wire
+                conn.user, conn.key = user_id, key
+            conn.sock.sendall(wire)
+            raw = recv_frame(conn.sock.recv)
+            conn.last_used = time.monotonic()
         except socket.timeout:
-            self._drop(user_id, conn)
+            self._give_back(conn, reuse=False)
             raise ProtocolError(
                 f"timed out after {self.response_timeout}s waiting for response",
                 code=CODE_TIMEOUT,
             ) from None
         except OSError as exc:
             # A broken connection surfaces as a retryable typed error; the
-            # next request for this user reconnects.
-            self._drop(user_id, conn)
+            # next request opens another.
+            self._give_back(conn, reuse=False)
             raise ProtocolError(
                 f"connection to {self.host}:{self.port} broke: {exc}",
                 code=CODE_TIMEOUT,
             ) from exc
         except ProtocolError:
-            self._drop(user_id, conn)
+            self._give_back(conn, reuse=False)
             raise
         if raw is None:
-            self._drop(user_id, conn)
+            self._give_back(conn, reuse=False)
             raise ProtocolError(
                 "server closed connection mid-request", code=CODE_TIMEOUT)
+        self._give_back(conn, reuse=True)
         self._count(sent=len(wire), received=len(raw))
-        return decode_message(raw, key=conn.key)
+        return decode_message(raw, key=key)
 
     def request(self, user_id: str, payload: dict[str, Any]) -> dict[str, Any]:
         """Send one request as *user_id*; returns the decoded response."""
-        return self._exchange(self._conn_user(user_id),
-                              {**payload, "user_id": user_id})
+        return self._exchange(user_id, {**payload, "user_id": user_id})
 
     def request_batch(
         self, user_id: str, payloads: list[dict[str, Any]],
@@ -509,7 +458,7 @@ class SocketTransport:
         per payload, envelope-level failures replicated per slot."""
         if not payloads:
             return []
-        envelope = self._exchange(self._conn_user(user_id), {
+        envelope = self._exchange(user_id, {
             "servlet": BATCH_SERVLET,
             "user_id": user_id,
             "requests": payloads,

@@ -113,10 +113,9 @@ class MemexCluster:
             )
             if monitor:
                 self.supervisor.start_monitor()
-            # The router parks one worker thread per open connection:
-            # pooling one per user without limit strands the user after
-            # the last worker until an idle timeout frees one.  Our own
-            # applets never hold them all.
+            # The router parks one worker thread per open connection.
+            # Our own applets hold about one per request in flight, and
+            # the cap keeps them from ever holding every worker.
             self.transport = SocketTransport(
                 *self.router.address,
                 max_pooled=max(1, router_workers - 1),

@@ -1,23 +1,23 @@
 """Shard router: the cluster's single front door.
 
 :class:`ShardRouter` accepts the *unchanged* framed wire protocol (a
-client cannot tell a router from a single server), reads each
-connection's hello frame to learn which user it speaks for, and routes
-every decoded request through the shared :class:`~repro.shard.gather.
-ShardDispatcher` — the same code path in-process dispatch uses, with
-socket backends instead of a local one.
+client cannot tell a router from a single server), reads the hello
+frames on each connection to learn which user each request speaks for,
+and routes every decoded request through the shared
+:class:`~repro.shard.gather.ShardDispatcher` — the same code path
+in-process dispatch uses, with socket backends instead of a local one.
 
 Trust boundary: the router terminates per-user RC4.  Client frames are
-decoded with the user's key at the router (the hello binding from PR 5
-names the key), and the router->worker hop runs cleartext inside the
-cluster — the router is a *key-terminating* proxy, not a byte relay,
-because routing requires the decoded ``servlet``/``user_id`` fields
-anyway.  ``docs/PROTOCOL.md`` documents the contract.
+decoded with the user's key at the router (the last hello on the
+connection names the key), and the router->worker hop runs cleartext
+inside the cluster — the router is a *key-terminating* proxy, not a
+byte relay, because routing requires the decoded ``servlet``/``user_id``
+fields anyway.  ``docs/PROTOCOL.md`` documents the contract.
 
-The hello binding is authoritative: the socket server stamps the
-connection's hello user onto every request it forwards, so a payload
-cannot claim one user in the hello and another in ``user_id`` to reach
-a different shard's data.
+The hello binding is authoritative: the socket server stamps the user
+of the connection's last hello onto every request it forwards, so a
+payload cannot claim one user in the hello and another in ``user_id``
+to reach a different shard's data.
 
 ``_router_lock`` ("router" rank, the outermost level in
 ``repro.locks.LOCK_ORDER``) guards the router's own bookkeeping — the

@@ -159,17 +159,17 @@ class ShardSupervisor:
         for shard in self._shards:
             self._await_ready(shard, deadline)
         with self._supervisor_lock:
-            # Backend hops are cleartext and multiplexed: one connection
-            # per end user would park one worker thread each and starve
-            # the shard's pool.  Leave one worker thread free for direct
-            # (non-router) connections.
+            # Backend hops are cleartext (shards hold no keys), so each
+            # request says hello as its real user.  A shard parks one
+            # worker thread per open connection: leave one free for
+            # direct (non-router) connections.
             mux = max(1, self.spec.net_workers - 1)
             self._transports = [
                 SocketTransport(
                     shard.address[0], shard.address[1],
                     connect_timeout=self.connect_timeout,
                     response_timeout=self.response_timeout,
-                    multiplex=mux,
+                    max_pooled=mux,
                 )
                 for shard in self._shards
             ]

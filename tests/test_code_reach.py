@@ -89,13 +89,13 @@ KEPT = _kept(
      "server.netserver:MemexSocketServer.__exit__",
      "server.netserver:MemexSocketServer.__init__",
      "server.netserver:MemexSocketServer._accept_loop",
-     "server.netserver:MemexSocketServer._handshake",
      "server.netserver:MemexSocketServer._read_frame",
      "server.netserver:MemexSocketServer._send",
      "server.netserver:MemexSocketServer._serve_connection",
      "server.netserver:MemexSocketServer._try_send_error",
      "server.netserver:MemexSocketServer._worker_loop",
      "server.netserver:MemexSocketServer.close",
+     "server.protocol:frame_encrypted",
      "server.protocol:frame_length",
      "server.protocol:recv_exact",
      "server.protocol:recv_frame"),
@@ -105,13 +105,11 @@ KEPT = _kept(
      "server.transport:SocketTransport.__enter__",
      "server.transport:SocketTransport.__exit__",
      "server.transport:SocketTransport.__init__",
-     "server.transport:SocketTransport._conn_user",
-     "server.transport:SocketTransport._connection",
+     "server.transport:SocketTransport._borrow",
      "server.transport:SocketTransport._count",
      "server.transport:SocketTransport._discard",
-     "server.transport:SocketTransport._drop",
-     "server.transport:SocketTransport._evict_over_cap",
      "server.transport:SocketTransport._exchange",
+     "server.transport:SocketTransport._give_back",
      "server.transport:SocketTransport._open",
      "server.transport:SocketTransport.close",
      "server.transport:SocketTransport.key_for",

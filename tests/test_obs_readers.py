@@ -47,10 +47,11 @@ KEPT = {
         "fsync and none in terms.kv"),
     "net.connections_total": (
         "tests/test_server_netserver.py (test_request_roundtrip_over_tcp, "
-        "test_connections_are_per_user, "
+        "test_one_connection_carries_every_user, "
         "test_client_reconnects_before_sending_on_an_idled_out_connection, "
-        "test_multiplexed_transport_bounds_connections): a user's requests "
-        "reuse one connection"),
+        "test_pool_cap_bounds_open_connections) and "
+        "tests/test_client_pool.py: one pooled connection carries every "
+        "user's requests, and a capped pool opens no more than its cap"),
     "net.timeouts_total": (
         "tests/test_server_netserver.py "
         "(test_idle_timeout_closes_connection_quietly, "

@@ -1,5 +1,5 @@
-"""Socket front-end tests: hello handshake, framing loop, timeouts as
-typed wire errors, encryption over TCP, and graceful drain.
+"""Socket front-end tests: hellos and rebinding, framing loop, timeouts
+as typed wire errors, encryption over TCP, and graceful drain.
 
 The socket server and the in-process tunnel speak identical bytes, so
 most behaviour is asserted through :class:`SocketTransport` — the same
@@ -7,6 +7,7 @@ client the applet uses.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -66,11 +67,28 @@ def test_request_batch_over_tcp(server):
     assert [out[0]["you"], out[1]["echo"]] == ["alice", 1]
 
 
-def test_connections_are_per_user(server):
+def test_one_connection_carries_every_user(server):
+    """A connection is not a user: each switch is a hello in front of the
+    request it names, on the connection already open."""
     with _client(server) as transport:
-        transport.request("alice", {"servlet": "whoami"})
-        transport.request("bob", {"servlet": "whoami"})
-    assert server.metrics.counter_value("net.connections_total") == 2
+        for user in ("alice", "bob", "alice", "carol"):
+            assert transport.request(user, {"servlet": "whoami"})["you"] == user
+    assert server.metrics.counter_value("net.connections_total") == 1
+
+
+def test_more_users_than_workers_do_not_wait_out_the_idle_timeout():
+    """A server parks one worker per open connection, so a client that
+    speaks for more users than the server has workers must not hold one
+    connection per user: the next user would wait in the accept queue
+    until the idle timeout freed a worker."""
+    with MemexSocketServer(
+        _registry(), workers=2, idle_timeout=3.0, metrics=MetricsRegistry(),
+    ) as srv:
+        with _client(srv) as transport:
+            started = time.monotonic()
+            for user in ("u1", "u2", "u3", "u4"):
+                assert transport.request(user, {"servlet": "whoami"})["you"] == user
+            assert time.monotonic() - started < 1.0
 
 
 def test_non_hello_first_frame_is_rejected(server):
@@ -106,10 +124,30 @@ def test_encrypted_user_over_tcp(server):
 
 
 def test_client_without_key_refuses_encrypted_session(server):
+    """The server refuses a keyed user's cleartext frame, and answers in
+    clear: a client without the key can read why."""
     server.keys.set_key("carol", b"carols-key")
     with _client(server) as transport:
-        with pytest.raises(ProtocolError, match="encrypted"):
-            transport.request("carol", {"servlet": "whoami"})
+        response = transport.request("carol", {"servlet": "whoami"})
+        assert response["error_code"] == "bad_request"
+        assert "encrypted" in response["error"]
+        # The connection goes on to serve the next user.
+        assert transport.request("dave", {"servlet": "whoami"})["you"] == "dave"
+    assert server.metrics.counter_value("net.connections_total") == 1
+
+
+def test_a_new_key_is_said_hello_under_on_the_same_connection(server):
+    """The server looks a key up at hello time, so a connection bound to
+    carol under her old key says hello again before her first frame
+    under the new one."""
+    server.keys.set_key("carol", b"old-key")
+    with _client(server) as transport:
+        transport.set_key("carol", b"old-key")
+        assert transport.request("carol", {"servlet": "whoami"})["you"] == "carol"
+        server.keys.set_key("carol", b"new-key")
+        transport.set_key("carol", b"new-key")
+        assert transport.request("carol", {"servlet": "whoami"})["you"] == "carol"
+    assert server.metrics.counter_value("net.connections_total") == 1
 
 
 def test_key_mismatch_yields_cipher_error(server):
@@ -121,12 +159,11 @@ def test_key_mismatch_yields_cipher_error(server):
 
 
 def _hello(address, user):
-    """A hand-driven connection, bound to *user* by a (cleartext) hello."""
+    """A hand-driven connection, bound to *user* by a (cleartext) hello,
+    which gets no reply."""
     sock = socket.create_connection(address, timeout=5.0)
     sock.sendall(encode_message({"hello": user}))
-    ack = decode_message(recv_frame(sock.recv))
-    assert ack["status"] == "ok"
-    return sock, ack
+    return sock
 
 
 def _recording_registry(served):
@@ -142,11 +179,9 @@ def test_keyed_user_cannot_be_impersonated_in_cleartext():
     served = []
     with MemexSocketServer(_recording_registry(served), workers=2) as srv:
         srv.keys.set_key("carol", b"carols-key")
-        sock, ack = _hello(srv.address, "carol")
-        with sock:
-            assert ack["encrypted"] is True
+        with _hello(srv.address, "carol") as sock:
             sock.sendall(encode_message({"servlet": "whoami"}))
-            response = decode_message(recv_frame(sock.recv), key=b"carols-key")
+            response = decode_message(recv_frame(sock.recv))  # in clear
             assert response["status"] == "error"
             assert response["error_code"] == "bad_request"
             assert served == []
@@ -168,10 +203,9 @@ def test_router_refuses_cleartext_from_a_keyed_user():
         [LocalBackend(_recording_registry(served))], workers=2,
     ) as router:
         router.set_key("carol", b"carols-key")
-        sock, _ack = _hello(router.address, "carol")
-        with sock:
+        with _hello(router.address, "carol") as sock:
             sock.sendall(encode_message({"servlet": "whoami"}))
-            response = decode_message(recv_frame(sock.recv), key=b"carols-key")
+            response = decode_message(recv_frame(sock.recv))  # in clear
         assert response["status"] == "error"
         assert response["error_code"] == "bad_request"
         assert served == []
@@ -241,8 +275,7 @@ def test_reference_cipher_client_talks_to_this_server(server):
     against this server."""
     key = b"carols-key"
     server.keys.set_key("carol", key)
-    sock, _ack = _hello(server.address, "carol")
-    with sock:
+    with _hello(server.address, "carol") as sock:
         for value in ("short", "x" * 3000, "again"):
             request = {"servlet": "echo", "user_id": "carol", "value": value}
             sock.sendall(_reference_encode_message(request, key))
@@ -277,10 +310,7 @@ def test_idle_timeout_closes_connection_quietly():
         _registry(), workers=1, idle_timeout=0.15, metrics=MetricsRegistry(),
     ) as srv:
         host, port = srv.address
-        with socket.create_connection((host, port), timeout=5.0) as sock:
-            sock.sendall(encode_message({"hello": "alice"}))
-            ack = decode_message(recv_frame(sock.recv))
-            assert ack["status"] == "ok"
+        with _hello((host, port), "alice") as sock:
             # Send nothing: the server times out waiting for a new frame
             # and closes without an error payload.
             sock.settimeout(5.0)
@@ -298,18 +328,17 @@ def test_client_reconnects_before_sending_on_an_idled_out_connection(monkeypatch
         _recording_registry(served), workers=1, idle_timeout=0.15,
         metrics=MetricsRegistry(),
     ) as srv:
+        connections = lambda: srv.metrics.counter_value("net.connections_total")
         with _client(srv) as transport:
             assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
-            first = transport._conns["alice"].sock
+            assert connections() == 1
             time.sleep(0.4)   # the server hangs up on the pooled connection
-            assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
-            assert transport._conns["alice"].sock is not first
+            assert transport.request("bob", {"servlet": "whoami"})["you"] == "bob"
+            assert connections() == 2
             # A connection in steady use is not probed, let alone reopened.
-            second = transport._conns["alice"].sock
             assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
-            assert transport._conns["alice"].sock is second
-        assert len(served) == 3
-        assert srv.metrics.counter_value("net.connections_total") == 2
+            assert connections() == 2
+        assert [req["user_id"] for req in served] == ["alice", "bob", "alice"]
 
 
 def test_server_dying_mid_request_is_a_retryable_error():
@@ -318,14 +347,13 @@ def test_server_dying_mid_request_is_a_retryable_error():
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()
 
-    def serve_hello_then_die():
+    def read_the_request_then_die():
         conn, _ = listener.accept()
         with conn:
-            recv_frame(conn.recv)
-            conn.sendall(encode_message({"status": "ok", "encrypted": False}))
+            recv_frame(conn.recv)   # the hello
             recv_frame(conn.recv)   # the request arrives; no answer
 
-    t = threading.Thread(target=serve_hello_then_die)
+    t = threading.Thread(target=read_the_request_then_die)
     t.start()
     try:
         with SocketTransport(host, port) as transport:
@@ -343,9 +371,7 @@ def test_mid_frame_stall_gets_typed_timeout_error():
         _registry(), workers=1, read_timeout=0.15, metrics=MetricsRegistry(),
     ) as srv:
         host, port = srv.address
-        with socket.create_connection((host, port), timeout=5.0) as sock:
-            sock.sendall(encode_message({"hello": "alice"}))
-            decode_message(recv_frame(sock.recv))
+        with _hello((host, port), "alice") as sock:
             # A frame header promising more bytes than we send: the body
             # wait exceeds read_timeout.
             full = encode_message({"servlet": "whoami", "user_id": "alice"})
@@ -361,12 +387,12 @@ def test_client_reconnects_after_drop(server):
     with _client(server) as transport:
         assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
         # Kill the pooled connection behind the client's back.
-        conn = transport._conns["alice"]
-        conn.sock.close()
+        transport._idle[-1].sock.close()
         with pytest.raises(ProtocolError):
             transport.request("alice", {"servlet": "whoami"})
         # The broken connection was dropped; the next request reopens.
         assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
+    assert server.metrics.counter_value("net.connections_total") == 2
 
 
 def test_connect_failure_is_retryable_protocol_error():
@@ -524,13 +550,154 @@ def test_backoff_disarms_once_the_backend_accepts_again():
     transport.close()
 
 
-# -- multiplexed backend connections -----------------------------------------
+# -- the pool cap ----------------------------------------------------------
 
-def test_multiplexed_transport_bounds_connections(server):
-    """The router->worker hop carries many users over a fixed set of
-    connections; the worker still sees each request's real user_id."""
-    with _client(server, multiplex=2) as transport:
-        for i in range(10):
-            out = transport.request(f"user{i}", {"servlet": "whoami"})
-            assert out["you"] == f"user{i}"
-    assert server.metrics.counter_value("net.connections_total") <= 2
+def test_pool_cap_bounds_open_connections():
+    """2N threads speaking for many users share N connections: none
+    beyond the cap is ever opened, no request is lost or cut, and the
+    cap is reached (requests beyond it waited)."""
+    cap, lock, state = 3, threading.Lock(), {"now": 0, "peak": 0}
+
+    def hold(req):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        time.sleep(0.005)
+        with lock:
+            state["now"] -= 1
+        return {"you": req["user_id"]}
+
+    reg = _registry()
+    reg.register("hold", hold)
+    answers = []
+    with MemexSocketServer(reg, workers=2 * cap + 1,
+                           metrics=MetricsRegistry()) as srv:
+        with _client(srv, max_pooled=cap) as transport:
+            def client(t):
+                for i in range(10):
+                    user = f"user{t}-{i % 3}"
+                    answers.append(
+                        (user, transport.request(user, {"servlet": "hold"})))
+
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(2 * cap)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)   # interleave the pool's updates
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # A lost update to the pool's count would open one more.
+        assert srv.metrics.counter_value("net.connections_total") <= cap
+    assert len(answers) == 2 * cap * 10
+    assert all(out.get("you") == user for user, out in answers)
+    assert state["peak"] == cap
+
+
+# -- rebinding cannot impersonate ----------------------------------------------
+
+ALICE_KEY, CAROL_KEY = b"alices-key", b"carols-key"
+
+
+def _whoami(user_id, key):
+    return encode_message({"servlet": "whoami", "user_id": user_id}, key=key)
+
+
+def _rebind_alice_to_carol(address):
+    """One connection: alice's request, then a hello for carol and the
+    two frames carol's session must refuse, then carol's own request
+    claiming to be alice.  Returns the four answers."""
+    with _hello(address, "alice") as sock:
+        sock.sendall(_whoami("alice", ALICE_KEY))
+        as_alice = decode_message(recv_frame(sock.recv), key=ALICE_KEY)
+        sock.sendall(encode_message({"hello": "carol"}))
+        sock.sendall(_whoami("alice", ALICE_KEY))
+        under_alices_key = decode_message(recv_frame(sock.recv), key=CAROL_KEY)
+        sock.sendall(_whoami("alice", None))
+        in_clear = decode_message(recv_frame(sock.recv))
+        sock.sendall(_whoami("alice", CAROL_KEY))
+        as_carol = decode_message(recv_frame(sock.recv), key=CAROL_KEY)
+    return as_alice, under_alices_key, in_clear, as_carol
+
+
+def test_a_rebound_connection_takes_only_the_new_users_key():
+    served = []
+    with MemexSocketServer(_recording_registry(served), workers=2) as srv:
+        srv.keys.set_key("alice", ALICE_KEY)
+        srv.keys.set_key("carol", CAROL_KEY)
+        as_alice, under_alices_key, in_clear, _ = _rebind_alice_to_carol(
+            srv.address)
+    assert as_alice["you"] == "alice"
+    assert under_alices_key["error_code"] == "bad_request"
+    assert in_clear["error_code"] == "bad_request"
+    # The server trusts the payload's user_id (it is no router), but
+    # only carol's key reached dispatch after her hello.
+    assert len(served) == 2
+
+
+def test_through_the_router_carols_answers_never_carry_alices_id():
+    served = []
+    with ShardRouter(
+        [LocalBackend(_recording_registry(served))], workers=2,
+    ) as router:
+        router.set_key("alice", ALICE_KEY)
+        router.set_key("carol", CAROL_KEY)
+        as_alice, under_alices_key, in_clear, as_carol = (
+            _rebind_alice_to_carol(router.address))
+    assert as_alice["you"] == "alice"
+    assert under_alices_key["error_code"] == "bad_request"
+    assert in_clear["error_code"] == "bad_request"
+    assert as_carol["you"] == "carol"
+    assert [req["user_id"] for req in served] == ["alice", "carol"]
+
+
+def test_a_malformed_hello_mid_stream_is_an_error_and_a_close(server):
+    with _hello(server.address, "alice") as sock:
+        sock.sendall(_whoami("alice", None))
+        assert decode_message(recv_frame(sock.recv))["you"] == "alice"
+        sock.sendall(encode_message({"hello": 42}))
+        response = decode_message(recv_frame(sock.recv))
+        assert response["error_code"] == "bad_request"
+        assert "hello" in response["error"]
+        assert sock.recv(1) == b""
+
+
+def test_shard_workers_hold_no_keys_so_the_hop_says_hello_as_the_user():
+    """The router terminates every key.  Its backend transports say hello
+    as the real user, which works because no worker's key source holds
+    a key; a shard sees at most its pool cap of router connections."""
+    from repro.core.memex import MemexServer
+
+    shards = [MemexServer(lambda url: None) for _ in range(2)]
+    nets = [shard.listen(workers=2) for shard in shards]
+    backends = [SocketTransport(*net.address, max_pooled=1) for net in nets]
+    users = {f"user{i}": f"key-{i}".encode() for i in range(6)}
+    try:
+        with ShardRouter(backends, workers=2) as router:
+            with SocketTransport(*router.address) as transport:
+                for user, key in users.items():
+                    router.set_key(user, key)
+                    transport.set_key(user, key)
+                    assert transport.request(
+                        user, {"servlet": "register_user"})["status"] == "ok"
+                for user in users:
+                    assert transport.request(user, {
+                        "servlet": "visit", "url": "http://p/", "at": 1.0,
+                    })["status"] == "ok"
+                    assert transport.request(
+                        user, {"servlet": "stats"})["partial"] is False
+    finally:
+        for backend in backends:
+            backend.close()
+        for net in nets:
+            net.close()
+    for user in users:
+        assert [len(shard.repo.user_visits(user)) for shard in shards] in (
+            [1, 0], [0, 1])
+    for shard in shards:
+        assert all(shard.transport.key_for(user) is None for user in users)
+        assert shard.metrics.counter_value("net.connections_total") == 1

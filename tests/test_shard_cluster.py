@@ -177,7 +177,7 @@ def test_more_users_than_router_workers_do_not_wait_out_the_idle_timeout():
     """The router parks a worker per open connection.  The cluster's own
     transport used to keep one per user for ever, so user
     ``router_workers + 1`` sat in the accept queue until the 30 s idle
-    timeout freed a worker; its pool is now bounded by the worker count."""
+    timeout freed a worker; one connection now carries every user."""
     users = [f"user{i:02d}" for i in range(4)]
     events = [
         VisitEvent(user, float(10 * j + i), f"http://p{(i + j) % 12:02d}/")
@@ -192,5 +192,5 @@ def test_more_users_than_router_workers_do_not_wait_out_the_idle_timeout():
         counts = cluster.replay(events)
         assert counts["visit"] == len(events)
         assert cluster.stats(users[-1])["visits"] == len(events)
-        assert len(cluster.transport._conns) < 2
+        assert cluster.metrics.counter_value("net.connections_total") == 1
     assert time.monotonic() - started < 15.0
