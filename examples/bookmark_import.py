@@ -20,28 +20,37 @@ from pathlib import Path
 
 from repro.core import MemexSystem
 from repro.folders import (
+    BookmarkEntry,
+    BookmarkNode,
     export_explorer_favorites,
+    export_netscape_file,
     import_netscape_file,
-    tree_to_bookmarks,
     write_bookmarks,
 )
-from repro.folders.tree import FolderTree, ITEM_GUESS
 from repro.webgen import generate_corpus, generate_links, master_taxonomy
 
 
 def fabricate_netscape_file(corpus, path: Path) -> None:
     """Write a plausible 1999-vintage bookmarks.html from corpus pages."""
-    tree = FolderTree()
+    root = BookmarkNode(name="")
     picks = {
-        "Music/Classical": "Arts/Music/Classical",
-        "Music/Jazz": "Arts/Music/Jazz",
-        "Work/Compilers": "Computers/Programming/Compilers",
-        "Fun/Cycling": "Recreation/Cycling",
+        ("Music", "Classical"): "Arts/Music/Classical",
+        ("Music", "Jazz"): "Arts/Music/Jazz",
+        ("Work", "Compilers"): "Computers/Programming/Compilers",
+        ("Fun", "Cycling"): "Recreation/Cycling",
     }
-    for folder, topic in picks.items():
-        for page in corpus.by_topic(topic)[:4]:
-            tree.add_item(folder, page.url, title=page.title, added_at=9.4e8)
-    path.write_text(write_bookmarks(tree_to_bookmarks(tree)), encoding="utf-8")
+    parents: dict[str, BookmarkNode] = {}
+    for (parent, name), topic in picks.items():
+        if parent not in parents:
+            parents[parent] = BookmarkNode(name=parent)
+            root.folders.append(parents[parent])
+        folder = BookmarkNode(name=name)
+        parents[parent].folders.append(folder)
+        folder.bookmarks.extend(
+            BookmarkEntry(url=page.url, title=page.title, add_date=9.4e8)
+            for page in corpus.by_topic(topic)[:4]
+        )
+    path.write_text(write_bookmarks(root), encoding="utf-8")
 
 
 def main() -> None:
@@ -56,20 +65,12 @@ def main() -> None:
     print(f"Wrote a Netscape bookmark file: {netscape_in}")
 
     # Parse it and push it into a fresh Memex account.
-    tree = import_netscape_file(netscape_in, owner="alice")
-    print(f"Parsed {tree.num_items()} bookmarks in "
-          f"{len(tree.paths())} folders")
+    payload = import_netscape_file(netscape_in)
+    print(f"Parsed {sum(map(len, payload.values()))} bookmarks in "
+          f"{len(payload)} folders")
 
     system = MemexSystem.from_corpus(corpus)
     applet = system.register_user("alice")
-    payload = {
-        folder.path: [
-            {"url": item.url, "title": item.title, "added_at": item.added_at}
-            for item in folder.items
-        ]
-        for folder in tree.folders()
-        if folder.items
-    }
     imported = applet.import_bookmarks(payload, at=0.0)
     print(f"Imported {imported} bookmarks into Memex")
 
@@ -110,22 +111,12 @@ def main() -> None:
         print(f"\nConfirmed the guess for {url} into [{from_path}] "
               "(cut/paste correction)")
 
-    # Export the enriched tree both ways.
-    server = system.server
-    enriched = FolderTree(owner="alice")
-    for folder in applet.folder_view()["folders"]:
-        enriched.ensure(folder["path"])
-        for item in folder["items"]:
-            enriched.add_item(
-                folder["path"], item["url"],
-                source=ITEM_GUESS if item["guess"] else "bookmark",
-            )
+    # Export the served folder tab both ways.
+    served = applet.folder_view()
     netscape_out = workdir / "exported.html"
-    netscape_out.write_text(
-        write_bookmarks(tree_to_bookmarks(enriched)), encoding="utf-8",
-    )
+    export_netscape_file(served, netscape_out)
     favorites_dir = workdir / "Favorites"
-    count = export_explorer_favorites(enriched, favorites_dir)
+    count = export_explorer_favorites(served, favorites_dir)
     print(f"\nExported {count} deliberate bookmarks to {favorites_dir}")
     print(f"Exported Netscape file: {netscape_out}")
     print("Done.")

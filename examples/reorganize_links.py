@@ -59,7 +59,7 @@ def main() -> None:
         from collections import Counter
         kinds = Counter(corpus.topic_of(pile[i]).rsplit("/", 1)[-1]
                         for i in cluster.members)
-        print(f"  cluster {ci}: {len(cluster)} links — {dict(kinds)}")
+        print(f"  cluster {ci}: {len(cluster.members)} links — {dict(kinds)}")
     # Gather the cluster richest in cycling pages and drill in.
     best = max(
         range(len(clusters)),

@@ -8,7 +8,7 @@ Public API highlights:
 * :mod:`repro.webgen` — the synthetic Web + surfer workload generator.
 * :mod:`repro.mining` — naive-Bayes and enhanced classifiers, HAC,
   scatter/gather, theme discovery.
-* :mod:`repro.folders` — folder trees and Netscape/IE bookmark interchange.
+* :mod:`repro.folders` — Netscape/IE bookmark interchange for the folder tab.
 * :mod:`repro.storage` — the relational + key-value storage substrate.
 * :mod:`repro.obs` — metrics, tracing, and profiling, wired through the
   whole server pipeline.

@@ -1,11 +1,9 @@
 """The paper's primary contribution: the Memex browsing assistant."""
 
 from .api import MemexSystem, corpus_fetcher
-from .billing import BillLine, bill_breakdown
-from .community import CommunityReport, ThemeSummary, build_report, consolidate
-from .context import SessionContext, context_neighborhood, recall_session
+from .community import consolidate
 from .memex import MemexServer
-from .organize import ProposedFolder, apply_proposal, propose_hierarchy
+from .organize import ProposedFolder
 from .profiles import (
     UserProfile,
     build_profile,
@@ -13,67 +11,29 @@ from .profiles import (
     similar_users,
     url_overlap_similarity,
 )
-from .queries import MotivatingQueries, QueryAnswer
-from .recommend import Recommendation, cluster_users, recommend_pages
-from .render import (
-    render_bill,
-    render_folder_view,
-    render_search_hits,
-    render_themes,
-    render_trail,
-)
-from .sessions import (
-    InferredSession,
-    assign_session_ids,
-    infer_user_sessions,
-    segment_visits,
-)
-from .trails import (
-    TrailEdge,
-    TrailGraph,
-    TrailNode,
-    build_trail_graph,
-    folder_and_descendants,
-)
+from .queries import MotivatingQueries
+from .recommend import cluster_users, recommend_pages
+from .render import render_folder_view
+from .sessions import assign_session_ids
+from .trails import TrailEdge, TrailGraph, TrailNode
 
 __all__ = [
-    "BillLine",
-    "CommunityReport",
     "MemexServer",
     "MemexSystem",
     "MotivatingQueries",
     "ProposedFolder",
-    "QueryAnswer",
-    "apply_proposal",
-    "propose_hierarchy",
-    "InferredSession",
-    "Recommendation",
-    "SessionContext",
-    "ThemeSummary",
     "TrailEdge",
     "TrailGraph",
     "TrailNode",
     "UserProfile",
-    "bill_breakdown",
+    "assign_session_ids",
     "build_profile",
-    "build_report",
-    "build_trail_graph",
     "cluster_users",
     "consolidate",
-    "context_neighborhood",
     "corpus_fetcher",
-    "folder_and_descendants",
     "profile_similarity",
-    "recall_session",
     "recommend_pages",
-    "render_bill",
     "render_folder_view",
-    "render_search_hits",
-    "render_themes",
-    "render_trail",
-    "segment_visits",
-    "assign_session_ids",
-    "infer_user_sessions",
     "similar_users",
     "url_overlap_similarity",
 ]

@@ -20,6 +20,7 @@ from .request import (
     Server,
     User,
     count_field,
+    number_field,
     require_user,
     text_field,
 )
@@ -31,6 +32,15 @@ from .sessions import assign_session_ids
 def folder_id(owner: str, path: str) -> str:
     canonical = "/".join(p for p in path.split("/") if p)
     return f"{owner}:{canonical}"
+
+
+def path_field(request: Request, field: str) -> str:
+    """The request's folder path *field*, refused before any write or
+    clock move when it names no folder."""
+    path = text_field(request, field)
+    if not any(path.split("/")):
+        raise ValueError(f"{field} must name a folder")
+    return path
 
 
 def folder_path(folder: str) -> str:
@@ -65,18 +75,23 @@ def _checked_mode(field: str, mode: str) -> str:
 
 
 def serve_register_user(server: Server, user: None, request: Request) -> Response:
-    user_id = request["user_id"]
+    user_id = text_field(request, "user_id")
     with server._server_lock:
         if server.repo.get_user(user_id) is not None:
             return {"created": False}
-        at = server.advance(request.get("at"))
+        if ":" in user_id:
+            # A folder id is ``<owner>:<path>``: the first ':' must end
+            # the owner, or ``a`` filing into ``b:c`` writes ``a:b``'s
+            # folder ``c``.
+            raise ValueError("user_id must not contain ':'")
+        at = number_field(request, "at", None, signed=True)
+        name = text_field(request, "name", None)
+        community = text_field(request, "community", None)
+        mode = _checked_mode("archive_mode", text_field(
+            request, "archive_mode", ARCHIVE_COMMUNITY))
         server.repo.add_user(
-            user_id,
-            name=text_field(request, "name", None),
-            community=text_field(request, "community", None),
-            archive_mode=_checked_mode("archive_mode", text_field(
-                request, "archive_mode", ARCHIVE_COMMUNITY)),
-            now=at,
+            user_id, name=name, community=community, archive_mode=mode,
+            now=server.advance(at),
         )
     return {"created": True}
 
@@ -108,13 +123,14 @@ def serve_visit_batch(server: Server, requests: list[Request]) -> list[Response]
                 continue
             url = text_field(request, "url")
             session_id = count_field(request, "session_id", 0)
-            at = server.advance(request.get("at"))
+            referrer = text_field(request, "referrer", None)
+            at = number_field(request, "at", None, signed=True)
             items.append({
                 "user_id": user["user_id"],
                 "url": url,
-                "at": at,
+                "at": server.advance(at),
                 "session_id": session_id,
-                "referrer": text_field(request, "referrer", None),
+                "referrer": referrer,
                 "archive_mode": mode,
                 # Per-item origin: each envelope item carries its own
                 # traceparent (already validated by dispatch_batch).
@@ -146,19 +162,25 @@ def serve_import_history(server: Server, user: User, request: Request) -> Respon
     if mode == ARCHIVE_OFF:
         return {"imported": 0, "sessions_assigned": 0}
     origin = server.origin()
+    # Every entry is checked before the first moves the clock.
+    entries = [
+        (text_field(entry, "url"), number_field(entry, "at", None, signed=True),
+         text_field(entry, "referrer", None))
+        for entry in request["entries"]
+    ]
     # One group commit (page upserts + visit rows) for the whole
     # import, not two transactions per entry.
     items = [
         {
             "user_id": user["user_id"],
-            "url": text_field(entry, "url"),
-            "at": server.advance(entry["at"]),
+            "url": url,
+            "at": server.advance(at),
             "session_id": 0,
-            "referrer": text_field(entry, "referrer", None),
+            "referrer": referrer,
             "archive_mode": mode,
             "origin": origin,
         }
-        for entry in request["entries"]
+        for url, at, referrer in entries
     ]
     server.repo.record_visit_batch(items)
     for item in items:
@@ -168,33 +190,36 @@ def serve_import_history(server: Server, user: User, request: Request) -> Respon
 
 
 def serve_bookmark(server: Server, user: User, request: Request) -> Response:
-    at = server.advance(request.get("at"))
     url = text_field(request, "url")
+    path = path_field(request, "folder_path")
+    at = server.advance(number_field(request, "at", None, signed=True))
     owner = user["user_id"]
-    folder = ensure_folder(server, owner, text_field(request, "folder_path"), at)
+    folder = ensure_folder(server, owner, path, at)
     assoc_id = server.repo.bookmark(owner, folder, url, now=at)
     server.crawler.enqueue(url, origin=server.origin())
     return {"assoc_id": assoc_id, "folder_id": folder}
 
 
 def serve_folder_create(server: Server, user: User, request: Request) -> Response:
-    at = server.advance(request.get("at"))
-    folder = ensure_folder(server, user["user_id"], text_field(request, "path"), at)
+    path = path_field(request, "path")
+    at = server.advance(number_field(request, "at", None, signed=True))
+    folder = ensure_folder(server, user["user_id"], path, at)
     return {"folder_id": folder}
 
 
 def serve_folder_move(server: Server, user: User, request: Request) -> Response:
     """Cut/paste correction: strongest supervision for the classifier."""
-    at = server.advance(request.get("at"))
     url = text_field(request, "url")
-    owner = user["user_id"]
     from_folder = text_field(request, "from_folder", "")
+    to_folder = path_field(request, "to_folder")
+    at = server.advance(number_field(request, "at", None, signed=True))
+    owner = user["user_id"]
     if from_folder:
         src = folder_id(owner, from_folder)
         removed = server.repo.dissociate(src, url)
     else:
         removed = server.repo.drop_guesses(owner, url)
-    dst = ensure_folder(server, owner, text_field(request, "to_folder"), at)
+    dst = ensure_folder(server, owner, to_folder, at)
     assoc_id = server.repo.associate(dst, url, ASSOC_CORRECTION, now=at)
     # Corrections also relabel this user's visits of the page.
     server.repo.classify_visits([

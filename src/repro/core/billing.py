@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from ..storage.repository import MemexRepository
-from .request import DAY, Request, Response, Server, User
+from .request import DAY, Request, Response, Server, User, number_field
 
 # Average non-text payload (markup, inline images) added to every page, in
 # bytes — late-90s pages averaged a few tens of KB.
@@ -98,10 +98,10 @@ def bill_breakdown(
 
 
 def serve_bill(server: Server, user: User, request: Request) -> Response:
-    days = float(request["days"])
+    days = number_field(request, "days")
     lines = bill_breakdown(
         server.repo, user["user_id"],
         since=server.now - days * DAY,
-        monthly_rate=float(request.get("monthly_rate", 20.0)),
+        monthly_rate=number_field(request, "monthly_rate", 20.0),
     )
     return {"lines": [l.to_payload() for l in lines]}

@@ -37,14 +37,6 @@ class CommunityReport:
     user_fit: dict[str, list[tuple[str, float]]]  # user -> top (theme, weight)
     taxonomy_depth: int
 
-    def themes_for_user(self, user_id: str) -> list[ThemeSummary]:
-        mine = {
-            theme_id
-            for (user, _path), theme_id in self.folder_to_theme.items()
-            if user == user_id
-        }
-        return [t for t in self.themes if t.theme_id in mine]
-
     def shared_themes(self, *, min_users: int = 2) -> list[ThemeSummary]:
         """Themes capturing 'common factors in people's interests'."""
         return [t for t in self.themes if t.num_users >= min_users]

@@ -27,10 +27,6 @@ class SessionContext:
     trail: list[str] = field(default_factory=list)        # visit order
     on_topic: list[str] = field(default_factory=list)     # topical subset
 
-    @property
-    def duration(self) -> float:
-        return self.ended_at - self.started_at
-
     def to_payload(self) -> dict:
         return {
             "user_id": self.user_id,

@@ -21,7 +21,15 @@ from ..server.daemons import PageVectorizer
 from ..storage.schema import ASSOC_CORRECTION
 from ..text.vectorize import SparseVector, centroid, normalize, top_terms
 from .archive import ensure_folder, folder_id
-from .request import Request, Response, Server, User, count_field, text_field
+from .request import (
+    Request,
+    Response,
+    Server,
+    User,
+    count_field,
+    number_field,
+    text_field,
+)
 from .trails import user_folder_ids
 
 
@@ -33,12 +41,6 @@ class ProposedFolder:
     urls: list[str] = field(default_factory=list)      # direct members
     children: list["ProposedFolder"] = field(default_factory=list)
     cohesion: float = 1.0
-
-    def all_urls(self) -> list[str]:
-        out = list(self.urls)
-        for child in self.children:
-            out.extend(child.all_urls())
-        return out
 
     def to_payload(self) -> dict:
         return {
@@ -230,10 +232,8 @@ def serve_propose_hierarchy(server: Server, user: User, request: Request) -> Res
 
 def serve_apply_hierarchy(server: Server, user: User, request: Request) -> Response:
     """Accept a proposed reorganization: folders created, items moved."""
-    at = server.advance(request.get("at"))
     proposal = ProposedFolder.from_payload(request["proposal"])
-    moved = apply_proposal(
-        server, user["user_id"], text_field(request, "folder_path"), proposal,
-        at=at,
-    )
+    path = text_field(request, "folder_path")
+    at = server.advance(number_field(request, "at", None, signed=True))
+    moved = apply_proposal(server, user["user_id"], path, proposal, at=at)
     return {"moved": moved}

@@ -31,76 +31,3 @@ def render_folder_view(view: dict[str, Any], *, max_items: int = 6) -> str:
         if overflow > 0:
             lines.append(f"   ... {overflow} more")
     return "\n".join(lines)
-
-
-def render_trail(trail: dict[str, Any], *, max_nodes: int = 12) -> str:
-    """The trail tab (Figure 2): scored pages plus their click structure."""
-    lines = [f"Trail for {', '.join(trail['folders']) or '(all topics)'}:"]
-    shown = trail["nodes"][:max_nodes]
-    index = {node["url"]: i + 1 for i, node in enumerate(shown)}
-    for i, node in enumerate(shown, start=1):
-        visitors = len(node["visitors"])
-        lines.append(
-            f"{i:3d}. [{node['score']:6.2f}] {node['url']}"
-            f"  ({node['visits']} visits / {visitors} surfer"
-            f"{'s' if visitors != 1 else ''})"
-        )
-    arrows = []
-    for edge in trail["edges"]:
-        if edge["src"] in index and edge["dst"] in index:
-            kind = "=>" if edge["clicks"] else "->"
-            arrows.append(f"{index[edge['src']]}{kind}{index[edge['dst']]}")
-    if arrows:
-        lines.append("edges: " + "  ".join(arrows[:20]))
-        lines.append("(=> observed clicks, -> hyperlinks)")
-    return "\n".join(lines)
-
-
-def render_themes(themes: list[dict[str, Any]]) -> str:
-    """The community taxonomy (Figure 4), annotated with sharing."""
-    lines: list[str] = []
-
-    def emit(theme: dict[str, Any], depth: int) -> None:
-        shared = "shared" if theme["num_users"] > 1 else "individual"
-        me = (
-            f"  <= you ({theme['my_weight']:.2f})"
-            if theme.get("my_weight", 0) > 0.05 else ""
-        )
-        lines.append(
-            "  " * depth
-            + f"- {theme['label']}  [{shared}: {theme['num_users']} users, "
-              f"{len(theme['folders'])} folders]{me}"
-        )
-        for child in theme["children"]:
-            emit(child, depth + 1)
-
-    for theme in themes:
-        emit(theme, 0)
-    return "\n".join(lines)
-
-
-def render_bill(lines_payload: list[dict[str, Any]]) -> str:
-    """The ISP-bill split (motivating query 4)."""
-    if not lines_payload:
-        return "(no archived traffic in the period)"
-    width = max(len(l["category"]) for l in lines_payload)
-    out = []
-    for line in lines_payload:
-        bar = "#" * round(line["share"] * 40)
-        out.append(
-            f"{line['category']:<{width}}  ${line['amount']:6.2f}  "
-            f"{100 * line['share']:5.1f}%  {bar}"
-        )
-    return "\n".join(out)
-
-
-def render_search_hits(hits: list[dict[str, Any]]) -> str:
-    """The search tab: title, url, score, and marked snippet."""
-    out = []
-    for i, hit in enumerate(hits, start=1):
-        title = hit.get("title") or hit["url"]
-        out.append(f"{i:3d}. {title}  ({hit['score']:.2f})")
-        out.append(f"     {hit['url']}")
-        if hit.get("snippet"):
-            out.append(f"     {hit['snippet']}")
-    return "\n".join(out)

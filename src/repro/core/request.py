@@ -4,6 +4,7 @@ three ways a request is routed across shards."""
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any
 
 from ..errors import AuthError
@@ -77,6 +78,34 @@ def text_field(request: Request, field: str, default: Any = _REQUIRED) -> Any:
     if not isinstance(value, str):
         raise ValueError(f"{field} must be a string, not {value!r}")
     return value
+
+
+def number_field(
+    request: Request, field: str, default: Any = _REQUIRED, *, signed: bool = False,
+) -> Any:
+    """The request's *field* as a finite ``float``, absent or ``null``
+    read as :func:`text_field` reads them.  A boolean, ``NaN``, an
+    infinity, anything ``float()`` cannot parse and — unless *signed* — a
+    negative day count or rate raise ``ValueError``, a typed
+    ``bad_request``: an ``at`` of ``Infinity`` would move every user's
+    clock to the end of time, and ``true`` read as ``1.0``."""
+    if default is _REQUIRED:
+        value = request[field]
+    else:
+        value = request.get(field)
+        if value is None:
+            return default
+    try:
+        if isinstance(value, bool):
+            raise ValueError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field} must be a number, not {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be finite, not {value!r}")
+    if number < 0 and not signed:
+        raise ValueError(f"{field} must be non-negative")
+    return number
 
 
 def top_k(request: Request, default: int) -> int:

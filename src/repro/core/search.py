@@ -23,6 +23,7 @@ from .request import (
     Server,
     User,
     count_field,
+    number_field,
     text_field,
     top_k,
 )
@@ -295,8 +296,8 @@ def serve_related_pages(server: Server, user: User, request: Request) -> Respons
 def serve_recall(server: Server, user: User, request: Request) -> Response:
     """Temporal recall: full-text search over MY visits around a time."""
     query = text_field(request, "query")
-    around = server.now - float(request["around_days_ago"]) * DAY
-    tolerance = float(request.get("tolerance_days", 45.0)) * DAY
+    around = server.now - number_field(request, "around_days_ago") * DAY
+    tolerance = number_field(request, "tolerance_days", 45.0) * DAY
     k = top_k(request, 5)
     window = {
         v["url"]: v["at"]

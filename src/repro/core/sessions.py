@@ -27,13 +27,6 @@ class InferredSession:
     urls: list[str] = field(default_factory=list)
     visit_ids: list[int] = field(default_factory=list)
 
-    @property
-    def duration(self) -> float:
-        return self.ended_at - self.started_at
-
-    def __len__(self) -> int:
-        return len(self.urls)
-
 
 def segment_visits(
     visits: list[dict],
@@ -67,19 +60,6 @@ def segment_visits(
     return sessions
 
 
-def infer_user_sessions(
-    repo: MemexRepository,
-    user_id: str,
-    *,
-    gap: float = DEFAULT_GAP,
-    since: float | None = None,
-) -> list[InferredSession]:
-    """Infer sessions for a user straight from the catalog."""
-    return segment_visits(
-        repo.user_visits(user_id, since=since), gap=gap,
-    )
-
-
 def assign_session_ids(
     repo: MemexRepository,
     user_id: str,
@@ -110,14 +90,3 @@ def assign_session_ids(
                 updated += 1
             next_id += 1
     return updated
-
-
-def session_statistics(sessions: list[InferredSession]) -> dict[str, float]:
-    """Summary stats used by the examples and the workload sanity tests."""
-    if not sessions:
-        return {"count": 0, "mean_length": 0.0, "mean_duration": 0.0}
-    return {
-        "count": len(sessions),
-        "mean_length": sum(len(s) for s in sessions) / len(sessions),
-        "mean_duration": sum(s.duration for s in sessions) / len(sessions),
-    }

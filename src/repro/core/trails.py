@@ -32,6 +32,7 @@ from .request import (
     Server,
     User,
     count_field,
+    number_field,
     text_field,
     top_k,
 )
@@ -94,9 +95,6 @@ class TrailGraph:
                 for e in self.edges
             ],
         }
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def folder_and_descendants(repo: MemexRepository, root: str) -> list[str]:
@@ -341,7 +339,7 @@ def serve_trail(server: Server, user: User, request: Request) -> Response:
     """
     owner = user["user_id"]
     path = text_field(request, "folder_path")
-    window_days = float(request.get("window_days", 14.0))
+    window_days = number_field(request, "window_days", 14.0)
 
     def compute() -> Response:
         return {"trail": trail_graph(server, owner, path, window_days).to_payload()}
@@ -358,7 +356,7 @@ def serve_popular_near_trail(server: Server, user: User, request: Request) -> Re
     trail neighborhood."""
     owner = user["user_id"]
     path = text_field(request, "folder_path")
-    window_days = float(request.get("window_days", 30.0))
+    window_days = number_field(request, "window_days", 30.0)
     k = top_k(request, 10)
     hops = count_field(request, "hops", 1)
 

@@ -36,10 +36,12 @@ CODE_REGISTRY: dict[str, tuple[bool, str]] = {
     CODE_BAD_REQUEST: (
         False,
         "The request is malformed: missing or mistyped fields (a string "
-        "field sent as a number, `null`, a list or an object), an illegal "
-        "parameter value (an unknown archive mode, a boolean query that "
-        "does not parse), or a framing/payload violation. Fix the request "
-        "before resending.",
+        "field sent as a number, `null`, a list or an object; a time, day "
+        "count or rate sent as a boolean, `Infinity` or `NaN`), an illegal "
+        "parameter value (an unknown archive mode, a negative day count or "
+        "rate, a `:` in a new user id, a boolean query that does not "
+        "parse), or a framing/payload violation. Fix the request before "
+        "resending. A refused request moves no clock.",
     ),
     CODE_UNSUPPORTED_VERSION: (
         False,
@@ -154,10 +156,6 @@ class TextError(MemexError):
     """Base class for tokenizer / vocabulary / index errors."""
 
 
-class VocabularyFrozen(TextError):
-    """Attempt to add terms to a vocabulary after it was frozen."""
-
-
 class IndexError_(TextError):
     """Inverted-index failure (named with a trailing underscore to avoid
     shadowing the builtin :class:`IndexError`)."""
@@ -221,15 +219,7 @@ class DaemonError(MemexError):
 # ---------------------------------------------------------------------------
 
 class FolderError(MemexError):
-    """Base class for folder-tree manipulation errors."""
-
-
-class NoSuchFolder(FolderError):
-    """A folder path or id did not resolve."""
-
-
-class FolderCycle(FolderError):
-    """A move would have created a cycle in the folder tree."""
+    """Base class for bookmark-file errors."""
 
 
 class BookmarkFormatError(FolderError):

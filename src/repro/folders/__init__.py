@@ -1,53 +1,18 @@
-"""Personal topic space: folder trees and browser bookmark interchange."""
+"""Browser bookmark interchange for the served folder tab: Netscape
+``bookmarks.html`` and IE Favorites, in and out."""
 
-from .explorer import (
-    export_favorites,
-    import_favorites,
-    parse_url_file,
-    write_url_file,
-)
 from .importer import (
-    bookmarks_to_tree,
     export_explorer_favorites,
     export_netscape_file,
-    import_explorer_favorites,
     import_netscape_file,
-    tree_to_bookmarks,
 )
-from .netscape import (
-    BookmarkEntry,
-    BookmarkNode,
-    parse_bookmarks,
-    write_bookmarks,
-)
-from .tree import (
-    ITEM_BOOKMARK,
-    ITEM_CORRECTION,
-    ITEM_GUESS,
-    Folder,
-    FolderItem,
-    FolderTree,
-)
+from .netscape import BookmarkEntry, BookmarkNode, write_bookmarks
 
 __all__ = [
     "BookmarkEntry",
     "BookmarkNode",
-    "Folder",
-    "FolderItem",
-    "FolderTree",
-    "ITEM_BOOKMARK",
-    "ITEM_CORRECTION",
-    "ITEM_GUESS",
-    "bookmarks_to_tree",
     "export_explorer_favorites",
-    "export_favorites",
     "export_netscape_file",
-    "import_explorer_favorites",
-    "import_favorites",
     "import_netscape_file",
-    "parse_bookmarks",
-    "parse_url_file",
-    "tree_to_bookmarks",
     "write_bookmarks",
-    "write_url_file",
 ]

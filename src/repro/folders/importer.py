@@ -1,85 +1,78 @@
-"""Import/export between browser bookmark trees and Memex folder trees."""
+"""Bookmark files ⇄ the served folder payloads.
+
+Import turns a parsed browser bookmark tree into the ``{path: [{url,
+title, added_at}]}`` payload :meth:`MemexApplet.import_bookmarks
+<repro.client.applet.MemexApplet.import_bookmarks>` sends; export turns
+a ``folders_get`` response — the folder tab the server serves — back
+into a bookmark tree for either browser's writer.
+"""
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any
 
-from .explorer import export_favorites, import_favorites
+from .explorer import export_favorites
 from .netscape import BookmarkEntry, BookmarkNode, parse_bookmarks, write_bookmarks
-from .tree import ITEM_BOOKMARK, Folder, FolderTree
+
+#: Where bookmarks outside any browser folder are filed.
+LOOSE = "Imported"
 
 
-def bookmarks_to_tree(
-    root: BookmarkNode,
-    *,
-    owner: str = "",
-    into: FolderTree | None = None,
-    prefix: str = "",
-) -> FolderTree:
-    """Merge a parsed browser bookmark tree into a :class:`FolderTree`.
-
-    Top-level loose bookmarks (outside any folder) land in ``Imported``.
-    """
-    tree = into if into is not None else FolderTree(owner=owner)
+def bookmarks_to_payload(root: BookmarkNode) -> dict[str, list[dict[str, Any]]]:
+    """Every folder of *root* by path, each with its bookmarks (an empty
+    folder with none); top-level loose bookmarks land in ``Imported``."""
+    payload: dict[str, list[dict[str, Any]]] = {}
 
     def visit(node: BookmarkNode, path: str) -> None:
-        target = path if path else "Imported"
-        for entry in node.bookmarks:
-            tree.add_item(
-                target, entry.url,
-                title=entry.title,
-                added_at=entry.add_date,
-                source=ITEM_BOOKMARK,
+        if path or node.bookmarks:
+            payload.setdefault(path or LOOSE, []).extend(
+                {"url": entry.url, "title": entry.title, "added_at": entry.add_date}
+                for entry in node.bookmarks
             )
         for child in node.folders:
-            child_path = f"{path}/{child.name}" if path else child.name
-            tree.ensure(child_path)
-            visit(child, child_path)
+            visit(child, f"{path}/{child.name}" if path else child.name)
 
-    base = prefix.strip("/")
-    if base:
-        tree.ensure(base)
-    visit(root, base)
-    return tree
+    visit(root, "")
+    return payload
 
 
-def tree_to_bookmarks(tree: FolderTree, *, include_guesses: bool = False) -> BookmarkNode:
-    """Convert a folder tree back to a browser-neutral bookmark tree.
+def folders_to_bookmarks(
+    view: dict[str, Any], *, include_guesses: bool = False,
+) -> BookmarkNode:
+    """The bookmark tree of a ``folders_get`` response.  Classifier
+    guesses are left out unless the caller asks for them: an export
+    carries deliberate bookmarks only."""
+    root = BookmarkNode(name="")
+    nodes = {"": root}
 
-    Classifier guesses are excluded by default: exports should carry only
-    deliberate bookmarks unless the caller opts in.
-    """
-    def convert(folder: Folder) -> BookmarkNode:
-        node = BookmarkNode(name=folder.name)
-        for item in folder.items:
-            if item.is_guess and not include_guesses:
-                continue
-            node.bookmarks.append(
-                BookmarkEntry(url=item.url, title=item.title, add_date=item.added_at)
-            )
-        for name in sorted(folder.children):
-            node.folders.append(convert(folder.children[name]))
-        return node
+    def node_at(path: str) -> BookmarkNode:
+        if path not in nodes:
+            parent, _, name = path.rpartition("/")
+            nodes[path] = BookmarkNode(name=name)
+            node_at(parent).folders.append(nodes[path])
+        return nodes[path]
 
-    root = convert(tree.root)
-    root.name = ""
+    for folder in view["folders"]:
+        node_at(folder["path"]).bookmarks.extend(
+            BookmarkEntry(url=item["url"])
+            for item in folder["items"] if include_guesses or not item["guess"]
+        )
     return root
 
 
-def import_netscape_file(path: str | Path, *, owner: str = "") -> FolderTree:
-    """Parse a bookmarks.html file straight into a folder tree."""
+def import_netscape_file(path: str | Path) -> dict[str, list[dict[str, Any]]]:
+    """A bookmarks.html file as an ``import_bookmarks`` payload."""
     text = Path(path).read_text(encoding="utf-8", errors="replace")
-    return bookmarks_to_tree(parse_bookmarks(text), owner=owner)
+    return bookmarks_to_payload(parse_bookmarks(text))
 
 
-def export_netscape_file(tree: FolderTree, path: str | Path) -> None:
-    Path(path).write_text(write_bookmarks(tree_to_bookmarks(tree)), encoding="utf-8")
+def export_netscape_file(view: dict[str, Any], path: str | Path) -> None:
+    """Write a ``folders_get`` response as a bookmarks.html file."""
+    Path(path).write_text(write_bookmarks(folders_to_bookmarks(view)), encoding="utf-8")
 
 
-def import_explorer_favorites(directory: str | Path, *, owner: str = "") -> FolderTree:
-    """Read an IE Favorites directory straight into a folder tree."""
-    return bookmarks_to_tree(import_favorites(directory), owner=owner)
-
-
-def export_explorer_favorites(tree: FolderTree, directory: str | Path) -> int:
-    return export_favorites(tree_to_bookmarks(tree), directory)
+def export_explorer_favorites(view: dict[str, Any], directory: str | Path) -> int:
+    """Write a ``folders_get`` response as an IE Favorites directory;
+    returns the number of ``.url`` files written."""
+    return export_favorites(folders_to_bookmarks(view), directory)

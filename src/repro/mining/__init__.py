@@ -1,25 +1,18 @@
 """Mining algorithms: classification, clustering, theme discovery, metrics."""
 
 from .evaluation import (
-    CVResult,
     accuracy,
-    confusion_matrix,
-    cross_validate,
-    macro_f1,
-    mean_reciprocal_rank,
     normalized_mutual_information,
     precision_at_k,
     purity,
-    recall_at_k,
-    stratified_folds,
 )
-from .features import fisher_scores, project, select_features
-from .hac import Dendrogram, cluster_vectors, hac
-from .hierarchical import HierarchicalClassifier, HierarchicalPrediction
-from .linkanalysis import hits, pagerank, popular_near
+from .features import project, select_features
+from .hac import cluster_vectors, hac
+from .hierarchical import HierarchicalClassifier
+from .linkanalysis import popular_near
 from .linkfolder import EnhancedClassifier, build_coplacement
 from .naive_bayes import NaiveBayesClassifier
-from .scatter_gather import Cluster, ScatterGatherSession, buckshot
+from .scatter_gather import ScatterGatherSession, buckshot
 from .themes import (
     FolderDoc,
     Theme,
@@ -29,13 +22,9 @@ from .themes import (
 )
 
 __all__ = [
-    "CVResult",
-    "Cluster",
-    "Dendrogram",
     "EnhancedClassifier",
     "FolderDoc",
     "HierarchicalClassifier",
-    "HierarchicalPrediction",
     "NaiveBayesClassifier",
     "ScatterGatherSession",
     "Theme",
@@ -45,21 +34,12 @@ __all__ = [
     "buckshot",
     "build_coplacement",
     "cluster_vectors",
-    "confusion_matrix",
-    "cross_validate",
-    "fisher_scores",
     "hac",
-    "hits",
-    "pagerank",
-    "popular_near",
-    "macro_f1",
-    "mean_reciprocal_rank",
     "normalized_mutual_information",
+    "popular_near",
     "precision_at_k",
     "project",
     "purity",
-    "recall_at_k",
     "select_features",
-    "stratified_folds",
     "universal_baseline",
 ]

@@ -7,10 +7,8 @@ EXPERIMENTS.md numbers all come from one implementation.
 from __future__ import annotations
 
 import math
-import random
-from collections import Counter, defaultdict
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -23,89 +21,6 @@ def accuracy(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
     if not y_true:
         return 0.0
     return sum(1 for t, p in zip(y_true, y_pred) if t == p) / len(y_true)
-
-
-def confusion_matrix(
-    y_true: Sequence[str], y_pred: Sequence[str]
-) -> dict[tuple[str, str], int]:
-    """``{(true, pred): count}``."""
-    matrix: dict[tuple[str, str], int] = defaultdict(int)
-    for t, p in zip(y_true, y_pred):
-        matrix[(t, p)] += 1
-    return dict(matrix)
-
-
-def macro_f1(y_true: Sequence[str], y_pred: Sequence[str]) -> float:
-    """Unweighted mean of per-class F1 scores."""
-    classes = sorted(set(y_true) | set(y_pred))
-    if not classes:
-        return 0.0
-    f1s = []
-    for c in classes:
-        tp = sum(1 for t, p in zip(y_true, y_pred) if t == c and p == c)
-        fp = sum(1 for t, p in zip(y_true, y_pred) if t != c and p == c)
-        fn = sum(1 for t, p in zip(y_true, y_pred) if t == c and p != c)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        f1s.append(f1)
-    return sum(f1s) / len(f1s)
-
-
-@dataclass
-class CVResult:
-    """Per-fold and aggregate cross-validation scores."""
-
-    fold_scores: list[float]
-
-    @property
-    def mean(self) -> float:
-        return sum(self.fold_scores) / len(self.fold_scores)
-
-    @property
-    def std(self) -> float:
-        m = self.mean
-        return math.sqrt(sum((s - m) ** 2 for s in self.fold_scores) / len(self.fold_scores))
-
-
-def stratified_folds(
-    labels: Sequence[str], k: int, rng: random.Random
-) -> list[list[int]]:
-    """Split indices into k folds, preserving label proportions."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    by_class: dict[str, list[int]] = defaultdict(list)
-    for i, label in enumerate(labels):
-        by_class[label].append(i)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for members in by_class.values():
-        members = list(members)
-        rng.shuffle(members)
-        for j, idx in enumerate(members):
-            folds[j % k].append(idx)
-    return [sorted(f) for f in folds]
-
-
-def cross_validate(
-    labels: Sequence[str],
-    evaluate_fold: Callable[[list[int], list[int]], float],
-    *,
-    k: int = 5,
-    seed: int = 0,
-) -> CVResult:
-    """Generic stratified k-fold CV.
-
-    *evaluate_fold(train_idx, test_idx)* trains and returns a score.
-    """
-    rng = random.Random(seed)
-    folds = stratified_folds(labels, k, rng)
-    scores: list[float] = []
-    for i, test_idx in enumerate(folds):
-        if not test_idx:
-            continue
-        train_idx = [j for f_i, fold in enumerate(folds) if f_i != i for j in fold]
-        scores.append(evaluate_fold(train_idx, test_idx))
-    return CVResult(fold_scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -165,25 +80,3 @@ def precision_at_k(ranked: Sequence[str], relevant: set[str], k: int) -> float:
     if not top:
         return 0.0
     return sum(1 for item in top if item in relevant) / len(top)
-
-
-def recall_at_k(ranked: Sequence[str], relevant: set[str], k: int) -> float:
-    if not relevant:
-        return 0.0
-    top = list(ranked)[:k]
-    return sum(1 for item in top if item in relevant) / len(relevant)
-
-
-def mean_reciprocal_rank(
-    rankings: Sequence[Sequence[str]], relevants: Sequence[set[str]]
-) -> float:
-    """MRR across queries."""
-    if not rankings:
-        return 0.0
-    total = 0.0
-    for ranked, relevant in zip(rankings, relevants):
-        for rank, item in enumerate(ranked, start=1):
-            if item in relevant:
-                total += 1.0 / rank
-                break
-    return total / len(rankings)

@@ -45,15 +45,6 @@ class Dendrogram:
             members[new] = members.pop(left) + members.pop(right)
         return sorted(members.values(), key=lambda m: m[0])
 
-    def cut_at_similarity(self, threshold: float) -> list[list[int]]:
-        """Apply only merges at similarity >= threshold."""
-        members: dict[int, list[int]] = {i: [i] for i in range(self.n_leaves)}
-        for left, right, new, sim in self.merges:
-            if sim < threshold:
-                break
-            members[new] = members.pop(left) + members.pop(right)
-        return sorted(members.values(), key=lambda m: m[0])
-
 
 def hac(
     vectors: list[SparseVector],

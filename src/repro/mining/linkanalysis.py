@@ -1,16 +1,10 @@
-"""Hyperlink analysis: HITS hubs/authorities and a PageRank variant.
+"""Hyperlink analysis: HITS hubs/authorities on a trail's neighborhood.
 
-The motivating query "are there any popular sites ... ?" (§1) and the
-resource-discovery daemon's "authoritative sources" (§4) need a notion of
-link-endorsed popularity.  This module supplies the two classics of the
-paper's era and research lineage:
-
-* **HITS** (Kleinberg 1998) on a focused subgraph — exactly how
-  Chakrabarti et al.'s earlier systems scored topical authority;
-* **PageRank** with damping, for a query-independent score.
-
-Both operate on plain ``networkx`` digraphs, so they apply equally to the
-full crawl graph and to a trail-tab neighborhood.
+The motivating query "are there any popular sites ... ?" (§1) needs a
+notion of link-endorsed popularity.  HITS (Kleinberg 1998) on a focused
+subgraph is how Chakrabarti et al.'s earlier systems scored topical
+authority; ``popular_near`` runs it on a trail tab's neighborhood of
+the crawl graph, a plain ``networkx`` digraph.
 """
 
 from __future__ import annotations
@@ -59,50 +53,6 @@ def _l2_normalize(scores: dict[str, float]) -> None:
     if norm > 0:
         for k in scores:
             scores[k] /= norm
-
-
-def pagerank(
-    graph: nx.DiGraph,
-    *,
-    damping: float = 0.85,
-    max_iterations: int = 100,
-    tolerance: float = 1e-10,
-    personalization: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """PageRank by power iteration; scores sum to 1.
-
-    ``personalization`` biases the teleport vector (used for topical
-    'popularity near my trail': teleport to the trail's pages).
-    """
-    nodes = list(graph.nodes())
-    n = len(nodes)
-    if n == 0:
-        return {}
-    if personalization:
-        total = sum(personalization.values())
-        if total <= 0:
-            raise ValueError("personalization weights must sum > 0")
-        teleport = {node: personalization.get(node, 0.0) / total for node in nodes}
-    else:
-        teleport = {node: 1.0 / n for node in nodes}
-    rank = dict(teleport)
-    out_degree = {node: graph.out_degree(node) for node in nodes}
-    for _ in range(max_iterations):
-        sink_mass = sum(rank[node] for node in nodes if out_degree[node] == 0)
-        new_rank = {}
-        for node in nodes:
-            incoming = sum(
-                rank[p] / out_degree[p] for p in graph.predecessors(node)
-            )
-            new_rank[node] = (
-                (1.0 - damping) * teleport[node]
-                + damping * (incoming + sink_mass * teleport[node])
-            )
-        delta = sum(abs(new_rank[node] - rank[node]) for node in nodes)
-        rank = new_rank
-        if delta < tolerance:
-            break
-    return rank
 
 
 def popular_near(

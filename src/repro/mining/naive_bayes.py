@@ -107,9 +107,6 @@ class NaiveBayesClassifier:
         logz = peak + math.log(sum(math.exp(v - peak) for v in joint.values()))
         return {c: v - logz for c, v in joint.items()}
 
-    def posteriors(self, doc: SparseVector) -> dict[str, float]:
-        return {c: math.exp(v) for c, v in self.log_posteriors(doc).items()}
-
     def predict(self, doc: SparseVector) -> tuple[str, float]:
         """``(best class, posterior probability)``."""
         post = self.log_posteriors(doc)

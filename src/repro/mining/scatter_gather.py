@@ -27,9 +27,6 @@ class Cluster:
     members: list[int]
     center: SparseVector
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def buckshot(
     vectors: list[SparseVector],
@@ -108,7 +105,6 @@ class ScatterGatherSession:
         self._rng = random.Random(seed)
         self._working: list[int] = list(range(len(vectors)))
         self._clusters: list[Cluster] = []
-        self.history: list[list[int]] = []
 
     @property
     def working_set(self) -> list[int]:
@@ -141,14 +137,6 @@ class ScatterGatherSession:
             chosen.extend(self._clusters[ci].members)
         if not chosen:
             raise EmptyCorpus("gathered an empty selection")
-        self.history.append(self._working)
         self._working = sorted(set(chosen))
         self._clusters = []
-        return self.working_set
-
-    def back(self) -> list[int]:
-        """Undo the last gather."""
-        if self.history:
-            self._working = self.history.pop()
-            self._clusters = []
         return self.working_set

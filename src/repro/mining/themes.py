@@ -84,9 +84,6 @@ class ThemeTaxonomy:
 
     def __post_init__(self) -> None:
         self._themes = [t for root in self.roots for t in root.walk()]
-        self._by_id: dict[str, Theme] = {}
-        for theme in self._themes:
-            self._by_id.setdefault(theme.theme_id, theme)
         self._leaves = [t for t in self._themes if t.is_leaf]
         self._unit_centers = [normalize(t.center) for t in self._leaves]
 
@@ -95,9 +92,6 @@ class ThemeTaxonomy:
 
     def leaves(self) -> list[Theme]:
         return list(self._leaves)
-
-    def theme(self, theme_id: str) -> Theme | None:
-        return self._by_id.get(theme_id)
 
     def similarities(self, vector: SparseVector) -> list[float]:
         """``cosine(vector, leaf.center)`` for every leaf, in

@@ -169,10 +169,6 @@ class DenseVectorIndex:
 
     # -- maintenance ----------------------------------------------------------
 
-    def add(self, url: str, sparse: dict[int, float]) -> None:
-        """Project and index one document (idempotent re-add)."""
-        self.add_many([(url, sparse)])
-
     def add_many(self, docs: Iterable[tuple[str, dict[int, float]]]) -> None:
         """Project and index ``(url, sparse vector)`` pairs, persisting
         them with one group-committed store write."""
@@ -189,37 +185,7 @@ class DenseVectorIndex:
             if records:
                 self._ns.put_many(records)
 
-    def remove(self, url: str) -> bool:
-        with self._ann_lock:
-            if url not in self._vectors:
-                return False
-            sig = self._sigs.pop(url)
-            self._buckets.get(sig, set()).discard(url)
-            del self._vectors[url]
-            del self._sqnorms[url]
-            if self._ns is not None:
-                self._ns.discard(url.encode("utf-8"))
-            return True
-
-    def __len__(self) -> int:
-        with self._ann_lock:
-            return len(self._vectors)
-
-    def __contains__(self, url: str) -> bool:
-        with self._ann_lock:
-            return url in self._vectors
-
     # -- queries --------------------------------------------------------------
-
-    def query_sparse(
-        self,
-        sparse: dict[int, float],
-        *,
-        k: int = 10,
-        candidates: set[str] | None = None,
-    ) -> list[tuple[str, float]]:
-        """Top-*k* ``(url, cosine)`` for a sparse query vector."""
-        return self.query(self.projector.project(sparse), k=k, candidates=candidates)
 
     def query(
         self,

@@ -16,7 +16,7 @@ import threading
 from collections import defaultdict
 from collections.abc import Callable
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -114,9 +114,6 @@ class PageVectorizer:
         if vec is None:
             return None
         return tfidf(self.vocab, vec)
-
-    def invalidate(self, url: str) -> None:
-        self._cache.pop(url, None)
 
 
 def link_graph(repo: MemexRepository) -> nx.DiGraph:

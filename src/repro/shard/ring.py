@@ -39,7 +39,8 @@ class HashRing:
     True
     >>> HashRing(1).shard_for("anyone")
     0
-    >>> spread = ring.spread([f"u{i:04d}" for i in range(1000)])
+    >>> from collections import Counter
+    >>> spread = Counter(ring.shard_for(f"u{i:04d}") for i in range(1000))
     >>> sorted(spread) == [0, 1, 2, 3] and min(spread.values()) > 100
     True
     """
@@ -68,10 +69,3 @@ class HashRing:
         if i == len(self._hashes):
             i = 0  # wrap past the last point
         return self._owners[i]
-
-    def spread(self, user_ids: list[str]) -> dict[int, int]:
-        """Shard -> key count for *user_ids* (balance diagnostics)."""
-        counts = {shard: 0 for shard in range(self.n_shards)}
-        for user_id in user_ids:
-            counts[self.shard_for(user_id)] += 1
-        return counts

@@ -28,7 +28,6 @@ immediately, while mined results catch up asynchronously.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -135,14 +134,6 @@ class VersionCoordinator:
         """The origin traceparent stamped on *item*, if still retained."""
         with self._versions_lock:
             return self._origins.get(item)
-
-    def produce(self, items: Iterable[Any]) -> int:
-        """Convenience: open, fill, and publish a version in one call."""
-        with self._versions_lock:
-            self.open_version()
-            for item in items:
-                self.add_item(item)
-            return self.publish()
 
     # -- consumer side ---------------------------------------------------------------
 

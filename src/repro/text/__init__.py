@@ -17,7 +17,6 @@ from .vectorize import (
     cosine,
     count_vector,
     dot,
-    norm,
     normalize,
     text_vector,
     tfidf,
@@ -43,7 +42,6 @@ __all__ = [
     "cosine",
     "count_vector",
     "dot",
-    "norm",
     "normalize",
     "porter_stem",
     "text_vector",

@@ -127,26 +127,6 @@ class InvertedIndex:
             total + added - sum(replaced.values()),
         )
 
-    def remove_document(self, doc_id: str) -> bool:
-        """Remove a document from the index; returns whether it existed."""
-        with self._index_lock:
-            return self._remove_document_locked(doc_id)
-
-    def _remove_document_locked(self, doc_id: str) -> bool:
-        key = doc_id.encode("utf-8")
-        raw = self._docs.get(key)
-        if raw is None:
-            return False
-        post = self._strip_locked({doc_id})
-        count, total = self._totals_locked()
-        self._totals = None
-        # The mirror of the add order: the length record outlives the
-        # postings that name the document.
-        self._write_tables_locked([], post)
-        self._docs.delete(key)
-        self._totals = (count - 1, total - int(decode(raw)))
-        return True
-
     def _strip_locked(self, doc_ids: Set[str]) -> dict[str, dict[str, int]]:
         """Every posting list naming one of *doc_ids*, decoded and with
         those entries deleted, by term.
@@ -184,10 +164,6 @@ class InvertedIndex:
         self._kv.put_many(items)
         for key in emptied:
             self._kv.discard(key)
-
-    def has_document(self, doc_id: str) -> bool:
-        with self._index_lock:
-            return doc_id.encode("utf-8") in self._docs
 
     def doc_length(self, doc_id: str) -> int:
         with self._index_lock:

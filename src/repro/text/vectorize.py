@@ -18,12 +18,11 @@ SparseVector = dict[int, float]
 
 
 def count_vector(vocab: Vocabulary, terms: Iterable[str]) -> SparseVector:
-    """Raw term-count vector; unseen terms on a frozen vocabulary are skipped."""
+    """Raw term-count vector, interning unseen terms."""
     counts: SparseVector = {}
     for term in terms:
-        tid = vocab.id(term) if vocab.frozen else vocab.add(term)
-        if tid is not None:
-            counts[tid] = counts.get(tid, 0.0) + 1.0
+        tid = vocab.add(term)
+        counts[tid] = counts.get(tid, 0.0) + 1.0
     return counts
 
 
@@ -41,23 +40,15 @@ def tfidf(vocab: Vocabulary, counts: SparseVector) -> SparseVector:
     }
 
 
-def norm(vec: SparseVector) -> float:
-    # Scale by the largest magnitude before squaring: weights below
-    # ~1e-154 square into subnormals (or underflow to 0.0 outright) and
-    # the naive sum-of-squares loses all precision.
-    scale = max((abs(w) for w in vec.values()), default=0.0)
-    if scale == 0.0:
-        return 0.0
-    return scale * math.sqrt(sum((w / scale) ** 2 for w in vec.values()))
-
-
 def normalize(vec: SparseVector) -> SparseVector:
     """Unit-length copy of *vec* (empty vectors come back empty)."""
     scale = max((abs(w) for w in vec.values()), default=0.0)
     if scale == 0.0:
         return {}
-    # Pre-divide by the max magnitude so the norm of the scaled vector
-    # is computed in a well-conditioned range (see ``norm``).
+    # Pre-divide by the max magnitude so the norm of the scaled vector is
+    # computed in a well-conditioned range: weights below ~1e-154 square
+    # into subnormals (or underflow to 0.0) and the naive sum-of-squares
+    # loses all precision.
     scaled = {tid: w / scale for tid, w in vec.items()}
     n = math.sqrt(sum(w * w for w in scaled.values()))
     return {tid: w / n for tid, w in scaled.items()}

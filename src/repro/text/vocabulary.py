@@ -2,19 +2,15 @@
 
 Maps string terms to dense integer ids (the representation every mining
 algorithm downstream wants) and tracks document frequencies for TF-IDF and
-feature selection.  A vocabulary can be *frozen* once models are trained on
-it, after which unseen terms map to ``None`` instead of allocating ids —
-this is what keeps a trained classifier's feature space stable while the
-crawler keeps producing new pages.
+feature selection.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable
 
-from ..errors import VocabularyFrozen
+from ..errors import TextError
 
 
 class Vocabulary:
@@ -25,17 +21,14 @@ class Vocabulary:
         self._id_to_term: list[str] = []
         self._doc_freq: list[int] = []
         self._num_docs = 0
-        self._frozen = False
 
     # -- growth --------------------------------------------------------------
 
-    def add(self, term: str) -> int | None:
-        """Intern *term*, returning its id (None when frozen and unseen)."""
+    def add(self, term: str) -> int:
+        """Intern *term*, returning its id."""
         tid = self._term_to_id.get(term)
         if tid is not None:
             return tid
-        if self._frozen:
-            return None
         tid = len(self._id_to_term)
         self._term_to_id[term] = tid
         self._id_to_term.append(term)
@@ -48,20 +41,11 @@ class Vocabulary:
         counts: dict[int, int] = {}
         for term in terms:
             tid = self.add(term)
-            if tid is not None:
-                counts[tid] = counts.get(tid, 0) + 1
+            counts[tid] = counts.get(tid, 0) + 1
         for tid in counts:
             self._doc_freq[tid] += 1
         self._num_docs += 1
         return counts
-
-    def freeze(self) -> None:
-        """Stop allocating ids for new terms."""
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     # -- lookup ----------------------------------------------------------------
 
@@ -70,12 +54,6 @@ class Vocabulary:
 
     def term(self, tid: int) -> str:
         return self._id_to_term[tid]
-
-    def __len__(self) -> int:
-        return len(self._id_to_term)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._term_to_id
 
     @property
     def num_docs(self) -> int:
@@ -88,9 +66,6 @@ class Vocabulary:
         """Smoothed inverse document frequency."""
         return math.log((1 + self._num_docs) / (1 + self._doc_freq[tid])) + 1.0
 
-    def terms(self) -> list[str]:
-        return list(self._id_to_term)
-
     # -- persistence --------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -98,24 +73,17 @@ class Vocabulary:
             "terms": self._id_to_term,
             "doc_freq": self._doc_freq,
             "num_docs": self._num_docs,
-            "frozen": self._frozen,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Vocabulary":
+        """The vocabulary *payload* saved; a ``frozen`` flag an older
+        version saved is ignored (nothing ever set it)."""
         vocab = cls()
         vocab._id_to_term = list(payload["terms"])
         vocab._term_to_id = {t: i for i, t in enumerate(vocab._id_to_term)}
         vocab._doc_freq = list(payload["doc_freq"])
         vocab._num_docs = int(payload["num_docs"])
-        vocab._frozen = bool(payload["frozen"])
         if len(vocab._doc_freq) != len(vocab._id_to_term):
-            raise VocabularyFrozen("corrupt vocabulary payload")  # pragma: no cover
+            raise TextError("corrupt vocabulary payload")  # pragma: no cover
         return vocab
-
-    def dumps(self) -> bytes:
-        return json.dumps(self.to_dict()).encode("utf-8")
-
-    @classmethod
-    def loads(cls, raw: bytes) -> "Vocabulary":
-        return cls.from_dict(json.loads(raw.decode("utf-8")))

@@ -23,7 +23,6 @@ from .topictree import (
     TopicNode,
     community_interests,
     master_taxonomy,
-    random_taxonomy,
 )
 from .workload import (
     Workload,
@@ -53,6 +52,5 @@ __all__ = [
     "link_topic_locality",
     "make_profile",
     "master_taxonomy",
-    "random_taxonomy",
     "simulate_surfers",
 ]

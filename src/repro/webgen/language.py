@@ -115,10 +115,6 @@ class TopicLanguageModel:
                 tokens.append(rng.choices(own, own_w)[0])
         return tokens
 
-    def topic_vocabulary(self, topic: TopicNode) -> list[str]:
-        return list(self._topic_vocab.get(topic.name, ()))
-
-
 _COMMON_WEB_WORDS = [
     "home", "click", "site", "links", "welcome", "contact", "update",
     "information", "free", "online", "service", "guide", "top", "list",

@@ -15,7 +15,7 @@ hard case for text-only classification.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -136,9 +136,6 @@ class SimulationResult:
     corpus: WebCorpus
     graph: nx.DiGraph
     duration_days: float
-
-    def events_for(self, user_id: str) -> list[SurfEvent]:
-        return [e for e in self.events if e.user_id == user_id]
 
 
 def simulate_surfers(

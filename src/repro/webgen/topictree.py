@@ -61,9 +61,6 @@ class TopicNode:
             node = node.parent
         return list(reversed(path))
 
-    def depth(self) -> int:
-        return len(self.ancestors())
-
 
 def _node(name: str, seeds: str = "", *children: TopicNode) -> TopicNode:
     node = TopicNode(name, tuple(seeds.split()))
@@ -140,37 +137,6 @@ def master_taxonomy() -> TopicNode:
             _node("Budget", "budget hostel backpacker discount fare cheap airfare voucher"),
         ),
     )
-
-
-def random_taxonomy(
-    rng: random.Random,
-    *,
-    branching: tuple[int, int] = (2, 4),
-    depth: int = 3,
-    seed_terms_per_topic: int = 10,
-) -> TopicNode:
-    """Generate an arbitrary-size taxonomy (for scale benchmarks).
-
-    Names are synthetic (``T3.1.2``); seed terms are drawn from a synthetic
-    lexicon so every leaf has a distinct vocabulary core.
-    """
-    counter = [0]
-
-    def make(level: int, name: str) -> TopicNode:
-        seeds = tuple(
-            f"w{counter[0] * seed_terms_per_topic + j}"
-            for j in range(seed_terms_per_topic)
-        )
-        counter[0] += 1
-        node = TopicNode(name, seeds)
-        if level < depth:
-            for i in range(rng.randint(*branching)):
-                child = make(level + 1, f"{name}.{i}" if name else f"T{i}")
-                child.parent = node
-                node.children.append(child)
-        return node
-
-    return make(0, "")
 
 
 def community_interests(

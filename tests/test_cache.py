@@ -10,6 +10,14 @@ from repro.obs import MetricsRegistry
 from repro.storage.versioning import VersionCoordinator
 
 
+def produce(vc, items):
+    """Open, fill and publish one version."""
+    vc.open_version()
+    for item in items:
+        vc.add_item(item)
+    return vc.publish()
+
+
 # ---------------------------------------------------------------------------
 # ShardedLRU
 # ---------------------------------------------------------------------------
@@ -201,7 +209,7 @@ def test_publish_invalidates_entries(versions, read):
     cache = VersionedCache("search", versions, watch=("indexer",))
     compute = _Compute("result")
     read(cache, "q", compute)
-    versions.produce(["u1"])
+    produce(versions, ["u1"])
     read(cache, "q", compute)
     assert compute.calls == 2
     stats = cache.stats()
@@ -214,7 +222,7 @@ def test_watched_consumer_ack_invalidates_entries(versions, read):
     must be dropped when the indexer catches up — the index content
     changed even though no new version was published."""
     cache = VersionedCache("search", versions, watch=("indexer",))
-    versions.produce(["u1"])             # indexer now lags at 0
+    produce(versions, ["u1"])             # indexer now lags at 0
     compute = _Compute("index-result")
     read(cache, "q", compute)
     read(cache, "q", compute)
@@ -228,7 +236,7 @@ def test_watched_consumer_ack_invalidates_entries(versions, read):
 
 def test_unwatched_consumer_ack_does_not_invalidate(versions, read):
     cache = VersionedCache("classify", versions)    # watches producer only
-    versions.produce(["u1"])
+    produce(versions, ["u1"])
     compute = _Compute("v")
     read(cache, "k", compute)
     watermark, _ = versions.poll("classifier")
@@ -255,7 +263,7 @@ def test_publish_during_compute_is_not_masked(versions, read):
     producer publishes during it, so the entry is stored already stale
     and the next read recomputes instead of serving pre-publish state."""
     cache = VersionedCache("search", versions, watch=("indexer",))
-    racing = _Compute("pre-publish", during=lambda: versions.produce(["u1"]))
+    racing = _Compute("pre-publish", during=lambda: produce(versions, ["u1"]))
     assert read(cache, "q", racing) == "pre-publish"    # served once
     calm = _Compute("post-publish")
     assert read(cache, "q", calm) == "post-publish"

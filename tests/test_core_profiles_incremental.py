@@ -154,19 +154,17 @@ def test_assign_breaks_a_tie_by_theme_id_and_an_empty_centre_scores_zero():
         ref_theme, ref_similarity = _reference_assign(taxonomy, vector)
         assert (theme.theme_id, similarity) == (ref_theme.theme_id, ref_similarity)
     assert taxonomy.assign({1: 1.0, 2: 1.0})[0].theme_id == "t-c"
-    assert taxonomy.assign({}) == (taxonomy.theme("t-z"), 0.0)
+    theme, similarity = taxonomy.assign({})
+    assert (theme.theme_id, similarity) == ("t-z", 0.0)
     with pytest.raises(EmptyCorpus):
         ThemeTaxonomy(roots=[]).assign({1: 1.0})
 
 
-def test_theme_lookup_and_leaf_list_match_the_tree_walk(community):
+def test_theme_and_leaf_lists_match_the_tree_walk(community):
     taxonomy = community.server.themes.taxonomy
     walked = [t for root in taxonomy.roots for t in root.walk()]
     assert taxonomy.all_themes() == walked
     assert taxonomy.leaves() == _reference_leaves(taxonomy)
-    for theme in walked:
-        assert taxonomy.theme(theme.theme_id) is theme
-    assert taxonomy.theme("no-such-theme") is None
     taxonomy.leaves().clear()                       # callers get copies
     assert taxonomy.leaves() == _reference_leaves(taxonomy)
 

@@ -148,12 +148,13 @@ def test_community_consolidation(live_system):
     shared = report.shared_themes()
     assert shared, "a focused community must share some themes"
     assert report.folder_to_theme
-    # themes_for_user returns only themes holding that user's folders.
+    # A folder's theme holds that user's folders.
     some_user, _ = next(iter(report.folder_to_theme))
-    mine = report.themes_for_user(some_user)
+    mine = {tid for (u, _), tid in report.folder_to_theme.items() if u == some_user}
     assert mine
-    for theme in mine:
-        assert any(u == some_user for u, _ in theme.member_folders)
+    for theme in report.themes:
+        if theme.theme_id in mine:
+            assert any(u == some_user for u, _ in theme.member_folders)
     rendered = report.render()
     assert "Community taxonomy" in rendered
     for user, fit in report.user_fit.items():

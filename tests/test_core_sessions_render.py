@@ -4,20 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.render import (
-    render_bill,
-    render_folder_view,
-    render_search_hits,
-    render_themes,
-    render_trail,
-)
-from repro.core.sessions import (
-    DEFAULT_GAP,
-    assign_session_ids,
-    infer_user_sessions,
-    segment_visits,
-    session_statistics,
-)
+from repro.core.render import render_folder_view
+from repro.core.sessions import DEFAULT_GAP, assign_session_ids, segment_visits
 from repro.storage.repository import MemexRepository
 from repro.storage.schema import ARCHIVE_COMMUNITY
 
@@ -38,15 +26,15 @@ def test_segment_splits_on_gap():
     assert len(sessions) == 2
     assert sessions[0].urls == ["http://p1/", "http://p2/"]
     assert sessions[1].visit_ids == [3, 4]
-    assert sessions[0].duration == 60.0
+    assert (sessions[0].started_at, sessions[0].ended_at) == (0.0, 60.0)
 
 
 def test_segment_single_and_empty():
     assert segment_visits([]) == []
     one = segment_visits([_row(1, 5.0)])
     assert len(one) == 1
-    assert one[0].duration == 0.0
-    assert len(one[0]) == 1
+    assert one[0].started_at == one[0].ended_at == 5.0
+    assert len(one[0].urls) == 1
 
 
 def test_segment_sorts_defensively():
@@ -105,24 +93,6 @@ def test_assign_session_ids_backfills_missing():
     repo.close()
 
 
-def test_infer_user_sessions_and_stats():
-    repo = MemexRepository()
-    repo.add_user("u", now=0.0)
-    for i, at in enumerate([0.0, 60.0, 10_000.0]):
-        repo.record_visit_batch([dict(
-            user_id="u", url=f"http://p{i}/", at=at,
-            session_id=0, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])
-    sessions = infer_user_sessions(repo, "u")
-    assert len(sessions) == 2
-    stats = session_statistics(sessions)
-    assert stats["count"] == 2
-    assert stats["mean_length"] == 1.5
-    assert session_statistics([]) == {
-        "count": 0, "mean_length": 0.0, "mean_duration": 0.0,
-    }
-    repo.close()
-
-
 def test_assign_session_ids_empty_user():
     repo = MemexRepository()
     assert assign_session_ids(repo, "nobody") == 0
@@ -159,64 +129,6 @@ def test_render_folder_view_overflow():
         max_items=3,
     )
     assert "... 6 more" in text
-
-
-def test_render_trail():
-    trail = {
-        "folders": ["Music"],
-        "nodes": [
-            {"url": "http://a/", "score": 3.0, "visits": 2,
-             "visitors": ["u", "v"], "title": None, "last_visit": 0.0},
-            {"url": "http://b/", "score": 1.0, "visits": 1,
-             "visitors": ["u"], "title": None, "last_visit": 0.0},
-        ],
-        "edges": [
-            {"src": "http://a/", "dst": "http://b/", "clicks": 1,
-             "hyperlink": False},
-        ],
-    }
-    text = render_trail(trail)
-    assert "Trail for Music" in text
-    assert "1=>2" in text
-    assert "2 visits / 2 surfers" in text
-
-
-def test_render_themes():
-    themes = [{
-        "theme_id": "t0", "label": "travel europe", "num_users": 3,
-        "folders": [["u", "f"]], "my_weight": 0.4, "weight": 10, "depth": 0,
-        "children": [{
-            "theme_id": "t1", "label": "alps", "num_users": 1,
-            "folders": [["u", "f"]], "my_weight": 0.0, "weight": 4,
-            "depth": 1, "children": [],
-        }],
-    }]
-    text = render_themes(themes)
-    assert "shared: 3 users" in text
-    assert "individual: 1 users" in text
-    assert "<= you (0.40)" in text
-    assert text.index("travel europe") < text.index("alps")
-
-
-def test_render_bill():
-    payload = [
-        {"category": "Music", "amount": 12.0, "share": 0.6, "visits": 3,
-         "bytes": 100},
-        {"category": "(unclassified)", "amount": 8.0, "share": 0.4,
-         "visits": 2, "bytes": 60},
-    ]
-    text = render_bill(payload)
-    assert "$ 12.00" in text
-    assert "#" * 24 in text
-    assert render_bill([]) == "(no archived traffic in the period)"
-
-
-def test_render_search_hits():
-    hits = [{"url": "http://a/", "title": "A page", "score": 1.5,
-             "snippet": "about [music] here"}]
-    text = render_search_hits(hits)
-    assert "A page" in text
-    assert "[music]" in text
 
 
 # -- history import servlet ---------------------------------------------------

@@ -154,7 +154,7 @@ def test_trail_payload_sorted(repo):
 
 def test_trail_empty_for_unknown_folder(repo):
     g = build_trail_graph(repo, ["me:Ghost"])
-    assert len(g) == 0
+    assert len(g.nodes) == 0
 
 
 # -- context ----------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_recall_session_finds_latest_topical(repo):
     assert session.session_id == 1
     assert session.trail == ["http://m1/", "http://m2/"]
     assert session.on_topic == session.trail
-    assert session.duration == 60.0
+    assert session.ended_at - session.started_at == 60.0
 
 
 def test_recall_session_before(repo):

@@ -5,8 +5,9 @@ import pytest
 from repro.core import MemexSystem
 from repro.core.archive import folder_id
 from repro.core.memex import MemexServer
-from repro.folders import parse_bookmarks, write_bookmarks
-from repro.folders.tree import FolderTree
+from repro.folders import BookmarkEntry, BookmarkNode, write_bookmarks
+from repro.folders.importer import bookmarks_to_payload
+from repro.folders.netscape import parse_bookmarks
 from repro.server.daemons import FetchedPage
 from repro.storage.relational import Column, Database
 from repro.text.index import InvertedIndex
@@ -40,15 +41,12 @@ def test_tokenizer_handles_unicode_and_emptiness():
 
 
 def test_unicode_folder_names_and_bookmark_roundtrip():
-    tree = FolderTree()
-    tree.add_item("Musik/Klassisch", "http://x/", title="Bäch & Söhne")
-    html = write_bookmarks(
-        __import__("repro.folders.importer", fromlist=["tree_to_bookmarks"])
-        .tree_to_bookmarks(tree)
-    )
-    again = parse_bookmarks(html)
-    assert again.folders[0].name == "Musik"
-    assert again.folders[0].folders[0].bookmarks[0].title == "Bäch & Söhne"
+    leaf = BookmarkNode(name="Klassisch", bookmarks=[
+        BookmarkEntry(url="http://x/", title="Bäch & Söhne")])
+    root = BookmarkNode(name="", folders=[BookmarkNode(name="Musik", folders=[leaf])])
+    again = bookmarks_to_payload(parse_bookmarks(write_bookmarks(root)))
+    assert again == {"Musik": [], "Musik/Klassisch": [
+        {"url": "http://x/", "title": "Bäch & Söhne", "added_at": 0.0}]}
 
 
 # -- degenerate sizes --------------------------------------------------------------

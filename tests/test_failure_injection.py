@@ -110,7 +110,7 @@ def test_indexer_tolerates_missing_text():
     repo.rawtext.delete(b"http://a/")
     done = indexer.run_once()
     assert done == 1
-    assert index.has_document("http://b/")
+    assert "http://b/" in index.document_ids()
     # Watermark advanced: the consumer is not stuck retrying forever.
     assert repo.versions.staleness("indexer") == 0
     repo.close()

@@ -2,25 +2,25 @@
 
 import pytest
 
+from repro.core import MemexSystem
+from repro.core.memex import MemexServer
 from repro.errors import BookmarkFormatError
 from repro.folders import (
     BookmarkEntry,
     BookmarkNode,
-    FolderTree,
-    bookmarks_to_tree,
     export_explorer_favorites,
-    export_favorites,
     export_netscape_file,
-    import_explorer_favorites,
-    import_favorites,
     import_netscape_file,
-    parse_bookmarks,
-    parse_url_file,
-    tree_to_bookmarks,
     write_bookmarks,
+)
+from repro.folders.explorer import (
+    export_favorites,
+    import_favorites,
+    parse_url_file,
     write_url_file,
 )
-from repro.folders.tree import ITEM_GUESS
+from repro.folders.importer import bookmarks_to_payload, folders_to_bookmarks
+from repro.folders.netscape import parse_bookmarks
 
 NETSCAPE_SAMPLE = """<!DOCTYPE NETSCAPE-Bookmark-file-1>
 <!-- This is an automatically generated file. -->
@@ -89,38 +89,72 @@ def test_netscape_roundtrip():
     assert again.folders[0].bookmarks[0].title == "Bach & Sons"
 
 
-def test_bookmarks_to_tree_and_back():
-    root = parse_bookmarks(NETSCAPE_SAMPLE)
-    tree = bookmarks_to_tree(root, owner="alice")
-    assert tree.exists("Music/Classical")
-    # Loose top-level bookmark goes to 'Imported'.
-    assert tree.find_url("http://top.example/")[0][0] == "Imported"
-    back = tree_to_bookmarks(tree)
+def _urls_by_path(payload):
+    return {path: sorted(e["url"] for e in entries) for path, entries in payload.items()}
+
+
+def _view_of(payload):
+    """The ``folders_get`` shape of an import payload: every item filed."""
+    return {"folders": [
+        {"path": path, "items": [{"url": e["url"], "guess": False} for e in entries]}
+        for path, entries in payload.items()]}
+
+
+def test_bookmarks_to_payload_and_back():
+    payload = bookmarks_to_payload(parse_bookmarks(NETSCAPE_SAMPLE))
+    # Loose top-level bookmarks go to 'Imported'; an empty folder is kept.
+    assert _urls_by_path(payload) == {
+        "Imported": ["http://top.example/"],
+        "Music": ["http://bach.example/"],
+        "Music/Classical": ["http://mozart.example/"],
+        "Work": ["http://vldb.example/"],
+    }
+    assert payload["Music"] == [{"url": "http://bach.example/",
+                                 "title": "Bach & Sons", "added_at": 940000002}]
+    back = folders_to_bookmarks(_view_of(payload))
     assert back.total_bookmarks() == 4
-    names = {f.name for f in back.folders}
-    assert {"Music", "Work", "Imported"} <= names
+    assert _urls_by_path(bookmarks_to_payload(back)) == _urls_by_path(payload)
 
 
-def test_tree_to_bookmarks_excludes_guesses():
-    tree = FolderTree()
-    tree.add_item("F", "http://sure/")
-    tree.add_item("F", "http://maybe/", source=ITEM_GUESS)
-    out = tree_to_bookmarks(tree)
+def test_folders_to_bookmarks_excludes_guesses():
+    view = {"folders": [{"path": "F", "items": [
+        {"url": "http://sure/", "guess": False},
+        {"url": "http://maybe/", "guess": True}]}]}
+    out = folders_to_bookmarks(view)
     assert out.total_bookmarks() == 1
-    out_with = tree_to_bookmarks(tree, include_guesses=True)
+    out_with = folders_to_bookmarks(view, include_guesses=True)
     assert out_with.total_bookmarks() == 2
+
+
+def test_a_bookmark_file_round_trips_through_the_served_folder_tab(tmp_path):
+    """§2: bookmarks imported from Netscape into the topic view, and
+    exported back to both browsers from what the server serves."""
+    path = tmp_path / "bookmarks.html"
+    path.write_text(NETSCAPE_SAMPLE, encoding="utf-8")
+    payload = import_netscape_file(path)
+    with MemexSystem(MemexServer(lambda url: None)) as system:
+        applet = system.register_user("alice")
+        assert applet.import_bookmarks(payload) == 4
+        served = applet.folder_view()
+    assert [f["path"] for f in served["folders"]] == [
+        "Imported", "Music", "Music/Classical", "Work"]
+    export_netscape_file(served, tmp_path / "exported.html")
+    assert export_explorer_favorites(served, tmp_path / "Favorites") == 4
+    netscape = import_netscape_file(tmp_path / "exported.html")
+    explorer = bookmarks_to_payload(import_favorites(tmp_path / "Favorites"))
+    assert _urls_by_path(netscape) == _urls_by_path(explorer) == _urls_by_path(payload)
 
 
 def test_netscape_file_roundtrip(tmp_path):
     path = tmp_path / "bookmarks.html"
     path.write_text(NETSCAPE_SAMPLE, encoding="utf-8")
-    tree = import_netscape_file(path, owner="alice")
-    assert tree.num_items() == 4
+    payload = import_netscape_file(path)
+    assert sum(len(entries) for entries in payload.values()) == 4
     out = tmp_path / "exported.html"
-    export_netscape_file(tree, out)
-    tree2 = import_netscape_file(out)
-    assert tree2.num_items() == 4
-    assert tree2.exists("Music/Classical")
+    export_netscape_file(_view_of(payload), out)
+    again = import_netscape_file(out)
+    assert sum(len(entries) for entries in again.values()) == 4
+    assert "Music/Classical" in again
 
 
 # -- Explorer favorites --------------------------------------------------------
@@ -184,11 +218,16 @@ def test_import_favorites_requires_directory(tmp_path):
 
 
 def test_explorer_tree_integration(tmp_path):
-    tree = FolderTree(owner="bob")
-    tree.add_item("Cycling/Routes", "http://alps/", title="Alps")
-    tree.add_item("Cycling", "http://gear/", title="Gear")
-    count = export_explorer_favorites(tree, tmp_path / "fav")
+    with MemexSystem(MemexServer(lambda url: None)) as system:
+        applet = system.register_user("bob")
+        applet.import_bookmarks({
+            "Cycling/Routes": [{"url": "http://alps/", "title": "Alps"}],
+            "Cycling": [{"url": "http://gear/", "title": "Gear"}],
+        })
+        served = applet.folder_view()
+    count = export_explorer_favorites(served, tmp_path / "fav")
     assert count == 2
-    back = import_explorer_favorites(tmp_path / "fav", owner="bob")
-    assert back.exists("Cycling/Routes")
-    assert {p for p, _ in back.find_url("http://alps/")} == {"Cycling/Routes"}
+    back = bookmarks_to_payload(import_favorites(tmp_path / "fav"))
+    assert "Cycling/Routes" in back
+    assert {path for path, entries in back.items()
+            if any(e["url"] == "http://alps/" for e in entries)} == {"Cycling/Routes"}

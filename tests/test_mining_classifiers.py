@@ -1,5 +1,6 @@
 """Tests for feature selection, naive Bayes, and the enhanced classifier."""
 
+import math
 import random
 
 import networkx as nx
@@ -63,7 +64,7 @@ def test_nb_learns_separable_classes():
 
 def test_nb_posteriors_normalized():
     nb = NaiveBayesClassifier().fit(DOCS, LABELS)
-    post = nb.posteriors({0: 1.0})
+    post = {c: math.exp(v) for c, v in nb.log_posteriors({0: 1.0}).items()}
     assert abs(sum(post.values()) - 1.0) < 1e-9
     assert post["A"] > post["B"]
 

@@ -71,17 +71,6 @@ def test_cut_boundaries(three_blobs):
         dendro.cut(0)
 
 
-def test_cut_at_similarity(three_blobs):
-    vectors, labels = three_blobs
-    dendro = hac(vectors)
-    tight = dendro.cut_at_similarity(0.99)
-    loose = dendro.cut_at_similarity(0.0)
-    assert len(tight) >= len(loose)
-    assert len(loose) == 1
-    mid = dendro.cut_at_similarity(0.5)
-    assert purity(mid, labels) == 1.0
-
-
 def test_hac_empty_and_single():
     with pytest.raises(EmptyCorpus):
         hac([])
@@ -136,8 +125,6 @@ def test_scatter_gather_session(three_blobs):
     assert set(working) == set(clusters[best].members)
     sub = session.scatter(2)
     assert sum(len(c.members) for c in sub) == len(working)
-    restored = session.back()
-    assert restored == list(range(len(vectors)))
 
 
 def test_scatter_gather_errors(three_blobs):
@@ -150,7 +137,6 @@ def test_scatter_gather_errors(three_blobs):
         session.gather([])
     with pytest.raises(EmptyCorpus):
         ScatterGatherSession([])
-    assert session.back() == list(range(len(vectors)))  # no-op without history
 
 
 # -- metrics ------------------------------------------------------------------------------

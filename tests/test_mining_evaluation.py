@@ -1,21 +1,10 @@
 """Tests for the evaluation utilities."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mining.evaluation import (
-    accuracy,
-    confusion_matrix,
-    cross_validate,
-    macro_f1,
-    mean_reciprocal_rank,
-    precision_at_k,
-    recall_at_k,
-    stratified_folds,
-)
+from repro.mining.evaluation import accuracy, precision_at_k
 
 
 def test_accuracy_basic():
@@ -27,91 +16,16 @@ def test_accuracy_basic():
         accuracy(["a"], [])
 
 
-def test_confusion_matrix():
-    m = confusion_matrix(["a", "a", "b"], ["a", "b", "b"])
-    assert m == {("a", "a"): 1, ("a", "b"): 1, ("b", "b"): 1}
-
-
-def test_macro_f1_perfect_and_degenerate():
-    assert macro_f1(["a", "b"], ["a", "b"]) == 1.0
-    assert macro_f1(["a", "a"], ["b", "b"]) == 0.0
-    assert macro_f1([], []) == 0.0
-
-
-def test_macro_f1_weights_classes_equally():
-    # 9 correct 'a', 1 wrong 'b' -> accuracy 0.9 but macro-F1 much lower.
-    y_true = ["a"] * 9 + ["b"]
-    y_pred = ["a"] * 10
-    assert accuracy(y_true, y_pred) == 0.9
-    assert macro_f1(y_true, y_pred) < 0.5
-
-
-def test_stratified_folds_preserve_ratios():
-    labels = ["a"] * 20 + ["b"] * 10
-    folds = stratified_folds(labels, 5, random.Random(0))
-    assert len(folds) == 5
-    assert sorted(i for f in folds for i in f) == list(range(30))
-    for fold in folds:
-        a = sum(1 for i in fold if labels[i] == "a")
-        b = sum(1 for i in fold if labels[i] == "b")
-        assert a == 4 and b == 2
-
-
-def test_stratified_folds_validation():
-    with pytest.raises(ValueError):
-        stratified_folds(["a"], 1, random.Random(0))
-
-
-def test_cross_validate_runs_all_folds():
-    labels = ["a", "b"] * 10
-    calls = []
-
-    def evaluate(train_idx, test_idx):
-        calls.append((tuple(train_idx), tuple(test_idx)))
-        assert set(train_idx).isdisjoint(test_idx)
-        assert len(train_idx) + len(test_idx) == 20
-        return len(test_idx) / 20
-
-    result = cross_validate(labels, evaluate, k=4, seed=1)
-    assert len(result.fold_scores) == 4
-    # 10+10 items into 4 stratified folds -> sizes 6,6,4,4.
-    assert result.mean == pytest.approx(0.25)
-    assert result.std == pytest.approx(0.05)
-    assert len(calls) == 4
-
-
-def test_precision_recall_at_k():
+def test_precision_at_k():
     ranked = ["a", "b", "c", "d"]
     relevant = {"a", "c", "x"}
     assert precision_at_k(ranked, relevant, 2) == 0.5
     assert precision_at_k(ranked, relevant, 4) == 0.5
-    assert recall_at_k(ranked, relevant, 4) == pytest.approx(2 / 3)
-    assert recall_at_k(ranked, set(), 4) == 0.0
     assert precision_at_k([], relevant, 3) == 0.0
     with pytest.raises(ValueError):
         precision_at_k(ranked, relevant, 0)
 
 
-def test_mean_reciprocal_rank():
-    assert mean_reciprocal_rank([["a", "b"]], [{"a"}]) == 1.0
-    assert mean_reciprocal_rank([["b", "a"]], [{"a"}]) == 0.5
-    assert mean_reciprocal_rank([["b", "c"]], [{"a"}]) == 0.0
-    assert mean_reciprocal_rank([], []) == 0.0
-    two = mean_reciprocal_rank([["a"], ["x", "y", "b"]], [{"a"}, {"b"}])
-    assert two == pytest.approx((1.0 + 1 / 3) / 2)
-
-
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=50))
 def test_accuracy_self_is_one(labels):
     assert accuracy(labels, labels) == 1.0
-    assert macro_f1(labels, labels) == 1.0
-
-
-@given(
-    st.lists(st.sampled_from(["a", "b"]), min_size=4, max_size=40),
-    st.integers(2, 4),
-)
-def test_folds_are_a_partition(labels, k):
-    folds = stratified_folds(labels, k, random.Random(0))
-    flat = sorted(i for f in folds for i in f)
-    assert flat == list(range(len(labels)))

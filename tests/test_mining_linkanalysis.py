@@ -1,11 +1,11 @@
-"""Tests for HITS, PageRank, and the popular-near query."""
+"""Tests for HITS and the popular-near query."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining.linkanalysis import hits, pagerank, popular_near
+from repro.mining.linkanalysis import hits, popular_near
 
 
 def hub_authority_graph():
@@ -41,38 +41,6 @@ def test_hits_scores_normalized():
     assert l2(auths) == pytest.approx(1.0)
 
 
-def test_pagerank_sums_to_one_and_ranks_cited_pages():
-    g = nx.DiGraph()
-    g.add_edges_from([("a", "popular"), ("b", "popular"), ("c", "popular"),
-                      ("popular", "a"), ("c", "b")])
-    ranks = pagerank(g)
-    assert sum(ranks.values()) == pytest.approx(1.0)
-    assert ranks["popular"] == max(ranks.values())
-
-
-def test_pagerank_handles_sinks():
-    g = nx.DiGraph()
-    g.add_edge("a", "sink")
-    ranks = pagerank(g)
-    assert sum(ranks.values()) == pytest.approx(1.0)
-    assert ranks["sink"] > ranks["a"]
-
-
-def test_pagerank_personalization_biases_neighborhood():
-    g = nx.DiGraph()
-    # Two disconnected communities.
-    g.add_edges_from([("a1", "a2"), ("a2", "a1")])
-    g.add_edges_from([("b1", "b2"), ("b2", "b1")])
-    ranks = pagerank(g, personalization={"a1": 1.0})
-    assert ranks["a1"] + ranks["a2"] > 0.95
-    with pytest.raises(ValueError):
-        pagerank(g, personalization={"a1": 0.0})
-
-
-def test_pagerank_empty():
-    assert pagerank(nx.DiGraph()) == {}
-
-
 def test_popular_near_finds_neighborhood_authority():
     g = nx.DiGraph()
     # Seed s links to star; many outside pages also cite star.
@@ -101,20 +69,6 @@ def test_popular_near_hops_widen_the_net():
     two = dict(popular_near(g, {"seed"}, k=10, hops=2))
     assert "far" not in one
     assert "far" in two
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40,
-))
-def test_pagerank_properties_on_random_graphs(edges):
-    g = nx.DiGraph()
-    g.add_edges_from((f"n{a}", f"n{b}") for a, b in edges if a != b)
-    if len(g) == 0:
-        return
-    ranks = pagerank(g)
-    assert sum(ranks.values()) == pytest.approx(1.0, abs=1e-6)
-    assert all(v >= 0 for v in ranks.values())
 
 
 @settings(max_examples=25, deadline=None)

@@ -91,10 +91,9 @@ def test_assign_and_fit(community):
 
 def test_labels_from_vocabulary(community):
     vocab = Vocabulary()
-    for term in ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]:
+    named = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    for term in named + [f"w{i}" for i in range(len(named), 95)]:
         vocab.add(term)
-    for _ in range(95 - len(vocab)):
-        vocab.add(f"w{len(vocab)}")
     taxonomy = ThemeDiscovery().discover(community, vocab)
     for theme in taxonomy.all_themes():
         assert theme.label
@@ -107,13 +106,6 @@ def test_theme_weight_accumulates_pages(community):
     taxonomy = ThemeDiscovery().discover(community)
     total = sum(t.weight for t in taxonomy.roots)
     assert total == sum(d.num_pages for d in community)
-
-
-def test_theme_lookup(community):
-    taxonomy = ThemeDiscovery().discover(community)
-    some = taxonomy.leaves()[0]
-    assert taxonomy.theme(some.theme_id) is some
-    assert taxonomy.theme("theme-404") is None
 
 
 def test_discover_empty_and_single():

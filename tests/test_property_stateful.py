@@ -1,8 +1,8 @@
 """Stateful property-based tests: engines checked against simple models.
 
-Hypothesis drives random operation sequences against the key-value store,
-a relational table, and the folder tree, comparing every observable
-result with an in-memory reference model — the classic way to shake out
+Hypothesis drives random operation sequences against the key-value store
+and a relational table, comparing every observable result with an
+in-memory reference model — the classic way to shake out
 index-maintenance and recovery bugs.
 """
 
@@ -10,15 +10,12 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
-    Bundle,
     RuleBasedStateMachine,
-    initialize,
     invariant,
     rule,
 )
 
-from repro.errors import DuplicateKey, KeyNotFound, NoSuchFolder
-from repro.folders.tree import FolderTree
+from repro.errors import DuplicateKey, KeyNotFound
 from repro.storage import KVStore
 from repro.storage.relational import Column, Database
 
@@ -183,78 +180,3 @@ TestRelationalMachine.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None,
 )
 
-
-folder_names = st.sampled_from(["a", "b", "c", "d"])
-url_pool = st.sampled_from([f"http://u{i}/" for i in range(8)])
-
-
-class FolderTreeMachine(RuleBasedStateMachine):
-    """Folder tree checked against {path: set(urls)} plus structure laws."""
-
-    paths = Bundle("paths")
-
-    def __init__(self):
-        super().__init__()
-        self.tree = FolderTree()
-        self.model: dict[str, set[str]] = {}
-
-    @initialize(target=paths)
-    def root_paths(self):
-        return "a"
-
-    @rule(target=paths, base=paths, name=folder_names)
-    def make_subfolder(self, base, name):
-        path = f"{base}/{name}"
-        self.tree.ensure(path)
-        self.model.setdefault(path, set())
-        # Ancestors exist implicitly.
-        parts = path.split("/")
-        for i in range(1, len(parts) + 1):
-            self.model.setdefault("/".join(parts[:i]), set())
-        return path
-
-    @rule(path=paths, url=url_pool)
-    def add_item(self, path, url):
-        self.tree.add_item(path, url)
-        parts = path.split("/")
-        for i in range(1, len(parts) + 1):
-            self.model.setdefault("/".join(parts[:i]), set())
-        self.model[path].add(url)
-
-    @rule(path=paths, url=url_pool)
-    def remove_item(self, path, url):
-        if path not in self.model:
-            return
-        removed = self.tree.remove_item(path, url)
-        assert removed == (url in self.model[path])
-        self.model[path].discard(url)
-
-    @rule(src=paths, dst=paths, url=url_pool)
-    def move_item(self, src, dst, url):
-        if src not in self.model or dst not in self.model:
-            return
-        if url in self.model.get(src, set()) and src != dst:
-            self.tree.move_item(url, src, dst)
-            self.model[src].discard(url)
-            self.model[dst].add(url)
-        else:
-            if url not in self.model.get(src, set()):
-                with pytest.raises(NoSuchFolder):
-                    self.tree.move_item(url, src, dst)
-
-    @invariant()
-    def items_match_model(self):
-        for path, urls in self.model.items():
-            got = {i.url for i in self.tree.get(path).items}
-            assert got == urls
-
-    @invariant()
-    def paths_resolve_and_roundtrip(self):
-        for folder in self.tree.folders():
-            assert self.tree.get(folder.path) is folder
-
-
-TestFolderTreeMachine = FolderTreeMachine.TestCase
-TestFolderTreeMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None,
-)

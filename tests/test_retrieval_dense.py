@@ -240,13 +240,13 @@ def test_a_vector_of_the_wrong_length_is_refused_not_truncated(tmp_path):
     index = DenseVectorIndex(dims=32)
     with pytest.raises(ValueError, match="3 dimensions"):
         index._place("http://short/", [1.0, 0.0, 0.0])
-    assert "http://short/" not in index
-    index.add("http://ok/", {1: 1.0})
+    assert "http://short/" not in index._vectors
+    index.add_many([("http://ok/", {1: 1.0})])
     with pytest.raises(ValueError):
         index.query([1.0, 0.0, 0.0])
     kv = open_engine("btree", tmp_path / "kv")
     try:
-        DenseVectorIndex(kv, dims=32).add("http://ok/", {1: 1.0})
+        DenseVectorIndex(kv, dims=32).add_many([("http://ok/", {1: 1.0})])
         Namespace(kv, "dense").put(b"http://short/", encode({"v": [1.0, 0.0]}))
         with pytest.raises(ValueError, match="http://short/"):
             DenseVectorIndex(kv, dims=32)
@@ -262,7 +262,7 @@ def test_an_index_the_reference_persisted_reloads_and_answers_the_same(tmp_path)
         _reference_add_many(written, docs)
         stored = dict(Namespace(kv, "dense").items())
         reloaded = DenseVectorIndex(kv, dims=32)
-        assert len(reloaded) == len(docs)
+        assert len(reloaded._vectors) == len(docs)
         for url, _ in docs:
             vec = reloaded.vector(url)
             assert stored[url.encode()] == encode({"v": list(vec)})
@@ -338,7 +338,7 @@ def test_hybrid_and_related_answers_are_byte_identical(monkeypatch):
     try:
         server.process_background_work()
         index = server.dense_index
-        assert 50 < len(index) <= EXACT_SCAN_THRESHOLD
+        assert 50 < len(index._vectors) <= EXACT_SCAN_THRESHOLD
         users = [p.user_id for p in workload.profiles[:2]]
         urls = sorted(index._vectors)[::15]
         served = _transcript(server, users, urls)
@@ -354,7 +354,7 @@ def test_unscoped_answers_are_byte_identical_on_the_bucket_path(
         live_system, small_workload, monkeypatch):
     server = live_system.server
     index = server.dense_index
-    assert len(index) > EXACT_SCAN_THRESHOLD
+    assert len(index._vectors) > EXACT_SCAN_THRESHOLD
     users = [small_workload.profiles[0].user_id]
     urls = sorted(index._vectors)[::25]
     served = _transcript(server, users, urls, scopes=("all",))

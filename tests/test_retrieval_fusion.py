@@ -137,20 +137,22 @@ def _corpus(n):
     }
 
 
+def _query(index, sparse, **kwargs):
+    return index.query(index.projector.project(sparse), **kwargs)
+
+
 def test_dense_index_query_finds_same_topic_docs():
     index = DenseVectorIndex(dims=64)
     docs = _corpus(30)
-    for url, sparse in docs.items():
-        index.add(url, sparse)
-    hits = index.query_sparse({j: 1.0 for j in range(12)}, k=5)
+    index.add_many(docs.items())
+    hits = _query(index, {j: 1.0 for j in range(12)}, k=5)
     assert len(hits) == 5
     assert all(url.startswith("http://t0.com/") for url, _ in hits)
 
 
 def test_dense_index_neighbors_excludes_self():
     index = DenseVectorIndex(dims=64)
-    for url, sparse in _corpus(10).items():
-        index.add(url, sparse)
+    index.add_many(_corpus(10).items())
     neighbors = index.neighbors("http://t0.com/0", k=3)
     assert neighbors
     assert all(u != "http://t0.com/0" for u, _ in neighbors)
@@ -159,35 +161,22 @@ def test_dense_index_neighbors_excludes_self():
 def test_dense_index_candidates_filter_applies():
     index = DenseVectorIndex(dims=64)
     docs = _corpus(20)
-    for url, sparse in docs.items():
-        index.add(url, sparse)
+    index.add_many(docs.items())
     allowed = {"http://t1.com/1", "http://t1.com/3"}
-    hits = index.query_sparse({j: 1.0 for j in range(12)}, k=10,
-                              candidates=allowed)
+    hits = _query(index, {j: 1.0 for j in range(12)}, k=10, candidates=allowed)
     assert {u for u, _ in hits} <= allowed
-
-
-def test_dense_index_remove_and_readd():
-    index = DenseVectorIndex(dims=32)
-    index.add("http://a.com/", {1: 1.0})
-    assert "http://a.com/" in index
-    assert index.remove("http://a.com/") is True
-    assert index.remove("http://a.com/") is False
-    assert "http://a.com/" not in index
-    assert len(index) == 0
 
 
 def test_dense_index_persists_through_store(tmp_path):
     kv = open_engine("btree", tmp_path / "kv")
     index = DenseVectorIndex(kv, dims=32)
     docs = _corpus(8)
-    for url, sparse in docs.items():
-        index.add(url, sparse)
-    before = index.query_sparse({j: 1.0 for j in range(12)}, k=4)
+    index.add_many(docs.items())
+    before = _query(index, {j: 1.0 for j in range(12)}, k=4)
 
     reloaded = DenseVectorIndex(kv, dims=32)
-    assert len(reloaded) == len(docs)
-    after = reloaded.query_sparse({j: 1.0 for j in range(12)}, k=4)
+    assert len(reloaded._vectors) == len(docs)
+    after = _query(reloaded, {j: 1.0 for j in range(12)}, k=4)
     assert [u for u, _ in after] == [u for u, _ in before]
     for (_, s1), (_, s2) in zip(before, after):
         assert s2 == pytest.approx(s1)
@@ -199,11 +188,10 @@ def test_dense_index_ann_probe_matches_exact_scan_top1():
     # must agree with brute force for on-topic queries.
     index = DenseVectorIndex(dims=64)
     docs = _corpus(600)
-    for url, sparse in docs.items():
-        index.add(url, sparse)
-    assert len(index) == 600
+    index.add_many(docs.items())
+    assert len(index._vectors) == 600
     query = {j: 1.0 for j in range(12)}
-    hits = index.query_sparse(query, k=3)
+    hits = _query(index, query, k=3)
     vec = index.projector.project(query)
     exact = sorted(
         ((u, sum(a * b for a, b in zip(vec, v))) for u, v in index._vectors.items()),

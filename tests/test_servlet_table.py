@@ -21,6 +21,7 @@ from repro.core import MemexSystem
 from repro.core.api import corpus_fetcher
 from repro.core.memex import MemexServer
 from repro.core.servlet_table import BROADCAST, OWNER, SCATTER, SERVLETS
+from repro.server.protocol import decode_message, encode_message
 from repro.server.transport import HttpTunnelTransport
 from repro.shard.gather import SCATTER_REWRITERS, LocalBackend, ShardDispatcher
 from repro.webgen import build_workload
@@ -339,8 +340,18 @@ TEXT_FIELDS = [
     for field, value in fields.items() if isinstance(value, str)]
 #: Fields whose ``null`` means "use the default".
 NULLABLE = {("register_user", "community")}
+#: Every number field a row reads (``at`` everywhere ``advance`` reads
+#: it), and whether it may be negative.
+NUMBER_FIELDS = [
+    *((name, "at", True) for name, fields in REQUESTS.items() if "at" in fields),
+    ("trail", "window_days", False), ("popular_near_trail", "window_days", False),
+    ("recall", "around_days_ago", False), ("recall", "tolerance_days", False),
+    ("bill", "days", False), ("bill", "monthly_rate", False),
+]
 #: A client's malformed input: a string field sent as a non-string,
-#: boolean queries that do not parse, and unknown archive modes.
+#: boolean queries that do not parse, unknown archive modes, user ids
+#: that are not strings or hold a ':', and numbers that are booleans, not
+#: finite, negative day counts or rates, or too large for a float.
 MALFORMED = [
     *((name, {field: bad}) for name, field in TEXT_FIELDS
       for bad in (123, None, True, ["x"], {"a": 1})
@@ -350,6 +361,14 @@ MALFORMED = [
         '"compiler optimization"')),
     ("set_archive_mode", {"mode": ""}),
     ("set_archive_mode", {"mode": "loud"}),
+    *(("register_user", {"user_id": bad})
+      for bad in (123, None, True, ["x"], {"a": 1}, "a:b")),
+    *((name, {field: bad}) for name, field, signed in NUMBER_FIELDS
+      for bad in (float("inf"), float("-inf"), float("nan"), True, "x", -1.0)
+      if not (bad == -1.0 and signed)),
+    ("import_history", {"entries": [
+        {"url": URL, "at": 9e6 + 1}, {"url": URL, "at": float("inf")}]}),
+    ("bill", {"days": 10 ** 309}),                  # float() overflows
 ]
 
 
@@ -363,17 +382,59 @@ def test_malformed_input_is_a_bad_request_on_one_server_and_on_two(
     traceback) for failures on a well-formed request; a string field sent
     as ``123`` reached the tokenizer, a folder path or the catalog and
     failed there as one."""
-    fields = {**REQUESTS[name], **bad}
     sender = "newcomer" if name == "register_user" else "ann"
+    request = {"servlet": name, "user_id": sender, **REQUESTS[name], **bad}
     with MemexServer(lambda url: None) as server:
         server.registry.dispatch({"servlet": "register_user", "user_id": "ann"})
-        alone = server.transport.request(sender, {"servlet": name, **fields})
+        # The frame as ``transport.request`` encodes it, but with the
+        # ``user_id`` of *bad*, which the client side would overwrite.
+        alone = decode_message(server.transport._serve(encode_message(request), ""))
+        assert server.now == 0.0, "a refused request moved the clock"
     dispatcher, _log = cluster
-    sharded = dispatcher.dispatch({"servlet": name, "user_id": sender, **fields})
+    sharded = dispatcher.dispatch(request)
     for response in (alone, sharded):
         assert response["status"] == "error", response
         assert response["error_code"] == "bad_request", response
         assert response["retryable"] is False, response
+
+
+def test_a_colon_in_a_new_user_id_is_refused_so_folder_ids_do_not_collide():
+    """A folder id is ``<owner>:<path>``.  With ``a:b`` registered, ``a``
+    filing into ``b:c`` wrote ``a:b``'s folder ``c``: ``a:b`` listed a
+    URL it never bookmarked and ``a`` listed nothing."""
+    with MemexServer(lambda url: None) as server:
+        ask = server.transport.request
+        assert ask("a", {"servlet": "register_user"})["created"] is True
+        refused = ask("a:b", {"servlet": "register_user"})
+        assert refused["error_code"] == "bad_request", refused
+        ask("a:b", {"servlet": "folder_create", "path": "c"})
+        ask("a", {"servlet": "bookmark", "url": "http://y/", "folder_path": "b:c"})
+        mine = ask("a", {"servlet": "folders_get"})["folders"]
+        assert [(f["path"], [i["url"] for i in f["items"]]) for f in mine] == [
+            ("b:c", ["http://y/"])]
+        assert ask("a:b", {"servlet": "folders_get"})["error_code"] == "unknown_user"
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_an_infinite_visit_leaves_the_clock_alone(shards):
+    """``{"at": Infinity}`` decodes; it moved the shared clock to ``inf``,
+    so the next well-formed visit was stored at ``inf`` for every user."""
+    servers = [MemexServer(lambda url: None) for _ in range(shards)]
+    dispatcher = ShardDispatcher([LocalBackend(s.registry) for s in servers])
+    transport = HttpTunnelTransport(servers[0].registry, dispatcher=dispatcher)
+    try:
+        transport.request("ann", {"servlet": "register_user", "at": 5.0})
+        refused = transport.request(
+            "ann", {"servlet": "visit", "url": URL, "at": float("inf")})
+        assert refused["error_code"] == "bad_request", refused
+        assert [server.now for server in servers] == [5.0] * shards
+        transport.request("ann", {"servlet": "visit", "url": URL, "at": 20.0})
+        owner = servers[dispatcher.shard_for("ann")]
+        assert [v["at"] for v in owner.repo.user_visits("ann")] == [20.0]
+    finally:
+        dispatcher.close()
+        for server in servers:
+            server.close()
 
 
 def test_whole_floats_are_still_a_count():

@@ -112,8 +112,8 @@ def test_scatter_degrades_and_owner_requests_fail_retryable():
         users = [f"user{i:02d}" for i in range(6)]
         for user in users:
             cluster.register_user(user)
-        spread = cluster.ring.spread(users)
-        assert set(spread) == {0, 1}  # both shards own someone
+        owners = {cluster.ring.shard_for(user) for user in users}
+        assert owners == {0, 1}  # both shards own someone
         for i, user in enumerate(users):
             applet = cluster.connect(user)
             for j in range(3):

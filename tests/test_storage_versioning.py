@@ -6,6 +6,14 @@ from repro.errors import StaleSnapshot, VersioningError
 from repro.storage.versioning import VersionCoordinator
 
 
+def produce(vc, items):
+    """Open, fill and publish one version."""
+    vc.open_version()
+    for item in items:
+        vc.add_item(item)
+    return vc.publish()
+
+
 @pytest.fixture
 def vc():
     c = VersionCoordinator()
@@ -15,15 +23,15 @@ def vc():
 
 
 def test_produce_and_poll(vc):
-    vc.produce(["u1", "u2"])
-    vc.produce(["u3"])
+    produce(vc, ["u1", "u2"])
+    produce(vc, ["u3"])
     watermark, items = vc.poll("indexer")
     assert watermark == 2
     assert items == ["u1", "u2", "u3"]
 
 
 def test_ack_advances_consumer(vc):
-    vc.produce(["a"])
+    produce(vc, ["a"])
     w, items = vc.poll("indexer")
     vc.ack("indexer", w)
     w2, items2 = vc.poll("indexer")
@@ -54,7 +62,7 @@ def test_abort_discards_open_version(vc):
     vc.open_version()
     vc.add_item("doomed")
     vc.abort_version()
-    vc.produce(["kept"])
+    produce(vc, ["kept"])
     _, items = vc.poll("indexer")
     assert items == ["kept"]
 
@@ -69,8 +77,8 @@ def test_add_without_open_raises(vc):
 
 
 def test_consumers_lag_independently(vc):
-    vc.produce(["a"])
-    vc.produce(["b"])
+    produce(vc, ["a"])
+    produce(vc, ["b"])
     w, _ = vc.poll("indexer")
     vc.ack("indexer", w)
     assert vc.staleness("indexer") == 0
@@ -80,7 +88,7 @@ def test_consumers_lag_independently(vc):
 
 
 def test_ack_validation(vc):
-    vc.produce(["a"])
+    produce(vc, ["a"])
     with pytest.raises(VersioningError):
         vc.ack("indexer", 5)  # beyond published
     vc.ack("indexer", 1)
@@ -96,7 +104,7 @@ def test_ack_validation(vc):
 
 def test_gc_reclaims_fully_acked_versions(vc):
     for batch in (["a"], ["b"], ["c"]):
-        vc.produce(batch)
+        produce(vc, batch)
     assert vc.live_versions() == 3
     vc.ack("indexer", 3)
     assert vc.gc() == 0  # classifier still at 0
@@ -110,12 +118,12 @@ def test_gc_reclaims_fully_acked_versions(vc):
 
 def test_gc_without_consumers_is_noop():
     vc = VersionCoordinator()
-    vc.produce(["a"])
+    produce(vc, ["a"])
     assert vc.gc() == 0
 
 
 def test_register_is_idempotent(vc):
-    vc.produce(["a"])
+    produce(vc, ["a"])
     w, _ = vc.poll("indexer")
     vc.ack("indexer", w)
     vc.register_consumer("indexer")
@@ -123,8 +131,8 @@ def test_register_is_idempotent(vc):
 
 
 def test_late_registration_starts_at_gc_floor(vc):
-    vc.produce(["a"])
-    vc.produce(["b"])
+    produce(vc, ["a"])
+    produce(vc, ["b"])
     vc.ack("indexer", 2)
     vc.ack("classifier", 2)
     vc.gc()
@@ -132,7 +140,7 @@ def test_late_registration_starts_at_gc_floor(vc):
     # Latecomer cannot see reclaimed versions but polls cleanly from here on.
     _, items = vc.poll("latecomer")
     assert items == []
-    vc.produce(["c"])
+    produce(vc, ["c"])
     _, items = vc.poll("latecomer")
     assert items == ["c"]
 
@@ -141,7 +149,7 @@ def test_stale_snapshot_detected():
     vc = VersionCoordinator()
     vc.register_consumer("fast")
     vc.register_consumer("slow")
-    vc.produce(["a"])
+    produce(vc, ["a"])
     vc.ack("fast", 1)
     vc.ack("slow", 1)
     vc.gc()
@@ -153,7 +161,7 @@ def test_stale_snapshot_detected():
 
 
 def test_consumers_view(vc):
-    vc.produce(["a"])
+    produce(vc, ["a"])
     vc.ack("indexer", 1)
     assert vc.consumers() == {"indexer": 1, "classifier": 0}
     assert vc.published_version == 1

@@ -26,9 +26,9 @@ def index():
 
 def test_add_and_stats(index):
     assert index.num_docs == 5
-    assert index.has_document("u:jazz")
-    assert not index.has_document("u:ghost")
     assert index.doc_length("u:jazz") == 5
+    with pytest.raises(IndexError_):
+        index.doc_length("u:ghost")
     assert index.avg_doc_length() > 0
     assert sorted(index.document_ids()) == sorted(DOCS)
 
@@ -48,20 +48,11 @@ def test_reindex_replaces_content(index):
     assert index.num_docs == 5
 
 
-def test_remove_document(index):
-    assert index.remove_document("u:jazz")
-    assert not index.remove_document("u:jazz")
-    assert index.num_docs == 4
-    from repro.text.tokenize import porter_stem
-    assert "u:jazz" not in index.postings(porter_stem("music"))
-    with pytest.raises(IndexError_):
-        index.doc_length("u:jazz")
-
-
 def test_empty_posting_lists_are_deleted(index):
-    # Removing the only cycling docs must delete the term's posting key.
-    index.remove_document("u:cycling")
-    index.remove_document("u:mixed")
+    # Re-indexing the only cycling docs without it must delete the
+    # term's posting key.
+    index.add_document("u:cycling", "bicycle maintenance")
+    index.add_document("u:mixed", "playlists")
     from repro.text.tokenize import porter_stem
     term = porter_stem("cycling")
     assert term not in set(index.terms())
@@ -94,8 +85,6 @@ def test_running_doc_totals_equal_brute_force(tmp_path):
         lambda: idx.add_document("d2", "jazz"),
         lambda: idx.add_document("d1", "a much longer replacement text about music"),
         lambda: idx.add_document("d3", ""),
-        lambda: idx.remove_document("d2"),
-        lambda: idx.remove_document("never-indexed"),
         lambda: idx.add_document("d2", "jazz returns again"),
     ]
     for step in steps:
@@ -107,12 +96,9 @@ def test_running_doc_totals_equal_brute_force(tmp_path):
     kv2 = open_engine("btree", tmp_path / "kv.log")
     idx2 = InvertedIndex(kv2)            # totals come from the stored records
     assert (idx2.num_docs, idx2.avg_doc_length()) == before
-    idx2.remove_document("d1")
+    idx2.add_document("d1", "short")
     idx2.add_document("d4", "appended after the reopen")
     assert (idx2.num_docs, idx2.avg_doc_length()) == _brute_force_totals(idx2)
-    for doc_id in idx2.document_ids():
-        idx2.remove_document(doc_id)
-    assert (idx2.num_docs, idx2.avg_doc_length()) == (0, 0.0)
     kv2.close()
 
 
