@@ -39,13 +39,13 @@ def reco_setup(reco_workload):
     system = MemexSystem.from_workload(reco_workload)
     system.replay(reco_workload.events)
     server = system.server
-    profiles = server.current_profiles()
+    themes, profiles = server.profiles_and_themes()
     gt = {p.user_id: p.interests for p in reco_workload.profiles}
     seen = {
         uid: {v["url"] for v in server.repo.user_visits(uid)}
         for uid in gt
     }
-    return server, profiles, gt, seen
+    return server, themes, profiles, gt, seen
 
 
 def _relevant(workload, gt, uid):
@@ -59,7 +59,7 @@ def _relevant(workload, gt, uid):
 @pytest.fixture(scope="module")
 def precision_rows(reco_setup, reco_workload):
     default_workload = reco_workload
-    server, profiles, gt, seen = reco_setup
+    server, themes, profiles, gt, seen = reco_setup
     rng = random.Random(3)
     all_urls = default_workload.corpus.urls()
     rows = []
@@ -70,10 +70,7 @@ def precision_rows(reco_setup, reco_workload):
         relevant = _relevant(default_workload, gt, uid) - seen[uid]
         if not relevant:
             continue
-        recs = recommend_pages(
-            server.repo, server.vectorizer, server.themes.taxonomy,
-            profiles, uid, k=10,
-        )
+        recs = recommend_pages(server.repo, themes, profiles, uid, k=10)
         cf = precision_at_k([r.url for r in recs], relevant, 10)
         unseen = [u for u in all_urls if u not in seen[uid]]
         rand = precision_at_k(rng.sample(unseen, 10), relevant, 10)
@@ -105,7 +102,7 @@ def test_e9_collaborative_beats_popularity(precision_rows):
 
 def test_e9_user_clustering_matches_ground_truth(reco_setup):
     """Ungar-Foster user clusters group ground-truth-similar users."""
-    server, profiles, gt, _seen = reco_setup
+    server, themes, profiles, gt, _seen = reco_setup
     groups = cluster_users(profiles, k=3)
     # Within-group ground-truth similarity must beat across-group.
     import math
@@ -131,25 +128,19 @@ def test_e9_user_clustering_matches_ground_truth(reco_setup):
 
 
 def test_e9_recommendations_exclude_seen(reco_setup):
-    server, profiles, gt, seen = reco_setup
+    server, themes, profiles, gt, seen = reco_setup
     for uid in sorted(gt)[:3]:
-        recs = recommend_pages(
-            server.repo, server.vectorizer, server.themes.taxonomy,
-            profiles, uid, k=10,
-        )
+        recs = recommend_pages(server.repo, themes, profiles, uid, k=10)
         assert all(r.url not in seen[uid] for r in recs)
         assert all(r.supporters for r in recs)
 
 
 def test_e9_bench_recommendation(benchmark, reco_setup, precision_rows):
-    server, profiles, gt, _seen = reco_setup
+    server, themes, profiles, gt, _seen = reco_setup
     uid = sorted(gt)[0]
 
     def recommend():
-        return recommend_pages(
-            server.repo, server.vectorizer, server.themes.taxonomy,
-            profiles, uid, k=10,
-        )
+        return recommend_pages(server.repo, themes, profiles, uid, k=10)
 
     recs = benchmark(recommend)
     benchmark.extra_info["mean_precision_at_10"] = round(

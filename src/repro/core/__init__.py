@@ -5,6 +5,7 @@ from .community import consolidate
 from .memex import MemexServer
 from .organize import ProposedFolder
 from .profiles import (
+    PageThemes,
     UserProfile,
     build_profile,
     profile_similarity,
@@ -21,6 +22,7 @@ __all__ = [
     "MemexServer",
     "MemexSystem",
     "MotivatingQueries",
+    "PageThemes",
     "ProposedFolder",
     "TrailEdge",
     "TrailGraph",

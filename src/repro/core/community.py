@@ -61,10 +61,10 @@ def consolidate(server: MemexServer) -> CommunityReport | None:
 
     Returns None when the theme daemon has not produced a taxonomy yet.
     """
-    taxonomy, profiles = server.profiles_and_taxonomy()
-    if taxonomy is None:
+    themes, profiles = server.profiles_and_themes()
+    if themes is None:
         return None
-    return build_report(taxonomy, profiles)
+    return build_report(themes.taxonomy, profiles)
 
 
 def build_report(

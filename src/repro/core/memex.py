@@ -49,7 +49,7 @@ from ..shard.gather import LocalBackend, ShardDispatcher
 from ..storage.repository import MemexRepository
 from ..text.index import InvertedIndex
 from ..text.search import SearchEngine
-from .profiles import UserProfile, build_profile
+from .profiles import PageThemes, UserProfile, build_profile
 from .request import require_user
 # The fusion constants moved with the search handler; bench/ladder.py
 # imports them from this module.
@@ -200,6 +200,9 @@ class MemexServer:
         self._profiles: tuple[
             ThemeTaxonomy | None, int, dict[str, tuple[int, UserProfile]]
         ] = (None, -1, {})
+        # Page -> (leaf theme, similarity) for the same (taxonomy, idf
+        # generation) key; replaced whole, never invalidated.
+        self._page_themes: PageThemes | None = None
         # Server lock ("server" rank in repro.locks.LOCK_ORDER, above the
         # repository lock it nests over): guards the simulation clock,
         # the publication of rebuilt profiles, and the server-level
@@ -276,12 +279,29 @@ class MemexServer:
             return held
         return {}
 
-    def _rebuild_moved_profiles(
+    def _held_page_themes(
         self, taxonomy: ThemeTaxonomy, num_docs: int,
+    ) -> PageThemes:
+        """The kept page-theme memo if it belongs to this taxonomy object
+        at this idf generation, else a new one, published."""
+        held = self._page_themes
+        if (
+            held is not None and held.taxonomy is taxonomy
+            and held.num_docs == num_docs
+        ):
+            return held
+        themes = PageThemes(self.vectorizer, taxonomy, num_docs)
+        with self._server_lock:
+            self._page_themes = themes
+        return themes
+
+    def _rebuild_moved_profiles(
+        self, themes: PageThemes,
     ) -> dict[str, tuple[int, UserProfile]]:
         """``user -> (engagement stamp, profile)`` for every user: kept
         where the stamp stands, built (outside the server lock) where it
         moved or the user is new, and published if anything was built."""
+        taxonomy, num_docs = themes.taxonomy, themes.num_docs
         held = self._held_profiles(taxonomy, num_docs)
         stamps = self.repo.stamps.engagement
         entries: dict[str, tuple[int, UserProfile]] = {}
@@ -294,9 +314,7 @@ class MemexServer:
             stamp = stamps.get(user_id, 0)
             entry = held.get(user_id)
             if entry is None or entry[0] != stamp:
-                entry = (stamp, build_profile(
-                    self.repo, self.vectorizer, taxonomy, user_id,
-                ))
+                entry = (stamp, build_profile(self.repo, themes, user_id))
                 rebuilt = True
             entries[user_id] = entry
         if rebuilt:
@@ -313,16 +331,17 @@ class MemexServer:
         return entries
 
     def current_profiles(self) -> dict[str, UserProfile]:
-        """Per-user theme profiles (see :meth:`profiles_and_taxonomy`)."""
-        return self.profiles_and_taxonomy()[1]
+        """Per-user theme profiles (see :meth:`profiles_and_themes`)."""
+        return self.profiles_and_themes()[1]
 
-    def profiles_and_taxonomy(
+    def profiles_and_themes(
         self,
-    ) -> tuple[ThemeTaxonomy | None, dict[str, UserProfile]]:
-        """The taxonomy, and the per-user theme profiles built from it, as
-        a from-scratch build over what is stored now would give them —
-        one read of ``themes.taxonomy`` for both, so a caller scoring
-        themes against profiles never straddles a ``ThemeDaemon`` swap.
+    ) -> tuple[PageThemes | None, dict[str, UserProfile]]:
+        """The page-theme memo of the taxonomy, and the per-user theme
+        profiles built through it, as a from-scratch build over what is
+        stored now would give them — one read of ``themes.taxonomy`` for
+        both, so a caller scoring themes against profiles never straddles
+        a ``ThemeDaemon`` swap.
 
         A profile reads three things, and each has its own signal: the
         user's visits and folder contents (that user's engagement stamp),
@@ -330,23 +349,26 @@ class MemexServer:
         idf weights (``vocab.num_docs``: they move when a page enters the
         mining vocabulary).  Only users whose stamp moved, or who
         registered since, are rebuilt; a new taxonomy or idf generation
-        rebuilds everyone.  The build runs outside the server lock, so a
-        visit's clock advance never waits on mining.
+        rebuilds everyone.  Each page is assigned to its theme once per
+        taxonomy and idf generation, whoever's profile reads it first.  The
+        build runs outside the server lock, so a visit's clock advance
+        never waits on mining.
         """
-        vocab = self.vectorizer.vocab
+        vectorizer = self.vectorizer
         entries: dict[str, tuple[int, UserProfile]] = {}
         for _ in range(2):
-            taxonomy, num_docs = self.themes.taxonomy, vocab.num_docs
+            taxonomy, num_docs = self.themes.taxonomy, vectorizer.num_docs
             if taxonomy is None:
                 return None, {}
-            entries = self._rebuild_moved_profiles(taxonomy, num_docs)
-            if vocab.num_docs == num_docs:
+            themes = self._held_page_themes(taxonomy, num_docs)
+            entries = self._rebuild_moved_profiles(themes)
+            if vectorizer.num_docs == num_docs:
                 break
             # A build vectorised a fetched page the indexer had not
             # reached, so idf moved under the users built before it (and
             # what was just published is a generation nobody will ask
             # for again).  Its pages are in the vocabulary now: once more.
-        return taxonomy, {
+        return themes, {
             user_id: profile for user_id, (_, profile) in entries.items()
         }
 

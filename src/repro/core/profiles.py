@@ -17,7 +17,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..mining.themes import ThemeTaxonomy
+from ..mining.themes import Theme, ThemeTaxonomy
 from ..server.daemons import PageVectorizer
 from ..storage.repository import MemexRepository
 from ..storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION
@@ -45,6 +45,41 @@ class UserProfile:
         }
 
 
+class PageThemes:
+    """Each page's best leaf theme under one taxonomy object at one idf
+    generation (``vocab.num_docs``), assigned once and then looked up.
+
+    An assignment is kept only when the generation it was computed at is
+    this one: a page counted into the vocabulary meanwhile moved every
+    idf weight, so a computation that straddled it is returned to its
+    caller and not kept.  A page with no vector is never kept (it may be
+    fetched later).  There is no invalidation: a new taxonomy or
+    generation is a new object.
+    """
+
+    def __init__(
+        self, vectorizer: PageVectorizer, taxonomy: ThemeTaxonomy, num_docs: int,
+    ) -> None:
+        self.vectorizer = vectorizer
+        self.taxonomy = taxonomy
+        self.num_docs = num_docs
+        self._assigned: dict[str, tuple[Theme, float]] = {}
+
+    def assign(self, url: str) -> tuple[Theme, float] | None:
+        """``taxonomy.assign`` of the page's tf-idf vector; None when the
+        page has no vector."""
+        assigned = self._assigned.get(url)
+        if assigned is not None:
+            return assigned
+        vec = self.vectorizer.tfidf_vector(url)
+        if vec is None:
+            return None
+        assigned = self.taxonomy.assign(vec)
+        if self.vectorizer.num_docs == self.num_docs:
+            self._assigned[url] = assigned
+        return assigned
+
+
 def engagement(repo: MemexRepository, user_id: str) -> dict[str, float]:
     """url -> how strongly one user engaged with it: a visit counts
     :data:`VISIT_WEIGHT`, a deliberate bookmark or correction
@@ -69,19 +104,17 @@ def engagement(repo: MemexRepository, user_id: str) -> dict[str, float]:
 
 
 def build_profile(
-    repo: MemexRepository,
-    vectorizer: PageVectorizer,
-    taxonomy: ThemeTaxonomy,
-    user_id: str,
+    repo: MemexRepository, themes: PageThemes, user_id: str,
 ) -> UserProfile:
-    """Profile one user from their visits and deliberate bookmarks."""
+    """Profile one user from their visits and deliberate bookmarks, each
+    page assigned to its theme through *themes*."""
     weights: dict[str, float] = defaultdict(float)
     pages = 0
     for url, strength in engagement(repo, user_id).items():
-        vec = vectorizer.tfidf_vector(url)
-        if vec is None:
+        assigned = themes.assign(url)
+        if assigned is None:
             continue
-        theme, similarity = taxonomy.assign(vec)
+        theme, similarity = assigned
         if similarity <= 0.0:
             continue
         # Damp raw engagement so one binge session doesn't own the profile.

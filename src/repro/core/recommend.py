@@ -19,12 +19,26 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..mining.hac import cluster_vectors
-from ..mining.themes import Theme, ThemeTaxonomy
-from ..server.daemons import PageVectorizer
+from ..mining.themes import Theme
 from ..storage.repository import MemexRepository
 from ..text.vectorize import text_vector
-from .profiles import UserProfile, engagement, profile_similarity, similar_users
-from .request import DAY, Request, Response, Server, User, text_field, top_k
+from .profiles import (
+    PageThemes,
+    UserProfile,
+    engagement,
+    profile_similarity,
+    similar_users,
+)
+from .request import (
+    DAY,
+    Request,
+    Response,
+    Server,
+    User,
+    number_field,
+    text_field,
+    top_k,
+)
 
 
 @dataclass
@@ -45,8 +59,7 @@ class Recommendation:
 
 def recommend_pages(
     repo: MemexRepository,
-    vectorizer: PageVectorizer,
-    taxonomy: ThemeTaxonomy | None,
+    themes: PageThemes | None,
     profiles: dict[str, UserProfile],
     user_id: str,
     *,
@@ -54,7 +67,9 @@ def recommend_pages(
     neighbors: int = 5,
     min_similarity: float = 0.05,
 ) -> list[Recommendation]:
-    """Pages the user's profile-neighbors value that the user hasn't seen."""
+    """Pages the user's profile-neighbors value that the user hasn't seen,
+    each assigned to its theme through *themes* (the memo the profiles
+    were built through; None when there is no taxonomy)."""
     me = profiles.get(user_id)
     if me is None:
         return []
@@ -83,14 +98,13 @@ def recommend_pages(
     for url, score in scores.items():
         theme_id = None
         theme_boost = 1.0
-        if taxonomy is not None:
-            vec = vectorizer.tfidf_vector(url)
-            if vec is not None:
-                theme, similarity = taxonomy.assign(vec)
-                if similarity > 0.0:
-                    theme_id = theme.theme_id
-                    # Boost pages in the user's own strong themes.
-                    theme_boost = 1.0 + me.weights.get(theme.theme_id, 0.0) * 4.0
+        assigned = None if themes is None else themes.assign(url)
+        if assigned is not None:
+            theme, similarity = assigned
+            if similarity > 0.0:
+                theme_id = theme.theme_id
+                # Boost pages in the user's own strong themes.
+                theme_boost = 1.0 + me.weights.get(theme.theme_id, 0.0) * 4.0
         out.append(Recommendation(
             url=url,
             score=score * theme_boost,
@@ -166,15 +180,15 @@ def serve_themes_get(server: Server, user: User, request: Request) -> Response:
 
 def serve_resources(server: Server, user: User, request: Request) -> Response:
     k = top_k(request, 10)
+    since_days = number_field(request, "since_days", None)
     theme, sim = match_theme(server, text_field(request, "query"))
     if theme is None or sim <= 0.0:
         return {"resources": [], "theme": None}
-    since_days = request.get("since_days")
     out = []
     for res in server.discovery.for_theme(theme.theme_id):
         if len(out) >= k:
             break
-        if since_days is not None and res.first_seen < server.now - float(since_days) * DAY:
+        if since_days is not None and res.first_seen < server.now - since_days * DAY:
             continue
         page = server.repo.db.table("pages").get(res.url)
         out.append({
@@ -230,8 +244,6 @@ def serve_recommend(server: Server, user: User, request: Request) -> Response:
     k = top_k(request, 10)
     # One read: the taxonomy the profiles were built from, not whatever
     # ThemeDaemon has swapped in since.
-    taxonomy, profiles = server.profiles_and_taxonomy()
-    recs = recommend_pages(
-        server.repo, server.vectorizer, taxonomy, profiles, user["user_id"], k=k,
-    )
+    themes, profiles = server.profiles_and_themes()
+    recs = recommend_pages(server.repo, themes, profiles, user["user_id"], k=k)
     return {"pages": [r.to_payload() for r in recs]}

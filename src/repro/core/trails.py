@@ -172,7 +172,22 @@ def build_trail_graph(
             and (row["topic_confidence"] or 0.0) >= min_confidence
         )
 
-    visits = repo.db.table("visits").select(qualifies, order_by="at")
+    # A visit qualifies only by its url or its topic folder, so the
+    # candidates come through those two indexes.
+    table = repo.db.table("visits")
+    candidates = {
+        row["visit_id"]: row
+        for where in (
+            *({"url": url} for url in deliberate_urls | extra),
+            *({"topic_folder": fid} for fid in folder_set),
+        )
+        for row in table.select(where)
+    }
+    # Time order, ties in id order (the table's insertion order).
+    visits = sorted(
+        filter(qualifies, candidates.values()),
+        key=lambda row: (row["at"], row["visit_id"]),
+    )
     if not visits:
         return TrailGraph(folder_paths=folder_paths or [])
 

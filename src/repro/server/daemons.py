@@ -109,6 +109,15 @@ class PageVectorizer:
                 self._cache[url] = vec
         return vec
 
+    @property
+    def num_docs(self) -> int:
+        """The idf generation, ``vocab.num_docs``, read between documents:
+        one being counted in when this is called has moved it by the time
+        this returns.  So a computation that reads the same value before
+        and after itself read one state of every idf weight."""
+        with self._vectorizer_lock:
+            return self.vocab.num_docs
+
     def tfidf_vector(self, url: str) -> SparseVector | None:
         vec = self.vector(url)
         if vec is None:
@@ -481,12 +490,23 @@ class ClassifierDaemon:
         # order of their first such visit.  A user with no model drops out
         # before the window is taken: their visits never get filed, and
         # left in the window they would stay first in line on every run.
+        # Only a user with a deliberate filing can have one (without one
+        # ``_maybe_train`` returns None and does nothing else), so only
+        # those users' visits are read, through the ``user_id`` index.
+        visits = self.repo.db.table("visits")
+        unfiled = sorted(
+            (
+                visit
+                for user_id in {owner for owner, _, _ in filings}
+                for visit in visits.select(
+                    {"user_id": user_id, "topic_folder": None})
+            ),
+            key=lambda visit: visit["visit_id"],
+        )
         models: dict[str, EnhancedClassifier | None] = {}
         by_user: dict[str, list[dict]] = defaultdict(list)
         room = self.batch_size * 4
-        for visit in self.repo.db.table("visits").select(
-            lambda r: r["topic_folder"] is None, order_by="visit_id",
-        ):
+        for visit in unfiled:
             user_id = visit["user_id"]
             if user_id not in models:
                 models[user_id] = self._maybe_train(user_id, filings)

@@ -12,6 +12,13 @@ RDBMS.  This module provides what that workload needs, in pure Python:
 There are no range scans, joins or aggregates: no servlet or daemon asks
 for one.
 
+A stored row is never mutated in place: an insert stores a fresh dict, an
+update stores a changed copy in the old one's place, and a rollback puts
+the old dict back.  So a read snapshots row *references* under the read
+lock and copies only the rows it returns; a ``select`` or ``count``
+predicate sees the stored rows themselves and must treat them as
+read-only.
+
 It is intentionally *not* a SQL parser — queries are expressed through a
 small fluent API — but the semantics (atomic multi-row transactions,
 secondary-index maintenance, recovery to the last committed transaction)
@@ -123,10 +130,10 @@ class Table:
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
         # Per-table readers-writer lock (rank "relational" in
-        # repro.locks.LOCK_ORDER).  Reads snapshot row copies under the
-        # read side and filter/sort outside it, so user predicates never
-        # run while the lock is held; commits take the write side of every
-        # involved table in sorted-name order (the "table group").
+        # repro.locks.LOCK_ORDER).  Reads snapshot row references under
+        # the read side and filter/sort outside it, so user predicates
+        # never run while the lock is held; commits take the write side of
+        # every involved table in sorted-name order (the "table group").
         self._rw = RWLock()
         self._rows: dict[Any, Row] = {}
         self._hash: dict[str, dict[Any, set[Any]]] = {
@@ -171,6 +178,26 @@ class Table:
         self._rows[pk] = new
         self._index_add(pk, new)
         return old
+
+    def _add_indexes(self, columns: Sequence[str]) -> None:
+        """Also index *columns*, built from the stored rows: a table
+        recovered from a log written before they were declared gets them
+        on open.  The log keeps its ``create_table`` record; a checkpoint
+        writes the schema with them."""
+        with self._rw.write():
+            missing = [col for col in columns if col not in self._hash]
+            if not missing:
+                return
+            schema = self.schema
+            self.schema = TableSchema(
+                schema.name, schema.columns, schema.primary_key,
+                (*schema.indexes, *missing), schema.unique,
+            )
+            for col in missing:
+                self._hash[col] = {}
+            for pk, row in self._rows.items():
+                for col in missing:
+                    self._hash[col].setdefault(row[col], set()).add(pk)
 
     def _index_add(self, pk: Any, row: Row) -> None:
         for col, buckets in self._hash.items():
@@ -224,19 +251,25 @@ class Table:
         *where* is either a dict of equality constraints (index-accelerated
         when a constrained column is indexed) or an arbitrary predicate.
         """
-        # Copy the candidates under the read lock, then filter and sort
-        # outside it so arbitrary predicates can themselves query tables.
-        with self._rw.read():
-            rows = [dict(r) for r in self._candidates(where)]
-        if isinstance(where, dict):
-            rows = [r for r in rows if all(r.get(k) == v for k, v in where.items())]
-        elif callable(where):
-            rows = [r for r in rows if where(r)]
+        rows = self._matching(where)
         if order_by is not None:
             self.schema.column(order_by)
             rows.sort(key=lambda r: (r[order_by] is None, r[order_by]), reverse=descending)
         if limit is not None:
             rows = rows[:limit]
+        return [dict(r) for r in rows]
+
+    def _matching(self, where: Row | Callable[[Row], bool] | None) -> list[Row]:
+        """The stored rows *where* selects, uncopied.  The candidates are
+        snapshotted under the read lock and filtered outside it, so a
+        predicate can itself query tables; it sees stored rows, which
+        commits replace and never mutate."""
+        with self._rw.read():
+            rows = self._candidates(where)
+        if isinstance(where, dict):
+            return [r for r in rows if all(r.get(k) == v for k, v in where.items())]
+        if callable(where):
+            return [r for r in rows if where(r)]
         return rows
 
     def _candidates(self, where: Row | Callable[[Row], bool] | None) -> list[Row]:
@@ -255,7 +288,7 @@ class Table:
     def count(self, where: Row | Callable[[Row], bool] | None = None) -> int:
         if where is None:
             return len(self)
-        return len(self.select(where))
+        return len(self._matching(where))
 
 
 class Transaction:
@@ -373,15 +406,19 @@ class Database:
         """Create a table.  Columns may be Column objects, (name, type)
         tuples, or bare names (defaulting to type ``str``)."""
         with self._catalog_lock:
-            if name in self._tables:
-                if if_not_exists:
-                    return self._tables[name]
+            existing = self._tables.get(name)
+            if existing is None:
+                cols = [self._as_column(c) for c in columns]
+                schema = TableSchema(
+                    name, cols, primary_key, tuple(indexes), tuple(unique))
+                self._tables[name] = Table(schema)
+                self._log_ddl("create_table", self._schema_payload(schema))
+                return self._tables[name]
+            if not if_not_exists:
                 raise SchemaError(f"table {name!r} already exists")
-            cols = [self._as_column(c) for c in columns]
-            schema = TableSchema(name, cols, primary_key, tuple(indexes), tuple(unique))
-            self._tables[name] = Table(schema)
-            self._log_ddl("create_table", self._schema_payload(schema))
-            return self._tables[name]
+        # Outside the catalog lock: it is never held with a table's.
+        existing._add_indexes(indexes)
+        return existing
 
     @staticmethod
     def _schema_payload(schema: TableSchema) -> dict[str, Any]:

@@ -114,7 +114,7 @@ def create_catalog(db: Database) -> None:
             Column("topic_confidence", "float", nullable=True),
         ],
         primary_key="visit_id",
-        indexes=("user_id", "url", "at", "session_id"),
+        indexes=("user_id", "url", "at", "session_id", "topic_folder"),
         if_not_exists=True,
     )
     db.create_table(

@@ -10,6 +10,9 @@ every write, not only after the next visit — and the work done must
 follow what changed, counted in calls and selects, not in time.
 """
 
+import json
+import os
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -23,7 +26,7 @@ from repro.core import memex as memex_module
 from repro.core.archive import folder_id, folder_path
 from repro.core.community import build_report, consolidate
 from repro.core.memex import MemexServer
-from repro.core.profiles import build_profile
+from repro.core.profiles import PageThemes, build_profile
 from repro.core.recommend import match_theme
 from repro.errors import EmptyCorpus
 from repro.mining.themes import Theme, ThemeDiscovery, ThemeTaxonomy
@@ -252,8 +255,9 @@ def test_a_folder_write_with_no_new_visit_reaches_the_profile(workload, write):
         served = server.current_profiles()
         if write is _file_an_unseen_page:       # the issue's reproduction
             assert served[user_id].pages == before + 1
-        fresh = build_profile(
-            server.repo, server.vectorizer, server.themes.taxonomy, user_id)
+        fresh = build_profile(server.repo, PageThemes(
+            server.vectorizer, server.themes.taxonomy,
+            server.vectorizer.num_docs), user_id)
         assert served[user_id].to_payload() == fresh.to_payload()
         assert _payloads(served) == _payloads(_reference_current_profiles(server))
 
@@ -353,6 +357,218 @@ def test_consolidate_reports_the_taxonomy_its_profiles_came_from(workload):
         assert [t.theme_id for t in report.themes] == \
             [t.theme_id for t in expected.themes]
         assert report.user_fit == expected.user_fit
+
+
+# -- the page-theme memo: one assignment per page per generation -------------
+
+def _count_assigns(monkeypatch):
+    assigned = []
+    real = ThemeTaxonomy.assign
+
+    def counting(self, vector):
+        assigned.append(self)
+        return real(self, vector)
+
+    monkeypatch.setattr(ThemeTaxonomy, "assign", counting)
+    return assigned
+
+
+def _crawl_unvisited_page(server):
+    """Fetch and index one page nobody visited: the vocabulary gains a
+    document, so every idf weight moves and nothing else does."""
+    url = next(
+        row["url"] for row in server.repo.db.table("pages").scan()
+        if not row["fetched"] and server.crawler.fetch(row["url"]) is not None
+    )
+    num_docs = server.vectorizer.vocab.num_docs
+    server.crawler.enqueue(url)
+    server.crawler.run_once()
+    server.indexer.run_once()
+    assert server.vectorizer.vocab.num_docs > num_docs
+
+
+def _assign_through_the_memo_again(workload, move, monkeypatch):
+    """Recommend, *move*, recommend: both answers the from-scratch
+    reference, and the second assigned pages afresh."""
+    with _replayed(workload) as system:
+        server = system.server
+        _assert_serves_the_reference(server, "before")
+        before = _payloads(server.current_profiles())
+        assigned = _count_assigns(monkeypatch)
+        move(server)
+        _assert_serves_the_reference(server, "after")
+        assert _payloads(server.current_profiles()) != before
+        assert assigned, "the second recommend assigned no page afresh"
+
+
+def test_a_page_entering_the_vocabulary_between_recommends(workload, monkeypatch):
+    _assign_through_the_memo_again(workload, _crawl_unvisited_page, monkeypatch)
+
+
+def test_a_taxonomy_swapped_in_between_recommends(workload, monkeypatch):
+    def swap(server):
+        server.themes.taxonomy = ThemeDiscovery(
+            cohesion_threshold=0.99, min_split_folders=2,
+        ).discover(server.themes.folder_documents(), server.vectorizer.vocab)
+
+    _assign_through_the_memo_again(workload, swap, monkeypatch)
+
+
+def test_one_users_visit_assigns_only_what_it_added(workload, monkeypatch):
+    """A visit moves its user's stamp alone: that profile is rebuilt, and
+    every page already assigned at this generation is looked up — only
+    the page the visit added is assigned."""
+    with _replayed(workload) as system:
+        server = system.server
+        users = [p.user_id for p in workload.profiles]
+        url = _unseen_fetched_pages(server, users[1])[0]
+        assert server.vectorizer.vector(url) is not None
+        _assert_serves_the_reference(server, "before")
+        built = _count_builds(monkeypatch)
+        assigned = _count_assigns(monkeypatch)
+        for user_id in users:
+            _ask(server, user_id, "recommend")
+        assert built == [] and assigned == []
+        _ask(server, users[1], "visit", url=url, at=server.now + 1.0)
+        _ask(server, users[0], "recommend")
+        assert built == [users[1]]
+        assert len(assigned) <= 1       # the new page, unless a peer had it
+        monkeypatch.undo()
+        _assert_serves_the_reference(server, "after the visit")
+
+
+def test_a_planted_memo_that_ignores_num_docs_is_caught(workload, monkeypatch):
+    _memo_ignores_num_docs(monkeypatch)
+    with pytest.raises(AssertionError, match="differ|recommend|similar|mates"):
+        with _replayed(workload) as system:
+            _assert_serves_the_reference(system.server, "before")
+            _crawl_unvisited_page(system.server)
+            _assert_serves_the_reference(system.server, "after")
+
+
+def test_an_assignment_straddling_a_new_document_is_not_kept(community):
+    server = community.server
+    url = next(
+        row["url"] for row in server.repo.db.table("pages").scan()
+        if row["fetched"]
+    )
+    num_docs = server.vectorizer.num_docs
+    themes = PageThemes(server.vectorizer, server.themes.taxonomy, num_docs)
+    stale = PageThemes(server.vectorizer, server.themes.taxonomy, num_docs - 1)
+    assert stale.assign(url) == themes.assign(url)
+    assert url in themes._assigned and url not in stale._assigned
+    assert themes.assign("http://never.fetched/") is None
+    assert "http://never.fetched/" not in themes._assigned
+
+
+#: Writer steps of the concurrent memo test (the CI stress job raises it).
+MEMO_STORM_STEPS = 4 * int(os.environ.get("MEMEX_STRESS_ITERS", "2"))
+
+
+def test_concurrent_recommends_each_read_one_generation(workload):
+    """Four threads ask ``recommend`` and ``profile_similar`` while a
+    fifth counts fresh pages into the vocabulary (moving ``num_docs``)
+    and swaps the taxonomy, one step at a time.  Every answer must equal
+    the from-scratch reference of a state its request could have read:
+    a memo entry kept under the wrong generation, or torn by a document
+    counted in mid-assignment, would answer something no state gives.
+
+    The writer takes its next step only after every reader has finished
+    a request that began after the last one, so no request spans more
+    than one step."""
+    with _replayed(workload) as system:
+        server = system.server
+        users = [p.user_id for p in workload.profiles]
+        for row in server.repo.db.table("pages").scan():
+            if row["fetched"]:
+                server.vectorizer.vector(row["url"])
+        # Fetched, so their text is stored, but not yet counted in.
+        fresh = sorted(
+            row["url"] for row in server.repo.db.table("pages").scan()
+            if not row["fetched"] and server.crawler.fetch(row["url"]) is not None
+        )[:MEMO_STORM_STEPS]
+        assert len(fresh) * 2 >= MEMO_STORM_STEPS
+        for url in fresh:
+            server.crawler.enqueue(url)
+        server.crawler.run_once()
+        taxonomies = [server.themes.taxonomy, ThemeDiscovery(
+            cohesion_threshold=0.99, min_split_folders=2,
+        ).discover(server.themes.folder_documents(), server.vectorizer.vocab)]
+
+        def canon(response):
+            return json.dumps(response, sort_keys=True)
+
+        def reference():
+            profiles = _reference_current_profiles(server)
+            return {
+                **{(u, "recommend"): canon(_reference_recommend(
+                    server, profiles, u)) for u in users},
+                **{(u, "profile_similar"): canon(_reference_profile_similar(
+                    profiles, u, k=3)) for u in users},
+            }
+
+        states = [reference()]
+        phase = [0]                    # the last state fully reached
+        finished = [-1] * 4            # per reader: p0 of its last answer
+        answers, failures = [], []
+        done = threading.Event()
+
+        def reader(idx):
+            i = 0
+            while not done.is_set():
+                user = users[(idx + i) % len(users)]
+                servlet = ("recommend", "profile_similar")[(idx + i) % 2]
+                i += 1
+                p0 = phase[0]
+                try:
+                    response = dict(server.registry.dispatch({
+                        "servlet": servlet, "user_id": user,
+                        **({"k": 3} if servlet == "profile_similar" else {}),
+                    }))
+                    assert response.pop("status") == "ok", response
+                except Exception as exc:        # noqa: BLE001 - reported below
+                    failures.append(exc)
+                    return
+                answers.append((user, servlet, p0, canon(response)))
+                finished[idx] = p0
+
+        def writer():
+            try:
+                for step in range(1, MEMO_STORM_STEPS + 1):
+                    if step % 2:
+                        assert server.vectorizer.vector(fresh[step // 2])
+                    else:
+                        server.themes.taxonomy = taxonomies[(step // 2) % 2]
+                    phase[0] = step
+                    states.append(reference())
+                    while min(finished) < step and not failures:
+                        done.wait(0.001)
+            except Exception as exc:            # noqa: BLE001 - reported below
+                failures.append(exc)
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "storm did not end"
+        assert failures == []
+        assert len(states) == MEMO_STORM_STEPS + 1
+        assert all(a != b for a, b in zip(states, states[1:])), \
+            "a step that moved no answer tests nothing"
+        for user, servlet, p0, answer in answers:
+            readable = states[p0:p0 + 2]
+            assert any(answer == s[user, servlet] for s in readable), (
+                f"{servlet}({user}) from state {p0} matches no state it "
+                f"could have read")
 
 
 # -- the differential oracle: a replayed community, checked at every step -----
@@ -517,9 +733,20 @@ def _no_flush_on_taxonomy(monkeypatch):
     monkeypatch.setattr(MemexServer, "_held_profiles", held)
 
 
+def _memo_ignores_num_docs(monkeypatch):
+    def held(self, taxonomy, num_docs):
+        themes = self._page_themes
+        if themes is None or themes.taxonomy is not taxonomy:
+            themes = self._page_themes = PageThemes(
+                self.vectorizer, taxonomy, num_docs)
+        return themes
+
+    monkeypatch.setattr(MemexServer, "_held_page_themes", held)
+
+
 @pytest.mark.parametrize("mutate", [
     _no_bump_for_folder_writes, _no_bump_for_visit_batches,
-    _no_flush_on_num_docs, _no_flush_on_taxonomy,
+    _no_flush_on_num_docs, _no_flush_on_taxonomy, _memo_ignores_num_docs,
 ])
 def test_the_oracle_catches_a_forgotten_invalidation(workload, monkeypatch, mutate):
     """Mutation check of the oracle itself: break one signal at a time
@@ -623,9 +850,9 @@ def test_any_short_history_serves_the_reference(ops):
 def _count_builds(monkeypatch):
     built = []
 
-    def counting(repo, vectorizer, taxonomy, user_id):
+    def counting(repo, themes, user_id):
         built.append(user_id)
-        return build_profile(repo, vectorizer, taxonomy, user_id)
+        return build_profile(repo, themes, user_id)
 
     monkeypatch.setattr(memex_module, "build_profile", counting)
     return built
@@ -708,12 +935,12 @@ def test_a_visit_is_acked_while_a_profile_build_is_parked(workload, monkeypatch)
         parked, release = threading.Event(), threading.Event()
         built = []
 
-        def parking_build(repo, vectorizer, taxonomy, user):
+        def parking_build(repo, themes, user):
             built.append(user)
             if len(built) == 1:             # the first build only
                 parked.set()
                 assert release.wait(60.0)
-            return build_profile(repo, vectorizer, taxonomy, user)
+            return build_profile(repo, themes, user)
 
         monkeypatch.setattr(memex_module, "build_profile", parking_build)
         answers = {}

@@ -347,6 +347,7 @@ NUMBER_FIELDS = [
     ("trail", "window_days", False), ("popular_near_trail", "window_days", False),
     ("recall", "around_days_ago", False), ("recall", "tolerance_days", False),
     ("bill", "days", False), ("bill", "monthly_rate", False),
+    ("resources", "since_days", False),
 ]
 #: A client's malformed input: a string field sent as a non-string,
 #: boolean queries that do not parse, unknown archive modes, user ids
@@ -369,6 +370,7 @@ MALFORMED = [
     ("import_history", {"entries": [
         {"url": URL, "at": 9e6 + 1}, {"url": URL, "at": float("inf")}]}),
     ("bill", {"days": 10 ** 309}),                  # float() overflows
+    ("resources", {"since_days": 10 ** 309}),
 ]
 
 

@@ -1,5 +1,7 @@
 """Tests for the in-process relational engine."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -331,3 +333,85 @@ def test_recovery_leaves_a_mostly_live_log_alone(tmp_path):
         size = db._log.size_bytes()
     with Database(path) as db:
         assert db._log.size_bytes() == size
+
+
+# -- select copies only what it returns ----------------------------------------
+
+def test_mutating_a_selected_row_leaves_the_table_unchanged(db):
+    fill(db)
+    t = db.table("people")
+    before = list(t.scan())
+    for rows in (
+        t.select(), t.select({"city": "london"}), t.select({"pid": 1}),
+        t.select(lambda r: r["age"] > 50, order_by="age", limit=1),
+    ):
+        for row in rows:
+            row["name"] = "mutated"
+            row["city"] = "nowhere"
+    assert list(t.scan()) == before
+    assert t.count({"city": "nowhere"}) == 0
+    assert {r["pid"] for r in t.select({"city": "london"})} == {1, 2}
+
+
+def test_a_predicate_may_select_from_another_table(db):
+    fill(db)
+    db.create_table("cities", [Column("name"), Column("country")],
+                    primary_key="name", indexes=("country",))
+    db.insert_many("cities", [
+        {"name": "london", "country": "uk"}, {"name": "nyc", "country": "us"},
+    ])
+    people, cities = db.table("people"), db.table("cities")
+
+    def in_uk(row):
+        return any(c["name"] == row["city"]
+                   for c in cities.select({"country": "uk"}))
+
+    assert [r["name"] for r in people.select(in_uk, order_by="pid")] == \
+        ["ada", "alan"]
+    assert people.count(in_uk) == 2
+    # ...and the same table, whose read lock the outer select has let go.
+    assert people.count(lambda r: people.get(r["pid"]) is not None) == 4
+
+
+def test_a_predicate_that_raises_releases_the_read_lock(db):
+    """The predicate runs outside the read lock, so its exception leaves
+    nothing held: a commit after it takes the write lock at once."""
+    fill(db)
+    t = db.table("people")
+
+    def boom(row):
+        raise RuntimeError("predicate failed")
+
+    for read in (t.select, t.count):
+        with pytest.raises(RuntimeError):
+            read(boom)
+    committed = threading.Event()
+
+    def commit():
+        db.update("people", 1, {"age": 37})
+        committed.set()
+
+    writer = threading.Thread(target=commit, daemon=True)
+    writer.start()
+    assert committed.wait(5.0), "a commit hung on a lock the failed read kept"
+    writer.join()
+    assert t.get(1)["age"] == 37
+
+
+def test_reopening_with_a_new_index_builds_it_from_the_stored_rows(tmp_path):
+    path = tmp_path / "db.wal"
+    columns = [Column("k", "int"), Column("tag", nullable=True)]
+    with Database(path) as db:
+        db.create_table("t", columns, primary_key="k")
+        db.insert_many("t", [{"k": i, "tag": "ab"[i % 2]} for i in range(5)])
+        db.insert("t", {"k": 9, "tag": None})
+    with Database(path) as db:
+        t = db.create_table(
+            "t", columns, primary_key="k", indexes=("tag",), if_not_exists=True)
+        assert t.schema.indexes == ("tag",)
+        assert {tag: sorted(pks) for tag, pks in t._hash["tag"].items()} == \
+            {"a": [0, 2, 4], "b": [1, 3], None: [9]}
+        db.update("t", 0, {"tag": "b"})
+        assert [r["k"] for r in t.select({"tag": "b"}, order_by="k")] == [0, 1, 3]
+    with Database(path) as db:         # the log keeps the old create_table
+        assert db.table("t").schema.indexes == ()
