@@ -4,18 +4,56 @@ The motivating query "are there any popular sites ... ?" (§1) needs a
 notion of link-endorsed popularity.  HITS (Kleinberg 1998) on a focused
 subgraph is how Chakrabarti et al.'s earlier systems scored topical
 authority; ``popular_near`` runs it on a trail tab's neighborhood of
-the crawl graph, a plain ``networkx`` digraph.
+the crawl graph, a :class:`LinkGraph`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, KeysView
 
-import networkx as nx
+
+class LinkGraph:
+    """Directed links as successor and predecessor dicts.  Nodes keep their
+    first-insertion order and each node's neighbours their edge-insertion
+    order: HITS sums and the surfer draws in those orders."""
+
+    def __init__(self) -> None:
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
+
+    def add_node(self, node: str) -> None:
+        if node not in self._succ:
+            self._succ[node] = {}
+            self._pred[node] = {}
+
+    def add_edge(self, src: str, dst: str) -> None:
+        """Add ``src -> dst`` and both nodes; a repeated edge is a no-op."""
+        self.add_node(src)
+        self.add_node(dst)
+        self._succ[src][dst] = self._pred[dst][src] = None
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._succ
+
+    def nodes(self) -> KeysView[str]:
+        return self._succ.keys()
+
+    def successors(self, node: str) -> KeysView[str]:
+        return self._succ[node].keys()
+
+    def predecessors(self, node: str) -> KeysView[str]:
+        return self._pred[node].keys()
+
+    def edges(self) -> Iterator[tuple[str, str]]:
+        return ((src, dst) for src, dsts in self._succ.items() for dst in dsts)
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self._succ.values()))
 
 
 def hits(
-    graph: nx.DiGraph,
+    graph: LinkGraph,
     *,
     max_iterations: int = 50,
     tolerance: float = 1e-8,
@@ -56,7 +94,7 @@ def _l2_normalize(scores: dict[str, float]) -> None:
 
 
 def popular_near(
-    graph: nx.DiGraph,
+    graph: LinkGraph,
     seed_urls: set[str],
     *,
     k: int = 10,
@@ -80,7 +118,14 @@ def popular_near(
         nxt -= neighborhood
         neighborhood |= nxt
         frontier = nxt
-    sub = graph.subgraph(neighborhood)
-    _, auths = hits(nx.DiGraph(sub))
+    # Sorted, not in the set's hash order: HITS sums floats in node order.
+    sub = LinkGraph()
+    for url in sorted(neighborhood):
+        sub.add_node(url)
+    for url in sub.nodes():
+        for dst in graph.successors(url):
+            if dst in neighborhood:
+                sub.add_edge(url, dst)
+    _, auths = hits(sub)
     ranked = sorted(auths.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]

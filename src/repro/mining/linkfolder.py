@@ -41,10 +41,9 @@ import math
 from collections import defaultdict
 from collections.abc import Iterable
 
-import networkx as nx
-
 from ..errors import NotFitted
 from ..text.vectorize import SparseVector
+from .linkanalysis import LinkGraph
 from .naive_bayes import NaiveBayesClassifier
 
 
@@ -112,7 +111,7 @@ class EnhancedClassifier:
         )
         self._labels: dict[str, str] = {}
         self._classes: list[str] = []
-        self._graph: nx.DiGraph | None = None
+        self._graph: LinkGraph | None = None
         self._cociters: dict[str, set[str]] = {}
         self._coplacement: dict[str, set[str]] = {}
         self._covisitation: dict[str, list[tuple[str, float]]] = {}
@@ -124,7 +123,7 @@ class EnhancedClassifier:
         self,
         vectors: dict[str, SparseVector],
         labels: dict[str, str],
-        graph: nx.DiGraph,
+        graph: LinkGraph,
         coplacement: dict[str, set[str]] | None = None,
         covisitation: dict[str, list[tuple[str, float]]] | None = None,
     ) -> "EnhancedClassifier":
@@ -168,9 +167,9 @@ class EnhancedClassifier:
         assert self._graph is not None
         votes: dict[str, float] = defaultdict(float)
         if url in self._graph:
-            neighbors: Iterable[str] = set(self._graph.successors(url)) | set(
-                self._graph.predecessors(url)
-            )
+            # Graph order, not set order: the soft votes are float sums.
+            neighbors = dict.fromkeys([*self._graph.successors(url),
+                                       *self._graph.predecessors(url)])
             for nb in neighbors:
                 label = self._labels.get(nb)
                 if label is not None:
@@ -313,7 +312,7 @@ class EnhancedClassifier:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict, graph: nx.DiGraph) -> "EnhancedClassifier":
+    def from_dict(cls, payload: dict, graph: LinkGraph) -> "EnhancedClassifier":
         flags = payload["flags"]
         weights = payload["weights"]
         clf = cls(
@@ -349,7 +348,7 @@ class EnhancedClassifier:
 
 
 def _cocitation_map(
-    graph: nx.DiGraph, labeled: set[str]
+    graph: LinkGraph, labeled: set[str]
 ) -> dict[str, set[str]]:
     """url -> labeled urls sharing at least one in-link source with it."""
     out: dict[str, set[str]] = defaultdict(set)

@@ -18,9 +18,8 @@ from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import NotFitted
+from ..mining.linkanalysis import LinkGraph
 from ..mining.linkfolder import EnhancedClassifier, build_coplacement
 from ..mining.themes import FolderDoc, ThemeDiscovery, ThemeTaxonomy
 from ..obs import (
@@ -125,9 +124,9 @@ class PageVectorizer:
         return tfidf(self.vocab, vec)
 
 
-def link_graph(repo: MemexRepository) -> nx.DiGraph:
+def link_graph(repo: MemexRepository) -> LinkGraph:
     """Materialize the catalog's links table as a directed graph."""
-    graph = nx.DiGraph()
+    graph = LinkGraph()
     for row in repo.db.table("pages").scan():
         graph.add_node(row["url"])
     for row in repo.db.table("links").scan():
@@ -391,7 +390,7 @@ class ClassifierDaemon:
         # Monotone per-user fit counter; keys the classify read cache so
         # posteriors from a superseded model can never be served.
         self._model_versions: dict[str, int] = defaultdict(int)
-        self._graph: nx.DiGraph | None = None
+        self._graph: LinkGraph | None = None
         self._graph_links = -1
         self.classified_count = 0
 
@@ -427,7 +426,7 @@ class ClassifierDaemon:
                 contents[folder_id].append(url)
         return list(contents.values())
 
-    def _current_graph(self) -> nx.DiGraph:
+    def _current_graph(self) -> LinkGraph:
         n_links = len(self.repo.db.table("links"))
         if self._graph is None or n_links != self._graph_links:
             self._graph = link_graph(self.repo)

@@ -20,8 +20,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-import networkx as nx
-
+from ..mining.linkanalysis import LinkGraph
 from .corpus import WebCorpus
 
 
@@ -34,7 +33,7 @@ def generate_links(
     sibling_share: float = 0.6,
     hub_bonus: int = 6,
     preferential: float = 0.7,
-) -> nx.DiGraph:
+) -> LinkGraph:
     """Wire the corpus into a directed hyperlink graph (also recorded on
     each page's ``out_links``).
 
@@ -62,9 +61,9 @@ def generate_links(
         group = [l.name for l in (parent.children if parent else [leaf]) if l.is_leaf]
         siblings[leaf.name] = [name for name in group if name != leaf.name]
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(urls)
-    in_degree: dict[str, int] = {u: 0 for u in urls}
+    graph = LinkGraph()
+    for url in urls:
+        graph.add_node(url)
     # A growing pool where each URL appears once per in-link (plus once
     # baseline) gives O(1) preferential sampling.
     pref_pool: list[str] = list(urls)
@@ -92,14 +91,13 @@ def generate_links(
                 targets.add(candidate)
         for dst in sorted(targets):
             graph.add_edge(page.url, dst)
-            in_degree[dst] += 1
             pref_pool.append(dst)
         page.out_links = sorted(targets)
 
     return graph
 
 
-def link_topic_locality(corpus: WebCorpus, graph: nx.DiGraph) -> float:
+def link_topic_locality(corpus: WebCorpus, graph: LinkGraph) -> float:
     """Fraction of edges whose endpoints share a leaf topic (diagnostic)."""
     edges = graph.number_of_edges()
     if edges == 0:

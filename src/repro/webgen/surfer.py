@@ -17,8 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
+from ..mining.linkanalysis import LinkGraph
 from ..server.events import (
     BookmarkEvent,
     FolderCreateEvent,
@@ -134,13 +133,13 @@ class SimulationResult:
     events: list[SurfEvent]
     profiles: dict[str, SurferProfile]
     corpus: WebCorpus
-    graph: nx.DiGraph
+    graph: LinkGraph
     duration_days: float
 
 
 def simulate_surfers(
     corpus: WebCorpus,
-    graph: nx.DiGraph,
+    graph: LinkGraph,
     profiles: list[SurferProfile],
     rng: random.Random,
     *,
@@ -195,7 +194,7 @@ def _run_session(
     start: float,
     session_id: int,
     corpus: WebCorpus,
-    graph: nx.DiGraph,
+    graph: LinkGraph,
     by_topic: dict[str, list[str]],
     rng: random.Random,
 ) -> list[SurfEvent]:

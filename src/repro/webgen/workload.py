@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
+from ..mining.linkanalysis import LinkGraph
 from .corpus import WebCorpus, generate_corpus
 from .graph import generate_links
 from .surfer import (
@@ -31,7 +30,7 @@ class Workload:
     name: str
     root: TopicNode
     corpus: WebCorpus
-    graph: nx.DiGraph
+    graph: LinkGraph
     profiles: list[SurferProfile]
     result: SimulationResult
     community: dict[str, float]

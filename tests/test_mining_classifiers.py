@@ -3,11 +3,11 @@
 import math
 import random
 
-import networkx as nx
 import pytest
 
 from repro.errors import NotFitted
 from repro.mining.features import fisher_scores, project, select_features
+from repro.mining.linkanalysis import LinkGraph
 from repro.mining.linkfolder import (
     EnhancedClassifier,
     build_coplacement,
@@ -130,8 +130,9 @@ def _toy_world():
     labels = {f"d{i}": lab for i, lab in enumerate(LABELS)}
     vectors["xA"] = {9: 1.0}   # text is pure noise
     vectors["xB"] = {9: 1.0}
-    graph = nx.DiGraph()
-    graph.add_nodes_from(vectors)
+    graph = LinkGraph()
+    for url in vectors:
+        graph.add_node(url)
     graph.add_edge("xA", "d0")
     graph.add_edge("d1", "xA")
     graph.add_edge("xB", "d3")
@@ -171,17 +172,18 @@ def test_enhanced_requires_fit_and_labels():
     with pytest.raises(NotFitted):
         clf.classes
     with pytest.raises(NotFitted):
-        clf.fit({}, {}, nx.DiGraph())
+        clf.fit({}, {}, LinkGraph())
     with pytest.raises(ValueError):
-        clf.fit({}, {"u": "A"}, nx.DiGraph())
+        clf.fit({}, {"u": "A"}, LinkGraph())
 
 
 def test_enhanced_batch_relaxation_spreads_labels():
     # Chain: labeled A -> x1 -> x2; x2 has no labeled neighbor, only x1.
     vectors = {"a": {0: 3.0}, "b": {2: 3.0}, "x1": {9: 1.0}, "x2": {9: 1.0}}
     labels = {"a": "A", "b": "B"}
-    graph = nx.DiGraph()
-    graph.add_edges_from([("a", "x1"), ("x1", "x2")])
+    graph = LinkGraph()
+    graph.add_edge("a", "x1")
+    graph.add_edge("x1", "x2")
     train = {"a": {0: 3.0, 1: 1.0}, "b": {2: 3.0, 3: 1.0}}
     clf = EnhancedClassifier(use_folder=False, relaxation_rounds=3).fit(
         train, labels, graph,
@@ -207,8 +209,9 @@ def test_build_coplacement_symmetry_and_dedup():
 
 
 def test_cocitation_map():
-    graph = nx.DiGraph()
-    graph.add_edges_from([("hub", "l1"), ("hub", "u1"), ("hub", "l2")])
+    graph = LinkGraph()
+    for dst in ("l1", "u1", "l2"):
+        graph.add_edge("hub", dst)
     m = _cocitation_map(graph, labeled={"l1", "l2"})
     assert m["u1"] == {"l1", "l2"}
     assert m["l1"] == {"l2"}
@@ -220,7 +223,7 @@ def test_enhanced_beats_text_only_on_synthetic_web():
     rng = random.Random(0)
     classes = ["C0", "C1", "C2"]
     vectors, labels = {}, {}
-    graph = nx.DiGraph()
+    graph = LinkGraph()
     folders = {c: [] for c in classes}
     for i in range(90):
         c = classes[i % 3]
