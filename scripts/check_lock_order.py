@@ -15,8 +15,7 @@ Recognised acquisition forms (the only ones used in the tree):
 * ``with self._rw.read():`` / ``with t._rw.write():`` — the RWLock
   guard methods on a ``_rw`` attribute (rank "relational");
 * ``with self.index.lock:`` / ``with engine.index.lock:`` — the
-  ``.lock`` property; ranked by its base name (``index`` → "index",
-  ``shard`` → "cache", the ShardedLRU shard lock).
+  ``.lock`` property; ranked by its base name (``index`` → "index").
 
 Unranked locks (``_pool_lock``, ``_queue_lock``, ``conn.lock``, …) are
 leaf locks private to one object; the lint ignores them.  Equal-rank
@@ -54,7 +53,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.locks import LOCK_ORDER, LOCK_ATTRIBUTES  # noqa: E402
 
 #: ``.lock`` property bases -> level (see module docstring).
-LOCK_PROPERTY_BASES = {"index": "index", "shard": "cache"}
+LOCK_PROPERTY_BASES = {"index": "index"}
 
 #: Package whose lock attributes must all be ranked (no silent leaves).
 SHARD_ROOT = SRC_ROOT / "shard"
@@ -89,7 +88,7 @@ def classify(expr: ast.expr) -> tuple[str, str] | None:
         level = LOCK_ATTRIBUTES.get(expr.attr)
         if level is not None:
             return (expr.attr, level)
-        # self.index.lock / shard.lock
+        # self.index.lock
         if expr.attr == "lock":
             base = _base_name(expr.value)
             level = LOCK_PROPERTY_BASES.get(base or "")

@@ -13,7 +13,7 @@ Public API highlights:
 * :mod:`repro.obs` — metrics, tracing, and profiling, wired through the
   whole server pipeline.
 * :mod:`repro.cache` — version-aware read-path caches for search,
-  classification, and trail replay.
+  trail replay, and related pages.
 """
 
 from . import (

@@ -2,7 +2,7 @@
 
 The paper promises "guaranteed immediate processing" for UI queries while
 mining runs asynchronously; at scale that promise needs the read path
-(search, trail replay, classify-on-read) to stop recomputing from the
+(search, trail replay, related pages) to stop recomputing from the
 index and repository on every request.  The loosely-consistent versioning
 system already tracks exactly what changed and when — so instead of
 ad-hoc TTLs, every cache here *reads* the
@@ -36,16 +36,23 @@ result computed from pre-publish state is never served as post-publish.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from typing import Any
 
 from ..obs import MetricsRegistry, null_registry
 from ..retrieval.dense import DenseIndexDaemon
 from ..storage.versioning import VersionCoordinator
-from .lru import ShardedLRU
 
 #: A validity token: published version + watched consumers' watermarks.
 Token = tuple[int, ...]
+
+#: Entry bounds of the server's read caches, and the cost bound each has.
+SEARCH_ENTRIES = 2048
+TRAIL_ENTRIES = 512
+RELATED_ENTRIES = 1024
+MAX_COST = 4_000_000
 
 _MISS = object()
 
@@ -71,7 +78,32 @@ def payload_cost(obj: Any) -> int:
 
 
 class VersionedCache:
-    """A sharded LRU whose entries expire when versions move on.
+    """A bounded LRU whose entries expire when versions move on.
+
+    The entries are one :class:`~collections.OrderedDict` under one lock,
+    least recently used first: a hit or a put moves its key to the end,
+    and eviction pops from the front in constant time (a plain dict would
+    scan the holes its front deletions leave).  Two bounds apply:
+    ``max_entries`` entries, and a total *cost* of ``max_cost``, each
+    entry priced at :meth:`put` time.  Eviction drops least-recently-used
+    entries until both hold; an entry whose cost alone exceeds
+    ``max_cost`` is refused (counted as an eviction) rather than flushing
+    the cache to admit it.
+
+    >>> from repro.storage.versioning import VersionCoordinator
+    >>> cache = VersionedCache("demo", VersionCoordinator(), max_entries=2)
+    >>> cache.put("a", 1) and cache.put("b", 2)   # True = admitted
+    True
+    >>> cache.get("a")
+    1
+    >>> cache.put("c", 3)         # evicts "b": least recently used
+    True
+    >>> cache.get("b") is None
+    True
+    >>> cache.get("a"), cache.get("c")
+    (1, 3)
+    >>> cache.stats()["evictions"]
+    1
 
     Parameters
     ----------
@@ -82,8 +114,10 @@ class VersionedCache:
     watch:
         Consumer names whose ack watermarks join the validity token.
         They must already be registered with *versions*.
-    max_entries / max_cost / shards:
-        Bounds for the underlying :class:`~repro.cache.lru.ShardedLRU`.
+    max_entries:
+        Entry bound (must be >= 1).
+    max_cost:
+        Cost bound (must be >= 1), or ``None`` for no cost bound.
     metrics:
         Observability registry; exposes ``cache.hits`` / ``cache.misses``
         / ``cache.evictions`` / ``cache.invalidations`` pull counters and
@@ -98,31 +132,37 @@ class VersionedCache:
         watch: tuple[str, ...] = (),
         max_entries: int = 1024,
         max_cost: int | None = None,
-        shards: int = 8,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be >= 1")
+        if max_cost is not None and max_cost < 1:
+            raise ValueError("max_cost must be >= 1 (or None)")
         self.name = name
         self._versions = versions
         self._watch = tuple(watch)
         for consumer in self._watch:
             versions.watermark(consumer)   # fail fast on unknown consumers
-        self._lru = ShardedLRU(
-            max_entries=max_entries, max_cost=max_cost, shards=shards,
-        )
+        self._max_entries = max_entries
+        self._max_cost = max_cost
+        self._cache_lock = threading.Lock()
+        # key -> (value, token, extra, cost), least recently used first.
+        self._entries: OrderedDict[
+            Hashable, tuple[Any, Token, Hashable, int]] = OrderedDict()
+        self._cost = 0
         self._hits = 0
         self._misses = 0
+        self._evictions = 0
+        self._invalidations = 0
         metrics = metrics if metrics is not None else null_registry()
         metrics.counter_func("cache.hits", lambda: self._hits, cache=name)
         metrics.counter_func("cache.misses", lambda: self._misses, cache=name)
         metrics.counter_func(
-            "cache.evictions",
-            lambda: self._lru.stats()["evictions"], cache=name,
-        )
+            "cache.evictions", lambda: self._evictions, cache=name)
         metrics.counter_func(
-            "cache.invalidations",
-            lambda: self._lru.stats()["invalidations"], cache=name,
-        )
-        metrics.gauge_func("cache.entries", lambda: len(self._lru), cache=name)
+            "cache.invalidations", lambda: self._invalidations, cache=name)
+        metrics.gauge_func(
+            "cache.entries", lambda: len(self._entries), cache=name)
 
     # -- the protocol --------------------------------------------------------
 
@@ -152,7 +192,8 @@ class VersionedCache:
         a stale token/*extra* (the entry is dropped) run ``compute()`` and
         store its result under the token taken *before* the compute.
         *extra* carries the change stamps of the non-versioned data the
-        result depends on.  Counts exactly one hit or one miss.
+        result depends on.  Counts exactly one hit or one miss.  The
+        compute runs outside the cache's lock.
         """
         token = self.token()
         value = self._lookup(key, token, extra)
@@ -162,15 +203,18 @@ class VersionedCache:
         return value
 
     def _lookup(self, key: Hashable, token: Token, extra: Hashable) -> Any:
-        entry = self._lru.get(key)
-        if entry is not None:
-            value, stored_token, stored_extra = entry
-            if stored_token == token and stored_extra == extra:
-                self._hits += 1
-                return value
-            self._lru.delete(key)
-        self._misses += 1
-        return _MISS
+        with self._cache_lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                if entry[1] == token and entry[2] == extra:
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                    return entry[0]
+                del self._entries[key]
+                self._cost -= entry[3]
+                self._invalidations += 1
+            self._misses += 1
+            return _MISS
 
     # -- primitives ---------------------------------------------------------
 
@@ -198,43 +242,75 @@ class VersionedCache:
         caller read the underlying data; omitting it stamps the current
         token, which is only safe when nothing can have changed since the
         preceding :meth:`get`.  *cost* defaults to a
-        :func:`payload_cost` estimate of the value.
+        :func:`payload_cost` estimate of the value.  Returns ``False``
+        (and caches nothing) when *cost* alone exceeds ``max_cost``.
         """
         stamp = token if token is not None else self.token()
         if cost is None:
             cost = payload_cost(value)
-        return self._lru.put(key, (value, stamp, extra), cost=cost)
+        elif cost < 0:
+            raise ValueError("cost must be non-negative")
+        max_cost = self._max_cost
+        with self._cache_lock:
+            entries = self._entries
+            old = entries.pop(key, None)
+            if old is not None:
+                self._cost -= old[3]
+            if max_cost is not None and cost > max_cost:
+                self._evictions += 1
+                return False
+            entries[key] = (value, stamp, extra, cost)
+            self._cost += cost
+            while len(entries) > self._max_entries or (
+                max_cost is not None and self._cost > max_cost
+            ):
+                _, victim = entries.popitem(last=False)   # least recent
+                self._cost -= victim[3]
+                self._evictions += 1
+            return True
 
     def invalidate(self, key: Hashable) -> bool:
         """Explicitly drop one entry; returns whether it was present."""
-        return self._lru.delete(key)
+        with self._cache_lock:
+            entry = self._entries.pop(key, None)
+            if entry is None:
+                return False
+            self._cost -= entry[3]
+            self._invalidations += 1
+            return True
 
     def clear(self) -> int:
         """Drop everything; returns how many entries were dropped."""
-        return self._lru.clear()
+        with self._cache_lock:
+            dropped = len(self._entries)
+            self._invalidations += dropped
+            self._entries.clear()
+            self._cost = 0
+            return dropped
 
     # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._lru)
+        return len(self._entries)
 
     def stats(self) -> dict[str, Any]:
         """Counters plus current occupancy, for the ``stats`` servlet."""
-        raw = self._lru.stats()
-        lookups = self._hits + self._misses
-        return {
-            "entries": raw["entries"],
-            "cost": raw["cost"],
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": raw["evictions"],
-            "invalidations": raw["invalidations"],
-            "hit_rate": round(self._hits / lookups, 4) if lookups else 0.0,
-        }
+        with self._cache_lock:
+            lookups = self._hits + self._misses
+            return {
+                "entries": len(self._entries),
+                "cost": self._cost,
+                "hits": self._hits,
+                "misses": self._misses,
+                "evictions": self._evictions,
+                "invalidations": self._invalidations,
+                "hit_rate": round(self._hits / lookups, 4) if lookups else 0.0,
+            }
 
 
 class ReadPathCaches:
-    """The server's cache bundle: one :class:`VersionedCache` per read path.
+    """The server's response caches: one :class:`VersionedCache` per read
+    path, each reached through :meth:`repro.core.MemexServer.cached`.
 
     * ``search``   — two key shapes under one validity: a finished page
       keyed by (query, mode, scope, user or "", limit, offset), and the
@@ -242,9 +318,6 @@ class ReadPathCaches:
       of (url, score) rows — keyed by (query, mode, scope, user or "").
       A page miss reads the ranking through this same cache, so the
       pages of one query rank once and both kinds invalidate together.
-    * ``classify`` — per-(user, page, model-version) classification
-      posteriors from the enhanced classifier, the hot inner loop of
-      trail replay and popular-near-trail.
     * ``trails``   — ``core/trails`` replay payloads per (user, topic
       folder, window).
     * ``related``  — hybrid related-pages responses per (canonical url,
@@ -252,13 +325,10 @@ class ReadPathCaches:
 
     Watch sets encode which mining consumer feeds each read path: search
     results change when the **indexer** acks new versions; trails also
-    change when the **classifier** does.  Classification posteriors carry
-    the model version in their key, so the classify cache only watches
-    the producer (a publish may change pages/links the model reads).
-    The related cache watches the **dense** ANN consumer; its
-    co-visitation half is covered by the ``covisits`` change stamp
-    callers fold into ``extra``.  Every watched consumer must already be
-    registered with *versions*.
+    change when the **classifier** does.  The related cache watches the
+    **dense** ANN consumer; its co-visitation half is covered by the
+    ``covisits`` change stamp callers fold into ``extra``.  Every watched
+    consumer must already be registered with *versions*.
     """
 
     def __init__(
@@ -266,36 +336,22 @@ class ReadPathCaches:
         versions: VersionCoordinator,
         *,
         metrics: MetricsRegistry | None = None,
-        search_entries: int = 2048,
-        classify_entries: int = 16384,
-        trail_entries: int = 512,
-        related_entries: int = 1024,
-        max_cost: int = 4_000_000,
-        shards: int = 8,
     ) -> None:
         self.search = VersionedCache(
             "search", versions, watch=("indexer",),
-            max_entries=search_entries, max_cost=max_cost, shards=shards,
-            metrics=metrics,
-        )
-        self.classify = VersionedCache(
-            "classify", versions,
-            max_entries=classify_entries, max_cost=max_cost, shards=shards,
-            metrics=metrics,
+            max_entries=SEARCH_ENTRIES, max_cost=MAX_COST, metrics=metrics,
         )
         self.trails = VersionedCache(
             "trails", versions, watch=("indexer", "classifier"),
-            max_entries=trail_entries, max_cost=max_cost, shards=shards,
-            metrics=metrics,
+            max_entries=TRAIL_ENTRIES, max_cost=MAX_COST, metrics=metrics,
         )
         self.related = VersionedCache(
             "related", versions, watch=(DenseIndexDaemon.name,),
-            max_entries=related_entries, max_cost=max_cost, shards=shards,
-            metrics=metrics,
+            max_entries=RELATED_ENTRIES, max_cost=MAX_COST, metrics=metrics,
         )
 
     def all(self) -> tuple[VersionedCache, ...]:
-        return (self.search, self.classify, self.trails, self.related)
+        return (self.search, self.trails, self.related)
 
     def sync(self) -> None:
         # Nothing to sync (caches are not consumers); bench/ladder.py calls it.

@@ -258,11 +258,6 @@ def community_pages_for_folder(
     folder's centroid as the folder's own
     :data:`SIMILARITY_QUANTILE`-worst deliberate member — a per-folder
     calibration with no magic constants.
-
-    Per-page predictions — the hot inner loop of trail replay and
-    popular-near-trail — are served from the classify cache keyed
-    (owner, url, model version): a page's vector never changes after
-    its first fetch, so the key fully determines the decision.
     """
     repo, vectorizer = server.repo, server.vectorizer
     try:
@@ -284,9 +279,6 @@ def community_pages_for_folder(
     member_sims = sorted(cosine(v, center) for v in member_vecs)
     floor = member_sims[int(SIMILARITY_QUANTILE * (len(member_sims) - 1))]
 
-    model_version = server.classifier.model_version(owner)
-    classify = None if server.caches is None else server.caches.classify
-
     out: set[str] = set()
     seen: set[str] = set()
     for visit in repo.community_visits(since=since):
@@ -302,14 +294,7 @@ def community_pages_for_folder(
             continue
         # Independent per-page prediction: batch relaxation would let
         # confidently-wrong labels cascade through off-topic clusters.
-        if classify is None:
-            folder = model.predict(url, vec)[0]
-        else:
-            folder = classify.cached(
-                (owner, url, model_version),
-                lambda: model.predict(url, vec)[0],
-            )
-        if folder in folder_set:
+        if model.predict(url, vec)[0] in folder_set:
             out.add(url)
     return out
 

@@ -45,7 +45,7 @@ LOCK_ORDER: tuple[str, ...] = (
     "vectorizer",    # PageVectorizer._vectorizer_lock (leaf: one count per page)
     "kvstore",       # KVStore._kv_lock
     "wal",           # WriteAheadLog._wal_lock
-    "cache",         # ShardedLRU shard locks
+    "cache",         # VersionedCache._cache_lock (one per read cache)
     "obs",           # metrics/tracer/log-hub internal locks
 )
 
@@ -65,7 +65,7 @@ LOCK_ATTRIBUTES: dict[str, str] = {
     "_vectorizer_lock": "vectorizer",
     "_kv_lock": "kvstore",
     "_wal_lock": "wal",
-    "_shard_lock": "cache",
+    "_cache_lock": "cache",
     "_obs_lock": "obs",
 }
 

@@ -387,8 +387,8 @@ class ClassifierDaemon:
         repo.versions.register_consumer(self.name)
         self._models: dict[str, EnhancedClassifier] = {}
         self._trained_on: dict[str, int] = defaultdict(int)
-        # Monotone per-user fit counter; keys the classify read cache so
-        # posteriors from a superseded model can never be served.
+        # Monotone per-user fit counter; the trail read cache's validity
+        # carries it, so replays from a superseded model are never served.
         self._model_versions: dict[str, int] = defaultdict(int)
         self._graph: LinkGraph | None = None
         self._graph_links = -1

@@ -1,13 +1,20 @@
-"""Unit tests for the sharded LRU core and the versioned cache layer."""
+"""Unit tests for the versioned cache: its LRU bounds and its validity."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.cache import ReadPathCaches, ShardedLRU, VersionedCache, payload_cost
+from repro.cache import ReadPathCaches, VersionedCache, payload_cost
 from repro.errors import VersioningError
 from repro.obs import MetricsRegistry
 from repro.storage.versioning import VersionCoordinator
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def produce(vc, items):
@@ -18,22 +25,25 @@ def produce(vc, items):
     return vc.publish()
 
 
+def lru(**bounds):
+    """A cache whose token never moves: only its LRU policy acts."""
+    return VersionedCache("lru", VersionCoordinator(), **bounds)
+
+
 # ---------------------------------------------------------------------------
-# ShardedLRU
+# The LRU policy
 # ---------------------------------------------------------------------------
 
 def test_lru_get_put_roundtrip():
-    cache = ShardedLRU(max_entries=8)
-    cache.put("a", 1)
+    cache = lru(max_entries=8)
+    assert cache.put("a", 1) is True
     assert cache.get("a") == 1
     assert cache.get("missing") is None
-    assert cache.get("missing", default=-1) == -1
-    assert "a" in cache and "missing" not in cache
     assert len(cache) == 1
 
 
 def test_lru_eviction_is_least_recently_used():
-    cache = ShardedLRU(max_entries=2, shards=1)
+    cache = lru(max_entries=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1          # refresh "a": "b" is now LRU
@@ -44,7 +54,7 @@ def test_lru_eviction_is_least_recently_used():
 
 
 def test_lru_put_refreshes_recency_and_replaces_value():
-    cache = ShardedLRU(max_entries=2, shards=1)
+    cache = lru(max_entries=2)
     cache.put("a", 1)
     cache.put("b", 2)
     cache.put("a", 10)                  # replace refreshes recency too
@@ -53,73 +63,104 @@ def test_lru_put_refreshes_recency_and_replaces_value():
 
 
 def test_lru_cost_bound_evicts_until_fit():
-    cache = ShardedLRU(max_entries=100, max_cost=10, shards=1)
+    cache = lru(max_entries=100, max_cost=10)
     cache.put("a", "x", cost=4)
     cache.put("b", "y", cost=4)
     cache.put("c", "z", cost=4)         # 12 > 10: evicts "a"
     assert cache.get("a") is None
-    assert cache.cost == 8
+    assert cache.stats()["cost"] == 8
     assert cache.stats()["evictions"] == 1
 
 
 def test_lru_oversized_entry_refused_not_flushed():
-    cache = ShardedLRU(max_entries=100, max_cost=10, shards=1)
+    cache = lru(max_entries=100, max_cost=10)
     cache.put("a", "x", cost=4)
     assert cache.put("big", "y", cost=11) is False
-    assert "big" not in cache
+    assert cache.get("big") is None
     assert cache.get("a") == "x"        # resident entries survived
     assert cache.stats()["evictions"] == 1
 
 
 def test_lru_replacing_entry_adjusts_cost():
-    cache = ShardedLRU(max_entries=10, max_cost=10, shards=1)
+    cache = lru(max_entries=10, max_cost=10)
     cache.put("a", "x", cost=6)
     cache.put("a", "y", cost=2)
-    assert cache.cost == 2
+    assert cache.stats()["cost"] == 2
 
 
 def test_lru_delete_and_clear_count_invalidations():
-    cache = ShardedLRU(max_entries=10)
+    cache = lru(max_entries=10)
     cache.put("a", 1)
     cache.put("b", 2)
-    assert cache.delete("a") is True
-    assert cache.delete("a") is False
+    assert cache.invalidate("a") is True
+    assert cache.invalidate("a") is False
     assert cache.clear() == 1
     stats = cache.stats()
     assert stats["invalidations"] == 2
     assert stats["entries"] == 0 and stats["cost"] == 0
 
 
-def test_lru_per_shard_budget_ceil_split():
-    # 3 entries over 2 shards: per-shard budget is 2, never 0.
-    cache = ShardedLRU(max_entries=3, shards=2)
+def test_lru_bounds_are_global():
+    """Both bounds hold for the cache as a whole: ``max_entries`` keys
+    stay resident, and an entry costing any part of ``max_cost`` fits."""
+    cache = lru(max_entries=3, max_cost=800)
+    assert cache.put("big", "x", cost=700) is True
+    assert cache.get("big") == "x"
     for i in range(10):
-        cache.put(i, i)
-    assert 1 <= len(cache) <= 4
+        cache.put(i, i, cost=1)
+    assert len(cache) == 3
+    assert [cache.get(i) for i in range(10)] == [None] * 7 + [7, 8, 9]
+
+
+#: Fills a search-sized cache past its entry bound with search-shaped
+#: keys and prints which of them stayed resident.
+RESIDENT_PROBE = """
+import json
+from repro.cache import VersionedCache
+from repro.storage.versioning import VersionCoordinator
+cache = VersionedCache(
+    "search", VersionCoordinator(), max_entries=2048, max_cost=4_000_000)
+keys = [(f"query {i}", "ranked", "all", "", 10, 0) for i in range(3000)]
+for key in keys:
+    cache.put(key, key[0], cost=1700)
+print(json.dumps([i for i, key in enumerate(keys) if cache.get(key)]))
+"""
+
+
+def test_lru_keeps_the_most_recent_keys_under_every_hash_seed():
+    resident = []
+    for seed in ("0", "1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", RESIDENT_PROBE], capture_output=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        resident.append(json.loads(done.stdout))
+    assert resident[0] == list(range(3000 - 2048, 3000))
+    assert resident[1] == resident[0] and resident[2] == resident[0]
 
 
 def test_lru_validates_bounds():
     with pytest.raises(ValueError):
-        ShardedLRU(max_entries=0)
+        lru(max_entries=0)
     with pytest.raises(ValueError):
-        ShardedLRU(shards=0)
+        lru(max_cost=0)
     with pytest.raises(ValueError):
-        ShardedLRU(max_cost=0)
-    with pytest.raises(ValueError):
-        ShardedLRU().put("a", 1, cost=-1)
+        lru().put("a", 1, cost=-1)
 
 
 def test_lru_concurrent_access_is_safe():
-    cache = ShardedLRU(max_entries=64, shards=4)
+    cache = lru(max_entries=64, max_cost=1000)
     errors = []
 
     def worker(base):
         try:
             for i in range(500):
-                cache.put((base, i % 40), i)
+                cache.put((base, i % 40), i, cost=i % 30)
                 cache.get((base, (i * 7) % 40))
                 if i % 50 == 0:
-                    cache.delete((base, i % 40))
+                    cache.invalidate((base, i % 40))
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -129,7 +170,12 @@ def test_lru_concurrent_access_is_safe():
     for t in threads:
         t.join()
     assert not errors
-    assert len(cache) <= 64
+    stats = cache.stats()
+    assert stats["entries"] == len(cache) <= 64
+    assert stats["hits"] + stats["misses"] == 4 * 500
+    assert stats["cost"] <= 1000
+    resident = [cache.get((t, i)) for t in range(4) for i in range(40)]
+    assert len([v for v in resident if v is not None]) == len(cache)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +281,7 @@ def test_watched_consumer_ack_invalidates_entries(versions, read):
 
 
 def test_unwatched_consumer_ack_does_not_invalidate(versions, read):
-    cache = VersionedCache("classify", versions)    # watches producer only
+    cache = VersionedCache("producer", versions)    # watches producer only
     produce(versions, ["u1"])
     compute = _Compute("v")
     read(cache, "k", compute)
@@ -293,7 +339,7 @@ def test_caches_are_not_versioning_consumers(versions):
     with MemexServer(lambda url: None) as server:
         consumers = server.repo.versions.consumers()
         assert not [name for name in consumers if name.startswith("cache.")]
-        server.caches = ReadPathCaches(server.repo.versions, shards=1)
+        server.caches = ReadPathCaches(server.repo.versions)
         assert server.repo.versions.consumers() == consumers
 
 
@@ -310,7 +356,7 @@ def test_versioned_cache_metrics_exported(versions):
 
 def test_read_path_caches_bundle(versions):
     caches = ReadPathCaches(versions)
-    names = {"search", "classify", "trails", "related"}
+    names = {"search", "trails", "related"}
     assert {c.name for c in caches.all()} == names
     caches.search.put("q", 1)
     caches.trails.put("t", 2)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.cache import ReadPathCaches
+from repro.cache import VersionedCache
 from repro.core import MemexSystem
 from repro.webgen import build_workload
 
@@ -231,8 +231,9 @@ def test_trail_cache_invalidated_by_bookmark(live):
 def test_eviction_under_memory_bound_stays_correct(live):
     workload, system = live
     server = system.server
-    server.caches = ReadPathCaches(
-        server.repo.versions, search_entries=4, max_cost=100_000, shards=1,
+    server.caches.search = VersionedCache(
+        "search", server.repo.versions, watch=("indexer",),
+        max_entries=4, max_cost=100_000,
     )
     user = workload.profiles[0].user_id
     queries = _queries(workload, n=12, seed=77)
@@ -260,7 +261,8 @@ def test_cache_consumers_do_not_stall_gc(live):
 
 def test_fuzzed_reads_match_uncached_under_writes(live):
     """Fuzz: random interleaving of reads (search all/mine, trail,
-    popular-near-trail) and writes (visits, bookmarks, daemon ticks).
+    popular-near-trail, related pages) and writes (visits, bookmarks,
+    daemon ticks).
     Every single cached read must equal an uncached recompute on the
     identical server state."""
     workload, system = live
@@ -270,8 +272,12 @@ def test_fuzzed_reads_match_uncached_under_writes(live):
     urls = sorted(workload.corpus.pages)
     folder_profile = _a_folder_user(workload, system)
     paths = sorted(folder_profile.folders)
-    checked = 0
-    for step in range(120):
+    # Visited pages, so related_pages has co-visit neighbours; few, so
+    # later reads hit entries cached before the writes between them.
+    related_urls = rng.sample(sorted({
+        row["url"] for row in server.repo.db.table("visits").scan()}), 3)
+    checked = related = 0
+    for step in range(160):
         profile = rng.choice(workload.profiles)
         op = rng.random()
         if op < 0.45:
@@ -293,17 +299,25 @@ def test_fuzzed_reads_match_uncached_under_writes(live):
             assert _same(cached, uncached), (
                 f"{servlet} diverged at step {step}")
             checked += 1
-        elif op < 0.80:
+        elif op < 0.70:
+            cached, uncached = _read_both(
+                system, profile.user_id, "related_pages",
+                url=rng.choice(related_urls), k=rng.choice([3, 10]),
+            )
+            assert _same(cached, uncached), (
+                f"related_pages diverged at step {step}")
+            related += 1
+        elif op < 0.85:
             system.connect(profile.user_id).record_visit(
                 rng.choice(urls), at=server.now + 60.0)
-        elif op < 0.90:
+        elif op < 0.92:
             applet = system.connect(folder_profile.user_id)
             applet.bookmark(
                 rng.choice(urls), rng.choice(paths), at=server.now + 60.0)
         else:
             server.tick()
     server.process_background_work()
-    assert checked > 30
+    assert checked > 30 and related > 5
     stats = server.caches.stats()
-    lookups = sum(s["hits"] + s["misses"] for s in stats.values())
-    assert lookups > 0
+    assert all(s["hits"] + s["misses"] > 0 for s in stats.values())
+    assert stats["related"]["hits"] > 0     # served entries were checked

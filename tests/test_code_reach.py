@@ -188,8 +188,7 @@ KEPT = _kept(
      "cli:cmd_top"),
     # -- (b) bench/ --------------------------------------------------------------
     ("(b) bench/ladder.py clears every read cache before each cold rung "
-     "and syncs them: src/repro/cache/versioned.py, src/repro/cache/lru.py",
-     "cache.lru:ShardedLRU.clear",
+     "and syncs them: src/repro/cache/versioned.py",
      "cache.versioned:ReadPathCaches.clear",
      "cache.versioned:ReadPathCaches.sync",
      "cache.versioned:VersionedCache.clear"),
@@ -359,8 +358,7 @@ KEPT = _kept(
      "are compared with",
      "core.profiles:UserProfile.to_payload"),
     # -- (e) tests that need them to observe a behaviour -------------------------------
-    ("(e) tests/test_cache.py: an entry is resident, the cache's size",
-     "cache.lru:ShardedLRU.__contains__",
+    ("(e) tests/test_cache.py: the cache's size",
      "cache.versioned:VersionedCache.__len__"),
     ("(e) the applet's calls tests/test_core_integration.py, "
      "tests/test_edge_cases.py, tests/test_client.py and "
