@@ -100,12 +100,10 @@ def sparse_system():
         seed=55, num_users=12, days=10, pages_per_leaf=120,
         community_core=5, community_fringe=2, bookmark_prob=0.3,
     )
-    system = MemexSystem.from_workload(
-        workload,
-        # A finer taxonomy: profiles need enough themes to differ on.
-        theme_discovery=ThemeDiscovery(
-            min_split_folders=3, cohesion_threshold=0.7,
-        ),
+    system = MemexSystem.from_workload(workload)
+    # A finer taxonomy: profiles need enough themes to differ on.
+    system.server.themes.discovery = ThemeDiscovery(
+        min_split_folders=3, cohesion_threshold=0.7,
     )
     system.replay(workload.events)
     return workload, system

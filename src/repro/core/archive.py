@@ -13,6 +13,8 @@ from ..storage.schema import (
     ARCHIVE_OFF,
     ASSOC_CORRECTION,
     ASSOC_GUESS,
+    folder_id,
+    folder_path,
 )
 from .request import (
     Request,
@@ -29,11 +31,6 @@ from .sessions import assign_session_ids
 
 # -- folder ids and paths -------------------------------------------------------
 
-def folder_id(owner: str, path: str) -> str:
-    canonical = "/".join(p for p in path.split("/") if p)
-    return f"{owner}:{canonical}"
-
-
 def path_field(request: Request, field: str) -> str:
     """The request's folder path *field*, refused before any write or
     clock move when it names no folder."""
@@ -41,10 +38,6 @@ def path_field(request: Request, field: str) -> str:
     if not any(path.split("/")):
         raise ValueError(f"{field} must name a folder")
     return path
-
-
-def folder_path(folder: str) -> str:
-    return folder.split(":", 1)[1] if ":" in folder else folder
 
 
 def ensure_folder(server: Server, owner: str, path: str, at: float) -> str:

@@ -20,7 +20,7 @@ from collections.abc import Callable, Hashable
 from typing import Any
 
 from ..cache import ReadPathCaches
-from ..mining.themes import ThemeDiscovery, ThemeTaxonomy
+from ..mining.themes import ThemeTaxonomy
 from ..obs import (
     HealthMonitor,
     LogHub,
@@ -36,7 +36,7 @@ from ..server.daemons import (
     PageVectorizer,
     ThemeDaemon,
 )
-from ..retrieval.covisit import CoVisitMinerDaemon, covisit_evidence
+from ..retrieval.covisit import CoVisitMinerDaemon
 from ..retrieval.dense import DenseIndexDaemon, DenseVectorIndex
 from ..server.scheduler import DaemonScheduler
 from ..server.servlets import Handler, ServletRegistry
@@ -74,8 +74,6 @@ class MemexServer:
         :func:`repro.core.api.corpus_fetcher` for the simulated one).
     root:
         Directory for persistent state; None keeps everything in memory.
-    theme_discovery:
-        Tuning for the theme daemon.
     metrics / tracer:
         The server's observability hooks.  By default a fresh enabled
         :class:`MetricsRegistry` and :class:`Tracer` are created; pass
@@ -92,7 +90,6 @@ class MemexServer:
         *,
         root: str | None = None,
         sync: bool = False,
-        theme_discovery: ThemeDiscovery | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -115,7 +112,7 @@ class MemexServer:
 
         clock = lambda: self._now  # noqa: E731 - tiny closure over sim time
         self.crawler = CrawlerDaemon(
-            self.repo, fetch, batch_size=64, clock=clock,
+            self.repo, fetch, clock=clock,
             tracer=self.tracer, log=self.logs.logger("crawler"),
         )
         self.indexer = IndexerDaemon(
@@ -131,20 +128,15 @@ class MemexServer:
         self.covisit = CoVisitMinerDaemon(self.repo, clock=clock)
         self.classifier = ClassifierDaemon(
             self.repo, self.vectorizer, clock=clock,
-            covisit_provider=lambda urls: covisit_evidence(
-                self.repo, urls, now=self._now, decay=self.covisit.decay,
-            ),
             tracer=self.tracer, log=self.logs.logger("classifier"),
         )
-        self.themes = ThemeDaemon(
-            self.repo, self.vectorizer, discovery=theme_discovery,
-        )
+        self.themes = ThemeDaemon(self.repo, self.vectorizer)
         self.discovery = DiscoveryDaemon(
             self.repo, self.vectorizer, self.themes,
             crawler=self.crawler, clock=clock,
         )
         self.scheduler = DaemonScheduler(
-            parole_after=8, metrics=self.metrics, tracer=self.tracer,
+            metrics=self.metrics, tracer=self.tracer,
             log=self.logs.logger("scheduler"),
         )
         self.scheduler.register(self.crawler, period=1)

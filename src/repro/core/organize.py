@@ -19,7 +19,7 @@ from ..errors import EmptyCorpus
 from ..mining.hac import hac
 from ..server.daemons import PageVectorizer
 from ..storage.schema import ASSOC_CORRECTION
-from ..text.vectorize import SparseVector, centroid, normalize, top_terms
+from ..text.vectorize import SparseVector, centroid, distinctive_label, normalize
 from .archive import ensure_folder, folder_id
 from .request import (
     Request,
@@ -31,6 +31,13 @@ from .request import (
     text_field,
 )
 from .trails import user_folder_ids
+
+
+#: A cluster whose members merged at this similarity or above stays one
+#: folder.
+COHESION_THRESHOLD = 0.5
+#: Terms in a proposed folder's name.
+LABEL_TERMS = 2
 
 
 @dataclass
@@ -75,16 +82,15 @@ def propose_hierarchy(
     urls: list[str],
     *,
     min_cluster: int = 3,
-    cohesion_threshold: float = 0.5,
     max_depth: int = 3,
-    label_terms: int = 2,
 ) -> ProposedFolder:
     """Cluster *urls* into a proposed folder hierarchy.
 
     URLs without fetched text stay at the root (the proposal never hides
     anything).  Splitting recurses while a cluster is big (>=
     2*min_cluster) and incoherent (merge similarity below
-    *cohesion_threshold*), down to *max_depth*.
+    :data:`COHESION_THRESHOLD`), down to *max_depth*.  Each folder is
+    named by its :data:`LABEL_TERMS` most distinctive terms.
     """
     usable: list[str] = []
     stranded: list[str] = []
@@ -100,29 +106,12 @@ def propose_hierarchy(
         raise EmptyCorpus("no fetched pages among the given urls")
 
     dendro = hac(vectors, linkage="group-average")
-    children: dict[int, tuple[int, int]] = {}
-    sim_at: dict[int, float] = {}
-    for left, right, new, sim in dendro.merges:
-        children[new] = (left, right)
-        sim_at[new] = sim
-    root_id = dendro.merges[-1][2] if dendro.merges else 0
-
-    vocab = vectorizer.vocab
+    members = dendro.members
     used_names: set[str] = set()
-
-    def leaves_under(node: int) -> list[int]:
-        if node < len(usable):
-            return [node]
-        l, r = children[node]
-        return leaves_under(l) + leaves_under(r)
 
     def label_for(member_idx: list[int]) -> str:
         center = centroid([vectors[i] for i in member_idx])
-        cutoff = max(2, int(0.25 * max(vocab.num_docs, 1)))
-        distinctive = {
-            t: w for t, w in center.items() if vocab.doc_freq(t) <= cutoff
-        } or center
-        base = " ".join(top_terms(vocab, distinctive, k=label_terms)) or "misc"
+        base = distinctive_label(vectorizer.vocab, center, LABEL_TERMS) or "misc"
         name = base
         n = 2
         while name in used_names:
@@ -137,36 +126,36 @@ def propose_hierarchy(
         # folders, absorb each tiny side here and descend into the bulk.
         absorbed: list[int] = []
         while node >= len(usable):
-            l, r = children[node]
-            size_l, size_r = len(leaves_under(l)), len(leaves_under(r))
-            if size_l < min_cluster and size_r >= min_cluster:
-                absorbed.extend(leaves_under(l))
+            l, r = dendro.children[node]
+            left, right = members(l), members(r)
+            if len(left) < min_cluster and len(right) >= min_cluster:
+                absorbed.extend(left)
                 node = r
-            elif size_r < min_cluster and size_l >= min_cluster:
-                absorbed.extend(leaves_under(r))
+            elif len(right) < min_cluster and len(left) >= min_cluster:
+                absorbed.extend(right)
                 node = l
             else:
                 break
-        member_idx = absorbed + leaves_under(node)
+        member_idx = absorbed + members(node)
         folder = ProposedFolder(
             name=label_for(member_idx),
-            cohesion=sim_at.get(node, 1.0),
+            cohesion=dendro.similarity.get(node, 1.0),
         )
         folder.urls = [usable[i] for i in absorbed]
         split = (
             node >= len(usable)
             and depth < max_depth
             and len(member_idx) >= 2 * min_cluster
-            and sim_at[node] < cohesion_threshold
+            and folder.cohesion < COHESION_THRESHOLD
         )
         if split:
-            l, r = children[node]
+            l, r = dendro.children[node]
             folder.children = [build(l, depth + 1), build(r, depth + 1)]
         else:
-            folder.urls.extend(usable[i] for i in leaves_under(node))
+            folder.urls.extend(usable[i] for i in members(node))
         return folder
 
-    root = build(root_id, 0)
+    root = build(dendro.root, 0)
     root.name = "Proposed organization"
     root.urls.extend(stranded)
     return root

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import EmptyCorpus
 from ..text.vectorize import SparseVector, add, cosine, normalize
@@ -28,11 +29,48 @@ class Dendrogram:
     """Result of a full agglomeration.
 
     ``merges`` is the sequence of (left, right, new, similarity) cluster
-    ids; leaves are ids ``0..n-1`` in input order.
+    ids; leaves are ids ``0..n-1`` in input order.  The tree they spell
+    (:attr:`root`, :attr:`children`, :attr:`similarity`, :meth:`members`)
+    is built on first use, once the agglomeration is complete.
     """
 
     n_leaves: int
     merges: list[tuple[int, int, int, float]] = field(default_factory=list)
+
+    @property
+    def root(self) -> int:
+        return self.merges[-1][2] if self.merges else 0
+
+    @cached_property
+    def children(self) -> dict[int, tuple[int, int]]:
+        """Merge node -> its (left, right) children."""
+        return {new: (left, right) for left, right, new, _ in self.merges}
+
+    @cached_property
+    def similarity(self) -> dict[int, float]:
+        """Merge node -> the similarity its two children merged at."""
+        return {new: sim for _, _, new, sim in self.merges}
+
+    @cached_property
+    def _spans(self) -> tuple[list[int], dict[int, tuple[int, int]]]:
+        """The leaves left to right, and each node's ``[start, end)`` slice
+        of them: a subtree's leaves are contiguous."""
+        sizes = dict.fromkeys(range(self.n_leaves), 1)
+        for left, right, new, _ in self.merges:
+            sizes[new] = sizes[left] + sizes[right]
+        spans = {self.root: (0, sizes[self.root])}
+        for left, right, new, _ in reversed(self.merges):
+            start, end = spans[new]
+            spans[left] = (start, start + sizes[left])
+            spans[right] = (start + sizes[left], end)
+        order = sorted(range(self.n_leaves), key=lambda leaf: spans[leaf][0])
+        return order, spans
+
+    def members(self, node: int) -> list[int]:
+        """The leaves under *node*, left subtree first."""
+        order, spans = self._spans
+        start, end = spans[node]
+        return order[start:end]
 
     def cut(self, k: int) -> list[list[int]]:
         """Cut into *k* clusters; returns lists of leaf indices."""

@@ -28,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import EmptyCorpus
-from ..text.vectorize import SparseVector, centroid, dot, normalize, top_terms
+from ..text.vectorize import (
+    SparseVector,
+    centroid,
+    distinctive_label,
+    dot,
+    normalize,
+)
 from ..text.vocabulary import Vocabulary
 from .hac import hac
 
@@ -168,42 +174,27 @@ class ThemeDiscovery:
             raise EmptyCorpus("no folder documents")
         vectors = [normalize(fd.vector) for fd in folder_docs]
         dendro = hac(vectors, linkage="group-average")
-
-        # Rebuild the binary merge tree: node id -> (children, similarity).
-        children: dict[int, tuple[int, int]] = {}
-        sim_at: dict[int, float] = {}
-        for left, right, new, sim in dendro.merges:
-            children[new] = (left, right)
-            sim_at[new] = sim
-        root_id = dendro.merges[-1][2] if dendro.merges else 0
-
         counter = [0]
 
-        def leaves_under(node: int) -> list[int]:
-            if node < len(folder_docs):
-                return [node]
-            l, r = children[node]
-            return leaves_under(l) + leaves_under(r)
-
         def build(node: int, depth: int) -> Theme:
-            member_idx = leaves_under(node)
+            member_idx = dendro.members(node)
             members = [folder_docs[i] for i in member_idx]
             theme = self._make_theme(counter, members, vectors, member_idx, vocab)
-            theme.cohesion = sim_at.get(node, 1.0)
+            theme.cohesion = dendro.similarity.get(node, 1.0)
             if node < len(folder_docs):
                 return theme
             refine = (
                 depth < self.max_depth
                 and len(members) >= self.min_split_folders
                 and theme.num_users >= self.min_split_users
-                and sim_at[node] < self.cohesion_threshold
+                and theme.cohesion < self.cohesion_threshold
             )
             if refine:
-                l, r = children[node]
+                l, r = dendro.children[node]
                 theme.children = [build(l, depth + 1), build(r, depth + 1)]
             return theme
 
-        root_theme = build(root_id, 0)
+        root_theme = build(dendro.root, 0)
         # The synthetic super-root groups everything; expose its children
         # as top-level themes when it was refined, else itself.
         roots = root_theme.children if root_theme.children else [root_theme]
@@ -221,13 +212,7 @@ class ThemeDiscovery:
         counter[0] += 1
         center = centroid([vectors[i] for i in member_idx])
         if vocab is not None and center:
-            # Skip ubiquitous terms (web chrome like "home", "links"):
-            # a label should name the topic, not the medium.
-            cutoff = max(2, int(0.25 * vocab.num_docs))
-            distinctive = {
-                t: w for t, w in center.items() if vocab.doc_freq(t) <= cutoff
-            } or center
-            label = " ".join(top_terms(vocab, distinctive, k=3))
+            label = distinctive_label(vocab, center, 3)
         else:
             # Majority folder basename.
             names = [fd.folder_path.rsplit("/", 1)[-1].lower() for fd in members]

@@ -9,7 +9,7 @@ symmetric pair matrix (the relational ``covisits`` table):
 * **symmetric counts** — each unordered pair of distinct URLs seen in
   one ``(user, session)`` adds one co-occurrence;
 * **exponential decay** — an existing pair's count ages by
-  ``exp(-λ·Δt)`` before reinforcement, with λ from a configurable
+  ``exp(-λ·Δt)`` before reinforcement, with λ from a two-week
   half-life, so stale associations fade instead of accreting forever;
 * **self-pair exclusion** — revisiting a page inside a session never
   pairs it with itself;
@@ -34,10 +34,10 @@ from ..storage.schema import ARCHIVE_COMMUNITY
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.repository import MemexRepository
 
-#: Default count half-life: two weeks of simulated time.
-DEFAULT_HALF_LIFE_S = 14 * 86400.0
+#: Count half-life: two weeks of simulated time.
+HALF_LIFE_S = 14 * 86400.0
 #: Decayed pairs below this count are dropped at compaction.
-DEFAULT_COMPACT_FLOOR = 0.05
+COMPACT_FLOOR = 0.05
 #: Compact every N mining rounds that did work.
 COMPACT_EVERY = 16
 #: Most recent distinct URLs per session a new visit pairs against.
@@ -92,20 +92,18 @@ class CoVisitMinerDaemon:
 
     name = "covisit"
 
+    #: λ of the count decay; the classifier's co-visit channel and the
+    #: related-pages reads age counts at the same rate.
+    decay = half_life_to_decay(HALF_LIFE_S)
+
     def __init__(
         self,
         repo: "MemexRepository",
         *,
         clock: Callable[[], float] = time.time,
-        half_life_s: float = DEFAULT_HALF_LIFE_S,
-        compact_floor: float = DEFAULT_COMPACT_FLOOR,
-        session_tail: int = SESSION_TAIL,
     ) -> None:
         self.repo = repo
         self.clock = clock
-        self.decay = half_life_to_decay(half_life_s)
-        self.compact_floor = compact_floor
-        self.session_tail = session_tail
         self._last_visit_id = 0
         # (user, session) -> recent distinct URLs, oldest first.  Kept
         # across ticks so a session spanning two mining rounds still
@@ -145,7 +143,7 @@ class CoVisitMinerDaemon:
             if url in tail:
                 tail.remove(url)
             tail.append(url)
-            del tail[: -self.session_tail]
+            del tail[: -SESSION_TAIL]
         self.repo.upsert_covisits(
             increments, now=self.clock(), decay=self.decay,
         )
@@ -154,6 +152,6 @@ class CoVisitMinerDaemon:
         if self._rounds_since_compact >= COMPACT_EVERY:
             self._rounds_since_compact = 0
             self.pruned_count += self.repo.prune_covisits(
-                now=self.clock(), decay=self.decay, floor=self.compact_floor,
+                now=self.clock(), decay=self.decay, floor=COMPACT_FLOOR,
             )
         return len(rows)

@@ -17,6 +17,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import reduce
 
 from ..errors import NotFitted
 from ..mining.linkanalysis import LinkGraph
@@ -30,11 +31,12 @@ from ..obs import (
     null_tracer,
     parse_traceparent,
 )
+from ..retrieval.covisit import CoVisitMinerDaemon, covisit_evidence
 from ..storage.repository import MemexRepository
-from ..storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION, ASSOC_GUESS
+from ..storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION, folder_path
 from ..text.index import InvertedIndex
 from ..text.tokenize import tokenize
-from ..text.vectorize import SparseVector, tfidf
+from ..text.vectorize import SparseVector, add, tfidf
 from ..text.vocabulary import Vocabulary
 
 
@@ -78,9 +80,9 @@ class PageVectorizer:
     page; this object is that agreement.
     """
 
-    def __init__(self, repo: MemexRepository, vocab: Vocabulary | None = None) -> None:
+    def __init__(self, repo: MemexRepository) -> None:
         self.repo = repo
-        self.vocab = vocab if vocab is not None else Vocabulary()
+        self.vocab = Vocabulary()
         self._cache: dict[str, SparseVector] = {}
         self._vectorizer_lock = threading.Lock()
 
@@ -124,6 +126,26 @@ class PageVectorizer:
         return tfidf(self.vocab, vec)
 
 
+def deliberate_filings(repo: MemexRepository) -> list[tuple[str, str, str]]:
+    """``(owner, folder_id, url)`` of every deliberate filing (bookmark or
+    correction), in table order: one pass over the rows and one
+    ``folders`` lookup per folder."""
+    folders = repo.db.table("folders")
+    owners: dict[str, str | None] = {}
+    out: list[tuple[str, str, str]] = []
+    for row in repo.db.table("folder_pages").select(
+        lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
+    ):
+        folder_id = row["folder_id"]
+        if folder_id not in owners:
+            folder = folders.get(folder_id)
+            owners[folder_id] = None if folder is None else folder["owner"]
+        owner = owners[folder_id]
+        if owner is not None:
+            out.append((owner, folder_id, row["url"]))
+    return out
+
+
 def link_graph(repo: MemexRepository) -> LinkGraph:
     """Materialize the catalog's links table as a directed graph."""
     graph = LinkGraph()
@@ -152,19 +174,20 @@ class CrawlerDaemon:
 
     name = "crawler"
 
+    #: URLs fetched and published as one version per run.
+    BATCH = 64
+
     def __init__(
         self,
         repo: MemexRepository,
         fetch: FetchFn,
         *,
-        batch_size: int = 32,
         clock: Callable[[], float] = lambda: 0.0,
         tracer: Tracer | None = None,
         log: Logger | None = None,
     ) -> None:
         self.repo = repo
         self.fetch = fetch
-        self.batch_size = batch_size
         self.clock = clock
         self.tracer = tracer if tracer is not None else null_tracer()
         self.log = log if log is not None else null_logger("crawler")
@@ -209,7 +232,7 @@ class CrawlerDaemon:
         with self._queue_lock:
             if not self._queue:
                 return 0
-            batch = self._queue[: self.batch_size]
+            batch = self._queue[: self.BATCH]
             del self._queue[: len(batch)]
             origins = {url: self._origins.pop(url, None) for url in batch}
             for url in batch:
@@ -280,7 +303,10 @@ class IndexerDaemon:
     a polled URL carries an origin traceparent (stamped by the crawler
     from the originating visit), reading the page and entering it into
     the mining vocabulary runs under a span linked to that trace; the
-    index write belongs to the slice.
+    index write belongs to the slice.  Every indexed page also enters
+    the shared mining vocabulary, so document frequencies (and every
+    IDF-weighted similarity downstream) depend only on what has been
+    indexed, never on which mining daemon happened to touch a page first.
     """
 
     name = "indexer"
@@ -294,7 +320,7 @@ class IndexerDaemon:
         repo: MemexRepository,
         index: InvertedIndex,
         *,
-        vectorizer: "PageVectorizer | None" = None,
+        vectorizer: PageVectorizer,
         tracer: Tracer | None = None,
         log: Logger | None = None,
     ) -> None:
@@ -323,14 +349,7 @@ class IndexerDaemon:
                     page = self.repo.db.table("pages").get(url)
                     title = (page or {}).get("title") or ""
                     docs.append((url, f"{title} {text}"))
-                    if self.vectorizer is not None:
-                        # Enter the page into the shared mining vocabulary
-                        # as it enters the index: document frequencies (and
-                        # so every IDF-weighted similarity downstream)
-                        # depend only on what has been indexed, never on
-                        # which mining daemon happened to touch the page
-                        # first.
-                        self.vectorizer.vector(url)
+                    self.vectorizer.vector(url)
             self.index.add_documents(docs)
             done += len(docs)
         self.repo.versions.ack(self.name, watermark)
@@ -350,38 +369,35 @@ class ClassifierDaemon:
     Retrains a per-user :class:`EnhancedClassifier` whenever that user has
     accumulated enough new supervision (bookmarks or corrections), then
     classifies the user's unlabelled visits, writing 'guess' associations
-    (Figure 1's '?') and annotating the visit rows.
+    (Figure 1's '?') and annotating the visit rows.  A fit reads all four
+    evidence channels: text, links, community co-placement, and the
+    co-visit neighbours of the training pages.
     """
 
     name = "classifier"
+
+    #: A folder is a class once it holds this many usable filings ...
+    MIN_TRAINING_PER_CLASS = 2
+    #: ... and a user gets a model once they have this many classes.
+    MIN_CLASSES = 2
+    #: New usable filings that make a user's model due for a refit.
+    RETRAIN_AFTER = 5
+    #: Visits classified per user per run (a run looks at four times as
+    #: many, across users).
+    BATCH = 64
 
     def __init__(
         self,
         repo: MemexRepository,
         vectorizer: PageVectorizer,
         *,
-        min_training_per_class: int = 2,
-        min_classes: int = 2,
-        retrain_after: int = 5,
-        batch_size: int = 64,
         clock: Callable[[], float] = lambda: 0.0,
-        classifier_factory: Callable[[], EnhancedClassifier] = EnhancedClassifier,
-        covisit_provider: Callable[[list[str]], dict[str, list[tuple[str, float]]]] | None = None,
         tracer: Tracer | None = None,
         log: Logger | None = None,
     ) -> None:
         self.repo = repo
         self.vectorizer = vectorizer
-        self.min_training_per_class = min_training_per_class
-        self.min_classes = min_classes
-        self.retrain_after = retrain_after
-        self.batch_size = batch_size
         self.clock = clock
-        self.classifier_factory = classifier_factory
-        # Optional trail channel: maps training urls to their co-visited
-        # neighbors (repro.retrieval.covisit).  None keeps the classic
-        # three-channel fit untouched.
-        self.covisit_provider = covisit_provider
         self.tracer = tracer if tracer is not None else null_tracer()
         self.log = log if log is not None else null_logger("classifier")
         repo.versions.register_consumer(self.name)
@@ -395,25 +411,6 @@ class ClassifierDaemon:
         self.classified_count = 0
 
     # -- training -------------------------------------------------------------
-
-    def _filings(self) -> list[tuple[str, str, str]]:
-        """``(owner, folder_id, url)`` of every deliberate filing (bookmark
-        or correction), in table order: one pass over the rows and one
-        ``folders`` lookup per folder, read once per run."""
-        folders = self.repo.db.table("folders")
-        owners: dict[str, str | None] = {}
-        out: list[tuple[str, str, str]] = []
-        for row in self.repo.db.table("folder_pages").select(
-            lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
-        ):
-            folder_id = row["folder_id"]
-            if folder_id not in owners:
-                folder = folders.get(folder_id)
-                owners[folder_id] = None if folder is None else folder["owner"]
-            owner = owners[folder_id]
-            if owner is not None:
-                out.append((owner, folder_id, row["url"]))
-        return out
 
     @staticmethod
     def _community_folders(
@@ -449,24 +446,24 @@ class ClassifierDaemon:
         for folder in usable.values():
             per_class[folder] += 1
         classes = [
-            c for c, n in per_class.items() if n >= self.min_training_per_class
+            c for c, n in per_class.items() if n >= self.MIN_TRAINING_PER_CLASS
         ]
-        if len(classes) < self.min_classes:
+        if len(classes) < self.MIN_CLASSES:
             return None
         usable = {u: f for u, f in usable.items() if f in classes}
         have = self._models.get(user_id)
-        if have is not None and len(usable) - self._trained_on[user_id] < self.retrain_after:
+        if have is not None and len(usable) - self._trained_on[user_id] < self.RETRAIN_AFTER:
             return have
         vectors = {u: self.vectorizer.vector(u) for u in usable}
         coplacement = build_coplacement(
             self._community_folders(filings, user_id)
             + [[u for u, f in usable.items() if f == c] for c in classes]
         )
-        covisitation = (
-            self.covisit_provider(sorted(usable))
-            if self.covisit_provider is not None else None
+        covisitation = covisit_evidence(
+            self.repo, sorted(usable), now=self.clock(),
+            decay=CoVisitMinerDaemon.decay,
         )
-        model = self.classifier_factory().fit(
+        model = EnhancedClassifier().fit(
             vectors, usable, self._current_graph(), coplacement,
             covisitation=covisitation,
         )
@@ -483,7 +480,7 @@ class ClassifierDaemon:
 
     def run_once(self) -> int:
         watermark, _ = self.repo.versions.poll(self.name)
-        filings = self._filings()
+        filed = deliberate_filings(self.repo)
         now = self.clock()
         # The oldest unfiled visits of users a model can serve, trained in
         # order of their first such visit.  A user with no model drops out
@@ -496,7 +493,7 @@ class ClassifierDaemon:
         unfiled = sorted(
             (
                 visit
-                for user_id in {owner for owner, _, _ in filings}
+                for user_id in {owner for owner, _, _ in filed}
                 for visit in visits.select(
                     {"user_id": user_id, "topic_folder": None})
             ),
@@ -504,11 +501,11 @@ class ClassifierDaemon:
         )
         models: dict[str, EnhancedClassifier | None] = {}
         by_user: dict[str, list[dict]] = defaultdict(list)
-        room = self.batch_size * 4
+        room = self.BATCH * 4
         for visit in unfiled:
             user_id = visit["user_id"]
             if user_id not in models:
-                models[user_id] = self._maybe_train(user_id, filings)
+                models[user_id] = self._maybe_train(user_id, filed)
             if models[user_id] is None:
                 continue
             by_user[user_id].append(visit)
@@ -522,7 +519,7 @@ class ClassifierDaemon:
             model = models[user_id]
             batch: dict[str, SparseVector] = {}
             visit_for_url: dict[str, list[dict]] = defaultdict(list)
-            for visit in visits[: self.batch_size]:
+            for visit in visits[: self.BATCH]:
                 vec = self.vectorizer.vector(visit["url"])
                 if vec is None:
                     continue  # not crawled/published yet; later tick
@@ -541,31 +538,13 @@ class ClassifierDaemon:
                     ) if origin is not None else _NO_SPAN:
                         decisions.append(
                             (visit["visit_id"], folder_id, confidence))
-                self._ensure_guess(folder_id, url, confidence, now)
+                self.repo.file_guess(
+                    folder_id, url, confidence=confidence, now=now)
         self.repo.classify_visits(decisions)
         self.repo.versions.ack(self.name, watermark)
         done = len(decisions)
         self.classified_count += done
         return done
-
-    def _ensure_guess(
-        self, folder_id: str, url: str, confidence: float, now: float
-    ) -> None:
-        existing = self.repo.page_folders(url)
-        for row in existing:
-            if row["folder_id"] == folder_id:
-                return  # already filed (deliberately or as a guess)
-            if row["source"] == ASSOC_GUESS:
-                owner_existing = self.repo.db.table("folders").get(row["folder_id"])
-                owner_new = self.repo.db.table("folders").get(folder_id)
-                if (
-                    owner_existing is not None
-                    and owner_new is not None
-                    and owner_existing["owner"] == owner_new["owner"]
-                ):
-                    # Re-guess for the same user: replace the old guess.
-                    self.repo.db.delete("folder_pages", row["assoc_id"])
-        self.repo.associate(folder_id, url, ASSOC_GUESS, confidence=confidence, now=now)
 
     def model_for(self, user_id: str) -> EnhancedClassifier:
         """The user's current trained model.
@@ -626,22 +605,18 @@ class ThemeDaemon:
 
     name = "themes"
 
-    def __init__(
-        self,
-        repo: MemexRepository,
-        vectorizer: PageVectorizer,
-        *,
-        discovery: ThemeDiscovery | None = None,
-        min_pages_per_folder: int = 2,
-        rebuild_after: int = 10,
-    ) -> None:
+    #: A folder needs this many fetched pages to become a folder document.
+    MIN_PAGES_PER_FOLDER = 2
+    #: New filings that rebuild the taxonomy at once, without waiting for
+    #: the stream to settle.
+    REBUILD_AFTER = 10
+
+    def __init__(self, repo: MemexRepository, vectorizer: PageVectorizer) -> None:
         self.repo = repo
         self.vectorizer = vectorizer
-        self.discovery = discovery if discovery is not None else ThemeDiscovery()
-        self.min_pages_per_folder = min_pages_per_folder
-        self.rebuild_after = rebuild_after
+        self.discovery = ThemeDiscovery()  # an experiment may assign another
         self.taxonomy: ThemeTaxonomy | None = None
-        # (associations, documents in the shared vocabulary) the taxonomy
+        # (filings, documents in the shared vocabulary) the taxonomy
         # was built from / this daemon saw on its previous run.
         self._built_on = (0, 0)
         self._seen = (0, 0)
@@ -649,62 +624,40 @@ class ThemeDaemon:
 
     def folder_documents(self) -> list[FolderDoc]:
         """One :class:`FolderDoc` per (user, folder) with enough fetched pages."""
-        contents: dict[str, list[str]] = defaultdict(list)
-        for row in self.repo.db.table("folder_pages").select(
-            lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
-        ):
-            contents[row["folder_id"]].append(row["url"])
+        contents: dict[tuple[str, str], list[str]] = defaultdict(list)
+        for owner, folder_id, url in deliberate_filings(self.repo):
+            contents[owner, folder_id].append(url)
         docs: list[FolderDoc] = []
-        for folder_id, urls in contents.items():
-            folder = self.repo.db.table("folders").get(folder_id)
-            if folder is None:
-                continue
+        for (owner, folder_id), urls in contents.items():
             vectors = []
             for url in urls:
                 vec = self.vectorizer.tfidf_vector(url)
                 if vec is not None:
                     vectors.append(vec)
-            if len(vectors) < self.min_pages_per_folder:
+            if len(vectors) < self.MIN_PAGES_PER_FOLDER:
                 continue
-            total: SparseVector = {}
-            for vec in vectors:
-                for t, w in vec.items():
-                    total[t] = total.get(t, 0.0) + w
             docs.append(FolderDoc(
-                user_id=folder["owner"],
-                folder_path=self._folder_path(folder),
-                vector=total,
+                user_id=owner,
+                folder_path=folder_path(folder_id),
+                vector=reduce(add, vectors, {}),
                 num_pages=len(vectors),
             ))
         return docs
 
-    def _folder_path(self, folder: dict) -> str:
-        parts = [folder["name"]]
-        seen = {folder["folder_id"]}
-        while folder.get("parent"):
-            folder = self.repo.db.table("folders").get(folder["parent"]) or {}
-            if not folder or folder["folder_id"] in seen:
-                break
-            seen.add(folder["folder_id"])
-            parts.append(folder["name"])
-        return "/".join(reversed(parts))
-
     def run_once(self) -> int:
         """Rebuild the taxonomy when its inputs moved: at once after
-        ``rebuild_after`` new associations, otherwise on the first run
+        :attr:`REBUILD_AFTER` new filings, otherwise on the first run
         that finds them unchanged since the run before.  While bookmarks
         and crawled pages keep arriving the rebuilds are batched; once
         they stop the taxonomy catches up, so what a quiescent server
         holds follows from what it stores, not from when this daemon
         happened to tick."""
-        n_assocs = self.repo.db.table("folder_pages").count(
-            lambda r: r["source"] in (ASSOC_BOOKMARK, ASSOC_CORRECTION)
-        )
-        state = (n_assocs, self.vectorizer.vocab.num_docs)
+        n_filed = len(deliberate_filings(self.repo))
+        state = (n_filed, self.vectorizer.vocab.num_docs)
         settled, self._seen = state == self._seen, state
         if self.taxonomy is not None and (
             state == self._built_on
-            or not settled and n_assocs - self._built_on[0] < self.rebuild_after
+            or not settled and n_filed - self._built_on[0] < self.REBUILD_AFTER
         ):
             return 0
         docs = self.folder_documents()
@@ -739,13 +692,24 @@ class DiscoveryDaemon:
     citation signal focused crawling uses), and freshness — surfacing
     "recent and/or authoritative sources, organized by topic".
 
-    When wired to the crawler, it also does the *focused crawling* move of
-    reference [5]: un-fetched out-links of the most topical pages get
-    enqueued (bounded per run), so discovery actively expands beyond what
-    users happened to visit.
+    It also does the *focused crawling* move of reference [5]: un-fetched
+    out-links of the most topical pages go to the crawler (bounded per
+    run), so discovery actively expands beyond what users happened to
+    visit.
     """
 
     name = "discovery"
+
+    #: Out-links enqueued for the crawler per run.
+    FRONTIER_PER_RUN = 16
+    #: Resources kept per theme.
+    PER_THEME = 10
+    #: Score weights of topical similarity, link authority and freshness.
+    SIMILARITY_WEIGHT = 1.0
+    AUTHORITY_WEIGHT = 0.5
+    FRESHNESS_WEIGHT = 0.3
+    #: Age (seconds) at which a page's freshness reaches zero.
+    FRESHNESS_HORIZON = 30 * 86400.0
 
     def __init__(
         self,
@@ -753,25 +717,13 @@ class DiscoveryDaemon:
         vectorizer: PageVectorizer,
         themes: ThemeDaemon,
         *,
-        crawler: "CrawlerDaemon | None" = None,
-        frontier_per_run: int = 16,
-        per_theme: int = 10,
-        similarity_weight: float = 1.0,
-        authority_weight: float = 0.5,
-        freshness_weight: float = 0.3,
-        freshness_horizon: float = 30 * 86400.0,
+        crawler: CrawlerDaemon,
         clock: Callable[[], float] = lambda: 0.0,
     ) -> None:
         self.repo = repo
         self.vectorizer = vectorizer
         self.themes = themes
         self.crawler = crawler
-        self.frontier_per_run = frontier_per_run
-        self.per_theme = per_theme
-        self.similarity_weight = similarity_weight
-        self.authority_weight = authority_weight
-        self.freshness_weight = freshness_weight
-        self.freshness_horizon = freshness_horizon
         self.clock = clock
         self.recommendations: dict[str, list[Resource]] = {}
         self.frontier_enqueued = 0
@@ -808,14 +760,14 @@ class DiscoveryDaemon:
                 continue
             authority = math.log1p(in_deg[row["url"]]) / math.log1p(max_deg)
             age = max(0.0, now - row["first_seen"])
-            freshness = max(0.0, 1.0 - age / self.freshness_horizon)
+            freshness = max(0.0, 1.0 - age / self.FRESHNESS_HORIZON)
             for resources, sim in zip(scored, taxonomy.similarities(vec)):
                 if sim <= 0.0:
                     continue
                 score = (
-                    self.similarity_weight * sim
-                    + self.authority_weight * authority
-                    + self.freshness_weight * freshness
+                    self.SIMILARITY_WEIGHT * sim
+                    + self.AUTHORITY_WEIGHT * authority
+                    + self.FRESHNESS_WEIGHT * freshness
                 )
                 resources.append(Resource(
                     url=row["url"], score=score, authority=authority,
@@ -825,7 +777,7 @@ class DiscoveryDaemon:
         recommendations: dict[str, list[Resource]] = {}
         for theme, resources in zip(leaves, scored):
             resources.sort(key=lambda r: (-r.score, r.url))
-            recommendations[theme.theme_id] = resources[: self.per_theme]
+            recommendations[theme.theme_id] = resources[: self.PER_THEME]
             produced += len(recommendations[theme.theme_id])
         self.recommendations = recommendations
         produced += self._expand_frontier(recommendations)
@@ -839,9 +791,7 @@ class DiscoveryDaemon:
         Topic locality makes pages linked from highly topical pages likely
         topical themselves — the core bet of reference [5].
         """
-        if self.crawler is None:
-            return 0
-        budget = self.frontier_per_run
+        budget = self.FRONTIER_PER_RUN
         enqueued = 0
         for resources in recommendations.values():
             for res in resources[:3]:

@@ -8,11 +8,11 @@ synchronously on request; daemons run when the host calls
 isolation (a daemon that keeps throwing is quarantined, the server keeps
 going — the robustness requirement of §3).
 
-Quarantine can heal itself: with ``parole_after=N`` a quarantined daemon
-is automatically paroled after N rounds, with the wait doubling on every
-re-quarantine (exponential backoff), so a transiently-failing daemon
-recovers without operator action.  Manual :meth:`lift_quarantine` stays
-available and resets the backoff.
+Quarantine heals itself: a quarantined daemon is automatically paroled
+after :attr:`DaemonScheduler.PAROLE_AFTER` rounds, with the wait doubling
+on every re-quarantine (exponential backoff), so a transiently-failing
+daemon recovers without operator action.  :meth:`lift_quarantine` paroles
+at once and resets the backoff.
 
 Per daemon, the observability registry records a ``run_once`` latency
 histogram, the items processed, and every quarantine and parole
@@ -23,7 +23,7 @@ histogram, the items processed, and every quarantine and parole
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..errors import DaemonError
@@ -64,18 +64,11 @@ class _Entry:
     instruments: tuple[Any, ...] = ()
 
 
-@dataclass
 class DaemonScheduler:
     """Round-based scheduler with per-daemon periods and quarantine.
 
     Parameters
     ----------
-    max_consecutive_failures:
-        Failures in a row before a daemon is quarantined.
-    parole_after:
-        When set, a quarantined daemon is auto-paroled after this many
-        rounds, doubling on each successive quarantine; ``None`` keeps
-        quarantine manual-release only (the seed behaviour).
     metrics / tracer / log:
         Observability hooks; default to the shared disabled instances.
         Quarantine and parole transitions emit structured log events
@@ -83,23 +76,23 @@ class DaemonScheduler:
         daemon's ``server.scheduler.quarantines`` / ``paroles`` counters.
     """
 
-    max_consecutive_failures: int = 3
-    parole_after: int | None = None
-    metrics: MetricsRegistry | None = None
-    tracer: Tracer | None = None
-    log: Logger | None = None
-    _entries: dict[str, _Entry] = field(default_factory=dict)
-    _now: int = 0
+    #: Failures in a row before a daemon is quarantined.
+    MAX_CONSECUTIVE_FAILURES = 3
+    #: Rounds a first quarantine lasts; each re-quarantine doubles it.
+    PAROLE_AFTER = 8
 
-    def __post_init__(self) -> None:
-        if self.parole_after is not None and self.parole_after < 1:
-            raise DaemonError("parole_after must be >= 1")
-        if self.metrics is None:
-            self.metrics = null_registry()
-        if self.tracer is None:
-            self.tracer = null_tracer()
-        if self.log is None:
-            self.log = null_logger("scheduler")
+    def __init__(
+        self,
+        *,
+        metrics: MetricsRegistry | None = None,
+        tracer: Tracer | None = None,
+        log: Logger | None = None,
+    ) -> None:
+        self.metrics = metrics if metrics is not None else null_registry()
+        self.tracer = tracer if tracer is not None else null_tracer()
+        self.log = log if log is not None else null_logger("scheduler")
+        self._entries: dict[str, _Entry] = {}
+        self._now = 0
         # Scheduler lock (outermost rank in ``repro.locks.LOCK_ORDER``).
         # Every scheduling *decision* — the quarantine check, auto-parole,
         # due check, ``next_due`` advancement, post-run bookkeeping, and
@@ -155,7 +148,7 @@ class DaemonScheduler:
                             entry.failures += 1
                             entry.consecutive_failures += 1
                             entry.last_error = f"{type(exc).__name__}: {exc}"
-                            if entry.consecutive_failures >= self.max_consecutive_failures:
+                            if entry.consecutive_failures >= self.MAX_CONSECUTIVE_FAILURES:
                                 self._quarantine(entry, m_quar)
                         continue
                     span.set("items", done)
@@ -189,7 +182,7 @@ class DaemonScheduler:
                 # daemons are not re-entrant, so this round is skipped.
                 return False
             if entry.quarantined:
-                if entry.parole_at is not None and self._now >= entry.parole_at:
+                if self._now >= entry.parole_at:
                     self._parole(entry)
                 else:
                     return False
@@ -202,12 +195,8 @@ class DaemonScheduler:
     def _quarantine(self, entry: _Entry, m_quar: Any) -> None:
         entry.quarantined = True
         m_quar.inc()
-        if self.parole_after is not None:
-            wait = self.parole_after * (2 ** entry.parole_count)
-            entry.parole_at = self._now + wait
-            entry.parole_count += 1
-        else:
-            entry.parole_at = None
+        entry.parole_at = self._now + self.PAROLE_AFTER * 2 ** entry.parole_count
+        entry.parole_count += 1
         self.log.error(
             "daemon_quarantined",
             daemon=entry.daemon.name,
@@ -249,7 +238,7 @@ class DaemonScheduler:
 
     # -- introspection ------------------------------------------------------------
 
-    def revive(self, name: str) -> None:
+    def lift_quarantine(self, name: str) -> None:
         """Lift a quarantine (operator action after fixing the fault).
 
         Also resets the auto-parole backoff: an operator intervention is a
@@ -265,9 +254,6 @@ class DaemonScheduler:
             entry.parole_at = None
             entry.parole_count = 0
             self.log.info("daemon_revived", daemon=name)
-
-    # The operator-facing alias; `revive` is the historical name.
-    lift_quarantine = revive
 
     def quarantined(self) -> dict[str, dict[str, Any]]:
         """Currently quarantined daemons and why — the health servlet's

@@ -273,16 +273,20 @@ class Table:
         return rows
 
     def _candidates(self, where: Row | Callable[[Row], bool] | None) -> list[Row]:
+        """The rows *where* can select: the primary key's row, else the
+        smallest index bucket among the constrained columns, else all."""
         if isinstance(where, dict):
             for col in where:
                 self.schema.column(col)
             if self.schema.primary_key in where:
                 row = self._rows.get(where[self.schema.primary_key])
                 return [row] if row is not None else []
-            for col in where:
-                if col in self._hash:
-                    pks = self._hash[col].get(where[col], set())
-                    return [self._rows[pk] for pk in pks]
+            buckets = [
+                self._hash[col].get(value, ()) for col, value in where.items()
+                if col in self._hash
+            ]
+            if buckets:
+                return [self._rows[pk] for pk in min(buckets, key=len)]
         return list(self._rows.values())
 
     def count(self, where: Row | Callable[[Row], bool] | None = None) -> int:

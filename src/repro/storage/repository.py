@@ -674,6 +674,43 @@ class MemexRepository:
             self.stamps.engaged(owner)
             return assoc_id
 
+    def file_guess(
+        self, folder_id: str, url: str, *, confidence: float, now: float,
+    ) -> None:
+        """File *url* in *folder_id* as the classifier's guess and delete
+        the owner's guesses for it in other folders, in one transaction.
+        A row already filing *url* in *folder_id* ends the walk over
+        :meth:`page_folders`: then only the guesses met before it go.
+        Each row written or deleted bumps ``assocs`` and the owner's
+        engagement."""
+        with self._repo_lock:
+            folders = self.db.table("folders")
+            owner = (folders.get(folder_id) or {}).get("owner")
+            doomed: list[int] = []
+            filed = False
+            for row in self.page_folders(url):
+                if row["folder_id"] == folder_id:
+                    filed = True
+                    break
+                if (
+                    owner is not None and row["source"] == ASSOC_GUESS
+                    and (folders.get(row["folder_id"]) or {}).get("owner") == owner
+                ):
+                    doomed.append(row["assoc_id"])
+            if filed and not doomed:
+                return
+            with self.db.begin() as txn:
+                for assoc_id in doomed:
+                    txn.delete("folder_pages", assoc_id)
+                if not filed:
+                    self._insert_assoc(
+                        txn, folder_id, url, ASSOC_GUESS, confidence, now)
+            changed = len(doomed) + (not filed)
+            self.stamps.assocs += changed
+            if owner is not None:
+                for _ in range(changed):
+                    self.stamps.engaged(owner)
+
     def drop_guesses(self, owner: str, url: str) -> int:
         """Delete the classifier's guesses filing *url* in *owner*'s
         folders, in one transaction; returns how many went."""

@@ -57,6 +57,18 @@ ASSOC_CORRECTION = "correction"  # user corrected/reinforced the classifier
 ASSOC_SOURCES = (ASSOC_BOOKMARK, ASSOC_GUESS, ASSOC_CORRECTION)
 
 
+# A served folder's id is ``<owner>:<path>``, its path from the owner's
+# root with empty segments dropped: the id alone names the folder and
+# where it sits, with no walk over ``parent`` rows.
+def folder_id(owner: str, path: str) -> str:
+    canonical = "/".join(p for p in path.split("/") if p)
+    return f"{owner}:{canonical}"
+
+
+def folder_path(folder: str) -> str:
+    return folder.split(":", 1)[1] if ":" in folder else folder
+
+
 def create_catalog(db: Database) -> None:
     """Create all Memex catalog tables (idempotent)."""
     db.create_table(

@@ -94,3 +94,15 @@ def top_terms(vocab: Vocabulary, vec: SparseVector, k: int = 10) -> list[str]:
     """The k highest-weighted terms of *vec*, as strings (for labels)."""
     best = sorted(vec.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     return [vocab.term(tid) for tid, _ in best]
+
+
+def distinctive_label(vocab: Vocabulary, center: SparseVector, k: int) -> str:
+    """The *k* highest-weighted terms of *center*, space-joined, leaving
+    out terms in more than a quarter of the documents (web chrome like
+    "home", "links"): a label names the topic, not the medium.  When every
+    term is that common, all of them compete."""
+    cutoff = max(2, int(0.25 * vocab.num_docs))
+    distinctive = {
+        t: w for t, w in center.items() if vocab.doc_freq(t) <= cutoff
+    } or center
+    return " ".join(top_terms(vocab, distinctive, k=k))

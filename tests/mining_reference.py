@@ -67,7 +67,7 @@ def _reference_crawler_run_once(crawler, seen_links):
     with crawler._queue_lock:
         if not crawler._queue:
             return 0
-        batch = crawler._queue[: crawler.batch_size]
+        batch = crawler._queue[: crawler.BATCH]
         del crawler._queue[: len(batch)]
         origins = {url: crawler._origins.pop(url, None) for url in batch}
         for url in batch:

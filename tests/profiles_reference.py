@@ -239,16 +239,16 @@ def _reference_discovery_scores(daemon, taxonomy):
                 continue
             authority = math.log1p(in_deg[row["url"]]) / math.log1p(max_deg)
             age = max(0.0, now - row["first_seen"])
-            freshness = max(0.0, 1.0 - age / daemon.freshness_horizon)
+            freshness = max(0.0, 1.0 - age / daemon.FRESHNESS_HORIZON)
             score = (
-                daemon.similarity_weight * sim
-                + daemon.authority_weight * authority
-                + daemon.freshness_weight * freshness
+                daemon.SIMILARITY_WEIGHT * sim
+                + daemon.AUTHORITY_WEIGHT * authority
+                + daemon.FRESHNESS_WEIGHT * freshness
             )
             scored.append(Resource(
                 url=row["url"], score=score, authority=authority,
                 similarity=sim, first_seen=row["first_seen"],
             ))
         scored.sort(key=lambda r: (-r.score, r.url))
-        recommendations[theme.theme_id] = scored[: daemon.per_theme]
+        recommendations[theme.theme_id] = scored[: daemon.PER_THEME]
     return recommendations

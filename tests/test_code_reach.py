@@ -412,10 +412,10 @@ KEPT = _kept(
      "server.protocol:SharedResponse._read_only"),
     ("(e) tests/test_server_scheduler.py and "
      "tests/test_obs_logging_health.py: a failing daemon is quarantined, "
-     "paroled and revived: src/repro/server/scheduler.py",
+     "paroled and lifted: src/repro/server/scheduler.py",
      "server.scheduler:DaemonScheduler._parole",
      "server.scheduler:DaemonScheduler._quarantine",
-     "server.scheduler:DaemonScheduler.revive"),
+     "server.scheduler:DaemonScheduler.lift_quarantine"),
     ("(e) tests/test_servlet_table.py: the registry's rows",
      "server.servlets:ServletRegistry.names"),
     ("(e) tests/test_server_protocol.py and tests/test_shared_response.py: "
@@ -461,6 +461,10 @@ KEPT = _kept(
     ("(e) tests/test_retrieval_covisit.py: decayed pairs are pruned: "
      "src/repro/retrieval/covisit.py",
      "storage.repository:MemexRepository.prune_covisits"),
+    ("(e) tests/test_retrieval_covisit.py sets a short half-life (the "
+     "served one is computed once, at import): "
+     "src/repro/retrieval/covisit.py",
+     "retrieval.covisit:half_life_to_decay"),
     ("(e) tests/test_core_profiles_incremental.py and tests/test_webgen.py "
      "open systems with `with`",
      "core.api:MemexSystem.__enter__",

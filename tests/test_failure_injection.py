@@ -11,7 +11,12 @@ import pytest
 from repro.core import MemexSystem
 from repro.core.memex import MemexServer
 from repro.errors import VersioningError
-from repro.server.daemons import CrawlerDaemon, FetchedPage, IndexerDaemon
+from repro.server.daemons import (
+    CrawlerDaemon,
+    FetchedPage,
+    IndexerDaemon,
+    PageVectorizer,
+)
 from repro.storage import KVStore
 from repro.storage.repository import MemexRepository
 from repro.storage.wal import WriteAheadLog, encode_record
@@ -40,7 +45,8 @@ def test_crawler_aborts_version_on_fetch_crash():
     repo = MemexRepository()
     repo.versions.register_consumer("probe")
     fetch = FlakyFetcher(failures=1)
-    crawler = CrawlerDaemon(repo, fetch, batch_size=4)
+    crawler = CrawlerDaemon(repo, fetch)
+    crawler.BATCH = 4
     for i in range(3):
         crawler.enqueue(f"http://p{i}/")
     with pytest.raises(ConnectionError):
@@ -60,9 +66,10 @@ def test_crawler_aborts_version_on_fetch_crash():
 def test_scheduler_quarantines_permanently_broken_crawler():
     repo = MemexRepository()
     fetch = FlakyFetcher(failures=10**9)
-    crawler = CrawlerDaemon(repo, fetch, batch_size=4)
+    crawler = CrawlerDaemon(repo, fetch)
+    crawler.BATCH = 4
     from repro.server.scheduler import DaemonScheduler
-    sched = DaemonScheduler(max_consecutive_failures=3)
+    sched = DaemonScheduler()
     sched.register(crawler)
     for i in range(20):
         crawler.enqueue(f"http://p{i}/")
@@ -99,10 +106,11 @@ def test_indexer_tolerates_missing_text():
     """A page published but whose text vanished (store hiccup) is skipped
     without wedging the consumer."""
     repo = MemexRepository()
-    crawler = CrawlerDaemon(repo, lambda u: good_page(u), batch_size=8)
+    crawler = CrawlerDaemon(repo, lambda u: good_page(u))
+    crawler.BATCH = 8
     from repro.text.index import InvertedIndex
     index = InvertedIndex(repo.kv)
-    indexer = IndexerDaemon(repo, index)
+    indexer = IndexerDaemon(repo, index, vectorizer=PageVectorizer(repo))
     crawler.enqueue("http://a/")
     crawler.enqueue("http://b/")
     crawler.run_once()

@@ -174,3 +174,30 @@ def test_hac_cut_is_a_partition(vectors, k):
     flat = sorted(i for c in clusters for i in c)
     assert flat == list(range(len(vectors)))
     assert len(clusters) == min(k, len(vectors))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 20), st.floats(0.1, 5.0), min_size=1, max_size=5),
+        min_size=1, max_size=15,
+    ),
+)
+def test_the_dendrogram_tree_is_the_one_its_merges_spell(vectors):
+    """Root, children, merge similarities and each node's members (left
+    subtree first) as a walk over ``merges`` rebuilds them."""
+    dendro = hac(vectors)
+    children = {new: (left, right) for left, right, new, _ in dendro.merges}
+
+    def leaves_under(node):
+        if node not in children:
+            return [node]
+        left, right = children[node]
+        return leaves_under(left) + leaves_under(right)
+
+    assert dendro.children == children
+    assert dendro.similarity == {new: sim for _, _, new, sim in dendro.merges}
+    assert dendro.root == (dendro.merges[-1][2] if dendro.merges else 0)
+    assert sorted(dendro.members(dendro.root)) == list(range(len(vectors)))
+    for node in range(len(vectors) + len(dendro.merges)):
+        assert dendro.members(node) == leaves_under(node)

@@ -231,10 +231,9 @@ class _FailingDaemon:
 def test_scheduler_quarantine_and_parole_log_and_count():
     metrics = MetricsRegistry()
     hub = LogHub()
-    sched = DaemonScheduler(
-        max_consecutive_failures=1, parole_after=1,
-        metrics=metrics, log=hub.logger("scheduler"),
-    )
+    sched = DaemonScheduler(metrics=metrics, log=hub.logger("scheduler"))
+    sched.MAX_CONSECUTIVE_FAILURES = 1
+    sched.PAROLE_AFTER = 1
     daemon = _FailingDaemon()
     sched.register(daemon)
     sched.tick()    # fails -> quarantined
@@ -255,7 +254,8 @@ def test_scheduler_quarantine_and_parole_log_and_count():
 
 
 def test_scheduler_quarantined_and_wedged_introspection():
-    sched = DaemonScheduler(max_consecutive_failures=1)
+    sched = DaemonScheduler()
+    sched.MAX_CONSECUTIVE_FAILURES = 1
 
     class _Dead:
         name = "dead"
@@ -269,7 +269,7 @@ def test_scheduler_quarantined_and_wedged_introspection():
     assert "dead" in sched.quarantined()
     assert sched.quarantined()["dead"]["last_error"] == "RuntimeError: always"
     assert sched.wedged()    # the only daemon is down
-    sched.revive("dead")
+    sched.lift_quarantine("dead")
     assert not sched.wedged()
 
 
@@ -329,7 +329,7 @@ def test_health_servlet_reports_ready_then_degraded_under_quarantine():
         assert degraded["health"] == "degraded"
         assert not degraded["checks"]["scheduler"]["ok"]
         assert "indexer" in degraded["checks"]["scheduler"]["detail"]["quarantined"]
-        server.scheduler.revive("indexer")
+        server.scheduler.lift_quarantine("indexer")
         assert server.registry.dispatch({"servlet": "health"})["health"] == "ready"
 
 

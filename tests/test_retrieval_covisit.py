@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.retrieval import covisit
 from repro.retrieval.covisit import (
     COMPACT_EVERY,
     CoVisitMinerDaemon,
@@ -106,7 +107,8 @@ def test_private_visits_never_enter_the_matrix(repo):
 def test_counts_decay_with_the_configured_half_life(repo):
     half_life = 100.0
     clock = Clock(0.0)
-    miner = CoVisitMinerDaemon(repo, clock=clock, half_life_s=half_life)
+    miner = CoVisitMinerDaemon(repo, clock=clock)
+    miner.decay = half_life_to_decay(half_life)
     visit(repo, "u", "http://a/", at=0.0, session=1)
     visit(repo, "u", "http://b/", at=1.0, session=1)
     miner.run_once()
@@ -128,11 +130,11 @@ def test_counts_decay_with_the_configured_half_life(repo):
     assert scores[0][1] == pytest.approx(0.75, rel=1e-6)
 
 
-def test_compaction_drops_decayed_pairs(repo):
+def test_compaction_drops_decayed_pairs(repo, monkeypatch):
     clock = Clock(0.0)
-    miner = CoVisitMinerDaemon(
-        repo, clock=clock, half_life_s=10.0, compact_floor=0.05,
-    )
+    monkeypatch.setattr(covisit, "COMPACT_FLOOR", 0.05)
+    miner = CoVisitMinerDaemon(repo, clock=clock)
+    miner.decay = half_life_to_decay(10.0)
     visit(repo, "u", "http://a/", at=0.0)
     visit(repo, "u", "http://b/", at=1.0)
     miner.run_once()

@@ -1,11 +1,15 @@
 """Tests for the crawler/indexer/classifier/theme/discovery daemons."""
 
+import inspect
 import threading
 
 import pytest
 
-from repro.core import MemexSystem
+from repro.core import MemexServer, MemexSystem
 from repro.errors import NotFitted
+from repro.obs import MetricsRegistry
+from repro.retrieval.covisit import CoVisitMinerDaemon
+from repro.retrieval.dense import DenseIndexDaemon
 from repro.server.daemons import (
     ClassifierDaemon,
     CrawlerDaemon,
@@ -16,8 +20,14 @@ from repro.server.daemons import (
     ThemeDaemon,
     link_graph,
 )
+from repro.server.scheduler import DaemonScheduler
 from repro.storage.repository import MemexRepository
-from repro.storage.schema import ARCHIVE_COMMUNITY, ASSOC_BOOKMARK, ASSOC_GUESS
+from repro.storage.schema import (
+    ARCHIVE_COMMUNITY,
+    ASSOC_BOOKMARK,
+    ASSOC_CORRECTION,
+    ASSOC_GUESS,
+)
 from repro.text.index import InvertedIndex
 from repro.webgen import build_workload
 
@@ -50,7 +60,9 @@ def repo():
 
 @pytest.fixture
 def crawler(repo):
-    return CrawlerDaemon(repo, fetch, batch_size=3, clock=lambda: 100.0)
+    crawler = CrawlerDaemon(repo, fetch, clock=lambda: 100.0)
+    crawler.BATCH = 3
+    return crawler
 
 
 def test_crawler_fetches_and_publishes(repo, crawler):
@@ -87,7 +99,7 @@ def test_crawler_idle_run(repo, crawler):
 
 def test_indexer_follows_crawler(repo, crawler):
     index = InvertedIndex(repo.kv)
-    indexer = IndexerDaemon(repo, index)
+    indexer = IndexerDaemon(repo, index, vectorizer=PageVectorizer(repo))
     crawler.enqueue("http://c1/")
     crawler.run_once()
     assert indexer.run_once() == 1
@@ -115,7 +127,7 @@ def _crawl_all(repo, crawler):
 
 def test_classifier_trains_and_guesses(repo, crawler):
     vec = PageVectorizer(repo)
-    clf = ClassifierDaemon(repo, vec, min_training_per_class=2, clock=lambda: 50.0)
+    clf = ClassifierDaemon(repo, vec, clock=lambda: 50.0)
     _crawl_all(repo, crawler)
     cl_folder = _bookmark(repo, "u", "Classical", "Classical", "http://c1/")
     _bookmark(repo, "u", "Classical", "Classical", "http://c2/")
@@ -141,7 +153,7 @@ def test_classifier_trains_and_guesses(repo, crawler):
 
 def test_classifier_needs_enough_supervision(repo, crawler):
     vec = PageVectorizer(repo)
-    clf = ClassifierDaemon(repo, vec, min_training_per_class=2, min_classes=2)
+    clf = ClassifierDaemon(repo, vec)
     _crawl_all(repo, crawler)
     _bookmark(repo, "u", "Classical", "Classical", "http://c1/")
     repo.record_visit_batch([dict(
@@ -154,7 +166,7 @@ def test_classifier_needs_enough_supervision(repo, crawler):
 
 def test_classifier_skips_unfetched_pages(repo, crawler):
     vec = PageVectorizer(repo)
-    clf = ClassifierDaemon(repo, vec, min_training_per_class=2)
+    clf = ClassifierDaemon(repo, vec)
     _crawl_all(repo, crawler)
     _bookmark(repo, "u", "Classical", "Classical", "http://c1/")
     _bookmark(repo, "u", "Classical", "Classical", "http://c2/")
@@ -171,7 +183,8 @@ def test_classifier_skips_unfetched_pages(repo, crawler):
 
 def test_classifier_guess_replacement(repo, crawler):
     vec = PageVectorizer(repo)
-    clf = ClassifierDaemon(repo, vec, min_training_per_class=2, retrain_after=1)
+    clf = ClassifierDaemon(repo, vec)
+    clf.RETRAIN_AFTER = 1
     _crawl_all(repo, crawler)
     cl = _bookmark(repo, "u", "Classical", "Classical", "http://c1/")
     _bookmark(repo, "u", "Classical", "Classical", "http://c2/")
@@ -239,7 +252,8 @@ def test_link_graph_materialization(repo, crawler):
 
 def test_theme_daemon_builds_taxonomy(repo, crawler):
     vec = PageVectorizer(repo)
-    themes = ThemeDaemon(repo, vec, rebuild_after=1)
+    themes = ThemeDaemon(repo, vec)
+    themes.REBUILD_AFTER = 1
     _crawl_all(repo, crawler)
     assert themes.run_once() == 0  # no folders yet
     repo.add_user("v", now=0.0)
@@ -257,12 +271,14 @@ def test_theme_daemon_builds_taxonomy(repo, crawler):
     assert themes.run_once() == 0
 
 
-def _themes_over_two_folders(repo, crawler, **kwargs):
+def _themes_over_two_folders(
+        repo, crawler, rebuild_after=ThemeDaemon.REBUILD_AFTER):
     vec = PageVectorizer(repo)
     _crawl_all(repo, crawler)
     for url in PAGES:
         vec.vector(url)  # as the indexer does: the vocabulary holds every page
-    themes = ThemeDaemon(repo, vec, **kwargs)
+    themes = ThemeDaemon(repo, vec)
+    themes.REBUILD_AFTER = rebuild_after
     _bookmark(repo, "u", "Classical", "Classical", "http://c1/")
     _bookmark(repo, "u", "Classical", "Classical", "http://c2/")
     _bookmark(repo, "u", "Jazz", "Jazz", "http://j1/")
@@ -272,7 +288,7 @@ def _themes_over_two_folders(repo, crawler, **kwargs):
 
 
 def test_theme_daemon_batches_while_bookmarks_arrive_and_catches_up_after(repo, crawler):
-    themes, _vec = _themes_over_two_folders(repo, crawler)  # rebuild_after=10
+    themes, _vec = _themes_over_two_folders(repo, crawler)  # REBUILD_AFTER = 10
     _bookmark(repo, "u", "Classical", "Classical", "http://c3/")
     assert themes.run_once() == 0      # moved since the last run: wait
     _bookmark(repo, "u", "Jazz", "Jazz", "http://j3/")
@@ -304,11 +320,12 @@ def test_theme_daemon_follows_the_vocabulary(repo, crawler):
 def test_discovery_daemon_ranks_resources(repo, crawler):
     from repro.mining.themes import ThemeDiscovery
     vec = PageVectorizer(repo)
-    themes = ThemeDaemon(
-        repo, vec, rebuild_after=1, min_pages_per_folder=2,
-        discovery=ThemeDiscovery(min_split_folders=2, cohesion_threshold=0.9),
-    )
-    discovery = DiscoveryDaemon(repo, vec, themes, per_theme=5, clock=lambda: 200.0)
+    themes = ThemeDaemon(repo, vec)
+    themes.REBUILD_AFTER = 1
+    themes.discovery = ThemeDiscovery(min_split_folders=2, cohesion_threshold=0.9)
+    discovery = DiscoveryDaemon(
+        repo, vec, themes, crawler=crawler, clock=lambda: 200.0)
+    discovery.PER_THEME = 5
     _crawl_all(repo, crawler)
     assert discovery.run_once() == 0  # no taxonomy yet
     repo.add_user("v", now=0.0)
@@ -370,3 +387,87 @@ def test_two_threads_missing_on_one_page_count_it_once(repo, crawler, monkeypatc
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 2 and got[0] is got[1] and got[0]
     assert vec.vocab.num_docs == docs_before + 1
+
+
+def _parameters(cls):
+    return [
+        (name, "required" if p.default is p.empty else "default")
+        for name, p in inspect.signature(cls).parameters.items()
+    ]
+
+
+def test_the_mining_fleet_takes_only_its_injection_points():
+    """Tuning values the server never varies are class constants; what a
+    constructor takes is what gets injected: stores, collaborators, the
+    clock and the observability hooks."""
+    assert _parameters(PageVectorizer) == [("repo", "required")]
+    assert _parameters(CrawlerDaemon) == [
+        ("repo", "required"), ("fetch", "required"),
+        ("clock", "default"), ("tracer", "default"), ("log", "default")]
+    assert _parameters(IndexerDaemon) == [
+        ("repo", "required"), ("index", "required"),
+        ("vectorizer", "required"), ("tracer", "default"), ("log", "default")]
+    assert _parameters(ClassifierDaemon) == [
+        ("repo", "required"), ("vectorizer", "required"),
+        ("clock", "default"), ("tracer", "default"), ("log", "default")]
+    assert _parameters(ThemeDaemon) == [
+        ("repo", "required"), ("vectorizer", "required")]
+    assert _parameters(DiscoveryDaemon) == [
+        ("repo", "required"), ("vectorizer", "required"),
+        ("themes", "required"), ("crawler", "required"), ("clock", "default")]
+    assert _parameters(CoVisitMinerDaemon) == [
+        ("repo", "required"), ("clock", "default")]
+    assert _parameters(DenseIndexDaemon) == [
+        ("repo", "required"), ("vectorizer", "required"),
+        ("index", "required")]
+    assert _parameters(DaemonScheduler) == [
+        ("metrics", "default"), ("tracer", "default"), ("log", "default")]
+    assert _parameters(MemexServer) == [
+        ("fetch", "required"), ("root", "default"), ("sync", "default"),
+        ("metrics", "default"), ("tracer", "default")]
+
+
+def test_a_guess_that_meets_the_pages_filing_still_bumps_the_stamps():
+    """A correction moved *url* to ``u:B`` and left the classifier's guess
+    in ``u:A``; guessing ``u:B`` drops that guess and files nothing new,
+    in one commit that moves ``assocs`` and ``u``'s engagement."""
+    metrics = MetricsRegistry()
+    repo = MemexRepository(metrics=metrics)
+    repo.add_user("u", now=0.0)
+    url = "http://c3/"
+    for name in ("A", "B"):
+        repo.add_folder(f"u:{name}", "u", name, None, now=0.0)
+    repo.associate("u:A", url, ASSOC_GUESS, confidence=0.4, now=1.0)
+    repo.associate("u:B", url, ASSOC_CORRECTION, now=2.0)
+    assert (repo.stamps.assocs, repo.stamps.engagement["u"]) == (2, 2)
+    commits = metrics.counter_value("storage.relational.commits")
+    repo.file_guess("u:B", url, confidence=0.9, now=3.0)
+    assert [(r["folder_id"], r["source"]) for r in repo.page_folders(url)] \
+        == [("u:B", ASSOC_CORRECTION)]
+    assert (repo.stamps.assocs, repo.stamps.engagement["u"]) == (3, 3)
+    assert metrics.counter_value("storage.relational.commits") - commits == 1
+    repo.close()
+
+
+def test_a_new_guess_replaces_the_owners_old_one_in_one_commit():
+    metrics = MetricsRegistry()
+    repo = MemexRepository(metrics=metrics)
+    repo.add_user("u", now=0.0)
+    repo.add_user("v", now=0.0)
+    url = "http://c3/"
+    for folder in ("u:A", "u:B", "v:A"):
+        owner, name = folder.split(":")
+        repo.add_folder(folder, owner, name, None, now=0.0)
+    repo.associate("u:A", url, ASSOC_GUESS, confidence=0.4, now=1.0)
+    repo.associate("v:A", url, ASSOC_GUESS, confidence=0.4, now=1.0)
+    stamps = repo.stamps.assocs, dict(repo.stamps.engagement)
+    commits = metrics.counter_value("storage.relational.commits")
+    repo.file_guess("u:B", url, confidence=0.9, now=3.0)
+    assert [(r["folder_id"], r["confidence"]) for r in repo.page_folders(url)] \
+        == [("v:A", 0.4), ("u:B", 0.9)]           # v's guess is not u's
+    assert repo.stamps.assocs == stamps[0] + 2
+    assert repo.stamps.engagement == {**stamps[1], "u": stamps[1]["u"] + 2}
+    assert metrics.counter_value("storage.relational.commits") - commits == 1
+    repo.file_guess("u:B", url, confidence=0.7, now=4.0)   # already filed
+    assert repo.stamps.assocs == stamps[0] + 2
+    repo.close()

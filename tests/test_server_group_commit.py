@@ -129,8 +129,8 @@ def _crawl_rounds(web, rounds, batch_size, run_once):
     now = [0.0]
     repo = MemexRepository()
     repo.versions.register_consumer("probe")
-    crawler = CrawlerDaemon(
-        repo, fetch, batch_size=batch_size, clock=lambda: now[0])
+    crawler = CrawlerDaemon(repo, fetch, clock=lambda: now[0])
+    crawler.BATCH = batch_size
     seen_links = set()
     published = []
     for visited, enqueued in rounds:
@@ -171,7 +171,8 @@ def test_a_stub_fetched_later_in_its_batch_keeps_its_front_page():
         "http://b/": FetchedPage("http://b/", "B", "beta", (), front_page=True),
     }
     repo = MemexRepository()
-    crawler = CrawlerDaemon(repo, pages.get, batch_size=8, clock=lambda: 5.0)
+    crawler = CrawlerDaemon(repo, pages.get, clock=lambda: 5.0)
+    crawler.BATCH = 8
     crawler.enqueue("http://a/")
     crawler.enqueue("http://b/")
     assert crawler.run_once() == 2
@@ -192,7 +193,8 @@ def test_a_fetch_that_raises_stores_nothing_and_requeues_the_batch():
 
     repo = MemexRepository()
     repo.versions.register_consumer("probe")
-    crawler = CrawlerDaemon(repo, fetch, batch_size=4)
+    crawler = CrawlerDaemon(repo, fetch)
+    crawler.BATCH = 4
     for i in range(4):
         crawler.enqueue(f"http://p{i}/")
     before = _terms(repo), _tables(repo)
@@ -322,8 +324,9 @@ def test_an_indexer_many_versions_behind_commits_slice_by_slice():
         return FetchedPage(url, "T", f"jazz text of {url}")
 
     repo = MemexRepository()
-    crawler = CrawlerDaemon(repo, fetch, batch_size=64)
-    indexer = IndexerDaemon(repo, InvertedIndex(repo.kv))
+    crawler = CrawlerDaemon(repo, fetch)
+    indexer = IndexerDaemon(
+        repo, InvertedIndex(repo.kv), vectorizer=PageVectorizer(repo))
     for i in range(5 * 64):
         crawler.enqueue(f"http://p/{i}")
     while crawler.run_once():
@@ -350,8 +353,8 @@ def test_a_classifier_run_annotates_its_visits_in_one_transaction():
     metrics = MetricsRegistry()
     repo = MemexRepository(metrics=metrics)
     repo.add_user("u", now=0.0)
-    crawler = CrawlerDaemon(
-        repo, lambda url: FetchedPage(url, url, pages[url]), batch_size=8)
+    crawler = CrawlerDaemon(repo, lambda url: FetchedPage(url, url, pages[url]))
+    crawler.BATCH = 8
     for url in pages:
         crawler.enqueue(url)
     crawler.run_once()
@@ -365,7 +368,7 @@ def test_a_classifier_run_annotates_its_visits_in_one_transaction():
             repo.record_visit_batch([dict(
                 user_id="u", url=url, at=10.0 + i, session_id=1, referrer=None,
                 archive_mode=ARCHIVE_COMMUNITY)])
-    clf = ClassifierDaemon(repo, PageVectorizer(repo), min_training_per_class=2)
+    clf = ClassifierDaemon(repo, PageVectorizer(repo))
     before = metrics.counter_value("storage.relational.commits")
     assert clf.run_once() == 10
     # Ten visits in one transaction, plus one guess association per page.

@@ -6,6 +6,16 @@ from repro.errors import DaemonError
 from repro.server.scheduler import DaemonScheduler
 
 
+def scheduler(*, failures=DaemonScheduler.MAX_CONSECUTIVE_FAILURES,
+              parole=DaemonScheduler.PAROLE_AFTER, **kwargs):
+    """A scheduler that quarantines after *failures* and paroles after
+    *parole* rounds."""
+    sched = DaemonScheduler(**kwargs)
+    sched.MAX_CONSECUTIVE_FAILURES = failures
+    sched.PAROLE_AFTER = parole
+    return sched
+
+
 class FakeDaemon:
     def __init__(self, name, work=0, fail_times=0):
         self.name = name
@@ -92,7 +102,7 @@ def test_run_until_idle_gives_up():
 
 
 def test_failures_and_quarantine():
-    sched = DaemonScheduler(max_consecutive_failures=3)
+    sched = DaemonScheduler()
     d = FakeDaemon("flaky", work=10, fail_times=99)
     sched.register(d)
     sched.tick(5)
@@ -106,7 +116,7 @@ def test_failures_and_quarantine():
 
 
 def test_transient_failures_recover():
-    sched = DaemonScheduler(max_consecutive_failures=3)
+    sched = DaemonScheduler()
     d = FakeDaemon("flaky", work=2, fail_times=2)
     sched.register(d)
     sched.tick(6)
@@ -117,20 +127,20 @@ def test_transient_failures_recover():
 
 
 def test_revive():
-    sched = DaemonScheduler(max_consecutive_failures=1)
+    sched = scheduler(failures=1)
     d = FakeDaemon("d", work=1, fail_times=1)
     sched.register(d)
     sched.tick()
     assert sched.stats()["d"]["quarantined"]
-    sched.revive("d")
+    sched.lift_quarantine("d")
     sched.tick()
     assert sched.stats()["d"]["items"] == 1
     with pytest.raises(DaemonError):
-        sched.revive("ghost")
+        sched.lift_quarantine("ghost")
 
 
 def test_one_bad_daemon_does_not_block_others():
-    sched = DaemonScheduler(max_consecutive_failures=1)
+    sched = scheduler(failures=1)
     bad = FakeDaemon("bad", fail_times=99)
     good = FakeDaemon("good", work=3)
     sched.register(bad)
@@ -152,7 +162,7 @@ def test_registration_validation():
 # -- auto-parole -------------------------------------------------------------
 
 def test_auto_parole_after_n_rounds():
-    sched = DaemonScheduler(max_consecutive_failures=2, parole_after=3)
+    sched = scheduler(failures=2, parole=3)
     d = FakeDaemon("d", work=1, fail_times=2)
     sched.register(d)
     # Rounds 0-1 fail and quarantine; parole fires at round 4 and the
@@ -166,7 +176,7 @@ def test_auto_parole_after_n_rounds():
 
 
 def test_parole_backoff_doubles():
-    sched = DaemonScheduler(max_consecutive_failures=1, parole_after=2)
+    sched = scheduler(failures=1, parole=2)
     d = FakeDaemon("d", fail_times=99)
     sched.register(d)
     # Quarantine at round 0 -> parole_at 2; re-quarantine at 2 -> parole_at
@@ -179,19 +189,23 @@ def test_parole_backoff_doubles():
     assert d.runs == 3
 
 
-def test_no_parole_without_opt_in():
-    sched = DaemonScheduler(max_consecutive_failures=1)
+def test_a_quarantine_holds_until_its_parole_round():
+    sched = scheduler(failures=1)
     d = FakeDaemon("d", fail_times=99)
     sched.register(d)
-    sched.tick(50)
+    sched.tick(DaemonScheduler.PAROLE_AFTER)
     stats = sched.stats()["d"]
     assert stats["quarantined"] is True
-    assert stats["parole_at"] is None
+    assert stats["parole_at"] == DaemonScheduler.PAROLE_AFTER
     assert d.runs == 1
+    sched.tick()  # the parole round: paroled, runs, fails, waits twice as long
+    stats = sched.stats()["d"]
+    assert d.runs == 2
+    assert stats["parole_at"] == 3 * DaemonScheduler.PAROLE_AFTER
 
 
 def test_manual_revive_resets_backoff():
-    sched = DaemonScheduler(max_consecutive_failures=1, parole_after=2)
+    sched = scheduler(failures=1, parole=2)
     d = FakeDaemon("d", fail_times=99)
     sched.register(d)
     sched.tick(3)  # quarantine, parole at 2, re-quarantine with doubled wait
@@ -206,18 +220,11 @@ def test_manual_revive_resets_backoff():
     assert sched.stats()["d"]["parole_at"] == sched._now - 1 + 2
 
 
-def test_parole_after_validation():
-    with pytest.raises(DaemonError):
-        DaemonScheduler(parole_after=0)
-
-
 def test_scheduler_transitions_recorded_as_metrics():
     from repro.obs import ManualClock, MetricsRegistry
 
     metrics = MetricsRegistry(clock=ManualClock())
-    sched = DaemonScheduler(
-        max_consecutive_failures=2, parole_after=1, metrics=metrics,
-    )
+    sched = scheduler(failures=2, parole=1, metrics=metrics)
     d = FakeDaemon("flaky", work=2, fail_times=2)
     sched.register(d)
     sched.tick(4)  # fail, fail -> quarantine, parole + success, success
@@ -245,9 +252,7 @@ def test_concurrent_ticks_exactly_once_per_round():
     from repro.obs import MetricsRegistry
 
     metrics = MetricsRegistry()
-    sched = DaemonScheduler(
-        max_consecutive_failures=1, parole_after=1, metrics=metrics,
-    )
+    sched = scheduler(failures=1, parole=1, metrics=metrics)
 
     observed_rounds = []
 
@@ -312,9 +317,7 @@ def test_concurrent_parole_is_a_single_decision(monkeypatch):
     from repro.obs import MetricsRegistry
 
     metrics = MetricsRegistry()
-    sched = DaemonScheduler(
-        max_consecutive_failures=1, parole_after=1, metrics=metrics,
-    )
+    sched = scheduler(failures=1, parole=1, metrics=metrics)
 
     class FailsOnce:
         name = "flaky"

@@ -99,6 +99,30 @@ def test_select_equality_uses_index(db):
     assert db.table("people").select({"city": "mars"}) == []
 
 
+def test_an_equality_select_examines_its_smallest_index_bucket(db, monkeypatch):
+    """With two indexed columns constrained, the rows examined are the
+    smaller of their buckets, whichever column the dict names first."""
+    table = db.table("people")
+    db.insert_many("people", [
+        {"pid": pid, "name": f"p{pid}", "age": 30 + pid % 2,
+         "city": "london" if pid < 95 else "nyc", "email": None}
+        for pid in range(100)
+    ])
+    examined = []
+    candidates = type(table)._candidates
+
+    def counting(self, where):
+        rows = candidates(self, where)
+        examined.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(type(table), "_candidates", counting)
+    for where in ({"city": "nyc", "age": 31}, {"age": 31, "city": "nyc"}):
+        assert sorted(r["pid"] for r in table.select(where)) == [95, 97, 99]
+    assert table.select({"age": 31, "city": "paris"}) == []
+    assert examined == [5, 5, 0]
+
+
 def test_select_predicate_order_limit(db):
     fill(db)
     rows = db.table("people").select(

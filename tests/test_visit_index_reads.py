@@ -22,6 +22,7 @@ from repro.core.trails import (
     community_pages_for_folder,
     folder_and_descendants,
 )
+from repro.server.daemons import deliberate_filings
 from repro.storage.codec import decode, encode
 from repro.storage.relational import Table
 from repro.storage.wal import WriteAheadLog
@@ -204,7 +205,7 @@ def test_a_run_reads_only_filing_owners_visits(archive, monkeypatch):
     workload, system = archive
     server = system.server
     classifier = server.classifier
-    filings = classifier._filings()
+    filings = deliberate_filings(server.repo)
     owners = {owner for owner, _, _ in filings}
     for loner in LONERS:
         assert loner not in owners

@@ -12,6 +12,7 @@ import math
 from collections import defaultdict
 
 from repro.core.trails import TrailEdge, TrailGraph, TrailNode
+from repro.server.daemons import deliberate_filings
 from repro.storage.schema import (
     ARCHIVE_COMMUNITY,
     ASSOC_BOOKMARK,
@@ -104,11 +105,11 @@ def _reference_build_trail_graph(
 def _reference_classifier_run(daemon):
     """One classifier run as it was: returns the visits it filed."""
     watermark, _ = daemon.repo.versions.poll(daemon.name)
-    filings = daemon._filings()
+    filings = deliberate_filings(daemon.repo)
     now = daemon.clock()
     models = {}
     by_user = defaultdict(list)
-    room = daemon.batch_size * 4
+    room = daemon.BATCH * 4
     unfiled = [
         row for row in daemon.repo.db.table("visits").scan()
         if row["topic_folder"] is None
@@ -129,7 +130,7 @@ def _reference_classifier_run(daemon):
         model = models[user_id]
         batch = {}
         visit_for_url = defaultdict(list)
-        for visit in visits[: daemon.batch_size]:
+        for visit in visits[: daemon.BATCH]:
             vec = daemon.vectorizer.vector(visit["url"])
             if vec is None:
                 continue
@@ -140,7 +141,8 @@ def _reference_classifier_run(daemon):
         for url, (folder_id, confidence) in model.predict_batch(batch).items():
             for visit in visit_for_url[url]:
                 decisions.append((visit["visit_id"], folder_id, confidence))
-            daemon._ensure_guess(folder_id, url, confidence, now)
+            daemon.repo.file_guess(
+                folder_id, url, confidence=confidence, now=now)
     daemon.repo.classify_visits(decisions)
     daemon.repo.versions.ack(daemon.name, watermark)
     daemon.classified_count += len(decisions)
