@@ -37,6 +37,7 @@ from pathlib import Path
 from repro.core.memex import MemexServer
 from repro.server.daemons import FetchedPage
 from repro.shard import HashRing, MemexCluster
+from repro.shard.worker import WorkerSpec
 
 QUICK = bool(os.environ.get("MEMEX_BENCH_QUICK"))
 DISK_MS = float(os.environ.get("MEMEX_BENCH_DISK_MS", "3.0"))
@@ -117,7 +118,6 @@ def _measure(n_shards, users, data_dir):
         data_dir=data_dir,
         tick_interval=None, monitor=False,
         router_workers=N_CLIENTS + 2,
-        net_workers=6,
     )
     try:
         for user in users:
@@ -151,7 +151,10 @@ def _measure(n_shards, users, data_dir):
     return sum(counts) / elapsed
 
 
-def test_write_throughput_scales_with_shards(tmp_path):
+def test_write_throughput_scales_with_shards(tmp_path, monkeypatch):
+    # Six socket threads per worker, five of them lent to the router: the
+    # workers inherit the class attribute when they fork.
+    monkeypatch.setattr(WorkerSpec, "NET_WORKERS", 6)
     users = _pick_users(N_CLIENTS)
     curve = []
     for n_shards in SHARD_POINTS:

@@ -271,10 +271,7 @@ def _serve_cluster(args: argparse.Namespace, stop) -> int:
     cluster = MemexCluster(
         factory, args.shards,
         data_dir=args.data_dir,
-        host=args.host, port=args.port,
-        # Client connections are per-user and each parks a router worker
-        # thread, so the front pool must cover the simulated population.
-        router_workers=max(args.workers, len(workload.profiles) + 2),
+        host=args.host, port=args.port, router_workers=args.workers,
     )
     try:
         for profile in workload.profiles:

@@ -397,7 +397,6 @@ class MemexServer:
         port: int = 0,
         workers: int = 4,
         idle_timeout: float = 30.0,
-        read_timeout: float = 5.0,
     ) -> MemexSocketServer:
         """Start serving the framed wire protocol over TCP.
 
@@ -413,7 +412,6 @@ class MemexServer:
             port=port,
             workers=workers,
             idle_timeout=idle_timeout,
-            read_timeout=read_timeout,
             key_source=self.transport,
             metrics=self.metrics,
             log=self.logs.logger("netserver"),
@@ -426,17 +424,15 @@ class MemexServer:
         into the repository's model store.  Catalog and index already
         persist through their own write paths when a root was given."""
         saved_models = self.classifier.persist_models()
-        self.repo.save_model("vocabulary", self.vectorizer.vocab.to_dict())
+        self.repo.save_model("vocabulary", self.vectorizer.state())
         self.repo.save_model("server_clock", {"now": self._now})
         return {"models": saved_models}
 
     def restore_state(self) -> dict[str, int]:
         """Reload mined state saved by :meth:`save_state`."""
-        from ..text.vocabulary import Vocabulary
-
         vocab_payload = self.repo.load_model("vocabulary")
         if vocab_payload is not None:
-            self.vectorizer.vocab = Vocabulary.from_dict(vocab_payload)
+            self.vectorizer.restore(vocab_payload)
         clock = self.repo.load_model("server_clock")
         if clock is not None:
             self._now = max(self._now, float(clock["now"]))

@@ -33,6 +33,9 @@ from .clock import Clock
 #: Burn-rate thresholds for the two evaluation windows.
 FAST_BURN = 14.4
 SLOW_BURN = 1.0
+#: The two evaluation windows, in seconds of the monitor's clock.
+SHORT_WINDOW = 300.0
+LONG_WINDOW = 3600.0
 
 
 @dataclass(frozen=True)
@@ -73,18 +76,12 @@ class ServletSlo:
         errors: Any,
         *,
         clock: Clock = time.time,
-        short_window: float = 300.0,
-        long_window: float = 3600.0,
     ) -> None:
-        if short_window >= long_window:
-            raise ValueError("short_window must be < long_window")
         self.name = name
         self.policy = policy
         self.latency = latency   # Histogram: .count, .percentile()
         self.errors = errors     # Counter: .value
         self.clock = clock
-        self.short_window = short_window
-        self.long_window = long_window
         self._snapshots: deque[tuple[float, int, float]] = deque()
 
     def _window_rate(self, now: float, window: float) -> tuple[int, float]:
@@ -106,10 +103,10 @@ class ServletSlo:
         """Snapshot current totals and report SLO status as a dict."""
         if now is None:
             now = self.clock()
-        requests_short, rate_short = self._window_rate(now, self.short_window)
-        requests_long, rate_long = self._window_rate(now, self.long_window)
+        requests_short, rate_short = self._window_rate(now, SHORT_WINDOW)
+        requests_long, rate_long = self._window_rate(now, LONG_WINDOW)
         self._snapshots.append((now, self.latency.count, self.errors.value))
-        while self._snapshots and self._snapshots[0][0] < now - self.long_window:
+        while self._snapshots and self._snapshots[0][0] < now - LONG_WINDOW:
             self._snapshots.popleft()
 
         budget = self.policy.error_budget
@@ -149,22 +146,14 @@ class HealthMonitor:
     store must degrade health, not crash the health endpoint).  The
     monitor is ``ready`` when every check passes and no SLO is in
     ``breach``; it is always ``live`` if it can answer at all.
+
+    A servlet is held to :data:`DEFAULT_POLICY` unless ``policies`` names
+    another for it before its SLO is first bound.
     """
 
-    def __init__(
-        self,
-        *,
-        clock: Clock = time.time,
-        policies: dict[str, SloPolicy] | None = None,
-        default_policy: SloPolicy = DEFAULT_POLICY,
-        short_window: float = 300.0,
-        long_window: float = 3600.0,
-    ) -> None:
+    def __init__(self, *, clock: Clock = time.time) -> None:
         self.clock = clock
-        self.policies = dict(policies or {})
-        self.default_policy = default_policy
-        self.short_window = short_window
-        self.long_window = long_window
+        self.policies: dict[str, SloPolicy] = {}
         self._checks: dict[str, CheckFn] = {}
         self._slos: dict[str, ServletSlo] = {}
 
@@ -179,12 +168,10 @@ class HealthMonitor:
         if got is None:
             got = ServletSlo(
                 name,
-                self.policies.get(name, self.default_policy),
+                self.policies.get(name, DEFAULT_POLICY),
                 latency,
                 errors,
                 clock=self.clock,
-                short_window=self.short_window,
-                long_window=self.long_window,
             )
             self._slos[name] = got
         return got

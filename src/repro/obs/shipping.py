@@ -35,10 +35,10 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 #: Rotation bound: one current file plus one predecessor per worker.
-DEFAULT_MAX_BYTES = 8 * 1024 * 1024
+MAX_BYTES = 8 * 1024 * 1024
 
 
 class LogShipper:
@@ -52,25 +52,16 @@ class LogShipper:
 
     Every line is a self-contained JSON object with ``kind`` (``log`` or
     ``span``), ``wall_ts``, and ``shard``.  Writes flush per line; when
-    the file passes ``max_bytes`` it rotates to ``<name>.1``, replacing
-    the previous rotation — total footprint is bounded at about twice
-    ``max_bytes`` per worker.
+    the file passes :data:`MAX_BYTES` it rotates to ``<name>.1``,
+    replacing the previous rotation — total footprint is bounded at about
+    twice ``MAX_BYTES`` per worker.
     """
 
     def __init__(
-        self,
-        path: str | os.PathLike[str],
-        *,
-        shard: str = "",
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        wall_clock: Callable[[], float] = time.time,
+        self, path: str | os.PathLike[str], *, shard: str = "",
     ) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
         self.path = Path(path)
         self.shard = shard
-        self.max_bytes = max_bytes
-        self.wall_clock = wall_clock
         self.written = 0          # records written over the shipper's life
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = open(self.path, "a", encoding="utf-8")  # noqa: SIM115
@@ -91,13 +82,13 @@ class LogShipper:
     # -- mechanics -----------------------------------------------------------
 
     def _write(self, obj: dict[str, Any]) -> None:
-        obj["wall_ts"] = self.wall_clock()
+        obj["wall_ts"] = time.time()
         obj["shard"] = self.shard
         line = json.dumps(obj, sort_keys=True, default=str) + "\n"
         with self._obs_lock:
             if self._closed:
                 return
-            if self._size >= self.max_bytes:
+            if self._size >= MAX_BYTES:
                 self._rotate()
             self._file.write(line)
             self._file.flush()

@@ -36,7 +36,7 @@ from ..storage.repository import MemexRepository
 from ..storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION, folder_path
 from ..text.index import InvertedIndex
 from ..text.tokenize import tokenize
-from ..text.vectorize import SparseVector, add, tfidf
+from ..text.vectorize import SparseVector, add, count_vector, tfidf
 from ..text.vocabulary import Vocabulary
 
 
@@ -77,13 +77,18 @@ class PageVectorizer:
     """Shared page -> sparse-vector service with caching.
 
     All mining daemons must agree on one vocabulary and one vector per
-    page; this object is that agreement.
+    page; this object is that agreement.  Each page is counted into the
+    vocabulary's document frequencies once, across restarts too: the
+    saved state names the pages its frequencies count.
     """
 
     def __init__(self, repo: MemexRepository) -> None:
         self.repo = repo
         self.vocab = Vocabulary()
         self._cache: dict[str, SparseVector] = {}
+        # Pages the vocabulary's document frequencies count: every page
+        # in _cache, and those a restored vocabulary counted before.
+        self._counted: set[str] = set()
         self._vectorizer_lock = threading.Lock()
 
     def vector(self, url: str) -> SparseVector | None:
@@ -102,13 +107,32 @@ class PageVectorizer:
         with self._vectorizer_lock:
             vec = self._cache.get(url)
             if vec is None:
-                # add_document (not plain counting) so the vocabulary
-                # accumulates document frequencies — IDF weighting and
-                # label filtering need it.
-                counts = self.vocab.add_document(tokens)
-                vec = {t: float(c) for t, c in counts.items()}
+                if url in self._counted:
+                    vec = count_vector(self.vocab, tokens)
+                else:
+                    # add_document (not plain counting) so the vocabulary
+                    # accumulates document frequencies — IDF weighting
+                    # and label filtering need it.
+                    counts = self.vocab.add_document(tokens)
+                    vec = {t: float(c) for t, c in counts.items()}
+                    self._counted.add(url)
                 self._cache[url] = vec
         return vec
+
+    def state(self) -> dict:
+        """The vocabulary and the pages it counts, as :meth:`restore`
+        takes them."""
+        with self._vectorizer_lock:
+            return {**self.vocab.to_dict(), "pages": sorted(self._counted)}
+
+    def restore(self, state: dict) -> None:
+        """Take up a vocabulary :meth:`state` saved.  A page it counts is
+        not counted again when it is next vectorized; a state saved
+        without ``pages`` counts none."""
+        with self._vectorizer_lock:
+            self.vocab = Vocabulary.from_dict(state)
+            self._counted = set(state.get("pages", ()))
+            self._cache.clear()
 
     @property
     def num_docs(self) -> int:

@@ -32,7 +32,7 @@ Threading model: one acceptor thread plus a bounded pool of ``workers``
 threads.  A worker serves one connection at a time from an accept queue;
 extra connections wait their turn.  Timeouts map to typed wire errors:
 waiting longer than ``idle_timeout`` for a *new* frame closes the
-connection quietly, while stalling mid-frame for ``read_timeout`` sends
+connection quietly, while stalling mid-frame for ``READ_TIMEOUT`` sends
 a retryable ``timeout`` error before closing.  ``close()`` drains
 gracefully — the listener stops, in-flight requests finish and their
 responses are sent, then connections shut down.
@@ -107,6 +107,13 @@ class MemexSocketServer:
     decoded it (the router relies on this to keep ring placement honest).
     """
 
+    #: Connections the kernel queues before the acceptor takes them.
+    BACKLOG = 128
+    #: Seconds a frame's body may take once its header arrived.
+    READ_TIMEOUT = 5.0
+    #: Seconds ``close()`` waits for each thread to finish its request.
+    DRAIN_TIMEOUT = 5.0
+
     def __init__(
         self,
         registry: Dispatcher,
@@ -114,10 +121,7 @@ class MemexSocketServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 4,
-        backlog: int = 128,
         idle_timeout: float = 30.0,
-        read_timeout: float = 5.0,
-        drain_timeout: float = 5.0,
         authoritative_user: bool = False,
         key_source: KeySource | None = None,
         metrics: MetricsRegistry | None = None,
@@ -129,13 +133,11 @@ class MemexSocketServer:
         self.workers = workers
         self.authoritative_user = authoritative_user
         self.idle_timeout = idle_timeout
-        self.read_timeout = read_timeout
-        self.drain_timeout = drain_timeout
         self.keys = key_source if key_source is not None else DictKeySource()
         self.metrics = metrics if metrics is not None else null_registry()
         self.log = log if log is not None else null_logger("netserver")
 
-        self._sock = socket.create_server((host, port), backlog=backlog)
+        self._sock = socket.create_server((host, port), backlog=self.BACKLOG)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
 
         self._stopping = threading.Event()
@@ -224,9 +226,9 @@ class MemexSocketServer:
                 break
             if item is not _POOL_SENTINEL:
                 item.close()
-        self._acceptor.join(timeout=self.drain_timeout)
+        self._acceptor.join(timeout=self.DRAIN_TIMEOUT)
         for t in self._threads:
-            t.join(timeout=self.drain_timeout)
+            t.join(timeout=self.DRAIN_TIMEOUT)
         with self._pool_lock:
             leftovers = list(self._active)
         for conn in leftovers:  # pragma: no cover - drain timeout expired
@@ -283,7 +285,7 @@ class MemexSocketServer:
 
         The wait for a frame's *first* bytes is bounded by
         ``idle_timeout``; once a header arrives the body must follow
-        within ``read_timeout`` or a typed ``timeout`` error goes back.
+        within :attr:`READ_TIMEOUT` or a typed ``timeout`` error goes back.
         """
         conn.settimeout(self.idle_timeout)
         try:
@@ -293,13 +295,13 @@ class MemexSocketServer:
             return None
         if header is None:
             return None
-        conn.settimeout(self.read_timeout)
+        conn.settimeout(self.READ_TIMEOUT)
         try:
             body = recv_exact(conn.recv, frame_length(header))
         except socket.timeout:
             self.timeouts_total.inc()
             raise ProtocolError(
-                f"read timed out mid-frame after {self.read_timeout}s",
+                f"read timed out mid-frame after {self.READ_TIMEOUT}s",
                 code=CODE_TIMEOUT,
             ) from None
         if body is None:

@@ -225,6 +225,13 @@ class SocketTransport:
     An in-flight connection is never cut.  ``0`` means no cap.
     """
 
+    #: First reconnect backoff after a failed connect, in seconds; each
+    #: further failure in a row doubles it, up to :attr:`BACKOFF_CAP`.
+    BACKOFF_BASE = 0.05
+    BACKOFF_CAP = 2.0
+    #: Jitter source: each backoff is scaled by a draw in [0.5, 1.0).
+    BACKOFF_RNG = random.Random()
+
     def __init__(
         self,
         host: str,
@@ -232,9 +239,6 @@ class SocketTransport:
         *,
         connect_timeout: float = 5.0,
         response_timeout: float = 30.0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        backoff_rng: random.Random | None = None,
         max_pooled: int = 0,
     ) -> None:
         if max_pooled < 0:
@@ -244,9 +248,6 @@ class SocketTransport:
         self.port = port
         self.connect_timeout = connect_timeout
         self.response_timeout = response_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self._backoff_rng = backoff_rng if backoff_rng is not None else random.Random()
         self._backoff_failures = 0
         self._backoff_until = 0.0     # monotonic deadline; 0 = disarmed
         self._keys: dict[str, bytes] = {}
@@ -380,9 +381,9 @@ class SocketTransport:
             with self._pool_lock:
                 self._backoff_failures += 1
                 delay = min(
-                    self.backoff_cap,
-                    self.backoff_base * 2 ** (self._backoff_failures - 1),
-                ) * (0.5 + 0.5 * self._backoff_rng.random())
+                    self.BACKOFF_CAP,
+                    self.BACKOFF_BASE * 2 ** (self._backoff_failures - 1),
+                ) * (0.5 + 0.5 * self.BACKOFF_RNG.random())
                 self._backoff_until = time.monotonic() + delay
             raise ProtocolError(
                 f"cannot connect to {self.host}:{self.port}: {exc}",

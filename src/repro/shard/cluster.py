@@ -60,12 +60,8 @@ class MemexCluster:
         host: str = "127.0.0.1",
         port: int = 0,
         router_workers: int = 16,
-        net_workers: int = 4,
         tick_interval: float | None = 0.05,
-        health_interval: float = 0.25,
         monitor: bool = True,
-        auto_restart: bool = True,
-        start_timeout: float = 30.0,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -74,17 +70,10 @@ class MemexCluster:
         self.tracer = tracer if tracer is not None else Tracer(sample_every=8)
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.ring = HashRing(n_shards)
-        spec = WorkerSpec(
-            factory=factory,
-            net_workers=net_workers,
-            tick_interval=tick_interval,
-        )
         self.supervisor = ShardSupervisor(
-            spec, n_shards,
+            WorkerSpec(factory=factory, tick_interval=tick_interval),
+            n_shards,
             data_dir=data_dir, host=host,
-            health_interval=health_interval,
-            start_timeout=start_timeout,
-            auto_restart=auto_restart,
             log=self.logs.logger("supervisor"),
         )
         self.health = HealthMonitor(clock=self.metrics.clock)

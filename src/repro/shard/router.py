@@ -32,7 +32,7 @@ from typing import Any, Callable
 from ..obs.logging import Logger, null_logger
 from ..obs.metrics import MetricsRegistry, null_registry
 from ..obs.tracing import Tracer
-from ..server.netserver import DictKeySource, KeySource, MemexSocketServer
+from ..server.netserver import DictKeySource, MemexSocketServer
 from .gather import Backend, ShardDispatcher
 from .ring import HashRing
 
@@ -56,10 +56,6 @@ class ShardRouter:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 16,
-        backlog: int = 128,
-        idle_timeout: float = 30.0,
-        read_timeout: float = 5.0,
-        key_source: KeySource | None = None,
         metrics: MetricsRegistry | None = None,
         log: Logger | None = None,
         tracer: Tracer | None = None,
@@ -67,7 +63,7 @@ class ShardRouter:
     ) -> None:
         self.metrics = metrics if metrics is not None else null_registry()
         self.log = log if log is not None else null_logger("router")
-        self.keys = key_source if key_source is not None else DictKeySource()
+        self.keys = DictKeySource()
         self.dispatcher = ShardDispatcher(
             backends, ring=ring, available=available,
             tracer=tracer, shard_info=shard_info,
@@ -79,8 +75,7 @@ class ShardRouter:
         }
         self._server = MemexSocketServer(
             self,
-            host=host, port=port, workers=workers, backlog=backlog,
-            idle_timeout=idle_timeout, read_timeout=read_timeout,
+            host=host, port=port, workers=workers,
             key_source=self.keys,
             authoritative_user=True,
             metrics=self.metrics,
@@ -111,7 +106,7 @@ class ShardRouter:
 
     def set_key(self, user_id: str, key: bytes | None) -> None:
         """Register a client cipher key (terminated at the router)."""
-        self.keys.set_key(user_id, key)  # type: ignore[attr-defined]
+        self.keys.set_key(user_id, key)
 
     def stats(self) -> dict[str, Any]:
         with self._router_lock:

@@ -45,7 +45,7 @@ from typing import Any
 from ..errors import ProtocolError
 from ..obs.logging import Logger, null_logger
 from ..server.transport import SocketTransport
-from .worker import CMD_QUIESCE, CMD_SAVE, CMD_STOP, WorkerSpec, worker_main
+from .worker import CMD_QUIESCE, CMD_STOP, WorkerSpec, worker_main
 
 #: Hello user the supervisor's health probes bind their connections to
 #: (the health servlet is unauthenticated by design).
@@ -96,7 +96,29 @@ class _Shard:
 
 
 class ShardSupervisor:
-    """Run ``n_shards`` worker processes and keep them healthy."""
+    """Run ``n_shards`` worker processes and keep them healthy.
+
+    ``auto_restart`` (on) respawns a dead worker; a test that wants one
+    to stay dead turns it off.
+    """
+
+    #: Seconds between monitor passes.
+    HEALTH_INTERVAL = 0.25
+    #: Seconds :meth:`start` waits for every worker to serve and pass
+    #: its first health check.
+    START_TIMEOUT = 30.0
+    #: Connect and response timeouts of the per-shard transports.  A
+    #: shard is on this host, so a connect that takes longer than this
+    #: means it is down.
+    CONNECT_TIMEOUT = 2.0
+    RESPONSE_TIMEOUT = 30.0
+    #: Exponential restart backoff: RESTART_BACKOFF * 2^streak, capped at
+    #: MAX_BACKOFF, where the streak counts *rapid* successive deaths (a
+    #: worker that stayed up longer than BACKOFF_RESET_AFTER before dying
+    #: restarts at RESTART_BACKOFF).
+    RESTART_BACKOFF = 0.05
+    MAX_BACKOFF = 2.0
+    BACKOFF_RESET_AFTER = 30.0
 
     def __init__(
         self,
@@ -105,31 +127,13 @@ class ShardSupervisor:
         *,
         data_dir: str | os.PathLike[str] | None = None,
         host: str = "127.0.0.1",
-        health_interval: float = 0.25,
-        start_timeout: float = 30.0,
-        auto_restart: bool = True,
-        connect_timeout: float = 2.0,
-        response_timeout: float = 30.0,
-        restart_backoff: float = 0.05,
-        max_backoff: float = 2.0,
-        backoff_reset_after: float = 30.0,
         log: Logger | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.spec = spec
         self.host = host
-        self.health_interval = health_interval
-        self.start_timeout = start_timeout
-        self.auto_restart = auto_restart
-        self.connect_timeout = connect_timeout
-        self.response_timeout = response_timeout
-        # Exponential restart backoff: base * 2^streak, capped, where the
-        # streak counts *rapid* successive deaths (a worker that stayed up
-        # longer than backoff_reset_after before dying restarts at base).
-        self.restart_backoff = restart_backoff
-        self.max_backoff = max_backoff
-        self.backoff_reset_after = backoff_reset_after
+        self.auto_restart = True
         self.log = log if log is not None else null_logger("supervisor")
         self._ctx = multiprocessing.get_context("fork")
         roots: list[str | None] = [None] * n_shards
@@ -155,7 +159,7 @@ class ShardSupervisor:
         with self._supervisor_lock:
             for shard in self._shards:
                 self._spawn(shard)
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + self.START_TIMEOUT
         for shard in self._shards:
             self._await_ready(shard, deadline)
         with self._supervisor_lock:
@@ -163,12 +167,12 @@ class ShardSupervisor:
             # request says hello as its real user.  A shard parks one
             # worker thread per open connection: leave one free for
             # direct (non-router) connections.
-            mux = max(1, self.spec.net_workers - 1)
+            mux = max(1, self.spec.NET_WORKERS - 1)
             self._transports = [
                 SocketTransport(
                     shard.address[0], shard.address[1],
-                    connect_timeout=self.connect_timeout,
-                    response_timeout=self.response_timeout,
+                    connect_timeout=self.CONNECT_TIMEOUT,
+                    response_timeout=self.RESPONSE_TIMEOUT,
                     max_pooled=mux,
                 )
                 for shard in self._shards
@@ -242,7 +246,7 @@ class ShardSupervisor:
             if timeout <= 0:
                 raise ProtocolError(
                     f"shard {shard.shard_id} did not come up within "
-                    f"{self.start_timeout}s"
+                    f"{self.START_TIMEOUT}s"
                 )
             with self._supervisor_lock:
                 if self._drain_ready_message(shard, wait=min(timeout, 0.2)):
@@ -322,9 +326,6 @@ class ShardSupervisor:
         """The per-shard backends (shared with the router's dispatcher)."""
         return self._transports
 
-    def addresses(self) -> list[tuple[str, int]]:
-        return [s.address for s in self._shards if s.address is not None]
-
     def poll(self) -> None:
         """One monitor pass: detect deaths, respawn, re-admit healthy shards."""
         for shard in self._shards:
@@ -345,13 +346,13 @@ class ShardSupervisor:
                             shard.last_exit = _describe_exit(
                                 shard.proc.exitcode)
                         uptime = now - shard.spawned_at
-                        if uptime > self.backoff_reset_after:
+                        if uptime > self.BACKOFF_RESET_AFTER:
                             shard.fail_streak = 0
                         else:
                             shard.fail_streak += 1
                         shard.backoff = min(
-                            self.max_backoff,
-                            self.restart_backoff * (2 ** shard.fail_streak),
+                            self.MAX_BACKOFF,
+                            self.RESTART_BACKOFF * (2 ** shard.fail_streak),
                         )
                         shard.backoff_until = now + shard.backoff
                     self.log.info(
@@ -382,12 +383,12 @@ class ShardSupervisor:
                 pass
 
     def start_monitor(self) -> None:
-        """Run :meth:`poll` on a background thread every ``health_interval``."""
+        """Run :meth:`poll` on a background thread every :attr:`HEALTH_INTERVAL`."""
         if self._monitor is not None:
             return
 
         def loop() -> None:
-            while not self._stopping.wait(self.health_interval):
+            while not self._stopping.wait(self.HEALTH_INTERVAL):
                 try:
                     self.poll()
                 except Exception:  # noqa: BLE001 - monitor must survive
@@ -495,15 +496,3 @@ class ShardSupervisor:
                         f"shard {shard.shard_id} did not quiesce in {timeout}s"
                     )
         return total
-
-    def save(self, *, timeout: float = 30.0) -> None:
-        """Ask every live shard to persist its mined state."""
-        with self._supervisor_lock:
-            for shard in self._shards:
-                if shard.status != STATUS_UP:
-                    continue
-                shard.conn.send((CMD_SAVE,))
-                deadline = time.monotonic() + timeout
-                while time.monotonic() < deadline:
-                    if shard.conn.poll(0.1) and shard.conn.recv()[0] == "saved":
-                        break

@@ -12,13 +12,12 @@ Control protocol (parent -> child over the pipe)::
 
     ("stop", drain)   drain the socket server, save state, exit
     ("quiesce",)      run daemons until idle, reply ("quiesced", done)
-    ("save",)         persist mined state, reply ("saved",)
 
 Child -> parent::
 
     ("ready", (host, port))   serving; address may differ from the
                               requested port if rebinding raced
-    ("quiesced", n) / ("saved",) / ("stopped",)
+    ("quiesced", n) / ("stopped",)
     ("error", message)        startup or shutdown failed
 
 The spec's ``factory`` runs *in the child*: with the fork start method
@@ -40,7 +39,6 @@ from ..obs.shipping import LogShipper
 
 CMD_STOP = "stop"
 CMD_QUIESCE = "quiesce"
-CMD_SAVE = "save"
 
 
 def _release_inherited_sockets(keep: set[int]) -> None:
@@ -95,11 +93,16 @@ class WorkerSpec:
     disables background ticking (tests drive daemons via ``quiesce``).
     """
 
+    #: Threads of each worker's socket server.  The supervisor lends the
+    #: router all but one of them, so a direct connection always finds one.
+    NET_WORKERS = 4
+    #: Seconds a worker keeps an idle connection open.  Its clients are
+    #: the router's pooled hops, which sit idle between bursts, so it
+    #: outlasts the 30 s a server gives a client.
+    IDLE_TIMEOUT = 300.0
+
     factory: Callable[[int, str | None], Any]
-    net_workers: int = 4
     tick_interval: float | None = 0.05
-    idle_timeout: float = 300.0
-    read_timeout: float = 5.0
 
 
 def worker_main(
@@ -139,17 +142,15 @@ def worker_main(
                     tracer.attach(shipper.span_sink)
         try:
             net = server.listen(
-                host=host, port=port, workers=spec.net_workers,
-                idle_timeout=spec.idle_timeout,
-                read_timeout=spec.read_timeout,
+                host=host, port=port, workers=spec.NET_WORKERS,
+                idle_timeout=spec.IDLE_TIMEOUT,
             )
         except OSError:
             # The fixed port is taken (restart raced another binder):
             # fall back to an ephemeral port and report the real address.
             net = server.listen(
-                host=host, port=0, workers=spec.net_workers,
-                idle_timeout=spec.idle_timeout,
-                read_timeout=spec.read_timeout,
+                host=host, port=0, workers=spec.NET_WORKERS,
+                idle_timeout=spec.IDLE_TIMEOUT,
             )
         conn.send(("ready", tuple(net.address)))
     except Exception as exc:  # noqa: BLE001 - report startup failure
@@ -181,9 +182,6 @@ def worker_main(
                 if cmd == CMD_QUIESCE:
                     done = server.process_background_work()
                     conn.send(("quiesced", done))
-                elif cmd == CMD_SAVE:
-                    server.save_state()
-                    conn.send(("saved",))
             elif spec.tick_interval:
                 server.tick()
     finally:

@@ -22,8 +22,9 @@ with one of these reasons:
 (d) it is a reference implementation a named test compares against;
 (e) a named test needs it to observe a behaviour.
 
-Each reason is checked: every file it names exists, one of them calls
-the name, and the file its kind needs — a test for (a), (d) and (e),
+Each reason is checked: every file it names exists, one of them uses
+the name (``.name``, ``name(`` or ``= name``; a mention in prose is not a
+use), and the file its kind needs — a test for (a), (d) and (e),
 ``bench/`` for (b), ``benchmarks/`` or ``examples/`` for (c) — is among
 them.  A ``KEPT`` name the run enters fails the test too.  A function
 nested in one the run never enters is covered by its parent.
@@ -49,7 +50,7 @@ from repro.client.applet import MemexApplet, replay_events
 from repro.core import MemexSystem
 from repro.core.api import corpus_fetcher
 from repro.core.memex import MemexServer
-from repro.obs import Tracer
+from repro.obs import Tracer, shipping
 from repro.obs.shipping import LogShipper, read_shipped_records
 from repro.obs.top import run_top
 from repro.server.transport import HttpTunnelTransport
@@ -158,14 +159,12 @@ KEPT = _kept(
      "shard.supervisor:ShardSupervisor._probe",
      "shard.supervisor:ShardSupervisor._reap",
      "shard.supervisor:ShardSupervisor._spawn",
-     "shard.supervisor:ShardSupervisor.addresses",
      "shard.supervisor:ShardSupervisor.available",
      "shard.supervisor:ShardSupervisor.health_detail",
      "shard.supervisor:ShardSupervisor.kill",
      "shard.supervisor:ShardSupervisor.n_shards",
      "shard.supervisor:ShardSupervisor.poll",
      "shard.supervisor:ShardSupervisor.quiesce",
-     "shard.supervisor:ShardSupervisor.save",
      "shard.supervisor:ShardSupervisor.start",
      "shard.supervisor:ShardSupervisor.start_monitor",
      "shard.supervisor:ShardSupervisor.statuses",
@@ -520,11 +519,15 @@ def unkept(missed: list[str], kept: dict[str, str]) -> list[str]:
 
 
 def _called(name: str, text: str) -> bool:
-    """Whether *text* uses *name* other than by defining it; a dunder
-    method is used where its class is."""
+    """Whether *text* uses *name*: reads it as an attribute (``.name``),
+    calls it (``name(`` but not ``def name(``) or assigns or passes it
+    (``= name``).  A word in prose is not a use.  A dunder method is used
+    where its class is."""
     qual = name.split(":", 1)[1].split(".")
-    word = qual[-2] if qual[-1].startswith("__") and len(qual) > 1 else qual[-1]
-    return re.search(rf"(?<!def )(?<![\w]){re.escape(word)}(?!\w)", text) is not None
+    word = re.escape(
+        qual[-2] if qual[-1].startswith("__") and len(qual) > 1 else qual[-1])
+    use = rf"\.{word}(?!\w)|(?<!def )(?<![\w.]){word}\(|=\s*{word}(?!\w)"
+    return re.search(use, text) is not None
 
 
 @functools.cache
@@ -569,7 +572,7 @@ def _seeded_pair(workload, root):
     into two in-memory servers behind an in-process dispatcher."""
     one = MemexSystem.from_workload(workload, root=str(root / "one"), sync=True)
     shipper = LogShipper(root / "data" / "shard-00" / "logs" / "worker.jsonl",
-                         shard="0", max_bytes=4096)
+                         shard="0")
     one.server.logs.attach(shipper.log_sink)
     one.server.tracer.attach(shipper.span_sink)
     one.replay(workload.events)
@@ -688,7 +691,9 @@ def entered_by(run) -> set[tuple[str, int]]:
 def entered(tmp_path_factory) -> set[tuple[str, int]]:
     root = tmp_path_factory.mktemp("reach")
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shipping, "MAX_BYTES", 4096)   # the shipper rotates
         return entered_by(lambda: _drive(root))
 
 
@@ -738,3 +743,16 @@ def test_a_reason_whose_file_does_not_call_the_name_is_caught(found, entered):
     kept = {**KEPT, "obs.clock:ManualClock.advance": "(e) tests/test_cache.py"}
     assert kept_problems(found, missed, kept) == [
         "obs.clock:ManualClock.advance: none of ['tests/test_cache.py'] calls it"]
+
+
+def test_a_reason_whose_file_names_the_function_only_in_prose_is_caught(
+        tmp_path, monkeypatch, found, entered):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "prose.py").write_text(
+        '"""The supervisor\'s wal_paths lists a shard\'s logs."""\n'
+        "# wal_paths is only named here, never used.\n")
+    monkeypatch.setattr(f"{__name__}.ROOT", tmp_path)
+    kept = {"shard.supervisor:ShardSupervisor.wal_paths": "(e) tests/prose.py"}
+    assert kept_problems(found, never_entered(found, entered), kept) == [
+        "shard.supervisor:ShardSupervisor.wal_paths: "
+        "none of ['tests/prose.py'] calls it"]

@@ -151,8 +151,14 @@ def test_popular_near_trail_servlet(live_system, small_workload):
     assert all(p["score"] > 0 for p in pages)
 
 
+def _doc_freqs(vocab):
+    saved = vocab.to_dict()
+    return dict(zip(saved["terms"], saved["doc_freq"]))
+
+
 def test_server_state_roundtrip(tmp_path):
-    """Models, vocabulary, catalog, and index survive a server restart."""
+    """Models, vocabulary, catalog, and index survive a server restart,
+    and the restarted server counts no page into the vocabulary twice."""
     pages = {}
     for topic, words in [
         ("music", "symphony orchestra violin concerto opera"),
@@ -174,6 +180,7 @@ def test_server_state_roundtrip(tmp_path):
         applet.bookmark(url, folder, at=t)
         applet.record_visit(url, at=t)
     server.process_background_work()
+    vocab_before = server.vectorizer.vocab
     model_before = server.classifier.model_for("u")
     test_vec = server.vectorizer.vector("http://music0/")
     pred_before = model_before.predict("http://music0/", test_vec)
@@ -183,6 +190,7 @@ def test_server_state_roundtrip(tmp_path):
     server2 = MemexServer(lambda u: pages.get(u), root=str(root))
     restored = server2.restore_state()
     assert restored["models"] == 1
+    server2.process_background_work()
     assert server2.now > 0
     # Catalog survived.
     assert len(server2.repo.db.table("visits")) == len(pages)
@@ -191,6 +199,10 @@ def test_server_state_roundtrip(tmp_path):
     pred_after = server2.classifier.model_for("u").predict("http://music0/", vec2)
     assert pred_after[0] == pred_before[0]
     assert pred_after[1] == pytest.approx(pred_before[1], rel=1e-6)
+    # Every page was counted into the vocabulary once, before the restart.
+    vocab_after = server2.vectorizer.vocab
+    assert vocab_after.num_docs == vocab_before.num_docs == len(pages)
+    assert _doc_freqs(vocab_after) == _doc_freqs(vocab_before)
     # The index survived through the kvstore.
     assert server2.index.num_docs == len(pages)
     server2.close()

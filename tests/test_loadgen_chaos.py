@@ -91,8 +91,8 @@ class TestTearWalTail:
                 cluster.supervisor.tear_wal_tail(0)
 
     def test_appends_torn_record_after_kill(self, tmp_path):
-        with _cluster(tmp_path, n_shards=1, monitor=False,
-                      auto_restart=False) as cluster:
+        with _cluster(tmp_path, n_shards=1, monitor=False) as cluster:
+            cluster.supervisor.auto_restart = False
             user = _user_on_shard(cluster, 0)
             cluster.register_user(user)
             assert _seed_acked_visits(cluster, user, n=8) == 8

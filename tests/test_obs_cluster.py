@@ -22,6 +22,7 @@ from repro.obs import (
     render_span_tree,
     shard_log_paths,
 )
+from repro.obs import shipping
 from repro.obs.metrics import diff_snapshots, summarize_histogram_raw
 from repro.obs.top import CLEAR, render_dashboard, run_top, split_name
 from repro.server.daemons import FetchedPage
@@ -189,16 +190,16 @@ def test_log_shipper_ships_logs_and_spans(tmp_path):
     assert all("wall_ts" in r for r in records)
 
 
-def test_log_shipper_rotates_and_reader_merges_rotation(tmp_path):
-    shipper = LogShipper(
-        tmp_path / "s0" / "logs" / "w.jsonl", shard="0", max_bytes=512)
+def test_log_shipper_rotates_and_reader_merges_rotation(tmp_path, monkeypatch):
+    monkeypatch.setattr(shipping, "MAX_BYTES", 512)
+    shipper = LogShipper(tmp_path / "s0" / "logs" / "w.jsonl", shard="0")
     for i in range(50):
         shipper.log_sink({"ts": float(i), "event": "e", "n": i})
     shipper.close()
     paths = shard_log_paths(tmp_path)
     assert [p.name for p in paths] == ["w.jsonl.1", "w.jsonl"]
     records = read_shipped_records(tmp_path)
-    # Bounded shipping: rotation keeps the newest ~2*max_bytes — the
+    # Bounded shipping: rotation keeps the newest ~2*MAX_BYTES — the
     # retained records are a contiguous, ordered tail ending at the
     # latest write (older rotations are dropped on purpose).
     ns = [r["n"] for r in records]

@@ -25,6 +25,7 @@ from repro.obs import (
     null_log_hub,
     null_logger,
 )
+from repro.obs import health as health_module
 from repro.obs.clock import ManualClock
 from repro.server.daemons import FetchedPage
 from repro.server.scheduler import DaemonScheduler
@@ -104,17 +105,25 @@ def test_null_log_hub_is_noop():
 
 # -- SLO burn rates ----------------------------------------------------------
 
+@pytest.fixture
+def short_windows(monkeypatch):
+    """SLO windows of 10 s and 100 s, which a test's clock crosses."""
+    monkeypatch.setattr(health_module, "SHORT_WINDOW", 10.0)
+    monkeypatch.setattr(health_module, "LONG_WINDOW", 100.0)
+
+
 def _slo(clock, *, error_budget=0.01, target_p95=10.0):
     m = MetricsRegistry()
     latency = m.histogram("lat")
     errors = m.counter("err")
     slo = ServletSlo(
         "visit", SloPolicy(target_p95=target_p95, error_budget=error_budget),
-        latency, errors, clock=clock, short_window=10.0, long_window=100.0,
+        latency, errors, clock=clock,
     )
     return slo, latency, errors
 
 
+@pytest.mark.usefixtures("short_windows")
 def test_slo_ok_when_quiet():
     clock = ManualClock()
     slo, latency, _ = _slo(clock)
@@ -125,6 +134,7 @@ def test_slo_ok_when_quiet():
     assert result["errors"] == 0
 
 
+@pytest.mark.usefixtures("short_windows")
 def test_slo_breach_needs_both_windows_burning():
     clock = ManualClock()
     slo, latency, errors = _slo(clock)
@@ -141,6 +151,7 @@ def test_slo_breach_needs_both_windows_burning():
     assert result["status"] == "breach"
 
 
+@pytest.mark.usefixtures("short_windows")
 def test_slo_short_blip_does_not_breach():
     clock = ManualClock()
     slo, latency, errors = _slo(clock)
@@ -160,6 +171,7 @@ def test_slo_short_blip_does_not_breach():
     assert result["status"] in ("ok", "warn")
 
 
+@pytest.mark.usefixtures("short_windows")
 def test_slo_latency_target_breach():
     clock = ManualClock()
     slo, latency, _ = _slo(clock, target_p95=0.01)
@@ -199,9 +211,8 @@ def test_health_monitor_check_exception_degrades():
 
 def test_health_monitor_slo_breach_degrades():
     clock = ManualClock()
-    monitor = HealthMonitor(
-        clock=clock, policies={"visit": SloPolicy(target_p95=0.01)},
-    )
+    monitor = HealthMonitor(clock=clock)
+    monitor.policies["visit"] = SloPolicy(target_p95=0.01)
     m = MetricsRegistry()
     latency, errors = m.histogram("lat"), m.counter("err")
     monitor.slo("visit", latency, errors)

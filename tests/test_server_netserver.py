@@ -366,14 +366,15 @@ def test_server_dying_mid_request_is_a_retryable_error():
     assert not t.is_alive()
 
 
-def test_mid_frame_stall_gets_typed_timeout_error():
+def test_mid_frame_stall_gets_typed_timeout_error(monkeypatch):
+    monkeypatch.setattr(MemexSocketServer, "READ_TIMEOUT", 0.15)
     with MemexSocketServer(
-        _registry(), workers=1, read_timeout=0.15, metrics=MetricsRegistry(),
+        _registry(), workers=1, metrics=MetricsRegistry(),
     ) as srv:
         host, port = srv.address
         with _hello((host, port), "alice") as sock:
             # A frame header promising more bytes than we send: the body
-            # wait exceeds read_timeout.
+            # wait exceeds READ_TIMEOUT.
             full = encode_message({"servlet": "whoami", "user_id": "alice"})
             sock.sendall(full[:-3])
             response = decode_message(recv_frame(sock.recv))
@@ -438,8 +439,8 @@ def test_close_drains_in_flight_request():
 
 def test_close_on_idle_server_does_not_wait_out_drain_timeout():
     # Closing a listening socket does not wake a thread blocked in
-    # accept() on Linux; close() used to stall the full drain_timeout.
-    srv = MemexSocketServer(_registry(), workers=2, drain_timeout=5.0)
+    # accept() on Linux; close() used to stall the full DRAIN_TIMEOUT.
+    srv = MemexSocketServer(_registry(), workers=2)
     with _client(srv) as transport:  # the acceptor is parked again after this
         assert transport.request("alice", {"servlet": "whoami"})["you"] == "alice"
     time.sleep(0.05)
@@ -504,9 +505,8 @@ def test_reconnect_backoff_bounds_connect_attempts(monkeypatch):
         raise ConnectionRefusedError("nobody home")
 
     monkeypatch.setattr(transport_mod.socket, "create_connection", refuse)
-    transport = SocketTransport(
-        "127.0.0.1", 1, backoff_rng=random.Random(7),
-    )
+    monkeypatch.setattr(SocketTransport, "BACKOFF_RNG", random.Random(7))
+    transport = SocketTransport("127.0.0.1", 1)
 
     codes = []
     deadline = time.monotonic() + 0.3
@@ -527,16 +527,15 @@ def test_reconnect_backoff_bounds_connect_attempts(monkeypatch):
     assert len(attempts) / 0.3 < 30
 
 
-def test_backoff_disarms_once_the_backend_accepts_again():
+def test_backoff_disarms_once_the_backend_accepts_again(monkeypatch):
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
 
-    transport = SocketTransport(
-        "127.0.0.1", port, connect_timeout=0.5,
-        backoff_base=0.01, backoff_cap=0.02,
-    )
+    monkeypatch.setattr(SocketTransport, "BACKOFF_BASE", 0.01)
+    monkeypatch.setattr(SocketTransport, "BACKOFF_CAP", 0.02)
+    transport = SocketTransport("127.0.0.1", port, connect_timeout=0.5)
     with pytest.raises(ProtocolError):
         transport.request("alice", {"servlet": "whoami"})
     assert transport._backoff_failures == 1
