@@ -419,25 +419,26 @@ class MemexServer:
 
     # ---------------------------------------------------------------- lifecycle
 
-    def save_state(self) -> dict[str, int]:
-        """Persist mined state (per-user classifier models, vocabulary)
-        into the repository's model store.  Catalog and index already
-        persist through their own write paths when a root was given."""
-        saved_models = self.classifier.persist_models()
-        self.repo.save_model("vocabulary", self.vectorizer.state())
-        self.repo.save_model("server_clock", {"now": self._now})
-        return {"models": saved_models}
-
     def restore_state(self) -> dict[str, int]:
-        """Reload mined state saved by :meth:`save_state`."""
-        vocab_payload = self.repo.load_model("vocabulary")
-        if vocab_payload is not None:
-            self.vectorizer.restore(vocab_payload)
-        clock = self.repo.load_model("server_clock")
-        if clock is not None:
-            self._now = max(self._now, float(clock["now"]))
-        restored = self.classifier.restore_models()
-        return {"models": restored}
+        """Derive the mined state a reopened server holds only in memory
+        from what is stored (DESIGN.md §11), as a server that never
+        stopped holds it: the vocabulary re-counts every fetched page in
+        catalog order, a page with no dense vector is embedded, the clock
+        resumes at the catalog's latest timestamp, and every user whose
+        filings qualify gets a classifier model; returns how many."""
+        fetched = [
+            row["url"] for row in self.repo.db.table("pages").scan()
+            if row["fetched"]
+        ]
+        for url in fetched:
+            self.vectorizer.vector(url)
+        self.dense_index.add_many([
+            (url, sparse) for url in fetched
+            if self.dense_index.vector(url) is None
+            and (sparse := self.vectorizer.tfidf_vector(url))
+        ], self.vectorizer.vocab)
+        self.advance(self.repo.latest_timestamp())
+        return {"models": self.classifier.retrain()}
 
     def close(self) -> None:
         self.repo.close()

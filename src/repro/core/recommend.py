@@ -21,7 +21,7 @@ from typing import Any
 from ..mining.hac import cluster_vectors
 from ..mining.themes import Theme
 from ..storage.repository import MemexRepository
-from ..text.vectorize import text_vector
+from ..text.vectorize import query_vector
 from .profiles import (
     PageThemes,
     UserProfile,
@@ -149,7 +149,7 @@ def match_theme(server: Server, query: str) -> tuple[Theme | None, float]:
     taxonomy = server.themes.taxonomy
     if taxonomy is None:
         return None, 0.0
-    qvec = text_vector(server.vectorizer.vocab, query)
+    qvec = query_vector(server.vectorizer.vocab, query)
     if not qvec:
         return None, 0.0
     best, best_sim = None, 0.0

@@ -13,7 +13,7 @@ from ..retrieval.fusion import canonical_url, rrf_fuse
 from ..storage.repository import MemexRepository
 from ..text.query import ranked_boolean_search
 from ..text.snippets import make_snippet
-from ..text.vectorize import text_vector, tfidf
+from ..text.vectorize import query_vector, tfidf
 from .request import (
     DAY,
     OWNER,
@@ -197,13 +197,13 @@ def fuse_hybrid(
     """Fuse the lexical, dense, and co-visitation rankings (RRF)."""
     vocab = server.vectorizer.vocab
     lexical = [h.doc_id for h in lexical_hits]
-    qvec = tfidf(vocab, text_vector(vocab, query))
+    qvec = tfidf(vocab, query_vector(vocab, query))
     # Dense leg with Rocchio-style pseudo-relevance feedback: a
     # two-word query projects to a nearly arbitrary direction in the
     # reduced space, so pull it toward the centroid of the top lexical
     # hits' document vectors — "more documents like what matched",
     # not "documents near these two words".
-    qdense = server.dense_index.projector.project(qvec)
+    qdense = server.dense_index.projector.project(qvec, vocab)
     feedback = [
         vec for vec in (
             server.dense_index.vector(url)

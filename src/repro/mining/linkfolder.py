@@ -279,73 +279,6 @@ class EnhancedClassifier:
             raise NotFitted("classifier has not been fitted")
         return list(self._classes)
 
-    # -- persistence -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot (the link graph itself is NOT
-        serialized — pass it again to :meth:`from_dict`, it lives in the
-        catalog's links table)."""
-        if not self._fitted:
-            raise NotFitted("classifier has not been fitted")
-        return {
-            "flags": {
-                "use_text": self.use_text,
-                "use_links": self.use_links,
-                "use_folder": self.use_folder,
-                "use_covisit": self.use_covisit,
-            },
-            "weights": {
-                "text": self.text_weight,
-                "link": self.link_weight,
-                "folder": self.folder_weight,
-                "cocitation": self.cocitation_weight,
-                "covisit": self.covisit_weight,
-            },
-            "relaxation_rounds": self.relaxation_rounds,
-            "nb": self._nb.to_dict(),
-            "labels": self._labels,
-            "coplacement": {u: sorted(vs) for u, vs in self._coplacement.items()},
-            "covisitation": {
-                u: [[v, c] for v, c in pairs]
-                for u, pairs in self._covisitation.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, graph: LinkGraph) -> "EnhancedClassifier":
-        flags = payload["flags"]
-        weights = payload["weights"]
-        clf = cls(
-            use_text=flags["use_text"],
-            use_links=flags["use_links"],
-            use_folder=flags["use_folder"],
-            # .get defaults keep snapshots from before the co-visitation
-            # channel restorable (restore_models replays old payloads).
-            use_covisit=flags.get("use_covisit", True),
-            text_weight=weights["text"],
-            link_weight=weights["link"],
-            folder_weight=weights["folder"],
-            cocitation_weight=weights["cocitation"],
-            covisit_weight=weights.get("covisit", 0.75),
-            relaxation_rounds=payload["relaxation_rounds"],
-        )
-        clf._nb = NaiveBayesClassifier.from_dict(payload["nb"])
-        clf._labels = dict(payload["labels"])
-        clf._classes = clf._nb.classes
-        clf._graph = graph
-        clf._coplacement = {
-            u: set(vs) for u, vs in payload["coplacement"].items()
-        }
-        clf._covisitation = {
-            u: [(v, float(c)) for v, c in pairs]
-            for u, pairs in payload.get("covisitation", {}).items()
-        }
-        clf._cociters = (
-            _cocitation_map(graph, set(clf._labels)) if clf.use_links else {}
-        )
-        clf._fitted = True
-        return clf
-
 
 def _cocitation_map(
     graph: LinkGraph, labeled: set[str]

@@ -118,39 +118,3 @@ class NaiveBayesClassifier:
         if not self._fitted:
             raise NotFitted("classifier has not been fitted")
         return list(self._classes)
-
-    # -- persistence --------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        if not self._fitted:
-            raise NotFitted("classifier has not been fitted")
-        return {
-            "smoothing": self.smoothing,
-            "feature_budget": self.feature_budget,
-            "classes": self._classes,
-            "prior": self._prior,
-            "term_logprob": {
-                c: {str(t): p for t, p in table.items()}
-                for c, table in self._term_logprob.items()
-            },
-            "default_logprob": self._default_logprob,
-            "features": sorted(self._features) if self._features is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "NaiveBayesClassifier":
-        clf = cls(
-            smoothing=payload["smoothing"],
-            feature_budget=payload["feature_budget"],
-        )
-        clf._classes = list(payload["classes"])
-        clf._prior = dict(payload["prior"])
-        clf._term_logprob = {
-            c: {int(t): p for t, p in table.items()}
-            for c, table in payload["term_logprob"].items()
-        }
-        clf._default_logprob = dict(payload["default_logprob"])
-        features = payload["features"]
-        clf._features = set(features) if features is not None else None
-        clf._fitted = True
-        return clf

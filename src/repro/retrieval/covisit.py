@@ -14,7 +14,12 @@ symmetric pair matrix (the relational ``covisits`` table):
 * **self-pair exclusion** — revisiting a page inside a session never
   pairs it with itself;
 * **compaction** — pairs whose decayed count falls under a floor are
-  deleted in bulk every few mining rounds, bounding table growth.
+  deleted in bulk every few mining rounds, bounding table growth;
+* **a stored cursor** — each round commits the last visit id it folded
+  in, and its round count, in the transaction that stores its counts
+  (the ``cursors`` table), so a restarted miner resumes exactly where
+  the stored matrix stops and re-walks the visits up to there to
+  rebuild its open-session tails.
 
 The miner is a plain scheduler daemon (``run_once``), not a versioning
 consumer: visits are UI writes tracked by ``ChangeStamps``, and the
@@ -104,14 +109,45 @@ class CoVisitMinerDaemon:
     ) -> None:
         self.repo = repo
         self.clock = clock
-        self._last_visit_id = 0
         # (user, session) -> recent distinct URLs, oldest first.  Kept
         # across ticks so a session spanning two mining rounds still
         # pairs its late visits with its early ones.
         self._tails: OrderedDict[tuple[str, int], list[str]] = OrderedDict()
-        self._rounds_since_compact = 0
+        # Where the stored matrix stops: the last visit folded in and
+        # the rounds mined, committed with the counts.  Walking the
+        # visits up to it again rebuilds the tails a miner that never
+        # stopped would hold.
+        self._last_visit_id, self._rounds = repo.covisit_cursor()
+        last = self._last_visit_id
+        for row in repo.db.table("visits").select(
+            lambda r: r["visit_id"] <= last
+            and r["archive_mode"] == ARCHIVE_COMMUNITY,
+            order_by="visit_id",
+        ):
+            self._follow(row)
         self.mined_count = 0
         self.pruned_count = 0
+
+    def _follow(self, row: dict) -> list[str]:
+        """Move the visit's session tail on to its URL; returns the other
+        URLs the tail held, which the visit pairs with."""
+        key = (row["user_id"], row["session_id"])
+        tail = self._tails.get(key)
+        if tail is None:
+            if len(self._tails) >= MAX_OPEN_SESSIONS:
+                self._tails.popitem(last=False)
+            tail = []
+            self._tails[key] = tail
+        else:
+            self._tails.move_to_end(key)
+        url = row["url"]
+        # Self-pair exclusion: a revisit never pairs a page with itself.
+        partners = [other for other in tail if other != url]
+        if len(partners) < len(tail):
+            tail.remove(url)
+        tail.append(url)
+        del tail[: -SESSION_TAIL]
+        return partners
 
     def run_once(self) -> int:
         last = self._last_visit_id
@@ -125,32 +161,17 @@ class CoVisitMinerDaemon:
         increments: dict[tuple[str, str], float] = {}
         for row in rows:
             self._last_visit_id = max(self._last_visit_id, row["visit_id"])
-            key = (row["user_id"], row["session_id"])
-            tail = self._tails.get(key)
-            if tail is None:
-                if len(self._tails) >= MAX_OPEN_SESSIONS:
-                    self._tails.popitem(last=False)
-                tail = []
-                self._tails[key] = tail
-            else:
-                self._tails.move_to_end(key)
             url = row["url"]
-            for other in tail:
-                if other == url:  # self-pair exclusion
-                    continue
+            for other in self._follow(row):
                 pair = (url, other) if url < other else (other, url)
                 increments[pair] = increments.get(pair, 0.0) + 1.0
-            if url in tail:
-                tail.remove(url)
-            tail.append(url)
-            del tail[: -SESSION_TAIL]
+        self._rounds += 1
         self.repo.upsert_covisits(
             increments, now=self.clock(), decay=self.decay,
+            through=self._last_visit_id, rounds=self._rounds,
         )
         self.mined_count += len(rows)
-        self._rounds_since_compact += 1
-        if self._rounds_since_compact >= COMPACT_EVERY:
-            self._rounds_since_compact = 0
+        if self._rounds % COMPACT_EVERY == 0:
             self.pruned_count += self.repo.prune_covisits(
                 now=self.clock(), decay=self.decay, floor=COMPACT_FLOOR,
             )

@@ -3,11 +3,12 @@
 Dense vectors come from a *deterministic random projection* of the
 sparse TF-IDF vectors in :mod:`repro.text.vectorize` — LSA's cheap
 cousin (Johnson–Lindenstrauss): each vocabulary term gets a fixed
-Rademacher basis row (±1/√d, derived from a SHA-1 of the term id, so
-every process agrees without coordination), and a document's dense
-vector is the weighted sum of its terms' rows, L2-normalized.  No
-external models, no training pass — the "offline training" is the
-corpus statistics already folded into the TF-IDF weights.
+Rademacher basis row (±1/√d, derived from a SHA-1 of the term string, so
+every process agrees without coordination, however its vocabulary
+numbered the term), and a document's dense vector is the weighted sum of
+its terms' rows, L2-normalized.  No external models, no training pass —
+the "offline training" is the corpus statistics already folded into the
+TF-IDF weights.
 
 Serving uses sign-bit locality-sensitive hashing: a handful of fixed
 hyperplanes bucket each vector by the sign pattern of its projections.
@@ -16,10 +17,11 @@ and re-rank the survivors by exact cosine; corpora too small for the
 buckets to matter fall back to an exact scan, so recall never degrades
 below brute force at laptop scale.
 
-The index persists vectors in the term store (one namespace record
-per document) and is maintained by :class:`DenseIndexDaemon`, a
-versioning *consumer* ticked by the scheduler under the usual
-quarantine/parole supervision.
+The index persists vectors in the term store (one ``embed`` record per
+document; the ``dense`` records of a data dir written while the basis
+was seeded by term id are read by nothing) and is maintained by
+:class:`DenseIndexDaemon`, a versioning *consumer* ticked by the
+scheduler under the usual quarantine/parole supervision.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..server.daemons import PageVectorizer
     from ..storage.kvstore import KVStore
     from ..storage.repository import MemexRepository
+    from ..text.vocabulary import Vocabulary
 
 #: Dense dimensionality — small enough that a cosine is ~100 flops.
 DENSE_DIMS = 128
@@ -69,22 +72,48 @@ def _rademacher(seed: str, dims: int) -> list[float]:
 
 
 class DenseProjector:
-    """Project sparse term-id vectors into a fixed dense space."""
+    """Project sparse term-id vectors into a fixed dense space.
+
+    A term's basis row is seeded by its string, which *vocab* names at
+    each call: two vocabularies that number a term differently project
+    a page to the same vector.
+
+    >>> from repro.text.vocabulary import Vocabulary
+    >>> one, two = Vocabulary(), Vocabulary()
+    >>> _ = one.add_document(["memex", "trail", "trail"])
+    >>> _ = two.add_document(["archive"])
+    >>> _ = two.add_document(["trail", "memex", "trail"])
+    >>> one.id("memex"), two.id("memex")
+    (0, 2)
+    >>> page = {one.id("memex"): 1.0, one.id("trail"): 2.0}
+    >>> same = {two.id("memex"): 1.0, two.id("trail"): 2.0}
+    >>> projector = DenseProjector(dims=8)
+    >>> projector.project(page, one) == projector.project(same, two)
+    True
+    """
 
     def __init__(self, dims: int = DENSE_DIMS) -> None:
         self.dims = dims
-        self._basis: dict[int, list[float]] = {}
+        self._basis: dict[str, list[float]] = {}
 
-    def _basis_for(self, term_id: int) -> list[float]:
-        row = self._basis.get(term_id)
+    def _basis_for(self, term: str) -> list[float]:
+        row = self._basis.get(term)
         if row is None:
-            row = _rademacher(f"term:{term_id}", self.dims)
-            self._basis[term_id] = row
+            row = _rademacher(f"term:{term}", self.dims)
+            self._basis[term] = row
         return row
 
-    def project(self, sparse: dict[int, float]) -> list[float]:
-        """Dense, L2-normalized image of a sparse vector (zero stays zero)."""
-        terms = [(w, self._basis_for(t)) for t, w in sparse.items() if w != 0.0]
+    def project(
+        self, sparse: dict[int, float], vocab: "Vocabulary | None" = None,
+    ) -> list[float]:
+        """Dense, L2-normalized image of a sparse vector (zero stays
+        zero).  *vocab* names its term ids; without one an id names
+        itself (``str(id)``), as in the synthetic vectors of the tests
+        and the dense leg ``bench/ladder.py`` times."""
+        term = str if vocab is None else vocab.term
+        terms = [
+            (w, self._basis_for(term(t))) for t, w in sparse.items() if w != 0.0
+        ]
         if not terms:
             return [0.0] * self.dims
         weights, rows = zip(*terms)
@@ -123,7 +152,7 @@ class DenseVectorIndex:
         *,
         dims: int = DENSE_DIMS,
         n_planes: int = DENSE_PLANES,
-        prefix: str = "dense",
+        prefix: str = "embed",
     ) -> None:
         self.projector = DenseProjector(dims)
         self.dims = dims
@@ -169,12 +198,17 @@ class DenseVectorIndex:
 
     # -- maintenance ----------------------------------------------------------
 
-    def add_many(self, docs: Iterable[tuple[str, dict[int, float]]]) -> None:
-        """Project and index ``(url, sparse vector)`` pairs, persisting
-        them with one group-committed store write."""
+    def add_many(
+        self,
+        docs: Iterable[tuple[str, dict[int, float]]],
+        vocab: "Vocabulary | None" = None,
+    ) -> None:
+        """Project and index ``(url, sparse vector)`` pairs, their term
+        ids named by *vocab* as in :meth:`DenseProjector.project`,
+        persisting them with one group-committed store write."""
         # Projected and encoded before the lock is taken: queries go on.
         projected = [
-            (url, self.projector.project(sparse)) for url, sparse in docs
+            (url, self.projector.project(sparse, vocab)) for url, sparse in docs
         ]
         records = [
             (url.encode("utf-8"), encode({"v": vec})) for url, vec in projected
@@ -274,7 +308,7 @@ class DenseIndexDaemon:
             (url, sparse) for url in urls
             if (sparse := self.vectorizer.tfidf_vector(url))
         ]
-        self.index.add_many(docs)
+        self.index.add_many(docs, self.vectorizer.vocab)
         done = len(docs)
         self.repo.versions.ack(self.name, watermark)
         self.projected_count += done

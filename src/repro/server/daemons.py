@@ -36,7 +36,7 @@ from ..storage.repository import MemexRepository
 from ..storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION, folder_path
 from ..text.index import InvertedIndex
 from ..text.tokenize import tokenize
-from ..text.vectorize import SparseVector, add, count_vector, tfidf
+from ..text.vectorize import SparseVector, add, tfidf
 from ..text.vocabulary import Vocabulary
 
 
@@ -78,17 +78,15 @@ class PageVectorizer:
 
     All mining daemons must agree on one vocabulary and one vector per
     page; this object is that agreement.  Each page is counted into the
-    vocabulary's document frequencies once, across restarts too: the
-    saved state names the pages its frequencies count.
+    vocabulary's document frequencies once, when it is first vectorized;
+    a restarted server re-counts every fetched page
+    (:meth:`~repro.core.memex.MemexServer.restore_state`).
     """
 
     def __init__(self, repo: MemexRepository) -> None:
         self.repo = repo
         self.vocab = Vocabulary()
         self._cache: dict[str, SparseVector] = {}
-        # Pages the vocabulary's document frequencies count: every page
-        # in _cache, and those a restored vocabulary counted before.
-        self._counted: set[str] = set()
         self._vectorizer_lock = threading.Lock()
 
     def vector(self, url: str) -> SparseVector | None:
@@ -107,32 +105,13 @@ class PageVectorizer:
         with self._vectorizer_lock:
             vec = self._cache.get(url)
             if vec is None:
-                if url in self._counted:
-                    vec = count_vector(self.vocab, tokens)
-                else:
-                    # add_document (not plain counting) so the vocabulary
-                    # accumulates document frequencies — IDF weighting
-                    # and label filtering need it.
-                    counts = self.vocab.add_document(tokens)
-                    vec = {t: float(c) for t, c in counts.items()}
-                    self._counted.add(url)
+                # add_document (not plain counting) so the vocabulary
+                # accumulates document frequencies — IDF weighting and
+                # label filtering need it.
+                counts = self.vocab.add_document(tokens)
+                vec = {t: float(c) for t, c in counts.items()}
                 self._cache[url] = vec
         return vec
-
-    def state(self) -> dict:
-        """The vocabulary and the pages it counts, as :meth:`restore`
-        takes them."""
-        with self._vectorizer_lock:
-            return {**self.vocab.to_dict(), "pages": sorted(self._counted)}
-
-    def restore(self, state: dict) -> None:
-        """Take up a vocabulary :meth:`state` saved.  A page it counts is
-        not counted again when it is next vectorized; a state saved
-        without ``pages`` counts none."""
-        with self._vectorizer_lock:
-            self.vocab = Vocabulary.from_dict(state)
-            self._counted = set(state.get("pages", ()))
-            self._cache.clear()
 
     @property
     def num_docs(self) -> int:
@@ -576,7 +555,7 @@ class ClassifierDaemon:
         Raises
         ------
         NotFitted
-            If no model has been trained (or restored) for *user_id* yet.
+            If no model has been trained for *user_id* yet.
         """
         model = self._models.get(user_id)
         if model is None:
@@ -586,37 +565,20 @@ class ClassifierDaemon:
     def model_version(self, user_id: str) -> int:
         """Monotone fit counter for the user's model (0 = never fit).
 
-        Bumped on every (re)train and restore; cache keys that embed it
+        Bumped on every (re)train; cache keys that embed it
         expire the moment a newer model exists.
         """
         return self._model_versions.get(user_id, 0)
 
-    # -- model persistence (the repo's model store) -------------------------
-
-    def persist_models(self) -> int:
-        """Save every trained per-user model; returns how many."""
-        for user_id, model in self._models.items():
-            self.repo.save_model(f"classifier:{user_id}", {
-                "model": model.to_dict(),
-                "trained_on": self._trained_on[user_id],
-            })
-        return len(self._models)
-
-    def restore_models(self) -> int:
-        """Reload persisted models against the current link graph."""
-        graph = self._current_graph()
-        restored = 0
-        for row in self.repo.db.table("users").scan():
-            payload = self.repo.load_model(f"classifier:{row['user_id']}")
-            if payload is None:
-                continue
-            self._models[row["user_id"]] = EnhancedClassifier.from_dict(
-                payload["model"], graph,
-            )
-            self._trained_on[row["user_id"]] = payload["trained_on"]
-            self._model_versions[row["user_id"]] += 1
-            restored += 1
-        return restored
+    def retrain(self) -> int:
+        """Fit a model for every user whose filings qualify, from what
+        ``folder_pages`` holds now (a restarted server's models); returns
+        how many users have one."""
+        filed = deliberate_filings(self.repo)
+        owners = dict.fromkeys(owner for owner, _, _ in filed)
+        return sum(
+            self._maybe_train(user_id, filed) is not None for user_id in owners
+        )
 
 
 # ---------------------------------------------------------------------------

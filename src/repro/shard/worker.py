@@ -187,8 +187,6 @@ def worker_main(
     finally:
         try:
             net.close(drain=drain)
-            if root is not None:
-                server.save_state()
             server.close()
             if shipper is not None:
                 shipper.close()

@@ -19,7 +19,6 @@ from collections import deque
 from pathlib import Path
 from typing import Any
 
-from .codec import decode, encode
 from .engine import Namespace
 from .kvstore import KVStore
 from .relational import Database, Row, Transaction
@@ -29,6 +28,7 @@ from .schema import (
     ASSOC_BOOKMARK,
     ASSOC_GUESS,
     ASSOC_SOURCES,
+    STAMPED_AT,
     create_catalog,
 )
 from .versioning import VersionCoordinator
@@ -41,6 +41,10 @@ from ..obs import (
     null_registry,
     null_tracer,
 )
+
+
+#: The ``cursors`` row of the co-visit miner.
+COVISIT_CURSOR = "covisit"
 
 
 class ChangeStamps:
@@ -220,7 +224,6 @@ class MemexRepository:
         # Term-level data the catalog does not hold (the paper's "several
         # text-related indices in Berkeley DB"; the index keeps its own).
         self.rawtext = Namespace(self.kv, "rawtext")
-        self.models = Namespace(self.kv, "models")
 
     # -- id allocation ------------------------------------------------------------
 
@@ -542,17 +545,20 @@ class MemexRepository:
         *,
         now: float,
         decay: float = 0.0,
+        through: int,
+        rounds: int,
     ) -> int:
         """Fold a batch of co-visitation increments into the matrix.
 
         Each key is an unordered URL pair; an existing row's count first
         decays by ``exp(-decay * (now - last_at))`` (so stale evidence
         fades at read-compatible rates), then the increment is added.
-        One relational transaction for the whole batch; bumps the
-        ``covisits`` change stamp the related-pages cache watches.
+        One relational transaction for the whole batch, which also moves
+        the miner's cursor to *through* (the last visit id the batch
+        folds in) after *rounds* mining rounds, so the stored counts and
+        the cursor never disagree; bumps the ``covisits`` change stamp
+        the related-pages cache watches when a count moved.
         """
-        if not increments:
-            return 0
         with self._repo_lock:
             table = self.db.table("covisits")
             inserts: list[Row] = []
@@ -572,14 +578,33 @@ class MemexRepository:
                     updates[pair_id] = {
                         **row, "count": aged + float(inc), "last_at": now,
                     }
+            cursor = {"visit_id": through, "rounds": rounds}
             with self.db.begin() as txn:
                 txn.insert_many("covisits", inserts)
                 for pair_id, row in updates.items():
                     txn.update("covisits", pair_id, {
                         "count": row["count"], "last_at": row["last_at"],
                     })
-            self.stamps.covisits += 1
+                if self.db.table("cursors").get(COVISIT_CURSOR) is None:
+                    txn.insert("cursors", {"daemon": COVISIT_CURSOR, **cursor})
+                else:
+                    txn.update("cursors", COVISIT_CURSOR, cursor)
+            if increments:
+                self.stamps.covisits += 1
         return len(inserts) + len(updates)
+
+    def covisit_cursor(self) -> tuple[int, int]:
+        """``(last visit id folded in, mining rounds)`` of the co-visit
+        miner as its last committed batch left them; ``(0, 0)`` before
+        the first.  A matrix stored with no cursor was mined by a miner
+        that kept its cursor in memory and mined every visit again on
+        each start, so it covers every visit stored."""
+        row = self.db.table("cursors").get(COVISIT_CURSOR)
+        if row is not None:
+            return row["visit_id"], row["rounds"]
+        if not len(self.db.table("covisits")):
+            return 0, 0
+        return self.db.table("visits").max_key(default=0), 0
 
     def covisits_for(self, url: str) -> list[tuple[str, float, float]]:
         """``(other_url, count, last_at)`` rows touching *url*, best first."""
@@ -773,15 +798,16 @@ class MemexRepository:
                 self._folder_engaged(folder_id)
         return removed
 
-    # -- model blobs -------------------------------------------------------------------------------
+    # -- restart -------------------------------------------------------------------------------------
 
-    def save_model(self, name: str, payload: dict[str, Any]) -> None:
-        """Persist a mined model (classifier, themes) in the KV store."""
-        self.models.put(name.encode("utf-8"), encode(payload))
-
-    def load_model(self, name: str) -> dict[str, Any] | None:
-        raw = self.models.get(name.encode("utf-8"))
-        return decode(raw) if raw is not None else None
+    def latest_timestamp(self) -> float:
+        """The latest clock value any catalog row was stamped with (0.0
+        when there is none): the simulation time a restart resumes at."""
+        return max((
+            row[column]
+            for table, column in STAMPED_AT.items()
+            for row in self.db.table(table).scan()
+        ), default=0.0)
 
     # -- lifecycle -----------------------------------------------------------------------------------
 

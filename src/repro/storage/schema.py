@@ -34,6 +34,11 @@ Tables
     pair seen together inside a surf session (community-archived visits
     only), carrying the exponentially-decayed co-occurrence count and
     the time it was last reinforced (DESIGN.md §13).
+``cursors``
+    How far a mining daemon that walks a table by id has folded it in:
+    the co-visit miner's last visit id and its round count, committed
+    with the counts they produced, so a restarted miner resumes where
+    the stored matrix stops (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -184,9 +189,32 @@ def create_catalog(db: Database) -> None:
         indexes=("community", "parent"),
         if_not_exists=True,
     )
+    db.create_table(
+        "cursors",
+        [
+            Column("daemon"),
+            Column("visit_id", "int"),
+            Column("rounds", "int"),
+        ],
+        primary_key="daemon",
+        if_not_exists=True,
+    )
 
 
 CATALOG_TABLES = (
     "users", "pages", "links", "visits", "folders", "folder_pages",
-    "covisits", "themes",
+    "covisits", "themes", "cursors",
 )
+
+#: The column of each catalog table that stamps a row with the server
+#: clock at its write; the latest of them is where a restart resumes.
+STAMPED_AT = {
+    "users": "created_at",
+    "pages": "last_seen",
+    "links": "discovered_at",
+    "visits": "at",
+    "folders": "created_at",
+    "folder_pages": "at",
+    "covisits": "last_at",
+    "themes": "created_at",
+}

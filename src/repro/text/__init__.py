@@ -18,6 +18,7 @@ from .vectorize import (
     count_vector,
     dot,
     normalize,
+    query_vector,
     text_vector,
     tfidf,
     top_terms,
@@ -44,6 +45,7 @@ __all__ = [
     "dot",
     "normalize",
     "porter_stem",
+    "query_vector",
     "text_vector",
     "tfidf",
     "tokenize",

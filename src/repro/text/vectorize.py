@@ -31,6 +31,19 @@ def text_vector(vocab: Vocabulary, text: str) -> SparseVector:
     return count_vector(vocab, tokenize(text))
 
 
+def query_vector(vocab: Vocabulary, text: str) -> SparseVector:
+    """The count vector of a query over the terms some counted document
+    contains.  The vocabulary is only read: a client's new words are
+    neither kept nor weighted, so no query grows the vocabulary or the
+    dense basis."""
+    counts: SparseVector = {}
+    for term in tokenize(text):
+        tid = vocab.id(term)
+        if tid is not None and vocab.doc_freq(tid):
+            counts[tid] = counts.get(tid, 0.0) + 1.0
+    return counts
+
+
 def tfidf(vocab: Vocabulary, counts: SparseVector) -> SparseVector:
     """Log-TF x smoothed-IDF weighting."""
     return {
@@ -91,9 +104,13 @@ def centroid(vectors: list[SparseVector]) -> SparseVector:
 
 
 def top_terms(vocab: Vocabulary, vec: SparseVector, k: int = 10) -> list[str]:
-    """The k highest-weighted terms of *vec*, as strings (for labels)."""
-    best = sorted(vec.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    return [vocab.term(tid) for tid, _ in best]
+    """The k highest-weighted terms of *vec*, as strings (for labels);
+    equal weights in term order, so the label does not depend on how a
+    vocabulary numbered its terms."""
+    best = sorted(
+        (-w, vocab.term(tid)) for tid, w in vec.items()
+    )[:k]
+    return [term for _, term in best]
 
 
 def distinctive_label(vocab: Vocabulary, center: SparseVector, k: int) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from ..errors import TextError
 
 
 class Vocabulary:
@@ -55,6 +54,10 @@ class Vocabulary:
     def term(self, tid: int) -> str:
         return self._id_to_term[tid]
 
+    def __len__(self) -> int:
+        """How many terms are interned."""
+        return len(self._id_to_term)
+
     @property
     def num_docs(self) -> int:
         return self._num_docs
@@ -65,25 +68,3 @@ class Vocabulary:
     def idf(self, tid: int) -> float:
         """Smoothed inverse document frequency."""
         return math.log((1 + self._num_docs) / (1 + self._doc_freq[tid])) + 1.0
-
-    # -- persistence --------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "terms": self._id_to_term,
-            "doc_freq": self._doc_freq,
-            "num_docs": self._num_docs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Vocabulary":
-        """The vocabulary *payload* saved; a ``frozen`` flag an older
-        version saved is ignored (nothing ever set it)."""
-        vocab = cls()
-        vocab._id_to_term = list(payload["terms"])
-        vocab._term_to_id = {t: i for i, t in enumerate(vocab._id_to_term)}
-        vocab._doc_freq = list(payload["doc_freq"])
-        vocab._num_docs = int(payload["num_docs"])
-        if len(vocab._doc_freq) != len(vocab._id_to_term):
-            raise TextError("corrupt vocabulary payload")  # pragma: no cover
-        return vocab

@@ -21,12 +21,13 @@ def _reference_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _reference_project(projector, sparse):
+def _reference_project(projector, sparse, vocab=None):
+    term = str if vocab is None else vocab.term
     vec = [0.0] * projector.dims
     for term_id, weight in sparse.items():
         if weight == 0.0:
             continue
-        row = projector._basis_for(term_id)
+        row = projector._basis_for(term(term_id))
         for j in range(projector.dims):
             vec[j] += weight * row[j]
     norm = math.sqrt(sum(x * x for x in vec))

@@ -134,7 +134,7 @@ def _reference_dense_run_once(dense):
         sparse = dense.vectorizer.tfidf_vector(url)
         if not sparse:
             continue
-        vec = dense.index.projector.project(sparse)
+        vec = dense.index.projector.project(sparse, dense.vectorizer.vocab)
         with dense.index._ann_lock:
             dense.index._place(url, vec)
             dense.index._ns.put(url.encode("utf-8"), encode({"v": vec}))

@@ -18,7 +18,7 @@ from repro.core.profiles import UserProfile, profile_similarity, similar_users
 from repro.errors import EmptyCorpus
 from repro.server.daemons import Resource
 from repro.storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION
-from repro.text.vectorize import cosine, text_vector
+from repro.text.vectorize import cosine, query_vector
 
 _DELIBERATE = (ASSOC_BOOKMARK, ASSOC_CORRECTION)
 
@@ -44,7 +44,7 @@ def _reference_match_theme(server, query):
     taxonomy = server.themes.taxonomy
     if taxonomy is None:
         return None, 0.0
-    qvec = text_vector(server.vectorizer.vocab, query)
+    qvec = query_vector(server.vectorizer.vocab, query)
     if not qvec:
         return None, 0.0
     best, best_sim = None, 0.0

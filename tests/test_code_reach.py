@@ -276,8 +276,13 @@ KEPT = _kept(
      "core.community:CommunityReport.shared_themes",
      "core.organize:ProposedFolder.render",
      "mining.themes:ThemeTaxonomy.all_themes",
-     "mining.themes:universal_baseline",
-     "text.vocabulary:Vocabulary.id"),
+     "mining.themes:universal_baseline"),
+    ("(c) benchmarks/conftest.py, benchmarks/test_e7_clustering.py and "
+     "benchmarks/test_e8_baselines.py count the documents they classify "
+     "and cluster into a vocabulary of their own: "
+     "src/repro/text/vectorize.py",
+     "text.vectorize:count_vector",
+     "text.vectorize:text_vector"),
     ("(c) examples/quickstart.py shows the community's themes",
      "client.applet:MemexApplet.themes"),
     ("(c) examples/classical_music_recall.py and "
@@ -330,6 +335,7 @@ KEPT = _kept(
      "storage.kvstore:KVStore.__exit__",
      "storage.kvstore:KVStore.__getitem__",
      "storage.kvstore:KVStore.__setitem__",
+     "storage.kvstore:KVStore.put",
      "storage.relational:Database.__enter__",
      "storage.relational:Database.__exit__",
      "storage.relational:Database.insert_many",
@@ -346,9 +352,10 @@ KEPT = _kept(
      "obs.tracing:TraceContext.__hash__",
      "obs.tracing:TraceContext.__repr__"),
     # -- (d) reference implementations ------------------------------------------------
-    ("(d) the per-record crawler tests/mining_reference.py writes with "
-     "it; tests/test_server_group_commit.py compares: "
-     "src/repro/storage/repository.py",
+    ("(d) the per-record crawler and dense daemon tests/mining_reference.py "
+     "write with it; tests/test_server_group_commit.py compares: "
+     "src/repro/storage/repository.py, src/repro/storage/engine.py",
+     "storage.engine:Namespace.put",
      "storage.repository:MemexRepository._upsert_page_locked",
      "storage.repository:MemexRepository.add_link",
      "storage.repository:MemexRepository.upsert_page",
@@ -359,6 +366,9 @@ KEPT = _kept(
     # -- (e) tests that need them to observe a behaviour -------------------------------
     ("(e) tests/test_cache.py: the cache's size",
      "cache.versioned:VersionedCache.__len__"),
+    ("(e) tests/test_text_vectorize.py, tests/test_restart_equivalence.py "
+     "and tests/test_retrieval_server.py: the vocabulary's size",
+     "text.vocabulary:Vocabulary.__len__"),
     ("(e) the applet's calls tests/test_core_integration.py, "
      "tests/test_edge_cases.py, tests/test_client.py and "
      "tests/test_core_sessions_render.py make",
@@ -638,7 +648,6 @@ def _drive(root: Path) -> None:
             _ask_everything(transport, user)
         for server in (one.server, *servers):
             server.process_background_work()
-        one.server.save_state()
     finally:
         shipper.close()
         dispatcher.close()

@@ -90,8 +90,6 @@ def test_nb_requires_fit():
     with pytest.raises(NotFitted):
         nb.classes
     with pytest.raises(NotFitted):
-        nb.to_dict()
-    with pytest.raises(NotFitted):
         NaiveBayesClassifier().fit([], [])
 
 
@@ -105,13 +103,6 @@ def test_nb_feature_budget():
     assert nb.predict({0: 2.0})[0] == "A"
     # Noise term 9 was excluded from the model's features.
     assert nb._features is not None and 9 not in nb._features
-
-
-def test_nb_serialization_roundtrip():
-    nb = NaiveBayesClassifier(feature_budget=4).fit(DOCS, LABELS)
-    clone = NaiveBayesClassifier.from_dict(nb.to_dict())
-    for doc in DOCS:
-        assert nb.predict(doc) == clone.predict(doc)
 
 
 def test_nb_single_class():
@@ -303,35 +294,3 @@ def test_covisit_votes_ignore_unlabeled_and_nonpositive_companions():
     # Unlabeled / zero / negative counts cast no votes: bit-identical.
     assert clf.log_posteriors("xN", vectors["xN"]) == \
         plain.log_posteriors("xN", vectors["xN"])
-
-
-def test_enhanced_serialization_roundtrips_covisitation():
-    vectors, labels, graph, cop = _toy_world()
-    vectors["xN"] = {9: 1.0}
-    graph.add_node("xN")
-    train = {u: vectors[u] for u in labels}
-    covis = {"xN": [("d3", 4.0), ("d5", 2.0)]}
-    clf = EnhancedClassifier(covisit_weight=1.25).fit(
-        train, labels, graph, cop, covisitation=covis,
-    )
-    clone = EnhancedClassifier.from_dict(clf.to_dict(), graph)
-    assert clone.covisit_weight == 1.25
-    for url in ("xA", "xB", "xN"):
-        assert clone.log_posteriors(url, vectors[url]) == \
-            clf.log_posteriors(url, vectors[url])
-
-
-def test_enhanced_from_dict_accepts_pre_covisit_snapshots():
-    # Snapshots serialized before the trail channel existed lack the
-    # covisit keys entirely; they must restore with defaults.
-    vectors, labels, graph, cop = _toy_world()
-    train = {u: vectors[u] for u in labels}
-    clf = EnhancedClassifier().fit(train, labels, graph, cop)
-    payload = clf.to_dict()
-    del payload["flags"]["use_covisit"]
-    del payload["weights"]["covisit"]
-    del payload["covisitation"]
-    clone = EnhancedClassifier.from_dict(payload, graph)
-    assert clone.use_covisit is True
-    assert clone.covisit_weight == 0.75
-    assert clone.predict("xA", vectors["xA"])[0] == "A"

@@ -164,6 +164,41 @@ def test_matrix_writes_bump_the_covisits_change_stamp(repo):
     assert repo.stamps.covisits == quiet
 
 
+def _mine_in_two_halves(root, *, restart):
+    """One session's eight visits (five pages, so some are revisits)
+    mined four at a time, the repository and the miner reopened between
+    the halves when *restart*; returns the stored matrix."""
+    clock = Clock(0.0)
+    repo = MemexRepository(root, sync=True)
+    miner = CoVisitMinerDaemon(repo, clock=clock)
+    for half in (0, 1):
+        if half and restart:
+            repo.close()
+            repo = MemexRepository(root, sync=True)
+            miner = CoVisitMinerDaemon(repo, clock=clock)
+        for i in range(4 * half, 4 * half + 4):
+            clock.now += 60.0
+            visit(repo, "u", f"http://p{i % 5}/", at=clock.now)
+        assert miner.run_once() == 4
+    assert miner.run_once() == 0
+    rows = sorted(
+        (row["pair_id"], row["count"], row["last_at"])
+        for row in repo.db.table("covisits").scan()
+    )
+    repo.close()
+    return rows
+
+
+def test_a_restarted_miner_resumes_where_its_stored_counts_stop(tmp_path):
+    """The cursor is committed with the counts, and the session's tail is
+    rebuilt from the visits up to it: nothing is mined twice, and the
+    second half still pairs with the first."""
+    uninterrupted = _mine_in_two_halves(tmp_path / "one", restart=False)
+    restarted = _mine_in_two_halves(tmp_path / "two", restart=True)
+    assert restarted == uninterrupted
+    assert "http://p3/\thttp://p4/" in {pair for pair, _, _ in restarted}
+
+
 def test_decay_helper_halves_at_half_life():
     lam = half_life_to_decay(50.0)
     assert math.exp(-lam * 50.0) == pytest.approx(0.5)

@@ -247,7 +247,7 @@ def test_a_vector_of_the_wrong_length_is_refused_not_truncated(tmp_path):
     kv = open_engine("btree", tmp_path / "kv")
     try:
         DenseVectorIndex(kv, dims=32).add_many([("http://ok/", {1: 1.0})])
-        Namespace(kv, "dense").put(b"http://short/", encode({"v": [1.0, 0.0]}))
+        Namespace(kv, "embed").put(b"http://short/", encode({"v": [1.0, 0.0]}))
         with pytest.raises(ValueError, match="http://short/"):
             DenseVectorIndex(kv, dims=32)
     finally:
@@ -260,7 +260,7 @@ def test_an_index_the_reference_persisted_reloads_and_answers_the_same(tmp_path)
     try:
         written = DenseVectorIndex(kv, dims=32)
         _reference_add_many(written, docs)
-        stored = dict(Namespace(kv, "dense").items())
+        stored = dict(Namespace(kv, "embed").items())
         reloaded = DenseVectorIndex(kv, dims=32)
         assert len(reloaded._vectors) == len(docs)
         for url, _ in docs:
@@ -317,7 +317,8 @@ def _transcript(server, users, urls, scopes=("all", "mine", "community")):
 def _with_reference_kernels(monkeypatch, index):
     monkeypatch.setattr(
         index.projector, "project",
-        lambda sparse: _reference_project(index.projector, sparse))
+        lambda sparse, vocab: _reference_project(
+            index.projector, sparse, vocab))
     monkeypatch.setattr(
         index, "query",
         lambda vec, *, k=10, candidates=None: _reference_query(

@@ -355,3 +355,21 @@ def test_hybrid_recall_above_lexical_precision_no_worse(community):
     hyb_precision, hyb_recall = _quality(system, user, queries, "hybrid")
     assert hyb_recall > lex_recall, (lex_recall, hyb_recall)
     assert hyb_precision >= lex_precision, (lex_precision, hyb_precision)
+
+
+def test_queries_leave_the_vocabulary_and_the_basis_as_they_were(community):
+    """Hybrid ``search``, ``resources`` and ``interest_mates`` only read
+    the mining vocabulary: words no page contains are neither interned
+    nor given a dense basis row, however many a client sends."""
+    system, user, queries = community
+    server = system.server
+    assert server.themes.taxonomy is not None
+    vocab, basis = server.vectorizer.vocab, server.dense_index.projector._basis
+    before = (len(vocab), len(basis))
+    for i in range(20):
+        words = f"{queries[i % len(queries)][0]} zqxv{i} vwyk{i}"
+        for payload in ({"servlet": "search", "query": words, "mode": "hybrid"},
+                        {"servlet": "resources", "query": words},
+                        {"servlet": "interest_mates", "query": words}):
+            assert server.transport.request(user, payload)["status"] == "ok"
+    assert (len(vocab), len(basis)) == before

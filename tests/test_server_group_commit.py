@@ -90,7 +90,7 @@ def test_replay_stores_what_the_per_record_daemons_store(workload, tick_every):
     assert len(new[1]["pages"]) > 64 and new[1]["links"]
     namespaces = {key.split(b"\x00")[0] for key in new[0]}
     assert namespaces >= {
-        b"idx.post", b"idx.docs", b"rawtext", b"dense"}
+        b"idx.post", b"idx.docs", b"rawtext", b"embed"}
     assert not namespaces & {b"_seq", b"idx.norm", b"idx.pos"}
     assert new[0] == ref[0]
     assert new[1] == ref[1]

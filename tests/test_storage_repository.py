@@ -163,12 +163,6 @@ def test_dissociate(repo):
     assert repo.dissociate("u:F", "http://a/") == 0
 
 
-def test_model_store_roundtrip(repo):
-    repo.save_model("themes", {"roots": [1, 2], "version": 3})
-    assert repo.load_model("themes")["roots"] == [1, 2]
-    assert repo.load_model("missing") is None
-
-
 def test_persistent_repository_roundtrip(tmp_path):
     with MemexRepository(tmp_path / "repo") as repo:
         repo.add_user("u", now=0.0)

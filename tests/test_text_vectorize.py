@@ -13,6 +13,7 @@ from repro.text.vectorize import (
     count_vector,
     dot,
     normalize,
+    query_vector,
     text_vector,
     tfidf,
     top_terms,
@@ -47,6 +48,15 @@ def test_text_vector_tokenizes():
     # All three tokens stem to the same id.
     assert len(vec) == 1
     assert sum(vec.values()) == 3.0
+
+
+def test_query_vector_reads_the_vocabulary_and_drops_unseen_words():
+    v = Vocabulary()
+    v.add_document(["compil"])
+    v.add("unseen")     # interned, but no document contains it
+    vec = query_vector(v, "Compilers and zygomorphic unseen xylophones")
+    assert vec == {v.id("compil"): 1.0}
+    assert len(v) == 2 and v.num_docs == 1
 
 
 def test_tfidf_weights_rare_terms_higher():
