@@ -23,8 +23,10 @@ class Browser:
     browser — another way context gets destroyed.
     """
 
-    def __init__(self, *, history_limit: int = 50) -> None:
-        self.history_limit = history_limit
+    #: The transient history keeps this many entries.
+    HISTORY_LIMIT = 50
+
+    def __init__(self) -> None:
         self._history: list[str] = []
         self._cursor = -1
         self._listeners: list[NavigationListener] = []
@@ -51,9 +53,9 @@ class Browser:
         referrer = self.location
         del self._history[self._cursor + 1:]
         self._history.append(url)
-        if len(self._history) > self.history_limit:
+        if len(self._history) > self.HISTORY_LIMIT:
             # The transient history silently forgets the oldest entries.
-            drop = len(self._history) - self.history_limit
+            drop = len(self._history) - self.HISTORY_LIMIT
             del self._history[:drop]
         self._cursor = len(self._history) - 1
         for listener in self._listeners:

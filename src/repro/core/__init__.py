@@ -15,7 +15,6 @@ from .profiles import (
 from .queries import MotivatingQueries
 from .recommend import cluster_users, recommend_pages
 from .render import render_folder_view
-from .sessions import assign_session_ids
 from .trails import TrailEdge, TrailGraph, TrailNode
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "TrailGraph",
     "TrailNode",
     "UserProfile",
-    "assign_session_ids",
     "build_profile",
     "cluster_users",
     "consolidate",

@@ -90,8 +90,9 @@ class MemexSystem:
     ) -> "MemexSystem":
         """A system whose crawler fetches from the given simulated Web;
         *server_kwargs* pass through to :class:`MemexServer` (e.g.
-        ``root=``, ``metrics=``).  Read caching is switched off after
-        construction: ``system.server.caches = None``."""
+        ``root=``, ``metrics=``).  Read caching is on; to switch it off,
+        set ``system.server.caches = None``, and every read from then on
+        is computed afresh."""
         return cls(
             MemexServer(corpus_fetcher(corpus), **server_kwargs),
             client_tracer=client_tracer,
@@ -101,20 +102,13 @@ class MemexSystem:
     def from_workload(
         cls,
         workload: Workload,
-        *,
-        register_users: bool = True,
-        community: str | None = None,
         **server_kwargs,
     ) -> "MemexSystem":
-        """Build a system over the workload's corpus and (optionally)
-        pre-register every simulated surfer."""
+        """Build a system over the workload's corpus with every simulated
+        surfer registered in the workload's community."""
         system = cls.from_corpus(workload.corpus, **server_kwargs)
-        if register_users:
-            for profile in workload.profiles:
-                system.register_user(
-                    profile.user_id,
-                    community=community or workload.name,
-                )
+        for profile in workload.profiles:
+            system.register_user(profile.user_id, community=workload.name)
         return system
 
     # -- accounts ---------------------------------------------------------------

@@ -26,7 +26,7 @@ from .request import (
     require_user,
     text_field,
 )
-from .sessions import assign_session_ids
+from .sessions import session_ids
 
 
 # -- folder ids and paths -------------------------------------------------------
@@ -148,9 +148,13 @@ def serve_visit(server: Server, user: User, request: Request) -> Response:
 
 def serve_import_history(server: Server, user: User, request: Request) -> Response:
     """Bulk-import a raw browser history: timestamped URLs with no
-    session structure.  Visits are archived with ``session_id = 0``,
-    then the 30-minute gap rule (core.sessions) reconstructs sessions
-    so the trail/context tabs work on pre-Memex history too."""
+    session structure.  The 30-minute gap rule (core.sessions) numbers
+    sessions over the entries and the user's earlier unassigned
+    (``session_id = 0``) visits together, after the user's highest
+    session id, so the trail/context tabs work on pre-Memex history
+    too.  The page upserts, the new visit rows and the earlier rows' ids
+    are ONE catalog transaction: no reader, and no co-visit round, sees
+    the import without its sessions."""
     mode = user["archive_mode"]
     if mode == ARCHIVE_OFF:
         return {"imported": 0, "sessions_assigned": 0}
@@ -161,25 +165,35 @@ def serve_import_history(server: Server, user: User, request: Request) -> Respon
          text_field(entry, "referrer", None))
         for entry in request["entries"]
     ]
-    # One group commit (page upserts + visit rows) for the whole
-    # import, not two transactions per entry.
+    owner = user["user_id"]
     items = [
         {
-            "user_id": user["user_id"],
+            "user_id": owner,
             "url": url,
             "at": server.advance(at),
-            "session_id": 0,
             "referrer": referrer,
             "archive_mode": mode,
             "origin": origin,
         }
         for url, at, referrer in entries
     ]
-    server.repo.record_visit_batch(items)
+    # Read, number and write under the server lock: two imports of one
+    # user must not both number from the same highest session id.
+    with server._server_lock:
+        visits = server.repo.user_visits(owner)
+        unassigned = [v for v in visits if v["session_id"] == 0]
+        numbered = session_ids(
+            unassigned + items,
+            first=max((v["session_id"] for v in visits), default=0) + 1)
+        for item, session_id in zip(items, numbered[len(unassigned):]):
+            item["session_id"] = session_id
+        server.repo.record_visit_batch(items, backfill={
+            v["visit_id"]: session_id
+            for v, session_id in zip(unassigned, numbered)
+        })
     for item in items:
         server.crawler.enqueue(item["url"], origin=origin)
-    assigned = assign_session_ids(server.repo, user["user_id"])
-    return {"imported": len(items), "sessions_assigned": assigned}
+    return {"imported": len(items), "sessions_assigned": len(numbered)}
 
 
 def serve_bookmark(server: Server, user: User, request: Request) -> Response:

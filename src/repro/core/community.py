@@ -37,9 +37,10 @@ class CommunityReport:
     user_fit: dict[str, list[tuple[str, float]]]  # user -> top (theme, weight)
     taxonomy_depth: int
 
-    def shared_themes(self, *, min_users: int = 2) -> list[ThemeSummary]:
-        """Themes capturing 'common factors in people's interests'."""
-        return [t for t in self.themes if t.num_users >= min_users]
+    def shared_themes(self) -> list[ThemeSummary]:
+        """Themes capturing 'common factors in people's interests': those
+        more than one user's folders fall under."""
+        return [t for t in self.themes if t.num_users >= 2]
 
     def individual_themes(self) -> list[ThemeSummary]:
         """Themes that exist to preserve one user's individuality."""

@@ -15,6 +15,11 @@ from ..storage.repository import MemexRepository
 from .request import Request, Response, Server, User, text_field
 from .trails import TrailEdge, TrailGraph, TrailNode, user_folder_ids
 
+#: How many hyperlink steps the neighborhood reaches past the session.
+HOPS = 1
+#: The neighborhood stops growing at this many pages.
+MAX_NODES = 30
+
 
 @dataclass
 class SessionContext:
@@ -76,20 +81,18 @@ def recall_session(
 def context_neighborhood(
     repo: MemexRepository,
     session: SessionContext,
-    *,
-    hops: int = 1,
-    max_nodes: int = 30,
 ) -> TrailGraph:
-    """The session's pages plus their *hops*-step hyperlink neighborhood —
-    "where you were and where you were able to go"."""
+    """The session's pages plus their :data:`HOPS`-step hyperlink
+    neighborhood, up to :data:`MAX_NODES` pages — "where you were and
+    where you were able to go"."""
     core_urls = list(dict.fromkeys(session.trail))
     frontier = list(core_urls)
     included: dict[str, int] = {url: 0 for url in core_urls}
-    for depth in range(1, hops + 1):
+    for depth in range(1, HOPS + 1):
         next_frontier: list[str] = []
         for url in frontier:
             for dst in repo.out_links(url):
-                if dst not in included and len(included) < max_nodes:
+                if dst not in included and len(included) < MAX_NODES:
                     included[dst] = depth
                     next_frontier.append(dst)
         frontier = next_frontier

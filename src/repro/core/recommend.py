@@ -41,6 +41,12 @@ from .request import (
 )
 
 
+#: How many of the most profile-similar peers a recommendation draws on.
+NEIGHBORS = 5
+#: A peer's pages count only from this profile similarity up.
+MIN_SIMILARITY = 0.05
+
+
 @dataclass
 class Recommendation:
     url: str
@@ -64,12 +70,12 @@ def recommend_pages(
     user_id: str,
     *,
     k: int = 10,
-    neighbors: int = 5,
-    min_similarity: float = 0.05,
 ) -> list[Recommendation]:
-    """Pages the user's profile-neighbors value that the user hasn't seen,
-    each assigned to its theme through *themes* (the memo the profiles
-    were built through; None when there is no taxonomy)."""
+    """Pages the user's :data:`NEIGHBORS` most profile-similar peers value
+    that the user hasn't seen, each assigned to its theme through
+    *themes* (the memo the profiles were built through; None when there
+    is no taxonomy).  A peer less similar than :data:`MIN_SIMILARITY`
+    recommends nothing."""
     me = profiles.get(user_id)
     if me is None:
         return []
@@ -81,12 +87,12 @@ def recommend_pages(
             if other != user_id
         ),
         key=lambda kv: (-kv[1], kv[0]),
-    )[:neighbors]
+    )[:NEIGHBORS]
 
     scores: dict[str, float] = defaultdict(float)
     supporters: dict[str, set[str]] = defaultdict(set)
     for peer, sim in peers:
-        if sim < min_similarity:
+        if sim < MIN_SIMILARITY:
             continue
         for url, strength in engagement(repo, peer).items():
             if url in seen:

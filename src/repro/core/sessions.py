@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..storage.repository import MemexRepository
-
 DEFAULT_GAP = 30 * 60.0  # the classic 30-minute session timeout
 
 
@@ -60,33 +58,14 @@ def segment_visits(
     return sessions
 
 
-def assign_session_ids(
-    repo: MemexRepository,
-    user_id: str,
-    *,
-    gap: float = DEFAULT_GAP,
-    only_missing: bool = True,
-) -> int:
-    """Write inferred session ids back onto visit rows.
-
-    Visits with ``session_id == 0`` are the unassigned ones (imported
-    histories use 0); with ``only_missing`` those are the only rows
-    touched.  New ids continue after the user's current maximum so they
-    never collide with client-assigned sessions.  One transaction for
-    the whole assignment.  Returns #rows updated.
-    """
-    visits = repo.user_visits(user_id)
-    if not visits:
-        return 0
-    next_id = max(v["session_id"] for v in visits) + 1
-    targets = [v for v in visits if not only_missing or v["session_id"] == 0]
-    if not targets:
-        return 0
-    updated = 0
-    with repo.db.begin() as txn:
-        for session in segment_visits(targets, gap=gap):
-            for visit_id in session.visit_ids:
-                txn.update("visits", visit_id, {"session_id": next_id})
-                updated += 1
-            next_id += 1
-    return updated
+def session_ids(rows: list[dict], first: int) -> list[int]:
+    """The inferred session id of each of one user's *rows* (``url`` and
+    ``at`` each), positionally aligned: :func:`segment_visits`' sessions,
+    in time order, numbered from *first*."""
+    sessions = segment_visits(
+        [{**row, "visit_id": i} for i, row in enumerate(rows)])
+    out = [0] * len(rows)
+    for session_id, session in enumerate(sessions, start=first):
+        for i in session.visit_ids:
+            out[i] = session_id
+    return out

@@ -41,6 +41,14 @@ from .search import hit_payload
 #: Which of a folder's own members sets the similarity floor for community
 #: pages joining its trail (see :func:`community_pages_for_folder`).
 SIMILARITY_QUANTILE = 0.25
+#: A classifier guess puts a visit on its folder's trail from this
+#: confidence up: the model has no reject class, so below it a label is
+#: mostly a shrug.
+MIN_CONFIDENCE = 0.5
+#: A trail shows at most this many pages, the best scored.
+MAX_NODES = 40
+#: A trail page's score halves with each week since its last visit.
+HALF_LIFE = 7 * 86400.0
 
 
 @dataclass
@@ -123,25 +131,21 @@ def build_trail_graph(
     *,
     folder_paths: list[str] | None = None,
     since: float | None = None,
-    until: float | None = None,
-    public_only: bool = True,
     user_id: str | None = None,
     include_urls: set[str] | None = None,
-    min_confidence: float = 0.5,
-    max_nodes: int = 40,
-    half_life: float = 7 * 86400.0,
 ) -> TrailGraph:
     """Assemble the trail graph for a set of topic folders.
 
     Visits qualify when the classifier filed them into one of
-    *folder_ids*, a user deliberately did, or the URL is in
-    *include_urls* (the caller's own judgment of topical membership —
-    MemexServer passes community pages "most likely to belong to the
-    selected topic" this way).  With *public_only*, only
-    community-archived visits from other users are included — plus all of
-    the asking user's own visits, matching the paper's privacy model.
-    Node scores decay exponentially with age (*half_life*) and grow with
-    visit counts, and the graph is trimmed to *max_nodes* best nodes.
+    *folder_ids* with at least :data:`MIN_CONFIDENCE`, a user
+    deliberately did, or the URL is in *include_urls* (the caller's own
+    judgment of topical membership — MemexServer passes community pages
+    "most likely to belong to the selected topic" this way).  Only
+    community-archived visits from other users are included — plus all
+    of the asking user's own visits, matching the paper's privacy model.
+    Node scores decay exponentially with age (:data:`HALF_LIFE`) and grow
+    with visit counts, and the graph is trimmed to the
+    :data:`MAX_NODES` best nodes.
     """
     folder_set = set(folder_ids)
     extra = include_urls or set()
@@ -156,20 +160,15 @@ def build_trail_graph(
     }
 
     def qualifies(row: dict) -> bool:
-        if public_only and row["archive_mode"] != ARCHIVE_COMMUNITY:
-            if user_id is None or row["user_id"] != user_id:
-                return False
-        if since is not None and row["at"] < since:
+        if row["archive_mode"] != ARCHIVE_COMMUNITY and row["user_id"] != user_id:
             return False
-        if until is not None and row["at"] > until:
+        if since is not None and row["at"] < since:
             return False
         if row["url"] in deliberate_urls or row["url"] in extra:
             return True
-        # Classifier guesses qualify only when confident: the model has no
-        # reject class, so low-confidence labels are mostly shrugs.
         return (
             row["topic_folder"] in folder_set
-            and (row["topic_confidence"] or 0.0) >= min_confidence
+            and (row["topic_confidence"] or 0.0) >= MIN_CONFIDENCE
         )
 
     # A visit qualifies only by its url or its topic folder, so the
@@ -210,14 +209,14 @@ def build_trail_graph(
 
     for node in nodes.values():
         age = max(0.0, now - node.last_visit)
-        recency = math.exp(-age * math.log(2.0) / half_life)
+        recency = math.exp(-age * math.log(2.0) / HALF_LIFE)
         node.score = recency * (1.0 + math.log1p(node.visits)) * (
             1.0 + 0.5 * math.log1p(len(node.visitors))
         )
 
     keep = {
         n.url
-        for n in sorted(nodes.values(), key=lambda n: (-n.score, n.url))[:max_nodes]
+        for n in sorted(nodes.values(), key=lambda n: (-n.score, n.url))[:MAX_NODES]
     }
     nodes = {url: n for url, n in nodes.items() if url in keep}
 

@@ -37,12 +37,9 @@ def bookmarks_to_payload(root: BookmarkNode) -> dict[str, list[dict[str, Any]]]:
     return payload
 
 
-def folders_to_bookmarks(
-    view: dict[str, Any], *, include_guesses: bool = False,
-) -> BookmarkNode:
+def folders_to_bookmarks(view: dict[str, Any]) -> BookmarkNode:
     """The bookmark tree of a ``folders_get`` response.  Classifier
-    guesses are left out unless the caller asks for them: an export
-    carries deliberate bookmarks only."""
+    guesses are left out: an export carries deliberate bookmarks only."""
     root = BookmarkNode(name="")
     nodes = {"": root}
 
@@ -56,7 +53,7 @@ def folders_to_bookmarks(
     for folder in view["folders"]:
         node_at(folder["path"]).bookmarks.extend(
             BookmarkEntry(url=item["url"])
-            for item in folder["items"] if include_guesses or not item["guess"]
+            for item in folder["items"] if not item["guess"]
         )
     return root
 

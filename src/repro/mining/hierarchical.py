@@ -57,13 +57,7 @@ class HierarchicalPrediction:
 class HierarchicalClassifier:
     """Taxonomy-descent classifier over slash-separated label paths."""
 
-    def __init__(
-        self,
-        *,
-        smoothing: float = 0.1,
-        feature_budget: int | None = None,
-        ambiguity_threshold: float = 0.0,
-    ) -> None:
+    def __init__(self, *, ambiguity_threshold: float = 0.0) -> None:
         """
         Parameters
         ----------
@@ -71,8 +65,6 @@ class HierarchicalClassifier:
             Stop descending when the best child's posterior falls below
             this (0.0 = always descend to a leaf).
         """
-        self.smoothing = smoothing
-        self.feature_budget = feature_budget
         self.ambiguity_threshold = ambiguity_threshold
         self._root: _TaxNode | None = None
         self._docs: list[SparseVector] = []
@@ -117,10 +109,8 @@ class HierarchicalClassifier:
                     train_labels.append(child.name)
             # Documents labeled exactly at this internal node train
             # nothing here; they simply stop at this node.
-            node.classifier = NaiveBayesClassifier(
-                smoothing=self.smoothing,
-                feature_budget=self.feature_budget,
-            ).fit(train_docs, train_labels)
+            node.classifier = NaiveBayesClassifier().fit(
+                train_docs, train_labels)
         self._root = root
         return self
 

@@ -52,12 +52,13 @@ class LinkGraph:
         return sum(map(len, self._succ.values()))
 
 
-def hits(
-    graph: LinkGraph,
-    *,
-    max_iterations: int = 50,
-    tolerance: float = 1e-8,
-) -> tuple[dict[str, float], dict[str, float]]:
+#: HITS' power iteration stops after this many rounds ...
+HITS_MAX_ITERATIONS = 50
+#: ... or once a round moves the scores by less than this in total.
+HITS_TOLERANCE = 1e-8
+
+
+def hits(graph: LinkGraph) -> tuple[dict[str, float], dict[str, float]]:
     """Hub and authority scores, L2-normalized, via power iteration.
 
     Returns ``(hubs, authorities)``.  Isolated nodes get score 0.  An
@@ -68,7 +69,7 @@ def hits(
         return {}, {}
     hubs = {n: 1.0 for n in nodes}
     auths = {n: 1.0 for n in nodes}
-    for _ in range(max_iterations):
+    for _ in range(HITS_MAX_ITERATIONS):
         new_auths = {
             n: sum(hubs[p] for p in graph.predecessors(n)) for n in nodes
         }
@@ -81,7 +82,7 @@ def hits(
             abs(new_hubs[n] - hubs[n]) for n in nodes
         )
         hubs, auths = new_hubs, new_auths
-        if delta < tolerance:
+        if delta < HITS_TOLERANCE:
             break
     return hubs, auths
 

@@ -23,7 +23,7 @@ later passes let neighbors' current soft labels reinforce each other
 its co-placed companions are evidence.  This is the channel that rescues
 "functional" bookmarks whose text is unrelated to the folder topic.
 
-**Co-visitation** (optional fourth channel) — pages surfed in the same
+**Co-visitation** (the fourth channel) — pages surfed in the same
 session as this URL vote with their labels, weighted by the decayed
 co-occurrence count from the ``covisits`` matrix
 (:mod:`repro.retrieval.covisit`).  Surfers surf topic-locally, so trail
@@ -32,7 +32,9 @@ with no co-visitation evidence contributes nothing — the channel is
 numerically absent, not a uniform vote — so fits without trail data
 reproduce the three-channel model exactly.
 
-Channel weights and on/off switches are exposed for the E1 ablation.
+The link and folder channels can be switched off for the E1 ablation;
+text and co-visitation are always on, and the mixing weights are class
+attributes.
 """
 
 from __future__ import annotations
@@ -53,14 +55,18 @@ def _log_normalize(scores: dict[str, float]) -> dict[str, float]:
     return {c: v - logz for c, v in scores.items()}
 
 
+#: The pseudo-vote every class gets before a channel's votes are counted.
+VOTE_ALPHA = 0.5
+
+
 def _vote_distribution(
-    votes: dict[str, float], classes: list[str], alpha: float = 0.5
+    votes: dict[str, float], classes: list[str],
 ) -> dict[str, float]:
     """Smoothed log-distribution from weighted class votes."""
     total = sum(votes.values())
-    denom = total + alpha * len(classes)
+    denom = total + VOTE_ALPHA * len(classes)
     return {
-        c: math.log((votes.get(c, 0.0) + alpha) / denom) for c in classes
+        c: math.log((votes.get(c, 0.0) + VOTE_ALPHA) / denom) for c in classes
     }
 
 
@@ -69,46 +75,35 @@ class EnhancedClassifier:
 
     Parameters
     ----------
-    use_text, use_links, use_folder:
+    use_links, use_folder:
         Channel switches (the E1 ablation grid).
-    text_weight, link_weight, folder_weight:
-        Log-linear mixing weights.
     relaxation_rounds:
         Extra rounds in :meth:`predict_batch` where unlabeled neighbors'
         current soft labels feed back as link evidence.
+    feature_budget:
+        The text channel's Fisher feature budget (the A2 ablation).
     """
+
+    #: Log-linear mixing weight of each channel.
+    TEXT_WEIGHT = 1.0
+    LINK_WEIGHT = 1.5
+    FOLDER_WEIGHT = 2.0
+    COVISIT_WEIGHT = 0.75
+    #: A co-cited page's link vote, against a direct neighbour's 1.
+    COCITATION_WEIGHT = 0.5
 
     def __init__(
         self,
         *,
-        use_text: bool = True,
         use_links: bool = True,
         use_folder: bool = True,
-        use_covisit: bool = True,
-        text_weight: float = 1.0,
-        link_weight: float = 1.5,
-        folder_weight: float = 2.0,
-        cocitation_weight: float = 0.5,
-        covisit_weight: float = 0.75,
         relaxation_rounds: int = 2,
-        smoothing: float = 0.1,
         feature_budget: int | None = None,
     ) -> None:
-        if not (use_text or use_links or use_folder):
-            raise ValueError("at least one evidence channel must be enabled")
-        self.use_text = use_text
         self.use_links = use_links
         self.use_folder = use_folder
-        self.use_covisit = use_covisit
-        self.text_weight = text_weight
-        self.link_weight = link_weight
-        self.folder_weight = folder_weight
-        self.cocitation_weight = cocitation_weight
-        self.covisit_weight = covisit_weight
         self.relaxation_rounds = relaxation_rounds
-        self._nb = NaiveBayesClassifier(
-            smoothing=smoothing, feature_budget=feature_budget,
-        )
+        self._nb = NaiveBayesClassifier(feature_budget=feature_budget)
         self._labels: dict[str, str] = {}
         self._classes: list[str] = []
         self._graph: LinkGraph | None = None
@@ -180,7 +175,7 @@ class EnhancedClassifier:
         for cociter in self._cociters.get(url, ()):
             label = self._labels.get(cociter)
             if label is not None:
-                votes[label] += self.cocitation_weight
+                votes[label] += self.COCITATION_WEIGHT
         return _vote_distribution(votes, self._classes)
 
     def _folder_evidence(self, url: str) -> dict[str, float]:
@@ -207,28 +202,24 @@ class EnhancedClassifier:
         vec: SparseVector,
         soft: dict[str, dict[str, float]] | None = None,
     ) -> dict[str, float]:
-        combined = {c: 0.0 for c in self._classes}
-        if self.use_text:
-            text = self._text_evidence(vec)
-            for c in combined:
-                combined[c] += self.text_weight * text[c]
+        text = self._text_evidence(vec)
+        combined = {c: self.TEXT_WEIGHT * text[c] for c in self._classes}
         if self.use_links:
             link = self._link_evidence(url, soft)
             for c in combined:
-                combined[c] += self.link_weight * link[c]
+                combined[c] += self.LINK_WEIGHT * link[c]
         if self.use_folder:
             folder = self._folder_evidence(url)
             for c in combined:
-                combined[c] += self.folder_weight * folder[c]
-        if self.use_covisit and self._covisitation:
-            votes = self._covisit_votes(url)
-            # Only vote when there IS evidence: an empty channel must
-            # leave the three-channel posterior bit-identical, not merely
-            # proportionally equal after a uniform shift.
-            if votes:
-                covisit = _vote_distribution(votes, self._classes)
-                for c in combined:
-                    combined[c] += self.covisit_weight * covisit[c]
+                combined[c] += self.FOLDER_WEIGHT * folder[c]
+        votes = self._covisit_votes(url)
+        # Only vote when there IS evidence: an empty channel must leave
+        # the three-channel posterior bit-identical, not merely
+        # proportionally equal after a uniform shift.
+        if votes:
+            covisit = _vote_distribution(votes, self._classes)
+            for c in combined:
+                combined[c] += self.COVISIT_WEIGHT * covisit[c]
         return _log_normalize(combined)
 
     # -- inference -------------------------------------------------------------------

@@ -20,6 +20,10 @@ from ..text.vectorize import SparseVector, centroid, cosine, normalize
 from .hac import cluster_vectors
 
 
+#: k-means rounds after the sweep (fewer when the assignment settles).
+REFINE_ITERATIONS = 3
+
+
 @dataclass
 class Cluster:
     """One proposed cluster over document indices."""
@@ -32,8 +36,6 @@ def buckshot(
     vectors: list[SparseVector],
     k: int,
     rng: random.Random,
-    *,
-    refine_iterations: int = 3,
 ) -> list[Cluster]:
     """Buckshot clustering into *k* clusters.
 
@@ -52,7 +54,7 @@ def buckshot(
     centers = [centroid([units[sample[i]] for i in group]) for group in seed_groups]
 
     assignment = _assign_all(units, centers)
-    for _ in range(refine_iterations):
+    for _ in range(REFINE_ITERATIONS):
         centers = [
             centroid([units[i] for i in members]) if members else centers[ci]
             for ci, members in enumerate(assignment)

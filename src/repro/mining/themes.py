@@ -146,9 +146,10 @@ class ThemeDiscovery:
     cohesion_threshold:
         Clusters whose average pairwise member similarity is already above
         this are cohesive enough — coarsening where possible.
-    max_depth:
-        Hard refinement limit.
     """
+
+    #: Hard refinement limit.
+    MAX_DEPTH = 4
 
     def __init__(
         self,
@@ -156,12 +157,10 @@ class ThemeDiscovery:
         min_split_folders: int = 4,
         min_split_users: int = 2,
         cohesion_threshold: float = 0.55,
-        max_depth: int = 4,
     ) -> None:
         self.min_split_folders = min_split_folders
         self.min_split_users = min_split_users
         self.cohesion_threshold = cohesion_threshold
-        self.max_depth = max_depth
 
     def discover(
         self,
@@ -184,7 +183,7 @@ class ThemeDiscovery:
             if node < len(folder_docs):
                 return theme
             refine = (
-                depth < self.max_depth
+                depth < self.MAX_DEPTH
                 and len(members) >= self.min_split_folders
                 and theme.num_users >= self.min_split_users
                 and theme.cohesion < self.cohesion_threshold

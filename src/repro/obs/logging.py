@@ -31,7 +31,7 @@ from typing import Any
 from .clock import Clock
 from .tracing import current_context
 
-#: Severity order; records below a hub's ``min_level`` are dropped.
+#: Severity order; records below :attr:`LogHub.MIN_LEVEL` are dropped.
 LEVELS: dict[str, int] = {"debug": 10, "info": 20, "warn": 30, "error": 40}
 
 Sink = Callable[[dict[str, Any]], None]
@@ -40,22 +40,21 @@ Sink = Callable[[dict[str, Any]], None]
 class LogHub:
     """Bounded in-memory store and fan-out point for structured records."""
 
+    #: The least severe level a hub keeps.
+    MIN_LEVEL = "debug"
+
     def __init__(
         self,
         *,
         capacity: int = 2048,
         clock: Clock = time.time,
-        min_level: str = "debug",
         enabled: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if min_level not in LEVELS:
-            raise ValueError(f"unknown level {min_level!r}")
         self.enabled = enabled
         self.clock = clock
         self.capacity = capacity
-        self.min_level = min_level
         self.emitted = 0
         self._records: deque[dict[str, Any]] = deque(maxlen=capacity)
         self._sinks: list[Sink] = []
@@ -84,7 +83,7 @@ class LogHub:
         tagged with the emitting thread's ``threading.get_ident()`` so
         interleaved worker logs stay attributable.
         """
-        if not self.enabled or LEVELS[level] < LEVELS[self.min_level]:
+        if not self.enabled or LEVELS[level] < LEVELS[self.MIN_LEVEL]:
             return
         record: dict[str, Any] = {
             **fields,

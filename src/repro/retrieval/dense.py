@@ -47,6 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 DENSE_DIMS = 128
 #: LSH hyperplane count: 2^12 buckets, probed at Hamming distance ≤ 1.
 DENSE_PLANES = 12
+#: The term-store namespace the index persists its vectors under.
+DENSE_NAMESPACE = "embed"
 #: Below this corpus size the exact scan beats bucket probing anyway.
 EXACT_SCAN_THRESHOLD = 256
 
@@ -151,15 +153,13 @@ class DenseVectorIndex:
         kv: KVStore | None = None,
         *,
         dims: int = DENSE_DIMS,
-        n_planes: int = DENSE_PLANES,
-        prefix: str = "embed",
     ) -> None:
         self.projector = DenseProjector(dims)
         self.dims = dims
         self._planes = [
-            _rademacher(f"plane:{i}", dims) for i in range(n_planes)
+            _rademacher(f"plane:{i}", dims) for i in range(DENSE_PLANES)
         ]
-        self._ns = Namespace(kv, prefix) if kv is not None else None
+        self._ns = Namespace(kv, DENSE_NAMESPACE) if kv is not None else None
         self._vectors: dict[str, tuple[float, ...]] = {}
         self._sqnorms: dict[str, float] = {}   # ‖vector‖², for query()
         self._buckets: dict[int, set[str]] = {}

@@ -234,13 +234,11 @@ class MemexCluster:
         events: Iterable[Any],
         *,
         batch_size: int = 32,
-        quiesce: bool = True,
     ) -> dict[str, int]:
         """Feed simulated surf events through applets over the router
         (:func:`~repro.client.applet.replay_events`, as
         :meth:`repro.core.api.MemexSystem.replay` does; daemons tick
-        inside the workers instead of between batches)."""
+        inside the workers instead of between batches), then quiesce."""
         counts = replay_events(events, self.connect, batch_size=batch_size)
-        if quiesce:
-            self.quiesce()
+        self.quiesce()
         return counts

@@ -7,8 +7,8 @@ ring.  The hash is :mod:`hashlib`-based — NOT the builtin ``hash()``,
 which is salted per process — so the router, every worker, and every
 test agree on the placement of a user without coordination.
 
-Virtual nodes smooth the split: each shard owns ``vnodes`` points on the
-ring, so with the default 64 the largest shard holds within a few
+Virtual nodes smooth the split: each shard owns ``HashRing.VNODES`` (64)
+points on the ring, so the largest shard holds within a few
 percent of ``1/n`` of a uniform key population.  Consistency matters for
 growth (a future resharding moves only the keys between a shard's old
 and new points), but within one cluster generation the map is simply a
@@ -30,7 +30,7 @@ def _point(label: str) -> int:
 class HashRing:
     """Immutable consistent-hash ring over shard ids ``0..n_shards-1``.
 
-    The map is a pure function of ``(n_shards, vnodes, user_id)``:
+    The map is a pure function of ``(n_shards, user_id)``:
     every process that builds the same-shaped ring places every user
     identically, with no coordination and no salted state.
 
@@ -45,16 +45,16 @@ class HashRing:
     True
     """
 
-    def __init__(self, n_shards: int, *, vnodes: int = 64) -> None:
+    #: Points each shard owns on the ring.
+    VNODES = 64
+
+    def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
         self.n_shards = n_shards
-        self.vnodes = vnodes
         points: list[tuple[int, int]] = []
         for shard in range(n_shards):
-            for v in range(vnodes):
+            for v in range(self.VNODES):
                 points.append((_point(f"shard-{shard}#{v}"), shard))
         points.sort()
         self._hashes = [p for p, _ in points]

@@ -419,7 +419,7 @@ class ShardSupervisor:
             return []
         return sorted(p for p in root.rglob("*.wal") if p.is_file())
 
-    def tear_wal_tail(self, shard_id: int, *, garbage: bytes = b"\x00") -> int:
+    def tear_wal_tail(self, shard_id: int) -> int:
         """Chaos hook: append a **torn record** to *shard_id*'s catalog
         WAL, simulating a crash mid-write (power cut between the header
         hitting disk and the payload following it).
@@ -450,7 +450,7 @@ class ShardSupervisor:
             )
         # A record header promising more payload than is present: the
         # open-time scan sees the short read and truncates here.
-        payload = garbage * 64
+        payload = bytes(64)
         header = struct.pack(
             "<II", zlib.crc32(payload) & 0xFFFFFFFF, len(payload),
         )

@@ -20,7 +20,6 @@ from .schema import (
     ASSOC_BOOKMARK,
     ASSOC_CORRECTION,
     ASSOC_GUESS,
-    COMMUNITY_OWNER,
     create_catalog,
 )
 from .versioning import VersionCoordinator
@@ -34,7 +33,6 @@ __all__ = [
     "ASSOC_BOOKMARK",
     "ASSOC_CORRECTION",
     "ASSOC_GUESS",
-    "COMMUNITY_OWNER",
     "Column",
     "Database",
     "KVStore",

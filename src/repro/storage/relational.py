@@ -243,10 +243,8 @@ class Table:
         where: Row | Callable[[Row], bool] | None = None,
         *,
         order_by: str | None = None,
-        descending: bool = False,
-        limit: int | None = None,
     ) -> list[Row]:
-        """Filtered select.
+        """Filtered select, ascending by *order_by* (NULLs last) when given.
 
         *where* is either a dict of equality constraints (index-accelerated
         when a constrained column is indexed) or an arbitrary predicate.
@@ -254,9 +252,7 @@ class Table:
         rows = self._matching(where)
         if order_by is not None:
             self.schema.column(order_by)
-            rows.sort(key=lambda r: (r[order_by] is None, r[order_by]), reverse=descending)
-        if limit is not None:
-            rows = rows[:limit]
+            rows.sort(key=lambda r: (r[order_by] is None, r[order_by]))
         return [dict(r) for r in rows]
 
     def _matching(self, where: Row | Callable[[Row], bool] | None) -> list[Row]:

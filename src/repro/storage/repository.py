@@ -434,14 +434,21 @@ class MemexRepository:
         never an error)."""
         return self._visit_origins.get(visit_id)
 
-    def record_visit_batch(self, items: list[dict[str, Any]]) -> list[int]:
-        """Group commit for the visit servlet.
+    def record_visit_batch(
+        self,
+        items: list[dict[str, Any]],
+        *,
+        backfill: dict[int, int] | None = None,
+    ) -> list[int]:
+        """Group commit for the visit and history-import servlets.
 
         Each item is ``{user_id, url, at, session_id, referrer,
         archive_mode}`` plus an optional ``origin`` traceparent.  Every
-        page upsert plus every visit row lands in ONE relational
-        transaction — one WAL record, one fsync — however many items
-        there are.  Page upserts are deduplicated within the batch
+        page upsert, every visit row and every session id *backfill*
+        gives an already stored visit (``visit id -> session id``: a
+        history import numbering the user's session-less visits) lands
+        in ONE relational transaction — one WAL record, one fsync —
+        however many items there are.  Page upserts are deduplicated within the batch
         (first occurrence sets ``first_seen``, the last one wins
         ``last_seen``), exactly what sequential :meth:`upsert_page` calls
         would have produced.  Atomic: on constraint failure nothing is
@@ -459,18 +466,21 @@ class MemexRepository:
         time order must submit items in time order, which the applet's
         batching client does by buffering events as they occur.
         """
-        if not items:
+        backfill = backfill or {}
+        if not items and not backfill:
             return []
         with self.tracer.child_span(
             "storage.record_visit_batch", items=len(items),
         ):
             with self._repo_lock:
-                visit_ids = self._record_visit_batch(items)
+                visit_ids = self._record_visit_batch(items, backfill)
                 for item, visit_id in zip(items, visit_ids):
                     self._remember_origin(visit_id, item.get("origin"))
         return visit_ids
 
-    def _record_visit_batch(self, items: list[dict[str, Any]]) -> list[int]:
+    def _record_visit_batch(
+        self, items: list[dict[str, Any]], backfill: dict[int, int],
+    ) -> list[int]:
         visit_ids = list(self._take_ids("visits", len(items)))
         pages = _StagedPages(self.db)
         for item in items:
@@ -491,8 +501,10 @@ class MemexRepository:
                 }
                 for item, visit_id in zip(items, visit_ids)
             ))
+            for visit_id, session_id in backfill.items():
+                txn.update("visits", visit_id, {"session_id": session_id})
         self.stamps.pages += n_pages
-        self.stamps.visits += len(items)
+        self.stamps.visits += len(items) + len(backfill)
         for user_id in {item["user_id"] for item in items}:
             self.stamps.engaged(user_id)
         return visit_ids
@@ -524,17 +536,11 @@ class MemexRepository:
             rows = [r for r in rows if r["at"] <= until]
         return rows
 
-    def community_visits(
-        self,
-        *,
-        since: float | None = None,
-        public_only: bool = True,
-    ) -> list[Row]:
+    def community_visits(self, *, since: float | None = None) -> list[Row]:
         """Visits archived for community use (optionally since a time)."""
         def pred(r: Row) -> bool:
-            if public_only and r["archive_mode"] != ARCHIVE_COMMUNITY:
-                return False
-            return since is None or r["at"] >= since
+            return r["archive_mode"] == ARCHIVE_COMMUNITY and (
+                since is None or r["at"] >= since)
         return self.db.table("visits").select(pred, order_by="at")
 
     # -- co-visitation pairs ------------------------------------------------------------

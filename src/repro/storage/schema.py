@@ -21,14 +21,11 @@ Tables
     user, timestamp, session, referrer, archive mode and (once the
     classifier daemon has run) the inferred topic folder.
 ``folders``
-    Every folder node of every user's personal topic tree, plus the
-    community taxonomy (owner ``__community__``).
+    Every folder node of every user's personal topic tree.
 ``folder_pages``
     Document-folder associations: deliberate bookmarks (``source =
     'bookmark'``), classifier guesses (``'guess'``), and user
     corrections (``'correction'``).
-``themes``
-    Discovered community themes with their taxonomy structure.
 ``covisits``
     The co-visitation associative index: one row per unordered page
     pair seen together inside a surf session (community-archived visits
@@ -44,9 +41,6 @@ Tables
 from __future__ import annotations
 
 from .relational import Column, Database
-
-# Owner id under which the community-level taxonomy is stored.
-COMMUNITY_OWNER = "__community__"
 
 # Archive modes from Figure 1: the user may surf without archiving,
 # archive privately, or archive for community use.
@@ -175,21 +169,6 @@ def create_catalog(db: Database) -> None:
         if_not_exists=True,
     )
     db.create_table(
-        "themes",
-        [
-            Column("theme_id"),
-            Column("community", nullable=True),
-            Column("label"),
-            Column("parent", nullable=True),
-            Column("members", "json", nullable=True),
-            Column("weight", "float"),
-            Column("created_at", "float"),
-        ],
-        primary_key="theme_id",
-        indexes=("community", "parent"),
-        if_not_exists=True,
-    )
-    db.create_table(
         "cursors",
         [
             Column("daemon"),
@@ -201,11 +180,6 @@ def create_catalog(db: Database) -> None:
     )
 
 
-CATALOG_TABLES = (
-    "users", "pages", "links", "visits", "folders", "folder_pages",
-    "covisits", "themes", "cursors",
-)
-
 #: The column of each catalog table that stamps a row with the server
 #: clock at its write; the latest of them is where a restart resumes.
 STAMPED_AT = {
@@ -216,5 +190,4 @@ STAMPED_AT = {
     "folders": "created_at",
     "folder_pages": "at",
     "covisits": "last_at",
-    "themes": "created_at",
 }

@@ -17,6 +17,9 @@ from .tokenize import porter_stem, tokenize, words
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
+#: What :meth:`Snippet.marked` puts around a highlighted word.
+OPEN_MARK, CLOSE_MARK = "[", "]"
+
 
 @dataclass(frozen=True)
 class Snippet:
@@ -27,13 +30,13 @@ class Snippet:
     leading_ellipsis: bool
     trailing_ellipsis: bool
 
-    def marked(self, open_mark: str = "[", close_mark: str = "]") -> str:
+    def marked(self) -> str:
         """The excerpt with highlight markers inserted (for terminals)."""
         out: list[str] = []
         cursor = 0
         for start, end in self.highlights:
             out.append(self.text[cursor:start])
-            out.append(open_mark + self.text[start:end] + close_mark)
+            out.append(OPEN_MARK + self.text[start:end] + CLOSE_MARK)
             cursor = end
         out.append(self.text[cursor:])
         body = "".join(out)

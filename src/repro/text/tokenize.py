@@ -35,27 +35,22 @@ def words(text: str) -> Iterator[str]:
         yield match.group()
 
 
-def tokenize(
-    text: str,
-    *,
-    stem: bool = True,
-    drop_stopwords: bool = True,
-    min_len: int = 2,
-) -> list[str]:
-    """Turn raw text into index terms.
+#: Words shorter than this are not index terms.
+MIN_LEN = 2
+
+
+def tokenize(text: str) -> list[str]:
+    """Turn raw text into index terms: Porter stems of the words at least
+    :data:`MIN_LEN` long that are not stopwords.
 
     Numbers are kept (they matter for queries like "compiler optimization
     at Rice University" hitting course numbers); stopwords are dropped
     before stemming.
     """
-    out: list[str] = []
-    for w in words(text):
-        if len(w) < min_len:
-            continue
-        if drop_stopwords and w in STOPWORDS:
-            continue
-        out.append(porter_stem(w) if stem else w)
-    return out
+    return [
+        porter_stem(w) for w in words(text)
+        if len(w) >= MIN_LEN and w not in STOPWORDS
+    ]
 
 
 # ---------------------------------------------------------------------------

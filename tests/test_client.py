@@ -44,8 +44,9 @@ def test_browser_truncates_forward_history():
     assert b.forward() == "http://d/"
 
 
-def test_browser_history_limit():
-    b = Browser(history_limit=3)
+def test_browser_history_limit(monkeypatch):
+    monkeypatch.setattr(Browser, "HISTORY_LIMIT", 3)
+    b = Browser()
     for i in range(6):
         b.navigate(f"http://p{i}/")
     assert b.history() == ["http://p3/", "http://p4/", "http://p5/"]

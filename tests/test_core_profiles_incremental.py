@@ -706,10 +706,10 @@ def _no_bump_for_folder_writes(monkeypatch):
 def _no_bump_for_visit_batches(monkeypatch):
     real = MemexRepository._record_visit_batch
 
-    def unstamped(self, items):
+    def unstamped(self, *args):
         held = dict(self.stamps.engagement)
         try:
-            return real(self, items)
+            return real(self, *args)
         finally:
             self.stamps.engagement.clear()
             self.stamps.engagement.update(held)

@@ -1,13 +1,16 @@
 """Tests for session inference and terminal rendering."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MemexSystem
+from repro.core.memex import MemexServer
 from repro.core.render import render_folder_view
-from repro.core.sessions import DEFAULT_GAP, assign_session_ids, segment_visits
-from repro.storage.repository import MemexRepository
-from repro.storage.schema import ARCHIVE_COMMUNITY
+from repro.core.sessions import DEFAULT_GAP, segment_visits
 
 
 def _row(visit_id, at, user="u", url=None, session_id=0):
@@ -65,38 +68,37 @@ def test_segment_properties(times, gap):
             assert by_id[b] - by_id[a] <= gap
 
 
-def test_assign_session_ids_backfills_missing():
-    repo = MemexRepository()
-    repo.add_user("u", now=0.0)
-    # Client-stamped session 5, then imported history with session 0.
-    repo.record_visit_batch([dict(
-        user_id="u", url="http://a/", at=0.0, session_id=5, referrer=None,
-        archive_mode=ARCHIVE_COMMUNITY)])
-    v2 = repo.record_visit_batch([dict(
-        user_id="u", url="http://b/", at=10_000.0, session_id=0, referrer=None,
-        archive_mode=ARCHIVE_COMMUNITY)])[0]
-    v3 = repo.record_visit_batch([dict(
-        user_id="u", url="http://c/", at=10_060.0, session_id=0, referrer=None,
-        archive_mode=ARCHIVE_COMMUNITY)])[0]
-    v4 = repo.record_visit_batch([dict(
-        user_id="u", url="http://d/", at=50_000.0, session_id=0, referrer=None,
-        archive_mode=ARCHIVE_COMMUNITY)])[0]
-    updated = assign_session_ids(repo, "u")
-    assert updated == 3
-    visits = {v["visit_id"]: v for v in repo.user_visits("u")}
-    assert visits[v2]["session_id"] == visits[v3]["session_id"]
-    assert visits[v4]["session_id"] != visits[v2]["session_id"]
+def test_import_history_backfills_unassigned_visits():
+    """An import numbers the user's earlier session-0 visits with its own
+    entries, after the highest client-stamped session, in the
+    transaction that stores the entries."""
+    system = MemexSystem(MemexServer(lambda u: None))
+    applet = system.register_user("u")
+    repo = system.server.repo
+    # A client-stamped session 5, then two visits of a client that sent
+    # no session, then an imported visit.
+    applet.record_visit("http://a/", at=0.0, session_id=5)
+    applet.record_visit("http://b/", at=10_000.0, session_id=0)
+    applet.record_visit("http://c/", at=10_060.0, session_id=0)
+    stamp = repo.stamps.visits
+    out = applet.import_history([{"url": "http://d/", "at": 50_000.0}])
+    assert out == {"imported": 1, "sessions_assigned": 3}
+    # The new row and both rewritten ones move the visits stamp.
+    assert repo.stamps.visits == stamp + 3
+    visits = {v["url"]: v for v in repo.user_visits("u")}
+    assert visits["http://b/"]["session_id"] == visits["http://c/"]["session_id"]
+    assert visits["http://d/"]["session_id"] != visits["http://b/"]["session_id"]
     # New ids start above the client-assigned maximum.
-    assert visits[v2]["session_id"] > 5
+    assert visits["http://b/"]["session_id"] > 5
     # Idempotent: nothing left to assign.
-    assert assign_session_ids(repo, "u") == 0
-    repo.close()
+    assert applet.import_history([]) == {"imported": 0, "sessions_assigned": 0}
 
 
-def test_assign_session_ids_empty_user():
-    repo = MemexRepository()
-    assert assign_session_ids(repo, "nobody") == 0
-    repo.close()
+def test_import_history_of_nothing_assigns_nothing():
+    system = MemexSystem(MemexServer(lambda u: None))
+    applet = system.register_user("nobody")
+    assert applet.import_history([]) == {"imported": 0, "sessions_assigned": 0}
+    assert len(system.server.repo.db.table("visits")) == 0
 
 
 # -- rendering --------------------------------------------------------------------
@@ -136,8 +138,6 @@ def test_render_folder_view_overflow():
 def test_import_history_end_to_end():
     """Imported raw history gets sessions inferred and supports context
     recall, exactly like applet-recorded browsing."""
-    from repro.core import MemexSystem
-    from repro.core.memex import MemexServer
     from repro.server.daemons import FetchedPage
 
     pages = {}
@@ -176,9 +176,6 @@ def test_import_history_end_to_end():
 
 
 def test_import_history_respects_archive_off():
-    from repro.core import MemexSystem
-    from repro.core.memex import MemexServer
-
     system = MemexSystem(MemexServer(lambda u: None))
     applet = system.register_user("quiet")
     applet.set_archive_mode("off")
@@ -189,14 +186,10 @@ def test_import_history_respects_archive_off():
 
 
 def test_import_history_is_one_group_commit():
-    """A 50-entry import commits pages + visits once and the inferred
-    session ids once (it used to commit three times per entry), and
-    leaves exactly the rows that 50 per-event ``visit`` requests followed
-    by session inference leave."""
-    from repro.core import MemexSystem
-    from repro.core.memex import MemexServer
-    from repro.core.sessions import assign_session_ids
-
+    """A 50-entry import commits pages, visits and the inferred session
+    ids once (it used to commit three times per entry), and leaves
+    exactly the rows that 50 per-event session-less ``visit`` requests
+    followed by an empty import, which numbers them, leave."""
     entries = [
         # Revisits included: page upserts must dedup inside the batch.
         {"url": f"http://h/{i % 40}", "at": 1000.0 + i * 60 + (i // 25) * 90_000,
@@ -209,8 +202,7 @@ def test_import_history_is_one_group_commit():
     before = db._n_commits
     out = applet.import_history(entries)
     assert out == {"imported": 50, "sessions_assigned": 50}
-    # One commit for the import, one for the session-id write-back.
-    assert db._n_commits - before == 2
+    assert db._n_commits - before == 1
 
     reference = MemexSystem(MemexServer(lambda u: None))
     per_event = reference.register_user("mover")
@@ -218,9 +210,43 @@ def test_import_history_is_one_group_commit():
         per_event.record_visit(
             entry["url"], at=entry["at"], referrer=entry["referrer"],
             session_id=0)
-    assign_session_ids(reference.server.repo, "mover")
+    assert per_event.import_history([]) == {
+        "imported": 0, "sessions_assigned": 50}
     for table in ("visits", "pages"):
         assert list(db.table(table).scan()) == list(
             reference.server.repo.db.table(table).scan()), table
     assert imported.server.crawler.backlog == reference.server.crawler.backlog
     assert imported.server.now == reference.server.now
+
+
+def test_concurrent_imports_of_one_user_never_share_a_session_id():
+    """Each import numbers from the user's highest session id: two that
+    read it at once would give their entries the same id."""
+    system = MemexSystem(MemexServer(lambda u: None))
+    system.register_user("mover")
+    ask = system.server.transport.request
+    errors = []
+
+    def importer(i):
+        try:
+            for j in range(10):
+                ask("mover", {"servlet": "import_history", "entries": [
+                    {"url": f"http://h/{i}/{j}", "at": float(j)}]})
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=importer, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    visits = system.server.repo.user_visits("mover")
+    assert len(visits) == 60
+    assert len({v["session_id"] for v in visits}) == 60

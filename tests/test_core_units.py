@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import context, trails
 from repro.core.billing import UNCLASSIFIED, bill_breakdown
 from repro.core.context import context_neighborhood, recall_session
 from repro.core.profiles import (
@@ -93,12 +94,12 @@ def test_trail_graph_collects_topical_visits(repo):
 def test_trail_graph_includes_extra_urls(repo):
     g = build_trail_graph(
         repo, ["me:Music/Classical"], include_urls={"http://m3/"},
-        public_only=False,
+        user_id="peer",
     )
     assert "http://m3/" in g.nodes
     # The m2 -> m3 connection appears (as a click edge because peer's
-    # referrer transition is visible with public_only=False; it would be
-    # a structural hyperlink edge otherwise).
+    # own private referrer transition is visible to peer; it would be a
+    # structural hyperlink edge otherwise).
     assert any(
         e.src == "http://m2/" and e.dst == "http://m3/" for e in g.edges
     )
@@ -107,7 +108,7 @@ def test_trail_graph_includes_extra_urls(repo):
     repo.add_link("http://m2/", "http://m1/", now=0.0)
     g2 = build_trail_graph(
         repo, ["me:Music/Classical"], include_urls={"http://m3/"},
-        public_only=False,
+        user_id="peer",
     )
     assert any(
         e.hyperlink and e.src == "http://m2/" and e.dst == "http://m1/"
@@ -124,23 +125,25 @@ def test_trail_graph_respects_privacy(repo):
     assert "http://m3/" in g2.nodes
 
 
-def test_trail_graph_confidence_gate(repo):
+def test_trail_graph_confidence_gate(repo, monkeypatch):
     v = repo.record_visit_batch([dict(
         user_id="me", url="http://m3/", at=3 * 86_400.0,
         session_id=4, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])[0]
     repo.classify_visits([(v, "me:Music/Classical", 0.1)])  # a shrug
     g = build_trail_graph(repo, ["me:Music/Classical"])
     assert "http://m3/" not in g.nodes
-    g2 = build_trail_graph(repo, ["me:Music/Classical"], min_confidence=0.05)
+    monkeypatch.setattr(trails, "MIN_CONFIDENCE", 0.05)
+    g2 = build_trail_graph(repo, ["me:Music/Classical"])
     assert "http://m3/" in g2.nodes
 
 
-def test_trail_graph_window_and_trim(repo):
+def test_trail_graph_window_and_trim(repo, monkeypatch):
     g = build_trail_graph(
         repo, ["me:Music/Classical"], since=1.5 * 86_400.0,
     )
     assert set(g.nodes) == set()  # music visits were on day 1
-    g2 = build_trail_graph(repo, ["me:Music/Classical"], max_nodes=1)
+    monkeypatch.setattr(trails, "MAX_NODES", 1)
+    g2 = build_trail_graph(repo, ["me:Music/Classical"])
     assert len(g2.nodes) == 1
 
 
@@ -182,7 +185,7 @@ def test_recall_session_no_match(repo):
 
 def test_context_neighborhood_expands_links(repo):
     session = recall_session(repo, "me", ["me:Music/Classical"])
-    hood = context_neighborhood(repo, session, hops=1)
+    hood = context_neighborhood(repo, session)
     # m1, m2 plus their out-links m3 and x1.
     assert set(hood.nodes) == {"http://m1/", "http://m2/", "http://m3/", "http://x1/"}
     # Core pages outrank frontier pages.
@@ -191,9 +194,10 @@ def test_context_neighborhood_expands_links(repo):
     assert [(e.src, e.dst) for e in click] == [("http://m1/", "http://m2/")]
 
 
-def test_context_neighborhood_max_nodes(repo):
+def test_context_neighborhood_max_nodes(repo, monkeypatch):
     session = recall_session(repo, "me", ["me:Music/Classical"])
-    hood = context_neighborhood(repo, session, hops=1, max_nodes=2)
+    monkeypatch.setattr(context, "MAX_NODES", 2)
+    hood = context_neighborhood(repo, session)
     assert len(hood.nodes) == 2  # just the core
 
 

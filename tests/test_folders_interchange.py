@@ -122,8 +122,6 @@ def test_folders_to_bookmarks_excludes_guesses():
         {"url": "http://maybe/", "guess": True}]}]}
     out = folders_to_bookmarks(view)
     assert out.total_bookmarks() == 1
-    out_with = folders_to_bookmarks(view, include_guesses=True)
-    assert out_with.total_bookmarks() == 2
 
 
 def test_a_bookmark_file_round_trips_through_the_served_folder_tab(tmp_path):

@@ -12,6 +12,7 @@ from repro.mining.linkfolder import (
     EnhancedClassifier,
     build_coplacement,
     _cocitation_map,
+    _log_normalize,
 )
 from repro.mining.naive_bayes import NaiveBayesClassifier
 
@@ -151,11 +152,6 @@ def test_text_only_fails_on_noise_docs():
     assert abs(post["A"] - post["B"]) < 0.7
 
 
-def test_enhanced_channel_switch_validation():
-    with pytest.raises(ValueError):
-        EnhancedClassifier(use_text=False, use_links=False, use_folder=False)
-
-
 def test_enhanced_requires_fit_and_labels():
     clf = EnhancedClassifier()
     with pytest.raises(NotFitted):
@@ -185,8 +181,9 @@ def test_enhanced_batch_relaxation_spreads_labels():
 
 
 def test_enhanced_folder_only_channel():
+    # Links off and noise text: folder placement is the only evidence.
     vectors, labels, graph, cop = _toy_world()
-    clf = EnhancedClassifier(use_text=False, use_links=False).fit(
+    clf = EnhancedClassifier(use_links=False).fit(
         {u: vectors[u] for u in labels}, labels, graph, cop,
     )
     assert clf.predict("xA", vectors["xA"])[0] == "A"
@@ -249,18 +246,30 @@ def test_enhanced_beats_text_only_on_synthetic_web():
 # -- co-visitation (trail) channel --------------------------------------------
 
 def test_covisit_channel_absent_is_bit_identical_to_three_channel():
-    # No trail data: the four-channel classifier must produce EXACTLY the
-    # same posteriors as use_covisit=False — the channel may not even add
-    # a uniform shift.
+    # No trail data for a page: the four-channel classifier must produce
+    # EXACTLY the posteriors of a fit with no trail data at all — the
+    # channel may not even add a uniform shift.
     vectors, labels, graph, cop = _toy_world()
     train = {u: vectors[u] for u in labels}
-    with_flag = EnhancedClassifier().fit(train, labels, graph, cop)
-    without = EnhancedClassifier(use_covisit=False).fit(
-        train, labels, graph, cop,
+    elsewhere = EnhancedClassifier().fit(
+        train, labels, graph, cop, covisitation={"xB": [("d3", 4.0)]},
     )
-    for url in ("xA", "xB", "d0", "d3"):
-        assert with_flag.log_posteriors(url, vectors[url]) == \
+    without = EnhancedClassifier().fit(train, labels, graph, cop)
+    for url in ("xA", "d0", "d3"):
+        assert elsewhere.log_posteriors(url, vectors[url]) == \
             without.log_posteriors(url, vectors[url])
+    assert elsewhere.log_posteriors("xB", vectors["xB"]) != \
+        without.log_posteriors("xB", vectors["xB"])
+    # ... and the three-channel posterior is the weighted log-linear sum.
+    text = without._text_evidence(vectors["xA"])
+    link = without._link_evidence("xA")
+    folder = without._folder_evidence("xA")
+    assert without.log_posteriors("xA", vectors["xA"]) == _log_normalize({
+        c: EnhancedClassifier.TEXT_WEIGHT * text[c]
+        + EnhancedClassifier.LINK_WEIGHT * link[c]
+        + EnhancedClassifier.FOLDER_WEIGHT * folder[c]
+        for c in text
+    })
 
 
 def test_covisit_evidence_shifts_classification():

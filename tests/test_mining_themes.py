@@ -117,10 +117,10 @@ def test_discover_empty_and_single():
     assert solo.depth() == 1
 
 
-def test_max_depth_cap(community):
+def test_max_depth_cap(community, monkeypatch):
+    monkeypatch.setattr(ThemeDiscovery, "MAX_DEPTH", 1)
     taxonomy = ThemeDiscovery(
-        min_split_folders=2, min_split_users=1,
-        cohesion_threshold=2.0, max_depth=1,
+        min_split_folders=2, min_split_users=1, cohesion_threshold=2.0,
     ).discover(community)
     assert taxonomy.depth() <= 2  # roots plus one refinement
 

@@ -72,8 +72,9 @@ def test_log_reserved_keys_win_over_fields():
     assert record["ts"] == 7.0
 
 
-def test_log_level_floor_and_filters():
-    hub = LogHub(min_level="info")
+def test_log_level_floor_and_filters(monkeypatch):
+    monkeypatch.setattr(LogHub, "MIN_LEVEL", "info")
+    hub = LogHub()
     a, b = hub.logger("a"), hub.logger("b")
     a.debug("dropped")
     a.info("kept")

@@ -23,6 +23,7 @@ from repro.server.protocol import encode_message
 from repro.storage.codec import encode
 from repro.storage.engine import Namespace
 from repro.storage.kvstore import KVStore
+from repro.storage.relational import Column
 from repro.storage.repository import COVISIT_CURSOR, MemexRepository
 from repro.webgen import build_workload
 
@@ -155,10 +156,21 @@ def test_a_data_dir_the_old_save_path_wrote_restores_the_same(
     """What a stop used to save — classifier models, a vocabulary with
     the pages it counts, the clock — and the dense vectors of the
     id-seeded basis are dead keys: a restore reads none of them.  The
-    co-visit matrix comes with no cursor, and is not mined again."""
+    co-visit matrix comes with no cursor, and is not mined again.  The
+    catalog also holds the ``themes`` table that nothing wrote, which
+    the catalog no longer declares."""
     workload, twin, _, copy = servers
     with MemexRepository(copy, sync=True) as repo:
         repo.db.delete("cursors", COVISIT_CURSOR)
+        repo.db.create_table(
+            "themes",
+            [Column("theme_id"), Column("community", nullable=True),
+             Column("label"), Column("parent", nullable=True),
+             Column("members", "json", nullable=True),
+             Column("weight", "float"), Column("created_at", "float")],
+            primary_key="theme_id", indexes=("community", "parent"),
+            if_not_exists=True,
+        )
     kv = KVStore(copy / "terms.kv", sync=True)
     models, dense = Namespace(kv, "models"), Namespace(kv, "dense")
     models.put(b"vocabulary", encode({

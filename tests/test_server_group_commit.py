@@ -287,9 +287,10 @@ def test_the_server_reports_every_fsync_of_both_logs(tmp_path, monkeypatch):
 
 
 def test_an_ack_is_one_catalog_fsync(tmp_path):
-    """Ids come from the catalog, so an acknowledged visit, visit batch or
+    """Ids come from the catalog, so an acknowledged visit, visit batch,
     bookmark into an existing folder (dropping a classifier guess on the
-    way) commits once to ``catalog.wal`` and never to ``terms.kv``."""
+    way) or history import commits once to ``catalog.wal`` and never to
+    ``terms.kv``."""
     with MemexServer(lambda url: None, root=str(tmp_path), sync=True) as server:
         ask = server.transport.request
         ask("u", {"servlet": "register_user"})
@@ -308,6 +309,12 @@ def test_an_ack_is_one_catalog_fsync(tmp_path):
             "bookmark": lambda: [ask("u", {
                 "servlet": "bookmark", "url": "http://p/1",
                 "folder_path": "Jazz", "at": 11.0})],
+            # Its rows, and the session ids of the earlier session-less
+            # visits above, which it numbers with its own entries.
+            "import_history": lambda: [ask("u", {
+                "servlet": "import_history", "entries": [
+                    {"url": f"http://h/{i}", "at": 12.0 + i}
+                    for i in range(3)]})],
         }
         for name, ack in acks.items():
             before = _fsyncs(server)

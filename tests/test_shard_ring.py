@@ -40,5 +40,3 @@ def test_growing_the_ring_moves_a_minority_of_keys():
 def test_invalid_configuration_is_rejected():
     with pytest.raises(ValueError):
         HashRing(0)
-    with pytest.raises(ValueError):
-        HashRing(2, vnodes=0)

@@ -134,7 +134,6 @@ def test_visits_and_classification(repo):
     assert len(repo.user_visits("u", until=6.0)) == 1
     public = repo.community_visits()
     assert [v["visit_id"] for v in public] == [vid]
-    assert len(repo.community_visits(public_only=False)) == 2
     repo.classify_visits([(vid, "u:Music", 0.9)])
     assert repo.db.table("visits").get(vid)["topic_folder"] == "u:Music"
 

@@ -1,9 +1,14 @@
 """Tests for tokenization and the Porter stemmer."""
 
+import importlib
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.text.tokenize import STOPWORDS, porter_stem, tokenize, words
+
+# The package re-exports the function under the module's name.
+tokenize_module = importlib.import_module("repro.text.tokenize")
 
 
 def test_words_lowercases_and_splits():
@@ -11,21 +16,18 @@ def test_words_lowercases_and_splits():
 
 
 def test_tokenize_drops_stopwords():
-    toks = tokenize("the cat and the hat", stem=False)
+    toks = tokenize("the cats and the hats")
     assert toks == ["cat", "hat"]
 
 
-def test_tokenize_min_len():
-    assert tokenize("a ab abc", stem=False, min_len=3) == ["abc"]
+def test_tokenize_min_len(monkeypatch):
+    assert tokenize("a ab abc") == ["ab", "abc"]
+    monkeypatch.setattr(tokenize_module, "MIN_LEN", 3)
+    assert tokenize("a ab abc") == ["abc"]
 
 
 def test_tokenize_keeps_numbers():
-    assert "1998" in tokenize("VLDB 1998 proceedings", stem=False)
-
-
-def test_tokenize_can_keep_stopwords():
-    toks = tokenize("the cat", stem=False, drop_stopwords=False)
-    assert toks == ["the", "cat"]
+    assert "1998" in tokenize("VLDB 1998 proceedings")
 
 
 def test_stemming_conflates_variants():
@@ -151,7 +153,8 @@ def test_stem_is_idempotent_on_its_output_length(word):
 def test_tokenize_total_on_arbitrary_text(text):
     toks = tokenize(text)
     assert all(isinstance(t, str) and t for t in toks)
-    assert all(t not in STOPWORDS for t in tokenize(text, stem=False))
+    kept = {porter_stem(w) for w in words(text) if w not in STOPWORDS}
+    assert set(toks) <= kept
 
 
 @given(st.lists(st.sampled_from(["compiler", "music", "cycling", "vldb"]), max_size=30))

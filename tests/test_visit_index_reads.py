@@ -65,11 +65,10 @@ def _payload(graph):
     return json.dumps(graph.to_payload())
 
 
-def _trail_kwargs(server, owner, path, folder_ids, window_days, public_only):
+def _trail_kwargs(server, owner, path, folder_ids, window_days):
     since = server.now - window_days * DAY
     return {
         "folder_paths": [path], "since": since, "user_id": owner,
-        "public_only": public_only,
         "include_urls": community_pages_for_folder(
             server, owner, folder_ids, since=since),
     }
@@ -104,17 +103,16 @@ def test_every_trail_equals_the_full_scan(archive):
     nonempty = included = guessed = 0
     for owner, path, folder_ids in _trail_cases(server):
         for window_days in WINDOWS_DAYS:
-            for public_only in (True, False):
-                kwargs = _trail_kwargs(
-                    server, owner, path, folder_ids, window_days, public_only)
-                served = build_trail_graph(server.repo, folder_ids, **kwargs)
-                reference = _reference_build_trail_graph(
-                    server.repo, folder_ids, **kwargs)
-                assert _payload(served) == _payload(reference), (
-                    owner, path, window_days, public_only)
-                nonempty += bool(served.nodes)
-                included += bool(kwargs["include_urls"])
-                guessed += any(n.confidence for n in served.nodes.values())
+            kwargs = _trail_kwargs(
+                server, owner, path, folder_ids, window_days)
+            served = build_trail_graph(server.repo, folder_ids, **kwargs)
+            reference = _reference_build_trail_graph(
+                server.repo, folder_ids, **kwargs)
+            assert _payload(served) == _payload(reference), (
+                owner, path, window_days)
+            nonempty += bool(served.nodes)
+            included += bool(kwargs["include_urls"])
+            guessed += any(n.confidence for n in served.nodes.values())
     assert nonempty and included and guessed, (nonempty, included, guessed)
 
 
@@ -129,7 +127,7 @@ def test_the_trail_servlet_answers_the_full_scan(archive):
             }))
             assert response.pop("status") == "ok", response
             kwargs = _trail_kwargs(
-                server, owner, path, folder_ids, window_days, True)
+                server, owner, path, folder_ids, window_days)
             reference = _reference_build_trail_graph(
                 server.repo, folder_ids, **kwargs)
             assert json.dumps(response) == json.dumps(
@@ -145,7 +143,7 @@ def test_a_trail_reads_visits_through_the_url_and_topic_folder_indexes(
     reads = _spy_on_visit_reads(monkeypatch)
     for owner, path, folder_ids in cases:
         reads.clear()
-        kwargs = _trail_kwargs(server, owner, path, folder_ids, 365, True)
+        kwargs = _trail_kwargs(server, owner, path, folder_ids, 365)
         reads.clear()       # the community pages' own read is not the trail's
         build_trail_graph(server.repo, folder_ids, **kwargs)
         assert all(
@@ -253,7 +251,7 @@ def test_an_older_catalog_gets_the_index_on_open_and_the_same_trails(tmp_path):
     for owner, path, folder_ids in cases:
         for window_days in WINDOWS_DAYS:
             kwargs = _trail_kwargs(
-                server, owner, path, folder_ids, window_days, True)
+                server, owner, path, folder_ids, window_days)
             answers[owner, path, window_days] = (kwargs, _payload(
                 build_trail_graph(server.repo, folder_ids, **kwargs)))
     system.close()
