@@ -72,7 +72,9 @@ def universal_vs_personal(challenge_dataset):
         topic_to_folder = {
             t: max(fv, key=fv.get) for t, fv in votes.items()
         }
-        majority = max(set(train.values()), key=list(train.values()).count)
+        # Ties go to the first folder name in sorted order, whatever the
+        # hash seed.
+        majority = max(sorted(set(train.values())), key=list(train.values()).count)
         y_true = [test[u] for u in test]
         y_memex = [preds[u][0] for u in test]
         y_universal = [

@@ -11,7 +11,6 @@ from ..storage.schema import (
     ARCHIVE_COMMUNITY,
     ARCHIVE_MODES,
     ARCHIVE_OFF,
-    ASSOC_CORRECTION,
     ASSOC_GUESS,
     folder_id,
     folder_path,
@@ -38,23 +37,6 @@ def path_field(request: Request, field: str) -> str:
     if not any(path.split("/")):
         raise ValueError(f"{field} must name a folder")
     return path
-
-
-def ensure_folder(server: Server, owner: str, path: str, at: float) -> str:
-    """The id of *owner*'s folder at *path*, creating what is missing."""
-    parts = [p for p in path.split("/") if p]
-    parent: str | None = None
-    built: list[str] = []
-    with server._server_lock:
-        for part in parts:
-            built.append(part)
-            fid = folder_id(owner, "/".join(built))
-            if server.repo.db.table("folders").get(fid) is None:
-                server.repo.add_folder(fid, owner, part, parent, now=at)
-            parent = fid
-    if parent is None:
-        raise ValueError("empty folder path")
-    return parent
 
 
 # -- account management ----------------------------------------------------------
@@ -166,11 +148,15 @@ def serve_import_history(server: Server, user: User, request: Request) -> Respon
         for entry in request["entries"]
     ]
     owner = user["user_id"]
+    # A history keeps its own times, which may lie before the clock; the
+    # clock moves once, to the latest, and stamps the entries with none.
+    now = server.advance(max(
+        (at for _, at, _ in entries if at is not None), default=None))
     items = [
         {
             "user_id": owner,
             "url": url,
-            "at": server.advance(at),
+            "at": at if at is not None else now,
             "referrer": referrer,
             "archive_mode": mode,
             "origin": origin,
@@ -200,9 +186,9 @@ def serve_bookmark(server: Server, user: User, request: Request) -> Response:
     url = text_field(request, "url")
     path = path_field(request, "folder_path")
     at = server.advance(number_field(request, "at", None, signed=True))
-    owner = user["user_id"]
-    folder = ensure_folder(server, owner, path, at)
-    assoc_id = server.repo.bookmark(owner, folder, url, now=at)
+    with server.repo.edit(at) as edit:
+        folder = edit.folder(user["user_id"], path)
+        assoc_id = edit.bookmark(folder, url)
     server.crawler.enqueue(url, origin=server.origin())
     return {"assoc_id": assoc_id, "folder_id": folder}
 
@@ -210,31 +196,31 @@ def serve_bookmark(server: Server, user: User, request: Request) -> Response:
 def serve_folder_create(server: Server, user: User, request: Request) -> Response:
     path = path_field(request, "path")
     at = server.advance(number_field(request, "at", None, signed=True))
-    folder = ensure_folder(server, user["user_id"], path, at)
+    with server.repo.edit(at) as edit:
+        folder = edit.folder(user["user_id"], path)
     return {"folder_id": folder}
 
 
 def serve_folder_move(server: Server, user: User, request: Request) -> Response:
-    """Cut/paste correction: strongest supervision for the classifier."""
+    """Cut/paste correction: strongest supervision for the classifier.
+    The unfiling, the correction and the relabelling of this user's
+    visits of the page are one edit."""
     url = text_field(request, "url")
     from_folder = text_field(request, "from_folder", "")
     to_folder = path_field(request, "to_folder")
     at = server.advance(number_field(request, "at", None, signed=True))
     owner = user["user_id"]
-    if from_folder:
-        src = folder_id(owner, from_folder)
-        removed = server.repo.dissociate(src, url)
-    else:
-        removed = server.repo.drop_guesses(owner, url)
-    dst = ensure_folder(server, owner, to_folder, at)
-    assoc_id = server.repo.associate(dst, url, ASSOC_CORRECTION, now=at)
-    # Corrections also relabel this user's visits of the page.
-    server.repo.classify_visits([
-        (visit["visit_id"], dst, 1.0)
+    with server.repo.edit(at) as edit:
+        if from_folder:
+            removed = edit.unfile(folder_id(owner, from_folder), url)
+        else:
+            removed = edit.drop_guesses(owner, url)
+        dst = edit.folder(owner, to_folder)
+        assoc_id = edit.correct(dst, url)
         for visit in server.repo.db.table("visits").select(
             {"user_id": owner, "url": url}
-        )
-    ])
+        ):
+            edit.label(visit["visit_id"], dst, 1.0)
     return {"assoc_id": assoc_id, "removed": removed, "folder_id": dst}
 
 

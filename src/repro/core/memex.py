@@ -198,8 +198,8 @@ class MemexServer:
         # Server lock ("server" rank in repro.locks.LOCK_ORDER, above the
         # repository lock it nests over): guards the simulation clock,
         # the publication of rebuilt profiles, and the server-level
-        # check-then-act compounds (folder-path creation, user
-        # registration) that span several repository calls.
+        # check-then-act compounds (user registration, a history
+        # import's session numbering) that span several repository calls.
         self._server_lock = threading.RLock()
 
     # ------------------------------------------------------------------ time

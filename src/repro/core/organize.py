@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from ..errors import EmptyCorpus
 from ..mining.hac import hac
 from ..server.daemons import PageVectorizer
-from ..storage.schema import ASSOC_CORRECTION
 from ..text.vectorize import SparseVector, centroid, distinctive_label, normalize
-from .archive import ensure_folder, folder_id
+from .archive import folder_id
 from .request import (
     Request,
     Response,
@@ -173,8 +172,8 @@ def apply_proposal(
 
     Creates the proposed subfolders and re-files each URL from the base
     folder into its proposed home as a *correction* (it is a deliberate
-    user gesture, the strongest supervision).  Returns how many items
-    moved.
+    user gesture, the strongest supervision), all in one edit.  Returns
+    how many items moved.
     """
     base_id = folder_id(owner, base_path)
     moved = 0
@@ -186,18 +185,17 @@ def apply_proposal(
                 target_path = f"{base_path}/{path}"
             else:
                 target_path = base_path
-            target_id = ensure_folder(server, owner, target_path, at)
+            target_id = edit.folder(owner, target_path)
             if target_id != base_id:
-                server.repo.dissociate(base_id, url)
-                server.repo.associate(
-                    target_id, url, ASSOC_CORRECTION, now=at,
-                )
+                edit.unfile(base_id, url)
+                edit.correct(target_id, url)
                 moved += 1
         for child in folder.children:
             child_path = f"{path}/{child.name}" if path else child.name
             place(child, child_path)
 
-    place(proposal, "")
+    with server.repo.edit(at) as edit:
+        place(proposal, "")
     return moved
 
 

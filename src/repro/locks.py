@@ -37,7 +37,7 @@ LOCK_ORDER: tuple[str, ...] = (
     "supervisor",    # ShardSupervisor._supervisor_lock (worker lifecycle)
     "scheduler",     # DaemonScheduler._sched_lock
     "registry",      # ServletRegistry._registry_lock
-    "server",        # MemexServer._server_lock (clock, profiles, folders)
+    "server",        # MemexServer._server_lock (clock, profiles, users)
     "repository",    # MemexRepository._repo_lock (single writer)
     "relational",    # Database per-table RWLocks (alphabetical by table)
     "versioning",    # VersionCoordinator._versions_lock

@@ -515,9 +515,11 @@ class ClassifierDaemon:
             room -= 1
             if not room:
                 break
-        # The run's (visit_id, folder_id, confidence) decisions, stored
-        # in one transaction before the ack.
+        # The run's (visit_id, folder_id, confidence) decisions and its
+        # (folder_id, url, confidence) guesses, stored in one edit before
+        # the ack.
         decisions: list[tuple[int, str, float]] = []
+        guesses: list[tuple[str, str, float]] = []
         for user_id, visits in by_user.items():
             model = models[user_id]
             batch: dict[str, SparseVector] = {}
@@ -541,9 +543,12 @@ class ClassifierDaemon:
                     ) if origin is not None else _NO_SPAN:
                         decisions.append(
                             (visit["visit_id"], folder_id, confidence))
-                self.repo.file_guess(
-                    folder_id, url, confidence=confidence, now=now)
-        self.repo.classify_visits(decisions)
+                guesses.append((folder_id, url, confidence))
+        with self.repo.edit(now) as edit:
+            for folder_id, url, confidence in guesses:
+                edit.guess(folder_id, url, confidence)
+            for visit_id, folder_id, confidence in decisions:
+                edit.label(visit_id, folder_id, confidence)
         self.repo.versions.ack(self.name, watermark)
         done = len(decisions)
         self.classified_count += done

@@ -16,6 +16,8 @@ import math
 import threading
 import time
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -26,10 +28,11 @@ from .schema import (
     ARCHIVE_COMMUNITY,
     ARCHIVE_MODES,
     ASSOC_BOOKMARK,
+    ASSOC_CORRECTION,
     ASSOC_GUESS,
-    ASSOC_SOURCES,
     STAMPED_AT,
     create_catalog,
+    folder_id,
 )
 from .versioning import VersionCoordinator
 from ..errors import SchemaError, StorageError
@@ -133,6 +136,156 @@ class _StagedPages:
         for url, changes in self.updates.items():
             txn.update("pages", url, changes)
         return len(self.inserts) + len(self.updates)
+
+
+class FolderEdit:
+    """One staged write to the folder tab (:meth:`MemexRepository.edit`).
+
+    Folders, the bookmark's page upsert, filings, unfilings and visit
+    labels are staged, and every read the edit makes sees the catalog as
+    its staged writes leave it.  ``assoc_id``\\ s are taken in call order.
+    The commit is one catalog transaction, and :meth:`_stamp` then moves
+    every stamp in one place: ``engagement`` only for the owners of
+    folders whose deliberate filings (bookmarks, corrections) changed,
+    the one thing a theme profile reads of a folder.
+    """
+
+    def __init__(self, repo: MemexRepository, now: float) -> None:
+        self._repo = repo
+        self._db = repo.db
+        self.now = now
+        self._folders: dict[str, Row] = {}        # new rows, parents first
+        self._pages = _StagedPages(repo.db)
+        self._filed: dict[int, Row] = {}          # new folder_pages rows
+        self._unfiled: set[int] = set()           # stored rows deleted
+        self._labels: dict[int, Row] = {}         # visit id -> topic columns
+        self._engaged: set[str] = set()
+
+    # -- reads through the staged writes -------------------------------------
+
+    def _owner(self, folder: str) -> str | None:
+        row = self._folders.get(folder) or self._db.table("folders").get(folder)
+        return row["owner"] if row is not None else None
+
+    def _filings(self, url: str) -> list[Row]:
+        """The rows filing *url*, stored ones in the catalog's order."""
+        stored = [
+            row for row in self._db.table("folder_pages").select({"url": url})
+            if row["assoc_id"] not in self._unfiled
+        ]
+        return stored + [row for row in self._filed.values() if row["url"] == url]
+
+    # -- staged writes --------------------------------------------------------
+
+    def folder(self, owner: str, path: str) -> str:
+        """The id of *owner*'s folder at *path*, creating what is missing."""
+        parts = [p for p in path.split("/") if p]
+        if not parts:
+            raise ValueError("empty folder path")
+        parent: str | None = None
+        for depth, name in enumerate(parts, 1):
+            fid = folder_id(owner, "/".join(parts[:depth]))
+            if self._owner(fid) is None:
+                self._folders[fid] = {
+                    "folder_id": fid, "owner": owner, "name": name,
+                    "parent": parent, "created_at": self.now,
+                }
+            parent = fid
+        return fid
+
+    def bookmark(self, folder: str, url: str) -> int:
+        """File *url* in *folder* as a bookmark, upserting its page; a
+        deliberate filing supersedes the owner's guesses for it."""
+        self._pages.upsert(url, self.now)
+        self.drop_guesses(self._owner(folder), url)
+        return self._file(folder, url, ASSOC_BOOKMARK, None)
+
+    def guess(self, folder: str, url: str, confidence: float) -> None:
+        """File *url* in *folder* as the classifier's '?' guess, dropping
+        the owner's guesses for it elsewhere.  A row already filing *url*
+        in *folder* ends the walk over its filings, in the catalog's
+        order: then only the guesses met before it go, and nothing is
+        filed."""
+        owner = self._owner(folder)
+        doomed: list[Row] = []
+        for row in self._filings(url):
+            if row["folder_id"] == folder:
+                self._drop(doomed)
+                return
+            if (row["source"] == ASSOC_GUESS
+                    and self._owner(row["folder_id"]) == owner):
+                doomed.append(row)
+        self._drop(doomed)
+        self._file(folder, url, ASSOC_GUESS, confidence)
+
+    def correct(self, folder: str, url: str) -> int:
+        """File *url* in *folder* as the user's correction."""
+        return self._file(folder, url, ASSOC_CORRECTION, None)
+
+    def unfile(self, folder: str, url: str) -> int:
+        """Take *url* out of *folder*; returns how many rows went."""
+        return self._drop([
+            row for row in self._filings(url) if row["folder_id"] == folder])
+
+    def drop_guesses(self, owner: str | None, url: str) -> int:
+        """Drop the guesses filing *url* in *owner*'s folders; returns how
+        many went."""
+        return self._drop([
+            row for row in self._filings(url)
+            if row["source"] == ASSOC_GUESS
+            and self._owner(row["folder_id"]) == owner
+        ])
+
+    def label(self, visit_id: int, folder: str, confidence: float) -> None:
+        """Annotate a visit with its topic folder (Figure 1's '?')."""
+        self._labels[visit_id] = {
+            "topic_folder": folder, "topic_confidence": confidence}
+
+    def _file(
+        self, folder: str, url: str, source: str, confidence: float | None,
+    ) -> int:
+        assoc_id, = self._repo._take_ids("folder_pages", 1)
+        self._filed[assoc_id] = row = {
+            "assoc_id": assoc_id, "folder_id": folder, "url": url,
+            "source": source, "confidence": confidence, "at": self.now,
+        }
+        self._touched(row)
+        return assoc_id
+
+    def _drop(self, rows: list[Row]) -> int:
+        for row in rows:
+            if self._filed.pop(row["assoc_id"], None) is None:
+                self._unfiled.add(row["assoc_id"])
+            self._touched(row)
+        return len(rows)
+
+    def _touched(self, row: Row) -> None:
+        if row["source"] != ASSOC_GUESS:
+            owner = self._owner(row["folder_id"])
+            if owner is not None:
+                self._engaged.add(owner)
+
+    # -- commit ---------------------------------------------------------------
+
+    def _commit(self) -> None:
+        with self._db.begin() as txn:
+            txn.insert_many("folders", self._folders.values())
+            pages = self._pages.apply(txn)
+            for assoc_id in self._unfiled:
+                txn.delete("folder_pages", assoc_id)
+            txn.insert_many("folder_pages", self._filed.values())
+            for visit_id, changes in self._labels.items():
+                txn.update("visits", visit_id, changes)
+        self._stamp(pages)
+
+    def _stamp(self, pages: int) -> None:
+        stamps = self._repo.stamps
+        stamps.folders += len(self._folders)
+        stamps.pages += pages
+        stamps.assocs += len(self._unfiled) + len(self._filed)
+        stamps.classifications += len(self._labels)
+        for owner in self._engaged:
+            stamps.engaged(owner)
 
 
 class MemexRepository:
@@ -509,19 +662,6 @@ class MemexRepository:
             self.stamps.engaged(user_id)
         return visit_ids
 
-    def classify_visits(self, decisions: list[tuple[int, str, float]]) -> None:
-        """Annotate visit rows with ``(visit_id, folder_id, confidence)``
-        decisions — the write behind Figure 1's '?' guesses — in one
-        transaction: a classifier run is one commit, not one per visit."""
-        with self._repo_lock:
-            with self.db.begin() as txn:
-                for visit_id, folder_id, confidence in decisions:
-                    txn.update("visits", visit_id, {
-                        "topic_folder": folder_id,
-                        "topic_confidence": confidence,
-                    })
-            self.stamps.classifications += len(decisions)
-
     def user_visits(
         self,
         user_id: str,
@@ -641,146 +781,8 @@ class MemexRepository:
 
     # -- folders and associations ------------------------------------------------------------
 
-    def add_folder(
-        self,
-        folder_id: str,
-        owner: str,
-        name: str,
-        parent: str | None,
-        *,
-        now: float,
-    ) -> None:
-        with self._repo_lock:
-            self.db.insert("folders", {
-                "folder_id": folder_id, "owner": owner, "name": name,
-                "parent": parent, "created_at": now,
-            })
-            self.stamps.folders += 1
-
     def user_folders(self, owner: str) -> list[Row]:
         return self.db.table("folders").select({"owner": owner})
-
-    def _folder_engaged(self, folder_id: str) -> None:
-        """Bump the engagement stamp of the folder's owner."""
-        folder = self.db.table("folders").get(folder_id)
-        if folder is not None:
-            self.stamps.engaged(folder["owner"])
-
-    def associate(
-        self,
-        folder_id: str,
-        url: str,
-        source: str,
-        *,
-        confidence: float | None = None,
-        now: float,
-    ) -> int:
-        if source not in ASSOC_SOURCES:
-            raise SchemaError(f"unknown association source {source!r}")
-        with self._repo_lock:
-            with self.db.begin() as txn:
-                assoc_id = self._insert_assoc(
-                    txn, folder_id, url, source, confidence, now)
-            self.stamps.assocs += 1
-            self._folder_engaged(folder_id)
-            return assoc_id
-
-    def bookmark(self, owner: str, folder_id: str, url: str, *, now: float) -> int:
-        """File *url* in *owner*'s *folder_id* as a bookmark; returns the
-        association's id.  The page upsert, the drop of *owner*'s
-        classifier guesses for *url* (a deliberate filing supersedes them)
-        and the association row are ONE transaction: one catalog fsync."""
-        with self._repo_lock:
-            pages = _StagedPages(self.db)
-            pages.upsert(url, now)
-            guesses = self._guesses(owner, url)
-            with self.db.begin() as txn:
-                pages.apply(txn)
-                for guess in guesses:
-                    txn.delete("folder_pages", guess)
-                assoc_id = self._insert_assoc(
-                    txn, folder_id, url, ASSOC_BOOKMARK, None, now)
-            self.stamps.pages += 1
-            self.stamps.assocs += 1 + len(guesses)
-            self.stamps.engaged(owner)
-            return assoc_id
-
-    def file_guess(
-        self, folder_id: str, url: str, *, confidence: float, now: float,
-    ) -> None:
-        """File *url* in *folder_id* as the classifier's guess and delete
-        the owner's guesses for it in other folders, in one transaction.
-        A row already filing *url* in *folder_id* ends the walk over
-        :meth:`page_folders`: then only the guesses met before it go.
-        Each row written or deleted bumps ``assocs`` and the owner's
-        engagement."""
-        with self._repo_lock:
-            folders = self.db.table("folders")
-            owner = (folders.get(folder_id) or {}).get("owner")
-            doomed: list[int] = []
-            filed = False
-            for row in self.page_folders(url):
-                if row["folder_id"] == folder_id:
-                    filed = True
-                    break
-                if (
-                    owner is not None and row["source"] == ASSOC_GUESS
-                    and (folders.get(row["folder_id"]) or {}).get("owner") == owner
-                ):
-                    doomed.append(row["assoc_id"])
-            if filed and not doomed:
-                return
-            with self.db.begin() as txn:
-                for assoc_id in doomed:
-                    txn.delete("folder_pages", assoc_id)
-                if not filed:
-                    self._insert_assoc(
-                        txn, folder_id, url, ASSOC_GUESS, confidence, now)
-            changed = len(doomed) + (not filed)
-            self.stamps.assocs += changed
-            if owner is not None:
-                for _ in range(changed):
-                    self.stamps.engaged(owner)
-
-    def drop_guesses(self, owner: str, url: str) -> int:
-        """Delete the classifier's guesses filing *url* in *owner*'s
-        folders, in one transaction; returns how many went."""
-        with self._repo_lock:
-            guesses = self._guesses(owner, url)
-            with self.db.begin() as txn:
-                for guess in guesses:
-                    txn.delete("folder_pages", guess)
-            self.stamps.assocs += len(guesses)
-        return len(guesses)
-
-    def _guesses(self, owner: str, url: str) -> list[int]:
-        """The ids of the guesses filing *url* in *owner*'s folders."""
-        folders = self.db.table("folders")
-        return [
-            row["assoc_id"] for row in self.page_folders(url)
-            if row["source"] == ASSOC_GUESS
-            and (folders.get(row["folder_id"]) or {}).get("owner") == owner
-        ]
-
-    def _insert_assoc(
-        self,
-        txn: Transaction,
-        folder_id: str,
-        url: str,
-        source: str,
-        confidence: float | None,
-        now: float,
-    ) -> int:
-        assoc_id, = self._take_ids("folder_pages", 1)
-        txn.insert("folder_pages", {
-            "assoc_id": assoc_id,
-            "folder_id": folder_id,
-            "url": url,
-            "source": source,
-            "confidence": confidence,
-            "at": now,
-        })
-        return assoc_id
 
     def folder_pages(self, folder_id: str, *, sources: tuple[str, ...] | None = None) -> list[Row]:
         rows = self.db.table("folder_pages").select({"folder_id": folder_id})
@@ -788,21 +790,16 @@ class MemexRepository:
             rows = [r for r in rows if r["source"] in sources]
         return rows
 
-    def page_folders(self, url: str) -> list[Row]:
-        return self.db.table("folder_pages").select({"url": url})
-
-    def dissociate(self, folder_id: str, url: str, *, sources: tuple[str, ...] | None = None) -> int:
-        """Remove folder-page associations; returns how many were removed."""
-        removed = 0
+    @contextmanager
+    def edit(self, now: float) -> Iterator[FolderEdit]:
+        """One write to the folder tab, as a :class:`FolderEdit` staged
+        under the repository lock and committed as ONE catalog
+        transaction when the block exits cleanly; an exception applies
+        nothing and moves no stamp."""
         with self._repo_lock:
-            for row in self.folder_pages(folder_id, sources=sources):
-                if row["url"] == url:
-                    self.db.delete("folder_pages", row["assoc_id"])
-                    removed += 1
-            self.stamps.assocs += removed
-            if removed:
-                self._folder_engaged(folder_id)
-        return removed
+            edit = FolderEdit(self, now)
+            yield edit
+            edit._commit()
 
     # -- restart -------------------------------------------------------------------------------------
 

@@ -53,7 +53,6 @@ ARCHIVE_MODES = (ARCHIVE_OFF, ARCHIVE_PRIVATE, ARCHIVE_COMMUNITY)
 ASSOC_BOOKMARK = "bookmark"      # deliberate user bookmark
 ASSOC_GUESS = "guess"            # classifier daemon guess (shown as '?')
 ASSOC_CORRECTION = "correction"  # user corrected/reinforced the classifier
-ASSOC_SOURCES = (ASSOC_BOOKMARK, ASSOC_GUESS, ASSOC_CORRECTION)
 
 
 # A served folder's id is ``<owner>:<path>``, its path from the owner's

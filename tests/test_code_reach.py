@@ -465,8 +465,13 @@ KEPT = _kept(
      "tests/test_core_profiles_incremental.py: a repository's writes: "
      "src/repro/storage/repository.py",
      "storage.repository:MemexRepository.__enter__",
-     "storage.repository:MemexRepository.__exit__",
-     "storage.repository:MemexRepository.dissociate"),
+     "storage.repository:MemexRepository.__exit__"),
+    ("(e) tests/test_storage_repository.py, "
+     "tests/test_core_profiles_incremental.py and "
+     "tests/test_server_group_commit.py: a folder_move out of a named "
+     "folder and an accepted hierarchy that moves pages unfile them: "
+     "src/repro/storage/repository.py",
+     "storage.repository:FolderEdit.unfile"),
     ("(e) tests/test_retrieval_covisit.py: decayed pairs are pruned: "
      "src/repro/retrieval/covisit.py",
      "storage.repository:MemexRepository.prune_covisits"),

@@ -278,3 +278,56 @@ def test_profile_builds_race_their_writers_and_each_other():
     assert profile_payloads(server.current_profiles()) == \
         profile_payloads(_reference_current_profiles(server))
     system.close()
+
+
+def test_one_users_folder_writes_race_into_one_new_path():
+    """Threads of ONE user bookmark and move pages into the same new
+    nested path at once, round after round (the storm above gives each
+    thread its own user).  Each edit reads and creates the path's levels
+    under the repository lock, so every folder row is created exactly
+    once, no request fails on a duplicate key, and no filing is lost."""
+    n_threads, rounds = 4, 10 * ITERATIONS
+    system = MemexSystem(MemexServer(lambda url: None))
+    system.register_user("u")
+    server = system.server
+    barrier = threading.Barrier(n_threads)
+    failures = []
+
+    def writer(idx):
+        for i in range(rounds):
+            barrier.wait(timeout=60)
+            url = f"http://r{i}/{idx}"
+            if idx % 2:
+                request = {"servlet": "folder_move", "url": url,
+                           "to_folder": f"race/{i}/leaf", "at": float(i)}
+            else:
+                request = {"servlet": "bookmark", "url": url,
+                           "folder_path": f"race/{i}/leaf", "at": float(i)}
+            response = server.transport.request("u", request)
+            if response.get("status") != "ok":
+                failures.append(response)
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "writers did not finish"
+    assert failures == []
+    folders = sorted(r["folder_id"] for r in server.repo.user_folders("u"))
+    assert folders == sorted(
+        {"u:race"} | {f"u:race/{i}" for i in range(rounds)}
+        | {f"u:race/{i}/leaf" for i in range(rounds)})
+    assert server.repo.stamps.folders == len(folders)
+    assert sorted(
+        (r["folder_id"], r["url"])
+        for r in server.repo.db.table("folder_pages").scan()
+    ) == sorted(
+        (f"u:race/{i}/leaf", f"http://r{i}/{idx}")
+        for i in range(rounds) for idx in range(n_threads))
+    system.close()

@@ -269,7 +269,7 @@ def test_folder_move_correction_flow(live_system, small_workload):
     assert guess is not None
     from_path, url = guess
     applet.move_bookmark(url, None, "Corrected", at=server.now + 1.0)
-    rows = repo.page_folders(url)
+    rows = repo.db.table("folder_pages").select({"url": url})
     mine = [
         r for r in rows
         if repo.db.table("folders").get(r["folder_id"])["owner"] == user

@@ -32,7 +32,7 @@ from repro.errors import EmptyCorpus
 from repro.mining.themes import Theme, ThemeDiscovery, ThemeTaxonomy
 from repro.server.daemons import FetchedPage
 from repro.storage.relational import Table
-from repro.storage.repository import MemexRepository
+from repro.storage.repository import FolderEdit, MemexRepository
 from repro.storage.schema import ASSOC_BOOKMARK, ASSOC_CORRECTION
 from repro.text.vectorize import cosine
 from repro.webgen import build_workload
@@ -223,7 +223,8 @@ def _dissociate_a_bookmark(system, user_id):
     server = system.server
     visited = {v["url"] for v in server.repo.user_visits(user_id)}
     row = next(r for r in _bookmarks(server, user_id) if r["url"] in visited)
-    assert server.repo.dissociate(row["folder_id"], row["url"]) >= 1
+    with server.repo.edit(server.now) as edit:
+        assert edit.unfile(row["folder_id"], row["url"]) >= 1
 
 
 def _apply_a_hierarchy(system, user_id):
@@ -699,8 +700,13 @@ def test_every_write_after_a_replay_serves_the_reference(workload, tick_every):
 
 
 def _no_bump_for_folder_writes(monkeypatch):
-    monkeypatch.setattr(
-        MemexRepository, "_folder_engaged", lambda self, folder_id: None)
+    real = FolderEdit._stamp
+
+    def unengaged(self, *args):
+        self._engaged.clear()
+        return real(self, *args)
+
+    monkeypatch.setattr(FolderEdit, "_stamp", unengaged)
 
 
 def _no_bump_for_visit_batches(monkeypatch):
@@ -828,7 +834,8 @@ def _apply(system, op, clock):
             "servlet": "folder_move", "user_id": op[1], "url": op[2],
             "from_folder": op[3], "to_folder": op[4], "at": clock})
     elif kind == "dissociate":
-        server.repo.dissociate(folder_id(op[1], op[2]), op[3])
+        with server.repo.edit(clock) as edit:
+            edit.unfile(folder_id(op[1], op[2]), op[3])
     elif kind == "register":
         system.register_user(op[1])
     else:

@@ -94,6 +94,31 @@ def test_import_history_backfills_unassigned_visits():
     assert applet.import_history([]) == {"imported": 0, "sessions_assigned": 0}
 
 
+def test_an_imported_history_keeps_its_times_behind_the_clock():
+    """A history older than the server's clock is stored at its own
+    times, so the gap rule still splits it; the clock moves once, to the
+    latest entry, and an entry with no time is stamped with it."""
+    system = MemexSystem(MemexServer(lambda u: None))
+    applet = system.register_user("u")
+    applet.record_visit("http://now/", at=1_000_000.0)
+    out = applet.import_history([
+        {"url": "http://old/", "at": 1_000.0},
+        {"url": "http://older-half/", "at": 500_000.0},
+    ])
+    assert out == {"imported": 2, "sessions_assigned": 2}
+    visits = {v["url"]: v for v in system.server.repo.user_visits("u")}
+    assert visits["http://old/"]["at"] == 1_000.0
+    assert visits["http://older-half/"]["at"] == 500_000.0
+    assert visits["http://old/"]["session_id"] != visits[
+        "http://older-half/"]["session_id"]
+    assert system.server.now == 1_000_000.0
+    applet.import_history([
+        {"url": "http://later/", "at": 2_000_000.0}, {"url": "http://untimed/"},
+    ])
+    visits = {v["url"]: v for v in system.server.repo.user_visits("u")}
+    assert visits["http://untimed/"]["at"] == system.server.now == 2_000_000.0
+
+
 def test_import_history_of_nothing_assigns_nothing():
     system = MemexSystem(MemexServer(lambda u: None))
     applet = system.register_user("nobody")

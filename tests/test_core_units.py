@@ -17,7 +17,6 @@ from repro.storage.repository import MemexRepository
 from repro.storage.schema import (
     ARCHIVE_COMMUNITY,
     ARCHIVE_PRIVATE,
-    ASSOC_BOOKMARK,
     ASSOC_GUESS,
 )
 
@@ -38,9 +37,8 @@ def repo():
     r.add_link("http://m1/", "http://m2/", now=0.0)
     r.add_link("http://m2/", "http://m3/", now=0.0)
     r.add_link("http://m1/", "http://x1/", now=0.0)
-    r.add_folder("me:Music", "me", "Music", None, now=0.0)
-    r.add_folder("me:Music/Classical", "me", "Classical", "me:Music", now=0.0)
-    r.associate("me:Music/Classical", "http://m1/", ASSOC_BOOKMARK, now=1.0)
+    with r.edit(1.0) as edit:
+        edit.bookmark(edit.folder("me", "Music/Classical"), "http://m1/")
     day = 86_400.0
     # me: two sessions; session 1 about music, session 2 about cycling.
     v1 = r.record_visit_batch([dict(
@@ -60,13 +58,15 @@ def repo():
     v5 = r.record_visit_batch([dict(
         user_id="peer", url="http://m3/", at=2 * day,
         session_id=3, referrer="http://m2/", archive_mode=ARCHIVE_PRIVATE)])[0]
-    r.classify_visits([
-        (v1, "me:Music/Classical", 0.9),
-        (v2, "me:Music/Classical", 0.8),
-        (v3, "me:Cycling", 0.9),
-        (v4, "peer:Tunes", 0.9),
-        (v5, "peer:Tunes", 0.9),
-    ])
+    with r.edit(2 * day) as edit:
+        for visit_id, folder, confidence in [
+            (v1, "me:Music/Classical", 0.9),
+            (v2, "me:Music/Classical", 0.8),
+            (v3, "me:Cycling", 0.9),
+            (v4, "peer:Tunes", 0.9),
+            (v5, "peer:Tunes", 0.9),
+        ]:
+            edit.label(visit_id, folder, confidence)
     yield r
     r.close()
 
@@ -129,7 +129,8 @@ def test_trail_graph_confidence_gate(repo, monkeypatch):
     v = repo.record_visit_batch([dict(
         user_id="me", url="http://m3/", at=3 * 86_400.0,
         session_id=4, referrer=None, archive_mode=ARCHIVE_COMMUNITY)])[0]
-    repo.classify_visits([(v, "me:Music/Classical", 0.1)])  # a shrug
+    with repo.edit(3 * 86_400.0) as edit:
+        edit.label(v, "me:Music/Classical", 0.1)  # a shrug
     g = build_trail_graph(repo, ["me:Music/Classical"])
     assert "http://m3/" not in g.nodes
     monkeypatch.setattr(trails, "MIN_CONFIDENCE", 0.05)

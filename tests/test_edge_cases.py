@@ -97,7 +97,7 @@ def test_same_url_bookmarked_by_many_users():
         applet = system.register_user(f"u{i}")
         applet.bookmark("http://hot/", f"my folder {i}", at=float(i))
     system.server.process_background_work()
-    rows = system.server.repo.page_folders("http://hot/")
+    rows = system.server.repo.db.table("folder_pages").select({"url": "http://hot/"})
     owners = {
         system.server.repo.db.table("folders").get(r["folder_id"])["owner"]
         for r in rows

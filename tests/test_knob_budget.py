@@ -112,6 +112,7 @@ LIBRARY = {
     Table.select: ["where", "order_by"],
     MemexRepository.community_visits: ["since"],
     MemexRepository.record_visit_batch: ["items", "backfill"],
+    MemexRepository.edit: ["now"],
     build_trail_graph: [
         "repo", "folder_ids", "folder_paths", "since", "user_id",
         "include_urls"],

@@ -111,10 +111,9 @@ def test_indexer_follows_crawler(repo, crawler):
 
 
 def _bookmark(repo, user, folder, path, url, at=1.0):
-    fid = f"{user}:{path}"
-    if repo.db.table("folders").get(fid) is None:
-        repo.add_folder(fid, user, path, None, now=at)
-    repo.associate(fid, url, ASSOC_BOOKMARK, now=at)
+    with repo.edit(at) as edit:
+        fid = edit.folder(user, path)
+        edit.bookmark(fid, url)
     return fid
 
 
@@ -201,7 +200,8 @@ def test_classifier_guess_replacement(repo, crawler):
         archive_mode=ARCHIVE_COMMUNITY)])
     clf.run_once()
     guesses = [
-        r for r in repo.page_folders("http://c3/") if r["source"] == ASSOC_GUESS
+        r for r in repo.db.table("folder_pages").select({"url": "http://c3/"})
+        if r["source"] == ASSOC_GUESS
     ]
     assert len(guesses) == 1
 
@@ -430,21 +430,24 @@ def test_the_mining_fleet_takes_only_its_injection_points():
 def test_a_guess_that_meets_the_pages_filing_still_bumps_the_stamps():
     """A correction moved *url* to ``u:B`` and left the classifier's guess
     in ``u:A``; guessing ``u:B`` drops that guess and files nothing new,
-    in one commit that moves ``assocs`` and ``u``'s engagement."""
+    in one commit that moves ``assocs`` and not ``u``'s engagement (a
+    theme profile reads no guess)."""
     metrics = MetricsRegistry()
     repo = MemexRepository(metrics=metrics)
     repo.add_user("u", now=0.0)
     url = "http://c3/"
-    for name in ("A", "B"):
-        repo.add_folder(f"u:{name}", "u", name, None, now=0.0)
-    repo.associate("u:A", url, ASSOC_GUESS, confidence=0.4, now=1.0)
-    repo.associate("u:B", url, ASSOC_CORRECTION, now=2.0)
-    assert (repo.stamps.assocs, repo.stamps.engagement["u"]) == (2, 2)
+    with repo.edit(1.0) as edit:
+        edit.guess(edit.folder("u", "A"), url, 0.4)
+    with repo.edit(2.0) as edit:
+        edit.correct(edit.folder("u", "B"), url)
+    assert (repo.stamps.assocs, repo.stamps.engagement) == (2, {"u": 1})
     commits = metrics.counter_value("storage.relational.commits")
-    repo.file_guess("u:B", url, confidence=0.9, now=3.0)
-    assert [(r["folder_id"], r["source"]) for r in repo.page_folders(url)] \
+    with repo.edit(3.0) as edit:
+        edit.guess("u:B", url, 0.9)
+    filings = repo.db.table("folder_pages").select({"url": url})
+    assert [(r["folder_id"], r["source"]) for r in filings] \
         == [("u:B", ASSOC_CORRECTION)]
-    assert (repo.stamps.assocs, repo.stamps.engagement["u"]) == (3, 3)
+    assert (repo.stamps.assocs, repo.stamps.engagement) == (3, {"u": 1})
     assert metrics.counter_value("storage.relational.commits") - commits == 1
     repo.close()
 
@@ -455,19 +458,22 @@ def test_a_new_guess_replaces_the_owners_old_one_in_one_commit():
     repo.add_user("u", now=0.0)
     repo.add_user("v", now=0.0)
     url = "http://c3/"
-    for folder in ("u:A", "u:B", "v:A"):
-        owner, name = folder.split(":")
-        repo.add_folder(folder, owner, name, None, now=0.0)
-    repo.associate("u:A", url, ASSOC_GUESS, confidence=0.4, now=1.0)
-    repo.associate("v:A", url, ASSOC_GUESS, confidence=0.4, now=1.0)
+    with repo.edit(1.0) as edit:
+        edit.folder("u", "B")
+        edit.guess(edit.folder("u", "A"), url, 0.4)
+        edit.guess(edit.folder("v", "A"), url, 0.4)
     stamps = repo.stamps.assocs, dict(repo.stamps.engagement)
     commits = metrics.counter_value("storage.relational.commits")
-    repo.file_guess("u:B", url, confidence=0.9, now=3.0)
-    assert [(r["folder_id"], r["confidence"]) for r in repo.page_folders(url)] \
+    with repo.edit(3.0) as edit:
+        edit.guess("u:B", url, 0.9)
+    filings = repo.db.table("folder_pages").select({"url": url})
+    assert [(r["folder_id"], r["confidence"]) for r in filings] \
         == [("v:A", 0.4), ("u:B", 0.9)]           # v's guess is not u's
     assert repo.stamps.assocs == stamps[0] + 2
-    assert repo.stamps.engagement == {**stamps[1], "u": stamps[1]["u"] + 2}
+    assert repo.stamps.engagement == stamps[1] == {}
     assert metrics.counter_value("storage.relational.commits") - commits == 1
-    repo.file_guess("u:B", url, confidence=0.7, now=4.0)   # already filed
+    with repo.edit(4.0) as edit:
+        edit.guess("u:B", url, 0.7)                # already filed
     assert repo.stamps.assocs == stamps[0] + 2
+    assert metrics.counter_value("storage.relational.commits") - commits == 1
     repo.close()

@@ -3,7 +3,7 @@
 The crawler stores a version with one catalog transaction and one text
 write; the indexer a slice of at most 64 pages with one term-store
 write; the dense daemon and the classifier likewise; an acknowledged
-visit or bookmark is one catalog commit.
+visit, history import or folder-tab write is one catalog commit.
 What they store must equal, byte for byte and row for row, what the
 per-record code in ``mining_reference`` stores for the same input, and
 what they fsync must not depend on how many pages a version holds.
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import MemexSystem
 from repro.core.memex import MemexServer
+from repro.errors import StorageError
 from repro.obs import MetricsRegistry
 from repro.obs.top import split_name
 from repro.server.daemons import (
@@ -28,7 +29,12 @@ from repro.server.daemons import (
 )
 from repro.storage import wal as wal_module
 from repro.storage.repository import MemexRepository
-from repro.storage.schema import ARCHIVE_COMMUNITY, ASSOC_BOOKMARK, ASSOC_GUESS
+from repro.storage.schema import (
+    ARCHIVE_COMMUNITY,
+    ASSOC_BOOKMARK,
+    ASSOC_CORRECTION,
+    ASSOC_GUESS,
+)
 from repro.text.index import InvertedIndex
 from repro.webgen import build_workload
 
@@ -288,15 +294,22 @@ def test_the_server_reports_every_fsync_of_both_logs(tmp_path, monkeypatch):
 
 def test_an_ack_is_one_catalog_fsync(tmp_path):
     """Ids come from the catalog, so an acknowledged visit, visit batch,
-    bookmark into an existing folder (dropping a classifier guess on the
-    way) or history import commits once to ``catalog.wal`` and never to
-    ``terms.kv``."""
+    history import or folder-tab write commits once to ``catalog.wal``
+    and never to ``terms.kv``: a bookmark (dropping a classifier guess on
+    the way), a folder creation, a move (with and without its source
+    folder, relabelling the page's visits) and an accepted hierarchy,
+    each into a new nested path as well."""
     with MemexServer(lambda url: None, root=str(tmp_path), sync=True) as server:
         ask = server.transport.request
         ask("u", {"servlet": "register_user"})
         ask("u", {"servlet": "folder_create", "path": "Jazz"})
-        server.repo.associate(
-            "u:Jazz", "http://p/1", ASSOC_GUESS, confidence=0.5, now=0.0)
+        with server.repo.edit(0.0) as edit:
+            edit.guess("u:Jazz", "http://p/1", 0.5)
+        proposal = {"name": "x/y", "urls": [], "children": [
+            {"name": "Early", "urls": ["http://h/0", "http://h/1"],
+             "children": []},
+            {"name": "Late", "urls": ["http://h/2", "http://p/1"],
+             "children": []}]}
         acks = {
             "visit_batch": lambda: server.transport.request_batch("u", [
                 {"servlet": "visit", "url": f"http://p/{i}", "at": float(i)}
@@ -315,6 +328,23 @@ def test_an_ack_is_one_catalog_fsync(tmp_path):
                 "servlet": "import_history", "entries": [
                     {"url": f"http://h/{i}", "at": 12.0 + i}
                     for i in range(3)]})],
+            "folder_create": lambda: [ask("u", {
+                "servlet": "folder_create", "path": "a/b/c", "at": 16.0})],
+            "bookmark into a new path": lambda: [ask("u", {
+                "servlet": "bookmark", "url": "http://h/0",
+                "folder_path": "x/y", "at": 17.0})],
+            "bookmark into an existing path": lambda: [ask("u", {
+                "servlet": "bookmark", "url": "http://h/1",
+                "folder_path": "x/y", "at": 17.5})],
+            "folder_move into a new path": lambda: [ask("u", {
+                "servlet": "folder_move", "url": "http://p/2",
+                "to_folder": "m/n", "at": 18.0})],
+            "folder_move from a folder": lambda: [ask("u", {
+                "servlet": "folder_move", "url": "http://h/0",
+                "from_folder": "x/y", "to_folder": "q", "at": 19.0})],
+            "apply_hierarchy": lambda: [ask("u", {
+                "servlet": "apply_hierarchy", "folder_path": "x/y",
+                "proposal": proposal, "at": 20.0})],
         }
         for name, ack in acks.items():
             before = _fsyncs(server)
@@ -322,8 +352,21 @@ def test_an_ack_is_one_catalog_fsync(tmp_path):
             after = _fsyncs(server)
             assert after["catalog.wal"] - before["catalog.wal"] == 1, name
             assert after["terms.kv"] == before["terms.kv"], name
-        assert [row["source"] for row in server.repo.page_folders(
-            "http://p/1")] == [ASSOC_BOOKMARK]
+        folders = {f["path"]: [i["url"] for i in f["items"]]
+                   for f in ask("u", {"servlet": "folders_get"})["folders"]}
+        assert folders == {
+            "Jazz": ["http://p/1"], "a": [], "a/b": [], "a/b/c": [],
+            "x": [], "x/y": [], "x/y/Early": ["http://h/0", "http://h/1"],
+            "x/y/Late": ["http://h/2", "http://p/1"], "m": [],
+            "m/n": ["http://p/2"],
+            "q": ["http://h/0"]}
+        assert [row["topic_folder"] for row in server.repo.db.table(
+            "visits").select({"url": "http://p/2"})] == ["u:m/n"]
+    with MemexServer(lambda url: None, root=str(tmp_path)) as reopened:
+        filings = reopened.repo.db.table("folder_pages").select(
+            {"url": "http://p/1"})
+        assert [row["source"] for row in filings] == [
+            ASSOC_BOOKMARK, ASSOC_CORRECTION]
 
 
 def test_an_indexer_many_versions_behind_commits_slice_by_slice():
@@ -348,7 +391,9 @@ def test_an_indexer_many_versions_behind_commits_slice_by_slice():
     assert indexer.index.num_docs == 5 * 64
 
 
-def test_a_classifier_run_annotates_its_visits_in_one_transaction():
+def _trained_classifier(metrics=None):
+    """A repository with two bookmarked folders of two pages each and
+    ten unfiled visits, and a classifier over it."""
     pages = {
         "http://c1/": "classical symphony orchestra bach mozart concert",
         "http://c2/": "beethoven sonata violin symphony classical opera",
@@ -357,7 +402,6 @@ def test_a_classifier_run_annotates_its_visits_in_one_transaction():
         "http://j2/": "trumpet jazz quartet improvisation blues standards",
         "http://j3/": "saxophone bebop jazz swing club session",
     }
-    metrics = MetricsRegistry()
     repo = MemexRepository(metrics=metrics)
     repo.add_user("u", now=0.0)
     crawler = CrawlerDaemon(repo, lambda url: FetchedPage(url, url, pages[url]))
@@ -367,17 +411,89 @@ def test_a_classifier_run_annotates_its_visits_in_one_transaction():
     crawler.run_once()
     for folder, urls in (("Classical", ("http://c1/", "http://c2/")),
                          ("Jazz", ("http://j1/", "http://j2/"))):
-        repo.add_folder(f"u:{folder}", "u", folder, None, now=1.0)
-        for url in urls:
-            repo.associate(f"u:{folder}", url, ASSOC_BOOKMARK, now=1.0)
+        with repo.edit(1.0) as edit:
+            for url in urls:
+                edit.bookmark(edit.folder("u", folder), url)
     for i in range(5):
         for url in ("http://c3/", "http://j3/"):
             repo.record_visit_batch([dict(
                 user_id="u", url=url, at=10.0 + i, session_id=1, referrer=None,
                 archive_mode=ARCHIVE_COMMUNITY)])
-    clf = ClassifierDaemon(repo, PageVectorizer(repo))
+    return repo, ClassifierDaemon(repo, PageVectorizer(repo))
+
+
+def test_a_classifier_run_annotates_its_visits_in_one_transaction():
+    metrics = MetricsRegistry()
+    repo, clf = _trained_classifier(metrics)
     before = metrics.counter_value("storage.relational.commits")
     assert clf.run_once() == 10
-    # Ten visits in one transaction, plus one guess association per page.
-    assert metrics.counter_value("storage.relational.commits") - before == 3
+    # Ten visits and one guess association per page, in one transaction.
+    assert metrics.counter_value("storage.relational.commits") - before == 1
     assert all(v["topic_folder"] for v in repo.db.table("visits").scan())
+    assert sorted(
+        (row["url"], row["folder_id"]) for row in repo.db.table(
+            "folder_pages").scan() if row["source"] == ASSOC_GUESS
+    ) == [("http://c3/", "u:Classical"), ("http://j3/", "u:Jazz")]
+
+
+def _catalog_and_stamps(repo):
+    return _tables(repo), {
+        slot: repr(getattr(repo.stamps, slot))
+        for slot in type(repo.stamps).__slots__
+    }
+
+
+def _fail_commits(db):
+    def fail(txn):
+        raise StorageError("injected at the commit")
+
+    db._commit = fail
+
+
+def test_a_fault_at_a_classifier_runs_commit_changes_nothing():
+    """The run's guesses (one replacing an older guess) and labels are
+    one edit: a commit that fails leaves every filing, guess and label,
+    and every stamp, as it was, and acks nothing, so the next run files
+    the same visits."""
+    repo, clf = _trained_classifier()
+    with repo.edit(2.0) as edit:
+        edit.guess("u:Jazz", "http://c3/", 0.3)
+    before = _catalog_and_stamps(repo)
+    _fail_commits(repo.db)
+    with pytest.raises(StorageError):
+        clf.run_once()
+    assert _catalog_and_stamps(repo) == before
+    del repo.db._commit
+    assert clf.run_once() == 10
+    assert sorted(
+        (row["url"], row["folder_id"]) for row in repo.db.table(
+            "folder_pages").scan() if row["source"] == ASSOC_GUESS
+    ) == [("http://c3/", "u:Classical"), ("http://j3/", "u:Jazz")]
+
+
+@pytest.mark.parametrize("source", ["Old", None])
+def test_a_fault_at_a_folder_moves_commit_changes_nothing(source):
+    """A move into a new nested path (out of a named folder, or dropping
+    the owner's guesses) is one edit: a commit that fails creates no
+    folder, files and unfiles nothing, relabels no visit and moves no
+    stamp."""
+    with MemexServer(lambda url: None) as server:
+        ask = server.transport.request
+        ask("u", {"servlet": "register_user"})
+        ask("u", {"servlet": "visit", "url": "http://p/1", "at": 1.0})
+        ask("u", {"servlet": "bookmark", "url": "http://p/1",
+                  "folder_path": "Old", "at": 2.0})
+        with server.repo.edit(3.0) as edit:
+            edit.guess(edit.folder("u", "Guessed"), "http://p/1", 0.4)
+        move = {"servlet": "folder_move", "url": "http://p/1",
+                "to_folder": "new/deep", "at": 4.0}
+        if source is not None:
+            move["from_folder"] = source
+        before = _catalog_and_stamps(server.repo)
+        _fail_commits(server.repo.db)
+        assert ask("u", dict(move))["status"] != "ok"
+        assert _catalog_and_stamps(server.repo) == before
+        del server.repo.db._commit
+        assert ask("u", dict(move))["removed"] == 1
+        assert _catalog_and_stamps(server.repo) != before
+        assert server.repo.db.table("visits").get(1)["topic_folder"] == "u:new/deep"

@@ -49,19 +49,19 @@ def test_a_data_dir_with_seq_keys_takes_its_ids_from_the_catalog(
     ``_seq`` keys there, behind the catalog (1) or ahead of it (100, ids
     of transactions that never committed); both are ignored."""
     with MemexRepository(tmp_path) as repo:
-        repo.add_folder("u:F", "u", "F", None, now=0.0)
         for i in range(3):
             _visit(repo, f"http://p{i}/")
             repo.add_link("http://p0/", f"http://p{i}/", now=0.0)
-            repo.associate("u:F", f"http://p{i}/", ASSOC_BOOKMARK, now=0.0)
+            with repo.edit(0.0) as edit:
+                edit.bookmark(edit.folder("u", "F"), f"http://p{i}/")
         Namespace(repo.kv, "_seq").put_many([
             (name, encode(stale)) for name in (b"visits", b"links", b"assocs")
         ])
     with MemexRepository(tmp_path) as repo:
         assert _visit(repo, "http://p3/") == 4
         assert repo.add_link("http://p3/", "http://p0/", now=1.0) == 4
-        assert repo.associate(
-            "u:F", "http://p3/", ASSOC_BOOKMARK, now=1.0) == 4
+        with repo.edit(1.0) as edit:
+            assert edit.bookmark("u:F", "http://p3/") == 4
         assert Namespace(repo.kv, "_seq").get(b"visits") == encode(stale)
 
 
@@ -134,32 +134,111 @@ def test_visits_and_classification(repo):
     assert len(repo.user_visits("u", until=6.0)) == 1
     public = repo.community_visits()
     assert [v["visit_id"] for v in public] == [vid]
-    repo.classify_visits([(vid, "u:Music", 0.9)])
+    with repo.edit(10.0) as edit:
+        edit.label(vid, "u:Music", 0.9)
     assert repo.db.table("visits").get(vid)["topic_folder"] == "u:Music"
+    assert repo.stamps.classifications == 1
 
 
 def test_folders_and_associations(repo):
-    repo.add_folder("u:Music", "u", "Music", None, now=0.0)
-    repo.add_folder("u:Music/Jazz", "u", "Jazz", "u:Music", now=0.0)
-    assert len(repo.user_folders("u")) == 2
-    repo.associate("u:Music/Jazz", "http://jazz/", ASSOC_BOOKMARK, now=1.0)
-    repo.associate("u:Music/Jazz", "http://maybe/", ASSOC_GUESS, confidence=0.4, now=2.0)
+    with repo.edit(1.0) as edit:
+        jazz = edit.folder("u", "Music/Jazz")
+        edit.bookmark(jazz, "http://jazz/")
+        edit.guess(jazz, "http://maybe/", 0.4)
+    assert jazz == "u:Music/Jazz"
+    assert sorted(
+        (f["folder_id"], f["name"], f["parent"]) for f in repo.user_folders("u")
+    ) == [("u:Music", "Music", None), ("u:Music/Jazz", "Jazz", "u:Music")]
     pages = repo.folder_pages("u:Music/Jazz")
     assert len(pages) == 2
     only_bm = repo.folder_pages("u:Music/Jazz", sources=(ASSOC_BOOKMARK,))
     assert [p["url"] for p in only_bm] == ["http://jazz/"]
-    assert len(repo.page_folders("http://jazz/")) == 1
-    with pytest.raises(SchemaError):
-        repo.associate("u:Music", "http://x/", "whim", now=0.0)
+    assert len(repo.db.table("folder_pages").select({"url": "http://jazz/"})) == 1
+    assert repo.db.table("pages").get("http://jazz/")["last_seen"] == 1.0
+    assert repo.db.table("pages").get("http://maybe/") is None
+    with pytest.raises(ValueError, match="empty folder path"):
+        with repo.edit(2.0) as edit:
+            edit.folder("u", "//")
 
 
 def test_dissociate(repo):
-    repo.add_folder("u:F", "u", "F", None, now=0.0)
-    repo.associate("u:F", "http://a/", ASSOC_BOOKMARK, now=0.0)
-    repo.associate("u:F", "http://a/", ASSOC_GUESS, now=0.0)
-    assert repo.dissociate("u:F", "http://a/", sources=(ASSOC_GUESS,)) == 1
-    assert repo.dissociate("u:F", "http://a/") == 1
-    assert repo.dissociate("u:F", "http://a/") == 0
+    with repo.edit(0.0) as edit:
+        f, g = edit.folder("u", "F"), edit.folder("u", "G")
+        edit.guess(g, "http://a/", 0.4)
+        edit.correct(f, "http://a/")
+        edit.correct(f, "http://a/")
+    with repo.edit(1.0) as edit:
+        assert edit.unfile(f, "http://a/") == 2
+        assert edit.unfile(f, "http://a/") == 0
+        assert edit.drop_guesses("v", "http://a/") == 0
+        assert edit.drop_guesses("u", "http://a/") == 1
+    assert repo.db.table("folder_pages").select({"url": "http://a/"}) == []
+
+
+def test_an_edit_reads_what_it_has_staged(repo):
+    """Every read of an edit sees its own writes: a folder staged once
+    is created once, a filing staged and unfiled in one edit is never
+    written, and a guess where the page is already filed is a no-op."""
+    with repo.edit(0.0) as edit:
+        assert edit.folder("u", "A/B") == edit.folder("u", "/A//B/")
+        a = edit.folder("u", "A")
+        edit.correct(a, "http://p/")
+        assert edit.unfile(a, "http://p/") == 1
+        edit.bookmark(a, "http://q/")
+        edit.guess(a, "http://q/", 0.9)
+        edit.guess(edit.folder("u", "C"), "http://r/", 0.3)
+        edit.guess(a, "http://r/", 0.8)
+    assert sorted(f["folder_id"] for f in repo.user_folders("u")) == [
+        "u:A", "u:A/B", "u:C"]
+    assert sorted(
+        (r["assoc_id"], r["folder_id"], r["url"], r["source"])
+        for r in repo.db.table("folder_pages").scan()
+    ) == [(2, "u:A", "http://q/", ASSOC_BOOKMARK),
+          (4, "u:A", "http://r/", ASSOC_GUESS)]
+
+
+def test_a_failed_edit_applies_nothing_and_moves_no_stamp(repo):
+    """An exception inside the block, or at the commit itself, leaves
+    every folder, filing and label as it was."""
+    repo.add_user("u", now=0.0)
+    vid, = repo.record_visit_batch([dict(
+        user_id="u", url="http://x/", at=1.0, session_id=1, referrer=None,
+        archive_mode=ARCHIVE_COMMUNITY)])
+    with repo.edit(1.0) as edit:
+        edit.bookmark(edit.folder("u", "F"), "http://x/")
+        edit.guess(edit.folder("u", "G"), "http://y/", 0.5)
+
+    def snapshot():
+        return ({name: sorted(map(repr, repo.db.table(name).scan()))
+                 for name in ("folders", "folder_pages", "pages", "visits")},
+                {slot: repr(getattr(repo.stamps, slot))
+                 for slot in type(repo.stamps).__slots__})
+
+    def write(edit):
+        edit.unfile("u:F", "http://x/")
+        edit.bookmark(edit.folder("u", "H/I"), "http://y/")
+        edit.label(vid, "u:H/I", 1.0)
+
+    before = snapshot()
+    with pytest.raises(RuntimeError):
+        with repo.edit(2.0) as edit:
+            write(edit)
+            raise RuntimeError("client went away")
+    assert snapshot() == before
+
+    def torn(txn):
+        raise StorageError("disk full")
+
+    real = repo.db._commit
+    repo.db._commit = torn
+    with pytest.raises(StorageError):
+        with repo.edit(2.0) as edit:
+            write(edit)
+    repo.db._commit = real
+    assert snapshot() == before
+    with repo.edit(3.0) as edit:
+        write(edit)
+    assert snapshot() != before
 
 
 def test_persistent_repository_roundtrip(tmp_path):

@@ -141,9 +141,11 @@ def _reference_classifier_run(daemon):
         for url, (folder_id, confidence) in model.predict_batch(batch).items():
             for visit in visit_for_url[url]:
                 decisions.append((visit["visit_id"], folder_id, confidence))
-            daemon.repo.file_guess(
-                folder_id, url, confidence=confidence, now=now)
-    daemon.repo.classify_visits(decisions)
+            with daemon.repo.edit(now) as edit:
+                edit.guess(folder_id, url, confidence)
+    with daemon.repo.edit(now) as edit:
+        for visit_id, folder_id, confidence in decisions:
+            edit.label(visit_id, folder_id, confidence)
     daemon.repo.versions.ack(daemon.name, watermark)
     daemon.classified_count += len(decisions)
     return len(decisions)
