@@ -326,7 +326,7 @@ class ReadPathCaches:
     Watch sets encode which mining consumer feeds each read path: search
     results change when the **indexer** acks new versions; trails also
     change when the **classifier** does.  The related cache watches the
-    **dense** ANN consumer; its co-visitation half is covered by the
+    **dense** index consumer; its co-visitation half is covered by the
     ``covisits`` change stamp callers fold into ``extra``.  Every watched
     consumer must already be registered with *versions*.
     """

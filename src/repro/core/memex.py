@@ -119,8 +119,8 @@ class MemexServer:
             self.repo, self.index, vectorizer=self.vectorizer,
             tracer=self.tracer, log=self.logs.logger("indexer"),
         )
-        # Hybrid-retrieval plane (DESIGN.md §13): the dense ANN index and
-        # its consumer daemon, plus the co-visitation miner.
+        # Hybrid-retrieval plane (DESIGN.md §13): the exact-scan dense
+        # index and its consumer daemon, plus the co-visitation miner.
         self.dense_index = DenseVectorIndex(self.repo.kv)
         self.dense = DenseIndexDaemon(
             self.repo, self.vectorizer, self.dense_index,

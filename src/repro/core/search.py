@@ -130,7 +130,7 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
     )
     if hybrid:
         # The fused ranking also reads the co-visitation matrix and
-        # the dense ANN index; the dense consumer is not in this
+        # the dense index; the dense consumer is not in this
         # cache's watch set, so its watermark rides the extra stamp.
         extra = (*extra, stamps.covisits,
                  repo.versions.watermark(server.dense.name))

@@ -61,7 +61,7 @@ LOCK_ATTRIBUTES: dict[str, str] = {
     "_rw": "relational",
     "_versions_lock": "versioning",
     "_index_lock": "index",
-    "_ann_lock": "index",
+    "_dense_lock": "index",
     "_vectorizer_lock": "vectorizer",
     "_kv_lock": "kvstore",
     "_wal_lock": "wal",

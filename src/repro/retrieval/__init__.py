@@ -7,8 +7,8 @@ fusion layer that combines them (DESIGN.md §13):
 
 * :mod:`repro.retrieval.dense` — offline-trained dense document vectors
   (random-projection LSA over our own corpus, no external models)
-  behind a small bucketed-cosine ANN index, maintained by a scheduler
-  daemon through the versioning coordinator;
+  behind an exact-scan cosine index, maintained by a scheduler daemon
+  through the versioning coordinator;
 * :mod:`repro.retrieval.covisit` — the per-community co-visitation
   matrix mined from session trails (symmetric counts with exponential
   decay, compacted into the relational store);

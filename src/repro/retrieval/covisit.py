@@ -119,6 +119,9 @@ class CoVisitMinerDaemon:
         # stopped would hold.
         self._last_visit_id, self._rounds = repo.covisit_cursor()
         last = self._last_visit_id
+        # The last visit id read, community or not: a round reads the
+        # ids above it and nothing older.
+        self._read_through = last
         for row in repo.db.table("visits").select(
             lambda r: r["visit_id"] <= last
             and r["archive_mode"] == ARCHIVE_COMMUNITY,
@@ -150,17 +153,13 @@ class CoVisitMinerDaemon:
         return partners
 
     def run_once(self) -> int:
-        last = self._last_visit_id
-        rows = self.repo.db.table("visits").select(
-            lambda r: r["visit_id"] > last
-            and r["archive_mode"] == ARCHIVE_COMMUNITY,
-            order_by="visit_id",
-        )
+        new, self._read_through = self.repo.visits_after(self._read_through)
+        rows = [r for r in new if r["archive_mode"] == ARCHIVE_COMMUNITY]
         if not rows:
             return 0
         increments: dict[tuple[str, str], float] = {}
         for row in rows:
-            self._last_visit_id = max(self._last_visit_id, row["visit_id"])
+            self._last_visit_id = row["visit_id"]
             url = row["url"]
             for other in self._follow(row):
                 pair = (url, other) if url < other else (other, url)

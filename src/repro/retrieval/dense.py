@@ -1,4 +1,4 @@
-"""Dense document vectors and the bucketed-cosine ANN index.
+"""Dense document vectors and the exact-cosine index over them.
 
 Dense vectors come from a *deterministic random projection* of the
 sparse TF-IDF vectors in :mod:`repro.text.vectorize` — LSA's cheap
@@ -10,12 +10,10 @@ its terms' rows, L2-normalized.  No external models, no training pass —
 the "offline training" is the corpus statistics already folded into the
 TF-IDF weights.
 
-Serving uses sign-bit locality-sensitive hashing: a handful of fixed
-hyperplanes bucket each vector by the sign pattern of its projections.
-Queries probe their own bucket plus all Hamming-distance-1 neighbors
-and re-rank the survivors by exact cosine; corpora too small for the
-buckets to matter fall back to an exact scan, so recall never degrades
-below brute force at laptop scale.
+Serving is an exact scan: a query scores every vector in scope (the
+whole index, or the candidates a scoped search passes) with one C-level
+``math.dist`` per document, so what it returns is the true top *k* at
+every size (DESIGN.md §13 has the cost model).
 
 The index persists vectors in the term store (one ``embed`` record per
 document; the ``dense`` records of a data dir written while the basis
@@ -36,21 +34,17 @@ from typing import TYPE_CHECKING
 
 from ..storage.codec import decode, encode
 from ..storage.engine import Namespace
+from ..storage.kvstore import KVStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..server.daemons import PageVectorizer
-    from ..storage.kvstore import KVStore
     from ..storage.repository import MemexRepository
     from ..text.vocabulary import Vocabulary
 
 #: Dense dimensionality — small enough that a cosine is ~100 flops.
 DENSE_DIMS = 128
-#: LSH hyperplane count: 2^12 buckets, probed at Hamming distance ≤ 1.
-DENSE_PLANES = 12
 #: The term-store namespace the index persists its vectors under.
 DENSE_NAMESPACE = "embed"
-#: Below this corpus size the exact scan beats bucket probing anyway.
-EXACT_SCAN_THRESHOLD = 256
 
 
 def _rademacher(seed: str, dims: int) -> list[float]:
@@ -141,11 +135,17 @@ def _sqnorm(vec: Sequence[float]) -> float:
 
 
 class DenseVectorIndex:
-    """Bucketed-cosine ANN over dense vectors, persisted through a store.
+    """Exact-cosine index over dense vectors, persisted through a store.
 
     Thread-safe: the daemon adds while servlets query.  The internal
     lock takes the ``index`` rank of ``repro.locks.LOCK_ORDER`` — it
     nests over the kvstore it persists through, never the reverse.
+
+    Parameters
+    ----------
+    kv:
+        Backing term store; a private in-memory one is opened when
+        omitted.
     """
 
     def __init__(
@@ -156,45 +156,23 @@ class DenseVectorIndex:
     ) -> None:
         self.projector = DenseProjector(dims)
         self.dims = dims
-        self._planes = [
-            _rademacher(f"plane:{i}", dims) for i in range(DENSE_PLANES)
-        ]
-        self._ns = Namespace(kv, DENSE_NAMESPACE) if kv is not None else None
+        self._ns = Namespace(
+            kv if kv is not None else KVStore(), DENSE_NAMESPACE)
         self._vectors: dict[str, tuple[float, ...]] = {}
         self._sqnorms: dict[str, float] = {}   # ‖vector‖², for query()
-        self._buckets: dict[int, set[str]] = {}
-        self._sigs: dict[str, int] = {}
-        self._ann_lock = threading.RLock()
-        if self._ns is not None:
-            self._load()
-
-    def _load(self) -> None:
-        assert self._ns is not None
-        with self._ann_lock:
+        self._dense_lock = threading.RLock()
+        with self._dense_lock:
             for key, raw in self._ns.items():
-                url = key.decode("utf-8")
-                self._place(url, [float(x) for x in decode(raw)["v"]])
-
-    def _signature(self, vec: Sequence[float]) -> int:
-        sig = 0
-        for i, plane in enumerate(self._planes):
-            if _dot(vec, plane) >= 0.0:
-                sig |= 1 << i
-        return sig
+                self._place(
+                    key.decode("utf-8"), [float(x) for x in decode(raw)["v"]])
 
     def _place(self, url: str, vec: Sequence[float]) -> None:
         if len(vec) != self.dims:
             raise ValueError(
                 f"dense vector for {url!r} has {len(vec)} dimensions, "
                 f"the index has {self.dims}")
-        old = self._sigs.get(url)
-        if old is not None:
-            self._buckets.get(old, set()).discard(url)
-        sig = self._signature(vec)
         self._vectors[url] = tuple(vec)
         self._sqnorms[url] = _sqnorm(vec)
-        self._sigs[url] = sig
-        self._buckets.setdefault(sig, set()).add(url)
 
     # -- maintenance ----------------------------------------------------------
 
@@ -212,8 +190,8 @@ class DenseVectorIndex:
         ]
         records = [
             (url.encode("utf-8"), encode({"v": vec})) for url, vec in projected
-        ] if self._ns is not None else []
-        with self._ann_lock:
+        ]
+        with self._dense_lock:
             for url, vec in projected:
                 self._place(url, vec)
             if records:
@@ -235,8 +213,9 @@ class DenseVectorIndex:
         score as they did."""
         q = tuple(vec)
         qq = _sqnorm(q)
-        with self._ann_lock:
-            urls = list(self._probe(q, k, candidates))
+        with self._dense_lock:
+            urls = list(self._vectors.keys() if candidates is None
+                        else self._vectors.keys() & candidates)
             dists = map(
                 math.dist, repeat(q), map(self._vectors.__getitem__, urls))
             scored = [
@@ -256,31 +235,12 @@ class DenseVectorIndex:
 
     def vector(self, url: str) -> tuple[float, ...] | None:
         """The stored unit vector for an indexed document (None if absent)."""
-        with self._ann_lock:
+        with self._dense_lock:
             return self._vectors.get(url)
-
-    def _probe(
-        self, vec: Sequence[float], k: int, candidates: set[str] | None,
-    ) -> Iterable[str]:
-        """The urls to score: all that are in scope while they are few,
-        else those of them in the query's bucket or a Hamming-1 neighbour."""
-        scope = self._vectors.keys()
-        if candidates is not None:
-            scope = scope & candidates
-        if len(scope) <= max(EXACT_SCAN_THRESHOLD, 4 * k):
-            return scope
-        sig = self._signature(vec)
-        pool = set(self._buckets.get(sig, ()))
-        for bit in range(len(self._planes)):
-            pool |= self._buckets.get(sig ^ (1 << bit), set())
-        if candidates is not None:
-            pool &= scope
-        # Sparse buckets: recall beats probe savings.
-        return pool if len(pool) >= k else scope
 
 
 class DenseIndexDaemon:
-    """Consumer: keeps the dense ANN index in step with published pages.
+    """Consumer: keeps the dense index in step with published pages.
 
     Mirrors ``IndexerDaemon``: registers as a versioning consumer at
     construction (so read-path caches built later can watch its

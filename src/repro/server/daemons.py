@@ -598,8 +598,8 @@ class ThemeDaemon:
 
     #: A folder needs this many fetched pages to become a folder document.
     MIN_PAGES_PER_FOLDER = 2
-    #: New filings that rebuild the taxonomy at once, without waiting for
-    #: the stream to settle.
+    #: Filing changes (``stamps.filings``) that rebuild the taxonomy at
+    #: once, without waiting for the stream to settle.
     REBUILD_AFTER = 10
 
     def __init__(self, repo: MemexRepository, vectorizer: PageVectorizer) -> None:
@@ -607,8 +607,8 @@ class ThemeDaemon:
         self.vectorizer = vectorizer
         self.discovery = ThemeDiscovery()  # an experiment may assign another
         self.taxonomy: ThemeTaxonomy | None = None
-        # (filings, documents in the shared vocabulary) the taxonomy
-        # was built from / this daemon saw on its previous run.
+        # (the filings stamp, documents in the shared vocabulary) the
+        # taxonomy was built from / this daemon saw on its previous run.
         self._built_on = (0, 0)
         self._seen = (0, 0)
         self.rebuild_count = 0
@@ -637,18 +637,20 @@ class ThemeDaemon:
 
     def run_once(self) -> int:
         """Rebuild the taxonomy when its inputs moved: at once after
-        :attr:`REBUILD_AFTER` new filings, otherwise on the first run
-        that finds them unchanged since the run before.  While bookmarks
-        and crawled pages keep arriving the rebuilds are batched; once
-        they stop the taxonomy catches up, so what a quiescent server
-        holds follows from what it stores, not from when this daemon
-        happened to tick."""
-        n_filed = len(deliberate_filings(self.repo))
-        state = (n_filed, self.vectorizer.vocab.num_docs)
+        :attr:`REBUILD_AFTER` filing changes (``stamps.filings``: a
+        bookmark or correction filed or unfiled), otherwise on the first
+        run that finds them unchanged since the run before.  While
+        bookmarks and crawled pages keep arriving the rebuilds are
+        batched; once they stop the taxonomy catches up, so what a
+        quiescent server holds follows from what it stores, not from when
+        this daemon happened to tick.  A run with nothing moved reads no
+        catalog row."""
+        filings = self.repo.stamps.filings
+        state = (filings, self.vectorizer.vocab.num_docs)
         settled, self._seen = state == self._seen, state
         if self.taxonomy is not None and (
             state == self._built_on
-            or not settled and n_filed - self._built_on[0] < self.REBUILD_AFTER
+            or not settled and filings - self._built_on[0] < self.REBUILD_AFTER
         ):
             return 0
         docs = self.folder_documents()

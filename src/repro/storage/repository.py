@@ -64,6 +64,11 @@ class ChangeStamps:
     Stamps only ever increase; equality of a stamp tuple therefore means
     "none of these tables changed in between".
 
+    ``filings`` counts deliberate filings (bookmarks and corrections)
+    filed or unfiled, whatever folder they are in: a folder move counts
+    two, and moves the stamp while it leaves the number of filings as it
+    was.
+
     ``engagement`` is the same idea per user: one counter over what a
     user's theme profile reads — that user's visits and the contents of
     the folders they own — so a profile is rebuilt for the users whose
@@ -73,12 +78,13 @@ class ChangeStamps:
     needed) but never old rows with a new stamp.
     """
 
-    __slots__ = ("visits", "assocs", "classifications", "folders",
+    __slots__ = ("visits", "assocs", "filings", "classifications", "folders",
                  "pages", "links", "users", "covisits", "engagement")
 
     def __init__(self) -> None:
         self.visits = 0
         self.assocs = 0
+        self.filings = 0
         self.classifications = 0
         self.folders = 0
         self.pages = 0
@@ -145,9 +151,10 @@ class FolderEdit:
     labels are staged, and every read the edit makes sees the catalog as
     its staged writes leave it.  ``assoc_id``\\ s are taken in call order.
     The commit is one catalog transaction, and :meth:`_stamp` then moves
-    every stamp in one place: ``engagement`` only for the owners of
-    folders whose deliberate filings (bookmarks, corrections) changed,
-    the one thing a theme profile reads of a folder.
+    every stamp in one place: ``filings`` once per deliberate filing
+    (bookmark, correction) filed or unfiled, and ``engagement`` only for
+    the owners of folders whose deliberate filings changed, the one thing
+    a theme profile reads of a folder.
     """
 
     def __init__(self, repo: MemexRepository, now: float) -> None:
@@ -159,6 +166,7 @@ class FolderEdit:
         self._filed: dict[int, Row] = {}          # new folder_pages rows
         self._unfiled: set[int] = set()           # stored rows deleted
         self._labels: dict[int, Row] = {}         # visit id -> topic columns
+        self._deliberate = 0                      # bookmark/correction rows touched
         self._engaged: set[str] = set()
 
     # -- reads through the staged writes -------------------------------------
@@ -261,6 +269,7 @@ class FolderEdit:
 
     def _touched(self, row: Row) -> None:
         if row["source"] != ASSOC_GUESS:
+            self._deliberate += 1
             owner = self._owner(row["folder_id"])
             if owner is not None:
                 self._engaged.add(owner)
@@ -283,6 +292,7 @@ class FolderEdit:
         stamps.folders += len(self._folders)
         stamps.pages += pages
         stamps.assocs += len(self._unfiled) + len(self._filed)
+        stamps.filings += self._deliberate
         stamps.classifications += len(self._labels)
         for owner in self._engaged:
             stamps.engaged(owner)
@@ -682,6 +692,24 @@ class MemexRepository:
             return r["archive_mode"] == ARCHIVE_COMMUNITY and (
                 since is None or r["at"] >= since)
         return self.db.table("visits").select(pred, order_by="at")
+
+    def visits_after(self, visit_id: int) -> tuple[list[Row], int]:
+        """``(rows, through)``: the stored visits with ids above *visit_id*
+        in id order, and *through*, the last visit id taken so far — one
+        point lookup per id taken since, none over older rows.
+
+        *through* is read under the repository lock: a visit batch holds
+        it from taking its ids to committing them, so every id up to
+        *through* is then committed or never will be (ids a failed
+        transaction took are skipped here)."""
+        with self._repo_lock:
+            through = self._next_id["visits"] - 1
+        visits = self.db.table("visits")
+        rows = [
+            row for vid in range(visit_id + 1, through + 1)
+            if (row := visits.get(vid)) is not None
+        ]
+        return rows, through
 
     # -- co-visitation pairs ------------------------------------------------------------
 

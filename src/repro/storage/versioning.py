@@ -15,9 +15,10 @@ The protocol reproduced here:
   name and repeatedly calls :meth:`VersionCoordinator.poll`, which hands it
   every published-but-unacknowledged item along with the version watermark.
   While a consumer holds a poll result, those versions are *pinned*.
-* After processing, the consumer **acks** the watermark.  Items below the
-  minimum acked watermark of all consumers are reclaimable; :meth:`gc`
-  drops them.
+* After processing, the consumer **acks** the watermark.  Versions at or
+  below the minimum acked watermark of all consumers are reclaimed by the
+  ack that raises that minimum, so a running server holds only the
+  versions some consumer has yet to process.
 
 Consumers therefore see *consistent prefixes* of the producer's history —
 never a half-published version — but may lag arbitrarily, which is exactly
@@ -178,7 +179,8 @@ class VersionCoordinator:
             return self._published_high, items
 
     def ack(self, name: str, watermark: int) -> None:
-        """Acknowledge processing of everything up to *watermark*."""
+        """Acknowledge processing of everything up to *watermark*, and
+        reclaim the versions every consumer has now acked."""
         with self._versions_lock:
             if name not in self._consumers:
                 raise VersioningError(f"unknown consumer {name!r}")
@@ -189,19 +191,22 @@ class VersionCoordinator:
             if watermark < self._consumers[name]:
                 raise VersioningError("watermark may not move backwards")
             self._consumers[name] = watermark
+            self.gc()
 
     # -- reclamation --------------------------------------------------------------------
 
     def gc(self) -> int:
-        """Reclaim versions every consumer has acked; returns #reclaimed."""
+        """Reclaim versions every consumer has acked; returns #reclaimed.
+        :meth:`ack` already does, so this finds nothing to reclaim unless
+        a consumer's watermark was set some other way."""
         with self._versions_lock:
             if not self._consumers:
                 return 0
             floor = min(self._consumers.values())
             reclaimed = 0
-            for number in list(self._versions):
-                v = self._versions[number]
-                if v.published and number <= floor:
+            for number in range(self._gc_floor + 1, floor + 1):
+                v = self._versions.get(number)
+                if v is not None and v.published:
                     for item in v.items:
                         self._origins.pop(item, None)
                     del self._versions[number]

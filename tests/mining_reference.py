@@ -135,7 +135,7 @@ def _reference_dense_run_once(dense):
         if not sparse:
             continue
         vec = dense.index.projector.project(sparse, dense.vectorizer.vocab)
-        with dense.index._ann_lock:
+        with dense.index._dense_lock:
             dense.index._place(url, vec)
             dense.index._ns.put(url.encode("utf-8"), encode({"v": vec}))
         done += 1

@@ -325,8 +325,7 @@ KEPT = _kept(
      "webgen.workload:bookmark_challenge_workload",
      "webgen.workload:labelled_bookmark_dataset"),
     ("(c) benchmarks/test_e4_server_pipeline.py measures version "
-     "staleness and collection",
-     "storage.versioning:VersionCoordinator.gc",
+     "staleness",
      "storage.versioning:VersionCoordinator.staleness"),
     ("(c) benchmarks/test_micro_storage.py measures the stores directly: "
      "src/repro/storage/kvstore.py",

@@ -28,7 +28,7 @@ a recommendation's peers, HITS' stopping rule, the tokenizer's minimum
 word length, the snippet marks, the classifier's channel weights and
 vote smoothing, buckshot's refinement rounds, the theme tree's depth,
 the ring's virtual nodes, the browser's history length, the log floor
-and the dense index's planes and namespace are constants.  Options that
+and the dense index's namespace are constants.  Options that
 only ever took their default went with the code they switched: private
 trails, unstemmed or stopword-keeping tokens, descending or truncated
 selects, a classifier without its text or co-visit channel, exported

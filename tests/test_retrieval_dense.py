@@ -1,12 +1,12 @@
 """The dense leg is a C loop — and answers as the interpreted one did.
 
-``DenseProjector.project`` sums by column, ``_dot`` / ``_signature`` go
-through ``sum(map(mul, ...))`` and ``DenseVectorIndex.query`` scores a
-pool with one ``math.dist`` per document.  The bodies they replaced live
-in ``dense_reference``; what the index stores must equal them bit for
-bit, and what it ranks must equal them row for row (cosines to 1e-12:
-the distance identity rounds differently from a dot product, in the
-sixteenth digit).
+``DenseProjector.project`` sums by column, ``_dot`` goes through
+``sum(map(mul, ...))`` and ``DenseVectorIndex.query`` scores every vector
+in scope with one ``math.dist`` per document.  The bodies they replaced
+live in ``dense_reference``; what the index stores must equal them bit
+for bit, and what it ranks must equal an interpreted exact scan row for
+row at every index size (cosines to 1e-12: the distance identity rounds
+differently from a dot product, in the sixteenth digit).
 """
 
 import json
@@ -14,16 +14,11 @@ import random
 import struct
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MemexSystem
-from repro.retrieval.dense import (
-    EXACT_SCAN_THRESHOLD,
-    DenseProjector,
-    DenseVectorIndex,
-    _dot,
-)
+from repro.retrieval.dense import DenseProjector, DenseVectorIndex, _dot
 from repro.storage import open_engine
 from repro.storage.codec import encode
 from repro.storage.engine import Namespace
@@ -33,10 +28,7 @@ from .dense_reference import (
     _reference_add_many,
     _reference_dot,
     _reference_exact_scan,
-    _reference_probe,
     _reference_project,
-    _reference_query,
-    _reference_signature,
 )
 from .test_retrieval_fusion import _corpus
 
@@ -65,19 +57,23 @@ weights = st.one_of(
 sparse_vectors = st.dictionaries(st.integers(0, 40), weights, max_size=24)
 
 
-# -- the projector and the signatures: bit-identical --------------------------
+#: The size of the large-index cases: well past the 256 vectors above
+#: which the index once probed hash buckets instead of scanning.
+LARGE = 600
+
+
+# -- the projector: bit-identical ---------------------------------------------
 
 @naive_sum
 @settings(max_examples=200, deadline=None)
 @given(sparse=sparse_vectors, dims=st.sampled_from([8, 32, 128]))
-def test_projection_and_signature_equal_the_reference_bit_for_bit(sparse, dims):
-    index = DenseVectorIndex(dims=dims)
-    vec = index.projector.project(sparse)
-    reference = _reference_project(index.projector, sparse)
+def test_projection_equals_the_reference_bit_for_bit(sparse, dims):
+    projector = DenseProjector(dims)
+    vec = projector.project(sparse)
+    reference = _reference_project(projector, sparse)
     assert isinstance(vec, list) and len(vec) == dims
     assert _bits(vec) == _bits(reference)
     assert encode({"v": vec}) == encode({"v": reference})
-    assert index._signature(vec) == _reference_signature(index, reference)
 
 
 @naive_sum
@@ -110,9 +106,9 @@ def test_dot_equals_the_reference(a, b):
 
 def _random_index(rng, n, dims, *, duplicates, zeros, spread=1.0):
     """*n* vectors placed as stored (no projection): gaussian around one
-    of five centres (*spread* 1.0 drowns the centres; a small one fills
-    buckets), some non-unit, some exact copies of earlier ones, some
-    all-zero."""
+    of five centres (*spread* 1.0 drowns the centres; a small one packs
+    near-ties around each), some non-unit, some exact copies of earlier
+    ones, some all-zero."""
     index = DenseVectorIndex(dims=dims)
     centres = [[rng.gauss(0.0, 1.0) for _ in range(dims)] for _ in range(5)]
     made = []
@@ -157,29 +153,29 @@ def test_query_ranks_as_the_reference_scan(seed, n, dims, k, query_scale, scoped
         candidates = set(rng.sample(urls, len(urls) // 2)) | {"http://absent/"}
     rows = index.query(query, k=k, candidates=candidates)
     _assert_same_rows(
-        rows, _reference_query(index, query, k=k, candidates=candidates))
+        rows, _reference_exact_scan(index, query, k=k, candidates=candidates))
     assert all(isinstance(s, float) for _, s in rows)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32), k=st.sampled_from([1, 10, 50]),
        query_scale=st.sampled_from([1.0, 1.75]))
-def test_query_ranks_as_the_reference_on_the_bucket_path(seed, k, query_scale):
+def test_query_ranks_as_the_exact_scan_on_a_large_index(seed, k, query_scale):
     rng = random.Random(seed)
-    n = EXACT_SCAN_THRESHOLD + 150
-    index = _random_index(rng, n, 16, duplicates=40, zeros=5, spread=0.1)
+    index = _random_index(rng, LARGE, 16, duplicates=40, zeros=5, spread=0.1)
+    assert len(index._vectors) == LARGE
     near = rng.choice(sorted(index._vectors))
     query = [x * query_scale + rng.gauss(0.0, 0.01) for x in index.vector(near)]
-    assume(k <= len(_reference_probe(index, query, k)) < n)
-    _assert_same_rows(index.query(query, k=k),
-                      _reference_query(index, query, k=k))
-    # Scoped to more urls than an exact scan takes: still the buckets,
-    # and while they hold k candidates the old filter-after answer.
-    candidates = set(rng.sample(sorted(index._vectors), n - 60))
-    expected = _reference_query(index, query, k=k, candidates=candidates)
-    assume(len(expected) == k)
-    _assert_same_rows(
-        index.query(query, k=k, candidates=candidates), expected)
+    rows = index.query(query, k=k)
+    assert len(rows) == k
+    _assert_same_rows(rows, _reference_exact_scan(index, query, k=k))
+    # Scoped to most of the index, and to a few urls drawn anywhere in it.
+    for size in (LARGE - 60, 3 * k):
+        candidates = set(rng.sample(sorted(index._vectors), size))
+        rows = index.query(query, k=k, candidates=candidates)
+        assert len(rows) == k
+        _assert_same_rows(rows, _reference_exact_scan(
+            index, query, k=k, candidates=candidates))
 
 
 def test_a_tie_is_broken_by_url_and_a_zero_vector_scores_zero():
@@ -195,43 +191,26 @@ def test_a_tie_is_broken_by_url_and_a_zero_vector_scores_zero():
         ("http://a/", 0.0), ("http://b/", 0.0), ("http://z/", 0.0)]
 
 
-# -- the scoped leg: intersect, then probe ------------------------------------
+# -- the scoped leg: every candidate is scored ---------------------------------
 
 def _two_topics(n):
     return list(_corpus(n).items())
 
 
-@pytest.fixture(scope="module")
-def probed_index():
-    """600 documents (the bucket path), an on-topic query, and the urls
-    the old probe pooled for it."""
+def test_a_scoped_query_on_a_large_index_ranks_every_candidate():
+    """A scope of the documents least like the query still fills its *k*
+    (a scoped dense leg on a 600-page archive once came back empty), and
+    a scope that holds a few near ones ranks them first."""
     index = DenseVectorIndex(dims=64)
-    index.add_many(_two_topics(600))
+    index.add_many(_two_topics(LARGE))
     query = index.projector.project({j: 1.0 for j in range(12)})
-    probed = _reference_probe(index, query, 10)
-    assert 10 <= len(probed) < 600                 # the buckets are in play
-    return index, query, probed
-
-
-def test_a_scoped_query_scans_its_candidates_not_the_querys_buckets(probed_index):
-    index, query, probed = probed_index
-    outside = set(sorted(set(index._vectors) - probed)[:20])
-    assert len(outside) == 20
-    rows = index.query(query, k=10, candidates=outside)
-    assert len(rows) == 10
-    _assert_same_rows(
-        rows, _reference_exact_scan(index, query, k=10, candidates=outside))
-
-
-def test_a_thin_scoped_pool_falls_back_to_the_scope_not_to_nothing(probed_index):
-    index, query, probed = probed_index
-    # 300 candidates (more than an exact scan takes), 3 of them probed.
-    candidates = set(sorted(set(index._vectors) - probed)[:297])
-    candidates |= set(sorted(probed)[:3])
-    assert len(candidates) > EXACT_SCAN_THRESHOLD
-    rows = index.query(query, k=10, candidates=candidates)
-    _assert_same_rows(
-        rows, _reference_exact_scan(index, query, k=10, candidates=candidates))
+    ranked = [u for u, _ in _reference_exact_scan(index, query, k=LARGE)]
+    for candidates in (set(ranked[-20:]), set(ranked[-297:]) | set(ranked[:3])):
+        rows = index.query(query, k=10, candidates=candidates)
+        assert len(rows) == 10
+        _assert_same_rows(rows, _reference_exact_scan(
+            index, query, k=10, candidates=candidates))
+    assert [u for u, _ in rows[:3]] == ranked[:3]
 
 
 # -- what is stored -----------------------------------------------------------
@@ -266,11 +245,10 @@ def test_an_index_the_reference_persisted_reloads_and_answers_the_same(tmp_path)
         for url, _ in docs:
             vec = reloaded.vector(url)
             assert stored[url.encode()] == encode({"v": list(vec)})
-            assert reloaded._sigs[url] == _reference_signature(reloaded, vec)
         for sparse in ({j: 1.0 for j in range(12)}, {1003: 1.0}, {}):
             query = _reference_project(reloaded.projector, sparse)
             _assert_same_rows(reloaded.query(query, k=10),
-                              _reference_query(reloaded, query, k=10))
+                              _reference_exact_scan(reloaded, query, k=10))
     finally:
         kv.close()
 
@@ -295,14 +273,14 @@ def test_add_many_stores_the_bytes_the_reference_stored(tmp_path):
 QUERIES = ("rock band music", "stock market", "cycling race", "jazz")
 
 
-def _transcript(server, users, urls, scopes=("all", "mine", "community")):
+def _transcript(server, users, urls):
     """Every hybrid ``search`` page and every ``related_pages`` answer,
     computed (not served from cache), as canonical JSON."""
     requests = [
         {"servlet": "search", "user_id": user, "query": query,
          "mode": "hybrid", "scope": scope, "limit": 10, "offset": offset}
         for user in users for query in QUERIES
-        for scope in scopes for offset in (0, 10, 20)
+        for scope in ("all", "mine", "community") for offset in (0, 10, 20)
     ] + [
         {"servlet": "related_pages", "user_id": users[0], "url": url, "k": 10}
         for url in urls
@@ -321,14 +299,11 @@ def _with_reference_kernels(monkeypatch, index):
             index.projector, sparse, vocab))
     monkeypatch.setattr(
         index, "query",
-        lambda vec, *, k=10, candidates=None: _reference_query(
+        lambda vec, *, k=10, candidates=None: _reference_exact_scan(
             index, vec, k=k, candidates=candidates))
 
 
 def test_hybrid_and_related_answers_are_byte_identical(monkeypatch):
-    # Small enough that every scope is an exact scan: above the
-    # threshold a scoped leg answers differently on purpose (the
-    # intersect-first fix), which the two tests above pin instead.
     workload = build_workload(
         seed=77, num_users=4, days=10, pages_per_leaf=5,
         bookmark_prob=0.25, community_core=4, community_fringe=1,
@@ -339,7 +314,7 @@ def test_hybrid_and_related_answers_are_byte_identical(monkeypatch):
     try:
         server.process_background_work()
         index = server.dense_index
-        assert 50 < len(index._vectors) <= EXACT_SCAN_THRESHOLD
+        assert len(index._vectors) > 50
         users = [p.user_id for p in workload.profiles[:2]]
         urls = sorted(index._vectors)[::15]
         served = _transcript(server, users, urls)
@@ -351,17 +326,17 @@ def test_hybrid_and_related_answers_are_byte_identical(monkeypatch):
         server.close()
 
 
-def test_unscoped_answers_are_byte_identical_on_the_bucket_path(
+def test_answers_are_byte_identical_on_a_larger_archive(
         live_system, small_workload, monkeypatch):
     server = live_system.server
     index = server.dense_index
-    assert len(index._vectors) > EXACT_SCAN_THRESHOLD
+    assert len(index._vectors) > 256
     users = [small_workload.profiles[0].user_id]
     urls = sorted(index._vectors)[::25]
-    served = _transcript(server, users, urls, scopes=("all",))
+    served = _transcript(server, users, urls)
     assert any('"hits": [{' in row for row in served)
     _with_reference_kernels(monkeypatch, index)
     try:
-        assert served == _transcript(server, users, urls, scopes=("all",))
+        assert served == _transcript(server, users, urls)
     finally:
         server.caches.clear()   # nothing computed by the stand-ins stays

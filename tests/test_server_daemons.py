@@ -477,3 +477,36 @@ def test_a_new_guess_replaces_the_owners_old_one_in_one_commit():
     assert repo.stamps.assocs == stamps[0] + 2
     assert metrics.counter_value("storage.relational.commits") - commits == 1
     repo.close()
+
+
+def test_a_folder_move_rebuilds_the_taxonomy_a_restart_would_build():
+    """Moving bookmarks between folders leaves the number of filings as
+    it was; the taxonomy must follow the move all the same, to the one a
+    from-scratch build (what a restarted server serves) gives."""
+    workload = build_workload(seed=11, num_users=6, days=7, pages_per_leaf=10)
+    system = MemexSystem.from_workload(workload)
+    system.replay(workload.events)
+    server = system.server
+    try:
+        server.process_background_work()
+        themes = server.themes
+        rebuilt = themes.rebuild_count
+        rows = server.repo.db.table("folder_pages").select(
+            {"folder_id": "user01:Networking"})
+        urls = sorted(r["url"] for r in rows if r["source"] != ASSOC_GUESS)
+        moved = [u for u in dict.fromkeys(urls) if urls.count(u) == 1]
+        assert len(moved) >= 5
+        for url in moved:
+            out = server.registry.dispatch({
+                "servlet": "folder_move", "user_id": "user01", "url": url,
+                "from_folder": "Networking", "to_folder": "Cycling stuff"})
+            assert out["removed"] == 1
+        server.process_background_work()
+        assert themes.rebuild_count > rebuilt
+        request = {"servlet": "themes_get", "user_id": "user01"}
+        served = server.registry.dispatch(request)
+        themes.taxonomy = None
+        themes.run_once()
+        assert server.registry.dispatch(request) == served
+    finally:
+        server.close()

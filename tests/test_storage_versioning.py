@@ -107,10 +107,12 @@ def test_gc_reclaims_fully_acked_versions(vc):
         produce(vc, batch)
     assert vc.live_versions() == 3
     vc.ack("indexer", 3)
-    assert vc.gc() == 0  # classifier still at 0
+    assert vc.live_versions() == 3  # classifier still at 0
     vc.ack("classifier", 2)
-    assert vc.gc() == 2
+    # The ack that raised the slowest watermark reclaimed 1 and 2 ...
     assert vc.live_versions() == 1
+    # ... so an explicit gc finds nothing left to reclaim.
+    assert vc.gc() == 0
     # The slow consumer can still read version 3.
     _, items = vc.poll("classifier")
     assert items == ["c"]
