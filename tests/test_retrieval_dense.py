@@ -197,19 +197,39 @@ def _two_topics(n):
     return list(_corpus(n).items())
 
 
-def test_a_scoped_query_on_a_large_index_ranks_every_candidate():
-    """A scope of the documents least like the query still fills its *k*
-    (a scoped dense leg on a 600-page archive once came back empty), and
-    a scope that holds a few near ones ranks them first."""
+@pytest.fixture(scope="module")
+def ranked_index():
+    """600 documents, an on-topic query, and every url ranked for it by
+    the exact reference scan."""
     index = DenseVectorIndex(dims=64)
     index.add_many(_two_topics(LARGE))
     query = index.projector.project({j: 1.0 for j in range(12)})
     ranked = [u for u, _ in _reference_exact_scan(index, query, k=LARGE)]
-    for candidates in (set(ranked[-20:]), set(ranked[-297:]) | set(ranked[:3])):
-        rows = index.query(query, k=10, candidates=candidates)
-        assert len(rows) == 10
-        _assert_same_rows(rows, _reference_exact_scan(
-            index, query, k=10, candidates=candidates))
+    return index, query, ranked
+
+
+def test_a_scoped_query_scans_its_candidates_not_the_querys_buckets(ranked_index):
+    """A scope of the 20 documents least like the query still fills its
+    *k* (a scoped dense leg on a 600-page archive once probed only the
+    query's hash buckets and came back empty)."""
+    index, query, ranked = ranked_index
+    outside = set(ranked[-20:])
+    rows = index.query(query, k=10, candidates=outside)
+    assert len(rows) == 10
+    _assert_same_rows(
+        rows, _reference_exact_scan(index, query, k=10, candidates=outside))
+
+
+def test_a_thin_scoped_pool_falls_back_to_the_scope_not_to_nothing(ranked_index):
+    """297 far candidates and 3 near ones: all 300 are scored, and the
+    near ones rank first."""
+    index, query, ranked = ranked_index
+    candidates = set(ranked[-297:]) | set(ranked[:3])
+    assert len(candidates) == 300
+    rows = index.query(query, k=10, candidates=candidates)
+    assert len(rows) == 10
+    _assert_same_rows(
+        rows, _reference_exact_scan(index, query, k=10, candidates=candidates))
     assert [u for u, _ in rows[:3]] == ranked[:3]
 
 
