@@ -63,18 +63,34 @@ def payload_cost(obj: Any) -> int:
     Counts one unit per scalar plus the length of strings, recursing
     through dicts/lists/tuples — proportional to serialized size without
     paying for an actual serialization.  Used to price cache entries
-    against the ``max_cost`` bound.
+    against the ``max_cost`` bound.  Walks an explicit stack, so pricing
+    an entry makes no Python call per node.
 
     >>> payload_cost({"hits": ["abc", "de"], "total": 2})
     21
     """
-    if isinstance(obj, str):
-        return 1 + len(obj)
-    if isinstance(obj, dict):
-        return 1 + sum(payload_cost(k) + payload_cost(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 1 + sum(payload_cost(v) for v in obj)
-    return 1
+    cost = 0
+    stack = [obj]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        item = pop()
+        cost += 1
+        kind = type(item)
+        # The exact types a response is made of first, then subclasses.
+        if kind is str:
+            cost += len(item)
+        elif kind is tuple or kind is list:
+            push(item)
+        elif kind is float or kind is int or item is None:
+            pass
+        elif isinstance(item, str):
+            cost += len(item)
+        elif isinstance(item, dict):
+            push(item.keys())
+            push(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            push(item)
+    return cost
 
 
 class VersionedCache:

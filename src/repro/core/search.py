@@ -12,7 +12,7 @@ from ..retrieval.covisit import related_scores
 from ..retrieval.fusion import canonical_url, rrf_fuse
 from ..storage.repository import MemexRepository
 from ..text.query import ranked_boolean_search
-from ..text.snippets import make_snippet
+from ..text.snippets import query_stems, stem_snippet
 from ..text.vectorize import query_vector, tfidf
 from .request import (
     DAY,
@@ -87,9 +87,15 @@ def search_fanout(request: Request) -> Request:
     return {**request, "offset": 0, "limit": 1_000_000}
 
 
-def hit_payload(repo: MemexRepository, url: str, score: float) -> dict[str, Any]:
-    page = repo.db.table("pages").get(url)
-    return {"url": url, "score": score, "title": (page or {}).get("title")}
+def hit_payloads(
+    repo: MemexRepository, scored: list[tuple[str, float]],
+) -> list[dict[str, Any]]:
+    """``{url, score, title}`` per ``(url, score)``, in order."""
+    titles = repo.page_titles([url for url, _ in scored])
+    return [
+        {"url": url, "score": score, "title": title}
+        for (url, score), title in zip(scored, titles)
+    ]
 
 
 def serve_search(server: Server, user: User, request: Request) -> Response:
@@ -138,9 +144,9 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
     def rank() -> tuple[tuple[str, float], ...]:
         candidates: set[str] | None = None
         if scope == "mine":
-            candidates = {v["url"] for v in repo.user_visits(user["user_id"])}
+            candidates = repo.visited_urls(user["user_id"])
         elif scope == "community":
-            candidates = {v["url"] for v in repo.community_visits()}
+            candidates = repo.visited_urls()
         if mode == "boolean":
             hits = ranked_boolean_search(server.search_engine, query, k=None)
             if candidates is not None:
@@ -164,13 +170,12 @@ def serve_search(server: Server, user: User, request: Request) -> Response:
             rank() if caches is None
             else caches.search.cached(session, rank, extra=extra)
         )
-        payloads = []
-        for url, score in ranking[offset:offset + limit]:
-            payload = hit_payload(repo, url, score)
-            text = repo.page_text(url)
+        payloads = hit_payloads(repo, ranking[offset:offset + limit])
+        stems = query_stems(query)
+        for payload in payloads:
+            text = repo.page_text(payload["url"])
             payload["snippet"] = (
-                None if text is None else make_snippet(text, query).marked())
-            payloads.append(payload)
+                None if text is None else stem_snippet(text, stems).marked())
         return {
             "hits": payloads,
             "total": len(ranking),
@@ -276,14 +281,8 @@ def serve_related_pages(server: Server, user: User, request: Request) -> Respons
             )
             if canonical_url(u) != canon   # never recommend the page itself
         ]
-        rows = []
-        for u, score in fused[:k]:
-            page = server.repo.db.table("pages").get(u)
-            rows.append({
-                "url": u,
-                "score": round(score, 6),
-                "title": (page or {}).get("title"),
-            })
+        rows = hit_payloads(
+            server.repo, [(u, round(score, 6)) for u, score in fused[:k]])
         return {"url": url, "related": rows, "total": len(fused)}
 
     # covisits stamp covers the matrix; pages covers titles.
@@ -312,9 +311,7 @@ def serve_recall(server: Server, user: User, request: Request) -> Response:
         nearness = 1.0 / (1.0 + abs(window[hit.doc_id] - around) / DAY)
         ranked.append((hit.doc_id, hit.score * (0.5 + nearness)))
     ranked.sort(key=lambda kv: (-kv[1], kv[0]))
-    return {
-        "hits": [
-            {**hit_payload(server.repo, url, score), "visited_at": window[url]}
-            for url, score in ranked[:k]
-        ]
-    }
+    hits = hit_payloads(server.repo, ranked[:k])
+    for hit in hits:
+        hit["visited_at"] = window[hit["url"]]
+    return {"hits": hits}

@@ -36,7 +36,7 @@ from .request import (
     text_field,
     top_k,
 )
-from .search import hit_payload
+from .search import hit_payloads
 
 #: Which of a folder's own members sets the similarity floor for community
 #: pages joining its trail (see :func:`community_pages_for_folder`).
@@ -364,12 +364,10 @@ def serve_popular_near_trail(server: Server, user: User, request: Request) -> Re
         if not seeds:
             return {"pages": []}
         ranked = popular_near(link_graph(server.repo), seeds, k=k, hops=hops)
-        return {
-            "pages": [
-                {**hit_payload(server.repo, url, score), "in_trail": url in seeds}
-                for url, score in ranked
-            ]
-        }
+        pages = hit_payloads(server.repo, ranked)
+        for page in pages:
+            page["in_trail"] = page["url"] in seeds
+        return {"pages": pages}
 
     return server.cached(
         "trails", ("popular", owner, path, window_days, k, hops), compute,

@@ -31,6 +31,7 @@ import threading
 from contextlib import ExitStack
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -255,6 +256,30 @@ class Table:
             rows.sort(key=lambda r: (r[order_by] is None, r[order_by]))
         return [dict(r) for r in rows]
 
+    def lookup(self, pks: Iterable[Any], column: str) -> list[Any]:
+        """*column* of the row under each primary key in *pks*, in order
+        (None for a key with no row), under one read lock, copying no
+        row."""
+        self.schema.column(column)
+        with self._rw.read():
+            rows = self._rows
+            return [
+                row[column] if (row := rows.get(pk)) is not None else None
+                for pk in pks
+            ]
+
+    def project(
+        self,
+        where: Row | Callable[[Row], bool] | None,
+        *columns: str,
+    ) -> list[Any]:
+        """The *columns* of the rows *where* selects, in :meth:`select`'s
+        order (unsorted), copying no row: one value per row for one
+        column, a tuple per row for several."""
+        for col in columns:
+            self.schema.column(col)
+        return list(map(itemgetter(*columns), self._matching(where)))
+
     def _matching(self, where: Row | Callable[[Row], bool] | None) -> list[Row]:
         """The stored rows *where* selects, uncopied.  The candidates are
         snapshotted under the read lock and filtered outside it, so a
@@ -263,6 +288,9 @@ class Table:
         with self._rw.read():
             rows = self._candidates(where)
         if isinstance(where, dict):
+            if len(where) == 1 and (
+                    self.schema.primary_key in where or where.keys() & self._hash):
+                return rows     # the key's row or bucket is the answer
             return [r for r in rows if all(r.get(k) == v for k, v in where.items())]
         if callable(where):
             return [r for r in rows if where(r)]

@@ -500,6 +500,11 @@ class MemexRepository:
         self.stamps.pages += 1
         return created
 
+    def page_titles(self, urls: list[str]) -> list[str | None]:
+        """The stored title of each URL, in order (None when untitled or
+        unknown)."""
+        return self.db.table("pages").lookup(urls, "title")
+
     def page_text(self, url: str) -> str | None:
         raw = self.rawtext.get(url.encode("utf-8"))
         return raw.decode("utf-8") if raw is not None else None
@@ -693,6 +698,19 @@ class MemexRepository:
                 since is None or r["at"] >= since)
         return self.db.table("visits").select(pred, order_by="at")
 
+    def visited_urls(self, user_id: str | None = None) -> set[str]:
+        """The URLs *user_id* visited, or with no user every URL a visit
+        archived for community use names: the ``mine`` and ``community``
+        search scopes, read off the ``visits`` table without copying or
+        sorting a row."""
+        visits = self.db.table("visits")
+        if user_id is not None:
+            return set(visits.project({"user_id": user_id}, "url"))
+        return {
+            url for url, mode in visits.project(None, "url", "archive_mode")
+            if mode == ARCHIVE_COMMUNITY
+        }
+
     def visits_after(self, visit_id: int) -> tuple[list[Row], int]:
         """``(rows, through)``: the stored visits with ids above *visit_id*
         in id order, and *through*, the last visit id taken so far — one
@@ -783,11 +801,8 @@ class MemexRepository:
     def covisits_for(self, url: str) -> list[tuple[str, float, float]]:
         """``(other_url, count, last_at)`` rows touching *url*, best first."""
         table = self.db.table("covisits")
-        out: list[tuple[str, float, float]] = []
-        for row in table.select({"url_a": url}):
-            out.append((row["url_b"], row["count"], row["last_at"]))
-        for row in table.select({"url_b": url}):
-            out.append((row["url_a"], row["count"], row["last_at"]))
+        out = (table.project({"url_a": url}, "url_b", "count", "last_at")
+               + table.project({"url_b": url}, "url_a", "count", "last_at"))
         out.sort(key=lambda t: (-t[1], t[0]))
         return out
 

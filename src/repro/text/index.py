@@ -13,9 +13,8 @@ before the ranker was BM25-only may still hold ``idx.norm`` and
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Mapping, Set
 
-from ..errors import IndexError_
 from ..storage.codec import decode, encode
 from ..storage.engine import Namespace
 from ..storage.kvstore import KVStore
@@ -48,12 +47,15 @@ class InvertedIndex:
         # view across a whole scoring pass (``with index.lock``) while
         # the methods it calls re-enter.
         self._index_lock = threading.RLock()
-        # (document count, sum of document lengths), guarded by the index
-        # lock: read from the store on first use (an earlier process may
-        # have written it), then adjusted per add/remove, so BM25's N and
-        # avgdl do not walk every length record on every query.  None
-        # while unknown, which includes "a write to the store failed".
+        # (document count, sum of document lengths) and doc_id -> length,
+        # guarded by the index lock: read from the store on first use (an
+        # earlier process may have written it), then adjusted per
+        # add/remove once the store write succeeded, so BM25's N, avgdl
+        # and per-document lengths read no store record on a query.
+        # None while unknown, which includes "a write to the store
+        # failed"; ``idx.docs`` stays the durable record.
         self._totals: tuple[int, int] | None = None
+        self._lengths: dict[str, int] | None = None
 
     @property
     def lock(self) -> threading.RLock:
@@ -120,8 +122,12 @@ class InvertedIndex:
             items.append((self._docs.wrap(doc_id.encode("utf-8")), encode(length)))
             added += length
         count, total = self._totals_locked()
-        self._totals = None
+        lengths = self._lengths
+        self._totals = self._lengths = None
         self._write_tables_locked(items, post)
+        for doc_id, (length, _) in tabulated.items():
+            lengths[doc_id] = length
+        self._lengths = lengths
         self._totals = (
             count + len(tabulated) - len(replaced),
             total + added - sum(replaced.values()),
@@ -165,15 +171,13 @@ class InvertedIndex:
         for key in emptied:
             self._kv.discard(key)
 
-    def doc_length(self, doc_id: str) -> int:
+    def doc_lengths(self) -> Mapping[str, int]:
+        """``{doc_id: length}`` of every indexed document, held in
+        memory.  Read it under :attr:`lock`: the mapping is the index's
+        own, and the next add changes it."""
         with self._index_lock:
-            return self._doc_length_locked(doc_id)
-
-    def _doc_length_locked(self, doc_id: str) -> int:
-        raw = self._docs.get(doc_id.encode("utf-8"))
-        if raw is None:
-            raise IndexError_(f"document {doc_id!r} not indexed")
-        return int(decode(raw))
+            self._totals_locked()
+            return self._lengths
 
     @property
     def num_docs(self) -> int:
@@ -187,8 +191,12 @@ class InvertedIndex:
 
     def _totals_locked(self) -> tuple[int, int]:
         if self._totals is None:
-            lengths = [int(decode(v)) for _, v in self._docs.items()]
-            self._totals = (len(lengths), sum(lengths))
+            lengths = {
+                key.decode("utf-8"): int(decode(value))
+                for key, value in self._docs.items()
+            }
+            self._lengths = lengths
+            self._totals = (len(lengths), sum(lengths.values()))
         return self._totals
 
     def document_ids(self) -> list[str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import IndexError_
 from .index import InvertedIndex
 from .tokenize import tokenize
 
@@ -69,6 +70,7 @@ class SearchEngine:
         if n == 0:
             return {}
         avgdl = self.index.avg_doc_length() or 1.0
+        lengths = self.index.doc_lengths()
         scores: dict[str, float] = {}
         for term in terms:
             postings = self.index.postings(term)
@@ -78,7 +80,9 @@ class SearchEngine:
             for doc_id, tf in postings.items():
                 if candidates is not None and doc_id not in candidates:
                     continue
-                dl = self.index.doc_length(doc_id)
+                dl = lengths.get(doc_id)
+                if dl is None:
+                    raise IndexError_(f"document {doc_id!r} not indexed")
                 denom = tf + K1 * (1.0 - B + B * dl / avgdl)
                 scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (K1 + 1.0) / denom
         return scores

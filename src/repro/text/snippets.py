@@ -53,8 +53,7 @@ def _token_table(text: str) -> tuple[array, tuple[str, ...]]:
     different key: nothing to invalidate, nothing to go stale.  Kept
     flat to stay under 16 bytes a token: 4-byte offsets, and stems that
     are references to the strings the :func:`porter_stem` memo returns.
-    Token ends are not stored; :func:`_token_end` re-matches the few a
-    snippet needs.
+    Token ends are not stored; a snippet re-matches the few it needs.
     """
     starts = array("I")
     stems = []
@@ -64,8 +63,9 @@ def _token_table(text: str) -> tuple[array, tuple[str, ...]]:
     return starts, tuple(stems)
 
 
-def _token_end(text: str, start: int) -> int:
-    return _TOKEN_RE.match(text, start).end()
+def query_stems(query: str) -> frozenset[str]:
+    """The stems a snippet for *query* highlights: its index terms."""
+    return frozenset(tokenize(query))
 
 
 def make_snippet(
@@ -78,14 +78,38 @@ def make_snippet(
 
     Falls back to the document head when no query term occurs.
     """
+    return stem_snippet(text, query_stems(query), window=window)
+
+
+def stem_snippet(
+    text: str,
+    stems: frozenset[str],
+    *,
+    window: int = 30,
+) -> Snippet:
+    """:func:`make_snippet` for a query already stemmed by
+    :func:`query_stems`, so a page of hits stems its query once.
+
+    The hit positions come from one ``tuple.index`` walk (in C) per
+    query stem, so the Python-level work is per hit, not per token.
+    """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
-    starts, stems = _token_table(text)
+    starts, table = _token_table(text)
     n = len(starts)
     if not n:
         return Snippet(text[:200], (), False, len(text) > 200)
-    query_stems = set(tokenize(query))
-    hits = [i for i, stem in enumerate(stems) if stem in query_stems]
+    hits: list[int] = []
+    at = table.index
+    for stem in stems:
+        i = -1
+        try:
+            while True:
+                i = at(stem, i + 1)
+                hits.append(i)
+        except ValueError:
+            pass
+    hits.sort()
 
     # Densest window of `window` tokens by hit count (earliest wins ties).
     # The earliest densest window either starts the page or ends on a
@@ -93,7 +117,9 @@ def make_snippet(
     # as the first hit still inside the candidate.
     best_start, best_hits, first, lo = 0, 0, 0, 0
     for j, hit in enumerate(hits):
-        start = max(0, hit - window + 1)
+        start = hit - window + 1
+        if start < 0:
+            start = 0
         while hits[lo] < start:
             lo += 1
         if j - lo + 1 > best_hits:
@@ -101,16 +127,20 @@ def make_snippet(
 
     stop = min(best_start + window, n)
     chunk_start = starts[best_start]
-    highlights = tuple(
-        (starts[i] - chunk_start, _token_end(text, starts[i]) - chunk_start)
-        for i in hits[first: first + best_hits]
-    )
+    token_at = _TOKEN_RE.match
+    highlights = tuple([
+        (start - chunk_start, end - chunk_start)
+        for start, end in [
+            token_at(text, starts[i]).span()
+            for i in hits[first: first + best_hits]
+        ]
+    ])
     return Snippet(
-        text=text[chunk_start:_token_end(text, starts[stop - 1])],
+        text=text[chunk_start:token_at(text, starts[stop - 1]).end()],
         highlights=highlights,
         leading_ellipsis=best_start > 0,
         trailing_ellipsis=stop < n,
     )
 
 
-__all__ = ["Snippet", "make_snippet", "words"]
+__all__ = ["Snippet", "make_snippet", "query_stems", "stem_snippet", "words"]

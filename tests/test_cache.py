@@ -8,10 +8,13 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import ReadPathCaches, VersionedCache, payload_cost
 from repro.errors import VersioningError
 from repro.obs import MetricsRegistry
+from repro.server.protocol import SharedResponse
 from repro.storage.versioning import VersionCoordinator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,6 +191,41 @@ def test_payload_cost_scales_with_payload():
     assert big > small > 0
     assert payload_cost("abcd") == 5
     assert payload_cost(3.14) == 1
+
+
+def _recursive_cost(obj):
+    """The definition `payload_cost` prices by, one call per node."""
+    if isinstance(obj, str):
+        return 1 + len(obj)
+    if isinstance(obj, dict):
+        return 1 + sum(_recursive_cost(k) + _recursive_cost(v)
+                       for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return 1 + sum(_recursive_cost(v) for v in obj)
+    return 1
+
+
+class _Text(str):
+    pass
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=12), st.text(max_size=6).map(_Text), st.binary(max_size=4))
+_PAYLOADS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5),
+    st.lists(inner, max_size=5).map(tuple),
+    st.frozensets(st.text(max_size=4), max_size=4),
+    st.sets(st.integers(), max_size=4),
+    st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    st.dictionaries(st.text(max_size=6), inner, max_size=5).map(SharedResponse),
+), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_payload_cost_equals_the_recursive_definition(payload):
+    assert payload_cost(payload) == _recursive_cost(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,9 @@ KEPT = _kept(
      "storage.engine:open_engine",
      "text.index:InvertedIndex.add_document",
      "text.index:InvertedIndex.terms"),
+    ("(b) bench/ladder.py times a snippet from the raw query; the search "
+     "handler stems its query once a page and calls stem_snippet",
+     "text.snippets:make_snippet"),
     ("(b) bench/workloads.py builds the loadgen schedule: "
      "src/repro/loadgen/schedule.py, src/repro/webgen/population.py; "
      "tests/test_loadgen.py",

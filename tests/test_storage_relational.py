@@ -146,6 +146,23 @@ def test_select_unknown_column_raises(db):
         db.table("people").select(order_by="nope")
 
 
+def test_project_and_lookup_read_columns_as_select_and_get_would(db):
+    fill(db)
+    table = db.table("people")
+    for where in ({"city": "london"}, {"pid": 3}, {"pid": 99}, {"name": "ada"},
+                  {"city": "nyc", "age": 85}, {"email": None},
+                  lambda r: r["age"] > 40, None):
+        rows = table.select(where)
+        assert table.project(where, "name") == [r["name"] for r in rows]
+        assert table.project(where, "pid", "city") == [
+            (r["pid"], r["city"]) for r in rows]
+    assert table.lookup([3, 99, 1], "name") == ["grace", None, "ada"]
+    with pytest.raises(NoSuchColumn):
+        table.project(None, "nope")
+    with pytest.raises(NoSuchColumn):
+        table.lookup([1], "nope")
+
+
 def test_update_maintains_indexes(db):
     fill(db)
     db.update("people", 1, {"city": "cambridge"})

@@ -97,6 +97,13 @@ def test_upsert_page_create_then_update(repo):
     assert repo.page_text("http://x/") == "hello world"
 
 
+def test_page_titles_follow_the_urls_asked(repo):
+    repo.upsert_page("http://a/", title="A", text="a", now=1.0)
+    repo.upsert_page("http://b/", now=1.0)
+    assert repo.page_titles(["http://b/", "http://ghost/", "http://a/"]) == [
+        None, None, "A"]
+
+
 def test_upsert_unfetched_page(repo):
     repo.upsert_page("http://y/", now=1.0)
     page = repo.db.table("pages").get("http://y/")
@@ -134,6 +141,9 @@ def test_visits_and_classification(repo):
     assert len(repo.user_visits("u", until=6.0)) == 1
     public = repo.community_visits()
     assert [v["visit_id"] for v in public] == [vid]
+    assert repo.visited_urls("u") == {"http://x/", "http://y/"}
+    assert repo.visited_urls("nobody") == set()
+    assert repo.visited_urls() == {"http://x/"}
     with repo.edit(10.0) as edit:
         edit.label(vid, "u:Music", 0.9)
     assert repo.db.table("visits").get(vid)["topic_folder"] == "u:Music"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.storage import open_engine
+from repro.storage.codec import decode, encode
 from repro.text.index import InvertedIndex
 from repro.text.search import SearchEngine
 
@@ -26,9 +27,8 @@ def index():
 
 def test_add_and_stats(index):
     assert index.num_docs == 5
-    assert index.doc_length("u:jazz") == 5
-    with pytest.raises(IndexError_):
-        index.doc_length("u:ghost")
+    assert index.doc_lengths()["u:jazz"] == 5
+    assert "u:ghost" not in index.doc_lengths()
     assert index.avg_doc_length() > 0
     assert sorted(index.document_ids()) == sorted(DOCS)
 
@@ -71,9 +71,23 @@ def test_index_persists_in_kvstore(tmp_path):
     kv2.close()
 
 
+def _stored_lengths(idx):
+    """``{doc_id: length}`` as the ``idx.docs`` records hold them."""
+    return {key.decode(): decode(value) for key, value in idx._docs.items()}
+
+
 def _brute_force_totals(idx):
-    lengths = [idx.doc_length(d) for d in idx.document_ids()]
+    lengths = list(_stored_lengths(idx).values())
+    assert idx.doc_lengths() == _stored_lengths(idx)
     return len(lengths), (sum(lengths) / len(lengths) if lengths else 0.0)
+
+
+def test_a_posting_naming_a_document_with_no_length_is_an_index_error():
+    idx = InvertedIndex()
+    idx.add_document("d1", "persistent music archive")
+    idx._post.put(b"music", encode({"d1": 1, "ghost": 1}))   # torn store
+    with pytest.raises(IndexError_, match="ghost"):
+        SearchEngine(idx).search("music")
 
 
 def test_running_doc_totals_equal_brute_force(tmp_path):
@@ -115,6 +129,7 @@ def test_doc_totals_are_re_read_after_a_failed_store_write():
         idx.add_document("d2", "jazz music")
     idx._kv.put_many = real_put_many
     assert (idx.num_docs, idx.avg_doc_length()) == (1, 3.0)
+    assert idx.doc_lengths() == {"d1": 3}
 
 
 @pytest.fixture
