@@ -170,10 +170,11 @@ def apply_proposal(
 ) -> int:
     """Materialize an accepted proposal under *base_path*.
 
-    Creates the proposed subfolders and re-files each URL from the base
-    folder into its proposed home as a *correction* (it is a deliberate
-    user gesture, the strongest supervision), all in one edit.  Returns
-    how many items moved.
+    Creates the proposed subfolders and re-files each URL the base folder
+    files into its proposed home as a *correction* (it is a deliberate
+    user gesture, the strongest supervision), all in one edit; a URL the
+    base folder does not file stays where it is.  Returns how many items
+    moved.
     """
     base_id = folder_id(owner, base_path)
     moved = 0
@@ -186,8 +187,7 @@ def apply_proposal(
             else:
                 target_path = base_path
             target_id = edit.folder(owner, target_path)
-            if target_id != base_id:
-                edit.unfile(base_id, url)
+            if target_id != base_id and edit.unfile(base_id, url):
                 edit.correct(target_id, url)
                 moved += 1
         for child in folder.children:

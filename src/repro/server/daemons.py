@@ -608,9 +608,11 @@ class ThemeDaemon:
         self.discovery = ThemeDiscovery()  # an experiment may assign another
         self.taxonomy: ThemeTaxonomy | None = None
         # (the filings stamp, documents in the shared vocabulary) the
-        # taxonomy was built from / this daemon saw on its previous run.
+        # taxonomy was built from / this daemon saw on its previous run /
+        # of the last run that found too few folder documents to build.
         self._built_on = (0, 0)
         self._seen = (0, 0)
+        self._too_few: tuple[int, int] | None = None
         self.rebuild_count = 0
 
     def folder_documents(self) -> list[FolderDoc]:
@@ -644,17 +646,19 @@ class ThemeDaemon:
         batched; once they stop the taxonomy catches up, so what a
         quiescent server holds follows from what it stores, not from when
         this daemon happened to tick.  A run with nothing moved reads no
-        catalog row."""
+        catalog row, and neither does one whose inputs are those of a run
+        that found fewer than two folder documents."""
         filings = self.repo.stamps.filings
         state = (filings, self.vectorizer.vocab.num_docs)
         settled, self._seen = state == self._seen, state
-        if self.taxonomy is not None and (
+        if state == self._too_few or self.taxonomy is not None and (
             state == self._built_on
             or not settled and filings - self._built_on[0] < self.REBUILD_AFTER
         ):
             return 0
         docs = self.folder_documents()
         if len(docs) < 2:
+            self._too_few = state
             return 0
         self.taxonomy = self.discovery.discover(docs, self.vectorizer.vocab)
         self._built_on = state

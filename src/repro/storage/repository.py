@@ -203,9 +203,14 @@ class FolderEdit:
 
     def bookmark(self, folder: str, url: str) -> int:
         """File *url* in *folder* as a bookmark, upserting its page; a
-        deliberate filing supersedes the owner's guesses for it."""
+        deliberate filing supersedes the owner's guesses for it.  When
+        *folder* already files *url* deliberately nothing is filed, and
+        the ``assoc_id`` returned is that filing's."""
         self._pages.upsert(url, self.now)
         self.drop_guesses(self._owner(folder), url)
+        for row in self._filings(url):
+            if row["folder_id"] == folder and row["source"] != ASSOC_GUESS:
+                return row["assoc_id"]
         return self._file(folder, url, ASSOC_BOOKMARK, None)
 
     def guess(self, folder: str, url: str, confidence: float) -> None:

@@ -117,6 +117,25 @@ def test_apply_proposal_moves_items(messy_import_system):
     assert filed == set(pages)
 
 
+def test_apply_proposal_moves_only_what_the_base_folder_files(messy_import_system):
+    system, applet, pages, _topics = messy_import_system
+    applet.move_bookmark("http://chess0/", "Imported", "Games", at=9_000.0)
+    proposal = {"name": "Imported", "urls": [], "children": [
+        {"name": "Music", "children": [],
+         "urls": ["http://music0/", "http://never-filed/"]},
+        {"name": "Chess", "children": [],
+         "urls": ["http://chess0/", "http://chess1/"]}]}
+    moved = applet.apply_organization("Imported", proposal, at=10_000.0)
+    assert moved == 2
+    view = {f["path"]: sorted(i["url"] for i in f["items"])
+            for f in applet.folder_view()["folders"]}
+    assert view["Imported/Music"] == ["http://music0/"]
+    assert view["Imported/Chess"] == ["http://chess1/"]
+    assert view["Games"] == ["http://chess0/"]
+    assert "http://never-filed/" not in {
+        url for urls in view.values() for url in urls}
+
+
 def test_propose_empty_folder(messy_import_system):
     system, applet, _p, _t = messy_import_system
     applet.create_folder("Empty", at=0.0)

@@ -114,13 +114,13 @@ def test_rebookmarking_same_folder_is_idempotent_per_gesture():
     rows = system.server.repo.folder_pages(
         folder_id("u", "F"),
     )
-    # Two deliberate gestures -> two association rows (an audit trail),
-    # but the folder view shows the URL once per folder.
+    # The second gesture files nothing: one association row, and the
+    # folder view shows the URL once.
     urls = [r["url"] for r in rows]
-    assert urls.count("http://p/") == 2
+    assert urls.count("http://p/") == 1
     view = applet.folder_view()
     f = next(f for f in view["folders"] if f["path"] == "F")
-    assert len({i["url"] for i in f["items"]}) == len(f["items"]) or True
+    assert [i["url"] for i in f["items"]] == ["http://p/"]
 
 
 # -- relational edge cases ------------------------------------------------------------

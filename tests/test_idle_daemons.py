@@ -3,7 +3,9 @@
 Once a replay has been mined to the end, a ``covisit`` or ``themes`` run
 has nothing to do, and finds that out from what it keeps in hand (the
 last visit id it read; the filings stamp and the vocabulary's size)
-rather than by walking the ``visits`` or ``folder_pages`` table.  The
+rather than by walking the ``visits`` or ``folder_pages`` table; so does
+a ``themes`` run whose inputs are those of a run that found too few
+folders to build a taxonomy from.  The
 versioning coordinator has handed every version to every consumer, and
 the acks have reclaimed them.  Both hold at two archive sizes.
 """
@@ -11,6 +13,7 @@ the acks have reclaimed them.  Both hold at two archive sizes.
 import pytest
 
 from repro.core import MemexSystem
+from repro.server.daemons import ThemeDaemon
 from repro.storage.relational import Table
 from repro.webgen import build_workload
 
@@ -59,6 +62,25 @@ def test_idle_covisit_and_themes_runs_touch_no_catalog_row(quiesced, monkeypatch
         assert server.covisit.run_once() == 0
         assert server.themes.run_once() == 0
     assert sum(n for _, n in touched) == 0, touched
+
+
+def test_a_themes_run_that_found_too_few_folders_is_not_repeated(
+        quiesced, monkeypatch):
+    themes = ThemeDaemon(quiesced.repo, quiesced.vectorizer)
+    themes.MIN_PAGES_PER_FOLDER = 10 ** 6          # no folder qualifies
+    touched = _count_rows_touched(monkeypatch)
+    assert themes.run_once() == 0
+    assert sum(n for _, n in touched) > 0          # it reads the filings once
+    touched.clear()
+    for _ in range(3):
+        assert themes.run_once() == 0
+    assert sum(n for _, n in touched) == 0, touched
+    # A filing change is new input: the next run reads them again.
+    stamps = quiesced.repo.stamps
+    monkeypatch.setattr(stamps, "filings", stamps.filings + 1)
+    assert themes.run_once() == 0
+    assert sum(n for _, n in touched) > 0
+    assert themes.taxonomy is None
 
 
 def test_acks_reclaim_every_version_of_a_quiesced_replay(quiesced):

@@ -20,7 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: sha256 of the probe's transcript (see ``PROBE``).
-GOLDEN = "c35492201c5e90a6377a60409ae7db35bb2f0579e857f37e28c04108eb3baebb"
+GOLDEN = "6949adac9b4ee7ae69696da9683823a8582210445b6696a7e5e0a0aa9da13e9d"
 
 PROBE = r"""
 import hashlib

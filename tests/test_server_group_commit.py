@@ -32,7 +32,6 @@ from repro.storage.repository import MemexRepository
 from repro.storage.schema import (
     ARCHIVE_COMMUNITY,
     ASSOC_BOOKMARK,
-    ASSOC_CORRECTION,
     ASSOC_GUESS,
 )
 from repro.text.index import InvertedIndex
@@ -354,10 +353,12 @@ def test_an_ack_is_one_catalog_fsync(tmp_path):
             assert after["terms.kv"] == before["terms.kv"], name
         folders = {f["path"]: [i["url"] for i in f["items"]]
                    for f in ask("u", {"servlet": "folders_get"})["folders"]}
+        # The hierarchy moves what x/y files (h/1): h/0 left it for q,
+        # and h/2 and p/1 were never in it.
         assert folders == {
             "Jazz": ["http://p/1"], "a": [], "a/b": [], "a/b/c": [],
-            "x": [], "x/y": [], "x/y/Early": ["http://h/0", "http://h/1"],
-            "x/y/Late": ["http://h/2", "http://p/1"], "m": [],
+            "x": [], "x/y": [], "x/y/Early": ["http://h/1"],
+            "x/y/Late": [], "m": [],
             "m/n": ["http://p/2"],
             "q": ["http://h/0"]}
         assert [row["topic_folder"] for row in server.repo.db.table(
@@ -365,8 +366,7 @@ def test_an_ack_is_one_catalog_fsync(tmp_path):
     with MemexServer(lambda url: None, root=str(tmp_path)) as reopened:
         filings = reopened.repo.db.table("folder_pages").select(
             {"url": "http://p/1"})
-        assert [row["source"] for row in filings] == [
-            ASSOC_BOOKMARK, ASSOC_CORRECTION]
+        assert [row["source"] for row in filings] == [ASSOC_BOOKMARK]
 
 
 def test_an_indexer_many_versions_behind_commits_slice_by_slice():

@@ -185,6 +185,30 @@ def test_dissociate(repo):
     assert repo.db.table("folder_pages").select({"url": "http://a/"}) == []
 
 
+def test_a_repeat_bookmark_files_nothing(repo):
+    """A folder that already files a page deliberately files it once:
+    bookmarking it there again, in a later edit or the same one, adds no
+    row, moves no filing stamp and answers with the filing's id."""
+    with repo.edit(1.0) as edit:
+        jazz, blues = edit.folder("u", "Jazz"), edit.folder("u", "Blues")
+        first = edit.bookmark(jazz, "http://p/")
+        edit.correct(blues, "http://q/")
+    filings = repo.stamps.filings
+    with repo.edit(2.0) as edit:
+        assert edit.bookmark(jazz, "http://p/") == first
+        assert edit.bookmark(jazz, "http://p/") == first
+        edit.bookmark(blues, "http://q/")
+    assert repo.stamps.filings == filings
+    with repo.edit(3.0) as edit:
+        other = edit.bookmark(blues, "http://p/")
+        assert edit.bookmark(blues, "http://p/") == other != first
+    assert sorted(
+        (r["folder_id"], r["url"]) for r in repo.db.table("folder_pages").scan()
+    ) == [("u:Blues", "http://p/"), ("u:Blues", "http://q/"),
+          ("u:Jazz", "http://p/")]
+    assert repo.stamps.filings == filings + 1
+
+
 def test_an_edit_reads_what_it_has_staged(repo):
     """Every read of an edit sees its own writes: a folder staged once
     is created once, a filing staged and unfiled in one edit is never
