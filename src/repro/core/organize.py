@@ -170,26 +170,24 @@ def apply_proposal(
 ) -> int:
     """Materialize an accepted proposal under *base_path*.
 
-    Creates the proposed subfolders and re-files each URL the base folder
-    files into its proposed home as a *correction* (it is a deliberate
-    user gesture, the strongest supervision), all in one edit; a URL the
-    base folder does not file stays where it is.  Returns how many items
-    moved.
+    Re-files each URL the base folder files into its proposed home as a
+    *correction* (it is a deliberate user gesture, the strongest
+    supervision), creating that subfolder, all in one edit; a URL the
+    base folder does not file stays where it is, and a subfolder no URL
+    moves into is not created.  Returns how many items moved.
     """
     base_id = folder_id(owner, base_path)
     moved = 0
 
     def place(folder: ProposedFolder, path: str) -> None:
         nonlocal moved
-        for url in folder.urls:
-            if path:
-                target_path = f"{base_path}/{path}"
-            else:
-                target_path = base_path
-            target_id = edit.folder(owner, target_path)
-            if target_id != base_id and edit.unfile(base_id, url):
-                edit.correct(target_id, url)
-                moved += 1
+        target_path = f"{base_path}/{path}" if path else base_path
+        if folder_id(owner, target_path) != base_id:
+            for url in folder.urls:
+                # The target is created for the first URL that moves.
+                if edit.unfile(base_id, url):
+                    edit.correct(edit.folder(owner, target_path), url)
+                    moved += 1
         for child in folder.children:
             child_path = f"{path}/{child.name}" if path else child.name
             place(child, child_path)

@@ -33,9 +33,11 @@ threads.  A worker serves one connection at a time from an accept queue;
 extra connections wait their turn.  Timeouts map to typed wire errors:
 waiting longer than ``idle_timeout`` for a *new* frame closes the
 connection quietly, while stalling mid-frame for ``READ_TIMEOUT`` sends
-a retryable ``timeout`` error before closing.  ``close()`` drains
-gracefully — the listener stops, in-flight requests finish and their
-responses are sent, then connections shut down.
+a retryable ``timeout`` error before closing.  The kernel enforces both
+(:func:`~repro.server.protocol.set_kernel_timeouts`), so a frame that
+arrives whole costs one read and its response one write.  ``close()``
+drains gracefully — the listener stops, in-flight requests finish and
+their responses are sent, then connections shut down.
 """
 
 from __future__ import annotations
@@ -49,13 +51,12 @@ from ..errors import CODE_TIMEOUT, ProtocolError, error_payload
 from ..obs.logging import Logger, null_logger
 from ..obs.metrics import MetricsRegistry, null_registry
 from .protocol import (
-    FRAME_HEADER_SIZE,
+    FrameReader,
     check_key,
     decode_message,
     encode_message,
     frame_encrypted,
-    frame_length,
-    recv_exact,
+    set_kernel_timeouts,
 )
 
 #: Reserved payload key of a cleartext frame that names the user every
@@ -280,33 +281,25 @@ class MemexSocketServer:
 
     # -- connection handling -------------------------------------------------
 
-    def _read_frame(self, conn: socket.socket) -> bytes | None:
+    def _read_frame(self, reader: FrameReader) -> bytes | None:
         """One full frame; None on clean EOF or idle timeout.
 
         The wait for a frame's *first* bytes is bounded by
-        ``idle_timeout``; once a header arrives the body must follow
-        within :attr:`READ_TIMEOUT` or a typed ``timeout`` error goes back.
+        ``idle_timeout``; once part of a frame arrived the rest must
+        follow within :attr:`READ_TIMEOUT` or a typed ``timeout`` error
+        goes back.  The kernel enforces both (the reader switches them).
         """
-        conn.settimeout(self.idle_timeout)
         try:
-            header = recv_exact(conn.recv, FRAME_HEADER_SIZE)
-        except socket.timeout:
-            self.log.info("idle_timeout")
-            return None
-        if header is None:
-            return None
-        conn.settimeout(self.READ_TIMEOUT)
-        try:
-            body = recv_exact(conn.recv, frame_length(header))
-        except socket.timeout:
-            self.timeouts_total.inc()
-            raise ProtocolError(
-                f"read timed out mid-frame after {self.READ_TIMEOUT}s",
-                code=CODE_TIMEOUT,
-            ) from None
-        if body is None:
-            raise ProtocolError("connection closed before frame body")
-        return header + body
+            return reader.read()
+        except BlockingIOError:
+            if not reader.partial:
+                self.log.info("idle_timeout")
+                return None
+        self.timeouts_total.inc()
+        raise ProtocolError(
+            f"read timed out mid-frame after {self.READ_TIMEOUT}s",
+            code=CODE_TIMEOUT,
+        )
 
     def _send(self, conn: socket.socket, payload: dict[str, Any],
               key: bytes | None) -> None:
@@ -326,9 +319,14 @@ class MemexSocketServer:
         user_id: str | None = None  # named by the last hello
         key: bytes | None = None    # ... and its cipher key
         try:
+            # Sends run under READ_TIMEOUT too.
+            set_kernel_timeouts(
+                conn, recv=self.idle_timeout, send=self.READ_TIMEOUT)
+            reader = FrameReader(
+                conn, idle=self.idle_timeout, stall=self.READ_TIMEOUT)
             while not self._stopping.is_set():
                 try:
-                    frame = self._read_frame(conn)
+                    frame = self._read_frame(reader)
                 except ProtocolError as exc:
                     # Truncation / oversize / mid-frame timeout: answer
                     # with a typed error, then drop the connection — the

@@ -25,6 +25,7 @@ for that request (or that batch item) only; see
 from __future__ import annotations
 
 import json
+import socket
 import struct
 import threading
 from collections import OrderedDict
@@ -168,8 +169,13 @@ def rc4_stream(key: bytes, data: bytes) -> bytes:
     ).to_bytes(n, "little")
 
 
+# Built once: json.dumps with any non-default argument builds an encoder
+# per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_body(payload: dict[str, Any]) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 class SharedResponse(dict):
@@ -245,31 +251,9 @@ def encode_message(
     return _LEN.pack(len(body) + 1) + bytes([flags]) + body
 
 
-def recv_exact(recv: Any, n: int) -> bytes | None:
-    """Read exactly *n* bytes via ``recv(size)`` calls.
-
-    Returns ``None`` on a clean EOF *before the first byte* (the peer hung
-    up between frames); raises :class:`ProtocolError` if the stream ends
-    mid-read (a truncated frame).  ``socket.timeout`` from *recv*
-    propagates — the caller decides whether that is an idle or a
-    mid-frame timeout.
-    """
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = recv(n - len(buf))
-        if not chunk:
-            if not buf:
-                return None
-            raise ProtocolError(
-                f"connection closed mid-frame ({len(buf)}/{n} bytes)"
-            )
-        buf.extend(chunk)
-    return bytes(buf)
-
-
-def frame_length(header: bytes) -> int:
-    """Body length declared by a 4-byte frame header (validated)."""
-    (length,) = _LEN.unpack(header)
+def _declared_length(data: Any, offset: int) -> int:
+    """Body length a frame header at *offset* declares (validated)."""
+    (length,) = _LEN.unpack_from(data, offset)
     if length > MAX_MESSAGE_BYTES:
         raise ProtocolError("declared length too large")
     if length < 1:
@@ -277,22 +261,126 @@ def frame_length(header: bytes) -> int:
     return length
 
 
-def recv_frame(recv: Any) -> bytes | None:
-    """Read one full frame (header + body) from a stream-style ``recv``.
+# -- frames over a socket ------------------------------------------------------
+#
+# Both ends of every hop use blocking sockets whose timeouts the kernel
+# enforces (SO_RCVTIMEO, SO_SNDTIMEO).  A Python-level socket timeout
+# costs a poll() before every recv and send and an ioctl per change; a
+# kernel timeout costs nothing per call, and a call that waits it out
+# fails with EAGAIN (BlockingIOError).
 
-    Returns the raw frame ready for :func:`decode_message`, or ``None``
-    on clean EOF at a frame boundary.
+#: Linux's ``struct timeval`` (tv_sec, tv_usec), as SO_RCVTIMEO takes it.
+_TIMEVAL = struct.Struct("@ll")
+
+
+def _timeval(seconds: float) -> bytes:
+    # At least 1 µs: a zero timeval means "wait forever".
+    usec = max(1, round(seconds * 1_000_000))
+    return _TIMEVAL.pack(*divmod(usec, 1_000_000))
+
+
+def set_kernel_timeouts(sock: socket.socket, *, recv: float, send: float) -> None:
+    """Make *sock* blocking, with the kernel bounding each receive by
+    *recv* seconds and each send by *send*.  A platform that refuses
+    the options raises here, before anything is served."""
+    sock.settimeout(None)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(recv))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, _timeval(send))
+
+
+#: Bytes of a connection's receive buffer.  A frame longer than this is
+#: read into a buffer of its own, so no connection keeps more.
+RECV_BUFFER_BYTES = 16 * 1024
+
+
+class FrameReader:
+    """Frames off one blocking socket (see :func:`set_kernel_timeouts`),
+    one ``recv_into`` per frame, into a buffer the connection owns.
+
+    What a read brings past the frame it returns stays buffered for the
+    next, so frames that arrive together — a hello and its request — are
+    served in order without another read.  The receive timeout is the
+    socket's own (*idle*) while no partial frame is buffered; given a
+    different *stall* timeout, the reader switches the socket to it once
+    a frame has started but is incomplete, and back before it waits for
+    the next frame.
     """
-    header = recv_exact(recv, _LEN.size)
-    if header is None:
-        return None
-    body = recv_exact(recv, frame_length(header))
-    if body is None:
-        raise ProtocolError("connection closed before frame body")
-    return header + body
 
+    __slots__ = ("sock", "_buf", "_view", "_start", "_end",
+                 "_timeouts", "_stalled")
 
-FRAME_HEADER_SIZE = _LEN.size
+    def __init__(self, sock: socket.socket, *,
+                 idle: float = 0.0, stall: float = 0.0) -> None:
+        self.sock = sock
+        self._buf = bytearray(RECV_BUFFER_BYTES)
+        self._view = memoryview(self._buf)
+        self._start = self._end = 0   # the buffered bytes: _buf[_start:_end]
+        # (idle, stall) as timevals, or None when there is nothing to
+        # switch: the client waits response_timeout either way.
+        self._timeouts = (
+            (_timeval(idle), _timeval(stall)) if stall != idle else None)
+        self._stalled = False
+
+    @property
+    def partial(self) -> bool:
+        """Is part of a frame buffered?  When a read times out, this
+        tells a stall inside a frame from a wait for the next one."""
+        return self._end > self._start
+
+    def read(self) -> bytes | None:
+        """The next whole frame (header included), for
+        :func:`decode_message`; ``None`` on a clean EOF between frames.
+
+        Raises :class:`ProtocolError` for a bad declared length or an
+        EOF mid-frame, and ``BlockingIOError`` when a receive timeout
+        expires (see :attr:`partial`).
+        """
+        buf, view = self._buf, self._view
+        while True:
+            start, have = self._start, self._end - self._start
+            if have >= _LEN.size:
+                total = _LEN.size + _declared_length(buf, start)
+                if have >= total:
+                    if have == total:
+                        self._start = self._end = 0
+                    else:
+                        self._start = start + total
+                    return bytes(view[start:start + total])
+                if total > len(buf):
+                    return self._read_long(total)
+            if start:
+                # A partial frame at the tail: move it to the front.
+                view[:have] = view[start:start + have]
+                self._start, self._end = 0, have
+            n = self._recv(view[have:])
+            if not n:
+                if have:
+                    raise ProtocolError(
+                        f"connection closed mid-frame ({have} bytes in)")
+                return None
+            self._end += n
+
+    def _read_long(self, total: int) -> bytes:
+        """A frame longer than the buffer, whose first bytes it holds."""
+        frame = bytearray(total)
+        got = self._end - self._start
+        frame[:got] = self._view[self._start:self._end]
+        out = memoryview(frame)
+        while got < total:
+            n = self._recv(out[got:])
+            if not n:
+                raise ProtocolError(
+                    f"connection closed mid-frame ({got}/{total} bytes)")
+            got += n
+        self._start = self._end = 0
+        return bytes(frame)
+
+    def _recv(self, into: memoryview) -> int:
+        if self._timeouts is not None and self.partial != self._stalled:
+            self._stalled = not self._stalled
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                                 self._timeouts[self._stalled])
+        return self.sock.recv_into(into)
 
 
 def decode_message(data: bytes, *, key: bytes | None = None) -> dict[str, Any]:

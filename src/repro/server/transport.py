@@ -26,7 +26,13 @@ from typing import Any, Protocol, runtime_checkable
 
 from ..errors import CODE_TIMEOUT, CODE_UNAVAILABLE, ProtocolError, error_payload
 from .netserver import Dispatcher, HELLO_KEY
-from .protocol import check_key, decode_message, encode_message, recv_frame
+from .protocol import (
+    FrameReader,
+    check_key,
+    decode_message,
+    encode_message,
+    set_kernel_timeouts,
+)
 from .servlets import BATCH_SERVLET, ServletRegistry
 
 
@@ -158,10 +164,11 @@ _STALE_AFTER_S = 1.0
 class _Connection:
     """One pooled TCP connection, lent to one request at a time."""
 
-    __slots__ = ("sock", "user", "key", "last_used", "epoch")
+    __slots__ = ("sock", "reader", "user", "key", "last_used", "epoch")
 
     def __init__(self, epoch: int) -> None:
         self.sock: socket.socket | None = None  # the borrower connects
+        self.reader: FrameReader | None = None  # ... and reads it with this
         self.user: str | None = None  # named by the last hello sent
         self.key: bytes | None = None  # ... and the key it was sent with
         self.last_used = 0.0
@@ -173,12 +180,7 @@ class _Connection:
         readable socket then holds the server's EOF (or junk), never a
         response."""
         try:
-            timeout = self.sock.gettimeout()
-            self.sock.setblocking(False)
-            try:
-                self.sock.recv(1, socket.MSG_PEEK)
-            finally:
-                self.sock.settimeout(timeout)
+            self.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
         except BlockingIOError:
             return False  # open and quiet
         except OSError:
@@ -362,7 +364,9 @@ class SocketTransport:
             self._discard(conn)
 
     def _open(self) -> socket.socket:
-        """A plain TCP connection, bound to no user yet."""
+        """A plain TCP connection, bound to no user yet, connected under
+        ``connect_timeout``; the kernel bounds each later receive and
+        send by ``response_timeout``."""
         with self._pool_lock:
             suppressed_until = self._backoff_until
         if self._backoff_failures and time.monotonic() < suppressed_until:
@@ -377,6 +381,12 @@ class SocketTransport:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout,
             )
+            try:
+                set_kernel_timeouts(sock, recv=self.response_timeout,
+                                    send=self.response_timeout)
+            except OSError:
+                sock.close()
+                raise
         except OSError as exc:
             with self._pool_lock:
                 self._backoff_failures += 1
@@ -393,7 +403,6 @@ class SocketTransport:
             # The endpoint is accepting again: disarm the backoff.
             self._backoff_failures = 0
             self._backoff_until = 0.0
-        sock.settimeout(self.response_timeout)
         return sock
 
     # -- request path --------------------------------------------------------
@@ -417,13 +426,14 @@ class SocketTransport:
                 # idempotent); once it has, a break is the caller's.
                 self._discard(conn)
                 conn.sock, conn.user = self._open(), None
+                conn.reader = FrameReader(conn.sock)
             if conn.user != user_id or conn.key is not key:
                 wire = encode_message({HELLO_KEY: user_id}) + wire
                 conn.user, conn.key = user_id, key
             conn.sock.sendall(wire)
-            raw = recv_frame(conn.sock.recv)
+            raw = conn.reader.read()
             conn.last_used = time.monotonic()
-        except socket.timeout:
+        except BlockingIOError:  # the kernel's response_timeout expired
             self._give_back(conn, reuse=False)
             raise ProtocolError(
                 f"timed out after {self.response_timeout}s waiting for response",

@@ -18,6 +18,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -176,12 +177,22 @@ class FolderEdit:
         return row["owner"] if row is not None else None
 
     def _filings(self, url: str) -> list[Row]:
-        """The rows filing *url*, stored ones in the catalog's order."""
-        stored = [
-            row for row in self._db.table("folder_pages").select({"url": url})
-            if row["assoc_id"] not in self._unfiled
-        ]
+        """The rows filing *url* in ``assoc_id`` order: stored ones (the
+        index bucket is a set, so they are sorted), then staged ones."""
+        stored = sorted(
+            (row for row in self._db.table("folder_pages").select({"url": url})
+             if row["assoc_id"] not in self._unfiled),
+            key=itemgetter("assoc_id"),
+        )
         return stored + [row for row in self._filed.values() if row["url"] == url]
+
+    def _deliberate_filing(self, folder: str, url: str) -> int | None:
+        """The ``assoc_id`` of a bookmark or correction filing *url* in
+        *folder*, if there is one."""
+        for row in self._filings(url):
+            if row["folder_id"] == folder and row["source"] != ASSOC_GUESS:
+                return row["assoc_id"]
+        return None
 
     # -- staged writes --------------------------------------------------------
 
@@ -208,15 +219,15 @@ class FolderEdit:
         the ``assoc_id`` returned is that filing's."""
         self._pages.upsert(url, self.now)
         self.drop_guesses(self._owner(folder), url)
-        for row in self._filings(url):
-            if row["folder_id"] == folder and row["source"] != ASSOC_GUESS:
-                return row["assoc_id"]
+        filed = self._deliberate_filing(folder, url)
+        if filed is not None:
+            return filed
         return self._file(folder, url, ASSOC_BOOKMARK, None)
 
     def guess(self, folder: str, url: str, confidence: float) -> None:
         """File *url* in *folder* as the classifier's '?' guess, dropping
         the owner's guesses for it elsewhere.  A row already filing *url*
-        in *folder* ends the walk over its filings, in the catalog's
+        in *folder* ends the walk over its filings, in ``assoc_id``
         order: then only the guesses met before it go, and nothing is
         filed."""
         owner = self._owner(folder)
@@ -232,7 +243,12 @@ class FolderEdit:
         self._file(folder, url, ASSOC_GUESS, confidence)
 
     def correct(self, folder: str, url: str) -> int:
-        """File *url* in *folder* as the user's correction."""
+        """File *url* in *folder* as the user's correction.  When
+        *folder* already files *url* deliberately nothing is filed, and
+        the ``assoc_id`` returned is that filing's."""
+        filed = self._deliberate_filing(folder, url)
+        if filed is not None:
+            return filed
         return self._file(folder, url, ASSOC_CORRECTION, None)
 
     def unfile(self, folder: str, url: str) -> int:

@@ -96,10 +96,18 @@ KEPT = _kept(
      "server.netserver:MemexSocketServer._try_send_error",
      "server.netserver:MemexSocketServer._worker_loop",
      "server.netserver:MemexSocketServer.close",
-     "server.protocol:frame_encrypted",
-     "server.protocol:frame_length",
-     "server.protocol:recv_exact",
-     "server.protocol:recv_frame"),
+     "server.protocol:frame_encrypted"),
+    ("(a) the frame reader and kernel timeouts of both socket ends: "
+     "src/repro/server/protocol.py, src/repro/server/netserver.py, "
+     "src/repro/server/transport.py; tests/test_server_netserver.py",
+     "server.protocol:FrameReader.__init__",
+     "server.protocol:FrameReader._read_long",
+     "server.protocol:FrameReader._recv",
+     "server.protocol:FrameReader.partial",
+     "server.protocol:FrameReader.read",
+     "server.protocol:_declared_length",
+     "server.protocol:_timeval",
+     "server.protocol:set_kernel_timeouts"),
     ("(a) the socket client: src/repro/server/transport.py, "
      "src/repro/shard/supervisor.py; tests/test_server_netserver.py, "
      "tests/test_client_pool.py",

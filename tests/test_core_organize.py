@@ -136,6 +136,30 @@ def test_apply_proposal_moves_only_what_the_base_folder_files(messy_import_syste
         url for urls in view.values() for url in urls}
 
 
+def test_apply_proposal_creates_only_folders_something_moves_into(
+        messy_import_system):
+    system, applet, pages, _topics = messy_import_system
+    proposal = {"name": "Imported", "urls": [], "children": [
+        {"name": "Music", "children": [], "urls": ["http://music0/"]},
+        {"name": "Elsewhere", "children": [
+            {"name": "Deeper", "children": [],
+             "urls": ["http://never-filed/"]}],
+         "urls": ["http://not-here/"]}]}
+    assert applet.apply_organization("Imported", proposal, at=10_000.0) == 1
+    paths = {f["path"] for f in applet.folder_view()["folders"]}
+    assert "Imported/Music" in paths
+    assert not {p for p in paths if p.startswith("Imported/Elsewhere")}
+
+
+def test_a_repeated_move_into_a_folder_files_the_page_once(messy_import_system):
+    system, applet, pages, _topics = messy_import_system
+    for at in (9_000.0, 9_001.0):
+        applet.move_bookmark("http://chess0/", None, "Games", at=at)
+    view = {f["path"]: [i["url"] for i in f["items"]]
+            for f in applet.folder_view()["folders"]}
+    assert view["Games"] == ["http://chess0/"]
+
+
 def test_propose_empty_folder(messy_import_system):
     system, applet, _p, _t = messy_import_system
     applet.create_folder("Empty", at=0.0)

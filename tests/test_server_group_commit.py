@@ -354,11 +354,10 @@ def test_an_ack_is_one_catalog_fsync(tmp_path):
         folders = {f["path"]: [i["url"] for i in f["items"]]
                    for f in ask("u", {"servlet": "folders_get"})["folders"]}
         # The hierarchy moves what x/y files (h/1): h/0 left it for q,
-        # and h/2 and p/1 were never in it.
+        # and h/2 and p/1 were never in it, so no x/y/Late is made.
         assert folders == {
             "Jazz": ["http://p/1"], "a": [], "a/b": [], "a/b/c": [],
-            "x": [], "x/y": [], "x/y/Early": ["http://h/1"],
-            "x/y/Late": [], "m": [],
+            "x": [], "x/y": [], "x/y/Early": ["http://h/1"], "m": [],
             "m/n": ["http://p/2"],
             "q": ["http://h/0"]}
         assert [row["topic_folder"] for row in server.repo.db.table(

@@ -13,17 +13,18 @@ import time
 
 import pytest
 
-from repro.errors import CODE_TIMEOUT, ProtocolError
+from repro.errors import CODE_TIMEOUT, RETRYABLE_CODES, ProtocolError
 from repro.obs import LogHub, MetricsRegistry
 from repro.server import netserver, protocol
 from repro.server import transport as transport_module
 from repro.server.netserver import MemexSocketServer
-from repro.server.protocol import decode_message, encode_message, recv_frame
+from repro.server.protocol import decode_message, encode_message
 from repro.server.servlets import ServletRegistry
 from repro.server.transport import SocketTransport
 from repro.shard.gather import LocalBackend
 from repro.shard.router import ShardRouter
 
+from .frame_reference import recv_frame
 from .rc4_reference import _reference_decode_message, _reference_encode_message
 
 
@@ -700,3 +701,218 @@ def test_shard_workers_hold_no_keys_so_the_hop_says_hello_as_the_user():
     for shard in shards:
         assert all(shard.transport.key_for(user) is None for user in users)
         assert shard.metrics.counter_value("net.connections_total") == 1
+
+
+# -- the wire's syscall budget and timeouts ------------------------------------
+
+class _CountingSocket:
+    """A real socket that counts the calls each costing one syscall on a
+    blocking socket, and every call that sets a timeout."""
+
+    COUNTED = ("recv", "recv_into", "send", "sendall",
+               "settimeout", "setblocking", "setsockopt")
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.calls = dict.fromkeys(self.COUNTED + ("close",), 0)
+
+    def __getattr__(self, name):
+        attr = getattr(self._sock, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+    def reads(self):
+        return self.calls["recv"] + self.calls["recv_into"]
+
+    def writes(self):
+        return self.calls["send"] + self.calls["sendall"]
+
+    def timeout_calls(self):
+        return (self.calls["settimeout"] + self.calls["setblocking"]
+                + self.calls["setsockopt"])
+
+
+def _until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+@pytest.mark.parametrize("requests", [1, 6])
+def test_a_frame_costs_one_read_and_one_write_at_both_ends(monkeypatch, requests):
+    """Each end's sockets are blocking — no poll per call — and a request
+    is one read and one write on the server and on the client, with no
+    timeout set per frame; the hello shares its request's read."""
+    accepted, connected = [], []
+    real_accept = socket.socket.accept
+    real_connect = transport_module.socket.create_connection
+
+    def accept(listener):
+        conn, addr = real_accept(listener)
+        accepted.append(_CountingSocket(conn))
+        return accepted[-1], addr
+
+    def create_connection(*args, **kwargs):
+        connected.append(_CountingSocket(real_connect(*args, **kwargs)))
+        return connected[-1]
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    monkeypatch.setattr(transport_module.socket, "create_connection",
+                        create_connection)
+    with MemexSocketServer(_registry(), workers=1) as srv:
+        with _client(srv) as transport:
+            for i in range(requests):
+                assert transport.request(
+                    "alice", {"servlet": "echo", "value": i})["echo"] == i
+            [client] = connected
+            assert client.gettimeout() is None      # blocking: no poll
+            assert (client.reads(), client.writes()) == (requests, requests)
+            # Once, when it connected: blocking, SO_RCVTIMEO, SO_SNDTIMEO.
+            assert client.timeout_calls() == 3
+        [server] = accepted
+        _until(lambda: server.calls["close"])   # the server read our EOF
+        assert server.gettimeout() is None
+        assert (server.reads(), server.writes()) == (requests + 1, requests)
+        assert server.timeout_calls() == 3
+
+
+def _served(sock, *values):
+    return [decode_message(recv_frame(sock.recv))["echo"] for _ in values]
+
+
+def test_a_frame_split_at_every_byte_boundary_is_served():
+    frame = encode_message(
+        {"servlet": "echo", "user_id": "alice", "value": "split"})
+    with MemexSocketServer(_registry(), workers=1) as srv:
+        with _hello(srv.address, "alice") as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for cut in range(1, len(frame)):
+                sock.sendall(frame[:cut])
+                time.sleep(0.002)   # the server reads the first part alone
+                sock.sendall(frame[cut:])
+                assert _served(sock, "split") == ["split"]
+
+
+def test_a_hello_and_two_requests_in_one_segment_are_answered_in_order():
+    with MemexSocketServer(_registry(), workers=1) as srv:
+        with socket.create_connection(srv.address, timeout=5.0) as sock:
+            sock.sendall(
+                encode_message({"hello": "alice"})
+                + encode_message({"servlet": "echo", "value": 1})
+                + encode_message({"servlet": "echo", "value": 2}))
+            assert _served(sock, 1, 2) == [1, 2]
+
+
+def test_a_frame_larger_than_the_buffer_is_read_whole():
+    """Longer than a connection's receive buffer, at both ends, and
+    arriving behind a small frame in the same write (so its header sits
+    mid-buffer) and ahead of another."""
+    big = "x" * 100_000   # over six receive buffers
+    with MemexSocketServer(_registry(), workers=1) as srv:
+        with _client(srv) as transport:
+            for value in (big, "small", big):
+                assert transport.request(
+                    "alice", {"servlet": "echo", "value": value})["echo"] == value
+        with _hello(srv.address, "alice") as sock:
+            sock.sendall(b"".join(
+                encode_message({"servlet": "echo", "value": value})
+                for value in ("a", big, "b")))
+            assert _served(sock, "a", big, "b") == ["a", big, "b"]
+
+
+def _stalled_for(sock, partial_frame):
+    """Send *partial_frame* and stall: the typed error that comes back,
+    and how long it took."""
+    sock.sendall(partial_frame)
+    started = time.monotonic()
+    response = decode_message(recv_frame(sock.recv))
+    return response, time.monotonic() - started
+
+
+def test_a_mid_frame_stall_times_out_after_read_timeout(monkeypatch):
+    """Only a started frame waits READ_TIMEOUT: between frames the idle
+    timeout holds, also after a frame that arrived in pieces."""
+    monkeypatch.setattr(MemexSocketServer, "READ_TIMEOUT", 0.15)
+    frame = encode_message({"servlet": "echo", "user_id": "a", "value": 1})
+    with MemexSocketServer(
+        _registry(), workers=1, idle_timeout=5.0, metrics=MetricsRegistry(),
+    ) as srv:
+        with _hello(srv.address, "a") as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.sendall(frame[:7])
+            time.sleep(0.05)
+            sock.sendall(frame[7:])
+            assert _served(sock, 1) == [1]
+            time.sleep(0.4)   # past READ_TIMEOUT, idle between frames
+            sock.sendall(frame)
+            assert _served(sock, 1) == [1]
+            response, waited = _stalled_for(sock, frame[:-3])
+            assert response["error_code"] == CODE_TIMEOUT
+            assert response["retryable"] is True
+            assert 0.1 < waited < 2.0
+            assert sock.recv(1) == b""
+        assert srv.metrics.counter_value("net.timeouts_total") == 1
+
+
+def test_a_stall_inside_a_frame_header_is_mid_frame(monkeypatch):
+    """Part of a header is part of a frame: it waits READ_TIMEOUT, not
+    the idle timeout, and earns the typed error."""
+    monkeypatch.setattr(MemexSocketServer, "READ_TIMEOUT", 0.15)
+    with MemexSocketServer(
+        _registry(), workers=1, idle_timeout=5.0, metrics=MetricsRegistry(),
+    ) as srv:
+        with _hello(srv.address, "a") as sock:
+            response, waited = _stalled_for(sock, encode_message({})[:2])
+            assert response["error_code"] == CODE_TIMEOUT
+            assert 0.1 < waited < 2.0
+        assert srv.metrics.counter_value("net.timeouts_total") == 1
+
+
+def test_an_idle_connection_closes_quietly_after_idle_timeout():
+    with MemexSocketServer(
+        _registry(), workers=1, idle_timeout=0.3, metrics=MetricsRegistry(),
+    ) as srv:
+        with _hello(srv.address, "alice") as sock:
+            sock.sendall(encode_message({"servlet": "echo", "value": 1}))
+            assert _served(sock, 1) == [1]
+            started = time.monotonic()
+            assert sock.recv(1) == b""   # no error frame, just the close
+            assert 0.25 < time.monotonic() - started < 3.0
+        assert srv.metrics.counter_value("net.timeouts_total") == 0
+
+
+def test_a_server_that_never_answers_is_a_retryable_timeout():
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()
+    hung_up = threading.Event()
+
+    def read_the_request_and_say_nothing():
+        conn, _ = listener.accept()
+        with conn:
+            recv_frame(conn.recv)   # the hello
+            recv_frame(conn.recv)   # the request
+            hung_up.wait(5.0)
+
+    t = threading.Thread(target=read_the_request_and_say_nothing)
+    t.start()
+    try:
+        with SocketTransport(host, port, response_timeout=0.2) as transport:
+            started = time.monotonic()
+            with pytest.raises(ProtocolError) as err:
+                transport.request("alice", {"servlet": "whoami"})
+            waited = time.monotonic() - started
+        assert err.value.code == CODE_TIMEOUT
+        assert err.value.code in RETRYABLE_CODES
+        assert "timed out" in str(err.value)
+        assert 0.15 < waited < 2.0
+    finally:
+        hung_up.set()
+        t.join(timeout=5.0)
+        listener.close()
+    assert not t.is_alive()

@@ -30,11 +30,12 @@ from repro.server.protocol import (
     SharedResponse,
     decode_message,
     encode_message,
-    recv_frame,
 )
 from repro.server.transport import HttpTunnelTransport, replicate_envelope_failure
 from repro.shard.gather import LocalBackend, ShardDispatcher
 from repro.webgen import build_workload
+
+from .frame_reference import recv_frame
 
 KEY = b"shared-response-key"
 #: Which cache answers each servlet.

@@ -10,6 +10,7 @@ from repro.storage.schema import (
     ARCHIVE_COMMUNITY,
     ARCHIVE_PRIVATE,
     ASSOC_BOOKMARK,
+    ASSOC_CORRECTION,
     ASSOC_GUESS,
 )
 
@@ -178,7 +179,7 @@ def test_dissociate(repo):
         edit.correct(f, "http://a/")
         edit.correct(f, "http://a/")
     with repo.edit(1.0) as edit:
-        assert edit.unfile(f, "http://a/") == 2
+        assert edit.unfile(f, "http://a/") == 1
         assert edit.unfile(f, "http://a/") == 0
         assert edit.drop_guesses("v", "http://a/") == 0
         assert edit.drop_guesses("u", "http://a/") == 1
@@ -207,6 +208,56 @@ def test_a_repeat_bookmark_files_nothing(repo):
     ) == [("u:Blues", "http://p/"), ("u:Blues", "http://q/"),
           ("u:Jazz", "http://p/")]
     assert repo.stamps.filings == filings + 1
+
+
+def test_a_repeat_correction_files_nothing(repo):
+    """A correction into a folder that already files the page
+    deliberately — in the same edit or a later one — adds no row, moves
+    no filing stamp and answers with that filing's id."""
+    with repo.edit(1.0) as edit:
+        jazz = edit.folder("u", "Jazz")
+        bookmarked = edit.bookmark(jazz, "http://p/")
+        assert edit.correct(jazz, "http://p/") == bookmarked
+        corrected = edit.correct(jazz, "http://q/")
+        assert edit.correct(jazz, "http://q/") == corrected
+    filings = repo.stamps.filings
+    with repo.edit(2.0) as edit:
+        assert edit.correct(jazz, "http://p/") == bookmarked
+        assert edit.correct(jazz, "http://q/") == corrected
+    assert repo.stamps.filings == filings
+    assert sorted(
+        (r["url"], r["source"]) for r in repo.db.table("folder_pages").scan()
+    ) == [("http://p/", ASSOC_BOOKMARK), ("http://q/", ASSOC_CORRECTION)]
+
+
+def _guess_after(padding):
+    """Carol's corrected page and a guess for it in another folder, filed
+    after *padding* filings of other pages (which move the ids); then a
+    guess into the corrected folder.  The filings of the page left."""
+    repo = MemexRepository()
+    with repo.edit(1.0) as edit:
+        mine, other = edit.folder("carol", "Mine"), edit.folder("carol", "Other")
+        for i in range(padding[0]):
+            edit.bookmark(other, f"http://pad/{i}")
+        edit.correct(mine, "http://page/")
+    with repo.edit(2.0) as edit:
+        for i in range(padding[1]):
+            edit.bookmark(other, f"http://pad/more-{i}")
+        edit.guess(other, "http://page/", 0.4)
+    with repo.edit(3.0) as edit:
+        edit.guess(mine, "http://page/", 0.9)
+    left = sorted((r["folder_id"], r["source"])
+                  for r in repo.db.table("folder_pages").select({"url": "http://page/"}))
+    repo.close()
+    return left
+
+
+def test_filings_are_walked_in_assoc_id_order_whatever_the_ids():
+    """A guess walks a page's filings oldest first, so which guesses it
+    drops does not depend on the ids' hash order: the older correction
+    in the guessed folder ends the walk before the newer guess."""
+    assert _guess_after((0, 0)) == _guess_after((2, 4)) == [
+        ("carol:Mine", ASSOC_CORRECTION), ("carol:Other", ASSOC_GUESS)]
 
 
 def test_an_edit_reads_what_it_has_staged(repo):
