@@ -11,6 +11,11 @@ The cipher is the period-appropriate choice (SSL 3.0 deployments of 1999
 ran RC4-128) and is implemented here for fidelity of the code path — it
 must not be mistaken for modern transport security.
 
+Over a real socket (:mod:`repro.server.netserver`,
+:class:`~repro.server.transport.SocketTransport`) both ends read frames
+with :class:`FrameReader` — one ``recv_into`` a frame — on blocking
+sockets whose timeouts the kernel enforces (:func:`set_kernel_timeouts`).
+
 Trace context rides in the *payload*, not the frame: a traced client
 stamps each request object (and each item of a ``batch`` envelope) with
 an optional ``traceparent`` field in the W3C format

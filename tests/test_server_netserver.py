@@ -1,5 +1,6 @@
 """Socket front-end tests: hellos and rebinding, framing loop, timeouts
-as typed wire errors, encryption over TCP, and graceful drain.
+as typed wire errors, encryption over TCP, graceful drain, and what a
+frame costs in syscalls at each end.
 
 The socket server and the in-process tunnel speak identical bytes, so
 most behaviour is asserted through :class:`SocketTransport` — the same
