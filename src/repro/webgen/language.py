@@ -16,6 +16,8 @@ knobs E1 turns to recreate the paper's "front pages with less text" regime.
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from itertools import accumulate
 
 from .topictree import TopicNode
 
@@ -32,6 +34,13 @@ def _zipf_weights(n: int, s: float = 1.1) -> list[float]:
     return [w / total for w in weights]
 
 
+def _draw(vocab: list[str], cum: list[float], rng: random.Random) -> str:
+    """``rng.choices(vocab, weights)[0]`` given the weights' running sums
+    *cum*: the same single ``random()`` and the same pick, but O(log V)
+    instead of rebuilding the running sums on every draw."""
+    return vocab[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
+
+
 class TopicLanguageModel:
     """Unigram models for every topic in a taxonomy."""
 
@@ -42,7 +51,6 @@ class TopicLanguageModel:
         *,
         topical_mass: float = 0.55,
         ancestor_share: float = 0.35,
-        background_size: int = BACKGROUND_SIZE,
     ) -> None:
         """
         Parameters
@@ -58,18 +66,18 @@ class TopicLanguageModel:
         self.topical_mass = topical_mass
         self.ancestor_share = ancestor_share
         background: list[str] = []
-        for i in range(background_size):
+        for i in range(BACKGROUND_SIZE):
             word = _COMMON_WEB_WORDS[i % len(_COMMON_WEB_WORDS)]
             generation = i // len(_COMMON_WEB_WORDS)
             background.append(word if generation == 0 else f"{word}{generation}")
         self._background = background
-        self._bg_weights = _zipf_weights(len(self._background))
+        self._bg_cum = list(accumulate(_zipf_weights(BACKGROUND_SIZE)))
         self._topic_vocab: dict[str, list[str]] = {}
-        self._topic_weights: dict[str, list[float]] = {}
+        self._topic_cum: dict[str, list[float]] = {}
         for node in root.walk():
             vocab = self._expand(node, rng)
             self._topic_vocab[node.name] = vocab
-            self._topic_weights[node.name] = _zipf_weights(len(vocab), s=0.9) if vocab else []
+            self._topic_cum[node.name] = list(accumulate(_zipf_weights(len(vocab), s=0.9)))
 
     @staticmethod
     def _expand(node: TopicNode, rng: random.Random) -> list[str]:
@@ -98,21 +106,21 @@ class TopicLanguageModel:
         mass = self.topical_mass if topical_mass is None else topical_mass
         path = topic.ancestors() or [topic]
         own = self._topic_vocab.get(topic.name) or ["misc"]
-        own_w = self._topic_weights.get(topic.name) or [1.0]
+        own_cum = self._topic_cum.get(topic.name) or [1.0]
         tokens: list[str] = []
         for _ in range(length):
             r = rng.random()
             if r >= mass:
-                tokens.append(rng.choices(self._background, self._bg_weights)[0])
+                tokens.append(_draw(self._background, self._bg_cum, rng))
             elif r < mass * self.ancestor_share and len(path) > 1:
                 donor = rng.choice(path[:-1])
                 vocab = self._topic_vocab.get(donor.name)
                 if vocab:
-                    tokens.append(rng.choices(vocab, self._topic_weights[donor.name])[0])
+                    tokens.append(_draw(vocab, self._topic_cum[donor.name], rng))
                 else:
-                    tokens.append(rng.choices(own, own_w)[0])
+                    tokens.append(_draw(own, own_cum, rng))
             else:
-                tokens.append(rng.choices(own, own_w)[0])
+                tokens.append(_draw(own, own_cum, rng))
         return tokens
 
 _COMMON_WEB_WORDS = [

@@ -1,5 +1,6 @@
 """Tests for the synthetic Web and surfer simulation."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.server.events import BookmarkEvent, FolderCreateEvent, VisitEvent
 from repro.webgen import (
     TopicLanguageModel,
+    bookmark_challenge_workload,
     build_workload,
     community_interests,
     generate_corpus,
@@ -219,14 +221,69 @@ def test_bookmarks_point_at_owned_folders(taxonomy):
         assert bm.folder_path in profile.folders
 
 
+def _workload_digest(workload) -> str:
+    """sha256 over every generated byte a server or an experiment reads."""
+    h = hashlib.sha256()
+
+    def put(*fields) -> None:
+        h.update(repr(fields).encode())
+
+    for p in workload.corpus.pages.values():
+        put(p.url, p.topic, p.title, p.text, p.front_page, p.born_at, p.out_links)
+    for edge in workload.graph.edges():
+        put(*edge)
+    for profile in workload.profiles:
+        put(profile)
+    for event in workload.events:
+        put(event)
+    return h.hexdigest()
+
+
+#: The bench archives (``read_hot``, ``ingest``, ``search_cold``/``mixed``),
+#: the E1 preset and a late-page workload, each pinned to its digest.  Any
+#: change to a draw (its order, count or arithmetic) changes some digest.
+GOLDEN_WORKLOADS = {
+    "bench-6x8x12": (
+        lambda: build_workload(seed=23, num_users=6, days=8, pages_per_leaf=12),
+        "248934fb5b472b4cc79dceff25f0f83253acfdbb912226de85fb5400e14cb6ae"),
+    "bench-4x1x16": (
+        lambda: build_workload(seed=23, num_users=4, days=1, pages_per_leaf=16),
+        "d40e27438fc1a5ccc86eff20b71a5974328aa79ff5304d4e138ff0bdb5b65207"),
+    "bench-4x2x12": (
+        lambda: build_workload(seed=23, num_users=4, days=2, pages_per_leaf=12),
+        "0b9339da731f21d23db3ce4f957677302df2aaa45d35a3e0267b538f11447176"),
+    "bookmark-challenge": (
+        bookmark_challenge_workload,
+        "de0925adaf7072a1d4e08992004f0ae0ec4ed119aed60cfd2ee5d389c89b9fa6"),
+    "late-pages": (
+        lambda: build_workload(seed=17, num_users=4, days=14, pages_per_leaf=8,
+                               late_page_fraction=0.4),
+        "27ba1a000d83b16df150118deb83fb12ae98ad31ec1f7eea0873865ef6999eb1"),
+}
+
+
 def test_workload_determinism():
-    a = build_workload(seed=99, num_users=3, days=5, pages_per_leaf=4)
-    b = build_workload(seed=99, num_users=3, days=5, pages_per_leaf=4)
-    assert len(a.events) == len(b.events)
-    assert [e.at for e in a.events[:50]] == [e.at for e in b.events[:50]]
-    assert a.corpus.urls() == b.corpus.urls()
-    c = build_workload(seed=100, num_users=3, days=5, pages_per_leaf=4)
-    assert [e.at for e in a.events[:50]] != [e.at for e in c.events[:50]]
+    digests = {name: _workload_digest(build())
+               for name, (build, _) in GOLDEN_WORKLOADS.items()}
+    assert digests == {name: golden
+                       for name, (_, golden) in GOLDEN_WORKLOADS.items()}
+
+
+def test_a_token_costs_no_weight_table(monkeypatch):
+    """Text is drawn from precomputed running sums: building the
+    ``read_hot`` archive passes weights to ``Random.choices`` only for
+    the per-profile and per-session topic picks, never per token."""
+    weighted = 0
+    choices = random.Random.choices
+
+    def counting(self, population, weights=None, **kwargs):
+        nonlocal weighted
+        weighted += weights is not None or kwargs.get("cum_weights") is not None
+        return choices(self, population, weights, **kwargs)
+
+    monkeypatch.setattr(random.Random, "choices", counting)
+    w = build_workload(seed=23, num_users=6, days=8, pages_per_leaf=12)
+    assert 0 < weighted < len(w.corpus) // 2
 
 
 @settings(max_examples=10, deadline=None)
