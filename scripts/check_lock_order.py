@@ -12,16 +12,14 @@ Recognised acquisition forms (the only ones used in the tree):
 
 * ``with self._kv_lock:`` — any attribute named in
   ``repro.locks.LOCK_ATTRIBUTES``;
-* ``with self._rw.read():`` / ``with t._rw.write():`` — the RWLock
-  guard methods on a ``_rw`` attribute (rank "relational");
 * ``with self.index.lock:`` / ``with engine.index.lock:`` — the
   ``.lock`` property; ranked by its base name (``index`` → "index").
 
 Unranked locks (``_pool_lock``, ``_queue_lock``, ``conn.lock``, …) are
 leaf locks private to one object; the lint ignores them.  Equal-rank
-nesting is allowed: the index lock is reentrant by design, and the
-relational layer stripes per-table RWLocks acquired in alphabetical
-order — both are conventions this syntactic check cannot model.
+nesting is allowed: the index lock is reentrant by design, and a commit
+takes the ``_table_lock`` of each of its tables in alphabetical order —
+both are conventions this syntactic check cannot model.
 
 **Limitation (by design):** the check is intra-procedural.  A lock held
 in a caller while a callee acquires a shallower one is invisible here —
@@ -75,14 +73,6 @@ def _base_name(node: ast.expr) -> str | None:
 
 def classify(expr: ast.expr) -> tuple[str, str] | None:
     """``(display_name, level)`` if *expr* acquires a ranked lock."""
-    # self._rw.read() / t._rw.write()
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in ("read", "write")
-        and _base_name(expr.func.value) == "_rw"
-    ):
-        return (f"_rw.{expr.func.attr}()", LOCK_ATTRIBUTES["_rw"])
     if isinstance(expr, ast.Attribute):
         # self._kv_lock and friends
         level = LOCK_ATTRIBUTES.get(expr.attr)

@@ -14,10 +14,10 @@ for one.
 
 A stored row is never mutated in place: an insert stores a fresh dict, an
 update stores a changed copy in the old one's place, and a rollback puts
-the old dict back.  So a read snapshots row *references* under the read
-lock and copies only the rows it returns; a ``select`` or ``count``
-predicate sees the stored rows themselves and must treat them as
-read-only.
+the old dict back.  So a read snapshots row *references* under the
+table's lock and copies only the rows it returns, outside it; a
+``select`` or ``count`` predicate sees the stored rows themselves and
+must treat them as read-only.
 
 It is intentionally *not* a SQL parser — queries are expressed through a
 small fluent API — but the semantics (atomic multi-row transactions,
@@ -42,7 +42,6 @@ from ..errors import (
     SchemaError,
     TransactionError,
 )
-from ..locks import RWLock
 from ..obs import MetricsRegistry, current_traceparent, null_registry
 from .codec import decode, encode
 from .wal import WriteAheadLog
@@ -130,12 +129,12 @@ class Table:
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        # Per-table readers-writer lock (rank "relational" in
-        # repro.locks.LOCK_ORDER).  Reads snapshot row references under
-        # the read side and filter/sort outside it, so user predicates
-        # never run while the lock is held; commits take the write side of
-        # every involved table in sorted-name order (the "table group").
-        self._rw = RWLock()
+        # Per-table lock (rank "relational" in repro.locks.LOCK_ORDER).
+        # A read holds it for one lookup or a snapshot of row references
+        # and filters, sorts and copies outside it, so user predicates
+        # never run while it is held; a commit takes the lock of every
+        # involved table in sorted-name order (the "table group").
+        self._table_lock = threading.RLock()
         self._rows: dict[Any, Row] = {}
         self._hash: dict[str, dict[Any, set[Any]]] = {
             col: {} for col in {*schema.indexes, *schema.unique}
@@ -185,7 +184,7 @@ class Table:
         recovered from a log written before they were declared gets them
         on open.  The log keeps its ``create_table`` record; a checkpoint
         writes the schema with them."""
-        with self._rw.write():
+        with self._table_lock:
             missing = [col for col in columns if col not in self._hash]
             if not missing:
                 return
@@ -216,28 +215,29 @@ class Table:
 
     def get(self, pk: Any) -> Row | None:
         """Primary-key point lookup; returns a copy or None."""
-        with self._rw.read():
+        with self._table_lock:
             row = self._rows.get(pk)
             return dict(row) if row is not None else None
 
     def __len__(self) -> int:
-        with self._rw.read():
+        with self._table_lock:
             return len(self._rows)
 
     def __contains__(self, pk: Any) -> bool:
-        with self._rw.read():
+        with self._table_lock:
             return pk in self._rows
 
     def max_key(self, default: Any = None) -> Any:
         """The largest primary key, or *default* when the table is empty."""
-        with self._rw.read():
+        with self._table_lock:
             return max(self._rows, default=default)
 
     def scan(self) -> Iterator[Row]:
         """Full scan; yields row copies (a snapshot taken at first next())."""
-        with self._rw.read():
-            snapshot = [dict(row) for row in self._rows.values()]
-        yield from snapshot
+        with self._table_lock:
+            snapshot = list(self._rows.values())
+        for row in snapshot:
+            yield dict(row)
 
     def select(
         self,
@@ -258,10 +258,10 @@ class Table:
 
     def lookup(self, pks: Iterable[Any], column: str) -> list[Any]:
         """*column* of the row under each primary key in *pks*, in order
-        (None for a key with no row), under one read lock, copying no
-        row."""
+        (None for a key with no row), under one hold of the table's lock,
+        copying no row."""
         self.schema.column(column)
-        with self._rw.read():
+        with self._table_lock:
             rows = self._rows
             return [
                 row[column] if (row := rows.get(pk)) is not None else None
@@ -282,10 +282,10 @@ class Table:
 
     def _matching(self, where: Row | Callable[[Row], bool] | None) -> list[Row]:
         """The stored rows *where* selects, uncopied.  The candidates are
-        snapshotted under the read lock and filtered outside it, so a
+        snapshotted under the table's lock and filtered outside it, so a
         predicate can itself query tables; it sees stored rows, which
         commits replace and never mutate."""
-        with self._rw.read():
+        with self._table_lock:
             rows = self._candidates(where)
         if isinstance(where, dict):
             if len(where) == 1 and (
@@ -327,9 +327,8 @@ class Transaction:
     read-committed discipline Memex's servlets use and keeps abort trivial.
     """
 
-    def __init__(self, db: "Database", txn_id: int) -> None:
+    def __init__(self, db: "Database") -> None:
         self._db = db
-        self.txn_id = txn_id
         self._ops: list[tuple[str, str, Any, Any]] = []  # op, table, pk, payload
         self._state = "active"
 
@@ -406,11 +405,9 @@ class Database:
     ) -> None:
         self._tables: dict[str, Table] = {}
         self._log: WriteAheadLog | None = None
-        self._next_txn = 1
         self._recovering = False
-        # Guards the table catalog and the transaction-id sequence; same
-        # "relational" rank as the per-table _rw locks (never nested with
-        # them held).
+        # Guards the table catalog; same "relational" rank as the
+        # per-table _table_lock (never nested with one held).
         self._catalog_lock = threading.RLock()
         m = metrics if metrics is not None else null_registry()
         self._n_commits = 0
@@ -483,25 +480,23 @@ class Database:
     # -- transactions ------------------------------------------------------------
 
     def begin(self) -> Transaction:
-        with self._catalog_lock:
-            txn_id = self._next_txn
-            self._next_txn += 1
-        return Transaction(self, txn_id)
+        return Transaction(self)
 
     def _commit(self, txn: Transaction) -> None:
-        # Serialize commits per table-group: take the write lock of every
+        # Serialize commits per table-group: take the lock of every
         # involved table in sorted-name order (deadlock-free by global
-        # ordering); commits on disjoint table groups run concurrently
-        # with each other and with readers of other tables.
+        # ordering), and hold them over the log append, so no reader sees
+        # a row before it is durable.
         involved = sorted({tname for _, tname, _, _ in txn._ops})
         with ExitStack() as stack:
             for tname in involved:
-                stack.enter_context(self._table(tname)._rw.write())
+                stack.enter_context(self._table(tname)._table_lock)
             self._apply_ops(txn)
 
     def _apply_ops(self, txn: Transaction) -> None:
-        # Apply with rollback-on-failure so a constraint violation midway
-        # leaves the database unchanged (atomicity).
+        # Apply with rollback-on-failure so a constraint violation midway,
+        # or a log append that raises, leaves the database unchanged
+        # (atomicity).
         applied: list[tuple[str, str, Any, Row | None]] = []
         try:
             for op, tname, pk, payload in txn._ops:
@@ -515,6 +510,19 @@ class Database:
                 else:
                     old = table._delete(pk)
                     applied.append(("delete", tname, pk, old))
+            if self._log is not None and not self._recovering and txn._ops:
+                record = {"kind": "txn", "ops": [
+                    [op, tname, pk, payload]
+                    for op, tname, pk, payload in txn._ops
+                ]}
+                # Stamp the ambient trace context (if a request span is
+                # active) so a WAL record is attributable to the request
+                # that wrote it.  Recovery ignores unknown keys, so old
+                # readers and old WALs are both unaffected.
+                trace = current_traceparent()
+                if trace is not None:
+                    record["trace"] = trace
+                self._log.append(encode(record))
         except Exception:
             for op, tname, pk, old in reversed(applied):
                 table = self._table(tname)
@@ -531,19 +539,6 @@ class Database:
             raise
         if txn._ops:
             self._n_commits += 1
-        if self._log is not None and not self._recovering and txn._ops:
-            record = {"kind": "txn", "ops": [
-                [op, tname, pk, payload]
-                for op, tname, pk, payload in txn._ops
-            ]}
-            # Stamp the ambient trace context (if a request span is
-            # active) so a WAL record is attributable to the request that
-            # wrote it.  Recovery ignores unknown keys, so old readers
-            # and old WALs are both unaffected.
-            trace = current_traceparent()
-            if trace is not None:
-                record["trace"] = trace
-            self._log.append(encode(record))
 
     # -- convenience auto-commit operations ----------------------------------------
 

@@ -52,9 +52,16 @@ def test_a_planted_inversion_is_reported(tmp_path, monkeypatch):
         "    with self._cache_lock:\n"
         "        with self._repo_lock:\n"
         "            pass\n"
+        "\n"
+        "def scan_then_record(self):\n"
+        "    with self._table_lock:\n"
+        "        with self._repo_lock:\n"
+        "            pass\n"
     )
     problems = []
     lint.lint_file(planted, problems)
-    assert len(problems) == 1
+    assert len(problems) == 2
     assert problems[0].startswith("planted.py:3: acquires '_repo_lock'")
     assert "while holding '_cache_lock'" in problems[0]
+    assert problems[1].startswith("planted.py:8: acquires '_repo_lock'")
+    assert "while holding '_table_lock'" in problems[1]

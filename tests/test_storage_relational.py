@@ -1,6 +1,9 @@
 """Tests for the in-process relational engine."""
 
+import errno
+import sys
 import threading
+import time
 
 import pytest
 
@@ -410,13 +413,13 @@ def test_a_predicate_may_select_from_another_table(db):
     assert [r["name"] for r in people.select(in_uk, order_by="pid")] == \
         ["ada", "alan"]
     assert people.count(in_uk) == 2
-    # ...and the same table, whose read lock the outer select has let go.
+    # ...and the same table, whose lock the outer select has let go.
     assert people.count(lambda r: people.get(r["pid"]) is not None) == 4
 
 
 def test_a_predicate_that_raises_releases_the_read_lock(db):
-    """The predicate runs outside the read lock, so its exception leaves
-    nothing held: a commit after it takes the write lock at once."""
+    """The predicate runs outside the table's lock, so its exception
+    leaves nothing held: a commit after it takes the lock at once."""
     fill(db)
     t = db.table("people")
 
@@ -456,3 +459,174 @@ def test_reopening_with_a_new_index_builds_it_from_the_stored_rows(tmp_path):
         assert [r["k"] for r in t.select({"tag": "b"}, order_by="k")] == [0, 1, 3]
     with Database(path) as db:         # the log keeps the old create_table
         assert db.table("t").schema.indexes == ()
+
+
+def _table_state(table):
+    """A table's rows and index buckets, as plain sorted values."""
+    rows = sorted(table.scan(), key=lambda r: r["k"])
+    buckets = {
+        col: {value: sorted(pks) for value, pks in by_value.items()}
+        for col, by_value in table._hash.items()
+    }
+    return rows, buckets
+
+
+def test_a_refused_log_append_rolls_the_commit_back(tmp_path, monkeypatch):
+    """A commit whose log append raises serves nothing it did not log:
+    rows and index buckets are as before it, the next commit succeeds,
+    and a reopen recovers exactly what was served."""
+    path = tmp_path / "db.wal"
+    columns = [Column("k", "int"), Column("tag"), Column("email", nullable=True)]
+    with Database(path, sync=True) as db:
+        db.create_table(
+            "t", columns, primary_key="k", indexes=("tag",), unique=("email",))
+        db.insert_many("t", [
+            {"k": 1, "tag": "a", "email": "one@x"},
+            {"k": 2, "tag": "b", "email": "two@x"},
+        ])
+        t = db.table("t")
+        before = _table_state(t)
+
+        def refuse(payload):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(db._log, "append", refuse)
+        with pytest.raises(OSError):
+            with db.begin() as txn:
+                txn.insert("t", {"k": 3, "tag": "a", "email": "three@x"})
+                txn.update("t", 1, {"tag": "c", "email": "uno@x"})
+                txn.delete("t", 2)
+        assert _table_state(t) == before
+
+        monkeypatch.undo()
+        db.insert("t", {"k": 3, "tag": "a", "email": "three@x"})
+        served = _table_state(t)
+        assert [r["k"] for r in served[0]] == [1, 2, 3]
+        assert served[1]["tag"] == {"a": [1, 3], "b": [2]}
+    with Database(path) as reopened:
+        assert _table_state(reopened.table("t")) == served
+
+
+def _accounts():
+    """Two rows of one table holding 100 units between them; ``seq`` is
+    the number of the last commit that moved a unit."""
+    d = Database()
+    d.create_table(
+        "acct", [Column("k", "int"), Column("bal", "int"), Column("seq", "int"),
+                 Column("kind")],
+        primary_key="k", indexes=("kind",),
+    )
+    d.insert_many("acct", [
+        {"k": 0, "bal": 50, "seq": 0, "kind": "acct"},
+        {"k": 1, "bal": 50, "seq": 0, "kind": "acct"},
+    ])
+    return d
+
+
+def _move_a_unit(db, n):
+    """Commit *n*: one unit from row 0 to row 1, row 0 written first."""
+    with db.begin() as txn:
+        txn.update("acct", 0, {"bal": 50 - n, "seq": n})
+        txn.update("acct", 1, {"bal": 50 + n, "seq": n})
+
+
+def _read_totals(t):
+    """The total each kind of read saw, one read of each."""
+    def by_predicate(row):
+        seen.append(row["bal"])
+        return True
+
+    seen = []
+    assert t.count(by_predicate) == 2
+    first, second = t.get(0), t.get(1)
+    # A commit writes row 0 before row 1: a row 1 older than the row 0
+    # read before it is half a commit, and two rows of one commit hold
+    # the total.
+    assert second["seq"] >= first["seq"], (first, second)
+    totals = {
+        "select": sum(r["bal"] for r in t.select()),
+        "select_indexed": sum(r["bal"] for r in t.select({"kind": "acct"})),
+        "scan": sum(r["bal"] for r in t.scan()),
+        "count": sum(seen),
+    }
+    if second["seq"] == first["seq"]:
+        totals["get"] = first["bal"] + second["bal"]
+    return totals
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads hand the interpreter lock over every 10 µs, not 5 ms."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _stop(readers, stop):
+    stop.set()
+    for thread in readers:
+        thread.join(5.0)
+    assert not any(thread.is_alive() for thread in readers)
+
+
+def _readers(t, stop, problems, rounds):
+    """One thread per slot of *rounds*, reading *t* in a loop until
+    *stop*; each counts its rounds in its slot and records a failure in
+    *problems*."""
+    def loop(slot):
+        try:
+            while not stop.is_set():
+                totals = _read_totals(t)
+                assert set(totals.values()) == {100}, totals
+                rounds[slot] += 1
+        except Exception as exc:
+            problems.append(exc)
+
+    threads = [threading.Thread(target=loop, args=(slot,), daemon=True)
+               for slot in range(len(rounds))]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def test_a_reader_never_sees_half_a_commit(fast_switching):
+    """Commits go on for 0.3 s beside two readers (thousands of each);
+    a commit that takes no table lock fails this."""
+    db = _accounts()
+    t = db.table("acct")
+    stop, problems, rounds = threading.Event(), [], [0, 0]
+    readers = _readers(t, stop, problems, rounds)
+    deadline = time.monotonic() + 0.3
+    n = 0
+    try:
+        while not problems and time.monotonic() < deadline:
+            n += 1
+            _move_a_unit(db, n)
+    finally:
+        _stop(readers, stop)
+    assert problems == []
+    assert min(rounds) > 0
+    assert t.get(0)["bal"] == 50 - n and t.get(1)["bal"] == 50 + n
+
+
+def test_a_commit_is_not_starved_by_readers_in_tight_loops(fast_switching):
+    db = _accounts()
+    t = db.table("acct")
+    stop, problems, rounds = threading.Event(), [], [0, 0]
+    readers = _readers(t, stop, problems, rounds)
+    wait_until = time.monotonic() + 5.0
+    while min(rounds) == 0 and not problems and time.monotonic() < wait_until:
+        time.sleep(0.001)       # both readers are in their loops
+    start = time.monotonic()
+    try:
+        for n in range(1, 201):
+            _move_a_unit(db, n)
+    finally:
+        elapsed = time.monotonic() - start
+        _stop(readers, stop)
+    assert elapsed < 10.0, f"200 commits took {elapsed:.1f} s beside two readers"
+    assert problems == []
+    assert t.get(1)["seq"] == 200
