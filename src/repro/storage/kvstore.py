@@ -154,7 +154,7 @@ class KVStore:
 
     def put_many(self, items: Iterable[tuple[bytes, bytes]]) -> int:
         """Insert or overwrite many keys with one group-committed log
-        append (one buffered write, at most one fsync); returns the count.
+        append (one write, at most one fsync); returns the count.
 
         Later occurrences of a duplicate key win, matching sequential
         :meth:`put` semantics.

@@ -134,7 +134,7 @@ class Table:
         # and filters, sorts and copies outside it, so user predicates
         # never run while it is held; a commit takes the lock of every
         # involved table in sorted-name order (the "table group").
-        self._table_lock = threading.RLock()
+        self._table_lock = threading.Lock()
         self._rows: dict[Any, Row] = {}
         self._hash: dict[str, dict[Any, set[Any]]] = {
             col: {} for col in {*schema.indexes, *schema.unique}
@@ -496,7 +496,7 @@ class Database:
     def _apply_ops(self, txn: Transaction) -> None:
         # Apply with rollback-on-failure so a constraint violation midway,
         # or a log append that raises, leaves the database unchanged
-        # (atomicity).
+        # (atomicity); a refused append also leaves nothing in the log.
         applied: list[tuple[str, str, Any, Row | None]] = []
         try:
             for op, tname, pk, payload in txn._ops:
@@ -523,7 +523,7 @@ class Database:
                 if trace is not None:
                     record["trace"] = trace
                 self._log.append(encode(record))
-        except Exception:
+        except BaseException:
             for op, tname, pk, old in reversed(applied):
                 table = self._table(tname)
                 if op == "insert":

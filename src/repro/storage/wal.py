@@ -69,12 +69,13 @@ class WriteAheadLog:
         m.counter_func(
             "storage.wal.fsyncs", lambda: self._n_fsyncs, log=self.path.name)
         self._recovered_bytes = self._scan_and_truncate()
-        self._fh = open(self.path, "ab")
+        # Unbuffered: every append is one write, so a refused one can be
+        # cut off the file with no bytes left over in a buffer.
+        self._fh = open(self.path, "ab", buffering=0)
         self._closed = False
-        # Single-writer lock: appends, compaction, and flushes serialize
-        # here so records never interleave mid-frame.  Reentrant because
-        # compaction flushes while already holding it.
-        self._wal_lock = threading.RLock()
+        # Single-writer lock: appends and compaction serialize here so
+        # records never interleave mid-frame.  Nothing takes it twice.
+        self._wal_lock = threading.Lock()
 
     # -- recovery -----------------------------------------------------------
 
@@ -111,17 +112,11 @@ class WriteAheadLog:
         with self._wal_lock:
             if self._closed:
                 raise StoreClosed(f"log {self.path} is closed")
-            offset = self._fh.tell()
-            self._fh.write(record)
-            self._fh.flush()
-            if self.sync:
-                os.fsync(self._fh.fileno())
-                self._n_fsyncs += 1
-        return offset
+            return self._write(record)
 
     def append_many(self, payloads: Iterable[bytes]) -> list[int]:
         """Group commit: append every payload as its own record with ONE
-        buffered write and (when ``sync``) ONE fsync for the whole batch.
+        write and (when ``sync``) ONE fsync for the whole batch.
 
         Records stay individually checksummed and length-prefixed, so
         torn-tail recovery still truncates to the last intact *record* —
@@ -132,20 +127,44 @@ class WriteAheadLog:
         with self._wal_lock:
             if self._closed:
                 raise StoreClosed(f"log {self.path} is closed")
-            offsets: list[int] = []
-            offset = self._fh.tell()
-            for record in records:
-                offsets.append(offset)
-                offset += len(record)
             if not records:
-                return offsets
-            buffer = b"".join(records)
-            self._fh.write(buffer)
-            self._fh.flush()
+                return []
+            offset = self._write(b"".join(records))
+        offsets: list[int] = []
+        for record in records:
+            offsets.append(offset)
+            offset += len(record)
+        return offsets
+
+    def _write(self, data: bytes) -> int:
+        """Write *data* at the end of the log (and fsync it when ``sync``),
+        all or nothing; returns the offset it begins at.  Call with
+        ``_wal_lock`` held.
+
+        When the write or the fsync raises, the file is truncated back to
+        that offset, so a caller that undoes the refused change in memory
+        agrees with what a reopen replays.  If even the truncation fails,
+        the log closes: the refused bytes may replay on reopen, as after a
+        crash before the append returned, but no later record lands
+        behind them.
+        """
+        offset = self._fh.tell()
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[self._fh.write(view):]
             if self.sync:
                 os.fsync(self._fh.fileno())
                 self._n_fsyncs += 1
-        return offsets
+        except BaseException:
+            try:
+                os.ftruncate(self._fh.fileno(), offset)
+                self._fh.seek(offset)
+            except OSError:
+                self._closed = True
+                self._fh.close()
+            raise
+        return offset
 
     def replay(self) -> Iterator[bytes]:
         """Yield every intact record payload, in append order.
@@ -153,8 +172,6 @@ class WriteAheadLog:
         Safe to call while the log is open for appending; it reads a
         snapshot of the bytes present when iteration starts.
         """
-        with self._wal_lock:
-            self._fh.flush()
         with open(self.path, "rb") as fh:
             while True:
                 header = fh.read(_HEADER.size)
@@ -188,18 +205,16 @@ class WriteAheadLog:
                 self._n_fsyncs += 1
             self._fh.close()
             os.replace(tmp, self.path)
-            self._fh = open(self.path, "ab")
+            self._fh = open(self.path, "ab", buffering=0)
 
     def size_bytes(self) -> int:
-        """Current log size in bytes (including unflushed buffer)."""
+        """Current log size in bytes."""
         with self._wal_lock:
-            self._fh.flush()
             return self.path.stat().st_size
 
     def close(self) -> None:
         with self._wal_lock:
             if not self._closed:
-                self._fh.flush()
                 self._fh.close()
                 self._closed = True
 

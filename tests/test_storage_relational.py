@@ -1,6 +1,7 @@
 """Tests for the in-process relational engine."""
 
 import errno
+import os
 import sys
 import threading
 import time
@@ -503,6 +504,41 @@ def test_a_refused_log_append_rolls_the_commit_back(tmp_path, monkeypatch):
         served = _table_state(t)
         assert [r["k"] for r in served[0]] == [1, 2, 3]
         assert served[1]["tag"] == {"a": [1, 3], "b": [2]}
+    with Database(path) as reopened:
+        assert _table_state(reopened.table("t")) == served
+
+
+@pytest.mark.parametrize("refusal", [
+    OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt(),
+], ids=["enospc", "interrupt"])
+def test_a_retried_insert_after_a_refused_fsync_reopens(
+        tmp_path, monkeypatch, refusal):
+    """A commit whose fsync raises is taken back from the log as well as
+    from memory, so retrying the same primary key logs it once and a
+    reopen serves exactly what was served."""
+    path = tmp_path / "db.wal"
+    with Database(path, sync=True) as db:
+        db.create_table("t", [Column("k", "int"), Column("tag")],
+                        primary_key="k", indexes=("tag",))
+        db.insert("t", {"k": 1, "tag": "a"})
+        t = db.table("t")
+        before = _table_state(t)
+        real_fsync = os.fsync
+        calls = []
+
+        def refuse_once(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise refusal
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", refuse_once)
+        with pytest.raises(type(refusal)):
+            db.insert("t", {"k": 2, "tag": "b"})
+        assert _table_state(t) == before
+        db.insert("t", {"k": 2, "tag": "b"})
+        served = _table_state(t)
+        assert [r["k"] for r in served[0]] == [1, 2]
     with Database(path) as reopened:
         assert _table_state(reopened.table("t")) == served
 

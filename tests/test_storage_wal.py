@@ -1,5 +1,6 @@
 """Tests for the write-ahead log: framing, replay, recovery, compaction."""
 
+import errno
 import os
 
 import pytest
@@ -103,3 +104,84 @@ def test_size_bytes_grows(tmp_path):
 def test_empty_log_replay(tmp_path):
     with WriteAheadLog(tmp_path / "a.wal") as log:
         assert list(log.replay()) == []
+
+
+def _refuse_once(real):
+    """A stand-in for *real* whose first call raises ENOSPC."""
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args)
+    return refuse
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["append", "append_many"])
+def test_a_refused_fsync_takes_the_record_back(tmp_path, monkeypatch, many):
+    path = tmp_path / "a.wal"
+    log = WriteAheadLog(path, sync=True)
+    log.append(b"keep")
+    size = log.size_bytes()
+    monkeypatch.setattr(os, "fsync", _refuse_once(os.fsync))
+    with pytest.raises(OSError):
+        if many:
+            log.append_many([b"gone-1", b"gone-2"])
+        else:
+            log.append(b"gone")
+    assert not log.closed
+    assert log.size_bytes() == size
+    assert log.append(b"next") == size
+    assert list(log.replay()) == [b"keep", b"next"]
+    log.close()
+    with WriteAheadLog(path) as reopened:
+        assert list(reopened.replay()) == [b"keep", b"next"]
+
+
+class _ShortWrites:
+    """A log file whose first write takes 5 bytes and whose second raises."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(bytes(data[:5]))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_a_refused_write_takes_back_the_bytes_it_wrote(tmp_path):
+    path = tmp_path / "a.wal"
+    log = WriteAheadLog(path)
+    log.append(b"keep")
+    size = log.size_bytes()
+    real, log._fh = log._fh, _ShortWrites(log._fh)
+    with pytest.raises(OSError):
+        log.append(b"a record longer than five bytes")
+    assert log._fh.writes == 2 and log.size_bytes() == size
+    log._fh = real
+    log.append(b"next")
+    assert list(log.replay()) == [b"keep", b"next"]
+    log.close()
+
+
+def test_a_failed_take_back_closes_the_log(tmp_path, monkeypatch):
+    log = WriteAheadLog(tmp_path / "a.wal", sync=True)
+    log.append(b"keep")
+
+    def refuse(*args):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", refuse)
+    monkeypatch.setattr(os, "ftruncate", refuse)
+    with pytest.raises(OSError):
+        log.append(b"unknown")
+    assert log.closed
+    with pytest.raises(StoreClosed):
+        log.append(b"after")
